@@ -12,7 +12,12 @@
 
      dune exec examples/trace_demo.exe
 
-   which rewrites examples/trace_10tx.json. Open it at ui.perfetto.dev:
+   which rewrites examples/trace_10tx.json (an optional argument names
+   another output file). [dune runtest] regenerates the trace and diffs it
+   against the committed file, so the artifact doubles as a determinism
+   oracle: any change to a simulated timing shows up there, and an
+   intended one is accepted with [dune promote]. Open it at
+   ui.perfetto.dev:
    machines are processes, worker/log/net tracks are threads, and the
    arrows link each record's append to its remote processing. *)
 
@@ -20,7 +25,7 @@ open Farm_sim
 open Farm_core
 
 let n_txs = 10
-let out_file = "examples/trace_10tx.json"
+let out_file = if Array.length Sys.argv > 1 then Sys.argv.(1) else "examples/trace_10tx.json"
 
 let () =
   let cluster = Cluster.create ~seed:7 ~machines:3 () in

@@ -71,6 +71,6 @@ let create_region ?locality st =
     Comms.call st ~dst:cm ~timeout:(Time.ms 200) (Wire.Alloc_region_req { locality })
   with
   | Ok (Wire.Alloc_region_reply { info = Some info }) ->
-      Hashtbl.replace st.State.region_map info.Wire.rid info;
+      Int_tbl.replace st.State.region_map info.Wire.rid info;
       Some info.Wire.rid
   | Ok _ | Error _ -> None

@@ -36,7 +36,7 @@ let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~mach
   let domains_list = List.map (fun m -> (m, domains m)) members in
   let config = Config.make ~id:1 ~members ~domains:domains_list ~cm:0 in
   ignore (Farm_coord.Zk.bootstrap zk config);
-  let directory = Hashtbl.create n in
+  let directory = Int_tbl.create n in
   let states =
     Array.init n (fun id ->
         let cpu = Cpu.create engine ~threads:params.Params.threads_per_machine in
@@ -53,13 +53,13 @@ let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~mach
         State.create ~id ~engine ~rng:(Rng.split rng) ~params ~fabric ~zk ~cpu ~nv
           ~clock:clk ~config ~directory ~obs)
   in
-  Array.iter (fun st -> Hashtbl.replace directory st.State.id st) states;
+  Array.iter (fun st -> Int_tbl.replace directory st.State.id st) states;
   (* a ring log (located at the receiver) for every ordered machine pair *)
   for s = 0 to n - 1 do
     for r = 0 to n - 1 do
       let log = Ringlog.create ~sender:s ~receiver:r ~capacity:params.Params.log_size in
       Hashtbl.replace states.(r).State.nv.logs_in s log;
-      Hashtbl.replace states.(s).State.logs_out r log
+      Int_tbl.replace states.(s).State.logs_out r log
     done
   done;
   let t =
@@ -166,13 +166,13 @@ let restart_machine ?(rejoining = true) t id ~config =
   in
   (* reconnect the sender-side views of the shared ring logs; reservations
      and head estimates died with the process, so resynchronize them *)
-  Hashtbl.iter
+  Int_tbl.iter
     (fun dst log ->
-      Hashtbl.replace st.State.logs_out dst log;
+      Int_tbl.replace st.State.logs_out dst log;
       Ringlog.reset_sender_view log)
     old.State.logs_out;
   st.State.rejoining <- rejoining;
-  Hashtbl.replace directory id st;
+  Int_tbl.replace directory id st;
   t.machines.(id) <- st;
   st.State.trace <-
     (fun tag ->
@@ -347,7 +347,7 @@ let alloc_region ?locality ?(from = 0) t =
         Comms.call st ~dst:cm ~timeout:(Time.ms 200) (Wire.Alloc_region_req { locality })
       with
       | Ok (Wire.Alloc_region_reply { info = Some info }) ->
-          Hashtbl.replace st.State.region_map info.Wire.rid info;
+          Int_tbl.replace st.State.region_map info.Wire.rid info;
           Some info
       | Ok _ | Error _ -> None)
 

@@ -71,7 +71,7 @@ let handle_alloc_region st ~reply ~locality =
           if !ok then begin
             List.iter (fun m -> Comms.send st ~dst:m (Wire.Commit_region { info })) replicas;
             Hashtbl.replace cm.State.owners rid info;
-            Hashtbl.replace st.State.region_map rid info;
+            Int_tbl.replace st.State.region_map rid info;
             Comms.reply_to reply (Wire.Alloc_region_reply { info = Some info })
           end
           else Comms.reply_to reply (Wire.Alloc_region_reply { info = None }))
@@ -81,7 +81,7 @@ let handle_prepare_region st ~reply (info : Wire.region_info) =
   let role = if info.Wire.primary = st.State.id then State.Primary else State.Backup in
   let rep = State.add_replica st ~rid:info.Wire.rid ~role in
   rep.State.role <- role;
-  Hashtbl.replace st.State.region_map info.Wire.rid info;
+  Int_tbl.replace st.State.region_map info.Wire.rid info;
   Comms.reply_to reply (Wire.Prepare_region_ack { rid = info.Wire.rid; ok = true })
 
 let handle_commit_region st (info : Wire.region_info) =
@@ -120,7 +120,7 @@ let probe st ~targets =
                        pst.State.nv.replicas []
                    in
                    let infos =
-                     Hashtbl.fold
+                     Int_tbl.fold
                        (fun rid (i : Wire.region_info) acc ->
                          (rid, i.Wire.last_primary_change, i.Wire.last_replica_change) :: acc)
                        pst.State.region_map []
@@ -234,7 +234,7 @@ let rebuild_owners st (cm : State.cm_state) ~probes =
     (Hashtbl.fold (fun rid (r : State.replica) acc -> (rid, r.State.role) :: acc)
        st.State.nv.replicas []);
   note_infos
-    (Hashtbl.fold
+    (Int_tbl.fold
        (fun rid (i : Wire.region_info) acc ->
          (rid, i.Wire.last_primary_change, i.Wire.last_replica_change) :: acc)
        st.State.region_map []);
@@ -460,6 +460,6 @@ let handle_fetch_mapping st ~reply ~rid =
   let info =
     match st.State.cm with
     | Some cm -> Hashtbl.find_opt cm.State.owners rid
-    | None -> Hashtbl.find_opt st.State.region_map rid
+    | None -> Int_tbl.find_opt st.State.region_map rid
   in
   Comms.reply_to reply (Wire.Mapping_reply { info })

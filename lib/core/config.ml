@@ -14,7 +14,9 @@ let make ~id ~members ~domains ~cm =
   if not (List.mem cm members) then invalid_arg "Config.make: CM must be a member";
   { id; members; domains; cm }
 
-let is_member t m = List.mem m t.members
+let rec mem (m : int) = function [] -> false | x :: rest -> x = m || mem m rest
+
+let is_member t m = mem m t.members
 
 let domain_of t m = match List.assoc_opt m t.domains with Some d -> d | None -> m
 

@@ -166,7 +166,7 @@ let append_batch ?on_complete st ~thread (descs : (int * Wire.record) list) :
 (* Write an explicit TRUNCATE record carrying the pending truncations for
    [dst]. Used by the background flusher and when a log fills up. *)
 let flush_truncations st ~dst =
-  match Hashtbl.find_opt st.State.pending_trunc dst with
+  match Int_tbl.find_opt st.State.pending_trunc dst with
   | None -> ()
   | Some q when !q = [] -> ()
   | Some _ ->
@@ -201,7 +201,9 @@ let start_flusher st =
       let rec loop () =
         Proc.sleep st.State.params.Params.truncate_flush_interval;
         Proc.check_cancelled ();
-        let dsts = Hashtbl.fold (fun d q acc -> if !q = [] then acc else d :: acc) st.State.pending_trunc [] in
+        let dsts =
+          Int_tbl.fold (fun d q acc -> if !q = [] then acc else d :: acc) st.State.pending_trunc []
+        in
         List.iter (fun dst -> flush_truncations st ~dst) dsts;
         loop ()
       in

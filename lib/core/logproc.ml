@@ -79,11 +79,11 @@ let record_evidence st txid (r : Wire.log_record) =
 (* {1 Truncation at the receiver (§4 step 5)} *)
 
 let deferred_set st ~log_sender =
-  match Hashtbl.find_opt st.State.deferred_trunc log_sender with
+  match Int_tbl.find_opt st.State.deferred_trunc log_sender with
   | Some s -> s
   | None ->
       let s = ref Txid.Set.empty in
-      Hashtbl.replace st.State.deferred_trunc log_sender s;
+      Int_tbl.replace st.State.deferred_trunc log_sender s;
       s
 
 (* Apply a truncation: backups apply the buffered updates to their region

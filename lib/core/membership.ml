@@ -19,8 +19,10 @@ let apply_new_config st (config : Config.t) (regions : Wire.region_info list) =
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_new_config ~a:config.Config.id
         ~b:(List.length config.Config.members) ~c:config.Config.cm;
       st.State.config <- config;
-      Hashtbl.reset st.State.region_map;
-      List.iter (fun (i : Wire.region_info) -> Hashtbl.replace st.State.region_map i.Wire.rid i) regions;
+      Farm_sim.Int_tbl.reset st.State.region_map;
+      List.iter
+        (fun (i : Wire.region_info) -> Farm_sim.Int_tbl.replace st.State.region_map i.Wire.rid i)
+        regions;
       (* start blocking requests from external clients until commit *)
       st.State.blocked <- true;
       List.iter

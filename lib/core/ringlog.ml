@@ -29,7 +29,7 @@ type t = {
   sender : int;
   receiver : int;
   capacity : int;
-  unprocessed : (int, entry) Hashtbl.t;  (* seq -> entry, DMA'd not processed *)
+  unprocessed : entry Int_tbl.t;  (* seq -> entry, DMA'd not processed *)
   pending_tx : int Txid.Tbl.t;  (* txid -> unprocessed record count *)
   resident : entry list Txid.Tbl.t;  (* processed, awaiting truncation *)
   mutable used : int;  (* receiver-side truth: unprocessed + resident bytes *)
@@ -45,7 +45,7 @@ let create ~sender ~receiver ~capacity =
     sender;
     receiver;
     capacity;
-    unprocessed = Hashtbl.create 64;
+    unprocessed = Int_tbl.create 64;
     pending_tx = Txid.Tbl.create 64;
     resident = Txid.Tbl.create 64;
     used = 0;
@@ -104,7 +104,7 @@ let dma_append t record ~size =
   let e = { seq = t.next_seq; size; record } in
   t.next_seq <- t.next_seq + 1;
   t.used <- t.used + size;
-  Hashtbl.replace t.unprocessed e.seq e;
+  Int_tbl.replace t.unprocessed e.seq e;
   (match txid_of_record record with
   | Some txid ->
       let n = match Txid.Tbl.find_opt t.pending_tx txid with Some n -> n | None -> 0 in
@@ -120,7 +120,7 @@ let pending_count t txid =
 (* Mark an entry as no longer unprocessed (it was either retained or
    discarded by its processor). *)
 let processed t (e : entry) =
-  Hashtbl.remove t.unprocessed e.seq;
+  Int_tbl.remove t.unprocessed e.seq;
   match txid_of_record e.record with
   | Some txid ->
       let n = pending_count t txid in
@@ -159,7 +159,7 @@ let resident_records t txid =
   | None -> []
 
 let unprocessed_records t =
-  Hashtbl.fold (fun _ e acc -> e.record :: acc) t.unprocessed []
+  Int_tbl.fold (fun _ e acc -> e.record :: acc) t.unprocessed []
 
 let iter_resident t fn =
   Txid.Tbl.iter (fun txid entries -> fn txid (List.map (fun e -> e.record) entries)) t.resident

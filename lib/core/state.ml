@@ -67,7 +67,7 @@ type tx_live = {
 
 (* Truncation tracking at a record receiver: per coordinator thread, a low
    bound plus the set of truncated local ids above it (§5.3 step 6). *)
-type trunc_track = { mutable low : int; above : (int, unit) Hashtbl.t }
+type trunc_track = { mutable low : int; above : unit Int_tbl.t }
 
 (* Recovery-coordinator state for one recovering transaction. *)
 type rec_coord = {
@@ -161,7 +161,7 @@ type t = {
   mutable ctx : Proc.Ctx.t;
   mutable alive : bool;
   mutable config : Config.t;
-  mutable region_map : (int, Wire.region_info) Hashtbl.t;  (* cache *)
+  mutable region_map : Wire.region_info Int_tbl.t;  (* cache *)
   mutable last_drained : int;
   mutable blocked : bool;  (* external client requests blocked *)
   (* restarted after a crash: must not resume membership in a configuration
@@ -169,21 +169,21 @@ type t = {
      changes, §5.2) *)
   mutable rejoining : bool;
   (* sender-side views of logs located at other machines *)
-  logs_out : (int, Ringlog.t) Hashtbl.t;
+  logs_out : Ringlog.t Int_tbl.t;
   (* per incoming log: a poller is currently scheduled *)
   pollers : (int, bool ref) Hashtbl.t;
   (* allocator spill map: when a region fills up, this machine allocates a
      co-located overflow region through the CM and remembers it here *)
-  spill : (int, int) Hashtbl.t;
+  spill : int Int_tbl.t;
   (* coordinator-side *)
   next_local : int array;  (* per-thread local tx sequence *)
-  outstanding : (int, Txid.Set.t ref) Hashtbl.t;  (* thread -> not-yet-truncated *)
+  outstanding : Txid.Set.t ref Int_tbl.t;  (* thread -> not-yet-truncated *)
   pending_lock : lock_wait Txid.Tbl.t;
   active_txs : tx_live Txid.Tbl.t;
   (* snapshot protocol: read timestamps of transactions currently executing
      on this machine (ts -> holder count); their minimum caps the local
      truncation watermark *)
-  read_ts_active : (int, int) Hashtbl.t;
+  read_ts_active : int Int_tbl.t;
   (* primary-side lock ownership: which written objects each transaction
      currently holds locks on at this machine. Unlocking anything not in
      this table would release another transaction's lock taken at the same
@@ -192,12 +192,12 @@ type t = {
   (* per-commit scratch arenas (see Arena); workers acquire one per commit *)
   arena_pool : Arena.pool;
   (* truncation *)
-  pending_trunc : (int, Txid.t list ref) Hashtbl.t;  (* dest machine -> txids *)
-  truncated : (int, trunc_track) Hashtbl.t;  (* Txid.coord_id -> tracking *)
+  pending_trunc : Txid.t list ref Int_tbl.t;  (* dest machine -> txids *)
+  truncated : trunc_track Int_tbl.t;  (* Txid.coord_id -> tracking *)
   (* log-record processing *)
   mutable inflight : int;  (* log entries currently being processed *)
   mutable inflight_blocked : int;  (* of which blocked on region activation *)
-  deferred_trunc : (int, Txid.Set.t ref) Hashtbl.t;
+  deferred_trunc : Txid.Set.t ref Int_tbl.t;
       (* truncations received while the tx still had unprocessed records in
          the sender's log; keyed by sender machine *)
   (* recovery *)
@@ -212,7 +212,7 @@ type t = {
   obs : Farm_obs.Obs.t;  (* per-machine observability sink *)
   (* the cluster's "memory bus": lets one-sided operations reach remote
      replicas without involving the remote CPU *)
-  directory : (int, t) Hashtbl.t;
+  directory : t Int_tbl.t;
   (* wiring installed by Node to avoid module cycles *)
   mutable on_suspect : int list -> unit;  (* lease expiry -> reconfiguration *)
   (* application-registered handler for function-shipped operations *)
@@ -248,25 +248,25 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     ctx = Proc.Ctx.create ~name:(Printf.sprintf "m%d" id) ();
     alive = true;
     config;
-    region_map = Hashtbl.create 64;
+    region_map = Int_tbl.create 64;
     last_drained = 0;
     blocked = false;
     rejoining = false;
-    logs_out = Hashtbl.create 16;
+    logs_out = Int_tbl.create 16;
     pollers = Hashtbl.create 16;
-    spill = Hashtbl.create 16;
+    spill = Int_tbl.create 16;
     next_local = Array.make params.Params.threads_per_machine 0;
-    outstanding = Hashtbl.create 8;
+    outstanding = Int_tbl.create 8;
     pending_lock = Txid.Tbl.create 64;
     active_txs = Txid.Tbl.create 64;
-    read_ts_active = Hashtbl.create 64;
+    read_ts_active = Int_tbl.create 64;
     locks_held = Txid.Tbl.create 64;
     arena_pool = Arena.create_pool ~reuse:params.Params.arena_reuse;
-    pending_trunc = Hashtbl.create 16;
-    truncated = Hashtbl.create 64;
+    pending_trunc = Int_tbl.create 16;
+    truncated = Int_tbl.create 64;
     inflight = 0;
     inflight_blocked = 0;
-    deferred_trunc = Hashtbl.create 16;
+    deferred_trunc = Int_tbl.create 16;
     recovery = None;
     rec_coords = Txid.Tbl.create 16;
     recovered_outcomes = Txid.Tbl.create 64;
@@ -292,7 +292,7 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     trace = (fun _ -> ());
   }
 
-let peer st id = Hashtbl.find_opt st.directory id
+let peer st id = Int_tbl.find_opt st.directory id
 
 let now st = Engine.now st.engine
 let is_cm st = st.config.Config.cm = st.id
@@ -318,7 +318,7 @@ let ensure_cm st =
 
 (* {1 Region lookups} *)
 
-let region_info st rid = Hashtbl.find_opt st.region_map rid
+let region_info st rid = Int_tbl.find_opt st.region_map rid
 
 let primary_of st rid =
   match region_info st rid with Some i -> Some i.Wire.primary | None -> None
@@ -389,7 +389,7 @@ let set_inactive r =
 (* {1 Outgoing logs} *)
 
 let log_to st dst =
-  match Hashtbl.find_opt st.logs_out dst with
+  match Int_tbl.find_opt st.logs_out dst with
   | Some l -> l
   | None -> invalid_arg (Printf.sprintf "machine %d has no log to %d" st.id dst)
 
@@ -400,11 +400,11 @@ let fresh_txid st ~thread =
   st.next_local.(thread) <- local + 1;
   let txid = Txid.make ~config:st.config.Config.id ~machine:st.id ~thread ~local in
   let outs =
-    match Hashtbl.find_opt st.outstanding thread with
+    match Int_tbl.find_opt st.outstanding thread with
     | Some s -> s
     | None ->
         let s = ref Txid.Set.empty in
-        Hashtbl.replace st.outstanding thread s;
+        Int_tbl.replace st.outstanding thread s;
         s
   in
   outs := Txid.Set.add txid !outs;
@@ -413,57 +413,57 @@ let fresh_txid st ~thread =
 (* The thread's low bound on non-truncated transaction ids, piggybacked on
    log records. *)
 let low_bound st ~thread =
-  match Hashtbl.find_opt st.outstanding thread with
+  match Int_tbl.find_opt st.outstanding thread with
   | None -> st.next_local.(thread)
   | Some s ->
       if Txid.Set.is_empty !s then st.next_local.(thread)
       else (Txid.Set.min_elt !s).Txid.local
 
 let forget_outstanding st txid =
-  match Hashtbl.find_opt st.outstanding txid.Txid.thread with
+  match Int_tbl.find_opt st.outstanding txid.Txid.thread with
   | Some s -> s := Txid.Set.remove txid !s
   | None -> ()
 
 (* {1 Truncation tracking at receivers} *)
 
 let trunc_track st ~coord =
-  match Hashtbl.find_opt st.truncated coord with
+  match Int_tbl.find_opt st.truncated coord with
   | Some t -> t
   | None ->
-      let t = { low = 0; above = Hashtbl.create 16 } in
-      Hashtbl.replace st.truncated coord t;
+      let t = { low = 0; above = Int_tbl.create 16 } in
+      Int_tbl.replace st.truncated coord t;
       t
 
 let mark_truncated st txid =
   let t = trunc_track st ~coord:(Txid.coord_id txid) in
-  if txid.Txid.local >= t.low then Hashtbl.replace t.above txid.Txid.local ()
+  if txid.Txid.local >= t.low then Int_tbl.replace t.above txid.Txid.local ()
 
 let update_low_bound st ~coord low =
   let t = trunc_track st ~coord in
   if low > t.low then begin
     t.low <- low;
-    Hashtbl.iter (fun l () -> if l < low then Hashtbl.remove t.above l) (Hashtbl.copy t.above)
+    Int_tbl.filter_map_inplace (fun l () -> if l < low then None else Some ()) t.above
   end
 
 let is_truncated st txid =
   let t = trunc_track st ~coord:(Txid.coord_id txid) in
-  txid.Txid.local < t.low || Hashtbl.mem t.above txid.Txid.local
+  txid.Txid.local < t.low || Int_tbl.mem t.above txid.Txid.local
 
 (* {1 Pending truncations at the coordinator} *)
 
 let queue_truncation st ~dst txid =
   let q =
-    match Hashtbl.find_opt st.pending_trunc dst with
+    match Int_tbl.find_opt st.pending_trunc dst with
     | Some q -> q
     | None ->
         let q = ref [] in
-        Hashtbl.replace st.pending_trunc dst q;
+        Int_tbl.replace st.pending_trunc dst q;
         q
   in
   q := txid :: !q
 
 let take_truncations st ~dst =
-  match Hashtbl.find_opt st.pending_trunc dst with
+  match Int_tbl.find_opt st.pending_trunc dst with
   | None -> []
   | Some q ->
       let l = !q in
@@ -512,17 +512,17 @@ let record_abort ?(reason = 0) ?cause st =
 (* {1 Snapshot read timestamps and the truncation watermark} *)
 
 let register_read_ts st ts =
-  let n = match Hashtbl.find_opt st.read_ts_active ts with Some n -> n | None -> 0 in
-  Hashtbl.replace st.read_ts_active ts (n + 1)
+  let n = match Int_tbl.find_opt st.read_ts_active ts with Some n -> n | None -> 0 in
+  Int_tbl.replace st.read_ts_active ts (n + 1)
 
 let release_read_ts st ts =
-  match Hashtbl.find_opt st.read_ts_active ts with
-  | Some 1 -> Hashtbl.remove st.read_ts_active ts
-  | Some n -> Hashtbl.replace st.read_ts_active ts (n - 1)
+  match Int_tbl.find_opt st.read_ts_active ts with
+  | Some 1 -> Int_tbl.remove st.read_ts_active ts
+  | Some n -> Int_tbl.replace st.read_ts_active ts (n - 1)
   | None -> ()
 
 let min_active_read_ts st =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun ts _ acc -> match acc with None -> Some ts | Some m -> Some (min ts m))
     st.read_ts_active None
 

@@ -64,7 +64,7 @@ type tx_live = {
   lt_born : Time.t;  (** commit start, for the coordinator's park watchdog *)
 }
 
-type trunc_track = { mutable low : int; above : (int, unit) Hashtbl.t }
+type trunc_track = { mutable low : int; above : unit Int_tbl.t }
 (** Truncation tracking per coordinator thread: a low bound plus the set of
     truncated local ids above it (§5.3 step 6). *)
 
@@ -152,21 +152,21 @@ type t = {
   mutable ctx : Proc.Ctx.t;
   mutable alive : bool;
   mutable config : Config.t;
-  mutable region_map : (int, Wire.region_info) Hashtbl.t;  (** mapping cache *)
+  mutable region_map : Wire.region_info Int_tbl.t;  (** mapping cache *)
   mutable last_drained : int;
   mutable blocked : bool;  (** external client requests blocked *)
   mutable rejoining : bool;
       (** restarted after a crash: stays out of configurations that predate
           the reincarnation (see {!Cluster.restart_machine}) *)
-  logs_out : (int, Ringlog.t) Hashtbl.t;  (** sender views of remote logs *)
+  logs_out : Ringlog.t Int_tbl.t;  (** sender views of remote logs *)
   pollers : (int, bool ref) Hashtbl.t;
-  spill : (int, int) Hashtbl.t;
+  spill : int Int_tbl.t;
       (** full region -> co-located overflow region for allocation *)
   next_local : int array;
-  outstanding : (int, Txid.Set.t ref) Hashtbl.t;
+  outstanding : Txid.Set.t ref Int_tbl.t;
   pending_lock : lock_wait Txid.Tbl.t;
   active_txs : tx_live Txid.Tbl.t;
-  read_ts_active : (int, int) Hashtbl.t;
+  read_ts_active : int Int_tbl.t;
       (** snapshot protocol: active read timestamps (ts -> holder count);
           their minimum caps the local truncation watermark *)
   locks_held : Wire.write_item list Txid.Tbl.t;
@@ -174,11 +174,11 @@ type t = {
           the locks its transaction took *)
   arena_pool : Arena.pool;
       (** per-commit scratch arenas; workers acquire one per commit *)
-  pending_trunc : (int, Txid.t list ref) Hashtbl.t;
-  truncated : (int, trunc_track) Hashtbl.t;  (** keyed by {!Txid.coord_id} *)
+  pending_trunc : Txid.t list ref Int_tbl.t;
+  truncated : trunc_track Int_tbl.t;  (** keyed by {!Txid.coord_id} *)
   mutable inflight : int;
   mutable inflight_blocked : int;
-  deferred_trunc : (int, Txid.Set.t ref) Hashtbl.t;
+  deferred_trunc : Txid.Set.t ref Int_tbl.t;
   mutable recovery : recovery_state option;
   rec_coords : rec_coord Txid.Tbl.t;
   recovered_outcomes : outcome Txid.Tbl.t;
@@ -188,7 +188,7 @@ type t = {
   pending_suspects : (int, unit) Hashtbl.t;
   metrics : metrics;
   obs : Farm_obs.Obs.t;  (** per-machine observability sink *)
-  directory : (int, t) Hashtbl.t;
+  directory : t Int_tbl.t;
       (** the cluster's "memory bus": one-sided operations reach remote
           replicas through it without touching the remote CPU *)
   mutable on_suspect : int list -> unit;
@@ -210,7 +210,7 @@ val create :
   nv:nvstate ->
   clock:Clock.handle ->
   config:Config.t ->
-  directory:(int, t) Hashtbl.t ->
+  directory:t Int_tbl.t ->
   obs:Farm_obs.Obs.t ->
   t
 

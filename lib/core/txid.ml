@@ -18,7 +18,7 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash t = Hashtbl.hash (t.config, t.machine, t.thread, t.local)
+let hash t = Farm_sim.Int_tbl.hash4 t.config t.machine t.thread t.local
 
 (* Key identifying the coordinator thread, used for truncation tracking and
    for sharding recovery work across threads. *)

@@ -102,7 +102,7 @@ let rec ensure_mapping st rid ~retries =
         let cm = st.State.config.Config.cm in
         match Comms.call st ~dst:cm ~timeout:(Time.ms 10) (Wire.Fetch_mapping { rid }) with
         | Ok (Wire.Mapping_reply { info = Some info }) ->
-            Hashtbl.replace st.State.region_map rid info;
+            Int_tbl.replace st.State.region_map rid info;
             Some info
         | Ok _ | Error _ ->
             Proc.sleep (Time.ms 1);
@@ -110,7 +110,7 @@ let rec ensure_mapping st rid ~retries =
             ensure_mapping st rid ~retries:(retries - 1)
       end
 
-let invalidate_mapping st rid = Hashtbl.remove st.State.region_map rid
+let invalidate_mapping st rid = Int_tbl.remove st.State.region_map rid
 
 (* {1 Object reads} *)
 
@@ -293,7 +293,7 @@ let alloc tx ~size ?near ?region () =
     | None, None ->
         (* prefer a region whose primary is this machine *)
         let local =
-          Hashtbl.fold
+          Int_tbl.fold
             (fun rid info acc ->
               if info.Wire.primary = st.State.id then rid :: acc else acc)
             st.State.region_map []
@@ -301,7 +301,7 @@ let alloc tx ~size ?near ?region () =
         (match local with
         | _ :: _ -> Some (List.nth local (Rng.int st.State.rng (List.length local)))
         | [] ->
-            let all = Hashtbl.fold (fun rid _ acc -> rid :: acc) st.State.region_map [] in
+            let all = Int_tbl.fold (fun rid _ acc -> rid :: acc) st.State.region_map [] in
             (match all with
             | [] -> None
             | _ -> Some (List.nth all (Rng.int st.State.rng (List.length all)))))
@@ -314,7 +314,7 @@ let alloc tx ~size ?near ?region () =
       let rec resolve_spill rid hops =
         if hops > 16 then rid
         else
-          match Hashtbl.find_opt st.State.spill rid with
+          match Int_tbl.find_opt st.State.spill rid with
           | Some next -> resolve_spill next (hops + 1)
           | None -> rid
       in
@@ -345,7 +345,7 @@ let alloc tx ~size ?near ?region () =
         | None -> (
             (* the region is full: transparently allocate a co-located
                overflow region through the CM (§3) and spill into it *)
-            match Hashtbl.find_opt st.State.spill rid with
+            match Int_tbl.find_opt st.State.spill rid with
             | Some next -> try_alloc next
             | None -> (
                 let cm = st.State.config.Config.cm in
@@ -354,8 +354,8 @@ let alloc tx ~size ?near ?region () =
                     (Wire.Alloc_region_req { locality = Some rid })
                 with
                 | Ok (Wire.Alloc_region_reply { info = Some info }) ->
-                    Hashtbl.replace st.State.region_map info.Wire.rid info;
-                    Hashtbl.replace st.State.spill rid info.Wire.rid;
+                    Int_tbl.replace st.State.region_map info.Wire.rid info;
+                    Int_tbl.replace st.State.spill rid info.Wire.rid;
                     try_alloc info.Wire.rid
                 | Ok _ | Error _ -> None))
       in

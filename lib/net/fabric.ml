@@ -35,7 +35,7 @@ type 'msg t = {
   rng : Rng.t;
   mutable machines : 'msg machine option array;
   link_faults : (int * int, link_fault) Hashtbl.t;
-  gray_nics : (int, nic_gray) Hashtbl.t;
+  gray_nics : nic_gray Int_tbl.t;
   blackholes : (int * int, unit) Hashtbl.t;
       (* directed dead links: (src, dst) present = packets src->dst vanish
          while dst->src traffic is untouched (asymmetric/partial partition) *)
@@ -48,7 +48,7 @@ let create engine ~params ~rng =
     rng;
     machines = Array.make 8 None;
     link_faults = Hashtbl.create 16;
-    gray_nics = Hashtbl.create 8;
+    gray_nics = Int_tbl.create 8;
     blackholes = Hashtbl.create 16;
   }
 
@@ -59,17 +59,20 @@ let set_link_fault ?(delay = Time.zero) ?(loss = 0.) t ~src ~dst =
 let clear_link_fault t ~src ~dst = Hashtbl.remove t.link_faults (src, dst)
 let clear_link_faults t = Hashtbl.reset t.link_faults
 
-let link_fault t ~src ~dst = Hashtbl.find_opt t.link_faults (src, dst)
+(* The fault tables are empty outside fault runs, and every packet consults
+   them: checking for that first skips building and hashing a key. *)
+let link_fault t ~src ~dst =
+  if Hashtbl.length t.link_faults = 0 then None else Hashtbl.find_opt t.link_faults (src, dst)
 
 let set_nic_gray ?(delay_factor = 1.) ?(loss = 0.) t ~machine =
   if delay_factor < 1. then invalid_arg "Fabric.set_nic_gray: delay_factor must be >= 1";
   if loss < 0. || loss > 1. then invalid_arg "Fabric.set_nic_gray: loss not in [0,1]";
-  Hashtbl.replace t.gray_nics machine { delay_factor; gray_loss = loss }
+  Int_tbl.replace t.gray_nics machine { delay_factor; gray_loss = loss }
 
-let clear_nic_gray t ~machine = Hashtbl.remove t.gray_nics machine
+let clear_nic_gray t ~machine = Int_tbl.remove t.gray_nics machine
 
 let nic_gray t ~machine =
-  match Hashtbl.find_opt t.gray_nics machine with
+  match Int_tbl.find_opt t.gray_nics machine with
   | Some g -> Some (g.delay_factor, g.gray_loss)
   | None -> None
 
@@ -78,14 +81,15 @@ let clear_blackhole t ~src ~dst = Hashtbl.remove t.blackholes (src, dst)
 let blackholed t ~src ~dst = Hashtbl.mem t.blackholes (src, dst)
 
 let clear_gray_faults t =
-  Hashtbl.reset t.gray_nics;
+  Int_tbl.reset t.gray_nics;
   Hashtbl.reset t.blackholes
 
 (* Loss probability of one packet on the directed [src]->[dst] link: the
    injected per-link loss combined with the gray-NIC loss of both
    endpoints (independent drop opportunities). *)
 let gray_of t id =
-  match Hashtbl.find_opt t.gray_nics id with Some g -> g.gray_loss | None -> 0.
+  if Int_tbl.length t.gray_nics = 0 then 0.
+  else match Int_tbl.find_opt t.gray_nics id with Some g -> g.gray_loss | None -> 0.
 
 let link_loss t ~src ~dst =
   let l = match link_fault t ~src ~dst with Some f -> f.loss | None -> 0. in
@@ -211,7 +215,7 @@ let params t = t.params
 let reachable t src dst =
   let a = get t src and b = get t dst in
   a.alive && b.alive && a.partition = b.partition
-  && not (Hashtbl.mem t.blackholes (src, dst))
+  && (Hashtbl.length t.blackholes = 0 || not (Hashtbl.mem t.blackholes (src, dst)))
 
 let latency t =
   let j = Time.to_ns t.params.Params.fabric_jitter in
@@ -221,7 +225,8 @@ let latency t =
    fabric latency stretched by the gray-NIC delay factors of both
    endpoints (a degraded NIC slows its traffic in both directions). *)
 let gray_factor t id =
-  match Hashtbl.find_opt t.gray_nics id with Some g -> g.delay_factor | None -> 1.
+  if Int_tbl.length t.gray_nics = 0 then 1.
+  else match Int_tbl.find_opt t.gray_nics id with Some g -> g.delay_factor | None -> 1.
 
 let leg_latency t ~src ~dst =
   let base = latency t in

@@ -28,7 +28,7 @@ let occupy t ~bytes =
   t.bytes_total <- t.bytes_total + bytes;
   let best = ref 0 in
   for i = 1 to Array.length t.pipes - 1 do
-    if Time.( < ) t.pipes.(i) t.pipes.(!best) then best := i
+    if t.pipes.(i) < t.pipes.(!best) then best := i
   done;
   let start = Time.max (Engine.now t.engine) t.pipes.(!best) in
   let finish = Time.add start (service_time t ~bytes) in

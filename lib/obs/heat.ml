@@ -4,17 +4,19 @@
    so decay is independent of how often the cell is probed — probing at
    1 Hz or 1 MHz yields the same integer sequence. *)
 
+open Farm_sim
+
 type cell = {
   mutable h_access : int;
   mutable h_conflict : int;
   mutable h_at : int;  (* decay applied up to this sim time (ns) *)
 }
 
-type t = { hl : int; cells : (int, cell) Hashtbl.t }
+type t = { hl : int; cells : cell Int_tbl.t }
 
 let create ?(half_life_ns = 10_000_000) () =
   if half_life_ns <= 0 then invalid_arg "Heat.create: half_life_ns must be positive";
-  { hl = half_life_ns; cells = Hashtbl.create 64 }
+  { hl = half_life_ns; cells = Int_tbl.create 64 }
 
 let half_life_ns t = t.hl
 
@@ -34,13 +36,13 @@ let decay t c ~now =
   end
 
 let cell t ~now ~region =
-  match Hashtbl.find t.cells region with
+  match Int_tbl.find t.cells region with
   | c ->
       decay t c ~now;
       c
   | exception Not_found ->
       let c = { h_access = 0; h_conflict = 0; h_at = now } in
-      Hashtbl.add t.cells region c;
+      Int_tbl.add t.cells region c;
       c
 
 let access t ~now ~region =
@@ -61,7 +63,7 @@ let order a b =
   match compare b.hs_score a.hs_score with 0 -> compare a.hs_region b.hs_region | c -> c
 
 let report t ~now =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun region c acc ->
       decay t c ~now;
       if c.h_access = 0 && c.h_conflict = 0 then acc
@@ -73,7 +75,7 @@ let merge ts ~now =
   let sums = Hashtbl.create 64 in
   List.iter
     (fun t ->
-      Hashtbl.iter
+      Int_tbl.iter
         (fun region c ->
           decay t c ~now;
           if c.h_access > 0 || c.h_conflict > 0 then

@@ -2,9 +2,9 @@ open Farm_sim
 
 (* Causal tracing. Implementation notes, mirroring the obs spine:
 
-   - One preallocated ring of all-mutable-int slots; recording a slice or
-     an instant is ~10 integer stores. Rendering is deferred to
-     [export_json].
+   - One ring of all-mutable-int slots, allocated when tracing is first
+     enabled; recording a slice or an instant is ~10 integer stores.
+     Rendering is deferred to [export_json].
    - The only engine interaction is reading the clock; nothing here draws
      randomness, schedules work, or blocks, so histories are identical
      with tracing on or off, and the export is a pure function of the
@@ -136,38 +136,37 @@ type t = {
   engine : Engine.t;
   trc_machine : int;
   mutable trc_enabled : bool;
-  ring : slot array;
+  capacity : int;
+  mutable ring : slot array;  (* [||] until tracing is first enabled *)
   mutable pos : int;
   mutable trc_total : int;
 }
 
 let create ?(capacity = 4096) engine ~machine =
   if capacity < 1 then invalid_arg "Tracer.create: capacity must be positive";
+  { engine; trc_machine = machine; trc_enabled = false; capacity; ring = [||]; pos = 0; trc_total = 0 }
+
+let new_slot _ =
   {
-    engine;
-    trc_machine = machine;
-    trc_enabled = false;
-    ring =
-      Array.init capacity (fun _ ->
-          {
-            e_ph = 0;
-            e_ts = 0;
-            e_dur = 0;
-            e_tid = 0;
-            e_name = 0;
-            e_arg = 0;
-            e_txm = -1;
-            e_txt = 0;
-            e_txl = 0;
-            e_fin = 0;
-            e_fout = 0;
-          });
-    pos = 0;
-    trc_total = 0;
+    e_ph = 0;
+    e_ts = 0;
+    e_dur = 0;
+    e_tid = 0;
+    e_name = 0;
+    e_arg = 0;
+    e_txm = -1;
+    e_txt = 0;
+    e_txl = 0;
+    e_fin = 0;
+    e_fout = 0;
   }
 
 let machine t = t.trc_machine
-let set_enabled t on = t.trc_enabled <- on
+
+let set_enabled t on =
+  if on && Array.length t.ring = 0 then t.ring <- Array.init t.capacity new_slot;
+  t.trc_enabled <- on
+
 let enabled t = t.trc_enabled
 let total t = t.trc_total
 

@@ -36,7 +36,8 @@ type t
 
 val create : ?capacity:int -> Engine.t -> machine:int -> t
 (** A per-machine tracer; [capacity] bounds the span buffer (default
-    4096 slots, oldest overwritten first). *)
+    4096 slots, oldest overwritten first). The buffer is allocated when
+    tracing is first enabled. *)
 
 val machine : t -> int
 val set_enabled : t -> bool -> unit

@@ -30,7 +30,7 @@ let threads t = Array.length t.busy_until
 let pick t =
   let best = ref 0 in
   for i = 1 to Array.length t.busy_until - 1 do
-    if Time.( < ) t.busy_until.(i) t.busy_until.(!best) then best := i
+    if t.busy_until.(i) < t.busy_until.(!best) then best := i
   done;
   !best
 
@@ -43,10 +43,7 @@ let acquire t ~cost =
   t.busy_total <- Time.add t.busy_total cost;
   finish
 
-let exec t ~cost =
-  let finish = acquire t ~cost in
-  Proc.suspend (fun resume ->
-      Engine.schedule t.engine ~at:finish (fun () -> resume (Ok ())))
+let exec t ~cost = Proc.sleep_until (acquire t ~cost)
 
 let exec_bg ?ctx t ~cost fn =
   let finish = acquire t ~cost in

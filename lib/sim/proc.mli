@@ -32,6 +32,10 @@ val spawn : ?ctx:Ctx.t -> ?name:string -> Engine.t -> (unit -> unit) -> unit
 (** {1 Operations valid only inside a process} *)
 
 val env : unit -> env
+(** The running process's engine and context, read from a per-domain slot
+    that each resumption sets. Raises [Invalid_argument] outside a
+    process. *)
+
 val engine : unit -> Engine.t
 val self_ctx : unit -> Ctx.t
 val now : unit -> Time.t
@@ -41,8 +45,11 @@ val suspend : ((('a, exn) result -> unit) -> unit) -> 'a
     [register resume]. The process resumes (as a fresh engine event) when
     [resume] is invoked; later invocations of [resume] are ignored. *)
 
-val sleep : Time.t -> unit
 val sleep_until : Time.t -> unit
+(** Park until the given instant (clamped to now). Costs two events, like
+    every wake-up: a timer at the instant, then the resume at it. *)
+
+val sleep : Time.t -> unit
 
 val yield : unit -> unit
 (** Re-schedule at the current instant, letting other ready events run. *)

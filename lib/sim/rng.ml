@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3, as four little-endian 64-bit words.
+   Kept in bytes rather than in [mutable int64] fields, whose every store
+   would box a fresh [Int64]: here a draw allocates nothing. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_le t (8 * i)
+let set t i v = Bytes.set_int64_le t (8 * i) v
 
 (* splitmix64, used to expand a seed into xoshiro state and to split
    generators. Constants from Steele et al., "Fast splittable PRNGs". *)
@@ -9,35 +15,32 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_splitmix seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix64 state)
+  done;
+  t
+
+let create seed = of_splitmix (Int64.of_int seed)
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* xoshiro256** next *)
-let next_int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] next_int64 t =
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 1 (Int64.logxor s1 s2);
+  set t 0 (Int64.logxor s0 s3);
+  set t 2 (Int64.logxor s2 tmp);
+  set t 3 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (next_int64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let split t = of_splitmix (next_int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 

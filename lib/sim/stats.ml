@@ -8,24 +8,25 @@ module Hist = struct
   let nbuckets = 2048
 
   type t = {
-    buckets : int array;
+    mutable buckets : int array;  (* [||] until the first sample *)
     mutable count : int;
-    mutable sum : float;
+    mutable sum : int;
     mutable min_v : int;
     mutable max_v : int;
   }
 
-  let create () =
-    { buckets = Array.make nbuckets 0; count = 0; sum = 0.; min_v = max_int; max_v = 0 }
+  let create () = { buckets = [||]; count = 0; sum = 0; min_v = max_int; max_v = 0 }
 
+  (* Position of the most significant set bit of [v > 0], by binary
+     search over the 63 bits. *)
   let msb v =
-    (* position of the most significant set bit; v > 0 *)
-    let r = ref 0 in
-    let v = ref v in
-    while !v > 1 do
-      incr r;
-      v := !v lsr 1
-    done;
+    let v = ref v and r = ref 0 in
+    if !v lsr 32 <> 0 then begin v := !v lsr 32; r := 32 end;
+    if !v lsr 16 <> 0 then begin v := !v lsr 16; r := !r + 16 end;
+    if !v lsr 8 <> 0 then begin v := !v lsr 8; r := !r + 8 end;
+    if !v lsr 4 <> 0 then begin v := !v lsr 4; r := !r + 4 end;
+    if !v lsr 2 <> 0 then begin v := !v lsr 2; r := !r + 2 end;
+    if !v lsr 1 <> 0 then r := !r + 1;
     !r
 
   let index v =
@@ -46,16 +47,24 @@ module Hist = struct
       let off = i land (sub - 1) in
       ((1 lsl k) + ((off + 1) lsl (k - sub_bits))) - 1
 
+  (* Buckets are allocated on first use: most histograms of an idle or
+     untraced machine never see a sample. *)
+  let buckets t =
+    if Array.length t.buckets = 0 then t.buckets <- Array.make nbuckets 0;
+    t.buckets
+
   let record t v =
     let v = if v < 0 then 0 else v in
-    t.buckets.(index v) <- t.buckets.(index v) + 1;
+    let b = buckets t in
+    let i = index v in
+    b.(i) <- b.(i) + 1;
     t.count <- t.count + 1;
-    t.sum <- t.sum +. float_of_int v;
+    t.sum <- t.sum + v;
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
 
   let count t = t.count
-  let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+  let mean t = if t.count = 0 then 0. else float_of_int t.sum /. float_of_int t.count
   let min_value t = if t.count = 0 then 0 else t.min_v
   let max_value t = t.max_v
 
@@ -79,16 +88,19 @@ module Hist = struct
     end
 
   let merge ~into src =
-    Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) src.buckets;
+    if src.count > 0 then begin
+      let b = buckets into in
+      Array.iteri (fun i n -> b.(i) <- b.(i) + n) src.buckets
+    end;
     into.count <- into.count + src.count;
-    into.sum <- into.sum +. src.sum;
+    into.sum <- into.sum + src.sum;
     if src.min_v < into.min_v then into.min_v <- src.min_v;
     if src.max_v > into.max_v then into.max_v <- src.max_v
 
   let clear t =
-    Array.fill t.buckets 0 nbuckets 0;
+    Array.fill t.buckets 0 (Array.length t.buckets) 0;
     t.count <- 0;
-    t.sum <- 0.;
+    t.sum <- 0;
     t.min_v <- max_int;
     t.max_v <- 0
 end

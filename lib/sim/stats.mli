@@ -13,6 +13,8 @@ module Hist : sig
 
   val count : t -> int
   val mean : t -> float
+  (** Exact while the sum of samples stays below 2{^53}. *)
+
   val min_value : t -> int
   val max_value : t -> int
 
@@ -22,6 +24,9 @@ module Hist : sig
 
   val merge : into:t -> t -> unit
   val clear : t -> unit
+
+  val index : int -> int
+  (** Bucket of a non-negative sample. *)
 end
 
 module Series : sig

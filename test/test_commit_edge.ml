@@ -156,7 +156,7 @@ let txid_uniqueness () =
   (* low bounds advanced: truncation tracking saw unique monotone ids *)
   Array.iter
     (fun (st' : State.t) ->
-      Hashtbl.iter
+      Int_tbl.iter
         (fun _ (t : State.trunc_track) ->
           check_bool "low bound sane" true (t.State.low >= 0))
         st'.State.truncated)
@@ -169,7 +169,7 @@ let allocation_spills_to_new_region () =
   let c = mk_cluster ~machines:5 ~params () in
   let r = Cluster.alloc_region_exn c in
   let before =
-    Cluster.run_on c ~machine:0 (fun st -> Hashtbl.length st.State.region_map)
+    Cluster.run_on c ~machine:0 (fun st -> Int_tbl.length st.State.region_map)
   in
   (* allocate far more than one region holds: 64 KB / 4 KB slots = 16 per
      region at most *)
@@ -189,7 +189,7 @@ let allocation_spills_to_new_region () =
     List.sort_uniq compare (List.map (fun (a : Addr.t) -> a.Addr.region) addrs)
   in
   check_bool "spilled into overflow regions" true (List.length regions_used > 1);
-  let after = Cluster.run_on c ~machine:0 (fun st -> Hashtbl.length st.State.region_map) in
+  let after = Cluster.run_on c ~machine:0 (fun st -> Int_tbl.length st.State.region_map) in
   check_bool "CM allocated new regions" true (after > before);
   (* every object is intact *)
   List.iteri (fun i a -> check_int "spilled object" i (read_cell c ~machine:2 a)) addrs

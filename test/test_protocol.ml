@@ -95,7 +95,7 @@ let truncation_tracking_compact () =
       ~coord:(Txid.coord_id (Txid.make ~config:1 ~machine:1 ~thread:0 ~local:0))
   in
   check_bool "low bound advanced" true (t.State.low > 40);
-  check_bool "above-set compact" true (Hashtbl.length t.State.above < 20)
+  check_bool "above-set compact" true (Int_tbl.length t.State.above < 20)
 
 (* Precise membership: an evicted-but-alive machine (healed partition)
    cannot commit transactions from its stale configuration, and its stale
