@@ -16,7 +16,7 @@ let tests () =
   let hist = Farm_sim.Stats.Hist.create () in
   let heap = Farm_sim.Heap.create () in
   let seq = ref 0 in
-  let mem = Bytes.make 4096 '\000' in
+  let mem = Farm_nvram.Pagemem.create 4096 in
   let header = Farm_core.Obj_layout.make ~locked:false ~allocated:true ~version:3 in
   Farm_core.Obj_layout.set mem ~off:64 header;
   let engine = Farm_sim.Engine.create () in

@@ -19,8 +19,23 @@ type t = {
   mutable lost_regions : int list;
 }
 
+(* Every simulated thread keeps process state in flight (continuations,
+   pending RPCs, lock and log waits) that outlives a default-sized minor
+   heap and gets promoted, costing minor-GC time and major heap. Give the
+   calling domain up to 8 K words (64 KB) of minor heap per thread of the
+   fleet: the largest power of two within that, capped at 1 M words
+   (8 MB). Below 64 threads this is the 256 K-word default, and the heap
+   never shrinks. OCaml 5 sizes minor heaps per domain, so this covers the
+   domain that builds, and therefore runs, the cluster. *)
+let size_minor_heap ~threads =
+  let rec pow2 w = if 2 * w > threads * 8192 then w else pow2 (2 * w) in
+  let want = min (1 lsl 20) (pow2 1) in
+  let g = Gc.get () in
+  if want > g.Gc.minor_heap_size then Gc.set { g with Gc.minor_heap_size = want }
+
 let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~machines:n () =
   if n < 1 then invalid_arg "Cluster.create: need at least one machine";
+  size_minor_heap ~threads:(n * params.Params.threads_per_machine);
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let fabric =

@@ -31,7 +31,7 @@ let apply_block st (rep : State.replica) ~block (data : Bytes.t) =
         if Obj_layout.version recovered > Obj_layout.version local then begin
           (* install with the lock bit cleared: if the source was mid-commit
              the commit reaches this backup through its own log *)
-          Bytes.blit data rel rep.State.mem local_off slot;
+          Farm_nvram.Pagemem.blit_from_bytes data rel rep.State.mem local_off slot;
           Obj_layout.set rep.State.mem ~off:local_off
             (Obj_layout.with_locked recovered false)
         end
@@ -82,7 +82,7 @@ let read_chunk st ~dst ~rid ~base ~len =
       | Some pst -> (
           match State.replica pst rid with
           | Some prep when prep.State.role = State.Primary ->
-              Some (Bytes.sub prep.State.mem base len)
+              Some (Farm_nvram.Pagemem.sub prep.State.mem base len)
           | _ -> None))
 
 (* Recover one region at a new backup: slab blocks are split across worker

@@ -180,7 +180,7 @@ let start_renewal st =
 let start_expiry_checker st =
   Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
       (* grantors start by assuming everyone renewed just now *)
-      let init_watch () =
+      let init_watch watched =
         List.iter
           (fun m ->
             match st.State.cm with
@@ -190,9 +190,9 @@ let start_expiry_checker st =
             | _ ->
                 if not (Hashtbl.mem st.State.lease.State.peer_leases m) then
                   Hashtbl.replace st.State.lease.State.peer_leases m (State.now st))
-          (watched_members st)
+          watched
       in
-      init_watch ();
+      init_watch (watched_members st);
       let rec loop () =
         Proc.check_cancelled ();
         Proc.sleep st.State.params.Params.lease_check_interval;
@@ -206,13 +206,20 @@ let start_expiry_checker st =
         in
         (match table with
         | Some table ->
-            init_watch ();
             let watched = watched_members st in
+            init_watch watched;
+            (* membership by machine id, built once per tick: the fold
+               below visits every lease, so a list lookup would make the
+               tick quadratic in the members *)
+            let is_watched = Array.make (1 + List.fold_left max st.State.id watched) false in
+            List.iter (fun m -> is_watched.(m) <- true) watched;
             let expired =
               Hashtbl.fold
                 (fun m last acc ->
                   if
-                    m <> st.State.id && List.mem m watched
+                    m <> st.State.id
+                    && m < Array.length is_watched
+                    && is_watched.(m)
                     && Time.( > ) (Time.sub now last) lease
                   then m :: acc
                   else acc)

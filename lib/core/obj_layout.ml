@@ -33,19 +33,21 @@ let with_version h v =
     (Int64.logand h (Int64.lognot version_mask))
     (Int64.logand (Int64.of_int v) version_mask)
 
-let get bytes ~off = Bytes.get_int64_le bytes off
-let set bytes ~off h = Bytes.set_int64_le bytes off h
+module Pagemem = Farm_nvram.Pagemem
+
+let get mem ~off = Pagemem.get_int64_le mem off
+let set mem ~off h = Pagemem.set_int64_le mem off h
 
 (* Single-word compare-and-swap; atomic because the simulator executes each
    closure without preemption, as a real CAS instruction would be. *)
-let cas bytes ~off ~expected ~desired =
-  if Int64.equal (get bytes ~off) expected then begin
-    set bytes ~off desired;
+let cas mem ~off ~expected ~desired =
+  if Int64.equal (get mem ~off) expected then begin
+    set mem ~off desired;
     true
   end
   else false
 
-let read_data bytes ~off ~len = Bytes.sub bytes (off + header_size) len
+let read_data mem ~off ~len = Pagemem.sub mem (off + header_size) len
 
-let write_data bytes ~off data =
-  Bytes.blit data 0 bytes (off + header_size) (Bytes.length data)
+let write_data mem ~off data =
+  Pagemem.blit_from_bytes data 0 mem (off + header_size) (Bytes.length data)

@@ -18,14 +18,18 @@ val with_locked : int64 -> bool -> int64
 val with_allocated : int64 -> bool -> int64
 val with_version : int64 -> int -> int64
 
-(** {1 Memory access} *)
+(** {1 Memory access}
 
-val get : Bytes.t -> off:int -> int64
-val set : Bytes.t -> off:int -> int64 -> unit
+    On a region's paged memory; an object may straddle a page boundary. *)
 
-val cas : Bytes.t -> off:int -> expected:int64 -> desired:int64 -> bool
+val get : Farm_nvram.Pagemem.t -> off:int -> int64
+val set : Farm_nvram.Pagemem.t -> off:int -> int64 -> unit
+
+val cas : Farm_nvram.Pagemem.t -> off:int -> expected:int64 -> desired:int64 -> bool
 (** Single-word compare-and-swap; atomic because the simulator never
     preempts a closure, as a real CAS instruction would be. *)
 
-val read_data : Bytes.t -> off:int -> len:int -> Bytes.t
-val write_data : Bytes.t -> off:int -> Bytes.t -> unit
+val read_data : Farm_nvram.Pagemem.t -> off:int -> len:int -> Bytes.t
+(** A fresh copy of the [len] data bytes after the header at [off]. *)
+
+val write_data : Farm_nvram.Pagemem.t -> off:int -> Bytes.t -> unit

@@ -14,7 +14,7 @@ type role = Primary | Backup
 
 type replica = {
   rid : int;
-  mem : Bytes.t;
+  mem : Farm_nvram.Pagemem.t;
   mutable role : role;
   mutable active : bool;  (* false while blocked for lock recovery (§5.3 step 1) *)
   mutable active_wait : unit Ivar.t;
@@ -330,8 +330,8 @@ let replica_exn st rid =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "machine %d has no replica of region %d" st.id rid)
 
-(* Create (or find) the local replica record for a region, backed by a
-   zeroed buffer in this machine's non-volatile DRAM. *)
+(* Create (or find) the local replica record for a region, backed by
+   zeroed paged memory in this machine's non-volatile DRAM. *)
 let add_replica st ~rid ~role =
   match Hashtbl.find_opt st.nv.replicas rid with
   | Some r -> r

@@ -15,7 +15,7 @@ type role = Primary | Backup
 
 type replica = {
   rid : int;
-  mem : Bytes.t;  (** the region bytes, in NVRAM *)
+  mem : Farm_nvram.Pagemem.t;  (** the region bytes, in NVRAM; paged on first write *)
   mutable role : role;
   mutable active : bool;
       (** false while blocked for lock recovery (§5.3 step 1) *)

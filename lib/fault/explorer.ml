@@ -113,7 +113,7 @@ let spawn_workers (c : Cluster.t) ~opts ~stop ~hist ~addrs ~tree =
               let rng = Rng.split st.State.rng in
               (* per-machine handle: node caches must not be shared *)
               let tree =
-                Option.map (fun t -> { t with Farm_kv.Btree.cache = Hashtbl.create 64 }) tree
+                Option.map (fun t -> { t with Farm_kv.Btree.cache = Int_tbl.create 64 }) tree
               in
               while not !stop do
                 (match tree with
@@ -225,7 +225,7 @@ let run_one ?(opts = default_opts) ?probe seed =
       match tree with
       | None -> ()
       | Some t -> (
-          let t = { t with Farm_kv.Btree.cache = Hashtbl.create 16 } in
+          let t = { t with Farm_kv.Btree.cache = Int_tbl.create 16 } in
           match
             Cluster.run_on c ~machine:m (fun st ->
                 Api.run_retry st ~thread:0 (fun tx -> Farm_kv.Btree.check_invariants tx t))

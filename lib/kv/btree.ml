@@ -26,7 +26,7 @@ type t = {
   root_ptr : Addr.t;  (* object holding the encoded root address *)
   regions : int array;
   fanout : int;
-  cache : (int * int, Bytes.t) Hashtbl.t;  (* (machine, encoded addr) -> node *)
+  cache : Bytes.t Farm_sim.Int_tbl.t;  (* [cache_key] -> node *)
 }
 
 type node = {
@@ -75,7 +75,7 @@ let create st ~thread ~regions ?(fanout = 14) () =
       root_ptr = Addr.make ~region:0 ~offset:0;
       regions;
       fanout;
-      cache = Hashtbl.create 1024;
+      cache = Farm_sim.Int_tbl.create 1024;
     }
   in
   let root_ptr =
@@ -102,11 +102,27 @@ let read_root tx t =
   | Some a -> a
   | None -> failwith "Btree: null root"
 
+(* {1 Node cache}
+
+   One table per tree handle, shared by every machine that uses it, so a
+   key packs the machine into the low [machine_bits] of the encoded node
+   address (region above bit 32, offset below). *)
+
+let machine_bits = 12
+
+let cache_key machine addr =
+  if machine lsr machine_bits <> 0 || addr.Addr.region lsr (62 - 32 - machine_bits) <> 0
+  then invalid_arg "Btree: machine or region id too large for the node cache";
+  (Codec.encode_addr addr lsl machine_bits) lor machine
+
+let key_machine key = key land ((1 lsl machine_bits) - 1)
+
 (* {1 Transactional reads (real reads; populate the cache)} *)
 
+(* [Txn.read] returns a buffer private to the caller, so it is cached as is. *)
 let read_node tx t addr =
   let data = Txn.read tx addr ~len:(node_data_size t) in
-  Hashtbl.replace t.cache (tx.Txn.st.State.id, Codec.encode_addr addr) (Bytes.copy data);
+  Farm_sim.Int_tbl.replace t.cache (cache_key tx.Txn.st.State.id addr) data;
   try parse t data
   with Failure msg -> Fmt.failwith "%s at %a" msg Addr.pp addr
 
@@ -352,12 +368,12 @@ let check_invariants tx t =
 
 (* {1 Cached lookups} *)
 
-let cached_node st t addr = Hashtbl.find_opt t.cache (st.State.id, Codec.encode_addr addr)
+let cached_node st t addr = Farm_sim.Int_tbl.find_opt t.cache (cache_key st.State.id addr)
 
 let invalidate st t =
-  Hashtbl.iter
-    (fun (m, a) _ -> if m = st.State.id then Hashtbl.remove t.cache (m, a))
-    (Hashtbl.copy t.cache)
+  Farm_sim.Int_tbl.filter_map_inplace
+    (fun key node -> if key_machine key = st.State.id then None else Some node)
+    t.cache
 
 (* Lock-free point lookup: navigate cached internal nodes, read the leaf
    with one RDMA read, and check its fence keys; on a miss or fence
@@ -420,7 +436,7 @@ let lookup_lockfree st t key =
                 find 0
               end
             else begin
-              Hashtbl.replace t.cache (st.State.id, Codec.encode_addr addr) data;
+              Farm_sim.Int_tbl.replace t.cache (cache_key st.State.id addr) data;
               match Codec.decode_addr nd.slots.(child_for nd key) with
               | Some child -> go child (depth + 1)
               | None -> fallback ()

@@ -15,7 +15,7 @@ type t = {
   root_ptr : Addr.t;
   regions : int array;
   fanout : int;
-  cache : (int * int, Bytes.t) Hashtbl.t;
+  cache : Bytes.t Farm_sim.Int_tbl.t;  (** per-machine internal nodes; see {!invalidate} *)
 }
 
 type node = {

@@ -1,6 +1,6 @@
 type t = {
   machine : int;
-  mutable regions : (int, Bytes.t) Hashtbl.t;
+  mutable regions : (int, Pagemem.t) Hashtbl.t;
   mutable wiped : bool;
 }
 
@@ -11,9 +11,9 @@ let machine t = t.machine
 let alloc t ~key ~size =
   if Hashtbl.mem t.regions key then
     invalid_arg (Printf.sprintf "Bank.alloc: region %d already present" key);
-  let b = Bytes.make size '\000' in
-  Hashtbl.replace t.regions key b;
-  b
+  let m = Pagemem.create size in
+  Hashtbl.replace t.regions key m;
+  m
 
 let find t ~key = Hashtbl.find_opt t.regions key
 
@@ -21,7 +21,9 @@ let remove t ~key = Hashtbl.remove t.regions key
 
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.regions [] |> List.sort compare
 
-let total_bytes t = Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) t.regions 0
+let total_bytes t = Hashtbl.fold (fun _ m acc -> acc + Pagemem.length m) t.regions 0
+
+let resident_bytes t = Hashtbl.fold (fun _ m acc -> acc + Pagemem.resident_bytes m) t.regions 0
 
 let wipe t =
   Hashtbl.reset t.regions;

@@ -11,13 +11,20 @@ type t
 val create : machine:int -> t
 val machine : t -> int
 
-val alloc : t -> key:int -> size:int -> Bytes.t
-(** Allocate a zeroed buffer for region [key]. Raises if present. *)
+val alloc : t -> key:int -> size:int -> Pagemem.t
+(** Allocate a zeroed region [key]; no page is resident until written.
+    Raises if present. *)
 
-val find : t -> key:int -> Bytes.t option
+val find : t -> key:int -> Pagemem.t option
 val remove : t -> key:int -> unit
 val keys : t -> int list
+
 val total_bytes : t -> int
+(** Capacity of every region: the DRAM the energy model of §2.1 must
+    save, whether or not it was ever written. *)
+
+val resident_bytes : t -> int
+(** Host bytes of the pages written so far. *)
 
 val wipe : t -> unit
 (** Lose all contents (power failure without a successful SSD save). *)

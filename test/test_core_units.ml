@@ -29,7 +29,7 @@ let header_with_ops () =
   check_bool "freed" false (Obj_layout.is_allocated h)
 
 let header_cas () =
-  let mem = Bytes.make 64 '\000' in
+  let mem = Farm_nvram.Pagemem.create 64 in
   let h0 = Obj_layout.make ~locked:false ~allocated:true ~version:1 in
   Obj_layout.set mem ~off:8 h0;
   let h1 = Obj_layout.with_locked h0 true in
@@ -39,10 +39,92 @@ let header_cas () =
   check_bool "locked now" true (Obj_layout.is_locked (Obj_layout.get mem ~off:8))
 
 let data_roundtrip () =
-  let mem = Bytes.make 64 '\000' in
+  let mem = Farm_nvram.Pagemem.create 64 in
   Obj_layout.write_data mem ~off:0 (Bytes.of_string "hello");
   let d = Obj_layout.read_data mem ~off:0 ~len:5 in
   Alcotest.(check string) "data" "hello" (Bytes.to_string d)
+
+(* {1 Paged region memory against a flat model}
+
+   Random header and data accesses on a region of three pages and a short
+   last one, with offsets drawn near page boundaries and the region's end,
+   must read exactly what a flat [Bytes] region would. *)
+
+module Pagemem = Farm_nvram.Pagemem
+
+type mem_op =
+  | Get of int
+  | Set of int * int64
+  | Cas of int * bool * int64  (* true: expect the current word *)
+  | Read of int * int
+  | Write of int * string
+  | Sub of int * int
+
+let paged_size = (3 * Pagemem.page_size) + 100
+
+let print_mem_op = function
+  | Get o -> Printf.sprintf "get %d" o
+  | Set (o, v) -> Printf.sprintf "set %d %Ld" o v
+  | Cas (o, hit, v) -> Printf.sprintf "cas %d %b %Ld" o hit v
+  | Read (o, n) -> Printf.sprintf "read_data %d %d" o n
+  | Write (o, s) -> Printf.sprintf "write_data %d %S" o s
+  | Sub (o, n) -> Printf.sprintf "sub %d %d" o n
+
+(* an offset that leaves [room] bytes before the region's end *)
+let gen_off ~room =
+  let open QCheck.Gen in
+  let hi = paged_size - room in
+  let near_boundary p d = max 0 (min hi ((p * Pagemem.page_size) + d)) in
+  frequency
+    [
+      (2, int_range 0 hi);
+      (3, map2 near_boundary (int_range 1 3) (int_range (-24) 8));
+      (1, map (fun d -> hi - d) (int_range 0 8));
+    ]
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let h = Obj_layout.header_size in
+  frequency
+    [
+      (2, map (fun o -> Get o) (gen_off ~room:8));
+      (2, map2 (fun o v -> Set (o, v)) (gen_off ~room:8) ui64);
+      (2, map3 (fun o hit v -> Cas (o, hit, v)) (gen_off ~room:8) bool ui64);
+      (1, int_range 0 40 >>= fun n -> map (fun o -> Read (o, n)) (gen_off ~room:(h + n)));
+      ( 2,
+        string_size (int_range 0 40) >>= fun s ->
+        map (fun o -> Write (o, s)) (gen_off ~room:(h + String.length s)) );
+      (1, int_range 0 40 >>= fun n -> map (fun o -> Sub (o, n)) (gen_off ~room:n));
+    ]
+
+let paged_matches_flat =
+  QCheck.Test.make ~name:"paged memory matches flat bytes" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_mem_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_mem_op))
+    (fun ops ->
+      let flat = Bytes.make paged_size '\000' and mem = Pagemem.create paged_size in
+      let h = Obj_layout.header_size in
+      let step = function
+        | Get o -> Int64.equal (Obj_layout.get mem ~off:o) (Bytes.get_int64_le flat o)
+        | Set (o, v) ->
+            Obj_layout.set mem ~off:o v;
+            Bytes.set_int64_le flat o v;
+            true
+        | Cas (o, hit, v) ->
+            let cur = Bytes.get_int64_le flat o in
+            let expected = if hit then cur else Int64.lognot cur in
+            let swapped = Obj_layout.cas mem ~off:o ~expected ~desired:v in
+            if swapped then Bytes.set_int64_le flat o v;
+            swapped = hit
+        | Read (o, n) -> Bytes.equal (Obj_layout.read_data mem ~off:o ~len:n) (Bytes.sub flat (o + h) n)
+        | Write (o, s) ->
+            Obj_layout.write_data mem ~off:o (Bytes.of_string s);
+            Bytes.blit_string s 0 flat (o + h) (String.length s);
+            true
+        | Sub (o, n) -> Bytes.equal (Pagemem.sub mem o n) (Bytes.sub flat o n)
+      in
+      List.for_all step ops && Bytes.equal (Pagemem.sub mem 0 paged_size) flat)
 
 (* {1 Txid / Addr} *)
 
@@ -266,6 +348,7 @@ let suites =
         test "with ops" header_with_ops;
         test "cas" header_cas;
         test "data roundtrip" data_roundtrip;
+        qtest paged_matches_flat;
       ] );
     ("core.ids", [ test "txid ordering" txid_ordering; test "addr map" addr_map ]);
     ( "core.config",

@@ -171,7 +171,8 @@ let data_recovery_restores_replication () =
           Array.iter
             (fun (cell : Addr.t) ->
               check_bool "replica bytes identical" true
-                (Bytes.sub first cell.Addr.offset 16 = Bytes.sub mem cell.Addr.offset 16))
+                (Farm_nvram.Pagemem.sub first cell.Addr.offset 16
+                = Farm_nvram.Pagemem.sub mem cell.Addr.offset 16))
             cells)
         rest
   | [] -> Alcotest.fail "no replicas");
@@ -322,7 +323,7 @@ let committed_state_in_nvram () =
   done;
   let holders =
     List.filter_map
-      (fun m -> replica_bytes c ~machine:m r.Wire.rid)
+      (fun m -> replica_mem c ~machine:m r.Wire.rid)
       (r.Wire.primary :: r.Wire.backups)
   in
   check_int "f+1 NVRAM copies survive" 3 (List.length holders);
@@ -330,7 +331,7 @@ let committed_state_in_nvram () =
     (fun mem ->
       let v =
         Int64.to_int
-          (Bytes.get_int64_le mem (cell.Addr.offset + Obj_layout.header_size))
+          (Farm_nvram.Pagemem.get_int64_le mem (cell.Addr.offset + Obj_layout.header_size))
       in
       check_int "committed value durable in NVRAM" 123_456 v)
     holders

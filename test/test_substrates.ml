@@ -9,8 +9,8 @@ let check_int = Alcotest.(check int)
 let bank_basic () =
   let b = Farm_nvram.Bank.create ~machine:3 in
   let buf = Farm_nvram.Bank.alloc b ~key:1 ~size:64 in
-  check_int "zeroed" 0 (Char.code (Bytes.get buf 10));
-  Bytes.set buf 10 'x';
+  check_bool "zeroed" true (Farm_nvram.Pagemem.sub buf 0 64 = Bytes.make 64 '\000');
+  Farm_nvram.Pagemem.blit_from_bytes (Bytes.of_string "x") 0 buf 10 1;
   (match Farm_nvram.Bank.find b ~key:1 with
   | Some buf' -> check_bool "same buffer" true (buf == buf')
   | None -> Alcotest.fail "lost region");
@@ -18,6 +18,33 @@ let bank_basic () =
   Alcotest.check_raises "double alloc"
     (Invalid_argument "Bank.alloc: region 1 already present") (fun () ->
       ignore (Farm_nvram.Bank.alloc b ~key:1 ~size:8))
+
+(* A region costs host memory only for the pages its objects were written
+   to; capacity, which the energy model saves, is unchanged. *)
+let bank_pages_on_write () =
+  let module P = Farm_nvram.Pagemem in
+  let module L = Farm_core.Obj_layout in
+  let b = Farm_nvram.Bank.create ~machine:0 in
+  let size = 1 lsl 20 and page = P.page_size in
+  let m = Farm_nvram.Bank.alloc b ~key:1 ~size in
+  check_int "fresh region holds no page" 0 (Farm_nvram.Bank.resident_bytes b);
+  check_bool "absent page reads as zeros" true (P.sub m (3 * page) page = Bytes.make page '\000');
+  check_int "reads allocate nothing" 0 (P.resident_bytes m);
+  let write ~off len =
+    L.set m ~off (L.make ~locked:false ~allocated:true ~version:1);
+    L.write_data m ~off (Bytes.make len 'v')
+  in
+  write ~off:((5 * page) + 128) 56;
+  check_int "one object inside a page: that page" page (Farm_nvram.Bank.resident_bytes b);
+  write ~off:((10 * page) - 16) 40;
+  check_int "one object across a boundary: both pages" (3 * page)
+    (Farm_nvram.Bank.resident_bytes b);
+  write ~off:(size - 64) 56;
+  check_int "the region's last bytes: its last page" (4 * page)
+    (Farm_nvram.Bank.resident_bytes b);
+  check_int "total bytes is capacity" size (Farm_nvram.Bank.total_bytes b);
+  Alcotest.check_raises "word past the end"
+    (Invalid_argument "Pagemem.get_int64_le") (fun () -> ignore (P.get_int64_le m (size - 7)))
 
 let bank_wipe () =
   let b = Farm_nvram.Bank.create ~machine:0 in
@@ -130,7 +157,9 @@ let zk_bootstrap () =
 
 let suites =
   [
-    ("nvram.bank", [ test "basic" bank_basic; test "wipe" bank_wipe ]);
+    ( "nvram.bank",
+      [ test "basic" bank_basic; test "pages on first write" bank_pages_on_write; test "wipe" bank_wipe ]
+    );
     ( "nvram.energy",
       [
         test "figure 1 shape" energy_matches_paper;

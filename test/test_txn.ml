@@ -255,15 +255,15 @@ let backups_apply_at_truncation () =
   let cell = (alloc_cells c ~region:r.Wire.rid ~n:1 ~init:7).(0) in
   (* run long enough for lazy truncation to flush *)
   Cluster.run_for c ~d:(Time.ms 20);
-  let primary_mem = Option.get (replica_bytes c ~machine:r.Wire.primary r.Wire.rid) in
+  let primary_mem = Option.get (replica_mem c ~machine:r.Wire.primary r.Wire.rid) in
   List.iter
     (fun b ->
-      let backup_mem = Option.get (replica_bytes c ~machine:b r.Wire.rid) in
+      let backup_mem = Option.get (replica_mem c ~machine:b r.Wire.rid) in
       let off = cell.Addr.offset in
       check_bool
         (Printf.sprintf "backup %d byte-identical at object" b)
         true
-        (Bytes.sub primary_mem off 16 = Bytes.sub backup_mem off 16))
+        (Farm_nvram.Pagemem.sub primary_mem off 16 = Farm_nvram.Pagemem.sub backup_mem off 16))
     r.Wire.backups
 
 let remote_alloc () =

@@ -53,8 +53,8 @@ let background cluster ~machine fn =
   Proc.spawn ~ctx:st.State.ctx cluster.Cluster.engine (fun () -> result := Some (fn st));
   fun () -> !result
 
-(* Replica bytes of a region on a machine, for byte-identity checks. *)
-let replica_bytes cluster ~machine rid =
+(* Replica memory of a region on a machine, for byte-identity checks. *)
+let replica_mem cluster ~machine rid =
   match State.replica (Cluster.machine cluster machine) rid with
   | Some rep -> Some rep.State.mem
   | None -> None
