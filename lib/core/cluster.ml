@@ -5,8 +5,6 @@ open Farm_sim
    injection, and records recovery milestones for the evaluation
    figures. *)
 
-type milestone = { tag : string; machine : int; at : Time.t }
-
 type t = {
   engine : Engine.t;
   params : Params.t;
@@ -15,8 +13,7 @@ type t = {
   zk : Config.t Farm_coord.Zk.t;
   machines : State.t array;
   domain_of : int -> int;
-  milestones : milestone list ref;
-  mutable lost_regions : int list;
+  log : Farm_obs.Obs.log;
 }
 
 (* Every simulated thread keeps process state in flight (continuations,
@@ -52,10 +49,11 @@ let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~mach
   let config = Config.make ~id:1 ~members ~domains:domains_list ~cm:0 in
   ignore (Farm_coord.Zk.bootstrap zk config);
   let directory = Int_tbl.create n in
+  let log = Farm_obs.Obs.create_log () in
   let states =
     Array.init n (fun id ->
         let cpu = Cpu.create engine ~threads:params.Params.threads_per_machine in
-        let obs = Farm_obs.Obs.create engine ~machine:id in
+        let obs = Farm_obs.Obs.create ~log engine ~machine:id in
         Farm_net.Fabric.add_machine ~obs fabric ~id ~cpu;
         let nv =
           {
@@ -86,23 +84,10 @@ let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~mach
       zk;
       machines = states;
       domain_of = domains;
-      milestones = ref [];
-      lost_regions = [];
+      log;
     }
   in
-  Array.iter
-    (fun st ->
-      st.State.trace <-
-        (fun tag ->
-          (match String.index_opt tag ':' with
-          | Some i when String.sub tag 0 11 = "region-lost" ->
-              t.lost_regions <-
-                int_of_string (String.sub tag (i + 1) (String.length tag - i - 1))
-                :: t.lost_regions
-          | _ -> ());
-          t.milestones := { tag; machine = st.State.id; at = Engine.now engine } :: !(t.milestones));
-      Node.start st)
-    states;
+  Array.iter Node.start states;
   t
 
 let machine t id = t.machines.(id)
@@ -138,7 +123,7 @@ let kill t id =
     st.State.alive <- false;
     Farm_net.Fabric.set_alive t.fabric id false;
     Proc.Ctx.cancel st.State.ctx;
-    t.milestones := { tag = "killed"; machine = id; at = Engine.now t.engine } :: !(t.milestones)
+    Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_ms_killed ~a:0 ~b:0 ~c:0
   end
 
 let kill_domain t d =
@@ -189,9 +174,6 @@ let restart_machine ?(rejoining = true) t id ~config =
   st.State.rejoining <- rejoining;
   Int_tbl.replace directory id st;
   t.machines.(id) <- st;
-  st.State.trace <-
-    (fun tag ->
-      t.milestones := { tag; machine = id; at = Engine.now t.engine } :: !(t.milestones));
   Node.start st;
   st
 
@@ -280,9 +262,8 @@ let power_cycle t =
       Proc.spawn ~ctx:st.State.ctx t.engine (fun () ->
           if Membership.on_config_commit st ~cfg:new_id then Recovery.on_config_commit st))
     machines;
-  t.milestones :=
-    { tag = "power-cycle"; machine = config.Config.cm; at = Engine.now t.engine }
-    :: !(t.milestones)
+  Farm_obs.Obs.event t.machines.(config.Config.cm).State.obs Farm_obs.Obs.K_ms_power_cycle
+    ~a:0 ~b:0 ~c:0
 
 let partition t ~group ids =
   List.iter (fun id -> Farm_net.Fabric.set_partition t.fabric id group) ids
@@ -343,7 +324,7 @@ let quiesce ?(max_wait = Time.ms 1_000) ?(window = Time.ms 30) t =
   let deadline = Time.add (Engine.now t.engine) max_wait in
   let rec loop last_count streak =
     run_for t ~d:window;
-    let count = List.length !(t.milestones) in
+    let count = Farm_obs.Obs.log_milestones t.log in
     let stable = members_settled () && count = last_count in
     if stable && streak >= 1 then true
     else if Time.( >= ) (Engine.now t.engine) deadline then members_settled ()
@@ -374,7 +355,18 @@ let alloc_region_exn ?locality ?from t =
 (* {1 Introspection for tests and benchmarks} *)
 
 let milestones t =
-  List.rev_map (fun m -> (m.tag, m.machine, m.at)) !(t.milestones)
+  List.filter_map
+    (fun (r : Farm_obs.Obs.record) ->
+      if Farm_obs.Obs.is_milestone r.r_kind then
+        Some (Farm_obs.Obs.milestone_tag r.r_kind ~a:r.r_a, r.r_machine, Time.ns r.r_at)
+      else None)
+    (Farm_obs.Obs.log_records t.log)
+
+let lost_regions t =
+  List.filter_map
+    (fun (r : Farm_obs.Obs.record) ->
+      if r.r_kind = Farm_obs.Obs.K_ms_region_lost then Some r.r_a else None)
+    (Farm_obs.Obs.log_records t.log)
 
 let milestone_time t tag =
   let rec find = function

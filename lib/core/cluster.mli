@@ -6,8 +6,6 @@ open Farm_sim
     with machine 0 as CM — and provides failure injection and measurement
     hooks for tests and benchmarks. *)
 
-type milestone = { tag : string; machine : int; at : Time.t }
-
 type t = {
   engine : Engine.t;
   params : Params.t;
@@ -16,8 +14,7 @@ type t = {
   zk : Config.t Farm_coord.Zk.t;
   machines : State.t array;
   domain_of : int -> int;
-  milestones : milestone list ref;
-  mutable lost_regions : int list;  (** regions whose every replica died *)
+  log : Farm_obs.Obs.log;  (** milestones, drops and nemesis actions *)
 }
 
 val create :
@@ -94,9 +91,13 @@ val alloc_region_exn : ?locality:int -> ?from:int -> t -> Wire.region_info
 (** {1 Introspection} *)
 
 val milestones : t -> (string * int * Time.t) list
-(** Recovery milestones (suspect, probe, zookeeper, new-config,
-    config-commit, all-active, data-rec-start, region-recovered,
-    data-rec-done, killed) in chronological order. *)
+(** Recovery milestones (killed, suspect, probe, zookeeper,
+    region-lost:<rid>, new-config, config-commit, all-active,
+    data-rec-start, region-recovered, data-rec-done, power-cycle) as
+    (tag, machine, time), in emission order. *)
+
+val lost_regions : t -> int list
+(** Regions whose every replica died, in detection order. *)
 
 val milestone_time : t -> string -> Time.t option
 (** First occurrence of a milestone tag. *)

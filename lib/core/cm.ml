@@ -266,6 +266,9 @@ let rebuild_owners st (cm : State.cm_state) ~probes =
     claims;
   if cm.State.next_rid <= !max_rid then cm.State.next_rid <- !max_rid + 1
 
+(* A recovery milestone, for the cluster log. *)
+let milestone st kind = Farm_obs.Obs.event st.State.obs kind ~a:0 ~b:0 ~c:0
+
 let rec attempt_reconfig st =
   Proc.check_cancelled ();
   let old = st.State.config in
@@ -276,7 +279,7 @@ let rec attempt_reconfig st =
   (* 2. Probe all machines except the suspects; proceed only with responses
      from a majority (partition safety). *)
   let probes = probe st ~targets:candidates in
-  st.State.trace "probe";
+  milestone st Farm_obs.Obs.K_ms_probe;
   let responders =
     List.sort_uniq compare (st.State.id :: List.map (fun p -> p.pr_machine) probes)
   in
@@ -306,7 +309,7 @@ let rec attempt_reconfig st =
               (* lost the race; wait for the winner's NEW-CONFIG *)
               st.State.reconfig_active <- false
           | Ok _ ->
-              st.State.trace "zookeeper";
+              milestone st Farm_obs.Obs.K_ms_zookeeper;
               let was_cm = old.Config.cm = st.State.id in
               if (not was_cm) && not st.State.params.Params.incremental_cm_state then
                 (* a new CM must first build the CM-only data structures;
@@ -318,7 +321,9 @@ let rec attempt_reconfig st =
               (* 4. Remap regions of failed machines. *)
               let fresh, lost = remap st cm ~members:responders ~new_id in
               List.iter
-                (fun rid -> st.State.trace (Printf.sprintf "region-lost:%d" rid))
+                (fun rid ->
+                  Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_ms_region_lost ~a:rid ~b:0
+                    ~c:0)
                 lost;
               cm.State.pending_data_recovery <-
                 cm.State.pending_data_recovery + List.length fresh;
@@ -338,7 +343,7 @@ let rec attempt_reconfig st =
               let remaining = ref responders in
               let done_ = Ivar.create () in
               cm.State.ack_pending <- Some (new_id, remaining, done_);
-              st.State.trace "new-config";
+              milestone st Farm_obs.Obs.K_ms_new_config;
               List.iter
                 (fun m ->
                   Comms.send st ~dst:m
@@ -363,7 +368,7 @@ let rec attempt_reconfig st =
                 List.iter
                   (fun m -> Comms.send st ~dst:m (Wire.New_config_commit { cfg = new_id }))
                   responders;
-                st.State.trace "config-commit";
+                milestone st Farm_obs.Obs.K_ms_config_commit;
                 st.State.reconfig_active <- false
               end
         end
@@ -378,11 +383,10 @@ let handle_suspicion st suspects =
   let fresh = List.filter (fun m -> not (Hashtbl.mem st.State.pending_suspects m)) suspects in
   List.iter (fun m -> Hashtbl.replace st.State.pending_suspects m ()) suspects;
   if fresh <> [] then begin
-    Farm_obs.Obs.add st.State.obs Farm_obs.Obs.C_suspect (List.length fresh);
     List.iter
       (fun m -> Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_suspect ~a:m ~b:0 ~c:0)
       fresh;
-    st.State.trace "suspect"
+    milestone st Farm_obs.Obs.K_ms_suspect
   end;
   let old_id = st.State.config.Config.id in
   let cm_suspected = List.mem st.State.config.Config.cm suspects in
@@ -441,7 +445,7 @@ let on_regions_active st ~src =
              st.State.config.Config.members
       then begin
         cm.State.all_active_sent <- true;
-        st.State.trace "all-active";
+        milestone st Farm_obs.Obs.K_ms_all_active;
         List.iter
           (fun m ->
             Comms.send st ~dst:m (Wire.All_regions_active { cfg = st.State.config.Config.id }))
@@ -453,8 +457,8 @@ let on_region_recovered st ~rid:_ =
   | None -> ()
   | Some cm ->
       cm.State.pending_data_recovery <- cm.State.pending_data_recovery - 1;
-      st.State.trace "region-recovered";
-      if cm.State.pending_data_recovery <= 0 then st.State.trace "data-rec-done"
+      milestone st Farm_obs.Obs.K_ms_region_recovered;
+      if cm.State.pending_data_recovery <= 0 then milestone st Farm_obs.Obs.K_ms_data_rec_done
 
 let handle_fetch_mapping st ~reply ~rid =
   let info =

@@ -204,7 +204,8 @@ let on_all_regions_active st =
       (fun _ (rep : State.replica) acc -> if rep.State.fresh_backup then rep :: acc else acc)
       st.State.nv.replicas []
   in
-  if fresh <> [] then st.State.trace "data-rec-start";
+  if fresh <> [] then
+    Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_ms_data_rec_start ~a:0 ~b:0 ~c:0;
   List.iter
     (fun (rep : State.replica) ->
       recover_region st rep ~on_done:(fun () ->

@@ -163,7 +163,6 @@ let start_renewal st =
         Proc.check_cancelled ();
         if not (State.is_cm st) then begin
           let dst = renew_target st in
-          Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_lease_renewal;
           Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_renewal ~a:dst ~b:0 ~c:0;
           send_lease st ~dst
             (Wire.Lease_request
@@ -228,8 +227,6 @@ let start_expiry_checker st =
             if expired <> [] then begin
               st.State.lease.State.expiry_events <-
                 st.State.lease.State.expiry_events + List.length expired;
-              Farm_obs.Obs.add st.State.obs Farm_obs.Obs.C_lease_expiry
-                (List.length expired);
               List.iter
                 (fun m ->
                   Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_expiry ~a:m ~b:0
@@ -248,7 +245,6 @@ let start_expiry_checker st =
         then begin
           st.State.lease.State.expiry_events <- st.State.lease.State.expiry_events + 1;
           let grantor = renew_target st in
-          Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_lease_expiry;
           Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_expiry ~a:grantor ~b:0 ~c:0;
           st.State.lease.State.cm_suspected <- true;
           st.State.on_suspect [ grantor ]
@@ -267,7 +263,6 @@ let handle st ~src msg =
       Proc.check_cancelled ();
       let record_grantor sent_ns =
         st.State.lease.State.grantor_messages <- st.State.lease.State.grantor_messages + 1;
-        Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_lease_grant;
         Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_grant ~a:src ~b:0 ~c:0;
         match st.State.cm with
         | Some cm when State.is_cm st ->

@@ -51,7 +51,6 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
         Ringlog.dma_append log record ~size)
   with
   | Ok () ->
-      Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append;
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append ~a:dst ~b:size
         ~c:(Ringlog.used log);
       trace_append st ~thread ~dst ~t0 payload;
@@ -60,7 +59,6 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
          allowances. *)
       Ok (size - (16 * List.length truncations))
   | Error e ->
-      Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append_fail;
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append_fail ~a:dst ~b:size ~c:0;
       (* The destination is gone; requeue the truncations so another record
          (or the flusher) carries them once the configuration settles. *)
@@ -144,12 +142,10 @@ let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
       let size = sizes.(i) in
       match r with
       | Ok () ->
-          Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append;
           Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append ~a:d ~b:size
             ~c:(Ringlog.used (State.log_to st d));
           Ok (size - (16 * List.length recs.(i).Wire.truncations))
       | Error e ->
-          Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append_fail;
           Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append_fail ~a:d ~b:size
             ~c:0;
           List.iter (fun txid -> State.queue_truncation st ~dst:d txid) recs.(i).Wire.truncations;

@@ -96,7 +96,6 @@ let apply_truncation st log txid =
     s := Txid.Set.add txid !s
   end
   else begin
-    Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_trunc;
     Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_trunc ~a:txid.Txid.machine
       ~b:txid.Txid.local ~c:0;
     let records = Ringlog.resident_records log txid in
@@ -272,7 +271,6 @@ let process_entry st log (e : Ringlog.entry) =
   let sender = Ringlog.sender log in
   let t0 = Time.to_ns (Engine.now st.State.engine) in
   Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_log_poll;
-  Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_record;
   Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_record ~a:sender
     ~b:(payload_tag record.Wire.payload) ~c:0;
   (* piggybacked truncation information *)

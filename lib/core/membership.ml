@@ -15,7 +15,6 @@ let apply_new_config st (config : Config.t) (regions : Wire.region_info list) =
   else if config.Config.id >= st.State.config.Config.id then begin
     let first_time = config.Config.id > st.State.config.Config.id in
     if first_time then begin
-      Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_reconfig;
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_new_config ~a:config.Config.id
         ~b:(List.length config.Config.members) ~c:config.Config.cm;
       st.State.config <- config;

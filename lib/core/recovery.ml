@@ -166,8 +166,6 @@ let decide st (rc : State.rec_coord) outcome =
     Txid.Tbl.replace st.State.recovered_outcomes txid outcome;
     Stats.Counter.incr st.State.metrics.recovered_txs;
     let dur = Time.sub (State.now st) rc.State.rc_created in
-    Farm_obs.Obs.record_stage st.State.obs Farm_obs.Obs.S_decide dur;
-    Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_rec_decide;
     Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_rec_decide
       ~a:(match outcome with State.Committed -> 1 | State.Aborted -> 0)
       ~b:(Time.to_ns dur) ~c:0;
@@ -253,7 +251,6 @@ let coordinator_decide st txid ~regions outcome =
 
 let on_vote st ~cfg ~rid ~txid ~regions ~vote =
   if cfg = st.State.config.Config.id then begin
-    Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_rec_vote;
     Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_rec_vote ~a:rid ~b:(vote_tag vote)
       ~c:0;
     let rc = rec_coord_of st txid ~regions in
@@ -418,7 +415,6 @@ let primary_recover_region st (rs : State.recovery_state) rid =
        parallel with the rest of recovery *)
     State.set_active rep;
     let dur = Time.sub (State.now st) t0 in
-    Farm_obs.Obs.record_stage st.State.obs Farm_obs.Obs.S_region_active dur;
     Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_rec_region_active ~a:rid
       ~b:(Time.to_ns dur) ~c:0;
     maybe_regions_active st rs;
@@ -519,7 +515,6 @@ let run st (rs : State.recovery_state) =
     st.State.last_drained <- cfg;
     rs.State.rs_drained <- true;
     let dur = Time.sub (State.now st) t0 in
-    Farm_obs.Obs.record_stage st.State.obs Farm_obs.Obs.S_drain dur;
     Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_rec_drain ~a:cfg ~b:(Time.to_ns dur)
       ~c:0;
     (* 3a. register local evidence with the regions it affects *)

@@ -217,9 +217,8 @@ type t = {
   mutable on_suspect : int list -> unit;  (* lease expiry -> reconfiguration *)
   (* application-registered handler for function-shipped operations *)
   mutable app_handler : (tag:int -> args:int array -> bool) option;
-  (* test and tracing hooks *)
+  (* test and tracing hook *)
   mutable phase_hook : (commit_phase -> Txid.t -> unit) option;
-  mutable trace : string -> unit;
 }
 
 let create_metrics () =
@@ -289,7 +288,6 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     on_suspect = (fun _ -> ());
     app_handler = None;
     phase_hook = None;
-    trace = (fun _ -> ());
   }
 
 let peer st id = Int_tbl.find_opt st.directory id
@@ -474,7 +472,6 @@ let record_commit st ~latency =
   Stats.Counter.incr st.metrics.committed;
   Stats.Hist.record st.metrics.commit_latency (Time.to_ns latency);
   Stats.Series.add st.metrics.throughput ~at:(now st) 1;
-  Farm_obs.Obs.incr st.obs Farm_obs.Obs.C_tx_commit;
   Farm_obs.Obs.event st.obs Farm_obs.Obs.K_tx_commit ~a:0 ~b:0
     ~c:(Time.to_ns latency)
 
@@ -494,7 +491,6 @@ let abort_cause_name = function
 
 let record_abort ?(reason = 0) ?cause st =
   Stats.Counter.incr st.metrics.aborted;
-  Farm_obs.Obs.incr st.obs Farm_obs.Obs.C_tx_abort;
   let cause =
     match cause with
     | Some c -> c

@@ -194,7 +194,6 @@ type t = {
   mutable on_suspect : int list -> unit;
   mutable app_handler : (tag:int -> args:int array -> bool) option;
   mutable phase_hook : (commit_phase -> Txid.t -> unit) option;
-  mutable trace : string -> unit;
 }
 
 val create_metrics : unit -> metrics

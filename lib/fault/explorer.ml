@@ -1,6 +1,7 @@
 open Farm_sim
 open Farm_core
 open Farm_workloads
+module Obs = Farm_obs.Obs
 
 (* The schedule explorer: run N random fault schedules of a workload,
    checking every run's history and final state. Each schedule runs a fresh
@@ -129,12 +130,29 @@ let spawn_workers (c : Cluster.t) ~opts ~stop ~hist ~addrs ~tree =
         done)
     c.Cluster.machines
 
+(* The event trace: the cluster log rendered in time order, milestones
+   first at equal timestamps and everything else (nemesis actions, network
+   drops) in emission order. Deterministic in the seed. *)
+let render_trace (c : Cluster.t) (sched : Schedule.t) =
+  let faults = Array.of_list sched.Schedule.events in
+  let line (r : Obs.record) =
+    match r.Obs.r_kind with
+    | Obs.K_ud_drop -> Fmt.str "net: drop %d->%d" r.r_machine r.r_a
+    | Obs.K_rc_retransmit -> Fmt.str "net: drop %d->%d (retransmit)" r.r_machine r.r_a
+    | Obs.K_fault -> Fmt.str "nemesis: %a" Schedule.pp_fault faults.(r.r_a).Schedule.fault
+    | Obs.K_flap_stall ->
+        Fmt.str "nemesis: lease-flap-stall m%d %a" r.r_a Time.pp (Time.ns r.r_b)
+    | k -> Fmt.str "milestone m%d %s" r.r_machine (Obs.milestone_tag k ~a:r.r_a)
+  in
+  let key (r : Obs.record) = (r.r_at, not (Obs.is_milestone r.r_kind)) in
+  List.stable_sort (fun a b -> compare (key a) (key b)) (Obs.log_records c.Cluster.log)
+  |> List.map (fun (r : Obs.record) -> Fmt.str "%a %s" Time.pp (Time.ns r.r_at) (line r))
+
 (* Run one schedule. Every check failure becomes a violation string; the
    run passes iff none accumulate. [probe] is an extra caller-supplied
    invariant probe run against the healed cluster (tests use it to inject
    violations and exercise the failing-outcome path). *)
 let run_one ?(opts = default_opts) ?probe seed =
-  let trace = ref [] in
   let params =
     { params with Params.doorbell_batching = opts.batching; protocol = opts.protocol }
   in
@@ -145,7 +163,6 @@ let run_one ?(opts = default_opts) ?probe seed =
      its transactions spent their time *)
   Cluster.set_blame c opts.record;
   Cluster.set_tracing c opts.perfetto;
-  Engine.set_tracer c.Cluster.engine (Some (fun ~at msg -> trace := (at, msg) :: !trace));
   (* setup: bank cells in one region, optionally a B-tree in another *)
   let r = Cluster.alloc_region_exn c in
   let addrs =
@@ -234,22 +251,11 @@ let run_one ?(opts = default_opts) ?probe seed =
           | Ok (problems, _) ->
               List.iter (fun p -> violate "btree: %s" p) problems
           | Error e -> violate "btree: probe aborted: %a" Txn.pp_abort e));
-  (* merged, time-ordered event trace: nemesis + network drops (tracer)
-     and protocol milestones; deterministic in the seed *)
-  let lines =
-    List.stable_sort
-      (fun (t1, _) (t2, _) -> Time.compare t1 t2)
-      (List.map
-         (fun (tag, m, at) -> (at, Fmt.str "milestone m%d %s" m tag))
-         (Cluster.milestones c)
-      @ List.rev !trace)
-    |> List.map (fun (at, msg) -> Fmt.str "%a %s" Time.pp at msg)
-  in
   {
     seed;
     committed = History.size hist;
     violations = List.rev !violations;
-    trace = lines;
+    trace = render_trace c sched;
     recorder = (if opts.record then Cluster.flight_dump c else []);
     (* rendered inside run_one so [sweep ~jobs] merges finished strings and
        the artifact stays byte-identical for any job count *)

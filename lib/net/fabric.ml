@@ -118,10 +118,7 @@ let sample_link_ud t ~src ~dst =
   in
   let loss = link_loss t ~src ~dst in
   if loss > 0. && Rng.float t.rng < loss then begin
-    Engine.emit t.engine (Printf.sprintf "net: drop %d->%d" src dst);
-    let obs = (get t src).obs in
-    Farm_obs.Obs.incr obs Farm_obs.Obs.C_ud_drop;
-    Farm_obs.Obs.event obs Farm_obs.Obs.K_drop ~a:dst ~b:0 ~c:0;
+    Farm_obs.Obs.event (get t src).obs Farm_obs.Obs.K_ud_drop ~a:dst ~b:0 ~c:0;
     None
   end
   else Some extra
@@ -139,10 +136,7 @@ let sample_link_rc t ~src ~dst =
     let tries = ref 0 in
     while !tries < 16 && Rng.float t.rng < loss do
       incr tries;
-      Engine.emit t.engine (Printf.sprintf "net: drop %d->%d (retransmit)" src dst);
-      let obs = (get t src).obs in
-      Farm_obs.Obs.incr obs Farm_obs.Obs.C_rc_retransmit;
-      Farm_obs.Obs.event obs Farm_obs.Obs.K_drop ~a:dst ~b:0 ~c:1;
+      Farm_obs.Obs.event (get t src).obs Farm_obs.Obs.K_rc_retransmit ~a:dst ~b:0 ~c:0;
       d := Time.add !d (Time.add retransmit_timeout extra)
     done;
     !d
@@ -312,7 +306,6 @@ let claim t span b t0 =
    CPU only at [src]. *)
 let one_sided_read ?span t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result =
   let ms = get t src in
-  Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_read;
   Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_read ~a:dst ~b:bytes ~c:0;
   let t0 = mark t span in
   Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_issue;
@@ -370,7 +363,6 @@ let write_flight t ~src ~dst ~bytes (apply : unit -> unit) : (unit, error) resul
 
 let one_sided_write ?span t ~src ~dst ~bytes (apply : unit -> unit) : (unit, error) result =
   let ms = get t src in
-  Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_write;
   Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_write ~a:dst ~b:bytes ~c:0;
   let t0 = mark t span in
   Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_issue;
@@ -413,7 +405,6 @@ let record_batch (ms : 'msg machine) ~n bytes_of =
     for i = 0 to n - 1 do
       total := !total + bytes_of i
     done;
-    Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_batch;
     Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_batch ~a:n ~b:!total ~c:0
   end
 
@@ -431,7 +422,6 @@ let one_sided_read_batch_fn ?span t ~src ~n ~(dst : int -> int) ~(bytes : int ->
   let flights =
     Array.init n (fun i ->
         let d = dst i and b = bytes i in
-        Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_read;
         Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_read ~a:d ~b ~c:0;
         Cpu.exec ms.cpu ~cost:(batch_issue_cost t i);
         read_flight t ~src ~dst:d ~bytes:b (fun () -> read i))
@@ -451,7 +441,6 @@ let one_sided_write_batch_fn ?span ?on_complete t ~src ~n ~(dst : int -> int)
   let flights =
     Array.init n (fun i ->
         let d = dst i and b = bytes i in
-        Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_write;
         Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_write ~a:d ~b ~c:0;
         Cpu.exec ms.cpu ~cost:(batch_issue_cost t i);
         let iv = write_flight t ~src ~dst:d ~bytes:b (fun () -> apply i) in
@@ -504,10 +493,7 @@ let deliver t ~src ~dst ~prio ~bytes ~flow msg ~reply =
           Engine.schedule t.engine ~at:t_dst (fun () ->
               if md.alive then begin
                 if flow <> 0 then
-                  Farm_obs.Tracer.instant
-                    (Farm_obs.Obs.tracer md.obs)
-                    ~tid:Farm_obs.Tracer.tid_net ~mark:Farm_obs.Tracer.M_msg_recv
-                    ~arg:flow;
+                  Farm_obs.Obs.event md.obs Farm_obs.Obs.K_msg_recv ~a:src ~b:bytes ~c:flow;
                 md.on_message ~src ~reply msg
               end)
         end)
@@ -521,16 +507,9 @@ let deliver t ~src ~dst ~prio ~bytes ~flow msg ~reply =
    ([`Ud]) and can actually lose packets (§3). *)
 let send ?(prio = false) ?(transport = `Rc) ?cpu_cost ?(flow = 0) t ~src ~dst ~bytes msg =
   let ms = get t src in
-  (match transport with
-  | `Ud ->
-      Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_ud_send;
-      Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_send ~a:dst ~b:bytes ~c:1
-  | `Rc ->
-      Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rpc_send;
-      Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_send ~a:dst ~b:bytes ~c:0);
-  if flow <> 0 then
-    Farm_obs.Tracer.instant (Farm_obs.Obs.tracer ms.obs) ~tid:Farm_obs.Tracer.tid_net
-      ~mark:Farm_obs.Tracer.M_msg_send ~arg:flow;
+  Farm_obs.Obs.event ms.obs
+    (match transport with `Ud -> Farm_obs.Obs.K_send_ud | `Rc -> Farm_obs.Obs.K_send)
+    ~a:dst ~b:bytes ~c:flow;
   let cost = match cpu_cost with Some c -> c | None -> t.params.Params.cpu_rpc_send in
   if Time.( > ) cost Time.zero then Cpu.exec ms.cpu ~cost;
   match
@@ -552,11 +531,7 @@ let send ?(prio = false) ?(transport = `Rc) ?cpu_cost ?(flow = 0) t ~src ~dst ~b
 let call ?span ?(prio = false) ?timeout ?(flow = 0) t ~src ~dst ~bytes msg :
     ('msg, error) result =
   let ms = get t src in
-  Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rpc_call;
-  Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_call ~a:dst ~b:bytes ~c:0;
-  if flow <> 0 then
-    Farm_obs.Tracer.instant (Farm_obs.Obs.tracer ms.obs) ~tid:Farm_obs.Tracer.tid_net
-      ~mark:Farm_obs.Tracer.M_msg_send ~arg:flow;
+  Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_call ~a:dst ~b:bytes ~c:flow;
   let tm0 = mark t span in
   Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rpc_send;
   let tm1 = claim t span Farm_obs.Obs.B_nic_issue tm0 in

@@ -62,7 +62,8 @@ val latency : 'msg t -> Time.t
     retransmission timeout to the operation's latency but never fails it —
     only death and partitions do; unreliable-datagram traffic ({!send},
     which carries leases and other fire-and-forget messages) vanishes
-    silently. Each drop is reported through {!Engine.emit}. *)
+    silently. Each drop or retransmission is an {!Farm_obs.Obs.event} of
+    the sending machine. *)
 
 val set_link_fault : ?delay:Time.t -> ?loss:float -> 'msg t -> src:int -> dst:int -> unit
 val clear_link_fault : 'msg t -> src:int -> dst:int -> unit

@@ -44,8 +44,7 @@ let path_of_exemplar views (ex : Obs.exemplar) =
   let mine =
     List.filter
       (fun (v : Tracer.view) ->
-        (not v.Tracer.v_instant)
-        && v.Tracer.v_txm = txm && v.Tracer.v_txt = txt && v.Tracer.v_txl = txl)
+        v.Tracer.v_txm = txm && v.Tracer.v_txt = txt && v.Tracer.v_txl = txl)
       views
   in
   (* flows the coordinator started: their remote consumers are waited-on *)
@@ -107,18 +106,17 @@ let paths ~tracers ~exemplars ~k =
   List.map (path_of_exemplar views) top
 
 let mark paths (v : Tracer.view) =
-  (not v.Tracer.v_instant)
-  && List.exists
-       (fun p ->
-         v.Tracer.v_txm = p.p_txm && v.Tracer.v_txt = p.p_txt
-         && v.Tracer.v_txl = p.p_txl
-         && List.exists
-              (fun h ->
-                h.h_crit && h.h_machine = v.Tracer.v_machine
-                && h.h_tid = v.Tracer.v_tid && h.h_ts = v.Tracer.v_ts
-                && h.h_dur = v.Tracer.v_dur)
-              p.p_hops)
-       paths
+  List.exists
+    (fun p ->
+      v.Tracer.v_txm = p.p_txm && v.Tracer.v_txt = p.p_txt
+      && v.Tracer.v_txl = p.p_txl
+      && List.exists
+           (fun h ->
+             h.h_crit && h.h_machine = v.Tracer.v_machine
+             && h.h_tid = v.Tracer.v_tid && h.h_ts = v.Tracer.v_ts
+             && h.h_dur = v.Tracer.v_dur)
+           p.p_hops)
+    paths
 
 let us ns = Printf.sprintf "%d.%03d" (ns / 1000) (abs ns mod 1000)
 

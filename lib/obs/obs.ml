@@ -4,9 +4,10 @@ open Farm_sim
    (O(1) recording, near-zero cost disabled, determinism preserved); the
    implementation notes here cover how each is met.
 
-   - Events are written into preallocated ring slots whose fields are all
-     mutable ints: no allocation on the hot path, rendering deferred to
-     dump time.
+   - Ring events are written into preallocated slots of mutable ints and
+     a constant constructor: no allocation on the hot path, rendering
+     deferred to dump time. Only the rare cluster-log events allocate a
+     record.
    - Counters are one flat int array indexed by the counter's declaration
      position.
    - Nothing below ever touches an Rng, schedules engine work, or blocks:
@@ -239,15 +240,19 @@ let default_blame_of_phase =
     blame_index B_commit_wait;
   |]
 
-(* {1 Event kinds} *)
+(* {1 Event kinds} — one vocabulary for every discrete event; a kind fixes
+   the counter it bumps ([counter_of]) and the sinks it reaches ([route]). *)
 
 type kind =
   | K_rdma_read
   | K_rdma_write
   | K_rdma_batch
   | K_send
+  | K_send_ud
   | K_call
-  | K_drop
+  | K_msg_recv
+  | K_ud_drop
+  | K_rc_retransmit
   | K_log_append
   | K_log_append_fail
   | K_log_record
@@ -265,39 +270,83 @@ type kind =
   | K_rec_region_active
   | K_rec_vote
   | K_rec_decide
+  | K_ms_killed
+  | K_ms_power_cycle
+  | K_ms_suspect
+  | K_ms_probe
+  | K_ms_zookeeper
+  | K_ms_region_lost
+  | K_ms_new_config
+  | K_ms_config_commit
+  | K_ms_all_active
+  | K_ms_data_rec_start
+  | K_ms_region_recovered
+  | K_ms_data_rec_done
+  | K_fault
+  | K_flap_stall
 
-let kind_index = function
-  | K_rdma_read -> 0
-  | K_rdma_write -> 1
-  | K_rdma_batch -> 2
-  | K_send -> 3
-  | K_call -> 4
-  | K_drop -> 5
-  | K_log_append -> 6
-  | K_log_append_fail -> 7
-  | K_log_record -> 8
-  | K_log_trunc -> 9
-  | K_phase -> 10
-  | K_tx_commit -> 11
-  | K_tx_abort -> 12
-  | K_lease_renewal -> 13
-  | K_lease_grant -> 14
-  | K_lease_expiry -> 15
-  | K_suspect -> 16
-  | K_new_config -> 17
-  | K_config_commit -> 18
-  | K_rec_drain -> 19
-  | K_rec_region_active -> 20
-  | K_rec_vote -> 21
-  | K_rec_decide -> 22
+(* The counter a kind bumps, one per event. *)
+let counter_of = function
+  | K_rdma_read -> Some C_rdma_read
+  | K_rdma_write -> Some C_rdma_write
+  | K_rdma_batch -> Some C_rdma_batch
+  | K_send -> Some C_rpc_send
+  | K_send_ud -> Some C_ud_send
+  | K_call -> Some C_rpc_call
+  | K_ud_drop -> Some C_ud_drop
+  | K_rc_retransmit -> Some C_rc_retransmit
+  | K_log_append -> Some C_log_append
+  | K_log_append_fail -> Some C_log_append_fail
+  | K_log_record -> Some C_log_record
+  | K_log_trunc -> Some C_log_trunc
+  | K_tx_commit -> Some C_tx_commit
+  | K_tx_abort -> Some C_tx_abort
+  | K_lease_renewal -> Some C_lease_renewal
+  | K_lease_grant -> Some C_lease_grant
+  | K_lease_expiry -> Some C_lease_expiry
+  | K_suspect -> Some C_suspect
+  | K_new_config -> Some C_reconfig
+  | K_rec_vote -> Some C_rec_vote
+  | K_rec_decide -> Some C_rec_decide
+  | _ -> None
 
-let all_kinds =
-  [|
-    K_rdma_read; K_rdma_write; K_rdma_batch; K_send; K_call; K_drop; K_log_append;
-    K_log_append_fail; K_log_record; K_log_trunc; K_phase; K_tx_commit; K_tx_abort;
-    K_lease_renewal; K_lease_grant; K_lease_expiry; K_suspect; K_new_config;
-    K_config_commit; K_rec_drain; K_rec_region_active; K_rec_vote; K_rec_decide;
-  |]
+(* The sinks a kind is written to, as bits: the flight-recorder ring
+   (gated by [enabled]), the always-on cluster log, where milestones are
+   also counted, and the recovery-stage histograms. Trace instants are
+   chosen by [trace_instant] below, behind the tracer's own switch. *)
+let to_ring = 1
+let to_log = 2
+let to_milestones = 4
+let to_stage = 8
+
+let route = function
+  | K_rec_drain | K_rec_region_active | K_rec_decide -> to_ring lor to_stage
+  | K_msg_recv -> 0
+  | K_ud_drop | K_rc_retransmit -> to_ring lor to_log
+  | K_ms_killed | K_ms_power_cycle | K_ms_suspect | K_ms_probe | K_ms_zookeeper
+  | K_ms_region_lost | K_ms_new_config | K_ms_config_commit | K_ms_all_active
+  | K_ms_data_rec_start | K_ms_region_recovered | K_ms_data_rec_done ->
+      to_log lor to_milestones
+  | K_fault | K_flap_stall -> to_log
+  | _ -> to_ring
+
+let is_milestone k = route k land to_milestones <> 0
+
+let milestone_tag k ~a =
+  match k with
+  | K_ms_killed -> "killed"
+  | K_ms_power_cycle -> "power-cycle"
+  | K_ms_suspect -> "suspect"
+  | K_ms_probe -> "probe"
+  | K_ms_zookeeper -> "zookeeper"
+  | K_ms_region_lost -> Printf.sprintf "region-lost:%d" a
+  | K_ms_new_config -> "new-config"
+  | K_ms_config_commit -> "config-commit"
+  | K_ms_all_active -> "all-active"
+  | K_ms_data_rec_start -> "data-rec-start"
+  | K_ms_region_recovered -> "region-recovered"
+  | K_ms_data_rec_done -> "data-rec-done"
+  | _ -> invalid_arg "Obs.milestone_tag: not a milestone kind"
 
 (* Names of the commit-phase hook points carried by [K_phase] events; the
    indices match State.commit_phase's declaration order. *)
@@ -323,10 +372,12 @@ let render_body k ~a ~b ~c =
   | K_rdma_read -> Printf.sprintf "rdma-read dst=m%d bytes=%d" a b
   | K_rdma_write -> Printf.sprintf "rdma-write dst=m%d bytes=%d" a b
   | K_rdma_batch -> Printf.sprintf "rdma-batch ops=%d bytes=%d" a b
-  | K_send -> Printf.sprintf "send dst=m%d bytes=%d %s" a b (if c = 1 then "ud" else "rc")
+  | K_send -> Printf.sprintf "send dst=m%d bytes=%d rc" a b
+  | K_send_ud -> Printf.sprintf "send dst=m%d bytes=%d ud" a b
   | K_call -> Printf.sprintf "call dst=m%d bytes=%d" a b
-  | K_drop ->
-      Printf.sprintf "%s dst=m%d" (if c = 1 then "rc-retransmit" else "ud-drop") a
+  | K_msg_recv -> Printf.sprintf "recv from=m%d bytes=%d flow=%d" a b c
+  | K_ud_drop -> Printf.sprintf "ud-drop dst=m%d" a
+  | K_rc_retransmit -> Printf.sprintf "rc-retransmit dst=m%d" a
   | K_log_append -> Printf.sprintf "log-append dst=m%d bytes=%d used=%d" a b c
   | K_log_append_fail -> Printf.sprintf "log-append-FAIL dst=m%d bytes=%d" a b
   | K_log_record -> Printf.sprintf "log-record from=m%d %s" a (log_payload_tag b)
@@ -351,14 +402,31 @@ let render_body k ~a ~b ~c =
   | K_rec_vote -> Printf.sprintf "rec-vote rid=%d vote=%d" a b
   | K_rec_decide ->
       Printf.sprintf "rec-decide %s took=%dns" (if a = 1 then "committed" else "aborted") b
+  | K_fault -> Printf.sprintf "fault #%d" a
+  | K_flap_stall -> Printf.sprintf "lease-flap-stall m%d %dns" a b
+  | k -> milestone_tag k ~a
+
+(* {1 The cluster log}
+
+   Milestones, fabric drops and nemesis actions of every machine, in
+   emission order. It is always on and holds only rare events, so a list
+   (newest first) is enough; milestones are counted as they arrive. *)
+
+type record = { r_at : int; r_kind : kind; r_machine : int; r_a : int; r_b : int; r_c : int }
+
+type log = { mutable l_records : record list; mutable l_milestones : int }
+
+let create_log () = { l_records = []; l_milestones = 0 }
+let log_records l = List.rev l.l_records
+let log_milestones l = l.l_milestones
 
 (* {1 The sink} *)
 
 (* One preallocated ring slot; every field mutable so recording allocates
-   nothing. [at] is sim-time ns; [kind] is a kind index. *)
+   nothing. [at] is sim-time ns. *)
 type slot = {
   mutable s_at : int;
-  mutable s_kind : int;
+  mutable s_kind : kind;
   mutable s_a : int;
   mutable s_b : int;
   mutable s_c : int;
@@ -393,6 +461,7 @@ and exemplar = {
 and t = {
   engine : Engine.t;
   obs_machine : int;
+  obs_log : log;
   mutable obs_enabled : bool;
   ring : slot array;
   mutable pos : int;  (* next slot to overwrite *)
@@ -413,13 +482,15 @@ and t = {
 
 let exemplar_k = 8
 
-let create ?(capacity = 128) ?(enabled = false) engine ~machine =
+let create ?(capacity = 128) ?(log = create_log ()) engine ~machine =
   if capacity < 1 then invalid_arg "Obs.create: capacity must be positive";
   {
     engine;
     obs_machine = machine;
-    obs_enabled = enabled;
-    ring = Array.init capacity (fun _ -> { s_at = 0; s_kind = 0; s_a = 0; s_b = 0; s_c = 0 });
+    obs_log = log;
+    obs_enabled = false;
+    ring =
+      Array.init capacity (fun _ -> { s_at = 0; s_kind = K_phase; s_a = 0; s_b = 0; s_c = 0 });
     pos = 0;
     total = 0;
     counters = Array.make n_counters 0;
@@ -474,40 +545,59 @@ let counter_totals t =
       if v = 0 then None else Some (counter_name c, v))
     all_counters
 
-(* Forward the flight-recorder kinds that double as trace instants to the
-   tracer, so lease/suspicion/reconfig/fault emit sites need no tracer
-   plumbing of their own. Called only while the tracer is enabled. *)
-let forward_instant t kind ~a ~b ~c =
-  let _ = b in
+(* The kinds that are also trace instants: track, name and argument.
+   Messages are instants only when they carry a flow id. *)
+let trace_instant t kind ~a ~c =
+  let tr = t.obs_tracer in
   match kind with
-  | K_drop ->
-      Tracer.instant t.obs_tracer ~tid:Tracer.tid_net
-        ~mark:(if c = 1 then Tracer.M_retransmit else Tracer.M_drop)
-        ~arg:a
-  | K_lease_expiry ->
-      Tracer.instant t.obs_tracer ~tid:Tracer.tid_lease ~mark:Tracer.M_lease_expiry ~arg:a
-  | K_suspect ->
-      Tracer.instant t.obs_tracer ~tid:Tracer.tid_lease ~mark:Tracer.M_suspect ~arg:a
+  | K_send | K_send_ud | K_call ->
+      if c <> 0 then Tracer.instant tr ~tid:Tracer.tid_net ~name:"msg-send" ~arg:c
+  | K_msg_recv -> if c <> 0 then Tracer.instant tr ~tid:Tracer.tid_net ~name:"msg-recv" ~arg:c
+  | K_ud_drop -> Tracer.instant tr ~tid:Tracer.tid_net ~name:"drop" ~arg:a
+  | K_rc_retransmit -> Tracer.instant tr ~tid:Tracer.tid_net ~name:"retransmit" ~arg:a
+  | K_lease_expiry -> Tracer.instant tr ~tid:Tracer.tid_lease ~name:"lease-expiry" ~arg:a
+  | K_suspect -> Tracer.instant tr ~tid:Tracer.tid_lease ~name:"suspect" ~arg:a
   | K_config_commit ->
-      Tracer.instant t.obs_tracer ~tid:Tracer.tid_recovery ~mark:Tracer.M_config_commit
-        ~arg:a
-  | K_log_trunc ->
-      Tracer.instant t.obs_tracer ~tid:(Tracer.tid_log ~sender:a) ~mark:Tracer.M_truncate
-        ~arg:a
+      Tracer.instant tr ~tid:Tracer.tid_recovery ~name:"config-commit" ~arg:a
+  | K_log_trunc -> Tracer.instant tr ~tid:(Tracer.tid_log ~sender:a) ~name:"truncate" ~arg:a
   | _ -> ()
 
+(* A recovery stage that just ended, [ns] long: into its histogram, and
+   onto the recovery track as a slice spanning [now - ns, now]. *)
+let record_stage t kind ~ns =
+  let stage, step =
+    match kind with
+    | K_rec_drain -> (S_drain, Tracer.T_rec_drain)
+    | K_rec_region_active -> (S_region_active, Tracer.T_rec_region_active)
+    | _ -> (S_decide, Tracer.T_rec_decide)
+  in
+  Stats.Hist.record t.stages.(stage_index stage) ns;
+  let now = Time.to_ns (Engine.now t.engine) in
+  Tracer.slice t.obs_tracer ~tid:Tracer.tid_recovery ~step ~start:(now - ns) ~arg:0
+
 let event t kind ~a ~b ~c =
-  if t.obs_enabled then begin
+  (match counter_of kind with Some ctr -> incr t ctr | None -> ());
+  let sinks = route kind in
+  if sinks land to_stage <> 0 then record_stage t kind ~ns:b;
+  if t.obs_enabled && sinks land to_ring <> 0 then begin
     let s = t.ring.(t.pos) in
     s.s_at <- Time.to_ns (Engine.now t.engine);
-    s.s_kind <- kind_index kind;
+    s.s_kind <- kind;
     s.s_a <- a;
     s.s_b <- b;
     s.s_c <- c;
     t.pos <- (t.pos + 1) mod Array.length t.ring;
     t.total <- t.total + 1
   end;
-  if Tracer.enabled t.obs_tracer then forward_instant t kind ~a ~b ~c
+  if sinks land to_log <> 0 then begin
+    let l = t.obs_log in
+    let r_at = Time.to_ns (Engine.now t.engine) in
+    l.l_records <-
+      { r_at; r_kind = kind; r_machine = t.obs_machine; r_a = a; r_b = b; r_c = c }
+      :: l.l_records;
+    if sinks land to_milestones <> 0 then l.l_milestones <- l.l_milestones + 1
+  end;
+  if Tracer.enabled t.obs_tracer then trace_instant t kind ~a ~c
 
 let total_events t = t.total
 
@@ -516,7 +606,7 @@ let events t =
   let n = min t.total cap in
   List.init n (fun i ->
       let s = t.ring.((t.pos - n + i + (2 * cap)) mod cap) in
-      (s.s_at, render_body all_kinds.(s.s_kind) ~a:s.s_a ~b:s.s_b ~c:s.s_c))
+      (s.s_at, render_body s.s_kind ~a:s.s_a ~b:s.s_b ~c:s.s_c))
 
 (* {1 Spans} *)
 
@@ -682,22 +772,6 @@ end
 (* {1 Recovery stages} *)
 
 let stage_hist t s = t.stages.(stage_index s)
-
-let step_of_stage = function
-  | S_drain -> Tracer.T_rec_drain
-  | S_region_active -> Tracer.T_rec_region_active
-  | S_decide -> Tracer.T_rec_decide
-
-let record_stage t s d =
-  let ns = Time.to_ns d in
-  if ns >= 0 then begin
-    Stats.Hist.record t.stages.(stage_index s) ns;
-    (* the stage just ended: its slice spans [now - d, now] on the
-       recovery track, so recovery emit sites need no tracer plumbing *)
-    let now = Time.to_ns (Engine.now t.engine) in
-    Tracer.slice t.obs_tracer ~tid:Tracer.tid_recovery ~step:(step_of_stage s)
-      ~start:(now - ns) ~arg:0
-  end
 
 (* {1 Reporting} *)
 

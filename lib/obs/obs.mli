@@ -1,22 +1,23 @@
 open Farm_sim
 
 (** The observability spine: per-machine protocol counters, commit-phase
-    spans, recovery-stage timings, and a bounded flight-recorder ring of
-    typed protocol events.
+    spans, recovery-stage timings, and one typed event pipeline.
 
     One [Obs.t] lives on each machine (created by {!Cluster}, threaded
     through {!State} and the fabric) and every protocol layer emits through
-    it. The design obeys three hard rules:
+    it: {!event} is the only way any layer records a discrete event. The
+    design obeys three hard rules:
 
     - {b O(1), allocation-light recording.} Events are a constant
-      constructor plus three integer arguments written into a preallocated
-      ring slot; counters are plain array increments; spans mutate a small
+      constructor plus three integer arguments written into preallocated
+      ring slots; counters are plain array increments; spans mutate a small
       per-transaction record. Nothing is formatted until a dump is
       requested.
-    - {b Near-zero cost when disabled.} The event ring is gated on one
-      boolean; a disabled sink reduces every {!event} call to a load and a
-      branch. Counters, phase histograms and spans are always on (they are
-      a handful of integer writes and feed the bench reports).
+    - {b Near-zero cost when disabled.} The flight-recorder ring and the
+      tracer are each gated on one boolean. Counters, phase histograms,
+      spans and the cluster log are always on (they are a handful of
+      integer writes, feed the bench reports, and the log holds only rare
+      events).
     - {b Determinism is never perturbed.} Recording only reads
       {!Engine.now} and mutates obs-local state — it never draws from an
       {!Rng}, schedules engine work, or blocks. Histories under seed replay
@@ -24,12 +25,15 @@ open Farm_sim
 
 type t
 
+type log
+(** A cluster log, shared by the sinks of one cluster (see {!event}). *)
+
 (** {1 Creation} *)
 
-val create : ?capacity:int -> ?enabled:bool -> Engine.t -> machine:int -> t
-(** A per-machine sink. [capacity] bounds the flight-recorder ring
-    (default 128 events); [enabled] (default [false]) gates event
-    recording only — counters, phases and stages are always live. *)
+val create : ?capacity:int -> ?log:log -> Engine.t -> machine:int -> t
+(** A per-machine sink, its flight-recorder ring ([capacity] events,
+    default 128) off. [log] is the cluster log this machine writes to
+    (default: a fresh one). *)
 
 val machine : t -> int
 
@@ -269,23 +273,32 @@ type stage =
 val stage_name : stage -> string
 val all_stages : stage list
 val stage_hist : t -> stage -> Stats.Hist.t
+(** Durations (ns) of the stages completed here, recorded by the
+    [K_rec_drain], [K_rec_region_active] and [K_rec_decide] events; each
+    is also a slice on the tracer's recovery track. *)
 
-val record_stage : t -> stage -> Time.t -> unit
-(** Record a stage that just completed, taking the given duration; when
-    the tracer is on, also emits it as a slice on the recovery track. *)
+(** {1 Events}
 
-(** {1 The flight recorder} — a bounded ring of typed protocol events,
-    recorded only while {!enabled}. Each event is a kind plus three
-    small integer arguments whose meaning depends on the kind (documented
-    per constructor); rendering happens only at {!events} time. *)
+    One vocabulary for every discrete event: protocol steps, recovery
+    milestones, fabric drops and nemesis actions. An event is a kind plus
+    three integer arguments (documented per constructor). Its kind picks
+    the counter it bumps and its sinks: the flight-recorder ring (while
+    {!set_enabled}), the tracer as an instant (while tracing: drops, lease
+    expiries, suspicions, config commits, truncations, flow-carrying
+    messages), and the always-on cluster log (milestones, drops, nemesis
+    actions). Strings are built only when a sink is dumped. *)
 
 type kind =
   | K_rdma_read  (** a=dst, b=bytes *)
   | K_rdma_write  (** a=dst, b=bytes *)
   | K_rdma_batch  (** a=ops, b=total bytes *)
-  | K_send  (** a=dst, b=bytes, c=0 RC / 1 UD *)
-  | K_call  (** a=dst, b=bytes *)
-  | K_drop  (** a=dst, c=0 UD loss / 1 RC retransmission *)
+  | K_send  (** RC message: a=dst, b=bytes, c=flow id (0 none) *)
+  | K_send_ud  (** UD datagram: a=dst, b=bytes, c=flow id (0 none) *)
+  | K_call  (** a=dst, b=bytes, c=flow id (0 none) *)
+  | K_msg_recv  (** delivery of a message: a=src, b=bytes, c=flow id;
+                    tracer only *)
+  | K_ud_drop  (** UD packet lost: a=dst *)
+  | K_rc_retransmit  (** RC retransmission: a=dst *)
   | K_log_append  (** a=dst, b=record bytes, c=ring bytes used after *)
   | K_log_append_fail  (** a=dst, b=record bytes *)
   | K_log_record  (** a=sender, b=payload tag (0 LOCK, 1 COMMIT-BACKUP, 2
@@ -301,23 +314,62 @@ type kind =
   | K_suspect  (** a=suspect *)
   | K_new_config  (** a=config id, b=member count, c=cm *)
   | K_config_commit  (** a=config id *)
-  | K_rec_drain  (** a=config id, b=duration ns *)
-  | K_rec_region_active  (** a=region, b=duration ns *)
+  | K_rec_drain  (** a=config id, b=duration ns of stage [S_drain] *)
+  | K_rec_region_active  (** a=region, b=duration ns of [S_region_active] *)
   | K_rec_vote  (** a=region, b=vote tag *)
-  | K_rec_decide  (** a=1 committed / 0 aborted, b=duration ns *)
+  | K_rec_decide  (** a=1 committed / 0 aborted, b=duration ns of [S_decide] *)
+  | K_ms_killed  (** milestone: the machine was crashed *)
+  | K_ms_power_cycle  (** milestone: whole-cluster power cycle, filed at the CM *)
+  | K_ms_suspect  (** milestone: new suspicions at this machine *)
+  | K_ms_probe  (** milestone: a would-be CM probed the members *)
+  | K_ms_zookeeper  (** milestone: it won the configuration store *)
+  | K_ms_region_lost  (** milestone: a=region whose replicas all died *)
+  | K_ms_new_config  (** milestone: NEW-CONFIG sent *)
+  | K_ms_config_commit  (** milestone: NEW-CONFIG-COMMIT sent *)
+  | K_ms_all_active  (** milestone: every member's regions are active *)
+  | K_ms_data_rec_start  (** milestone: data recovery started here *)
+  | K_ms_region_recovered  (** milestone: one region re-replicated *)
+  | K_ms_data_rec_done  (** milestone: data recovery finished *)
+  | K_fault  (** nemesis: a=index of the applied fault in its schedule *)
+  | K_flap_stall  (** nemesis: one stall of a lease flap, a=machine,
+                      b=stall ns *)
 
 val event : t -> kind -> a:int -> b:int -> c:int -> unit
-(** Record an event into the ring; a load and a branch when disabled.
-    Kinds that double as trace instants (drops, retransmissions, lease
-    expiries, suspicions, config commits, truncations) are also
-    forwarded to the tracer while it is enabled — each gate is
-    independent. *)
+(** Record an event: bump its counter, then write it to each sink its
+    kind selects and its gate lets through. *)
 
 val events : t -> (int * string) list
-(** The ring's contents, oldest first, as (sim-time ns, rendered line). *)
+(** The flight-recorder ring's contents, oldest first, as (sim-time ns,
+    rendered line). *)
 
 val total_events : t -> int
-(** Events recorded since creation, including overwritten ones. *)
+(** Ring events recorded since creation, including overwritten ones. *)
+
+(** {2 The cluster log} — shared by every machine of a cluster, always
+    on, in emission order. *)
+
+val create_log : unit -> log
+
+type record = {
+  r_at : int;  (** sim-time ns *)
+  r_kind : kind;
+  r_machine : int;  (** the machine whose sink recorded it *)
+  r_a : int;
+  r_b : int;
+  r_c : int;
+}
+
+val log_records : log -> record list
+(** Every logged event, oldest first. *)
+
+val log_milestones : log -> int
+(** The number of milestones logged so far; O(1). *)
+
+val is_milestone : kind -> bool
+
+val milestone_tag : kind -> a:int -> string
+(** A milestone's display tag (["suspect"], ["region-lost:3"], ...).
+    Raises [Invalid_argument] on other kinds. *)
 
 (** {1 Reporting} *)
 

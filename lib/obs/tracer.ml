@@ -2,8 +2,9 @@ open Farm_sim
 
 (* Causal tracing. Implementation notes, mirroring the obs spine:
 
-   - One ring of all-mutable-int slots, allocated when tracing is first
-     enabled; recording a slice or an instant is ~10 integer stores.
+   - One ring of mutable slots (ints, and a constant name for instants),
+     allocated when tracing is first enabled; recording a slice or an
+     instant is ~10 stores.
      Rendering is deferred to [export_json].
    - The only engine interaction is reading the clock; nothing here draws
      randomness, schedules work, or blocks, so histories are identical
@@ -53,34 +54,6 @@ let step_names =
 
 let step_name s = step_names.(step_index s)
 
-type mark =
-  | M_drop
-  | M_retransmit
-  | M_lease_expiry
-  | M_suspect
-  | M_config_commit
-  | M_truncate
-  | M_msg_send
-  | M_msg_recv
-
-let mark_index = function
-  | M_drop -> 0
-  | M_retransmit -> 1
-  | M_lease_expiry -> 2
-  | M_suspect -> 3
-  | M_config_commit -> 4
-  | M_truncate -> 5
-  | M_msg_send -> 6
-  | M_msg_recv -> 7
-
-let mark_names =
-  [|
-    "drop"; "retransmit"; "lease-expiry"; "suspect"; "config-commit"; "truncate";
-    "msg-send"; "msg-recv";
-  |]
-
-let mark_name m = mark_names.(mark_index m)
-
 (* {1 Thread tracks} *)
 
 let tid_net = 32
@@ -123,7 +96,8 @@ type slot = {
   mutable e_ts : int;  (* ns; a slice's start *)
   mutable e_dur : int;  (* ns; slices only *)
   mutable e_tid : int;
-  mutable e_name : int;  (* step or mark index, per e_ph *)
+  mutable e_name : int;  (* slices: step index *)
+  mutable e_label : string;  (* instants: a static name *)
   mutable e_arg : int;
   mutable e_txm : int;  (* trace context; e_txm = -1 means none *)
   mutable e_txt : int;
@@ -153,6 +127,7 @@ let new_slot _ =
     e_dur = 0;
     e_tid = 0;
     e_name = 0;
+    e_label = "";
     e_arg = 0;
     e_txm = -1;
     e_txt = 0;
@@ -160,6 +135,7 @@ let new_slot _ =
     e_fin = 0;
     e_fout = 0;
   }
+
 
 let machine t = t.trc_machine
 
@@ -204,14 +180,14 @@ let slice_flow t ~tid ~step ~start ~arg ~txm ~txt ~txl ~flow_in ~flow_out =
   if t.trc_enabled then
     record_slice t ~tid ~step ~start ~arg ~txm ~txt ~txl ~flow_in ~flow_out
 
-let instant t ~tid ~mark ~arg =
+let instant t ~tid ~name ~arg =
   if t.trc_enabled then begin
     let s = alloc t in
     s.e_ph <- 1;
     s.e_ts <- Time.to_ns (Engine.now t.engine);
     s.e_dur <- 0;
     s.e_tid <- tid;
-    s.e_name <- mark_index mark;
+    s.e_label <- name;
     s.e_arg <- arg;
     s.e_txm <- -1;
     s.e_txt <- 0;
@@ -225,7 +201,6 @@ let instant t ~tid ~mark ~arg =
 type view = {
   v_machine : int;
   v_tid : int;
-  v_instant : bool;
   v_step : int;
   v_ts : int;
   v_dur : int;
@@ -241,7 +216,6 @@ let view_of_slot machine (s : slot) =
   {
     v_machine = machine;
     v_tid = s.e_tid;
-    v_instant = s.e_ph = 1;
     v_step = s.e_name;
     v_ts = s.e_ts;
     v_dur = s.e_dur;
@@ -253,15 +227,15 @@ let view_of_slot machine (s : slot) =
     v_fout = s.e_fout;
   }
 
-let view_name v =
-  if v.v_instant then mark_names.(v.v_step)
-  else
-    let flow = if v.v_fout <> 0 then v.v_fout else v.v_fin in
-    if
-      flow <> 0
-      && (v.v_step = step_index T_log_append || v.v_step = step_index T_log_process)
-    then step_names.(v.v_step) ^ " " ^ tag_names.(flow_tag flow)
-    else step_names.(v.v_step)
+(* log-append/log-process slices carry their record's flow; they are named
+   by the record type the flow id encodes *)
+let slice_name ~step ~fin ~fout =
+  let flow = if fout <> 0 then fout else fin in
+  if flow <> 0 && (step = step_index T_log_append || step = step_index T_log_process) then
+    step_names.(step) ^ " " ^ tag_names.(flow_tag flow)
+  else step_names.(step)
+
+let view_name v = slice_name ~step:v.v_step ~fin:v.v_fin ~fout:v.v_fout
 
 (* Live slots of every tracer, keyed for a total deterministic order:
    timestamp, then machine, then slot age. *)
@@ -284,7 +258,9 @@ let live_entries tracers =
     (List.rev !entries)
 
 let views tracers =
-  List.map (fun (_, machine, _, s) -> view_of_slot machine s) (live_entries tracers)
+  List.filter_map
+    (fun (_, machine, _, s) -> if s.e_ph = 0 then Some (view_of_slot machine s) else None)
+    (live_entries tracers)
 
 (* {1 Export} *)
 
@@ -304,19 +280,11 @@ let bprint_common buf ~name ~ph ~ts ~pid ~tid =
    them at the slice's start timestamp on the same pid/tid). *)
 let render_slot buf ~pid ~crit (s : slot) =
   if s.e_ph = 1 then begin
-    bprint_common buf ~name:mark_names.(s.e_name) ~ph:"i" ~ts:s.e_ts ~pid
-      ~tid:s.e_tid;
+    bprint_common buf ~name:s.e_label ~ph:"i" ~ts:s.e_ts ~pid ~tid:s.e_tid;
     Printf.bprintf buf ",\"s\":\"t\",\"args\":{\"arg\":%d}}" s.e_arg
   end
   else begin
-    let name =
-      (* log-append/log-process slices carry their record's flow; name
-         them by the record type the flow id encodes *)
-      let flow = if s.e_fout <> 0 then s.e_fout else s.e_fin in
-      if flow <> 0 && (s.e_name = step_index T_log_append || s.e_name = step_index T_log_process)
-      then step_names.(s.e_name) ^ " " ^ tag_names.(flow_tag flow)
-      else step_names.(s.e_name)
-    in
+    let name = slice_name ~step:s.e_name ~fin:s.e_fin ~fout:s.e_fout in
     bprint_common buf ~name ~ph:"X" ~ts:s.e_ts ~pid ~tid:s.e_tid;
     Printf.bprintf buf ",\"dur\":";
     bprint_us buf s.e_dur;
@@ -371,7 +339,7 @@ let export_json ?mark tracers =
   List.iter
     (fun (_, pid, _, s) ->
       let crit =
-        match mark with None -> false | Some f -> f (view_of_slot pid s)
+        match mark with Some f when s.e_ph = 0 -> f (view_of_slot pid s) | _ -> false
       in
       emit (fun buf -> render_slot buf ~pid ~crit s))
     entries;

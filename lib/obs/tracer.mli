@@ -66,20 +66,6 @@ type step =
 
 val step_name : step -> string
 
-(** {1 Instant events} *)
-
-type mark =
-  | M_drop  (** UD packet lost; arg = dst *)
-  | M_retransmit  (** RC retransmission; arg = dst *)
-  | M_lease_expiry  (** arg = expired peer *)
-  | M_suspect  (** arg = suspect *)
-  | M_config_commit  (** arg = config id *)
-  | M_truncate  (** log truncation applied; arg = coordinator *)
-  | M_msg_send  (** fabric message carrying a flow id; arg = flow *)
-  | M_msg_recv  (** its remote delivery; arg = flow *)
-
-val mark_name : mark -> string
-
 (** {1 Thread tracks}
 
     Within one machine (one Perfetto process), tids partition the
@@ -128,11 +114,14 @@ val slice_flow :
   flow_out:int ->
   unit
 
-val instant : t -> tid:int -> mark:mark -> arg:int -> unit
+val instant : t -> tid:int -> name:string -> arg:int -> unit
+(** A point event on track [tid]. [name] must be a constant: the slot
+    keeps the string itself. {!Obs.event} records every instant, named
+    after its event kind. *)
 
 (** {1 Offline views}
 
-    Read-only snapshots of the recorded ring for offline analysis
+    Read-only snapshots of the recorded slices for offline analysis
     ({!Critpath} reconstructs cross-machine transaction paths from them).
     Purely a rendering of existing slots — taking views never perturbs
     recording. *)
@@ -140,10 +129,9 @@ val instant : t -> tid:int -> mark:mark -> arg:int -> unit
 type view = {
   v_machine : int;
   v_tid : int;
-  v_instant : bool;  (** false = slice, true = instant mark *)
-  v_step : int;  (** {!step_index} for slices, mark index for instants *)
+  v_step : int;  (** {!step_index} *)
   v_ts : int;  (** start, sim ns *)
-  v_dur : int;  (** ns; 0 for instants *)
+  v_dur : int;  (** ns *)
   v_arg : int;
   v_txm : int;  (** trace context; -1 = none *)
   v_txt : int;
@@ -155,7 +143,7 @@ type view = {
 val step_index : step -> int
 
 val views : t list -> view list
-(** Every live slot of the given tracers in the export's deterministic
+(** Every live slice of the given tracers in the export's deterministic
     order: (timestamp, machine, slot age). *)
 
 val view_name : view -> string
@@ -168,8 +156,8 @@ val export_json : ?mark:(view -> bool) -> t list -> string
 (** The merged Chrome trace-event JSON document ([{"traceEvents": [...]}]):
     machines as processes, protocol roles as named threads, slices as
     [ph:"X"] complete events (ts/dur in microseconds), flow endpoints as
-    [ph:"s"]/[ph:"f"] pairs bound to their slices, and marks as
-    [ph:"i"] instants. Events are ordered by (timestamp, machine, slot
+    [ph:"s"]/[ph:"f"] pairs bound to their slices, and instants as
+    [ph:"i"] events. Events are ordered by (timestamp, machine, slot
     age) so the document is a pure function of the recorded state —
     byte-identical across replays of the same seed.
 

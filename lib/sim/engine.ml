@@ -32,7 +32,6 @@ type t = {
   mutable seq : int;
   mutable stopped : bool;
   mutable events_processed : int;
-  mutable tracer : (at:Time.t -> string -> unit) option;
 }
 
 let empty_slot () = ()
@@ -48,12 +47,7 @@ let create () =
     seq = 0;
     stopped = false;
     events_processed = 0;
-    tracer = None;
   }
-
-let set_tracer t tracer = t.tracer <- tracer
-
-let emit t msg = match t.tracer with Some f -> f ~at:t.now msg | None -> ()
 
 let now t = t.now
 

@@ -33,15 +33,3 @@ val pending : t -> int
 val events_processed : t -> int
 (** Total events executed since creation; a cheap progress/efficiency
     metric for benchmarks. *)
-
-(** {1 Trace hooks}
-
-    A tracer is an optional subscriber for timestamped diagnostic events.
-    Any layer may {!emit} a line (the network fabric reports injected
-    packet drops, the fault harness reports every fault it applies); with
-    no tracer installed, emission is free. The fuzzer uses the collected
-    trace to print a per-run event log that is byte-identical across
-    replays of the same seed. *)
-
-val set_tracer : t -> (at:Time.t -> string -> unit) option -> unit
-val emit : t -> string -> unit

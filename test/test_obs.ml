@@ -143,6 +143,40 @@ let ring_bounds () =
   let lines = List.map snd (Obs.events o) in
   check_bool "oldest surviving event is #13" true (contains (List.hd lines) "dst=m13")
 
+(* Each kind reaches exactly its sinks: its own counter always, the ring
+   while recording, the tracer while tracing, and the shared cluster log
+   for drops, milestones and nemesis actions. *)
+let event_routing () =
+  let e = Engine.create () in
+  let log = Obs.create_log () in
+  let o = Obs.create ~log e ~machine:3 in
+  Obs.set_enabled o true;
+  Tracer.set_enabled (Obs.tracer o) true;
+  Obs.event o Obs.K_rdma_read ~a:1 ~b:64 ~c:0;
+  Obs.event o Obs.K_ud_drop ~a:2 ~b:0 ~c:0;
+  Obs.event o Obs.K_ms_region_lost ~a:7 ~b:0 ~c:0;
+  Obs.event o Obs.K_fault ~a:4 ~b:0 ~c:0;
+  (* a send without a flow id is no trace instant; a receive is nothing
+     but one *)
+  Obs.event o Obs.K_send ~a:1 ~b:32 ~c:0;
+  Obs.event o Obs.K_msg_recv ~a:1 ~b:32 ~c:99;
+  check_int "read counted" 1 (Obs.counter o Obs.C_rdma_read);
+  check_int "drop counted" 1 (Obs.counter o Obs.C_ud_drop);
+  check_int "send counted" 1 (Obs.counter o Obs.C_rpc_send);
+  Alcotest.(check (list string))
+    "ring: protocol steps and drops"
+    [ "rdma-read dst=m1 bytes=64"; "ud-drop dst=m2"; "send dst=m1 bytes=32 rc" ]
+    (List.map snd (Obs.events o));
+  Alcotest.(check (list (pair int int)))
+    "log: drop, milestone, fault as (machine, a)"
+    [ (3, 2); (3, 7); (3, 4) ]
+    (List.map (fun (r : Obs.record) -> (r.Obs.r_machine, r.Obs.r_a)) (Obs.log_records log));
+  check_int "one milestone counted" 1 (Obs.log_milestones log);
+  Alcotest.(check string)
+    "milestone tag" "region-lost:7"
+    (Obs.milestone_tag Obs.K_ms_region_lost ~a:7);
+  check_int "tracer: the drop and the flow-carrying receive" 2 (Tracer.total (Obs.tracer o))
+
 (* The counter spine end to end: a committed write transaction bumps the
    coordinator's commit counter and the primaries' log/lock counters. *)
 let counters_plumbed () =
@@ -522,6 +556,7 @@ let suites =
         test "recording on/off does not perturb a fuzz seed" recording_is_inert;
         test "failing outcome dumps the flight recorder" failure_dumps_recorder;
         test "flight-recorder ring is gated and bounded" ring_bounds;
+        test "event kinds reach exactly their sinks" event_routing;
         test "counters plumbed through the stack" counters_plumbed;
       ] );
     ( "obs.trace",

@@ -234,7 +234,7 @@ let correlated_domain_failure () =
   Cluster.kill_domain c 0;
   settle c;
   settle c;
-  check_bool "no region lost" true (c.Cluster.lost_regions = []);
+  check_bool "no region lost" true (Cluster.lost_regions c = []);
   let survivor = 3 in
   check_int "data survives domain failure" 77 (read_cell c ~machine:survivor cells.(0));
   let st = Cluster.machine c survivor in
@@ -254,7 +254,24 @@ let region_lost_detection () =
   List.iter (fun m -> Cluster.kill c m) holders;
   settle c;
   settle c;
-  check_bool "region loss detected" true (List.mem r.Wire.rid c.Cluster.lost_regions)
+  check_bool "region loss detected" true (List.mem r.Wire.rid (Cluster.lost_regions c))
+
+(* The same loss, detected by a CM that a power cycle restarted: restarted
+   machines keep writing the cluster log, so the loss is still reported. *)
+let region_lost_after_power_cycle () =
+  let c = Cluster.create ~seed:42 ~machines:7 () in
+  let _r1 = Cluster.alloc_region_exn c in
+  let r = Cluster.alloc_region_exn c in
+  Cluster.power_cycle c;
+  Cluster.run_for c ~d:(Time.ms 50);
+  let holders = r.Wire.primary :: r.Wire.backups in
+  check_bool "CM not a holder" false (List.mem 0 holders);
+  List.iter (Cluster.kill c) holders;
+  Cluster.run_for c ~d:(Time.ms 240);
+  let tag = Printf.sprintf "region-lost:%d" r.Wire.rid in
+  check_bool "milestone logged" true
+    (List.exists (fun (t, _, _) -> t = tag) (Cluster.milestones c));
+  Alcotest.(check (list int)) "region loss detected" [ r.Wire.rid ] (Cluster.lost_regions c)
 
 let unaffected_transactions_continue () =
   (* transactions touching only unaffected regions keep committing during
@@ -675,6 +692,7 @@ let suites =
         test "CM failure" cm_failure_recovers;
         test "correlated domain failure" correlated_domain_failure;
         test "region loss detection" region_lost_detection;
+        test "region loss detection after power cycle" region_lost_after_power_cycle;
         test "unaffected transactions continue" unaffected_transactions_continue;
       ] );
     ( "recovery.regressions",
