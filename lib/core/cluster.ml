@@ -97,8 +97,9 @@ let now t = Engine.now t.engine
 let run_until t ~at = Engine.run ~until:at t.engine
 let run_for t ~d = Engine.run ~until:(Time.add (Engine.now t.engine) d) t.engine
 
-(* Run [fn] as a process on [machine] and drive the engine until it
-   returns. Setup/teardown convenience for tests and benchmarks. *)
+(* Run [fn] as a process on [machine] and drive the engine in 1 ms quanta
+   until it has returned: simulated time advances by whole milliseconds.
+   Setup/teardown convenience for tests and benchmarks. *)
 let run_on t ~machine fn =
   let st = t.machines.(machine) in
   let result = ref None in

@@ -32,8 +32,13 @@ val run_until : t -> at:Time.t -> unit
 val run_for : t -> d:Time.t -> unit
 
 val run_on : t -> machine:int -> (State.t -> 'a) -> 'a
-(** Run a function as a process on a machine and drive the engine until it
-    returns; setup/audit convenience. *)
+(** Run a function as a process on a machine and return its result;
+    setup/audit convenience. The engine runs in whole 1 ms quanta until
+    the process has finished, so every call advances simulated time by a
+    whole number of milliseconds, at least one, and the whole cluster's
+    background work (leases, log truncation, other processes) runs for
+    that long. Fails if the process is still running after 10,000 quanta
+    or once nothing is left to run. *)
 
 (** {1 Failure injection} *)
 

@@ -1,3 +1,4 @@
+open Farm_sim
 open Farm_core
 
 (* The FaRM hash table ([16], used for all unordered indexes in §6.2).
@@ -39,54 +40,6 @@ let bucket_of t key =
     (p * per) + (Codec.fnv1a key mod per)
   end
 
-(* Create the table: allocates every bucket object (zeroed = all slots
-   free) in one or more transactions from [st]. With [partitions] > 1 the
-   bucket array is split into contiguous partition ranges, each placed in
-   the region [regions.(partition mod |regions|)]. *)
-let create st ~thread ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions = 1)
-    ?(partition_of = fun _ -> 0) () =
-  if buckets <= 0 || Array.length regions = 0 then invalid_arg "Hashtable.create";
-  let buckets =
-    if partitions > 1 then (max 1 (buckets / partitions)) * partitions else buckets
-  in
-  let t =
-    {
-      buckets = Array.make buckets (Addr.make ~region:0 ~offset:0);
-      regions;
-      ksize;
-      vsize;
-      slots;
-      partitions;
-      partition_of;
-    }
-  in
-  let region_of_bucket b =
-    if partitions <= 1 then regions.(b mod Array.length regions)
-    else begin
-      let per = buckets / partitions in
-      regions.(b / per mod Array.length regions)
-    end
-  in
-  let size = bucket_data_size t in
-  let batch = 64 in
-  let i = ref 0 in
-  while !i < buckets do
-    let hi = min buckets (!i + batch) in
-    let lo = !i in
-    (match
-       Api.run_retry st ~thread (fun tx ->
-           for b = lo to hi - 1 do
-             let addr = Txn.alloc tx ~size ~region:(region_of_bucket b) () in
-             Txn.write tx addr (Bytes.make size '\000');
-             t.buckets.(b) <- addr
-           done)
-     with
-    | Ok () -> ()
-    | Error e -> Fmt.failwith "Hashtable.create: %a" Txn.pp_abort e);
-    i := hi
-  done;
-  t
-
 (* {1 Bucket parsing} *)
 
 let entry_used data ~esz i = Bytes.get data (i * esz) <> '\000'
@@ -126,6 +79,107 @@ let norm_key t key =
   Bytes.blit key 0 k 0 (min (Bytes.length key) t.ksize);
   k
 
+let norm_value t value =
+  let v = Bytes.make t.vsize '\000' in
+  Bytes.blit value 0 v 0 (min (Bytes.length value) t.vsize);
+  v
+
+(* Create the table: allocates every bucket object in one or more
+   transactions from [st]. With [partitions] > 1 the bucket array is split
+   into contiguous partition ranges, each placed in the region
+   [regions.(partition mod |regions|)].
+
+   [rows] are the table's initial contents, laid out exactly as sequential
+   [insert]s into the empty table would leave them: each bucket holds its
+   distinct keys in first-insertion order, a repeated key keeps its slot and
+   takes the later value, and every [slots] entries a chained bucket is
+   allocated next to the one before it. The batch transaction that
+   allocates a head bucket allocates and writes its filled chain with it,
+   so loading costs no transactions beyond the empty table's. Without
+   [rows] every bucket is written zeroed (all slots free). *)
+let create st ~thread ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions = 1)
+    ?(partition_of = fun _ -> 0) ?(rows = []) () =
+  if buckets <= 0 || Array.length regions = 0 then invalid_arg "Hashtable.create";
+  let buckets =
+    if partitions > 1 then (max 1 (buckets / partitions)) * partitions else buckets
+  in
+  let t =
+    {
+      buckets = Array.make buckets (Addr.make ~region:0 ~offset:0);
+      regions;
+      ksize;
+      vsize;
+      slots;
+      partitions;
+      partition_of;
+    }
+  in
+  let region_of_bucket b =
+    if partitions <= 1 then regions.(b mod Array.length regions)
+    else begin
+      let per = buckets / partitions in
+      regions.(b / per mod Array.length regions)
+    end
+  in
+  (* each non-empty bucket's entries, newest first (memory follows the
+     rows, not the bucket count); finding a repeated key scans the bucket,
+     as [insert] scans the chain *)
+  let entries = Int_tbl.create (List.length rows) in
+  let entries_of b = Option.value (Int_tbl.find_opt entries b) ~default:[] in
+  List.iter
+    (fun (key, value) ->
+      let key = norm_key t key and value = norm_value t value in
+      let b = bucket_of t key in
+      let es = entries_of b in
+      match List.find_opt (fun (k, _) -> Bytes.equal k key) es with
+      | Some (_, v) -> v := value
+      | None -> Int_tbl.replace entries b ((key, ref value) :: es))
+    rows;
+  let size = bucket_data_size t in
+  let esz = entry_size t in
+  (* bucket [b]'s chain: the data of each chained bucket, head first *)
+  let chain_data b =
+    let es = Array.of_list (List.rev (entries_of b)) in
+    Array.init
+      (max 1 ((Array.length es + slots - 1) / slots))
+      (fun j ->
+        let data = Bytes.make size '\000' in
+        for i = 0 to min slots (Array.length es - (j * slots)) - 1 do
+          let key, value = es.((j * slots) + i) in
+          set_entry t data ~esz i ~key ~value:!value
+        done;
+        data)
+  in
+  let batch = 64 in
+  let i = ref 0 in
+  while !i < buckets do
+    let hi = min buckets (!i + batch) in
+    let lo = !i in
+    (match
+       Api.run_retry st ~thread (fun tx ->
+           for b = lo to hi - 1 do
+             let chain = chain_data b in
+             (* each chained bucket next to the one before it, as [insert]
+                places it *)
+             let rec write_chain addr j =
+               if j + 1 < Array.length chain then begin
+                 let next = Txn.alloc tx ~size ~near:addr () in
+                 Codec.set_addr chain.(j) (slots * esz) (Some next);
+                 write_chain next (j + 1)
+               end;
+               Txn.write tx addr chain.(j)
+             in
+             let head = Txn.alloc tx ~size ~region:(region_of_bucket b) () in
+             write_chain head 0;
+             t.buckets.(b) <- head
+           done)
+     with
+    | Ok () -> ()
+    | Error e -> Fmt.failwith "Hashtable.create: %a" Txn.pp_abort e);
+    i := hi
+  done;
+  t
+
 (* {1 Transactional operations} *)
 
 let rec lookup_from tx t addr key =
@@ -150,11 +204,7 @@ let lookup tx t key =
    duplicate that a later delete resurrects. *)
 let insert tx t key value =
   let key = norm_key t key in
-  let value =
-    let v = Bytes.make t.vsize '\000' in
-    Bytes.blit value 0 v 0 (min (Bytes.length value) t.vsize);
-    v
-  in
+  let value = norm_value t value in
   let esz = entry_size t in
   let rec go addr free =
     let data = Bytes.copy (Txn.read tx addr ~len:(bucket_data_size t)) in

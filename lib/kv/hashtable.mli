@@ -29,11 +29,24 @@ val create :
   ?slots:int ->
   ?partitions:int ->
   ?partition_of:(Bytes.t -> int) ->
+  ?rows:(Bytes.t * Bytes.t) list ->
   unit ->
   t
 (** Allocate all bucket objects (in batched transactions from the calling
     machine). Keys shorter than [ksize] are zero-padded; values are
-    truncated/padded to [vsize]. *)
+    truncated/padded to [vsize].
+
+    [rows] (default none) are the initial [(key, value)] rows. The table
+    is created holding them in exactly the layout that an empty table
+    followed by one {!insert} per row, in list order, would have: the
+    same bucket per key, slots filled in insertion order, a later row
+    with the same key replacing the earlier one's value in place, and a
+    chained bucket in the head bucket's region each time [slots] entries
+    fill. Only the bucket addresses differ. The transaction that allocates
+    a head bucket also allocates and writes its filled chain, so rows cost
+    no extra transactions; like every write, they reach the backups
+    through the commit protocol. Without [rows], every bucket is written
+    zeroed (all slots free). *)
 
 val bucket_of : t -> Bytes.t -> int
 val bucket_data_size : t -> int

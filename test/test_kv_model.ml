@@ -230,6 +230,110 @@ let hashtable_no_stale_duplicate () =
             (Hashtable.lookup_lockfree st t (key8 k)))
         (List.init 41 Fun.id))
 
+(* {2 Created populated = created empty, then inserted}
+
+   [Hashtable.create ~rows] must leave exactly the layout that an empty
+   [create] followed by one [insert] per row, in order, leaves: per chain
+   position the same slot contents and the same chain length. Only the
+   bucket addresses may differ. *)
+
+type shape = { nbuckets : int; slots : int; partitioned : bool; rows : (int * int) list }
+
+let pp_shape ppf s =
+  Fmt.pf ppf "buckets=%d slots=%d partitioned=%b rows=%a" s.nbuckets s.slots s.partitioned
+    Fmt.(Dump.list (Dump.pair int int))
+    s.rows
+
+let shape_gen =
+  QCheck.Gen.(
+    map
+      (fun (nbuckets, slots, partitioned, rows) -> { nbuckets; slots; partitioned; rows })
+      (quad (int_range 1 8) (int_range 1 3) bool
+         (list_size (int_range 0 60) (pair key_gen (int_range 1 1_000_000)))))
+
+let shape_arbitrary =
+  QCheck.make ~print:(Fmt.str "%a" pp_shape)
+    ~shrink:(fun s yield -> QCheck.Shrink.list s.rows (fun rows -> yield { s with rows }))
+    shape_gen
+
+(* Build both tables for [s] and compare them; returns the deepest chain. *)
+let populated_equals_inserted s =
+  let c = mk_cluster ~machines:3 () in
+  let r1 = Cluster.alloc_region_exn c in
+  let r2 = Cluster.alloc_region_exn c in
+  let rows = List.map (fun (k, v) -> (key8 k, value16 v)) s.rows in
+  let partitions = if s.partitioned then 2 else 1 in
+  let mk st ?rows () =
+    Hashtable.create st ~thread:0 ~regions:[| r1.Wire.rid; r2.Wire.rid |] ~buckets:s.nbuckets
+      ~ksize:8 ~vsize:16 ~slots:s.slots ~partitions
+      ~partition_of:(fun k -> Bytes.get_uint8 k 0)
+      ?rows ()
+  in
+  let populated, inserted =
+    Cluster.run_on c ~machine:0 (fun st ->
+        let populated = mk st ~rows () in
+        let inserted = mk st () in
+        List.iter
+          (fun (k, v) ->
+            match Api.run_retry st ~thread:0 (fun tx -> Hashtable.insert tx inserted k v) with
+            | Ok () -> ()
+            | Error r -> QCheck.Test.fail_reportf "insert aborted: %a" Txn.pp_abort r)
+          rows;
+        (populated, inserted))
+  in
+  let model = List.fold_left (fun m (k, v) -> M.add k v m) M.empty s.rows in
+  Cluster.run_on c ~machine:1 (fun st ->
+      let depth = ref 0 in
+      for b = 0 to Array.length inserted.Hashtable.buckets - 1 do
+        match
+          Api.run_retry st ~thread:0 (fun tx ->
+              (hashtable_chain tx populated b, hashtable_chain tx inserted b))
+        with
+        | Ok (got, want) ->
+            if List.length got <> List.length want then
+              QCheck.Test.fail_reportf "bucket %d: chain of %d, inserts give %d" b
+                (List.length got) (List.length want);
+            List.iteri
+              (fun j (g, w) ->
+                Array.iteri
+                  (fun i (wu, wk, wv) ->
+                    let gu, gk, gv = g.(i) in
+                    if gu <> wu || not (Bytes.equal gk wk && Bytes.equal gv wv) then
+                      QCheck.Test.fail_reportf "bucket %d chain %d slot %d differs" b j i)
+                  w)
+              (List.combine got want);
+            depth := max !depth (List.length got)
+        | Error r -> QCheck.Test.fail_reportf "chain read aborted: %a" Txn.pp_abort r
+      done;
+      (* present and absent keys: both read paths agree with the model *)
+      List.iter
+        (fun k ->
+          let want = Option.map value16 (M.find_opt k model) in
+          let tx_got =
+            match Api.run_retry st ~thread:0 (fun tx -> Hashtable.lookup tx populated (key8 k)) with
+            | Ok r -> r
+            | Error r -> QCheck.Test.fail_reportf "lookup aborted: %a" Txn.pp_abort r
+          in
+          if tx_got <> want || Hashtable.lookup_lockfree st populated (key8 k) <> want then
+            QCheck.Test.fail_reportf "lookup %d mismatch" k)
+        (List.init 45 Fun.id);
+      !depth)
+
+let hashtable_populated_matches_inserts =
+  QCheck.Test.make ~name:"hashtable created with rows equals inserts" ~count:25
+    shape_arbitrary (fun s ->
+      ignore (populated_equals_inserted s);
+      true)
+
+(* The fixed case the generator may miss: a partitioned table whose chains
+   run at least three buckets deep, with repeated keys. *)
+let hashtable_populated_deep_partitioned () =
+  let rows = List.init 40 (fun i -> ((i * 7) mod 23, i + 1)) in
+  let depth =
+    populated_equals_inserted { nbuckets = 2; slots = 2; partitioned = true; rows }
+  in
+  Alcotest.(check bool) (Fmt.str "chain depth %d >= 3" depth) true (depth >= 3)
+
 let suites =
   [
     ( "kv-model",
@@ -238,5 +342,8 @@ let suites =
         qtest hashtable_matches_map;
         Alcotest.test_case "hashtable overflow re-insert has no stale duplicate" `Quick
           hashtable_no_stale_duplicate;
+        qtest hashtable_populated_matches_inserts;
+        Alcotest.test_case "hashtable created with rows: deep partitioned chains" `Quick
+          hashtable_populated_deep_partitioned;
       ] );
   ]

@@ -62,3 +62,22 @@ let replica_mem cluster ~machine rid =
 let surviving_machine _cluster ~not_in =
   let rec go m = if List.mem m not_in then go (m + 1) else m in
   go 0
+
+(* The slots of hash-table bucket [b]'s chain, one array per chained
+   bucket, head first: each slot as (used, key, value) read straight from
+   the bucket bytes, so a table's exact layout can be compared. *)
+let hashtable_chain tx (t : Farm_kv.Hashtable.t) b =
+  let esz = Farm_kv.Hashtable.entry_size t in
+  let rec go addr acc =
+    let data = Txn.read tx addr ~len:(Farm_kv.Hashtable.bucket_data_size t) in
+    let slots =
+      Array.init t.slots (fun i ->
+          ( Bytes.get data (i * esz) <> '\000',
+            Bytes.sub data ((i * esz) + 1) t.ksize,
+            Bytes.sub data ((i * esz) + 1 + t.ksize) t.vsize ))
+    in
+    match Farm_kv.Codec.get_addr data (t.slots * esz) with
+    | Some next -> go next (slots :: acc)
+    | None -> List.rev (slots :: acc)
+  in
+  go t.buckets.(b) []
