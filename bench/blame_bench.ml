@@ -2,6 +2,7 @@ open Farm_sim
 open Farm_core
 open Farm_workloads
 open Farm_fault
+open Farm_harness
 
 (* Latency attribution: where does transaction time actually go?
 
@@ -34,28 +35,6 @@ let machines = 6
 let zipf_cells = 256
 let zipf_regions = 4
 
-type result = {
-  r_label : string;
-  r_committed : int;
-  r_aborted : int;
-  r_blame : (string * int) list;  (* exact ns per category, whole run *)
-  r_phase : (string * int) list;  (* the reconciliation anchor *)
-  r_tail : (string * int) list;  (* blame of the kept slowest exemplars *)
-  r_heat : Cluster.heat list;  (* top regions, hottest first *)
-  r_block : string;
-}
-
-let pct_line blame =
-  let tot = List.fold_left (fun acc (_, v) -> acc + v) 0 blame in
-  if tot = 0 then "n/a"
-  else
-    List.filter_map
-      (fun (name, v) ->
-        let pct = 100 * v / tot in
-        if pct < 1 then None else Some (Printf.sprintf "%s %d%%" name pct))
-      (List.stable_sort (fun (_, a) (_, b) -> compare b a) blame)
-    |> String.concat "  "
-
 (* The invariant the whole layer rests on, checked per scenario so a leak
    fails the bench loudly: every span nanosecond is claimed exactly once. *)
 let check_exact ~label blame phase =
@@ -84,7 +63,7 @@ let render ~label ~committed ~aborted ~blame ~phase ~tail ~hists ~heat ~paths =
       | None -> pf "  %-12s %8d.%03d\n" name (ns / 1000) (abs ns mod 1000))
     blame;
   pf "  exact: blame %d ns == phase %d ns (admission excluded)\n" blame_ns phase_ns;
-  pf "  tail (slowest exemplars): %s\n" (pct_line tail);
+  pf "  tail (slowest exemplars): %s\n" (Bench_util.pct_line tail);
   if heat <> [] then begin
     pf "  heat (hottest first):\n";
     List.iter
@@ -98,6 +77,7 @@ let render ~label ~committed ~aborted ~blame ~phase ~tail ~hists ~heat ~paths =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
+(* One scenario's JSON row and its rendered output block. *)
 let collect ~label ~paths c =
   let committed = Cluster.total_committed c and aborted = Cluster.total_aborted c in
   let blame = Cluster.blame_totals c in
@@ -108,16 +88,29 @@ let collect ~label ~paths c =
   let block =
     render ~label ~committed ~aborted ~blame ~phase ~tail ~hists ~heat ~paths
   in
-  {
-    r_label = label;
-    r_committed = committed;
-    r_aborted = aborted;
-    r_blame = blame;
-    r_phase = phase;
-    r_tail = tail;
-    r_heat = heat;
-    r_block = block;
-  }
+  let open Bench_util in
+  let heat_json (h : Cluster.heat) =
+    Json.Obj
+      [
+        ("region", int h.Cluster.h_region);
+        ("score", int h.Cluster.h_score);
+        ("access", int h.Cluster.h_access);
+        ("conflict", int h.Cluster.h_conflict);
+      ]
+  in
+  let row =
+    Json.Obj
+      [
+        ("label", Json.Str label);
+        ("committed", int committed);
+        ("aborted", int aborted);
+        ("blame_ns", obj_of int blame);
+        ("phase_ns", obj_of int phase);
+        ("tail_blame_ns", obj_of int tail);
+        ("heat", Json.Arr (List.map heat_json heat));
+      ]
+  in
+  (row, block)
 
 (* {1 Scenario 1: closed-loop TATP} *)
 
@@ -168,15 +161,14 @@ let run_zipf ~duration () =
     | Error _ -> false
   in
   let _ = Driver.run c ~workers:8 ~warmup:(Time.ms 2) ~duration ~op in
-  let r = collect ~label:"ycsb_zipf" ~paths:[] c in
   (* the acceptance bar: skew must surface as a ranking, not just counts *)
-  (match r.r_heat with
+  (match Cluster.heat_report c with
   | top :: _ when top.Cluster.h_region = rs.(0).Wire.rid -> ()
   | top :: _ ->
       Fmt.failwith "blame/ycsb_zipf: hot region r%d not ranked first (got r%d)"
         rs.(0).Wire.rid top.Cluster.h_region
   | [] -> Fmt.failwith "blame/ycsb_zipf: empty heat report");
-  r
+  collect ~label:"ycsb_zipf" ~paths:[] c
 
 (* {1 Scenario 3: the Fig 9 failure — kill one machine mid-window}
 
@@ -231,37 +223,6 @@ let run_gray ~window () =
   ignore (Cluster.quiesce c);
   collect ~label:"gray_nic" ~paths:[] c
 
-(* {1 JSON artifact} *)
-
-let json_ns kvs =
-  String.concat ","
-    (List.map
-       (fun (name, ns) -> Printf.sprintf "\"%s\":%d" (Failure_bench.json_escape name) ns)
-       kvs)
-
-let write_json file results =
-  let oc = open_out file in
-  Printf.fprintf oc "{\"bench\":\"blame\",\"scenarios\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then output_string oc ",";
-      Printf.fprintf oc
-        "{\"label\":\"%s\",\"committed\":%d,\"aborted\":%d,\"blame_ns\":{%s},\"phase_ns\":{%s},\"tail_blame_ns\":{%s},\"heat\":[%s]}"
-        (Failure_bench.json_escape r.r_label)
-        r.r_committed r.r_aborted (json_ns r.r_blame) (json_ns r.r_phase)
-        (json_ns r.r_tail)
-        (String.concat ","
-           (List.map
-              (fun (h : Cluster.heat) ->
-                Printf.sprintf
-                  "{\"region\":%d,\"score\":%d,\"access\":%d,\"conflict\":%d}"
-                  h.Cluster.h_region h.Cluster.h_score h.Cluster.h_access
-                  h.Cluster.h_conflict)
-              r.r_heat)))
-    results;
-  Printf.fprintf oc "]}\n";
-  close_out oc
-
 let run ?(smoke = false) () =
   Bench_util.header "Latency attribution (blame categories, heat, critical paths)"
     "every committed transaction's latency split exactly into exclusive \
@@ -277,10 +238,13 @@ let run ?(smoke = false) () =
     ]
   in
   let results = Bench_util.shard_map (fun f -> f ()) scenarios in
-  List.iter (fun r -> print_string r.r_block) results;
+  List.iter (fun (_, block) -> print_string block) results;
   Fmt.pr "exclusivity: blame sums match phase sums to the ns in all %d scenarios@."
     (List.length results);
-  if not smoke then begin
-    write_json "BENCH_blame.json" results;
-    Fmt.pr "wrote BENCH_blame.json@."
-  end
+  if not smoke then
+    Bench_util.write_json "BENCH_blame.json"
+      (Json.Obj
+         [
+           ("bench", Json.Str "blame");
+           ("scenarios", Json.Arr (List.map (fun (row, _) -> row) results));
+         ])

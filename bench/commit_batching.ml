@@ -1,6 +1,7 @@
 open Farm_sim
 open Farm_core
 open Farm_workloads
+open Farm_harness
 
 (* Ablation: doorbell-batched vs unbatched commit pipeline.
 
@@ -22,36 +23,13 @@ let spread = 8
 let cells_per_region = 32768
 let replication = 5
 
-(* Latency digest of one histogram, all in microseconds. *)
-type digest = {
-  count : int;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  p999 : float;
-  max : float;
-  mean : float;
-}
-
-let digest_of (h : Stats.Hist.t) =
-  let pct p = float_of_int (Stats.Hist.percentile h p) /. 1e3 in
-  {
-    count = Stats.Hist.count h;
-    p50 = pct 50.;
-    p90 = pct 90.;
-    p99 = pct 99.;
-    p999 = pct 99.9;
-    max = float_of_int (Stats.Hist.max_value h) /. 1e3;
-    mean = Stats.Hist.mean h /. 1e3;
-  }
-
 type mode_result = {
   label : string;
   commits_per_us : float;
-  latency : digest;
+  latency : Bench_util.digest;
   committed : int;
   failed : int;
-  phases : (string * digest) list;  (* committed tx only *)
+  phases : (string * Bench_util.digest) list;  (* committed tx only *)
 }
 
 let run_mode ~batching ~machines ~workers ~duration =
@@ -99,53 +77,55 @@ let run_mode ~batching ~machines ~workers ~duration =
   in
   let stats = Driver.run c ~workers ~warmup:(Time.ms 5) ~duration ~op in
   let phases =
-    List.map (fun (name, h) -> (name, digest_of h)) (Cluster.merged_phase_hists c)
+    List.map (fun (name, h) -> (name, Bench_util.digest_of h)) (Cluster.merged_phase_hists c)
   in
   {
     label = (if batching then "batched" else "unbatched");
     commits_per_us = Driver.throughput_per_us stats ~duration;
-    latency = digest_of stats.Driver.latency;
+    latency = Bench_util.digest_of stats.Driver.latency;
     committed = Stats.Counter.get stats.Driver.ops;
     failed = Stats.Counter.get stats.Driver.failures;
     phases;
   }
 
-let digest_fields d =
-  Printf.sprintf
-    "\"count\": %d, \"p50_us\": %.2f, \"p90_us\": %.2f, \"p99_us\": %.2f, \"p999_us\": \
-     %.2f, \"max_us\": %.2f, \"mean_us\": %.2f"
-    d.count d.p50 d.p90 d.p99 d.p999 d.max d.mean
-
-let json_of ~machines ~workers ~duration batched unbatched =
-  let mode m =
-    let phase_fields =
-      String.concat ", "
-        (List.map
-           (fun (name, d) -> Printf.sprintf "\"%s\": { %s }" name (digest_fields d))
-           m.phases)
-    in
-    Printf.sprintf
-      "    \"%s\": { \"commits_per_us\": %.4f, %s, \"committed\": %d, \"failed\": %d, \
-       \"phases\": { %s } }"
-      m.label m.commits_per_us (digest_fields m.latency) m.committed m.failed phase_fields
-  in
-  String.concat "\n"
+let digest_fields (d : Bench_util.digest) =
+  Bench_util.
     [
-      "{";
-      "  \"bench\": \"commit_batching\",";
-      Printf.sprintf
-        "  \"config\": { \"machines\": %d, \"workers_per_machine\": %d, \"duration_ms\": %d, \
-         \"regions_per_tx\": %d, \"replication\": %d },"
-        machines workers
-        (int_of_float (Time.to_ms_float duration))
-        spread replication;
-      "  \"modes\": {";
-      mode batched ^ ",";
-      mode unbatched;
-      "  },";
-      Printf.sprintf "  \"speedup\": %.3f"
-        (batched.commits_per_us /. unbatched.commits_per_us);
-      "}";
+      ("count", int d.count);
+      ("p50_us", fixed 2 d.p50);
+      ("p90_us", fixed 2 d.p90);
+      ("p99_us", fixed 2 d.p99);
+      ("p999_us", fixed 2 d.p999);
+      ("max_us", fixed 2 d.max);
+      ("mean_us", fixed 2 d.mean);
+    ]
+
+let json_report ~machines ~workers ~duration batched unbatched =
+  let open Bench_util in
+  let mode m =
+    ( m.label,
+      Json.Obj
+        ((("commits_per_us", fixed 4 m.commits_per_us) :: digest_fields m.latency)
+        @ [
+            ("committed", int m.committed);
+            ("failed", int m.failed);
+            ("phases", obj_of (fun d -> Json.Obj (digest_fields d)) m.phases);
+          ]) )
+  in
+  Json.Obj
+    [
+      ("bench", Json.Str "commit_batching");
+      ( "config",
+        Json.Obj
+          [
+            ("machines", int machines);
+            ("workers_per_machine", int workers);
+            ("duration_ms", int (ms_of duration));
+            ("regions_per_tx", int spread);
+            ("replication", int replication);
+          ] );
+      ("modes", Json.Obj [ mode batched; mode unbatched ]);
+      ("speedup", fixed 3 (batched.commits_per_us /. unbatched.commits_per_us));
     ]
 
 let run ?(machines = 12) ?(workers = 256) ?(duration = Time.ms 30) () =
@@ -171,14 +151,10 @@ let run ?(machines = 12) ?(workers = 256) ?(duration = Time.ms 30) () =
   List.iter
     (fun m ->
       List.iter
-        (fun (name, d) ->
+        (fun (name, (d : Bench_util.digest)) ->
           Fmt.pr "%-12s %-16s %10d %10.1f %10.1f %10.1f %10.1f %10.1f %10.1f@." m.label
             name d.count d.p50 d.p90 d.p99 d.p999 d.max d.mean)
         m.phases)
     [ batched; unbatched ];
-  let json = json_of ~machines ~workers ~duration batched unbatched in
-  let oc = open_out "BENCH_commit_batching.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Fmt.pr "wrote BENCH_commit_batching.json@.";
-  (batched, unbatched)
+  Bench_util.write_json "BENCH_commit_batching.json"
+    (json_report ~machines ~workers ~duration batched unbatched)

@@ -1,6 +1,7 @@
 open Farm_sim
 open Farm_core
 open Farm_workloads
+open Farm_harness
 
 (* Paper-scale engine benchmark (ROADMAP item 1).
 
@@ -18,22 +19,10 @@ open Farm_workloads
    the JSON as the regression baseline.
 
    Modes (set by bench/main.exe global flags):
-     --smoke                run only the small sizes with a short duration
-                            (CI: every push)
-     --check-baseline FILE  compare bytes/op against the checked-in JSON
-                            and exit non-zero on a >= 20 % regression. *)
-
-type row = {
-  machines : int;
-  workers_total : int;
-  sim_ms : int;  (* measured window, simulated time *)
-  host_s : float;  (* host wall-clock for the measured window *)
-  ops : int;  (* successful TATP operations *)
-  committed : int;  (* transactions through the commit protocol *)
-  sim_tx_per_s : float;  (* ops per simulated second *)
-  host_tx_per_s : float;  (* ops per host second: the engine's speed *)
-  bytes_per_op : float;  (* host heap bytes allocated per TATP op *)
-}
+     --smoke                run only the two smallest sizes (CI: every push)
+     --check-baseline FILE  compare against the checked-in JSON under the
+                            bounds of [gate] below and exit non-zero on a
+                            regression. *)
 
 (* 128 KB regions and 1 MB logs, the sizes of the checked-in
    BENCH_engine_scaling.json rows; each table keeps ~10 MB of capacity,
@@ -57,19 +46,29 @@ let run_size ~machines ~workers_per_machine ~subscribers ~duration =
   in
   let host1 = Unix.gettimeofday () in
   let ops = Stats.Counter.get stats.Driver.ops in
-  let committed = Cluster.total_committed c in
-  let sim_s = Time.to_us_float duration /. 1e6 in
-  {
-    machines;
-    workers_total = machines * workers_per_machine;
-    sim_ms = int_of_float (Time.to_ms_float duration);
-    host_s = host1 -. host0;
-    ops;
-    committed;
-    sim_tx_per_s = float_of_int ops /. sim_s;
-    host_tx_per_s = float_of_int ops /. (host1 -. host0);
-    bytes_per_op = alloc_bytes /. float_of_int (max 1 ops);
-  }
+  let host_s = host1 -. host0 in
+  let sim_tx_per_s = float_of_int ops /. (Time.to_us_float duration /. 1e6) in
+  let host_tx_per_s = float_of_int ops /. host_s in
+  let bytes_per_op = alloc_bytes /. float_of_int (max 1 ops) in
+  let workers_total = machines * workers_per_machine in
+  Fmt.pr
+    "%2d machines %5d workers: %7d ops in %dms sim (%.2fs host) = %.1f Mtx/s sim, \
+     %.0f tx/s host, %.0f bytes/op@."
+    machines workers_total ops (Bench_util.ms_of duration) host_s (sim_tx_per_s /. 1e6)
+    host_tx_per_s bytes_per_op;
+  let open Bench_util in
+  Json.Obj
+    [
+      ("machines", int machines);
+      ("workers_total", int workers_total);
+      ("sim_ms", int (ms_of duration));  (* measured window, simulated time *)
+      ("host_s", fixed 2 host_s);
+      ("ops", int ops);  (* successful TATP operations *)
+      ("committed", int (Cluster.total_committed c));  (* through the commit protocol *)
+      ("sim_tx_per_s", fixed 0 sim_tx_per_s);
+      ("host_tx_per_s", fixed 0 host_tx_per_s);  (* the engine's speed *)
+      ("bytes_per_op", fixed 0 bytes_per_op);  (* host heap bytes per TATP op *)
+    ]
 
 (* {1 Commit-path micro measurement}
 
@@ -133,119 +132,55 @@ let micro_commit_bytes () =
 
 (* {1 JSON} *)
 
-let json_of_row r =
-  Printf.sprintf
-    "    { \"machines\": %d, \"workers_total\": %d, \"sim_ms\": %d, \
-     \"host_s\": %.2f, \"ops\": %d, \"committed\": %d, \"sim_tx_per_s\": \
-     %.0f, \"host_tx_per_s\": %.0f, \"bytes_per_op\": %.0f }"
-    r.machines r.workers_total r.sim_ms r.host_s r.ops r.committed r.sim_tx_per_s
-    r.host_tx_per_s r.bytes_per_op
-
 (* The pre-refactor commit-path number, measured on the allocating pipeline
    (fresh hashtables, cons-lists and polymorphic sorts per commit) at the
    seed of this PR; kept as a constant so the ratio in the JSON and the CI
    budget check both refer to a fixed anchor. *)
 let pre_refactor_micro_bytes_per_tx = 36_679.
 
-let json ~smoke ~micro_bytes rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"bench\": \"engine_scaling\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"micro_commit\": { \"pre_refactor_bytes_per_tx\": %.0f, \
-        \"bytes_per_tx\": %.0f, \"reduction_x\": %.1f },\n"
-       pre_refactor_micro_bytes_per_tx micro_bytes
-       (pre_refactor_micro_bytes_per_tx /. micro_bytes));
-  Buffer.add_string b "  \"rows\": [\n";
-  Buffer.add_string b (String.concat ",\n" (List.map json_of_row rows));
-  Buffer.add_string b "\n  ]\n}";
-  Buffer.contents b
+let json_report ~smoke ~micro_bytes rows =
+  let fixed = Bench_util.fixed in
+  Json.Obj
+    [
+      ("bench", Json.Str "engine_scaling");
+      ("smoke", Json.Bool smoke);
+      ( "micro_commit",
+        Json.Obj
+          [
+            ("pre_refactor_bytes_per_tx", fixed 0 pre_refactor_micro_bytes_per_tx);
+            ("bytes_per_tx", fixed 0 micro_bytes);
+            ("reduction_x", fixed 1 (pre_refactor_micro_bytes_per_tx /. micro_bytes));
+          ] );
+      ("rows", Json.Arr rows);
+    ]
 
-(* {1 Baseline regression check (CI)}
+(* {1 Baseline regression gate (CI)}
 
-   Reads bytes-per-op numbers out of the checked-in JSON with a tolerant
-   scan: for every "machines": N ... "bytes_per_op": X pair, a fresh
-   measurement at the same cluster size must stay under 1.2x X. *)
+   Simulated throughput and operation counts are pure functions of the
+   seed, so they must match the baseline row of the same cluster size
+   exactly. Host-heap bytes depend on the host's OCaml runtime, so they get
+   a 1.2x ceiling. The commit micro row is keyed by its fixed pre-refactor
+   anchor. *)
 
-let baseline_rows file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let out = ref [] in
-  let re_num = Str.regexp {|"machines": \([0-9]+\)|} in
-  let re_tx = Str.regexp {|"sim_tx_per_s": \([0-9.]+\)|} in
-  let re_bytes = Str.regexp {|"bytes_per_op": \([0-9.]+\)|} in
-  let pos = ref 0 in
-  (try
-     while true do
-       let m = Str.search_forward re_num s !pos in
-       let machines = int_of_string (Str.matched_group 1 s) in
-       let tpos = Str.search_forward re_tx s m in
-       let tx = float_of_string (Str.matched_group 1 s) in
-       let bpos = Str.search_forward re_bytes s tpos in
-       let bytes = float_of_string (Str.matched_group 1 s) in
-       out := (machines, (tx, bytes)) :: !out;
-       pos := bpos + 1
-     done
-   with Not_found -> ());
-  List.rev !out
-
-let baseline_micro file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  try
-    let _ = Str.search_forward (Str.regexp {|"bytes_per_tx": \([0-9.]+\)|}) s 0 in
-    Some (float_of_string (Str.matched_group 1 s))
-  with Not_found -> None
-
-let check_against ~baseline_file ~micro_bytes rows =
-  let base = baseline_rows baseline_file in
-  let failures = ref 0 in
-  List.iter
-    (fun r ->
-      match List.assoc_opt r.machines base with
-      | None -> ()
-      | Some (tx_b, b) ->
-          let limit = b *. 1.2 in
-          if r.bytes_per_op > limit then begin
-            incr failures;
-            Fmt.pr
-              "  REGRESSION: %d machines: %.0f bytes/op vs baseline %.0f (limit %.0f)@."
-              r.machines r.bytes_per_op b limit
-          end
-          else
-            Fmt.pr "  ok: %d machines: %.0f bytes/op (baseline %.0f, limit %.0f)@."
-              r.machines r.bytes_per_op b limit;
-          (* simulated commit throughput is a pure function of the seed, so
-             a drop past the band means the protocol got slower, not noise *)
-          let floor = tx_b /. 1.2 in
-          if r.sim_tx_per_s < floor then begin
-            incr failures;
-            Fmt.pr
-              "  REGRESSION: %d machines: %.3f commits/us vs baseline %.3f (floor %.3f)@."
-              r.machines (r.sim_tx_per_s /. 1e6) (tx_b /. 1e6) (floor /. 1e6)
-          end
-          else
-            Fmt.pr "  ok: %d machines: %.3f commits/us (baseline %.3f, floor %.3f)@."
-              r.machines (r.sim_tx_per_s /. 1e6) (tx_b /. 1e6) (floor /. 1e6))
-    rows;
-  (match baseline_micro baseline_file with
-  | Some b ->
-      let limit = b *. 1.2 in
-      if micro_bytes > limit then begin
-        incr failures;
-        Fmt.pr "  REGRESSION: commit micro: %.0f bytes/tx vs baseline %.0f (limit %.0f)@."
-          micro_bytes b limit
-      end
-      else
-        Fmt.pr "  ok: commit micro: %.0f bytes/tx (baseline %.0f, limit %.0f)@."
-          micro_bytes b limit
-  | None -> ());
-  !failures = 0
+let gate =
+  [
+    {
+      Gate.rows = "rows";
+      key = "machines";
+      bounds =
+        [
+          ("sim_tx_per_s", Gate.Exact);
+          ("ops", Gate.Exact);
+          ("committed", Gate.Exact);
+          ("bytes_per_op", Gate.Ceiling 1.2);
+        ];
+    };
+    {
+      Gate.rows = "micro_commit";
+      key = "pre_refactor_bytes_per_tx";
+      bounds = [ ("bytes_per_tx", Gate.Ceiling 1.2) ];
+    };
+  ]
 
 (* {1 Entry point} *)
 
@@ -253,17 +188,17 @@ let run ?(smoke = false) ?check_baseline () =
   Bench_util.header "engine scaling — TATP at paper scale"
     "90 machines, Fig 7/9/13 cluster size; tracks engine speed and bytes/op";
   let sizes =
-    (* (machines, workers_per_machine, subscribers, duration) *)
-    if smoke then [ (3, 12, 2_000, Time.ms 40); (9, 12, 4_000, Time.ms 25) ]
-    else
-      [
-        (3, 12, 2_000, Time.ms 60);
-        (9, 12, 4_000, Time.ms 40);
-        (30, 12, 6_000, Time.ms 25);
-        (60, 12, 8_000, Time.ms 20);
-        (90, 12, 10_000, Time.ms 20);
-      ]
+    (* (machines, workers_per_machine, subscribers, duration); --smoke runs
+       the first two, so CI's rows have exact baseline rows *)
+    [
+      (3, 12, 2_000, Time.ms 60);
+      (9, 12, 4_000, Time.ms 40);
+      (30, 12, 6_000, Time.ms 25);
+      (60, 12, 8_000, Time.ms 20);
+      (90, 12, 10_000, Time.ms 20);
+    ]
   in
+  let sizes = if smoke then List.filteri (fun i _ -> i < 2) sizes else sizes in
   let micro_bytes = micro_commit_bytes () in
   Fmt.pr "commit micro: %.0f bytes/tx (pre-refactor %.0f, %.1fx reduction)@."
     micro_bytes pre_refactor_micro_bytes_per_tx
@@ -272,25 +207,16 @@ let run ?(smoke = false) ?check_baseline () =
     Farm_obs.Allocmeter.with_quiet_heap @@ fun () ->
     List.map
       (fun (machines, workers_per_machine, subscribers, duration) ->
-        let r = run_size ~machines ~workers_per_machine ~subscribers ~duration in
-        Fmt.pr
-          "%2d machines %5d workers: %7d ops in %dms sim (%.2fs host) = %.1f \
-           Mtx/s sim, %.0f tx/s host, %.0f bytes/op@."
-          r.machines r.workers_total r.ops r.sim_ms r.host_s
-          (r.sim_tx_per_s /. 1e6) r.host_tx_per_s r.bytes_per_op;
-        r)
+        run_size ~machines ~workers_per_machine ~subscribers ~duration)
       sizes
   in
-  (match check_baseline with
+  let report = json_report ~smoke ~micro_bytes rows in
+  match check_baseline with
   | Some file ->
-      Fmt.pr "@.checking against baseline %s (fail at +20%%):@." file;
-      if not (check_against ~baseline_file:file ~micro_bytes rows) then begin
-        Fmt.epr "engine_scaling: bytes/op regression against %s@." file;
+      Fmt.pr "@.checking against baseline %s:@." file;
+      if not (Gate.report (Gate.check ~file gate report)) then begin
+        Fmt.epr "engine_scaling: regression against %s@." file;
         exit 1
       end
   | None ->
-      let json = json ~smoke ~micro_bytes rows in
-      let oc = open_out "BENCH_engine_scaling.json" in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Fmt.pr "wrote BENCH_engine_scaling.json@.")
+      Bench_util.write_json "BENCH_engine_scaling.json" report

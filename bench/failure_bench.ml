@@ -1,6 +1,7 @@
 open Farm_sim
 open Farm_core
 open Farm_workloads
+open Farm_harness
 
 (* The failure-timeline harness behind Figures 9, 10, 11, 13, 14 and 15:
    run a workload at full load, kill one or more machines at a fixed
@@ -109,29 +110,21 @@ let recovery_analysis rows ~kill_ns =
   in
   (pre_sum, pre_bins, Option.map (fun (t, _) -> t - kill_ns) rec90)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_timeline_json file spec c ~kill_abs =
   let rows = merged_commits c in
   let kill_ns = Time.to_ns kill_abs in
   let pre_sum, pre_bins, rec90 = recovery_analysis rows ~kill_ns in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\"bench\":\"failure_timeline\",\"label\":\"%s\",\"kill_ns\":%d,\"pre_failure_commits\":{\"window_bins\":%d,\"total\":%d},\"recovery_90_ns\":%s,\"timeline\":%s}\n"
-    (json_escape spec.label) kill_ns pre_bins pre_sum
-    (match rec90 with Some t -> string_of_int t | None -> "null")
-    (String.trim (Cluster.timeline_dump c));
-  close_out oc;
+  let open Bench_util in
+  write_json file
+    (Json.Obj
+       [
+         ("bench", Json.Str "failure_timeline");
+         ("label", Json.Str spec.label);
+         ("kill_ns", int kill_ns);
+         ("pre_failure_commits", Json.Obj [ ("window_bins", int pre_bins); ("total", int pre_sum) ]);
+         ("recovery_90_ns", match rec90 with Some t -> int t | None -> Json.Null);
+         ("timeline", Json.of_string (Cluster.timeline_dump c));
+       ]);
   rec90
 
 let first_milestone c tag ~after =
@@ -297,8 +290,7 @@ let run spec : outcome =
             Fmt.pr "@.sampled timeline: commits/interval back to 90%% of pre-failure %a \
                     after the kill@."
               Time.pp (Time.ns dt)
-        | None -> Fmt.pr "@.sampled timeline: 90%% of pre-failure rate not regained@.");
-        Fmt.pr "wrote %s@." file
+        | None -> Fmt.pr "@.sampled timeline: 90%% of pre-failure rate not regained@.")
       end
   | None -> ());
   o

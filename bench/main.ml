@@ -34,10 +34,10 @@ let experiments : (string * string * (unit -> unit)) list =
           ?check_baseline:!Bench_util.check_baseline () );
     ( "batching",
       "batched vs unbatched commit pipeline (doorbell batching)",
-      fun () -> ignore (Commit_batching.run ()) );
+      fun () -> Commit_batching.run () );
     ( "opacity",
       "validate-at-commit vs snapshot protocol on contended YCSB-B/C",
-      fun () -> ignore (Opacity_bench.run ()) );
+      fun () -> Opacity_bench.run () );
     ( "slo",
       "SLO under gray failures: open-loop TATP, goodput/p999/max-stall",
       fun () ->
@@ -46,7 +46,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ( "blame",
       "latency attribution: blame categories, heat ranking, critical paths",
       fun () -> Blame_bench.run ~smoke:!Bench_util.smoke () );
-    ("micro", "Bechamel micro-benchmarks", Micro.run);
   ]
 
 let () =

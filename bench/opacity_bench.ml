@@ -1,6 +1,7 @@
 open Farm_sim
 open Farm_core
 open Farm_workloads
+open Farm_harness
 
 (* Protocol ablation: validate-at-commit baseline vs the snapshot (opacity
    via global time) protocol, on contended YCSB-B/C-shaped transaction
@@ -27,26 +28,18 @@ let cells = 256 (* total, across all regions: a contended hot set *)
 let ro_reads = 4
 let rw_writes = 2
 
-type digest = { count : int; p50 : float; p99 : float; mean : float }
-
-let digest_of (h : Stats.Hist.t) =
-  let pct p = float_of_int (Stats.Hist.percentile h p) /. 1e3 in
-  { count = Stats.Hist.count h; p50 = pct 50.; p99 = pct 99.; mean = Stats.Hist.mean h /. 1e3 }
-
-let empty_digest = { count = 0; p50 = 0.; p99 = 0.; mean = 0. }
-
 type mode_result = {
   label : string;
   profile : string;
   commits_per_us : float;
-  latency : digest;
+  latency : Bench_util.digest;
   committed : int;
   failed : int;
   ro_attempts : int;
   ro_aborts : int;
   abort_causes : (string * int) list;
-  validate : digest;  (* VALIDATE phase of committed transactions *)
-  commit_wait : digest;  (* snapshot protocol's uncertainty wait *)
+  validate : Bench_util.digest;  (* VALIDATE phase of committed transactions *)
+  commit_wait : Bench_util.digest;  (* snapshot protocol's uncertainty wait *)
   ro_commits : int;  (* read-only transactions committed locally *)
   snap_reads : int;
   snap_chain_reads : int;
@@ -59,9 +52,9 @@ let merged_counter (c : Cluster.t) counter =
     0 c.Cluster.machines
 
 let phase_digest (c : Cluster.t) name =
-  match List.assoc_opt name (Cluster.merged_phase_hists c) with
-  | Some h -> digest_of h
-  | None -> empty_digest
+  Bench_util.digest_of
+    (Option.value (List.assoc_opt name (Cluster.merged_phase_hists c))
+       ~default:(Stats.Hist.create ()))
 
 let run_mode ~snapshot ~update_pct ~profile ~machines ~workers ~duration =
   let protocol = if snapshot then Params.Snapshot else Params.Validate_at_commit in
@@ -113,7 +106,7 @@ let run_mode ~snapshot ~update_pct ~profile ~machines ~workers ~duration =
     label = (if snapshot then "snapshot" else "baseline");
     profile;
     commits_per_us = Driver.throughput_per_us stats ~duration;
-    latency = digest_of stats.Driver.latency;
+    latency = Bench_util.digest_of stats.Driver.latency;
     committed = Stats.Counter.get stats.Driver.ops;
     failed = Stats.Counter.get stats.Driver.failures;
     ro_attempts = !ro_attempts;
@@ -127,40 +120,53 @@ let run_mode ~snapshot ~update_pct ~profile ~machines ~workers ~duration =
     wm_trims = merged_counter c Farm_obs.Obs.C_wm_trim;
   }
 
-let digest_fields d =
-  Printf.sprintf "\"count\": %d, \"p50_us\": %.2f, \"p99_us\": %.2f, \"mean_us\": %.2f"
-    d.count d.p50 d.p99 d.mean
+let digest_json (d : Bench_util.digest) =
+  Bench_util.(
+    Json.Obj
+      [
+        ("count", int d.count);
+        ("p50_us", fixed 2 d.p50);
+        ("p99_us", fixed 2 d.p99);
+        ("mean_us", fixed 2 d.mean);
+      ])
 
-let json_of ~machines ~workers ~duration results =
+let json_report ~machines ~workers ~duration results =
+  let open Bench_util in
   let mode m =
-    let causes =
-      String.concat ", "
-        (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" n v) m.abort_causes)
-    in
-    Printf.sprintf
-      "    { \"profile\": \"%s\", \"mode\": \"%s\", \"commits_per_us\": %.4f, \
-       \"latency\": { %s }, \"committed\": %d, \"failed\": %d, \"ro_attempts\": %d, \
-       \"ro_aborts\": %d, \"abort_causes\": { %s }, \"validate_phase\": { %s }, \
-       \"commit_wait_phase\": { %s }, \"ro_commits\": %d, \"snap_reads\": %d, \
-       \"snap_chain_reads\": %d, \"wm_trims\": %d }"
-      m.profile m.label m.commits_per_us (digest_fields m.latency) m.committed m.failed
-      m.ro_attempts m.ro_aborts causes (digest_fields m.validate)
-      (digest_fields m.commit_wait) m.ro_commits m.snap_reads m.snap_chain_reads m.wm_trims
+    Json.Obj
+      [
+        ("profile", Json.Str m.profile);
+        ("mode", Json.Str m.label);
+        ("commits_per_us", fixed 4 m.commits_per_us);
+        ("latency", digest_json m.latency);
+        ("committed", int m.committed);
+        ("failed", int m.failed);
+        ("ro_attempts", int m.ro_attempts);
+        ("ro_aborts", int m.ro_aborts);
+        ("abort_causes", obj_of int m.abort_causes);
+        ("validate_phase", digest_json m.validate);
+        ("commit_wait_phase", digest_json m.commit_wait);
+        ("ro_commits", int m.ro_commits);
+        ("snap_reads", int m.snap_reads);
+        ("snap_chain_reads", int m.snap_chain_reads);
+        ("wm_trims", int m.wm_trims);
+      ]
   in
-  String.concat "\n"
+  Json.Obj
     [
-      "{";
-      "  \"bench\": \"opacity\",";
-      Printf.sprintf
-        "  \"config\": { \"machines\": %d, \"workers_per_machine\": %d, \"duration_ms\": \
-         %d, \"cells\": %d, \"regions\": %d, \"ro_reads\": %d, \"rw_writes\": %d },"
-        machines workers
-        (int_of_float (Time.to_ms_float duration))
-        cells regions ro_reads rw_writes;
-      "  \"runs\": [";
-      String.concat ",\n" (List.map mode results);
-      "  ]";
-      "}";
+      ("bench", Json.Str "opacity");
+      ( "config",
+        Json.Obj
+          [
+            ("machines", int machines);
+            ("workers_per_machine", int workers);
+            ("duration_ms", int (ms_of duration));
+            ("cells", int cells);
+            ("regions", int regions);
+            ("ro_reads", int ro_reads);
+            ("rw_writes", int rw_writes);
+          ] );
+      ("runs", Json.Arr (List.map mode results));
     ]
 
 let run ?(machines = 6) ?(workers = 8) ?(duration = Time.ms 30) () =
@@ -213,9 +219,5 @@ let run ?(machines = 6) ?(workers = 8) ?(duration = Time.ms 30) () =
       end)
     results;
   Fmt.pr "@.snapshot invariants: zero read-only aborts, zero VALIDATE phases — ok@.";
-  let json = json_of ~machines ~workers ~duration results in
-  let oc = open_out "BENCH_opacity.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Fmt.pr "wrote BENCH_opacity.json@.";
-  results
+  Bench_util.write_json "BENCH_opacity.json"
+    (json_report ~machines ~workers ~duration results)

@@ -2,6 +2,7 @@ open Farm_sim
 open Farm_core
 open Farm_workloads
 open Farm_fault
+open Farm_harness
 
 (* SLO under gray failures: TATP driven open-loop through a bounded
    admission queue while one machine degrades — slow/lossy NIC, asymmetric
@@ -86,40 +87,6 @@ let scenarios ~window:_ =
     };
   ]
 
-type result = {
-  r_label : string;
-  r_shape : string;
-  r_rate : float;
-  r_offered : int;  (* submitted + shed = everything that arrived *)
-  r_submitted : int;
-  r_shed : int;
-  r_completed : int;
-  r_failed : int;
-  r_stranded : int;  (* admitted but never served: lost to eviction/death *)
-  r_goodput : float;  (* completed per second of load window *)
-  r_p50_us : float;
-  r_p99_us : float;
-  r_p999_us : float;
-  r_max_stall_ms : int;  (* longest cluster-wide zero-commit run, sampler bins *)
-  r_blame : (string * int) list;  (* latency-blame ns totals, all tx *)
-  r_tail : (string * int) list;  (* blame of the slowest exemplar tx only *)
-  r_violations : string list;
-  r_block : string;  (* rendered human-readable output *)
-}
-
-(* "cat 42% cat 30% ..." — categories by share, largest first, of one blame
-   total list; sub-1% categories folded away. *)
-let pct_line blame =
-  let tot = List.fold_left (fun acc (_, v) -> acc + v) 0 blame in
-  if tot = 0 then "n/a"
-  else
-    List.filter_map
-      (fun (name, v) ->
-        let pct = 100 * v / tot in
-        if pct < 1 then None else Some (Printf.sprintf "%s %d%%" name pct))
-      (List.stable_sort (fun (_, a) (_, b) -> compare b a) blame)
-    |> String.concat "  "
-
 (* Longest zero-run (ms) of the sampler's merged per-ms commits between the
    first and last nonzero bins. *)
 let max_stall_ms rows =
@@ -146,7 +113,9 @@ let max_stall_ms rows =
     !best
   end
 
-let run_scenario ~window ~drain (sc : scenario) : result =
+(* One scenario's JSON row, its rendered output block and its probe
+   violations. *)
+let run_scenario ~window ~drain (sc : scenario) =
   let c = Cluster.create ~seed ~params ~machines () in
   let tatp = Tatp.create c ~subscribers ~regions_per_table:2 in
   Tatp.load c tatp;
@@ -172,7 +141,7 @@ let run_scenario ~window ~drain (sc : scenario) : result =
   let st = Openloop.stats ol in
   let violations =
     (if settled then [] else [ "slo: cluster failed to quiesce" ])
-    @ Probes.no_global_stall c @ Probes.no_parked_tx c
+    @ Probes.no_global_stall ~start c @ Probes.no_parked_tx c
     @ Probes.queues_drained
         ~queues:(fun () -> Openloop.queue_depths ~members_only:true ol)
         ()
@@ -197,114 +166,50 @@ let run_scenario ~window ~drain (sc : scenario) : result =
          (pct 50.) (pct 99.) (pct 99.9) stall)
       (if stranded = 0 then ""
        else Fmt.str "  stranded %d (evicted/dead machine)" stranded)
-      (Fmt.str "               p999 attribution (slowest tx): %s" (pct_line tail))
+      (Fmt.str "               p999 attribution (slowest tx): %s" (Bench_util.pct_line tail))
       Fmt.(list ~sep:nop (fmt "               VIOLATION: %s@."))
       violations
   in
-  {
-    r_label = sc.label;
-    r_shape = Fmt.str "%a" Arrivals.pp_shape sc.shape;
-    r_rate = sc.rate;
-    r_offered = submitted + shed;
-    r_submitted = submitted;
-    r_shed = shed;
-    r_completed = completed;
-    r_failed = failed;
-    r_stranded = stranded;
-    r_goodput = goodput;
-    r_p50_us = pct 50.;
-    r_p99_us = pct 99.;
-    r_p999_us = pct 99.9;
-    r_max_stall_ms = stall;
-    r_blame = blame;
-    r_tail = tail;
-    r_violations = violations;
-    r_block = block;
-  }
+  let open Bench_util in
+  let row =
+    Json.Obj
+      [
+        ("label", Json.Str sc.label);
+        ("shape", Json.Str (Fmt.str "%a" Arrivals.pp_shape sc.shape));
+        ("rate_per_s", fixed 0 sc.rate);
+        ("offered", int (submitted + shed));
+        ("submitted", int submitted);
+        ("shed", int shed);
+        ("completed", int completed);
+        ("failed", int failed);
+        ("stranded", int stranded);  (* admitted but never served: lost to eviction/death *)
+        ("goodput_per_s", fixed 1 goodput);
+        ("p50_us", fixed 1 (pct 50.));
+        ("p99_us", fixed 1 (pct 99.));
+        ("p999_us", fixed 1 (pct 99.9));
+        ("max_stall_ms", int stall);  (* longest cluster-wide zero-commit run *)
+        ("blame_ns", obj_of int blame);
+        ("tail_blame_ns", obj_of int tail);
+        ("violations", Json.Arr (List.map (fun v -> Json.Str v) violations));
+      ]
+  in
+  (row, block, violations)
 
-let json_blame blame =
-  String.concat ","
-    (List.map
-       (fun (name, ns) -> Printf.sprintf "\"%s\":%d" (Failure_bench.json_escape name) ns)
-       blame)
-
-let write_json file results =
-  let oc = open_out file in
-  Printf.fprintf oc "{\"bench\":\"slo\",\"scenarios\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then output_string oc ",";
-      Printf.fprintf oc
-        "{\"label\":\"%s\",\"shape\":\"%s\",\"rate_per_s\":%.0f,\"offered\":%d,\"submitted\":%d,\"shed\":%d,\"completed\":%d,\"failed\":%d,\"stranded\":%d,\"goodput_per_s\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,\"p999_us\":%.1f,\"max_stall_ms\":%d,\"blame_ns\":{%s},\"tail_blame_ns\":{%s},\"violations\":[%s]}"
-        (Failure_bench.json_escape r.r_label)
-        (Failure_bench.json_escape r.r_shape)
-        r.r_rate r.r_offered r.r_submitted r.r_shed r.r_completed r.r_failed
-        r.r_stranded r.r_goodput
-        r.r_p50_us r.r_p99_us r.r_p999_us r.r_max_stall_ms
-        (json_blame r.r_blame) (json_blame r.r_tail)
-        (String.concat ","
-           (List.map (fun v -> "\"" ^ Failure_bench.json_escape v ^ "\"") r.r_violations)))
-    results;
-  Printf.fprintf oc "]}\n";
-  close_out oc
-
-(* {1 Baseline regression check (CI)}
-
-   Key SLO fields of the checked-in BENCH_slo.json, matched per scenario
-   label: fresh goodput must stay above baseline/1.2 and fresh p999 under
-   baseline*1.2. Same tolerant Str scan as the engine-scaling check. *)
-
-let baseline_slo file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let out = ref [] in
-  let re_label = Str.regexp {|"label":"\([a-z_]+\)"|} in
-  let re_goodput = Str.regexp {|"goodput_per_s":\([0-9.]+\)|} in
-  let re_p999 = Str.regexp {|"p999_us":\([0-9.]+\)|} in
-  let pos = ref 0 in
-  (try
-     while true do
-       let m = Str.search_forward re_label s !pos in
-       let label = Str.matched_group 1 s in
-       let gpos = Str.search_forward re_goodput s m in
-       let goodput = float_of_string (Str.matched_group 1 s) in
-       let _ = Str.search_forward re_p999 s gpos in
-       let p999 = float_of_string (Str.matched_group 1 s) in
-       out := (label, (goodput, p999)) :: !out;
-       pos := gpos + 1
-     done
-   with Not_found -> ());
-  List.rev !out
-
-let check_against ~baseline_file results =
-  let base = baseline_slo baseline_file in
-  let failures = ref 0 in
-  List.iter
-    (fun r ->
-      match List.assoc_opt r.r_label base with
-      | None -> ()
-      | Some (goodput_b, p999_b) ->
-          let goodput_floor = goodput_b /. 1.2 and p999_ceil = p999_b *. 1.2 in
-          if r.r_goodput < goodput_floor then begin
-            incr failures;
-            Fmt.pr "  REGRESSION: %s: goodput %.1f/s vs baseline %.1f (floor %.1f)@."
-              r.r_label r.r_goodput goodput_b goodput_floor
-          end
-          else
-            Fmt.pr "  ok: %s: goodput %.1f/s (baseline %.1f, floor %.1f)@." r.r_label
-              r.r_goodput goodput_b goodput_floor;
-          if r.r_p999_us > p999_ceil then begin
-            incr failures;
-            Fmt.pr "  REGRESSION: %s: p999 %.1f us vs baseline %.1f (ceiling %.1f)@."
-              r.r_label r.r_p999_us p999_b p999_ceil
-          end
-          else
-            Fmt.pr "  ok: %s: p999 %.1f us (baseline %.1f, ceiling %.1f)@." r.r_label
-              r.r_p999_us p999_b p999_ceil)
-    results;
-  !failures = 0
+(* The CI gate, per scenario label: the probes stay clean, goodput keeps
+   above baseline/1.2 and p999 under baseline*1.2. *)
+let gate =
+  [
+    {
+      Gate.rows = "scenarios";
+      key = "label";
+      bounds =
+        [
+          ("goodput_per_s", Gate.Floor 1.2);
+          ("p999_us", Gate.Ceiling 1.2);
+          ("violations", Gate.Exact);
+        ];
+    };
+  ]
 
 let run ?(smoke = false) ?check_baseline () =
   Bench_util.header "SLO under gray failures (open-loop TATP)"
@@ -322,20 +227,23 @@ let run ?(smoke = false) ?check_baseline () =
   let results =
     Bench_util.shard_map (fun sc -> run_scenario ~window ~drain sc) (scenarios ~window)
   in
-  List.iter (fun r -> Fmt.pr "%s@." r.r_block) results;
-  let bad = List.concat_map (fun r -> r.r_violations) results in
+  List.iter (fun (_, block, _) -> Fmt.pr "%s@." block) results;
+  let bad = List.concat_map (fun (_, _, v) -> v) results in
   if bad = [] then Fmt.pr "slo probes: all scenarios clean@."
   else Fmt.pr "slo probes: %d violation(s) — see above@." (List.length bad);
+  let report =
+    Json.Obj
+      [
+        ("bench", Json.Str "slo");
+        ("scenarios", Json.Arr (List.map (fun (row, _, _) -> row) results));
+      ]
+  in
   match check_baseline with
   | Some file ->
-      Fmt.pr "@.checking against baseline %s (goodput floor /1.2, p999 ceiling *1.2):@."
-        file;
-      if not (check_against ~baseline_file:file results) then begin
+      Fmt.pr "@.checking against baseline %s:@." file;
+      if not (Gate.report (Gate.check ~file gate report)) then begin
         Fmt.epr "slo: SLO regression against %s@." file;
         exit 1
       end
   | None ->
-      if not smoke then begin
-        write_json "BENCH_slo.json" results;
-        Fmt.pr "wrote BENCH_slo.json@."
-      end
+      if not smoke then Bench_util.write_json "BENCH_slo.json" report

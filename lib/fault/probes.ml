@@ -18,21 +18,21 @@ let suspicion_tags =
   [ "killed"; "suspect"; "probe"; "zookeeper"; "new-config"; "config-commit";
     "power-cycle" ]
 
-(* A cluster-wide commit stall longer than [threshold] (default 3x the
-   lease) that no suspicion milestone explains. Scans the per-ms committed
-   series between the first and last nonzero bins — setup and post-stop
-   silence are not stalls — and requires every over-threshold zero-run to
-   overlap a suspicion milestone, with one threshold of slack on each side
-   (suspicion naturally trails the stall that caused it). *)
-let no_global_stall ?threshold (c : Cluster.t) : string list =
-  let lease = c.Cluster.params.Params.lease_duration in
-  let threshold = match threshold with Some t -> t | None -> Time.mul_int lease 3 in
+(* A cluster-wide commit stall longer than 3x the lease that no suspicion
+   milestone explains. Scans the per-ms committed series of the load
+   window: from the first nonzero bin at or after [start] to the last
+   nonzero bin. Set-up before [start] (a loader's idle time included) and
+   silence after the load stops are not stalls. Every over-threshold
+   zero-run must overlap a suspicion milestone, with one threshold of slack
+   on each side (suspicion naturally trails the stall that caused it). *)
+let no_global_stall ~start (c : Cluster.t) : string list =
+  let threshold = Time.mul_int c.Cluster.params.Params.lease_duration 3 in
   let bin_ns = Time.to_ns (Time.ms 1) in
   let thresh_bins = max 1 (Time.to_ns threshold / bin_ns) in
   let series = Cluster.throughput_series c ~until:(Cluster.now c) in
   let n = Array.length series in
   let first = ref (-1) and last = ref (-1) in
-  for i = 0 to n - 1 do
+  for i = Time.to_ns start / bin_ns to n - 1 do
     if series.(i) > 0 then begin
       if !first < 0 then first := i;
       last := i
@@ -116,5 +116,7 @@ let queues_drained ~(queues : unit -> (string * int) list) () : string list =
     (queues ())
 
 (* The standard gray-sweep probe: stall + park checks, in the
-   [Explorer.sweep ~probe] signature. *)
-let gray ~seed:_ (c : Cluster.t) : string list = no_global_stall c @ no_parked_tx c
+   [Explorer.sweep ~probe] signature. The explorer starts its workers right
+   after its set-up transactions, so the load window is the whole run. *)
+let gray ~seed:_ (c : Cluster.t) : string list =
+  no_global_stall ~start:Time.zero c @ no_parked_tx c

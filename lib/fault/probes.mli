@@ -12,11 +12,12 @@ val suspicion_tags : string list
 (** Milestone tags accepted as evidence that the cluster noticed a fault
     (suspect / reconfiguration / recovery milestones). *)
 
-val no_global_stall : ?threshold:Time.t -> Cluster.t -> string list
-(** Violations for every cluster-wide commit stall longer than [threshold]
-    (default 3x the lease duration) that overlaps no suspicion milestone,
-    scanning the per-ms committed series between the first and last nonzero
-    bins with one threshold of slack around each stall. *)
+val no_global_stall : start:Time.t -> Cluster.t -> string list
+(** Violations for every cluster-wide commit stall longer than 3x the lease
+    duration that overlaps no suspicion milestone, scanning the per-ms
+    committed series of the load window that begins at [start] (from its
+    first to its last nonzero bin) with one threshold of slack around each
+    stall. *)
 
 val no_parked_tx : Cluster.t -> string list
 (** Violations for transactions still in a live member's active-transaction

@@ -82,10 +82,38 @@ let replay_fidelity protocol () =
   let s1 = collect 1 and s4 = collect 4 in
   Alcotest.(check bool) "sweep outcomes identical at --jobs 1 vs 4" true (s1 = s4)
 
+(* The SLO stall probe scans the load window only. [Tatp.load] runs a
+   freshly built cluster idle for as long as an insert loader would take
+   (125 ms at 2,000 subscribers, > 3 leases), and that set-up idle time
+   before the window is no stall; a commit gap of the same length inside
+   the window, with no suspicion, still is. *)
+let stall_probe_window () =
+  let c = Farm_core.Cluster.create ~seed:5 ~machines:3 () in
+  let t = Farm_workloads.Tatp.create c ~subscribers:2_000 ~regions_per_table:2 in
+  Farm_workloads.Tatp.load c t;
+  let start = Farm_core.Cluster.now c in
+  let load () =
+    ignore
+      (Farm_workloads.Driver.run c ~workers:2 ~duration:(Time.ms 10)
+         ~op:(Farm_workloads.Tatp.op t))
+  in
+  load ();
+  Alcotest.(check (list string))
+    "set-up idle time is no stall" [] (Probes.no_global_stall ~start c);
+  Farm_core.Cluster.run_for c ~d:(Time.ms 60);
+  load ();
+  match Probes.no_global_stall ~start c with
+  | [ v ] ->
+      Alcotest.(check bool)
+        "the in-window gap is reported" true
+        (String.starts_with ~prefix:"slo: global commit stall" v)
+  | vs -> Alcotest.failf "expected one stall, got [%s]" (String.concat "; " vs)
+
 let suites =
   [
     ( "grayfail",
       [
+        test "stall probe scans the load window only" stall_probe_window;
         qtest (gray_property Farm_core.Params.Validate_at_commit);
         qtest (gray_property Farm_core.Params.Snapshot);
         test "generator deterministic" generator_deterministic;

@@ -2,6 +2,7 @@ open Farm_sim
 open Farm_core
 open Farm_obs
 open Farm_fault
+open Farm_harness
 
 (* The observability spine (lib/obs): windowed CPU utilization, exact span
    accounting for committed transactions, determinism under recording
@@ -203,126 +204,6 @@ let counters_plumbed () =
 
 (* {1 The causal tracer and the timeline sampler} *)
 
-let count_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let c = ref 0 in
-  for i = 0 to n - m do
-    if String.sub s i m = sub then incr c
-  done;
-  !c
-
-(* {2 A minimal hand-rolled JSON parser} — the container carries no JSON
-   library, and parsing our own exports back is exactly the schema check
-   a Perfetto/consumer round-trip needs. *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-  in
-  let expect ch =
-    if peek () = ch then advance ()
-    else raise (Bad_json (Fmt.str "expected %c at byte %d" ch !pos))
-  in
-  let parse_lit lit v =
-    String.iter expect lit;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance (); Buffer.contents b
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | 'u' ->
-              advance ();
-              for _ = 1 to 4 do advance () done;
-              Buffer.add_char b '?'
-          | c ->
-              advance ();
-              Buffer.add_char b
-                (match c with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c));
-          go ()
-      | '\255' -> raise (Bad_json "unterminated string")
-      | c -> advance (); Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
-    while is_num (peek ()) do advance () done;
-    if !pos = start then raise (Bad_json (Fmt.str "value expected at byte %d" start));
-    J_num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (advance (); J_obj [])
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            if peek () = ',' then (advance (); members ()) else expect '}'
-          in
-          members ();
-          J_obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (advance (); J_arr [])
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            if peek () = ',' then (advance (); elements ()) else expect ']'
-          in
-          elements ();
-          J_arr (List.rev !items)
-        end
-    | '"' -> J_str (parse_string ())
-    | 't' -> parse_lit "true" (J_bool true)
-    | 'f' -> parse_lit "false" (J_bool false)
-    | 'n' -> parse_lit "null" J_null
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad_json "trailing bytes after document");
-  v
-
-let mem k = function J_obj l -> List.assoc_opt k l | _ -> None
-let jstr = function Some (J_str s) -> s | _ -> Alcotest.fail "expected a JSON string"
-let jnum = function Some (J_num f) -> f | _ -> Alcotest.fail "expected a JSON number"
-
 (* {2 Shared fixture}: a small traced + sampled cluster, committing from a
    non-primary machine so LOCK and COMMIT-BACKUP records cross the
    fabric. *)
@@ -457,43 +338,44 @@ let tracer_ring_bounded () =
     Tracer.slice tr ~tid:0 ~step:Tracer.T_execute ~start:(i * 10) ~arg:i
   done;
   check_int "all recordings counted" 10 (Tracer.total tr);
-  let json = Tracer.export_json [ tr ] in
-  check_int "export holds exactly capacity slices" 4 (count_sub json "\"ph\":\"X\"");
-  (* newest survive: slice #10 started at ts 100 ns = 0.100 us *)
-  check_int "newest slice survived" 1 (count_sub json "\"ts\":0.100,")
+  let slices =
+    List.filter
+      (fun ev -> Json.(to_str (member "ph" ev)) = "X")
+      (Test_util.trace_events (Tracer.export_json [ tr ]))
+  in
+  check_int "export holds exactly capacity slices" 4 (List.length slices);
+  (* newest survive: slice #10 started at ts 100 ns = 0.1 us *)
+  check_int "newest slice survived" 1
+    (List.length (List.filter (fun ev -> Json.(to_num (member "ts" ev)) = 0.1) slices))
 
 (* Parse the trace export back and schema-check it: every event carries
    the required fields, flow starts pair with finishes, and LOCK /
    COMMIT-BACKUP arrows cross machines. *)
 let trace_schema_sane () =
   let c = run_traced_cluster 21 in
-  let root = parse_json (Cluster.trace_dump c) in
-  let events =
-    match mem "traceEvents" root with
-    | Some (J_arr l) -> l
-    | _ -> Alcotest.fail "no traceEvents array"
-  in
+  let events = Test_util.trace_events (Cluster.trace_dump c) in
   check_bool "trace has events" true (List.length events > 0);
   let slices = Hashtbl.create 64 in
   let starts = Hashtbl.create 64 in
   let ends = Hashtbl.create 64 in
   List.iter
     (fun ev ->
-      let ph = jstr (mem "ph" ev) in
-      let ts = jnum (mem "ts" ev) in
-      let pid = int_of_float (jnum (mem "pid" ev)) in
-      let tid = int_of_float (jnum (mem "tid" ev)) in
+      let str k = Json.(to_str (member k ev)) and num k = Json.(to_num (member k ev)) in
+      let ph = str "ph" in
+      let ts = num "ts" in
+      let pid = int_of_float (num "pid") in
+      let tid = int_of_float (num "tid") in
       check_bool "known phase" true (List.mem ph [ "X"; "M"; "i"; "s"; "f" ]);
       check_bool "timestamp nonnegative" true (ts >= 0.0);
-      check_bool "named" true (String.length (jstr (mem "name" ev)) > 0);
+      check_bool "named" true (String.length (str "name") > 0);
       match ph with
       | "X" ->
-          check_bool "slice duration nonnegative" true (jnum (mem "dur" ev) >= 0.0);
+          check_bool "slice duration nonnegative" true (num "dur" >= 0.0);
           (* several slices can share a start instant on one thread; keep
              them all *)
-          Hashtbl.add slices (pid, tid, ts) (jstr (mem "name" ev))
-      | "s" -> Hashtbl.replace starts (int_of_float (jnum (mem "id" ev))) (pid, tid, ts)
-      | "f" -> Hashtbl.replace ends (int_of_float (jnum (mem "id" ev))) (pid, tid, ts)
+          Hashtbl.add slices (pid, tid, ts) (str "name")
+      | "s" -> Hashtbl.replace starts (int_of_float (num "id")) (pid, tid, ts)
+      | "f" -> Hashtbl.replace ends (int_of_float (num "id")) (pid, tid, ts)
       | _ -> ())
     events;
   check_bool "trace carries flows" true (Hashtbl.length starts > 0);
@@ -519,29 +401,22 @@ let trace_schema_sane () =
    merged commits column summing to the cluster's commit total. *)
 let timeline_schema_sane () =
   let c = run_traced_cluster 21 in
-  let root = parse_json (Cluster.timeline_dump c) in
-  check_bool "interval is positive" true (jnum (mem "interval_ns" root) > 0.0);
-  let series =
-    match mem "series" root with
-    | Some (J_arr l) -> List.map (function J_str s -> s | _ -> Alcotest.fail "series") l
-    | _ -> Alcotest.fail "no series array"
-  in
+  let root = Json.of_string (Cluster.timeline_dump c) in
+  check_bool "interval is positive" true (Json.(to_num (member "interval_ns" root)) > 0.0);
+  let series = List.map Json.to_str Json.(to_list (member "series" root)) in
   check_bool "t_ns leads the columns" true (List.hd series = "t_ns");
   check_bool "commits column present" true (List.mem "commits" series);
   let width = List.length series in
   let commits_col = ref 0 in
   List.iteri (fun i n -> if n = "commits" then commits_col := i) series;
-  let rows =
-    match mem "rows" root with Some (J_arr l) -> l | _ -> Alcotest.fail "no rows array"
-  in
+  let rows = Json.(to_list (member "rows" root)) in
   check_bool "timeline has rows" true (rows <> []);
   let sum = ref 0 in
   List.iter
-    (function
-      | J_arr cells ->
-          check_int "row width matches series" width (List.length cells);
-          sum := !sum + int_of_float (List.nth cells !commits_col |> fun v -> jnum (Some v))
-      | _ -> Alcotest.fail "row is not an array")
+    (fun row ->
+      let cells = Json.to_list row in
+      check_int "row width matches series" width (List.length cells);
+      sum := !sum + int_of_float (Json.to_num (List.nth cells !commits_col)))
     rows;
   check_int "merged commits column sums to the counter total"
     (Cluster.total_committed c) !sum

@@ -54,6 +54,9 @@ let background cluster ~machine fn =
   fun () -> !result
 
 (* Replica memory of a region on a machine, for byte-identity checks. *)
+(* The events of a Perfetto trace export, parsed. *)
+let trace_events dump = Farm_harness.Json.(to_list (member "traceEvents" (of_string dump)))
+
 let replica_mem cluster ~machine rid =
   match State.replica (Cluster.machine cluster machine) rid with
   | Some rep -> Some rep.State.mem
