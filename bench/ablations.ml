@@ -130,12 +130,7 @@ let replication_factor () =
       Tatp.load c t;
       let duration = Time.ms 40 in
       let stats = Driver.run c ~workers:8 ~warmup:(Time.ms 5) ~duration ~op:(Tatp.op t) in
-      let commit = Cluster.merged_latency c in
-      ignore commit;
-      let commit_h = Stats.Hist.create () in
-      Array.iter
-        (fun (st : State.t) -> Stats.Hist.merge ~into:commit_h st.State.metrics.State.commit_latency)
-        c.Cluster.machines;
+      let commit_h = Cluster.merged_latency c in
       Fmt.str "%-8d %12.3f %14.1f %16.1f@." (replication - 1)
         (Driver.throughput_per_us stats ~duration)
         (float_of_int (Stats.Hist.percentile stats.Driver.latency 50.) /. 1e3)

@@ -75,27 +75,6 @@ type outcome = {
    from integers sampled at engine instants, so a given seed produces a
    byte-identical file on every run and for any --jobs value. *)
 
-(* The cluster-wide "commits" series: per-interval sums across machines,
-   time-sorted. Timestamps are absolute sim ns, and every machine's sampler
-   ticks at the same instants, so summing per timestamp is exact. *)
-let merged_commits c =
-  let tbl = Hashtbl.create 512 in
-  Array.iter
-    (fun (st : State.t) ->
-      let tl = Farm_obs.Obs.timeline st.State.obs in
-      let idx = ref (-1) in
-      List.iteri
-        (fun i n -> if n = "commits" then idx := i)
-        (Farm_obs.Timeline.series_names tl);
-      if !idx >= 0 then
-        List.iter
-          (fun (t, vals) ->
-            let prev = match Hashtbl.find_opt tbl t with Some v -> v | None -> 0 in
-            Hashtbl.replace tbl t (prev + vals.(!idx)))
-          (Farm_obs.Timeline.rows tl))
-    c.Cluster.machines;
-  List.sort compare (Hashtbl.fold (fun t v acc -> (t, v) :: acc) tbl [])
-
 (* Mean pre-kill commit rate over the 20 ms before the kill, and the first
    sampling interval after the kill that regains 90% of it. All-integer
    arithmetic: [v >= 0.9 * pre_sum / pre_bins] as [v * 10 * pre_bins >=
@@ -111,7 +90,7 @@ let recovery_analysis rows ~kill_ns =
   (pre_sum, pre_bins, Option.map (fun (t, _) -> t - kill_ns) rec90)
 
 let write_timeline_json file spec c ~kill_abs =
-  let rows = merged_commits c in
+  let rows = Cluster.timeline_column c "commits" in
   let kill_ns = Time.to_ns kill_abs in
   let pre_sum, pre_bins, rec90 = recovery_analysis rows ~kill_ns in
   let open Bench_util in

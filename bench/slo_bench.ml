@@ -89,29 +89,9 @@ let scenarios ~window:_ =
 
 (* Longest zero-run (ms) of the sampler's merged per-ms commits between the
    first and last nonzero bins. *)
-let max_stall_ms rows =
-  let vals = List.map snd rows in
-  let arr = Array.of_list vals in
-  let first = ref (-1) and last = ref (-1) in
-  Array.iteri
-    (fun i v ->
-      if v > 0 then begin
-        if !first < 0 then first := i;
-        last := i
-      end)
-    arr;
-  if !first < 0 then 0
-  else begin
-    let best = ref 0 and cur = ref 0 in
-    for i = !first to !last do
-      if arr.(i) = 0 then begin
-        incr cur;
-        if !cur > !best then best := !cur
-      end
-      else cur := 0
-    done;
-    !best
-  end
+let max_stall_ms c =
+  let commits = Array.of_list (List.map snd (Cluster.timeline_column c "commits")) in
+  List.fold_left (fun m (a, b) -> max m (b - a + 1)) 0 (Probes.zero_runs commits)
 
 (* One scenario's JSON row, its rendered output block and its probe
    violations. *)
@@ -151,7 +131,7 @@ let run_scenario ~window ~drain (sc : scenario) =
   let completed = Stats.Counter.get st.Openloop.completed in
   let failed = Stats.Counter.get st.Openloop.failed in
   let pct p = float_of_int (Stats.Hist.percentile st.Openloop.sojourn p) /. 1e3 in
-  let stall = max_stall_ms (Failure_bench.merged_commits c) in
+  let stall = max_stall_ms c in
   let goodput = float_of_int completed /. Time.to_s_float window in
   let stranded = Openloop.stranded ol in
   let blame = Cluster.blame_totals c in

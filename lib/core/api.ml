@@ -12,11 +12,6 @@ open Farm_sim
 
 type 'a result_t = ('a, Txn.abort_reason) result
 
-let count_reason st r =
-  let i = Txn.reason_index r in
-  st.State.metrics.State.abort_reasons.(i) <-
-    st.State.metrics.State.abort_reasons.(i) + 1
-
 (* Run one transaction attempt: execute [f] then commit. *)
 let run st ~thread (f : Txn.t -> 'a) : 'a result_t =
   let tx = Txn.begin_tx st ~thread in
@@ -24,16 +19,13 @@ let run st ~thread (f : Txn.t -> 'a) : 'a result_t =
   | v -> (
       match Commit.commit tx with
       | Ok () -> Ok v
-      | Error e ->
-          count_reason st e;
-          Error e)
+      | Error e -> Error e)
   | exception Txn.Abort reason ->
       tx.Txn.finished <- true;
       Txn.release_read_ts tx;
       Txn.return_allocations tx;
       Farm_obs.Obs.Span.finish tx.Txn.span ~committed:false;
       State.record_abort ~reason:(Txn.reason_index reason) st;
-      count_reason st reason;
       Error reason
 
 (* Retry loop with randomized backoff on conflicts; gives up after
@@ -59,7 +51,7 @@ let abort () = raise (Txn.Abort Txn.Explicit)
 (* Lock-free read (§3): an optimized single-object read-only transaction,
    usually one RDMA read, no commit phase. *)
 let read_lockfree st (addr : Addr.t) ~len =
-  match Txn.read_lockfree st addr ~len with
+  match Txn.read_versioned st ~addr ~len with
   | _, data -> Some data
   | exception Txn.Abort _ -> None
 

@@ -376,15 +376,13 @@ let milestone_time t tag =
   in
   find (milestones t)
 
-let total_committed t =
-  Array.fold_left
-    (fun acc st -> acc + Stats.Counter.get st.State.metrics.committed)
-    0 t.machines
+(* Measurements are read from the machines' Obs sinks, which survive
+   restarts, so they cover every machine's whole history. *)
+let merged_counter t c =
+  Array.fold_left (fun acc st -> acc + Farm_obs.Obs.counter st.State.obs c) 0 t.machines
 
-let total_aborted t =
-  Array.fold_left
-    (fun acc st -> acc + Stats.Counter.get st.State.metrics.aborted)
-    0 t.machines
+let total_committed t = merged_counter t Farm_obs.Obs.C_tx_commit
+let total_aborted t = merged_counter t Farm_obs.Obs.C_tx_abort
 
 (* Aggregate cluster throughput as committed transactions per 1 ms bin. *)
 let throughput_series t ~until =
@@ -392,7 +390,7 @@ let throughput_series t ~until =
   let bins = Array.make nbins 0 in
   Array.iter
     (fun st ->
-      let s = st.State.metrics.throughput in
+      let s = Farm_obs.Obs.commit_series st.State.obs in
       for i = 0 to nbins - 1 do
         bins.(i) <- bins.(i) + Stats.Series.get s i
       done)
@@ -401,7 +399,9 @@ let throughput_series t ~until =
 
 let merged_latency t =
   let h = Stats.Hist.create () in
-  Array.iter (fun st -> Stats.Hist.merge ~into:h st.State.metrics.tx_latency) t.machines;
+  Array.iter
+    (fun st -> Stats.Hist.merge ~into:h (Farm_obs.Obs.commit_latency st.State.obs))
+    t.machines;
   h
 
 (* All replicas of a region across the cluster, as (machine, replica). *)
@@ -420,11 +420,7 @@ let set_recording t on =
 let merged_counters t =
   List.filter_map
     (fun c ->
-      let v =
-        Array.fold_left
-          (fun acc st -> acc + Farm_obs.Obs.counter st.State.obs c)
-          0 t.machines
-      in
+      let v = merged_counter t c in
       if v = 0 then None else Some (Farm_obs.Obs.counter_name c, v))
     Farm_obs.Obs.all_counters
 
@@ -576,7 +572,8 @@ let trace_dump_critical t ~k =
 (* Register the standard gauge set on a machine's sampler and start it.
    Gauges read through [t.machines.(i)] — not a captured [State.t] — so a
    machine restarted mid-run keeps feeding its (surviving) sampler from the
-   fresh state; cumulative deltas clamp at 0 across the counter reset. *)
+   fresh state. The Obs counters survive the restart; the CPU's busy time
+   restarts at 0, and its cumulative delta clamps at 0 across the reset. *)
 let start_sampling ?(interval = Time.ms 1) t ~until =
   let iv = Time.to_ns interval in
   Array.iteri
@@ -588,15 +585,15 @@ let start_sampling ?(interval = Time.ms 1) t ~until =
            set's presence decides whether to add it again. *)
         if not (List.mem "commits" (Farm_obs.Timeline.series_names tl)) then begin
           let live () = t.machines.(i) in
+          let obs = st.State.obs in
+          let counter c () = Farm_obs.Obs.counter obs c in
           Farm_obs.Timeline.add_series tl ~name:"commits" ~kind:Farm_obs.Timeline.Cumulative
-            (fun () -> Stats.Counter.get (live ()).State.metrics.committed);
+            (counter Farm_obs.Obs.C_tx_commit);
           Farm_obs.Timeline.add_series tl ~name:"aborts" ~kind:Farm_obs.Timeline.Cumulative
-            (fun () -> Stats.Counter.get (live ()).State.metrics.aborted);
+            (counter Farm_obs.Obs.C_tx_abort);
           Farm_obs.Timeline.add_series tl ~name:"one_sided_ops"
             ~kind:Farm_obs.Timeline.Cumulative (fun () ->
-              let obs = (live ()).State.obs in
-              Farm_obs.Obs.counter obs Farm_obs.Obs.C_rdma_read
-              + Farm_obs.Obs.counter obs Farm_obs.Obs.C_rdma_write);
+              counter Farm_obs.Obs.C_rdma_read () + counter Farm_obs.Obs.C_rdma_write ());
           Farm_obs.Timeline.add_series tl ~name:"log_ring_bytes"
             ~kind:Farm_obs.Timeline.Level (fun () ->
               Hashtbl.fold
@@ -610,17 +607,21 @@ let start_sampling ?(interval = Time.ms 1) t ~until =
       end)
     t.machines
 
-let timeline_dump t =
-  Farm_obs.Timeline.export_json
-    (Array.to_list
-       (Array.map (fun st -> Farm_obs.Obs.timeline st.State.obs) t.machines))
+let timelines t =
+  Array.to_list (Array.map (fun st -> Farm_obs.Obs.timeline st.State.obs) t.machines)
+
+let timeline_dump t = Farm_obs.Timeline.export_json (timelines t)
+
+let timeline_column t name =
+  let names, rows = Farm_obs.Timeline.merge (timelines t) in
+  match List.find_index (String.equal name) names with
+  | None -> []
+  | Some i -> List.map (fun (at, vals) -> (at, vals.(i))) rows
 
 (* The abort-cause breakdown: merged cause counters plus the residue of
    total aborts no cause accounts for. *)
 let abort_breakdown t =
-  let merged c =
-    Array.fold_left (fun acc st -> acc + Farm_obs.Obs.counter st.State.obs c) 0 t.machines
-  in
+  let merged = merged_counter t in
   let total = merged Farm_obs.Obs.C_tx_abort in
   let lock = merged Farm_obs.Obs.C_abort_lock_refused in
   let validate = merged Farm_obs.Obs.C_abort_validate_failed in

@@ -107,13 +107,22 @@ val lost_regions : t -> int list
 val milestone_time : t -> string -> Time.t option
 (** First occurrence of a milestone tag. *)
 
+(** The measurements below read each machine's {!Farm_obs.Obs} sink,
+    which survives a restart: they count a restarted or power-cycled
+    machine's history before the restart too. *)
+
 val total_committed : t -> int
+(** Transactions committed cluster-wide ([C_tx_commit]). *)
+
 val total_aborted : t -> int
+(** Transactions aborted cluster-wide ([C_tx_abort]). *)
 
 val throughput_series : t -> until:Time.t -> int array
-(** Cluster-wide committed transactions per 1 ms bin. *)
+(** Cluster-wide committed transactions per 1 ms bin, bins [0 .. until]. *)
 
 val merged_latency : t -> Stats.Hist.t
+(** Commit-phase latency (ns) of every committed transaction, merged
+    across machines. *)
 
 val replicas_of : t -> int -> (int * State.replica) list
 (** All replicas of a region across the cluster, dead machines included. *)
@@ -223,6 +232,11 @@ val start_sampling : ?interval:Time.t -> t -> until:Time.t -> unit
 val timeline_dump : t -> string
 (** The sampled series of every machine merged (summed per timestamp bin)
     into one JSON document. Byte-deterministic for a given seed. *)
+
+val timeline_column : t -> string -> (int * int) list
+(** One series of the merged timeline (e.g. ["commits"]), as (sim-time ns,
+    cluster-wide value) rows, oldest first; [[]] if no machine samples
+    it. *)
 
 val abort_breakdown : t -> (string * int) list
 (** Cluster-wide abort causes: [lock-refused], [validate-failed],

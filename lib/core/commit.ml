@@ -196,19 +196,6 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
     !ok
   end
 
-(* List-based entry point (kept for callers outside the commit path): stage
-   into a pooled arena and validate. *)
-let validate st ~txid (reads : (Addr.t * int) list) =
-  let ar = Arena.acquire st.State.arena_pool in
-  List.iter
-    (fun ((addr : Addr.t), version) ->
-      Arena.Vec.push ar.Arena.ro_addr addr;
-      Arena.Vec.push ar.Arena.ro_ver version)
-    reads;
-  let ok = validate_ar st ar ~txid in
-  Arena.release st.State.arena_pool ar;
-  ok
-
 (* {1 The commit path} *)
 
 let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
@@ -227,8 +214,6 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     (match result with
     | Ok () ->
         State.record_commit st ~latency:(Time.sub (State.now st) commit_start);
-        Stats.Hist.record st.State.metrics.tx_latency
-          (Time.to_ns (Time.sub (State.now st) tx.Txn.t_started));
         Farm_obs.Obs.Span.finish tx.Txn.span ~committed:true
     | Error e ->
         Farm_obs.Obs.Span.finish tx.Txn.span ~committed:false;

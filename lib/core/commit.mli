@@ -13,10 +13,6 @@ val race_outcome : State.tx_live -> 'a Ivar.t -> 'a race
 (** Wait for a protocol completion or the recovery outcome, whichever
     first. *)
 
-val validate : State.t -> txid:Txid.t -> (Addr.t * int) list -> bool
-(** Read validation (§4 step 2): one-sided version reads grouped by
-    primary, switching to one RPC per primary above the tr threshold. *)
-
 val commit : Txn.t -> (unit, Txn.abort_reason) result
 (** Drive the full commit protocol for an executed transaction. Reports
     success after at least one COMMIT-PRIMARY hardware ack; truncation

@@ -74,7 +74,7 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
 
    The batch is described by indexed accessors rather than a list so the
    commit path can stage it in its reused arena: [dst i] / [payload i] for
-   [0 <= i < n]. [append_batch] below is the list veneer.
+   [0 <= i < n].
 
    With [doorbell_batching] off this degrades to the pre-batching pipeline:
    one full-cost one-sided write per record, issued by parallel processes,
@@ -151,13 +151,6 @@ let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
           List.iter (fun txid -> State.queue_truncation st ~dst:d txid) recs.(i).Wire.truncations;
           Error e)
     results
-
-let append_batch ?on_complete st ~thread (descs : (int * Wire.record) list) :
-    (int, Farm_net.Fabric.error) result array =
-  let a = Array.of_list descs in
-  append_prepared ?on_complete st ~thread ~n:(Array.length a)
-    ~dst:(fun i -> fst a.(i))
-    ~payload:(fun i -> snd a.(i))
 
 (* Write an explicit TRUNCATE record carrying the pending truncations for
    [dst]. Used by the background flusher and when a log fills up. *)

@@ -28,28 +28,20 @@ val append_prepared :
   dst:(int -> int) ->
   payload:(int -> Wire.record) ->
   (int, Fabric.error) result array
-(** Like {!append_batch}, with the batch described by indexed accessors
-    ([dst i], [payload i] for [0 <= i < n]) so the caller can stage it in
-    reused arena storage instead of building a list. [span] carries the
-    calling transaction's blame span down to the batched verb (see
+(** Write one record per [(dst i, payload i)], [0 <= i < n], as a single
+    doorbell-batched verb group, draining each destination's pending
+    truncations under one preparation pass. The batch is described by
+    indexed accessors so the caller can stage it in reused arena storage
+    instead of building a list. Blocks until every record has its hardware
+    ack (or failed); results are per-record in order, each the caller's
+    own share of consumed log space. [on_complete] fires at each record's
+    individual completion instant. With {!Params.doorbell_batching} off,
+    falls back to the pre-batching pipeline: parallel single writes, each
+    paying full issue + poll. [span] carries the calling transaction's
+    blame span down to the batched verb (see
     {!Fabric.one_sided_write_batch_fn}); only the doorbell-batched path
     can claim — the unbatched ablation's writes run in child processes,
     whose time falls to the enclosing phase's default category. *)
-
-val append_batch :
-  ?on_complete:(int -> (unit, Fabric.error) result -> unit) ->
-  State.t ->
-  thread:int ->
-  (int * Wire.record) list ->
-  (int, Fabric.error) result array
-(** Write one record per [(dst, payload)] as a single doorbell-batched verb
-    group, draining each destination's pending truncations under one
-    preparation pass. Blocks until every record has its hardware ack (or
-    failed); results are per-record in order, each the caller's own share
-    of consumed log space. [on_complete] fires at each record's individual
-    completion instant. With {!Params.doorbell_batching} off, falls back to
-    the pre-batching pipeline: parallel single writes, each paying full
-    issue + poll. *)
 
 val flush_truncations : State.t -> dst:int -> unit
 (** Write an explicit TRUNCATE record carrying pending truncations. *)

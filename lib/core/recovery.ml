@@ -164,7 +164,6 @@ let decide st (rc : State.rec_coord) outcome =
     rc.State.rc_decided <- true;
     let txid = rc.State.rc_txid in
     Txid.Tbl.replace st.State.recovered_outcomes txid outcome;
-    Stats.Counter.incr st.State.metrics.recovered_txs;
     let dur = Time.sub (State.now st) rc.State.rc_created in
     Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_rec_decide
       ~a:(match outcome with State.Committed -> 1 | State.Aborted -> 0)

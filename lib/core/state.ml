@@ -126,17 +126,6 @@ type cm_state = {
   cm_wms : (int, int) Hashtbl.t;
 }
 
-type metrics = {
-  committed : Stats.Counter.t;
-  aborted : Stats.Counter.t;
-  abort_reasons : int array;  (* indexed by Txn.abort_reason tag *)
-  commit_latency : Stats.Hist.t;  (* commit-phase latency, ns *)
-  tx_latency : Stats.Hist.t;  (* full transaction latency, ns *)
-  throughput : Stats.Series.t;  (* committed transactions per ms bin *)
-  lockfree_reads : Stats.Counter.t;
-  recovered_txs : Stats.Counter.t;
-}
-
 type commit_phase =
   | Before_lock
   | After_lock
@@ -208,7 +197,6 @@ type t = {
   mutable cm : cm_state option;
   mutable reconfig_active : bool;
   pending_suspects : (int, unit) Hashtbl.t;
-  metrics : metrics;
   obs : Farm_obs.Obs.t;  (* per-machine observability sink *)
   (* the cluster's "memory bus": lets one-sided operations reach remote
      replicas without involving the remote CPU *)
@@ -220,18 +208,6 @@ type t = {
   (* test and tracing hook *)
   mutable phase_hook : (commit_phase -> Txid.t -> unit) option;
 }
-
-let create_metrics () =
-  {
-    committed = Stats.Counter.create ();
-    aborted = Stats.Counter.create ();
-    abort_reasons = Array.make 8 0;
-    commit_latency = Stats.Hist.create ();
-    tx_latency = Stats.Hist.create ();
-    throughput = Stats.Series.create ~bin:(Time.ms 1);
-    lockfree_reads = Stats.Counter.create ();
-    recovered_txs = Stats.Counter.create ();
-  }
 
 let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directory ~obs =
   {
@@ -282,7 +258,6 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     cm = None;
     reconfig_active = false;
     pending_suspects = Hashtbl.create 8;
-    metrics = create_metrics ();
     obs;
     directory;
     on_suspect = (fun _ -> ());
@@ -469,9 +444,6 @@ let take_truncations st ~dst =
       l
 
 let record_commit st ~latency =
-  Stats.Counter.incr st.metrics.committed;
-  Stats.Hist.record st.metrics.commit_latency (Time.to_ns latency);
-  Stats.Series.add st.metrics.throughput ~at:(now st) 1;
   Farm_obs.Obs.event st.obs Farm_obs.Obs.K_tx_commit ~a:0 ~b:0
     ~c:(Time.to_ns latency)
 
@@ -490,7 +462,6 @@ let abort_cause_name = function
   | Cause_other -> "other"
 
 let record_abort ?(reason = 0) ?cause st =
-  Stats.Counter.incr st.metrics.aborted;
   let cause =
     match cause with
     | Some c -> c

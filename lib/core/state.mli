@@ -116,17 +116,6 @@ type cm_state = {
       (** snapshot protocol: last watermark reported per machine *)
 }
 
-type metrics = {
-  committed : Stats.Counter.t;
-  aborted : Stats.Counter.t;
-  abort_reasons : int array;
-  commit_latency : Stats.Hist.t;
-  tx_latency : Stats.Hist.t;
-  throughput : Stats.Series.t;
-  lockfree_reads : Stats.Counter.t;
-  recovered_txs : Stats.Counter.t;
-}
-
 type commit_phase =
   | Before_lock
   | After_lock
@@ -186,7 +175,6 @@ type t = {
   mutable cm : cm_state option;
   mutable reconfig_active : bool;
   pending_suspects : (int, unit) Hashtbl.t;
-  metrics : metrics;
   obs : Farm_obs.Obs.t;  (** per-machine observability sink *)
   directory : t Int_tbl.t;
       (** the cluster's "memory bus": one-sided operations reach remote
@@ -195,8 +183,6 @@ type t = {
   mutable app_handler : (tag:int -> args:int array -> bool) option;
   mutable phase_hook : (commit_phase -> Txid.t -> unit) option;
 }
-
-val create_metrics : unit -> metrics
 
 val create :
   id:int ->

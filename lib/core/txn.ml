@@ -408,11 +408,3 @@ let return_allocations tx =
           else Comms.send tx.st ~dst:info.Wire.primary (Wire.Free_slot_hint { addr })
       | None -> ())
     tx.allocated
-
-(* {1 Lock-free reads (§3)}: optimized single-object read-only
-   transactions; usually a single RDMA read with no commit phase. *)
-
-let read_lockfree st (addr : Addr.t) ~len =
-  let version, data = read_versioned st ~addr ~len in
-  Stats.Counter.incr st.State.metrics.lockfree_reads;
-  (version, data)

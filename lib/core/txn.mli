@@ -42,8 +42,7 @@ type t = {
 }
 
 val reason_index : abort_reason -> int
-(** Stable tag, used for the abort-reason metrics array and the
-    flight-recorder event argument. *)
+(** Stable tag, carried as the [K_tx_abort] event's argument. *)
 
 val begin_tx : State.t -> thread:int -> t
 (** Under the snapshot protocol, also draws the transaction's read
@@ -76,9 +75,6 @@ val free : t -> Addr.t -> unit
 
 val return_allocations : t -> unit
 (** Return tentatively allocated slots after an abort. *)
-
-val read_lockfree : State.t -> Addr.t -> len:int -> int * Bytes.t
-(** Single-object lock-free read: returns (version, data). *)
 
 (** {1 Internals shared with Commit and the harness} *)
 

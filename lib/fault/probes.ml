@@ -18,59 +18,59 @@ let suspicion_tags =
   [ "killed"; "suspect"; "probe"; "zookeeper"; "new-config"; "config-commit";
     "power-cycle" ]
 
-(* A cluster-wide commit stall longer than 3x the lease that no suspicion
-   milestone explains. Scans the per-ms committed series of the load
-   window: from the first nonzero bin at or after [start] to the last
-   nonzero bin. Set-up before [start] (a loader's idle time included) and
-   silence after the load stops are not stalls. Every over-threshold
-   zero-run must overlap a suspicion milestone, with one threshold of slack
-   on each side (suspicion naturally trails the stall that caused it). *)
-let no_global_stall ~start (c : Cluster.t) : string list =
-  let threshold = Time.mul_int c.Cluster.params.Params.lease_duration 3 in
-  let bin_ns = Time.to_ns (Time.ms 1) in
-  let thresh_bins = max 1 (Time.to_ns threshold / bin_ns) in
-  let series = Cluster.throughput_series c ~until:(Cluster.now c) in
-  let n = Array.length series in
+(* The zero-runs of a per-bin commit series between its first and last
+   nonzero bins at or after bin [from], as inclusive (first, last) bin
+   pairs in order. Bins before the first commit (set-up) and after the
+   last (the load stopped) are not stalls. *)
+let zero_runs ?(from = 0) series =
   let first = ref (-1) and last = ref (-1) in
-  for i = Time.to_ns start / bin_ns to n - 1 do
+  for i = from to Array.length series - 1 do
     if series.(i) > 0 then begin
       if !first < 0 then first := i;
       last := i
     end
   done;
-  if !first < 0 then []  (* no commits at all: liveness probes report that *)
-  else begin
-    let evidence =
-      List.filter_map
-        (fun (tag, _m, at) ->
-          if List.mem tag suspicion_tags then Some (Time.to_ns at / bin_ns) else None)
-        (Cluster.milestones c)
-    in
-    let out = ref [] in
-    let check_run ~from ~upto =
+  let runs = ref [] and run_start = ref (-1) in
+  for i = max 0 !first to !last do
+    if series.(i) = 0 then begin
+      if !run_start < 0 then run_start := i
+    end
+    else if !run_start >= 0 then begin
+      runs := (!run_start, i - 1) :: !runs;
+      run_start := -1
+    end
+  done;
+  List.rev !runs
+
+(* A cluster-wide commit stall longer than 3x the lease that no suspicion
+   milestone explains. Scans the per-ms committed series of the load
+   window, which begins at [start]: set-up before it (a loader's idle time
+   included) is not a stall. Every over-threshold zero-run must overlap a
+   suspicion milestone, with one threshold of slack on each side
+   (suspicion naturally trails the stall that caused it). A cluster that
+   never commits has no runs: liveness probes report that. *)
+let no_global_stall ~start (c : Cluster.t) : string list =
+  let threshold = Time.mul_int c.Cluster.params.Params.lease_duration 3 in
+  let bin_ns = Time.to_ns (Time.ms 1) in
+  let thresh_bins = max 1 (Time.to_ns threshold / bin_ns) in
+  let series = Cluster.throughput_series c ~until:(Cluster.now c) in
+  let evidence =
+    List.filter_map
+      (fun (tag, _m, at) ->
+        if List.mem tag suspicion_tags then Some (Time.to_ns at / bin_ns) else None)
+      (Cluster.milestones c)
+  in
+  List.filter_map
+    (fun (from, upto) ->
       let len = upto - from + 1 in
-      if len > thresh_bins then begin
-        let lo = from - thresh_bins and hi = upto + thresh_bins in
-        if not (List.exists (fun b -> b >= lo && b <= hi) evidence) then
-          out :=
-            Fmt.str
-              "slo: global commit stall of %d ms at [%d,%d] ms with no active suspicion"
-              len from upto
-            :: !out
-      end
-    in
-    let run_start = ref (-1) in
-    for i = !first to !last do
-      if series.(i) = 0 then begin
-        if !run_start < 0 then run_start := i
-      end
-      else if !run_start >= 0 then begin
-        check_run ~from:!run_start ~upto:(i - 1);
-        run_start := -1
-      end
-    done;
-    List.rev !out
-  end
+      let lo = from - thresh_bins and hi = upto + thresh_bins in
+      if len > thresh_bins && not (List.exists (fun b -> b >= lo && b <= hi) evidence)
+      then
+        Some
+          (Fmt.str "slo: global commit stall of %d ms at [%d,%d] ms with no active suspicion"
+             len from upto)
+      else None)
+    (zero_runs ~from:(Time.to_ns start / bin_ns) series)
 
 (* No transaction still parked past [park_timeout] after heal + quiesce.
    The park watchdog exists to bound how long a transient partition can

@@ -12,6 +12,11 @@ val suspicion_tags : string list
 (** Milestone tags accepted as evidence that the cluster noticed a fault
     (suspect / reconfiguration / recovery milestones). *)
 
+val zero_runs : ?from:int -> int array -> (int * int) list
+(** The zero-runs of a per-bin commit series between its first and last
+    nonzero bins at or after bin [from] (default 0), as inclusive
+    [(first, last)] bin pairs in order. *)
+
 val no_global_stall : start:Time.t -> Cluster.t -> string list
 (** Violations for every cluster-wide commit stall longer than 3x the lease
     duration that overlaps no suspicion milestone, scanning the per-ms

@@ -312,14 +312,17 @@ let counter_of = function
 
 (* The sinks a kind is written to, as bits: the flight-recorder ring
    (gated by [enabled]), the always-on cluster log, where milestones are
-   also counted, and the recovery-stage histograms. Trace instants are
-   chosen by [trace_instant] below, behind the tracer's own switch. *)
+   also counted, the recovery-stage histograms, and the commit-latency
+   histogram and per-ms commit series. Trace instants are chosen by
+   [trace_instant] below, behind the tracer's own switch. *)
 let to_ring = 1
 let to_log = 2
 let to_milestones = 4
 let to_stage = 8
+let to_commit = 16
 
 let route = function
+  | K_tx_commit -> to_ring lor to_commit
   | K_rec_drain | K_rec_region_active | K_rec_decide -> to_ring lor to_stage
   | K_msg_recv -> 0
   | K_ud_drop | K_rc_retransmit -> to_ring lor to_log
@@ -469,6 +472,8 @@ and t = {
   counters : int array;
   phases : Stats.Hist.t array;
   stages : Stats.Hist.t array;
+  commit_lat : Stats.Hist.t;  (* commit-phase latency of each commit, ns *)
+  commit_bins : Stats.Series.t;  (* commits per 1 ms of sim time *)
   mutable span_hook : (committed:bool -> span -> unit) option;
   obs_tracer : Tracer.t;
   obs_timeline : Timeline.t;
@@ -496,6 +501,8 @@ let create ?(capacity = 128) ?(log = create_log ()) engine ~machine =
     counters = Array.make n_counters 0;
     phases = Array.init n_phases (fun _ -> Stats.Hist.create ());
     stages = Array.init n_stages (fun _ -> Stats.Hist.create ());
+    commit_lat = Stats.Hist.create ();
+    commit_bins = Stats.Series.create ~bin:(Time.ms 1);
     span_hook = None;
     obs_tracer = Tracer.create engine ~machine;
     obs_timeline = Timeline.create engine ~machine;
@@ -537,6 +544,8 @@ let heat_conflict t ~region =
 let incr t c = t.counters.(counter_index c) <- t.counters.(counter_index c) + 1
 let add t c n = t.counters.(counter_index c) <- t.counters.(counter_index c) + n
 let counter t c = t.counters.(counter_index c)
+let commit_latency t = t.commit_lat
+let commit_series t = t.commit_bins
 
 let counter_totals t =
   List.filter_map
@@ -579,6 +588,10 @@ let event t kind ~a ~b ~c =
   (match counter_of kind with Some ctr -> incr t ctr | None -> ());
   let sinks = route kind in
   if sinks land to_stage <> 0 then record_stage t kind ~ns:b;
+  if sinks land to_commit <> 0 then begin
+    Stats.Hist.record t.commit_lat c;
+    Stats.Series.add t.commit_bins ~at:(Engine.now t.engine) 1
+  end;
   if t.obs_enabled && sinks land to_ring <> 0 then begin
     let s = t.ring.(t.pos) in
     s.s_at <- Time.to_ns (Engine.now t.engine);

@@ -5,8 +5,11 @@ open Farm_sim
 
     One [Obs.t] lives on each machine (created by {!Cluster}, threaded
     through {!State} and the fabric) and every protocol layer emits through
-    it: {!event} is the only way any layer records a discrete event. The
-    design obeys three hard rules:
+    it: {!event} is the only way any layer records a discrete event. It is
+    the machine's only measurement store — commit and abort counts, commit
+    latency and the per-ms commit series included — and it survives a
+    restart of the machine, so its totals cover the machine's whole
+    history. The design obeys three hard rules:
 
     - {b O(1), allocation-light recording.} Events are a constant
       constructor plus three integer arguments written into preallocated
@@ -96,6 +99,14 @@ val counter : t -> counter -> int
 
 val counter_totals : t -> (string * int) list
 (** All nonzero counters, in declaration order. *)
+
+val commit_latency : t -> Stats.Hist.t
+(** Commit-phase latency (ns) of every transaction committed here, from
+    the latency its [K_tx_commit] event carries. *)
+
+val commit_series : t -> Stats.Series.t
+(** Transactions committed here per 1 ms bin of sim time, filled by the
+    [K_tx_commit] events. *)
 
 (** {1 Commit-phase spans}
 
@@ -305,7 +316,8 @@ type kind =
                       COMMIT-PRIMARY, 3 ABORT, 4 TRUNCATE-MARKER) *)
   | K_log_trunc  (** a=coordinator machine, b=tx local id *)
   | K_phase  (** a=commit-phase index, b=tx thread, c=tx local id *)
-  | K_tx_commit  (** c=latency ns *)
+  | K_tx_commit  (** c=latency ns; also fills {!commit_latency} and
+                     {!commit_series} *)
   | K_tx_abort  (** a=abort-reason tag, b=cause (0 lock-refused, 1
                     validate-failed, 2 timeout, 3 other) *)
   | K_lease_renewal  (** a=grantor *)

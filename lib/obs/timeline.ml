@@ -103,33 +103,50 @@ let rows t =
       let r = t.rows.((t.pos - n + i + (2 * t.tl_capacity)) mod t.tl_capacity) in
       (r.r_at, r.r_vals))
 
-(* {1 Export} *)
+(* {1 Merge and export} *)
 
-let export_json timelines =
-  let timelines =
-    List.sort (fun a b -> compare a.tl_machine b.tl_machine) timelines
-  in
-  let names =
-    match timelines with [] -> [] | t :: _ -> series_names t
-  in
-  (* Merge timestamp-aligned rows across machines by summing. All
-     machines tick at the same instants, but a machine started later
-     (or with a smaller ring) may miss early bins; merging goes by
-     timestamp, not row index, so partial coverage still sums right. *)
+let sort_by_machine timelines =
+  List.sort (fun a b -> compare a.tl_machine b.tl_machine) timelines
+
+(* Merge timestamp-aligned rows across machines by summing. All machines
+   tick at the same instants, but a machine started later (or with a
+   smaller ring) may miss early bins; merging goes by timestamp, not row
+   index, so partial coverage still sums right. Columns go by name, so a
+   machine with extra gauges (an open-loop target's queue depth) cannot
+   shift the others. *)
+let merge timelines =
+  let timelines = sort_by_machine timelines in
+  let names = match timelines with [] -> [] | t :: _ -> series_names t in
+  let width = List.length names in
   let merged : (int, int array) Hashtbl.t = Hashtbl.create 256 in
   let stamps = ref [] in
   List.iter
     (fun t ->
+      let col =
+        Array.of_list
+          (List.map
+             (fun n -> Option.value ~default:(-1) (List.find_index (String.equal n) names))
+             (series_names t))
+      in
       List.iter
         (fun (at, vals) ->
-          match Hashtbl.find_opt merged at with
-          | Some acc -> Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) vals
-          | None ->
-              Hashtbl.add merged at (Array.copy vals);
-              stamps := at :: !stamps)
+          let acc =
+            match Hashtbl.find_opt merged at with
+            | Some acc -> acc
+            | None ->
+                let acc = Array.make width 0 in
+                Hashtbl.add merged at acc;
+                stamps := at :: !stamps;
+                acc
+          in
+          Array.iteri (fun i v -> if col.(i) >= 0 then acc.(col.(i)) <- acc.(col.(i)) + v) vals)
         (rows t))
     timelines;
-  let stamps = List.sort compare !stamps in
+  (names, List.map (fun at -> (at, Hashtbl.find merged at)) (List.sort compare !stamps))
+
+let export_json timelines =
+  let timelines = sort_by_machine timelines in
+  let names, merged = merge timelines in
   let buf = Buffer.create 16384 in
   let interval = match timelines with [] -> 0 | t :: _ -> t.tl_interval in
   Printf.bprintf buf "{\"interval_ns\":%d,\"machines\":[" interval;
@@ -140,11 +157,10 @@ let export_json timelines =
   List.iter (fun n -> Printf.bprintf buf ",\"%s\"" n) names;
   Buffer.add_string buf "],\"rows\":[";
   List.iteri
-    (fun i at ->
-      let vals = Hashtbl.find merged at in
+    (fun i (at, vals) ->
       Printf.bprintf buf "%s[%d" (if i > 0 then ",\n" else "") at;
       Array.iter (fun v -> Printf.bprintf buf ",%d" v) vals;
       Buffer.add_string buf "]")
-    stamps;
+    merged;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf

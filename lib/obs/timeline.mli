@@ -52,8 +52,15 @@ val rows : t -> (int * int array) list
 (** Sampled rows, oldest first, as (sim-time ns, one value per series in
     registration order). *)
 
+val merge : t list -> string list * (int * int array) list
+(** Rows merged across machines: the series names (the lowest machine's,
+    in registration order) and, oldest first, (sim-time ns, per-series
+    sums of the rows sampled at that instant). Every machine is sampled at
+    the same instants; a machine's columns are matched by name, and a
+    series only other machines have is left out. *)
+
 val export_json : t list -> string
-(** Merged JSON export:
+(** {!merge}'s rows as JSON:
     [{"interval_ns":..,"machines":[..],"series":[..],"rows":[[t,v..],..]}]
     where rows are merged across machines by summing timestamp-aligned
     bins (every machine is sampled at the same instants). All values are

@@ -102,6 +102,47 @@ let single_machine_restart () =
   check_int "no spurious reconfiguration" cfg.Config.id
     (Cluster.machine c 0).State.config.Config.id
 
+(* Commit counts, abort counts and the per-ms commit series live in each
+   machine's obs sink, which survives restarts: neither a power cycle nor
+   one machine's crash and reboot may make the cluster's totals fall. *)
+let measurements_survive_restarts () =
+  let c = mk_cluster ~machines:5 ~seed:6 () in
+  let r = Cluster.alloc_region_exn c in
+  let cell = (alloc_cells c ~region:r.Wire.rid ~n:1 ~init:0).(0) in
+  Array.iter
+    (fun (st : State.t) ->
+      Cluster.run_on c ~machine:st.State.id (fun st ->
+          for _ = 1 to 3 do
+            match Api.run_retry st ~thread:0 (fun tx -> write_int tx cell (read_int tx cell + 1)) with
+            | Ok () -> ()
+            | Error e -> Fmt.failwith "%a" Txn.pp_abort e
+          done;
+          ignore (Api.run st ~thread:0 (fun _ -> Api.abort ()))))
+    c.Cluster.machines;
+  let totals () =
+    ( Cluster.total_committed c,
+      Cluster.total_aborted c,
+      Array.fold_left ( + ) 0 (Cluster.throughput_series c ~until:(Cluster.now c)) )
+  in
+  let committed, aborted, series = totals () in
+  check_bool "the fixture committed on every machine" true (committed >= 15);
+  check_bool "the fixture aborted on every machine" true (aborted >= 5);
+  let check_kept after =
+    let committed', aborted', series' = totals () in
+    check_bool ("commits kept after " ^ after) true (committed' >= committed);
+    check_bool ("aborts kept after " ^ after) true (aborted' >= aborted);
+    check_bool ("commit series kept after " ^ after) true (series' >= series)
+  in
+  Cluster.power_cycle c;
+  Cluster.run_for c ~d:(Time.ms 120);
+  check_kept "a power cycle";
+  let victim = surviving_machine c ~not_in:[ 0 ] in
+  Cluster.kill c victim;
+  Cluster.run_for c ~d:(Time.ms 120);
+  ignore (Cluster.restart_machine c victim ~config:(Cluster.machine c 0).State.config);
+  Cluster.run_for c ~d:(Time.ms 60);
+  check_kept "a machine restart"
+
 let suites =
   [
     ( "powerfail",
@@ -109,5 +150,6 @@ let suites =
         test "power cycle under load" power_cycle_under_load;
         test "committed right before failure" committed_right_before_failure;
         test "single machine restart" single_machine_restart;
+        test "measurements survive restarts" measurements_survive_restarts;
       ] );
   ]
