@@ -8,9 +8,9 @@ open Farm_harness
    admission queue while one machine degrades — slow/lossy NIC, asymmetric
    partition, CPU throttling, lease flapping — with a healthy baseline for
    reference. Per scenario: goodput, sojourn percentiles (p50/p99/p999,
-   queueing included — the open loop is what makes gray damage visible),
-   shed load, and the longest cluster-wide commit stall from the 1 ms
-   timeline sampler. The SLO probes gate each scenario: a stall must
+   queueing included — the open loop is what makes gray damage visible)
+   with the sample count they rest on, shed load, and the longest
+   cluster-wide commit stall from the 1 ms timeline sampler. The SLO probes gate each scenario: a stall must
    coincide with suspicion evidence, queues must drain after heal, nothing
    may stay parked.
 
@@ -131,6 +131,7 @@ let run_scenario ~window ~drain (sc : scenario) =
   let completed = Stats.Counter.get st.Openloop.completed in
   let failed = Stats.Counter.get st.Openloop.failed in
   let pct p = float_of_int (Stats.Hist.percentile st.Openloop.sojourn p) /. 1e3 in
+  let samples = Stats.Hist.count st.Openloop.sojourn in
   let stall = max_stall_ms c in
   let goodput = float_of_int completed /. Time.to_s_float window in
   let stranded = Openloop.stranded ol in
@@ -142,8 +143,9 @@ let run_scenario ~window ~drain (sc : scenario) =
       (Fmt.str "%a" Arrivals.pp_shape sc.shape)
       (submitted + shed) shed goodput
       (Fmt.str
-         "               sojourn p50 %8.1f us  p99 %8.1f us  p999 %8.1f us  max-stall %d ms"
-         (pct 50.) (pct 99.) (pct 99.9) stall)
+         "               sojourn p50 %8.1f us  p99 %8.1f us  p999 %8.1f us  (%d samples)  \
+          max-stall %d ms"
+         (pct 50.) (pct 99.) (pct 99.9) samples stall)
       (if stranded = 0 then ""
        else Fmt.str "  stranded %d (evicted/dead machine)" stranded)
       (Fmt.str "               p999 attribution (slowest tx): %s" (Bench_util.pct_line tail))
@@ -164,6 +166,7 @@ let run_scenario ~window ~drain (sc : scenario) =
         ("failed", int failed);
         ("stranded", int stranded);  (* admitted but never served: lost to eviction/death *)
         ("goodput_per_s", fixed 1 goodput);
+        ("sojourn_samples", int samples);
         ("p50_us", fixed 1 (pct 50.));
         ("p99_us", fixed 1 (pct 99.));
         ("p999_us", fixed 1 (pct 99.9));
@@ -176,7 +179,11 @@ let run_scenario ~window ~drain (sc : scenario) =
   (row, block, violations)
 
 (* The CI gate, per scenario label: the probes stay clean, goodput keeps
-   above baseline/1.2 and p999 under baseline*1.2. *)
+   above baseline/1.2 and p99 under baseline*1.2. The tail is gated at p99,
+   not p999: of one seed's ~4,800 sojourns about 48 lie beyond p99 but only
+   about 5 beyond p999, and under slow_nic those few are whichever
+   transactions the degraded NIC caught, so p999 moves several-fold between
+   seeds and no 1.2x band holds it. *)
 let gate =
   [
     {
@@ -185,7 +192,7 @@ let gate =
       bounds =
         [
           ("goodput_per_s", Gate.Floor 1.2);
-          ("p999_us", Gate.Ceiling 1.2);
+          ("p99_us", Gate.Ceiling 1.2);
           ("violations", Gate.Exact);
         ];
     };

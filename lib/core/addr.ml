@@ -11,19 +11,11 @@ let compare a b =
 
 let equal a b = a.region = b.region && a.offset = b.offset
 
-let hash t = Hashtbl.hash (t.region, t.offset)
+(* One int: the region above bit 32, the offset below. Offsets fit in 32
+   bits and regions in 30, so packed keys order exactly as [compare]. *)
+let pack a = (a.region lsl 32) lor (a.offset land 0xFFFFFFFF)
+let packed_region k = k lsr 32
+let packed_offset k = k land 0xFFFFFFFF
+let unpack k = { region = packed_region k; offset = packed_offset k }
 
 let pp ppf t = Fmt.pf ppf "r%d+%#x" t.region t.offset
-
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
-
-module Map = Map.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)

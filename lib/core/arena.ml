@@ -210,7 +210,7 @@ let accts_iter f t =
 type t = {
   mutable refs : int;
   (* read set not written (validation input): address + observed version *)
-  ro_addr : Addr.t Vec.t;
+  ro_key : int Vec.t;  (* packed addresses *)
   ro_ver : int Vec.t;
   (* write items in address order; the records themselves are fresh (wire-
      owned), only this staging array is reused *)
@@ -240,7 +240,7 @@ type t = {
 let create () =
   {
     refs = 0;
-    ro_addr = Vec.create ();
+    ro_key = Vec.create ();
     ro_ver = Vec.create ();
     items = Vec.create ();
     wregions = Vec.create ();
@@ -258,7 +258,7 @@ let create () =
   }
 
 let reset t =
-  Vec.clear t.ro_addr;
+  Vec.clear t.ro_key;
   Vec.clear t.ro_ver;
   Vec.clear t.items;
   Vec.clear t.wregions;

@@ -66,7 +66,7 @@ val accts_iter : (acct -> unit) -> accts -> unit
 
 type t = {
   mutable refs : int;
-  ro_addr : Addr.t Vec.t;
+  ro_key : int Vec.t;  (** packed addresses ({!Addr.pack}) *)
   ro_ver : int Vec.t;
   items : Wire.write_item Vec.t;
   wregions : int Vec.t;

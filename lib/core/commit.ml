@@ -48,30 +48,30 @@ let race_outcome (lt : State.tx_live) (iv : 'a Ivar.t) : 'a race =
 (* {1 Read validation (§4 step 2)} *)
 
 (* Target-side memory access of a header read: what the remote NIC DMAs at
-   the linearization instant. *)
-let read_remote_header st ~dst ~(addr : Addr.t) =
+   the linearization instant. [key] is the packed address. *)
+let read_remote_header st ~dst ~key =
   match State.peer st dst with
   | None -> None
   | Some pst -> (
-      match State.replica pst addr.Addr.region with
+      match State.replica pst (Addr.packed_region key) with
       | Some rep when rep.State.role = State.Primary && rep.State.active ->
-          Some (Objmem.header rep ~off:addr.Addr.offset)
+          Some (Objmem.header rep ~off:(Addr.packed_offset key))
       | _ -> None)
 
 (* One-sided read of just an object header from its primary. *)
-let read_header_at ?span st ~dst ~(addr : Addr.t) =
+let read_header_at ?span st ~dst ~key =
   if dst = st.State.id then begin
     Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_local_read;
-    match State.replica st addr.Addr.region with
+    match State.replica st (Addr.packed_region key) with
     | Some rep when rep.State.role = State.Primary && rep.State.active ->
-        Ok (Some (Objmem.header rep ~off:addr.Addr.offset))
+        Ok (Some (Objmem.header rep ~off:(Addr.packed_offset key)))
     | _ -> Ok None
   end
   else
     Farm_net.Fabric.one_sided_read ?span st.State.fabric ~src:st.State.id ~dst ~bytes:16
-      (fun () -> read_remote_header st ~dst ~addr)
+      (fun () -> read_remote_header st ~dst ~key)
 
-(* Validate the read set staged in the arena's [ro_addr]/[ro_ver] vectors:
+(* Validate the read set staged in the arena's [ro_key]/[ro_ver] vectors:
    group read-set indices by primary (counted groups, so the
    RPC-vs-one-sided decision against tr is O(1) per group); use one-sided
    RDMA version reads for small groups — issued as one doorbell batch
@@ -80,9 +80,8 @@ let read_header_at ?span st ~dst ~(addr : Addr.t) =
 let validate_ar ?span st (ar : Arena.t) ~txid =
   Arena.groups_clear ar.Arena.vgroups;
   let ok = ref true in
-  for i = 0 to Arena.Vec.length ar.Arena.ro_addr - 1 do
-    let addr = Arena.Vec.get ar.Arena.ro_addr i in
-    match State.region_info st addr.Addr.region with
+  for i = 0 to Arena.Vec.length ar.Arena.ro_key - 1 do
+    match State.region_info st (Addr.packed_region (Arena.Vec.get ar.Arena.ro_key i)) with
     | Some info -> Arena.group_add ar.Arena.vgroups ~dst:info.Wire.primary i
     | None -> ok := false
   done;
@@ -106,8 +105,8 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
           Arena.Vec.iter
             (fun i ->
               if g.Arena.g_dst = st.State.id then begin
-                let addr = Arena.Vec.get ar.Arena.ro_addr i in
-                match read_header_at ?span st ~dst:g.Arena.g_dst ~addr with
+                let key = Arena.Vec.get ar.Arena.ro_key i in
+                match read_header_at ?span st ~dst:g.Arena.g_dst ~key with
                 | Ok h -> check_header (Arena.Vec.get ar.Arena.ro_ver i) h
                 | Error _ -> ok := false
               end
@@ -126,7 +125,7 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
             ~read:(fun i ->
               read_remote_header st
                 ~dst:(Arena.Vec.get ar.Arena.rv_dst i)
-                ~addr:(Arena.Vec.get ar.Arena.ro_addr (Arena.Vec.get ar.Arena.rv_idx i)))
+                ~key:(Arena.Vec.get ar.Arena.ro_key (Arena.Vec.get ar.Arena.rv_idx i)))
         in
         for i = 0 to n - 1 do
           let version = Arena.Vec.get ar.Arena.ro_ver (Arena.Vec.get ar.Arena.rv_idx i) in
@@ -148,8 +147,8 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
               Arena.Vec.iter
                 (fun i ->
                   if !ok then
-                    let addr = Arena.Vec.get ar.Arena.ro_addr i in
-                    match read_header_at st ~dst:g.Arena.g_dst ~addr with
+                    let key = Arena.Vec.get ar.Arena.ro_key i in
+                    match read_header_at st ~dst:g.Arena.g_dst ~key with
                     | Ok h -> check_header (Arena.Vec.get ar.Arena.ro_ver i) h
                     | Error _ -> ok := false)
                 g.Arena.g_items)
@@ -169,7 +168,7 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
           let items =
             List.init (Arena.Vec.length g.Arena.g_items) (fun k ->
                 let i = Arena.Vec.get g.Arena.g_items k in
-                (Arena.Vec.get ar.Arena.ro_addr i, Arena.Vec.get ar.Arena.ro_ver i))
+                (Addr.unpack (Arena.Vec.get ar.Arena.ro_key i), Arena.Vec.get ar.Arena.ro_ver i))
           in
           jobs :=
             (fun () ->
@@ -222,15 +221,20 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     Arena.release st.State.arena_pool ar;
     result
   in
-  (* stage the read set not written *)
-  Addr.Map.iter
-    (fun a (r : Txn.read_entry) ->
-      if not (Addr.Map.mem a tx.Txn.writes) then begin
-        Arena.Vec.push ar.Arena.ro_addr a;
-        Arena.Vec.push ar.Arena.ro_ver r.Txn.r_version
-      end)
-    tx.Txn.reads;
-  if Addr.Map.is_empty tx.Txn.writes then begin
+  (* stage the read set not written: one merge walk over the two sets,
+     both ascending by packed address *)
+  let wi = ref 0 in
+  for ri = 0 to tx.Txn.nreads - 1 do
+    let key = tx.Txn.rkeys.(ri) in
+    while !wi < tx.Txn.nwrites && tx.Txn.wkeys.(!wi) < key do
+      incr wi
+    done;
+    if not (!wi < tx.Txn.nwrites && tx.Txn.wkeys.(!wi) = key) then begin
+      Arena.Vec.push ar.Arena.ro_key key;
+      Arena.Vec.push ar.Arena.ro_ver tx.Txn.rvers.(ri)
+    end
+  done;
+  if tx.Txn.nwrites = 0 then begin
     if tx.Txn.read_ts >= 0 then begin
       (* Snapshot protocol: every read was served at the transaction's
          read timestamp, so the whole read set is one consistent snapshot
@@ -242,7 +246,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     else if
       (* Baseline: serialization point is the last read; single-object
          reads are already atomic and need no validation. *)
-      Arena.Vec.length ar.Arena.ro_addr <= 1
+      Arena.Vec.length ar.Arena.ro_key <= 1
     then finish (Ok ())
     else begin
       let txid = State.fresh_txid st ~thread:tx.Txn.thread in
@@ -254,8 +258,8 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
       if not ok then begin
         abort_cause := Some State.Cause_validate;
         Arena.Vec.iter
-          (fun (a : Addr.t) -> Farm_obs.Obs.heat_conflict st.State.obs ~region:a.Addr.region)
-          ar.Arena.ro_addr
+          (fun key -> Farm_obs.Obs.heat_conflict st.State.obs ~region:(Addr.packed_region key))
+          ar.Arena.ro_key
       end;
       finish (if ok then Ok () else Error Txn.Conflict)
     end
@@ -267,18 +271,18 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     (* Stage the write set in address order. The write-item records are
        fresh — LOCK and COMMIT-BACKUP receivers keep them resident until
        truncation — only the staging vector is reused. *)
-    Addr.Map.iter
-      (fun addr (w : Txn.write_entry) ->
-        Arena.Vec.push ar.Arena.items
-          {
-            Wire.addr;
-            version = w.Txn.w_version;
-            value = w.Txn.w_value;
-            alloc_op = w.Txn.w_alloc;
-            ts = 0;  (* the write timestamp is chosen after the locks *)
-          };
-        Arena.Vec.push ar.Arena.wregions addr.Addr.region)
-      tx.Txn.writes;
+    for i = 0 to tx.Txn.nwrites - 1 do
+      let addr = Addr.unpack tx.Txn.wkeys.(i) in
+      Arena.Vec.push ar.Arena.items
+        {
+          Wire.addr;
+          version = tx.Txn.wvers.(i);
+          value = tx.Txn.wvals.(i);
+          alloc_op = tx.Txn.wallocs.(i);
+          ts = 0;  (* the write timestamp is chosen after the locks *)
+        };
+      Arena.Vec.push ar.Arena.wregions addr.Addr.region
+    done;
     Arena.sort_uniq_ints ar.Arena.wregions;
     (* every written region heats up once per commit attempt *)
     Arena.Vec.iter
@@ -317,8 +321,8 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
           List.iter (fun b -> Arena.group_add ar.Arena.backups ~dst:b w) info.Wire.backups)
         ar.Arena.items;
       Arena.Vec.iter
-        (fun (a : Addr.t) -> Arena.Vec.push ar.Arena.rregions a.Addr.region)
-        ar.Arena.ro_addr;
+        (fun key -> Arena.Vec.push ar.Arena.rregions (Addr.packed_region key))
+        ar.Arena.ro_key;
       Arena.sort_uniq_ints ar.Arena.rregions;
       let lt =
         {
@@ -526,7 +530,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
             (* {2 Phase 2: VALIDATE} — one batched header read across all
                groups below tr, one RPC per group above it. *)
             let validated =
-              Arena.Vec.length ar.Arena.ro_addr = 0
+              Arena.Vec.length ar.Arena.ro_key = 0
               || validate_ar ~span:tx.Txn.span st ar ~txid
             in
             if lt.State.lt_recovering then recovered_result (Ivar.read lt.State.lt_outcome)

@@ -28,21 +28,25 @@ let pp_abort ppf r =
 
 exception Abort of abort_reason
 
-type read_entry = { r_version : int; r_value : bytes }
-
-type write_entry = {
-  w_version : int;
-  mutable w_value : bytes;
-  mutable w_alloc : Wire.alloc_op;
-}
-
+(* The read and write sets: parallel arrays sorted by packed address
+   ([Addr.pack]), the first [nreads]/[nwrites] slots live. They start empty
+   and double as they fill, so a transaction allocates nothing for a set it
+   never uses, nothing per entry beyond the buffered value, and commit
+   visits both in address order with int comparisons only. *)
 type t = {
   st : State.t;
   thread : int;
   t_started : Time.t;
   span : Farm_obs.Obs.Span.t;  (* opened at [t_started], in P_execute *)
-  mutable reads : read_entry Addr.Map.t;
-  mutable writes : write_entry Addr.Map.t;
+  mutable nreads : int;
+  mutable rkeys : int array;
+  mutable rvers : int array;  (* version observed *)
+  mutable rvals : Bytes.t array;  (* data as read; never mutated *)
+  mutable nwrites : int;
+  mutable wkeys : int array;
+  mutable wvers : int array;  (* version the write locks at *)
+  mutable wvals : Bytes.t array;  (* buffered new data, owned by the set *)
+  mutable wallocs : Wire.alloc_op array;
   mutable allocated : (Addr.t * int) list;  (* tentative slots, for abort *)
   mutable finished : bool;
   (* snapshot protocol: the transaction's read timestamp, drawn from the
@@ -76,8 +80,15 @@ let begin_tx st ~thread =
     thread;
     t_started = State.now st;
     span = Farm_obs.Obs.Span.start ~tid:thread st.State.obs;
-    reads = Addr.Map.empty;
-    writes = Addr.Map.empty;
+    nreads = 0;
+    rkeys = [||];
+    rvers = [||];
+    rvals = [||];
+    nwrites = 0;
+    wkeys = [||];
+    wvers = [||];
+    wvals = [||];
+    wallocs = [||];
     allocated = [];
     finished = false;
     read_ts;
@@ -241,23 +252,122 @@ let read_snapshot_versioned ?span st ~(addr : Addr.t) ~len ~ts =
   in
   attempt ~failures:0 ~locked:0
 
+(* {1 Read and write sets} *)
+
+(* Index of [key] among the first [n] (ascending) keys, or [-(i + 1)] when
+   absent, [i] being where it belongs. *)
+let rec search_between (keys : int array) (key : int) lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let k = Array.unsafe_get keys mid in
+    if k < key then search_between keys key (mid + 1) hi
+    else if k > key then search_between keys key lo mid
+    else mid
+
+let search keys n key = search_between keys key 0 n
+
+(* [a] with [v] inserted at [i] among its first [n] live slots, in place
+   or, when full, in a copy twice the size. There is one copy per element
+   type, so the compiler knows each array's kind: slots are stored without
+   a float check, a first array of two comes from a literal, and only
+   growing past two calls into the runtime. *)
+let grow a n v =
+  let b = Array.make (2 * n) v in
+  Array.blit a 0 b 0 n;
+  b
+
+let insert_int (a : int array) n i v =
+  let a = if n < Array.length a then a else if n = 0 then [| v; v |] else grow a n v in
+  for j = n downto i + 1 do
+    Array.unsafe_set a j (Array.unsafe_get a (j - 1))
+  done;
+  a.(i) <- v;
+  a
+
+let insert_bytes (a : Bytes.t array) n i v =
+  let a = if n < Array.length a then a else if n = 0 then [| v; v |] else grow a n v in
+  for j = n downto i + 1 do
+    Array.unsafe_set a j (Array.unsafe_get a (j - 1))
+  done;
+  a.(i) <- v;
+  a
+
+let insert_alloc (a : Wire.alloc_op array) n i v =
+  let a = if n < Array.length a then a else if n = 0 then [| v; v |] else grow a n v in
+  for j = n downto i + 1 do
+    Array.unsafe_set a j (Array.unsafe_get a (j - 1))
+  done;
+  a.(i) <- v;
+  a
+
+let add_read tx i key version data =
+  let n = tx.nreads in
+  tx.rkeys <- insert_int tx.rkeys n i key;
+  tx.rvers <- insert_int tx.rvers n i version;
+  tx.rvals <- insert_bytes tx.rvals n i data;
+  tx.nreads <- n + 1
+
+let add_write tx key version data alloc =
+  let n = tx.nwrites in
+  let i = -(search tx.wkeys n key + 1) in
+  tx.wkeys <- insert_int tx.wkeys n i key;
+  tx.wvers <- insert_int tx.wvers n i version;
+  tx.wvals <- insert_bytes tx.wvals n i data;
+  tx.wallocs <- insert_alloc tx.wallocs n i alloc;
+  tx.nwrites <- n + 1
+
+let remove_write tx i =
+  let n = tx.nwrites - 1 in
+  let close a = Array.blit a (i + 1) a i (n - i) in
+  close tx.wkeys;
+  close tx.wvers;
+  close tx.wvals;
+  close tx.wallocs;
+  tx.wvals.(n) <- Bytes.empty;
+  tx.nwrites <- n
+
+let write_index tx addr = search tx.wkeys tx.nwrites (Addr.pack addr)
+let written tx addr = write_index tx addr >= 0
+
 (* {1 Transaction API} *)
 
-let read tx (addr : Addr.t) ~len =
-  match Addr.Map.find_opt addr tx.writes with
-  | Some w -> Bytes.sub w.w_value 0 (min len (Bytes.length w.w_value))
-  | None -> (
-      match Addr.Map.find_opt addr tx.reads with
-      | Some r -> Bytes.sub r.r_value 0 (min len (Bytes.length r.r_value))
-      | None ->
-          let version, data =
-            if tx.read_ts >= 0 then
-              read_snapshot_versioned ~span:tx.span tx.st ~addr ~len ~ts:tx.read_ts
-            else read_versioned ~span:tx.span tx.st ~addr ~len
-          in
-          Farm_obs.Obs.heat_access tx.st.State.obs ~region:addr.Addr.region;
-          tx.reads <- Addr.Map.add addr { r_version = version; r_value = Bytes.copy data } tx.reads;
-          data)
+(* Index of [addr] in the read set, reading it first on a miss. *)
+let read_index tx (addr : Addr.t) ~len =
+  let key = Addr.pack addr in
+  let i = search tx.rkeys tx.nreads key in
+  if i >= 0 then i
+  else begin
+    let version, data =
+      if tx.read_ts >= 0 then
+        read_snapshot_versioned ~span:tx.span tx.st ~addr ~len ~ts:tx.read_ts
+      else read_versioned ~span:tx.span tx.st ~addr ~len
+    in
+    Farm_obs.Obs.heat_access tx.st.State.obs ~region:addr.Addr.region;
+    (* the read above may have yielded, but only this transaction's own
+       process touches its sets, so [i] still marks the slot *)
+    add_read tx (-(i + 1)) key version data;
+    -(i + 1)
+  end
+
+let view tx (addr : Addr.t) ~len =
+  let wi = write_index tx addr in
+  if wi >= 0 then tx.wvals.(wi) else tx.rvals.(read_index tx addr ~len)
+
+let read tx addr ~len =
+  let b = view tx addr ~len in
+  Bytes.sub b 0 (min len (Bytes.length b))
+
+let modify tx (addr : Addr.t) ~len =
+  let wi = write_index tx addr in
+  if wi >= 0 then tx.wvals.(wi)
+  else begin
+    let ri = read_index tx addr ~len in
+    let r = tx.rvals.(ri) in
+    let data = Bytes.sub r 0 (min len (Bytes.length r)) in
+    add_write tx (Addr.pack addr) tx.rvers.(ri) data Wire.Alloc_none;
+    data
+  end
 
 (* The version a write must lock at: the version observed by this
    transaction, fetching it if the object was not read first. A blind
@@ -265,21 +375,19 @@ let read tx (addr : Addr.t) ~len =
    snapshot mode — locking at the snapshot's (possibly archived) version
    would make the write abort forever once the head moves. *)
 let observed_version tx (addr : Addr.t) =
-  match Addr.Map.find_opt addr tx.reads with
-  | Some r -> r.r_version
-  | None ->
-      let version, _ = read_versioned ~span:tx.span tx.st ~addr ~len:0 in
-      version
+  let i = search tx.rkeys tx.nreads (Addr.pack addr) in
+  if i >= 0 then tx.rvers.(i)
+  else
+    let version, _ = read_versioned ~span:tx.span tx.st ~addr ~len:0 in
+    version
 
 let write tx (addr : Addr.t) data =
-  match Addr.Map.find_opt addr tx.writes with
-  | Some w -> w.w_value <- Bytes.copy data
-  | None ->
-      let version = observed_version tx addr in
-      tx.writes <-
-        Addr.Map.add addr
-          { w_version = version; w_value = Bytes.copy data; w_alloc = Wire.Alloc_none }
-          tx.writes
+  let wi = write_index tx addr in
+  if wi >= 0 then tx.wvals.(wi) <- Bytes.copy data
+  else begin
+    let version = observed_version tx addr in
+    add_write tx (Addr.pack addr) version (Bytes.copy data) Wire.Alloc_none
+  end
 
 (* Allocate an object. The slot is tentatively taken from the primary's
    slab free list during execution; its allocation bit is set only at
@@ -361,38 +469,34 @@ let alloc tx ~size ?near ?region () =
       in
       match slot with
       | None -> raise (Abort Out_of_space)
-      | Some (addr, _) when Addr.Map.mem addr tx.writes ->
+      | Some (addr, _) when written tx addr ->
           (* a double-handout race handed this tx the same slot twice
              (possible while allocator recovery races a pre-failure
              tentative holder); treat as a conflict and retry *)
           raise (Abort Conflict)
       | Some (addr, version) ->
           tx.allocated <- (addr, size) :: tx.allocated;
-          tx.writes <-
-            Addr.Map.add addr
-              { w_version = version; w_value = Bytes.make size '\000'; w_alloc = Wire.Alloc_set }
-              tx.writes;
+          add_write tx (Addr.pack addr) version (Bytes.make size '\000') Wire.Alloc_set;
           addr)
 
 let free tx (addr : Addr.t) =
-  match Addr.Map.find_opt addr tx.writes with
-  | Some w when w.w_alloc = Wire.Alloc_set ->
-      (* allocated by this very transaction: cancel both operations and
-         return the tentative slot to its region's primary *)
-      tx.writes <- Addr.Map.remove addr tx.writes;
-      tx.allocated <- List.filter (fun (a, _) -> not (Addr.equal a addr)) tx.allocated;
-      (match State.region_info tx.st addr.Addr.region with
-      | Some info -> Comms.send tx.st ~dst:info.Wire.primary (Wire.Free_slot_hint { addr })
-      | None -> ())
-  | Some w ->
-      w.w_alloc <- Wire.Alloc_clear;
-      w.w_value <- Bytes.empty
-  | None ->
-      let version = observed_version tx addr in
-      tx.writes <-
-        Addr.Map.add addr
-          { w_version = version; w_value = Bytes.empty; w_alloc = Wire.Alloc_clear }
-          tx.writes
+  let wi = write_index tx addr in
+  if wi >= 0 && tx.wallocs.(wi) = Wire.Alloc_set then begin
+    (* allocated by this very transaction: cancel both operations and
+       return the tentative slot to its region's primary *)
+    remove_write tx wi;
+    tx.allocated <- List.filter (fun (a, _) -> not (Addr.equal a addr)) tx.allocated;
+    match State.region_info tx.st addr.Addr.region with
+    | Some info -> Comms.send tx.st ~dst:info.Wire.primary (Wire.Free_slot_hint { addr })
+    | None -> ()
+  end
+  else if wi >= 0 then begin
+    tx.wallocs.(wi) <- Wire.Alloc_clear;
+    tx.wvals.(wi) <- Bytes.empty
+  end
+  else
+    let version = observed_version tx addr in
+    add_write tx (Addr.pack addr) version Bytes.empty Wire.Alloc_clear
 
 (* Return tentatively allocated slots to their primaries after an abort. *)
 let return_allocations tx =

@@ -18,21 +18,23 @@ val pp_abort : Format.formatter -> abort_reason -> unit
 
 exception Abort of abort_reason
 
-type read_entry = { r_version : int; r_value : bytes }
-
-type write_entry = {
-  w_version : int;
-  mutable w_value : bytes;
-  mutable w_alloc : Wire.alloc_op;
-}
-
 type t = {
   st : State.t;
   thread : int;
   t_started : Time.t;
   span : Farm_obs.Obs.Span.t;  (** opened at [t_started], in [P_execute] *)
-  mutable reads : read_entry Addr.Map.t;
-  mutable writes : write_entry Addr.Map.t;
+  mutable nreads : int;
+  mutable rkeys : int array;
+      (** read set: packed addresses ({!Addr.pack}), ascending; the first
+          [nreads] slots of [rkeys], [rvers] and [rvals] are live *)
+  mutable rvers : int array;  (** version observed *)
+  mutable rvals : Bytes.t array;  (** data as read; never mutated *)
+  mutable nwrites : int;
+  mutable wkeys : int array;
+      (** write set, laid out like the read set over [nwrites] slots *)
+  mutable wvers : int array;  (** version the write locks at *)
+  mutable wvals : Bytes.t array;  (** buffered new data *)
+  mutable wallocs : Wire.alloc_op array;
   mutable allocated : (Addr.t * int) list;
   mutable finished : bool;
   mutable read_ts : int;
@@ -54,10 +56,27 @@ val release_read_ts : t -> unit
     (commit or abort). Idempotent; no-op in the baseline. *)
 
 val read : t -> Addr.t -> len:int -> Bytes.t
-(** Read [len] data bytes of an object. Atomic per object; successive
+(** Read [len] data bytes of an object into a buffer private to the
+    caller, which may mutate or keep it. Atomic per object; successive
     reads return the same data; reads of objects written by this
     transaction return the buffered value. Raises {!Abort} on conflicts
     that cannot resolve, on freed objects, and on unrecoverable failures. *)
+
+val view : t -> Addr.t -> len:int -> Bytes.t
+(** Like {!read}, but returns the transaction's own buffer for the
+    object, uncopied: its write if it has one, else the data as read
+    ([len] bytes are fetched on a miss; the buffer is returned whole).
+    The caller must not mutate it. A view of a written object changes
+    when {!modify} or {!write} later changes the write. *)
+
+val modify : t -> Addr.t -> len:int -> Bytes.t
+(** The object's buffered write, for the caller to edit in place: made on
+    first use from a copy of the data as read (reading it first on a
+    miss), and locked at the version read. *)
+
+val written : t -> Addr.t -> bool
+(** Whether the transaction buffers a write (or allocation, or free) of
+    the object. *)
 
 val write : t -> Addr.t -> Bytes.t -> unit
 (** Buffer a write. The object's observed version (fetched if it was not
@@ -88,10 +107,3 @@ val read_versioned :
 (** Versioned read with retries across lock conflicts and
     reconfigurations. [span] lets the one-sided read claim its blame
     sub-intervals on the calling transaction's span. *)
-
-val read_snapshot_versioned :
-  ?span:Farm_obs.Obs.Span.t -> State.t -> addr:Addr.t -> len:int -> ts:int -> int * Bytes.t
-(** Snapshot protocol: the newest version with commit timestamp [<= ts],
-    served from the region head or the primary's version chain. Waits out
-    locked heads; aborts [Conflict] when the chain was truncated past
-    [ts]. *)

@@ -98,7 +98,7 @@ let create st ~thread ~regions ?(fanout = 14) () =
   { t with root_ptr }
 
 let read_root tx t =
-  match Codec.get_addr (Txn.read tx t.root_ptr ~len:8) 0 with
+  match Codec.get_addr (Txn.view tx t.root_ptr ~len:8) 0 with
   | Some a -> a
   | None -> failwith "Btree: null root"
 
@@ -117,36 +117,80 @@ let cache_key machine addr =
 
 let key_machine key = key land ((1 lsl machine_bits) - 1)
 
+(* {1 Node words in place}
+
+   Reads walk a node's bytes where they lie; edits that leave the node
+   within [fanout] keys shift its words in place, producing exactly the
+   bytes [serialize] writes for the edited node (slots past the live keys
+   stay zero). Only a split parses the node and serializes its halves. *)
+
+let key_at data i = Codec.get_int data (32 + (8 * i))
+let slot_off t i = 32 + (8 * t.fanout) + (8 * i)
+let slot_at t data i = Codec.get_int data (slot_off t i)
+let is_leaf data = Codec.get_int data 0 = 0
+let lo_of data = Codec.get_int data 16
+let hi_of data = Codec.get_int data 24
+let next_of t data = Codec.get_addr data (slot_off t t.fanout)
+
+(* The key count, checked as [parse] checks it. *)
+let nkeys t data =
+  let n = Codec.get_int data 8 in
+  if n < 0 || n > t.fanout + 1 then
+    Fmt.failwith "Btree.parse: corrupt node (kind=%d nkeys=%d lo=%d hi=%d)"
+      (Codec.get_int data 0) n (lo_of data) (hi_of data);
+  n
+
+(* The first of the [n] keys from [i] on that is >= [key], or [n]. *)
+let rec lower_bound_from data n key i =
+  if i < n && key_at data i < key then lower_bound_from data n key (i + 1) else i
+
+let lower_bound data n key = lower_bound_from data n key 0
+
+(* The child an internal node routes [key] to: the count of keys <= it. *)
+let rec child_index_from data n key i =
+  if i < n && key >= key_at data i then child_index_from data n key (i + 1) else i
+
+let child_index data n key = child_index_from data n key 0
+
+let child_at t data i =
+  match Codec.decode_addr (slot_at t data i) with
+  | Some child -> child
+  | None -> failwith "Btree: null child"
+
+(* The value stored under [key] in a leaf. *)
+let leaf_find t data key =
+  let n = nkeys t data in
+  let i = lower_bound data n key in
+  if i < n && key_at data i = key then Some (slot_at t data i) else None
+
+(* Insert word [v] at [i] among the [n] words from [off]. *)
+let insert_word data ~off ~i ~n v =
+  Bytes.blit data (off + (8 * i)) data (off + (8 * (i + 1))) (8 * (n - i));
+  Codec.set_int data (off + (8 * i)) v
+
 (* {1 Transactional reads (real reads; populate the cache)} *)
 
-(* [Txn.read] returns a buffer private to the caller, so it is cached as is. *)
+(* The node's bytes, uncopied ([Txn.view]). An internal node is cached
+   for lock-free lookups; a buffer this transaction may still edit is
+   cached as a copy. Leaves are not cached: a lookup reads its leaf
+   anyway. *)
 let read_node tx t addr =
-  let data = Txn.read tx addr ~len:(node_data_size t) in
-  Farm_sim.Int_tbl.replace t.cache (cache_key tx.Txn.st.State.id addr) data;
-  try parse t data
-  with Failure msg -> Fmt.failwith "%s at %a" msg Addr.pp addr
-
-let child_for nd key =
-  let n = Array.length nd.keys in
-  let rec go i = if i < n && key >= nd.keys.(i) then go (i + 1) else i in
-  go 0
+  let data = Txn.view tx addr ~len:(node_data_size t) in
+  (try ignore (nkeys t data)
+   with Failure msg -> Fmt.failwith "%s at %a" msg Addr.pp addr);
+  if not (is_leaf data) then
+    Farm_sim.Int_tbl.replace t.cache (cache_key tx.Txn.st.State.id addr)
+      (if Txn.written tx addr then Bytes.copy data else data);
+  data
 
 let rec descend tx t addr key =
-  let nd = read_node tx t addr in
-  if nd.leaf then (addr, nd)
-  else
-    match Codec.decode_addr nd.slots.(child_for nd key) with
-    | Some child -> descend tx t child key
-    | None -> failwith "Btree: null child"
+  let data = read_node tx t addr in
+  if is_leaf data then (addr, data)
+  else descend tx t (child_at t data (child_index data (nkeys t data) key)) key
 
 let find tx t key =
   let _, leaf = descend tx t (read_root tx t) key in
-  let rec go i =
-    if i >= Array.length leaf.keys then None
-    else if leaf.keys.(i) = key then Some leaf.slots.(i)
-    else go (i + 1)
-  in
-  go 0
+  leaf_find t leaf key
 
 (* {1 Inserts with splits} *)
 
@@ -154,101 +198,85 @@ let array_insert a i v =
   let n = Array.length a in
   Array.init (n + 1) (fun j -> if j < i then a.(j) else if j = i then v else a.(j - 1))
 
+(* Split a node that [keys]/[slots] overfill: write both halves and return
+   the promoted separator and the new right sibling. *)
+let split tx t addr (nd : node) keys slots =
+  let mid = Array.length keys / 2 in
+  let sep = keys.(mid) in
+  let right_addr = Txn.alloc tx ~size:(node_data_size t) ~near:addr () in
+  let right, left =
+    if nd.leaf then
+      (* the separator is the right half's first key *)
+      ( {
+          leaf = true;
+          lo = sep;
+          hi = nd.hi;
+          keys = Array.sub keys mid (Array.length keys - mid);
+          slots = Array.sub slots mid (Array.length slots - mid);
+          next = nd.next;
+        },
+        {
+          nd with
+          hi = sep;
+          keys = Array.sub keys 0 mid;
+          slots = Array.sub slots 0 mid;
+          next = Some right_addr;
+        } )
+    else
+      ( {
+          leaf = false;
+          lo = sep;
+          hi = nd.hi;
+          keys = Array.sub keys (mid + 1) (Array.length keys - mid - 1);
+          slots = Array.sub slots (mid + 1) (Array.length slots - mid - 1);
+          next = None;
+        },
+        { nd with hi = sep; keys = Array.sub keys 0 mid; slots = Array.sub slots 0 (mid + 1) } )
+  in
+  Txn.write tx right_addr (serialize t right);
+  Txn.write tx addr (serialize t left);
+  Some (sep, right_addr)
+
 (* Returns the promoted separator and new right sibling when the node
    split. *)
 let rec insert_at tx t addr key value : (int * Addr.t) option =
-  let nd = read_node tx t addr in
-  if nd.leaf then begin
-    let pos =
-      let rec go i =
-        if i < Array.length nd.keys && nd.keys.(i) < key then go (i + 1) else i
-      in
-      go 0
-    in
-    if pos < Array.length nd.keys && nd.keys.(pos) = key then begin
+  let data = read_node tx t addr in
+  let n = nkeys t data in
+  let len = node_data_size t in
+  if is_leaf data then begin
+    let pos = lower_bound data n key in
+    if pos < n && key_at data pos = key then begin
       (* update in place *)
-      let slots = Array.copy nd.slots in
-      slots.(pos) <- value;
-      Txn.write tx addr (serialize t { nd with slots });
+      Codec.set_int (Txn.modify tx addr ~len) (slot_off t pos) value;
       None
     end
-    else begin
-      let keys = array_insert nd.keys pos key in
-      let slots = array_insert nd.slots pos value in
-      if Array.length keys <= t.fanout then begin
-        Txn.write tx addr (serialize t { nd with keys; slots });
-        None
-      end
-      else begin
-        (* split the leaf; the separator is the right half's first key *)
-        let mid = Array.length keys / 2 in
-        let sep = keys.(mid) in
-        let right_addr = Txn.alloc tx ~size:(node_data_size t) ~near:addr () in
-        let right =
-          {
-            leaf = true;
-            lo = sep;
-            hi = nd.hi;
-            keys = Array.sub keys mid (Array.length keys - mid);
-            slots = Array.sub slots mid (Array.length slots - mid);
-            next = nd.next;
-          }
-        in
-        let left =
-          {
-            nd with
-            hi = sep;
-            keys = Array.sub keys 0 mid;
-            slots = Array.sub slots 0 mid;
-            next = Some right_addr;
-          }
-        in
-        Txn.write tx right_addr (serialize t right);
-        Txn.write tx addr (serialize t left);
-        Some (sep, right_addr)
-      end
+    else if n < t.fanout then begin
+      let b = Txn.modify tx addr ~len in
+      insert_word b ~off:32 ~i:pos ~n key;
+      insert_word b ~off:(slot_off t 0) ~i:pos ~n value;
+      Codec.set_int b 8 (n + 1);
+      None
     end
+    else
+      let nd = parse t data in
+      split tx t addr nd (array_insert nd.keys pos key) (array_insert nd.slots pos value)
   end
   else begin
-    let ci = child_for nd key in
-    match Codec.decode_addr nd.slots.(ci) with
-    | None -> failwith "Btree: null child"
-    | Some child -> (
-        match insert_at tx t child key value with
-        | None -> None
-        | Some (sep, right_addr) ->
-            let keys = array_insert nd.keys ci sep in
-            let slots = array_insert nd.slots (ci + 1) (Codec.encode_addr right_addr) in
-            if Array.length keys <= t.fanout then begin
-              Txn.write tx addr (serialize t { nd with keys; slots });
-              None
-            end
-            else begin
-              let mid = Array.length keys / 2 in
-              let sep' = keys.(mid) in
-              let right_addr' = Txn.alloc tx ~size:(node_data_size t) ~near:addr () in
-              let right =
-                {
-                  leaf = false;
-                  lo = sep';
-                  hi = nd.hi;
-                  keys = Array.sub keys (mid + 1) (Array.length keys - mid - 1);
-                  slots = Array.sub slots (mid + 1) (Array.length slots - mid - 1);
-                  next = None;
-                }
-              in
-              let left =
-                {
-                  nd with
-                  hi = sep';
-                  keys = Array.sub keys 0 mid;
-                  slots = Array.sub slots 0 (mid + 1);
-                }
-              in
-              Txn.write tx right_addr' (serialize t right);
-              Txn.write tx addr (serialize t left);
-              Some (sep', right_addr')
-            end)
+    let ci = child_index data n key in
+    match insert_at tx t (child_at t data ci) key value with
+    | None -> None
+    | Some (sep, right_addr) ->
+        if n < t.fanout then begin
+          let b = Txn.modify tx addr ~len in
+          insert_word b ~off:32 ~i:ci ~n sep;
+          insert_word b ~off:(slot_off t 0) ~i:(ci + 1) ~n:(n + 1) (Codec.encode_addr right_addr);
+          Codec.set_int b 8 (n + 1);
+          None
+        end
+        else
+          let nd = parse t data in
+          split tx t addr nd (array_insert nd.keys ci sep)
+            (array_insert nd.slots (ci + 1) (Codec.encode_addr right_addr))
   end
 
 let insert tx t key value =
@@ -278,32 +306,39 @@ let insert tx t key value =
    was present. *)
 let delete tx t key =
   let addr, leaf = descend tx t (read_root tx t) key in
-  let n = Array.length leaf.keys in
-  let rec pos i = if i >= n then None else if leaf.keys.(i) = key then Some i else pos (i + 1) in
-  match pos 0 with
-  | None -> false
-  | Some i ->
-      let keys = Array.init (n - 1) (fun j -> if j < i then leaf.keys.(j) else leaf.keys.(j + 1)) in
-      let slots = Array.init (n - 1) (fun j -> if j < i then leaf.slots.(j) else leaf.slots.(j + 1)) in
-      Txn.write tx addr (serialize t { leaf with keys; slots });
-      true
+  let n = nkeys t leaf in
+  let i = lower_bound leaf n key in
+  if i >= n || key_at leaf i <> key then false
+  else begin
+    let b = Txn.modify tx addr ~len:(node_data_size t) in
+    let close off =
+      Bytes.blit b (off + (8 * (i + 1))) b (off + (8 * i)) (8 * (n - 1 - i));
+      Codec.set_int b (off + (8 * (n - 1))) 0
+    in
+    close 32;
+    close (slot_off t 0);
+    Codec.set_int b 8 (n - 1);
+    true
+  end
 
 (* Range scan over [lo, hi] inclusive, following the leaf chain. *)
 let range tx t ~lo ~hi =
   let _, leaf0 = descend tx t (read_root tx t) lo in
-  let rec walk (leaf : node) acc =
-    let acc = ref acc in
-    let overflow = ref false in
-    Array.iteri
-      (fun i k ->
-        if k >= lo && k <= hi then acc := (k, leaf.slots.(i)) :: !acc
-        else if k > hi then overflow := true)
-      leaf.keys;
-    if !overflow then List.rev !acc
-    else
-      match leaf.next with
-      | Some next when leaf.hi <= hi -> walk (read_node tx t next) !acc
-      | _ -> List.rev !acc
+  let rec walk leaf acc =
+    let n = nkeys t leaf in
+    let rec scan i acc =
+      if i >= n then `Next acc
+      else
+        let k = key_at leaf i in
+        if k > hi then `Done acc
+        else scan (i + 1) (if k >= lo then (k, slot_at t leaf i) :: acc else acc)
+    in
+    match scan 0 acc with
+    | `Done acc -> List.rev acc
+    | `Next acc -> (
+        match next_of t leaf with
+        | Some next when hi_of leaf <= hi -> walk (read_node tx t next) acc
+        | _ -> List.rev acc)
   in
   walk leaf0 []
 
@@ -312,6 +347,7 @@ let range tx t ~lo ~hi =
    leaf chain. *)
 
 let check_invariants tx t =
+  let read_node tx t addr = parse t (read_node tx t addr) in
   let errors = ref [] in
   let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
   let rec walk addr ~lo ~hi ~depth =
@@ -391,6 +427,8 @@ let lookup_lockfree st t key =
     | Some b -> Codec.get_addr b 0
     | None -> None
   in
+  let in_fences data = key >= lo_of data && key < hi_of data in
+  let route data = Codec.decode_addr (slot_at t data (child_index data (nkeys t data) key)) in
   match root with
   | None -> fallback ()
   | Some root ->
@@ -399,10 +437,9 @@ let lookup_lockfree st t key =
         else
           match cached_node st t addr with
           | Some data ->
-              let nd = parse t data in
-              if nd.leaf then read_leaf addr
+              if is_leaf data then read_leaf addr
               else (
-                match Codec.decode_addr nd.slots.(child_for nd key) with
+                match route data with
                 | Some child -> go child (depth + 1)
                 | None -> fallback ())
           | None -> read_leaf_or_descend addr depth
@@ -410,34 +447,16 @@ let lookup_lockfree st t key =
         match Api.read_lockfree st addr ~len:(node_data_size t) with
         | None -> fallback ()
         | Some data ->
-            let nd = parse t data in
-            if (not nd.leaf) || key < nd.lo || key >= nd.hi then fallback ()
-            else begin
-              let rec find i =
-                if i >= Array.length nd.keys then None
-                else if nd.keys.(i) = key then Some nd.slots.(i)
-                else find (i + 1)
-              in
-              find 0
-            end
+            if (not (is_leaf data)) || not (in_fences data) then fallback ()
+            else leaf_find t data key
       and read_leaf_or_descend addr depth =
         match Api.read_lockfree st addr ~len:(node_data_size t) with
         | None -> fallback ()
         | Some data ->
-            let nd = parse t data in
-            if nd.leaf then
-              if key < nd.lo || key >= nd.hi then fallback ()
-              else begin
-                let rec find i =
-                  if i >= Array.length nd.keys then None
-                  else if nd.keys.(i) = key then Some nd.slots.(i)
-                  else find (i + 1)
-                in
-                find 0
-              end
+            if is_leaf data then if in_fences data then leaf_find t data key else fallback ()
             else begin
               Farm_sim.Int_tbl.replace t.cache (cache_key st.State.id addr) data;
-              match Codec.decode_addr nd.slots.(child_for nd key) with
+              match route data with
               | Some child -> go child (depth + 1)
               | None -> fallback ()
             end

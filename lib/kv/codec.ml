@@ -12,11 +12,8 @@ let set_int b off v = set_i64 b off (Int64.of_int v)
    the low 32. Region ids start at 1, so 0 encodes "null". *)
 let null_addr = 0
 
-let encode_addr (a : Addr.t) = (a.Addr.region lsl 32) lor (a.Addr.offset land 0xFFFFFFFF)
-
-let decode_addr v =
-  if v = 0 then None
-  else Some (Addr.make ~region:(v lsr 32) ~offset:(v land 0xFFFFFFFF))
+let encode_addr = Addr.pack
+let decode_addr v = if v = 0 then None else Some (Addr.unpack v)
 
 let get_addr b off = decode_addr (get_int b off)
 

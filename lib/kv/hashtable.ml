@@ -40,13 +40,18 @@ let bucket_of t key =
     (p * per) + (Codec.fnv1a key mod per)
   end
 
-(* {1 Bucket parsing} *)
+(* {1 Bucket entries, read in place} *)
 
 let entry_used data ~esz i = Bytes.get data (i * esz) <> '\000'
 
-let entry_key t data ~esz i = Bytes.sub data ((i * esz) + 1) t.ksize
-
 let entry_value t data ~esz i = Bytes.sub data ((i * esz) + 1 + t.ksize) t.vsize
+
+(* Whether the [n] bytes of [data] from [off] equal [key]'s from [j]. *)
+let rec bytes_match data off key j n =
+  j >= n || (Bytes.get data (off + j) = Bytes.get key j && bytes_match data off key (j + 1) n)
+
+(* Whether entry [i]'s key bytes equal [key], compared where they lie. *)
+let key_matches t data ~esz i key = bytes_match data ((i * esz) + 1) key 0 t.ksize
 
 let set_entry t data ~esz i ~key ~value =
   Bytes.set data (i * esz) '\001';
@@ -57,32 +62,32 @@ let clear_entry data ~esz i = Bytes.set data (i * esz) '\000'
 
 let overflow_of t data = Codec.get_addr data (t.slots * entry_size t)
 
-let find_in_bucket t data key =
-  let esz = entry_size t in
-  let rec go i =
-    if i >= t.slots then None
-    else if entry_used data ~esz i && Bytes.equal (entry_key t data ~esz i) key then
-      Some i
-    else go (i + 1)
-  in
-  go 0
+let rec find_from t data ~esz key i =
+  if i >= t.slots then None
+  else if entry_used data ~esz i && key_matches t data ~esz i key then Some i
+  else find_from t data ~esz key (i + 1)
 
-let free_slot t data =
-  let esz = entry_size t in
-  let rec go i =
-    if i >= t.slots then None else if entry_used data ~esz i then go (i + 1) else Some i
-  in
-  go 0
+let find_in_bucket t data key = find_from t data ~esz:(entry_size t) key 0
 
-let norm_key t key =
-  let k = Bytes.make t.ksize '\000' in
-  Bytes.blit key 0 k 0 (min (Bytes.length key) t.ksize);
-  k
+let rec free_from t data ~esz i =
+  if i >= t.slots then None
+  else if entry_used data ~esz i then free_from t data ~esz (i + 1)
+  else Some i
 
-let norm_value t value =
-  let v = Bytes.make t.vsize '\000' in
-  Bytes.blit value 0 v 0 (min (Bytes.length value) t.vsize);
-  v
+let free_slot t data = free_from t data ~esz:(entry_size t) 0
+
+(* Keys and values padded or cut to the table's sizes; one already the
+   right size is used as is, since it is only read. *)
+let fit size b =
+  if Bytes.length b = size then b
+  else begin
+    let r = Bytes.make size '\000' in
+    Bytes.blit b 0 r 0 (min (Bytes.length b) size);
+    r
+  end
+
+let norm_key t key = fit t.ksize key
+let norm_value t value = fit t.vsize value
 
 (* Create the table: allocates every bucket object in one or more
    transactions from [st]. With [partitions] > 1 the bucket array is split
@@ -180,10 +185,14 @@ let create st ~thread ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions 
   done;
   t
 
-(* {1 Transactional operations} *)
+(* {1 Transactional operations}
+
+   Buckets are scanned in the transaction's own buffers ([Txn.view]) and
+   edited in its write buffers ([Txn.modify]): each bucket a transaction
+   changes is copied once, from the data as read. *)
 
 let rec lookup_from tx t addr key =
-  let data = Txn.read tx addr ~len:(bucket_data_size t) in
+  let data = Txn.view tx addr ~len:(bucket_data_size t) in
   match find_in_bucket t data key with
   | Some i -> Some (entry_value t data ~esz:(entry_size t) i)
   | None -> (
@@ -206,12 +215,12 @@ let insert tx t key value =
   let key = norm_key t key in
   let value = norm_value t value in
   let esz = entry_size t in
+  let len = bucket_data_size t in
+  let set addr i = set_entry t (Txn.modify tx addr ~len) ~esz i ~key ~value in
   let rec go addr free =
-    let data = Bytes.copy (Txn.read tx addr ~len:(bucket_data_size t)) in
+    let data = Txn.view tx addr ~len in
     match find_in_bucket t data key with
-    | Some i ->
-        set_entry t data ~esz i ~key ~value;
-        Txn.write tx addr data
+    | Some i -> set addr i
     | None -> (
         let free =
           match free with
@@ -222,30 +231,23 @@ let insert tx t key value =
         | Some next -> go next free
         | None -> (
             match free with
-            | Some (faddr, i) ->
-                let fdata = Bytes.copy (Txn.read tx faddr ~len:(bucket_data_size t)) in
-                set_entry t fdata ~esz i ~key ~value;
-                Txn.write tx faddr fdata
+            | Some (faddr, i) -> set faddr i
             | None ->
-                let size = bucket_data_size t in
-                let next = Txn.alloc tx ~size ~near:addr () in
-                let fresh = Bytes.make size '\000' in
-                set_entry t fresh ~esz 0 ~key ~value;
-                Txn.write tx next fresh;
-                Codec.set_addr data (t.slots * esz) (Some next);
-                Txn.write tx addr data))
+                let next = Txn.alloc tx ~size:len ~near:addr () in
+                set next 0;
+                Codec.set_addr (Txn.modify tx addr ~len) (t.slots * esz) (Some next)))
   in
   go t.buckets.(bucket_of t key) None
 
 let delete tx t key =
   let key = norm_key t key in
   let esz = entry_size t in
+  let len = bucket_data_size t in
   let rec go addr =
-    let data = Bytes.copy (Txn.read tx addr ~len:(bucket_data_size t)) in
+    let data = Txn.view tx addr ~len in
     match find_in_bucket t data key with
     | Some i ->
-        clear_entry data ~esz i;
-        Txn.write tx addr data;
+        clear_entry (Txn.modify tx addr ~len) ~esz i;
         true
     | None -> (
         match overflow_of t data with Some next -> go next | None -> false)

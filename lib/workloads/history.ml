@@ -37,12 +37,12 @@ let add t ~reads ~writes =
 
 (* Record one committed transaction from its execution footprint. *)
 let record t (tx : Txn.t) =
-  let reads =
-    Addr.Map.fold (fun a (r : Txn.read_entry) acc -> (a, r.Txn.r_version) :: acc) tx.Txn.reads []
+  (* descending, as a fold over the ascending sets conses them *)
+  let footprint n keys vers =
+    List.init n (fun i -> (Addr.unpack keys.(n - 1 - i), vers.(n - 1 - i)))
   in
-  let writes =
-    Addr.Map.fold (fun a (w : Txn.write_entry) acc -> (a, w.Txn.w_version) :: acc) tx.Txn.writes []
-  in
+  let reads = footprint tx.Txn.nreads tx.Txn.rkeys tx.Txn.rvers in
+  let writes = footprint tx.Txn.nwrites tx.Txn.wkeys tx.Txn.wvers in
   let id = t.next in
   t.next <- id + 1;
   t.events <- { tx = id; reads; writes } :: t.events;

@@ -42,7 +42,6 @@ let do_update_location st t ~thread ~s ~vlr =
   Api.run_retry ~attempts:16 st ~thread (fun tx ->
       match Hashtable.lookup tx t.sub (key8 s) with
       | Some row ->
-          let row = Bytes.copy row in
           Bytes.set_int64_le row 0 (Int64.of_int vlr);
           Hashtable.insert tx t.sub (key8 s) row
       | None -> ())
@@ -167,13 +166,11 @@ let update_subscriber_data st ~thread t rng =
     Api.run_retry ~attempts:16 st ~thread (fun tx ->
         (match Hashtable.lookup tx t.sub (key8 s) with
         | Some row ->
-            let row = Bytes.copy row in
             Bytes.set row 8 (Char.chr (Rng.int rng 2));
             Hashtable.insert tx t.sub (key8 s) row
         | None -> ());
         match Hashtable.lookup tx t.special (key8 ((s * 4) + sf)) with
         | Some row ->
-            let row = Bytes.copy row in
             Bytes.set row 1 (Char.chr (Rng.int rng 256));
             Hashtable.insert tx t.special (key8 ((s * 4) + sf)) row
         | None -> ())

@@ -217,8 +217,10 @@ let read_row tx table key =
   | Some row -> row
   | None -> raise (Txn.Abort Txn.Not_allocated)
 
+(* [Hashtable.lookup] returns a private copy of the row, so it is edited
+   as is. *)
 let update_row tx table key f =
-  let row = Bytes.copy (read_row tx table key) in
+  let row = read_row tx table key in
   f row;
   Hashtable.insert tx table (key8 key) row
 

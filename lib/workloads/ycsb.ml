@@ -93,7 +93,6 @@ let rmw_op (ctx : Driver.worker_ctx) t k =
     Api.run_retry ~attempts:8 ctx.Driver.st ~thread:ctx.Driver.thread (fun tx ->
         match Hashtable.lookup tx t.table (key16 k) with
         | Some v ->
-            let v = Bytes.copy v in
             Bytes.set v 0 (Char.chr ((Char.code (Bytes.get v 0) + 1) land 0xff));
             Hashtable.insert tx t.table (key16 k) v
         | None -> Hashtable.insert tx t.table (key16 k) (Bytes.make t.vsize 'r'))

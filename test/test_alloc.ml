@@ -92,6 +92,72 @@ let commit_budget_snapshot () =
     ~params:{ Params.default with Params.protocol = Params.Snapshot }
     ~budget:snapshot_budget_bytes_per_tx ()
 
+(* {1 Execute-phase allocation budget}
+
+   One multi-object transaction of the TPC-C kind: ten hash-table lookups
+   and inserts (updates once the keys cycle) and ten B-tree inserts into
+   one tree, over a GC-quiet window like the commit budget's. The execute
+   phase reads B-tree nodes and hash buckets in the transaction's own
+   buffers, edits its write buffers in place and keys the read and write
+   sets by packed address; the whole transaction, commit included, then
+   measures 9 232 B. The execute phase before it, which parsed every node
+   into arrays, compared bucket keys as sub-strings, copied buffers again
+   before writing them and grew [Addr.Map] read and write sets, measured
+   14 473 B on the same transaction. The budget leaves 20% headroom. *)
+let execute_budget_bytes_per_tx = 11_000.
+
+let execute_bytes_per_tx () =
+  Farm_obs.Allocmeter.with_quiet_heap @@ fun () ->
+  let c = Cluster.create ~params:Params.default ~machines:3 () in
+  let r1 = (Cluster.alloc_region_exn c).Wire.rid in
+  let r2 = (Cluster.alloc_region_exn c).Wire.rid in
+  let table, tree =
+    Cluster.run_on c ~machine:0 (fun st ->
+        ( Farm_kv.Hashtable.create st ~thread:0 ~regions:[| r1; r2 |] ~buckets:64 ~ksize:8
+            ~vsize:16 (),
+          Farm_kv.Btree.create st ~thread:0 ~regions:[| r1 |] () ))
+  in
+  let value = Bytes.make 16 'v' in
+  let next = ref 0 in
+  let batch st n =
+    for _ = 1 to n do
+      let base = !next in
+      next := base + 10;
+      match
+        Api.run st ~thread:0 (fun tx ->
+            for i = base to base + 9 do
+              let key = Bytes.create 8 in
+              Bytes.set_int64_le key 0 (Int64.of_int (i mod 200));
+              ignore (Farm_kv.Hashtable.lookup tx table key);
+              Farm_kv.Hashtable.insert tx table key value;
+              Farm_kv.Btree.insert tx tree i i
+            done)
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "execute tx failed: %a" Txn.pp_abort e
+    done
+  in
+  let n = 128 in
+  let rec attempt tries =
+    let per_tx =
+      Cluster.run_on c ~machine:0 (fun st ->
+          batch st 32;
+          let (), bytes, clean = Farm_obs.Allocmeter.measure (fun () -> batch st n) in
+          if clean then Some (bytes /. float_of_int n) else None)
+    in
+    match per_tx with
+    | Some v -> v
+    | None when tries > 0 -> attempt (tries - 1)
+    | None -> Alcotest.fail "no GC-quiet measurement window"
+  in
+  attempt 3
+
+let execute_budget () =
+  let per_tx = execute_bytes_per_tx () in
+  if per_tx > execute_budget_bytes_per_tx then
+    Alcotest.failf "execute-phase transaction allocates %.0f B/tx, budget %.0f B/tx" per_tx
+      execute_budget_bytes_per_tx
+
 (* {1 Arena reuse is invisible}
 
    Same seed, same workload, arenas pooled vs virgin: traces and
@@ -155,6 +221,7 @@ let suites =
       [
         test "commit path stays within its allocation budget" commit_budget;
         test "snapshot-mode commit path stays within its budget" commit_budget_snapshot;
+        test "execute phase stays within its allocation budget" execute_budget;
         test "arena reuse produces byte-identical runs" arena_reuse_invisible;
       ] );
   ]

@@ -140,9 +140,10 @@ let txid_ordering () =
 let addr_map () =
   let a = Addr.make ~region:1 ~offset:64 in
   let b = Addr.make ~region:1 ~offset:128 in
-  let m = Addr.Map.add a 1 (Addr.Map.add b 2 Addr.Map.empty) in
-  check_int "map lookup" 1 (Addr.Map.find a m);
-  check_bool "ordering" true (Addr.compare a b < 0)
+  let c = Addr.make ~region:2 ~offset:0 in
+  check_bool "pack round-trips" true (Addr.equal a (Addr.unpack (Addr.pack a)));
+  check_bool "ordering" true (Addr.compare a b < 0);
+  check_bool "packed keys order as compare" true (Addr.pack a < Addr.pack b && Addr.pack b < Addr.pack c)
 
 (* {1 Config} *)
 

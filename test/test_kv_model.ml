@@ -334,6 +334,334 @@ let hashtable_populated_deep_partitioned () =
   in
   Alcotest.(check bool) (Fmt.str "chain depth %d >= 3" depth) true (depth >= 3)
 
+(* {1 In-place node and bucket access against a parse/serialize reference}
+
+   [Btree] and [Hashtable] read node and bucket words where they lie and
+   edit the transaction's write buffers in place. The references below do
+   it the plain way: every B-tree node parsed into arrays and serialized
+   back, every bucket copied and its keys compared as sub-strings, every
+   change written with [Txn.write]. In-place access changes no simulated
+   event, so the same operations on two clusters of one seed allocate the
+   same addresses, and after every transaction both structures must hold
+   the same bytes in the same objects and have answered alike. Operations
+   run in batches of several per transaction, so later ones edit buffers
+   the transaction already wrote. *)
+
+module Ref_btree = struct
+  let size = Btree.node_data_size
+
+  let read tx (t : Btree.t) addr = Btree.parse t (Txn.read tx addr ~len:(size t))
+
+  let root tx (t : Btree.t) =
+    match Codec.get_addr (Txn.read tx t.Btree.root_ptr ~len:8) 0 with
+    | Some a -> a
+    | None -> failwith "null root"
+
+  let child (nd : Btree.node) key =
+    let n = Array.length nd.keys in
+    let rec go i = if i < n && key >= nd.keys.(i) then go (i + 1) else i in
+    match Codec.decode_addr nd.slots.(go 0) with Some a -> a | None -> failwith "null child"
+
+  let rec descend tx t addr key =
+    let nd = read tx t addr in
+    if nd.Btree.leaf then (addr, nd) else descend tx t (child nd key) key
+
+  let index (nd : Btree.node) key =
+    let rec go i = if i < Array.length nd.keys && nd.keys.(i) < key then go (i + 1) else i in
+    go 0
+
+  let find tx t key =
+    let _, nd = descend tx t (root tx t) key in
+    let i = index nd key in
+    if i < Array.length nd.keys && nd.keys.(i) = key then Some nd.slots.(i) else None
+
+  let ins a i v =
+    Array.init (Array.length a + 1) (fun j -> if j < i then a.(j) else if j = i then v else a.(j - 1))
+
+  let split tx t addr (nd : Btree.node) keys slots =
+    let mid = Array.length keys / 2 in
+    let sep = keys.(mid) in
+    let raddr = Txn.alloc tx ~size:(size t) ~near:addr () in
+    let sub a lo n = Array.sub a lo n in
+    let nk = Array.length keys and ns = Array.length slots in
+    let right, left =
+      if nd.leaf then
+        ( { nd with lo = sep; keys = sub keys mid (nk - mid); slots = sub slots mid (ns - mid) },
+          { nd with hi = sep; keys = sub keys 0 mid; slots = sub slots 0 mid; next = Some raddr } )
+      else
+        ( { nd with lo = sep; keys = sub keys (mid + 1) (nk - mid - 1);
+            slots = sub slots (mid + 1) (ns - mid - 1) },
+          { nd with hi = sep; keys = sub keys 0 mid; slots = sub slots 0 (mid + 1) } )
+    in
+    Txn.write tx raddr (Btree.serialize t right);
+    Txn.write tx addr (Btree.serialize t left);
+    Some (sep, raddr)
+
+  let rec insert_at tx t addr key value =
+    let nd = read tx t addr in
+    let fits keys slots =
+      if Array.length keys <= t.Btree.fanout then begin
+        Txn.write tx addr (Btree.serialize t { nd with keys; slots });
+        None
+      end
+      else split tx t addr nd keys slots
+    in
+    if nd.leaf then begin
+      let pos = index nd key in
+      if pos < Array.length nd.keys && nd.keys.(pos) = key then begin
+        let slots = Array.copy nd.slots in
+        slots.(pos) <- value;
+        fits nd.keys slots
+      end
+      else fits (ins nd.keys pos key) (ins nd.slots pos value)
+    end
+    else
+      let ci =
+        let rec go i = if i < Array.length nd.keys && key >= nd.keys.(i) then go (i + 1) else i in
+        go 0
+      in
+      match insert_at tx t (child nd key) key value with
+      | None -> None
+      | Some (sep, r) -> fits (ins nd.keys ci sep) (ins nd.slots (ci + 1) (Codec.encode_addr r))
+
+  let insert tx t key value =
+    let root = root tx t in
+    match insert_at tx t root key value with
+    | None -> ()
+    | Some (sep, r) ->
+        let a = Txn.alloc tx ~size:(size t) ~near:root () in
+        Txn.write tx a
+          (Btree.serialize t
+             { leaf = false; lo = min_int; hi = max_int; keys = [| sep |];
+               slots = [| Codec.encode_addr root; Codec.encode_addr r |]; next = None });
+        let b = Bytes.create 8 in
+        Codec.set_int b 0 (Codec.encode_addr a);
+        Txn.write tx t.root_ptr b
+
+  let delete tx t key =
+    let addr, nd = descend tx t (root tx t) key in
+    let i = index nd key in
+    if i >= Array.length nd.keys || nd.keys.(i) <> key then false
+    else begin
+      let drop a = Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1)) in
+      Txn.write tx addr (Btree.serialize t { nd with keys = drop nd.keys; slots = drop nd.slots });
+      true
+    end
+
+  let range tx t ~lo ~hi =
+    let rec walk (nd : Btree.node) acc =
+      let acc = ref acc and over = ref false in
+      Array.iteri
+        (fun i k ->
+          if k >= lo && k <= hi then acc := (k, nd.slots.(i)) :: !acc else if k > hi then over := true)
+        nd.keys;
+      match nd.next with
+      | Some next when (not !over) && nd.hi <= hi -> walk (read tx t next) !acc
+      | _ -> List.rev !acc
+    in
+    walk (snd (descend tx t (root tx t) lo)) []
+end
+
+module Ref_hashtable = struct
+  let size = Hashtable.bucket_data_size
+  let esz = Hashtable.entry_size
+
+  let pad n b =
+    let r = Bytes.make n '\000' in
+    Bytes.blit b 0 r 0 (min n (Bytes.length b));
+    r
+
+  let find (t : Hashtable.t) data key =
+    let rec go i =
+      if i >= t.slots then None
+      else if Bytes.get data (i * esz t) <> '\000'
+              && Bytes.equal (Bytes.sub data ((i * esz t) + 1) t.ksize) key
+      then Some i
+      else go (i + 1)
+    in
+    go 0
+
+  let free (t : Hashtable.t) data =
+    let rec go i =
+      if i >= t.slots then None else if Bytes.get data (i * esz t) <> '\000' then go (i + 1) else Some i
+    in
+    go 0
+
+  let overflow (t : Hashtable.t) data = Codec.get_addr data (t.slots * esz t)
+
+  let set (t : Hashtable.t) data i key value =
+    Bytes.set data (i * esz t) '\001';
+    Bytes.blit key 0 data ((i * esz t) + 1) t.ksize;
+    Bytes.blit value 0 data ((i * esz t) + 1 + t.ksize) t.vsize
+
+  let head t key = t.Hashtable.buckets.(Hashtable.bucket_of t key)
+
+  let lookup tx t key =
+    let key = pad t.Hashtable.ksize key in
+    let rec go addr =
+      let data = Txn.read tx addr ~len:(size t) in
+      match find t data key with
+      | Some i -> Some (Bytes.sub data ((i * esz t) + 1 + t.ksize) t.vsize)
+      | None -> Option.bind (overflow t data) go
+    in
+    go (head t key)
+
+  let insert tx t key value =
+    let key = pad t.Hashtable.ksize key and value = pad t.Hashtable.vsize value in
+    let rec go addr fr =
+      let data = Bytes.copy (Txn.read tx addr ~len:(size t)) in
+      match find t data key with
+      | Some i ->
+          set t data i key value;
+          Txn.write tx addr data
+      | None -> (
+          let fr = match fr with Some _ -> fr | None -> Option.map (fun i -> (addr, i)) (free t data) in
+          match (overflow t data, fr) with
+          | Some next, _ -> go next fr
+          | None, Some (fa, i) ->
+              let fd = Bytes.copy (Txn.read tx fa ~len:(size t)) in
+              set t fd i key value;
+              Txn.write tx fa fd
+          | None, None ->
+              let next = Txn.alloc tx ~size:(size t) ~near:addr () in
+              let fresh = Bytes.make (size t) '\000' in
+              set t fresh 0 key value;
+              Txn.write tx next fresh;
+              Codec.set_addr data (t.slots * esz t) (Some next);
+              Txn.write tx addr data)
+    in
+    go (head t key) None
+
+  let delete tx t key =
+    let key = pad t.Hashtable.ksize key in
+    let rec go addr =
+      let data = Bytes.copy (Txn.read tx addr ~len:(size t)) in
+      match find t data key with
+      | Some i ->
+          Bytes.set data (i * esz t) '\000';
+          Txn.write tx addr data;
+          true
+      | None -> ( match overflow t data with Some next -> go next | None -> false)
+    in
+    go (head t key)
+end
+
+(* Every object of a tree or table, as (packed address, bytes), in walk
+   order. *)
+let btree_objects tx (t : Btree.t) =
+  let len = Btree.node_data_size t in
+  let rec walk addr acc =
+    let data = Txn.read tx addr ~len in
+    let acc = (Addr.pack addr, data) :: acc in
+    let nd = Btree.parse t data in
+    if nd.leaf then acc
+    else
+      Array.fold_left
+        (fun acc c -> match Codec.decode_addr c with Some c -> walk c acc | None -> acc)
+        acc nd.slots
+  in
+  (Addr.pack t.root_ptr, Txn.read tx t.root_ptr ~len:8)
+  :: List.rev (walk (Option.get (Codec.get_addr (Txn.read tx t.root_ptr ~len:8) 0)) [])
+
+let hashtable_objects tx (t : Hashtable.t) =
+  let len = Hashtable.bucket_data_size t in
+  let rec chain addr acc =
+    let data = Txn.read tx addr ~len in
+    let acc = (Addr.pack addr, data) :: acc in
+    match Codec.get_addr data (t.slots * Hashtable.entry_size t) with
+    | Some next -> chain next acc
+    | None -> acc
+  in
+  List.rev (Array.fold_left (fun acc a -> chain a acc) [] t.buckets)
+
+let batches_arbitrary gen pp =
+  QCheck.make
+    ~print:(Fmt.str "%a" Fmt.(Dump.list (Dump.list pp)))
+    ~shrink:QCheck.Shrink.(list ~shrink:list)
+    QCheck.Gen.(list_size (int_range 1 25) (list_size (int_range 1 4) gen))
+
+(* Run [batches] on twin clusters, one transaction per batch on both, and
+   compare each batch's answers and then every object's bytes. *)
+let twin_run ~create ~in_place ~reference ~objects ~final batches =
+  let twin () =
+    let c = mk_cluster ~machines:3 () in
+    let regions = [| (Cluster.alloc_region_exn c).Wire.rid; (Cluster.alloc_region_exn c).Wire.rid |] in
+    (c, Cluster.run_on c ~machine:0 (fun st -> create st regions))
+  in
+  let (c1, t1), (c2, t2) = (twin (), twin ()) in
+  let run c f =
+    Cluster.run_on c ~machine:0 (fun st ->
+        match Api.run st ~thread:0 f with
+        | Ok v -> v
+        | Error r -> QCheck.Test.fail_reportf "aborted: %a" Txn.pp_abort r)
+  in
+  List.iteri
+    (fun i batch ->
+      let got = run c1 (fun tx -> List.map (in_place tx t1) batch) in
+      let want = run c2 (fun tx -> List.map (reference tx t2) batch) in
+      if got <> want then QCheck.Test.fail_reportf "batch %d: answers differ" i;
+      let o1 = run c1 (fun tx -> objects tx t1) and o2 = run c2 (fun tx -> objects tx t2) in
+      if List.map fst o1 <> List.map fst o2 then
+        QCheck.Test.fail_reportf "batch %d: objects at different addresses" i;
+      List.iter2
+        (fun (a, b1) (_, b2) ->
+          if not (Bytes.equal b1 b2) then
+            QCheck.Test.fail_reportf "batch %d: object %a differs" i Addr.pp (Addr.unpack a))
+        o1 o2)
+    batches;
+  Cluster.run_on c1 ~machine:1 (fun st -> final st t1);
+  true
+
+(* One B-tree operation's answer, through either implementation. *)
+let btree_op ~insert ~delete ~find ~range tx t = function
+  | Ins (k, v) -> insert tx t k v; []
+  | Del k -> if delete tx t k then [ (k, 0) ] else []
+  | Find k -> Option.to_list (Option.map (fun v -> (k, v)) (find tx t k))
+  | Range (lo, hi) -> range tx t ~lo ~hi
+
+let btree_in_place_matches_reference =
+  QCheck.Test.make ~name:"btree in-place access equals parse/serialize reference" ~count:20
+    (QCheck.pair (QCheck.int_range 3 6) (batches_arbitrary op_gen pp_op))
+    (fun (fanout, batches) ->
+      let model =
+        List.fold_left
+          (fun m -> function Ins (k, v) -> M.add k v m | Del k -> M.remove k m | _ -> m)
+          M.empty (List.concat batches)
+      in
+      twin_run batches
+        ~create:(fun st regions -> Btree.create st ~thread:0 ~regions ~fanout ())
+        ~in_place:
+          (btree_op ~insert:Btree.insert ~delete:Btree.delete ~find:Btree.find ~range:Btree.range)
+        ~reference:
+          (btree_op ~insert:Ref_btree.insert ~delete:Ref_btree.delete ~find:Ref_btree.find
+             ~range:Ref_btree.range)
+        ~objects:btree_objects
+        ~final:(fun st t ->
+          (* the lock-free path, over internal nodes the transactions cached *)
+          List.iter
+            (fun k ->
+              if Btree.lookup_lockfree st t k <> M.find_opt k model then
+                QCheck.Test.fail_reportf "lookup_lockfree %d mismatch" k)
+            (List.init 41 Fun.id)))
+
+let hashtable_op ~insert ~delete ~lookup tx t = function
+  | HIns (k, v) -> insert tx t (key8 k) (value16 v); None
+  | HDel k -> if delete tx t (key8 k) then Some Bytes.empty else None
+  | HFind k -> lookup tx t (key8 k)
+
+let hashtable_in_place_matches_reference =
+  QCheck.Test.make ~name:"hashtable in-place access equals copying reference" ~count:20
+    (batches_arbitrary hop_gen pp_hop)
+    (twin_run
+       ~create:(fun st regions ->
+         Hashtable.create st ~thread:0 ~regions ~buckets:4 ~ksize:8 ~vsize:16 ~slots:2 ())
+       ~in_place:
+         (hashtable_op ~insert:Hashtable.insert ~delete:Hashtable.delete ~lookup:Hashtable.lookup)
+       ~reference:
+         (hashtable_op ~insert:Ref_hashtable.insert ~delete:Ref_hashtable.delete
+            ~lookup:Ref_hashtable.lookup)
+       ~objects:hashtable_objects ~final:(fun _ _ -> ()))
+
 let suites =
   [
     ( "kv-model",
@@ -345,5 +673,7 @@ let suites =
         qtest hashtable_populated_matches_inserts;
         Alcotest.test_case "hashtable created with rows: deep partitioned chains" `Quick
           hashtable_populated_deep_partitioned;
+        qtest btree_in_place_matches_reference;
+        qtest hashtable_in_place_matches_reference;
       ] );
   ]

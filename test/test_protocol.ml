@@ -199,6 +199,48 @@ let determinism () =
   check_bool "same seed, same history" true (a = b);
   check_bool "different seed, different history" true (a <> c)
 
+(* Commit stages the write set in ascending address order whatever order
+   the transaction wrote in: every LOCK record the primaries hold lists its
+   writes sorted, across both regions' objects. *)
+let writes_staged_in_address_order () =
+  let c = mk_cluster ~machines:3 () in
+  let r1 = Cluster.alloc_region_exn c in
+  let r2 = Cluster.alloc_region_exn c in
+  let a = alloc_cells c ~region:r1.Wire.rid ~n:4 ~init:0 in
+  let b = alloc_cells c ~region:r2.Wire.rid ~n:4 ~init:0 in
+  let order = [ b.(2); a.(3); b.(0); a.(1); a.(0); b.(3); a.(2); b.(1) ] in
+  let locks =
+    Cluster.run_on c ~machine:0 (fun st ->
+        (match Api.run st ~thread:0 (fun tx -> List.iteri (fun i x -> write_int tx x i) order) with
+        | Ok () -> ()
+        | Error e -> Fmt.failwith "%a" Txn.pp_abort e);
+        (* read back before truncation drops the records *)
+        let locks = ref [] in
+        Array.iter
+          (fun (m : State.t) ->
+            Hashtbl.iter
+              (fun _ log ->
+                Ringlog.iter_resident log (fun _ records ->
+                    List.iter
+                      (fun (r : Wire.log_record) ->
+                        match r.payload with
+                        | Wire.Lock { writes; _ }
+                          when List.exists (fun (w : Wire.write_item) -> w.alloc_op = Wire.Alloc_none) writes ->
+                            locks := List.map (fun (w : Wire.write_item) -> w.addr) writes :: !locks
+                        | _ -> ())
+                      records))
+              m.State.nv.logs_in)
+          c.Cluster.machines;
+        !locks)
+  in
+  let rec ascending = function
+    | x :: (y :: _ as rest) -> Addr.compare x y < 0 && ascending rest
+    | _ -> true
+  in
+  check_int "the transaction's writes are all locked" 8 (List.length (List.concat locks));
+  check_bool "a LOCK record holds several writes" true (List.exists (fun l -> List.length l > 1) locks);
+  List.iter (fun l -> check_bool "LOCK writes ascend by address" true (ascending l)) locks
+
 let suites =
   [
     ( "protocol",
@@ -209,5 +251,6 @@ let suites =
         test "config convergence" config_convergence;
         test "conservation fuzz" conservation_fuzz;
         test "determinism" determinism;
+        test "writes staged in address order" writes_staged_in_address_order;
       ] );
   ]
