@@ -36,9 +36,7 @@ let cm_rebuild () =
           data_rec_limit = Time.ms 1;
         }
     in
-    let commit_at =
-      List.assoc_opt "config-commit" o.Failure_bench.milestones
-    in
+    let commit_at = List.assoc_opt Farm_obs.Obs.K_ms_config_commit o.Failure_bench.milestones in
     (commit_at, o.Failure_bench.recovery_80)
   in
   let report name (commit_at, rec80) =
@@ -164,7 +162,7 @@ let lease_hierarchy () =
     let at = Cluster.now c in
     Cluster.kill c 6 (* a non-leader member *);
     Cluster.run_for c ~d:(Time.ms 100);
-    match Cluster.milestone_time c "suspect" with
+    match Cluster.first_event c ~after:at Farm_obs.Obs.K_ms_suspect with
     | Some t -> Time.to_ms_float (Time.sub t at)
     | None -> nan
   in

@@ -2,6 +2,7 @@ open Farm_sim
 open Farm_core
 open Farm_workloads
 open Farm_harness
+module Obs = Farm_obs.Obs
 
 (* The failure-timeline harness behind Figures 9, 10, 11, 13, 14 and 15:
    run a workload at full load, kill one or more machines at a fixed
@@ -61,7 +62,7 @@ let default_spec =
 
 type outcome = {
   recovery_80 : Time.t option;  (* time from kill to 80% of pre-kill rate *)
-  milestones : (string * Time.t) list;  (* relative to kill *)
+  milestones : (Obs.kind * Time.t) list;  (* the [reported] ones, relative to kill *)
   regions_recovered : int;
   data_rec_done : Time.t option;
   stats : Driver.stats;
@@ -106,12 +107,13 @@ let write_timeline_json file spec c ~kill_abs =
        ]);
   rec90
 
-let first_milestone c tag ~after =
-  let rec find = function
-    | [] -> None
-    | (t, _, at) :: rest -> if t = tag && Time.( >= ) at after then Some at else find rest
-  in
-  find (Cluster.milestones c)
+(* The milestone kinds a run reports. *)
+let reported =
+  Obs.
+    [
+      K_ms_killed; K_ms_suspect; K_ms_probe; K_ms_zookeeper; K_ms_new_config;
+      K_ms_config_commit; K_ms_all_active; K_ms_data_rec_start; K_ms_data_rec_done;
+    ]
 
 let run spec : outcome =
   let c = Cluster.create ~seed:spec.seed ~params:spec.params ~domains:spec.domains
@@ -211,7 +213,7 @@ let run spec : outcome =
   (* wait for background data recovery to finish *)
   let deadline = Time.add (Cluster.now c) spec.data_rec_limit in
   while
-    Cluster.milestone_time c "data-rec-done" = None
+    Cluster.first_event c ~after:kill_abs Obs.K_ms_data_rec_done = None
     && Time.( < ) (Cluster.now c) deadline
     && Engine.pending c.Cluster.engine > 0
   do
@@ -219,18 +221,17 @@ let run spec : outcome =
   done;
   let milestones =
     List.filter_map
-      (fun (tag, _, at) ->
-        if Time.( >= ) at kill_abs && tag <> "region-recovered" then
-          Some (tag, Time.sub at kill_abs)
+      (fun (r : Obs.record) ->
+        let at = Time.ns r.r_at in
+        if List.mem r.r_kind reported && Time.( >= ) at kill_abs then
+          Some (r.r_kind, Time.sub at kill_abs)
         else None)
-      (Cluster.milestones c)
+      (Obs.log_records c.Cluster.log)
   in
-  let regions_recovered =
-    List.length
-      (List.filter (fun (tag, _, _) -> tag = "region-recovered") (Cluster.milestones c))
-  in
+  let regions_recovered = List.length (Cluster.log_events c Obs.K_ms_region_recovered) in
   let data_rec_done =
-    Option.map (fun at -> Time.sub at kill_abs) (first_milestone c "data-rec-done" ~after:kill_abs)
+    Option.map (fun at -> Time.sub at kill_abs)
+      (Cluster.first_event c ~after:kill_abs Obs.K_ms_data_rec_done)
   in
   let recovery_80 = Driver.recovery_time stats ~failure_at:kill_abs ~fraction:0.8 in
   let o = { recovery_80; milestones; regions_recovered; data_rec_done; stats; cluster = c } in
@@ -241,10 +242,7 @@ let run spec : outcome =
       !victims Time.pp kill_abs;
     Fmt.pr "@.milestones after the failure:@.";
     List.iter
-      (fun (tag, dt) ->
-        if List.mem tag [ "killed"; "suspect"; "probe"; "zookeeper"; "new-config";
-                          "config-commit"; "all-active"; "data-rec-start"; "data-rec-done" ]
-        then Fmt.pr "  %-16s +%a@." tag Time.pp dt)
+      (fun (kind, dt) -> Fmt.pr "  %-16s +%a@." (Obs.milestone_tag kind ~a:0) Time.pp dt)
       milestones;
     (match recovery_80 with
     | Some t -> Fmt.pr "@.time to regain 80%% of pre-failure throughput: %a@." Time.pp t

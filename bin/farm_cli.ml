@@ -10,6 +10,7 @@ open Farm_sim
 open Farm_core
 open Farm_workloads
 open Cmdliner
+module Obs = Farm_obs.Obs
 
 type common = {
   machines : int;
@@ -167,9 +168,11 @@ let report cluster c (stats : Driver.stats) =
   if c.kill_ms <> None || c.kill_cm_ms <> None || c.power_cycle_ms <> None then begin
     Fmt.pr "@.recovery milestones:@.";
     List.iter
-      (fun (tag, m, at) ->
-        if tag <> "region-recovered" then Fmt.pr "  %-16s m%-3d %a@." tag m Time.pp at)
-      (Cluster.milestones cluster)
+      (fun (r : Obs.record) ->
+        if Obs.is_milestone r.r_kind && r.r_kind <> Obs.K_ms_region_recovered then
+          Fmt.pr "  %-16s m%-3d %a@." (Obs.milestone_tag r.r_kind ~a:r.r_a) r.r_machine Time.pp
+            (Time.ns r.r_at))
+      (Obs.log_records cluster.Cluster.log)
   end;
   if c.stats then begin
     Fmt.pr "@.%a" Cluster.pp_stats cluster;

@@ -11,6 +11,7 @@
 
 open Farm_sim
 open Farm_core
+module Obs = Farm_obs.Obs
 
 let n_machines = 6
 let n_accounts = 48
@@ -83,9 +84,11 @@ let () =
 
   Fmt.pr "@.milestones:@.";
   List.iter
-    (fun (tag, m, at) ->
-      if tag <> "region-recovered" then Fmt.pr "  %-16s m%d  %a@." tag m Time.pp at)
-    (Cluster.milestones cluster);
+    (fun (r : Obs.record) ->
+      if Obs.is_milestone r.r_kind && r.r_kind <> Obs.K_ms_region_recovered then
+        Fmt.pr "  %-16s m%d  %a@." (Obs.milestone_tag r.r_kind ~a:r.r_a) r.r_machine Time.pp
+          (Time.ns r.r_at))
+    (Obs.log_records cluster.Cluster.log);
 
   (* audit from a surviving machine *)
   let total =

@@ -20,8 +20,6 @@ let create ?(op_latency = Time.us 300) engine ~rng ~replicas:n =
     op_latency;
   }
 
-let replica_count t = Array.length t.replicas
-
 let alive_replicas t =
   Array.fold_left (fun acc r -> if r.alive then acc + 1 else acc) 0 t.replicas
 

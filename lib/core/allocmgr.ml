@@ -18,8 +18,6 @@ let slot_size data_size =
   done;
   !s
 
-let max_data_size ~slot = slot - Obj_layout.header_size
-
 let blocks_per_region st = st.State.params.Params.region_size / st.State.params.Params.block_size
 
 let free_list (r : State.replica) slot =

@@ -11,7 +11,6 @@
 val slot_size : int -> int
 (** Slot (header + data, next power of two, >= 16) for a data size. *)
 
-val max_data_size : slot:int -> int
 val blocks_per_region : State.t -> int
 
 val push_free : State.replica -> slot:int -> off:int -> unit

@@ -54,15 +54,3 @@ let read_lockfree st (addr : Addr.t) ~len =
   match Txn.read_versioned st ~addr ~len with
   | _, data -> Some data
   | exception Txn.Abort _ -> None
-
-(* Allocate a new region via the CM (two-phase, §3). [locality] co-locates
-   the new region's replicas with an existing region's. *)
-let create_region ?locality st =
-  let cm = st.State.config.Config.cm in
-  match
-    Comms.call st ~dst:cm ~timeout:(Time.ms 200) (Wire.Alloc_region_req { locality })
-  with
-  | Ok (Wire.Alloc_region_reply { info = Some info }) ->
-      Int_tbl.replace st.State.region_map info.Wire.rid info;
-      Some info.Wire.rid
-  | Ok _ | Error _ -> None

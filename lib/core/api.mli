@@ -28,9 +28,3 @@ val read_lockfree : State.t -> Addr.t -> len:int -> Bytes.t option
 (** Lock-free read (§3): an optimized single-object read-only transaction
     — normally a single one-sided RDMA read with no commit phase. [None]
     if the object is unreachable or freed. *)
-
-val create_region : ?locality:int -> State.t -> int option
-(** Allocate a fresh region through the CM's two-phase protocol. The
-    [locality] hint co-locates the new region's replicas with an existing
-    region's (the mechanism behind TPC-C's co-partitioning). Returns the
-    region id. *)

@@ -132,8 +132,6 @@ let kill_domain t d =
 
 let kill_cm t = kill t t.machines.(0).State.config.Config.cm
 
-let wipe_nvram t id = Farm_nvram.Bank.wipe t.machines.(id).State.nv.bank
-
 (* {1 Full-cluster power failure (§5)}
 
    "We provide durability for all committed transactions even if the entire
@@ -363,18 +361,18 @@ let milestones t =
       else None)
     (Farm_obs.Obs.log_records t.log)
 
-let lost_regions t =
-  List.filter_map
-    (fun (r : Farm_obs.Obs.record) ->
-      if r.r_kind = Farm_obs.Obs.K_ms_region_lost then Some r.r_a else None)
+let log_events t ?(after = Time.zero) kind =
+  List.filter
+    (fun (r : Farm_obs.Obs.record) -> r.r_kind = kind && r.r_at >= Time.to_ns after)
     (Farm_obs.Obs.log_records t.log)
 
-let milestone_time t tag =
-  let rec find = function
-    | [] -> None
-    | (tg, _, at) :: rest -> if tg = tag then Some at else find rest
-  in
-  find (milestones t)
+let first_event t ?after kind =
+  match log_events t ?after kind with
+  | r :: _ -> Some (Time.ns r.r_at)
+  | [] -> None
+
+let lost_regions t =
+  List.map (fun (r : Farm_obs.Obs.record) -> r.r_a) (log_events t Farm_obs.Obs.K_ms_region_lost)
 
 (* Measurements are read from the machines' Obs sinks, which survive
    restarts, so they cover every machine's whole history. *)

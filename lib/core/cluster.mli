@@ -50,7 +50,6 @@ val kill_domain : t -> int -> unit
 (** Crash every machine of one failure domain (a rack/switch failure). *)
 
 val kill_cm : t -> unit
-val wipe_nvram : t -> int -> unit
 
 val restart_machine : ?rejoining:bool -> t -> int -> config:Config.t -> State.t
 (** Boot a dead machine's FaRM process again on top of its surviving
@@ -95,17 +94,22 @@ val alloc_region_exn : ?locality:int -> ?from:int -> t -> Wire.region_info
 
 (** {1 Introspection} *)
 
+val log_events : t -> ?after:Time.t -> Farm_obs.Obs.kind -> Farm_obs.Obs.record list
+(** The cluster log's records of one kind (a recovery milestone, a drop or
+    a nemesis action) at or after [after] (default: the start), oldest
+    first. *)
+
+val first_event : t -> ?after:Time.t -> Farm_obs.Obs.kind -> Time.t option
+(** The time of the first {!log_events} record, if any. *)
+
 val milestones : t -> (string * int * Time.t) list
-(** Recovery milestones (killed, suspect, probe, zookeeper,
-    region-lost:<rid>, new-config, config-commit, all-active,
-    data-rec-start, region-recovered, data-rec-done, power-cycle) as
-    (tag, machine, time), in emission order. *)
+(** Every recovery milestone as (tag, machine, time), in emission order,
+    tagged by {!Farm_obs.Obs.milestone_tag}. Its one caller is the
+    end-to-end benchmark, which matches on the tag strings; every other
+    reader queries milestones by kind with {!log_events}. *)
 
 val lost_regions : t -> int list
 (** Regions whose every replica died, in detection order. *)
-
-val milestone_time : t -> string -> Time.t option
-(** First occurrence of a milestone tag. *)
 
 (** The measurements below read each machine's {!Farm_obs.Obs} sink,
     which survives a restart: they count a restarted or power-cycled

@@ -12,8 +12,6 @@ open Farm_sim
    16 bytes for the piggybacked id plus 8 bytes of marker slack. *)
 let trunc_allowance = 24
 
-let base_bytes payload = Wire.payload_bytes payload + 8
-
 (* Trace slice for one acked log write, on the issuing worker's track,
    carrying the outgoing flow that its remote processing will close. *)
 let trace_append st ~thread ~dst ~t0 payload =

@@ -8,11 +8,6 @@ val trunc_allowance : int
 (** Bytes a transaction reserves per participant log for its eventual
     truncation entry. *)
 
-val base_bytes : Wire.record -> int
-(** Wire size of a record before piggybacked truncations. Computed without
-    materializing a log record; see also {!Wire.lock_record_base_bytes}
-    for sizing before the payload itself exists. *)
-
 val append : State.t -> dst:int -> thread:int -> Wire.record -> (int, Fabric.error) result
 (** Write a record into the log at [dst], draining this machine's pending
     truncations for [dst] into the piggyback fields. Blocks until the

@@ -455,12 +455,6 @@ let abort_cause_index = function
   | Cause_timeout -> 2
   | Cause_other -> 3
 
-let abort_cause_name = function
-  | Cause_lock -> "lock-refused"
-  | Cause_validate -> "validate-failed"
-  | Cause_timeout -> "timeout"
-  | Cause_other -> "other"
-
 let record_abort ?(reason = 0) ?cause st =
   let cause =
     match cause with

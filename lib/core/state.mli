@@ -269,7 +269,6 @@ val record_commit : t -> latency:Time.t -> unit
 type abort_cause = Cause_lock | Cause_validate | Cause_timeout | Cause_other
 
 val abort_cause_index : abort_cause -> int
-val abort_cause_name : abort_cause -> string
 
 val record_abort : ?reason:int -> ?cause:abort_cause -> t -> unit
 (** [reason] is the {!Txn.abort_reason} tag carried on the flight-recorder

@@ -1,5 +1,6 @@
 open Farm_sim
 open Farm_core
+module Obs = Farm_obs.Obs
 
 (* SLO invariant probes: graceful-degradation checks run against a healed,
    quiesced cluster after a fault schedule. Where {!Invariant} asks "is the
@@ -12,11 +13,14 @@ open Farm_core
    All probes are pure functions of cluster state, so replayed seeds report
    identical violations. *)
 
-(* Milestone tags that count as "the cluster noticed": any of these within
+(* Milestones that count as "the cluster noticed": any of these within
    the slack window around a stall makes the stall an explained outage. *)
-let suspicion_tags =
-  [ "killed"; "suspect"; "probe"; "zookeeper"; "new-config"; "config-commit";
-    "power-cycle" ]
+let suspicion_kinds =
+  Obs.
+    [
+      K_ms_killed; K_ms_suspect; K_ms_probe; K_ms_zookeeper; K_ms_new_config;
+      K_ms_config_commit; K_ms_power_cycle;
+    ]
 
 (* The zero-runs of a per-bin commit series between its first and last
    nonzero bins at or after bin [from], as inclusive (first, last) bin
@@ -56,9 +60,9 @@ let no_global_stall ~start (c : Cluster.t) : string list =
   let series = Cluster.throughput_series c ~until:(Cluster.now c) in
   let evidence =
     List.filter_map
-      (fun (tag, _m, at) ->
-        if List.mem tag suspicion_tags then Some (Time.to_ns at / bin_ns) else None)
-      (Cluster.milestones c)
+      (fun (r : Obs.record) ->
+        if List.mem r.r_kind suspicion_kinds then Some (r.r_at / bin_ns) else None)
+      (Obs.log_records c.Cluster.log)
   in
   List.filter_map
     (fun (from, upto) ->

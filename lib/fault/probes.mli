@@ -8,10 +8,6 @@ open Farm_core
     Pure functions of cluster state: replayed seeds report identical
     violations. *)
 
-val suspicion_tags : string list
-(** Milestone tags accepted as evidence that the cluster noticed a fault
-    (suspect / reconfiguration / recovery milestones). *)
-
 val zero_runs : ?from:int -> int array -> (int * int) list
 (** The zero-runs of a per-bin commit series between its first and last
     nonzero bins at or after bin [from] (default 0), as inclusive

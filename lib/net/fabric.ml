@@ -2,10 +2,6 @@ open Farm_sim
 
 type error = [ `Unreachable | `Timeout ]
 
-let pp_error ppf = function
-  | `Unreachable -> Fmt.string ppf "unreachable"
-  | `Timeout -> Fmt.string ppf "timeout"
-
 type 'msg handler = src:int -> reply:(bytes:int -> 'msg -> unit) -> 'msg -> unit
 
 type 'msg machine = {
@@ -77,7 +73,6 @@ let nic_gray t ~machine =
   | None -> None
 
 let set_blackhole t ~src ~dst = Hashtbl.replace t.blackholes (src, dst) ()
-let clear_blackhole t ~src ~dst = Hashtbl.remove t.blackholes (src, dst)
 let blackholed t ~src ~dst = Hashtbl.mem t.blackholes (src, dst)
 
 let clear_gray_faults t =
@@ -198,7 +193,6 @@ let reset_machine ?obs t ~id ~cpu =
 
 let set_handler t id handler = (get t id).on_message <- handler
 let set_alive t id alive = (get t id).alive <- alive
-let is_alive t id = (get t id).alive
 let set_partition t id p = (get t id).partition <- p
 let nic t id = (get t id).nic
 let cpu t id = (get t id).cpu

@@ -17,8 +17,6 @@ open Farm_sim
 
 type error = [ `Unreachable | `Timeout ]
 
-val pp_error : Format.formatter -> error -> unit
-
 type 'msg handler = src:int -> reply:(bytes:int -> 'msg -> unit) -> 'msg -> unit
 
 type 'msg t
@@ -40,7 +38,6 @@ val set_handler : 'msg t -> int -> 'msg handler -> unit
     NIC-delivery time and must charge its own CPU before heavy work. *)
 
 val set_alive : 'msg t -> int -> bool -> unit
-val is_alive : 'msg t -> int -> bool
 val set_partition : 'msg t -> int -> int -> unit
 val reachable : 'msg t -> int -> int -> bool
 val nic : 'msg t -> int -> Nic.t
@@ -97,7 +94,6 @@ val nic_gray : 'msg t -> machine:int -> (float * float) option
 (** [(delay_factor, loss)] currently injected on the machine's NIC. *)
 
 val set_blackhole : 'msg t -> src:int -> dst:int -> unit
-val clear_blackhole : 'msg t -> src:int -> dst:int -> unit
 val blackholed : 'msg t -> src:int -> dst:int -> bool
 
 val clear_gray_faults : 'msg t -> unit

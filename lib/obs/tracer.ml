@@ -52,8 +52,6 @@ let step_names =
     "rec-region-active"; "rec-decide"; "COMMIT-WAIT";
   |]
 
-let step_name s = step_names.(step_index s)
-
 (* {1 Thread tracks} *)
 
 let tid_net = 32

@@ -64,8 +64,6 @@ type step =
   | T_rec_decide
   | T_commit_wait  (** snapshot protocol: waiting out clock uncertainty *)
 
-val step_name : step -> string
-
 (** {1 Thread tracks}
 
     Within one machine (one Perfetto process), tids partition the

@@ -112,8 +112,6 @@ let pop_value t =
   slots.(n) <- top;
   value
 
-let peek_key t = if t.size = 0 then None else Some t.ks.(0)
-
 let pop t =
   if t.size = 0 then None
   else

@@ -30,8 +30,5 @@ val pop_value : 'a t -> 'a
 (** Remove the entry with the smallest [(key, seq)] and return its payload.
     Raises [Invalid_argument] when empty. *)
 
-val peek_key : 'a t -> int option
-(** [Some (min_key t)], or [None] when empty. *)
-
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest [(key, seq)]. *)

@@ -56,7 +56,7 @@ let member_failure_detected_via_leader () =
   Cluster.run_for c ~d:(Time.ms 150);
   let st = Cluster.machine c 0 in
   check_bool "victim evicted" false (Config.is_member st.State.config victim);
-  (match Cluster.milestone_time c "suspect" with
+  (match Cluster.first_event c ~after:killed_at Farm_obs.Obs.K_ms_suspect with
   | Some at ->
       let d = Time.to_ms_float (Time.sub at killed_at) in
       check_bool

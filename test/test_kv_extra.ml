@@ -114,13 +114,14 @@ let data_recovery_is_paced () =
     Cluster.run_for c ~d:(Time.ms 10);
     Cluster.kill c r.Wire.primary;
     let guard = ref 0 in
-    while Cluster.milestone_time c "data-rec-done" = None && !guard < 400 do
+    while Cluster.first_event c Farm_obs.Obs.K_ms_data_rec_done = None && !guard < 400 do
       incr guard;
       Cluster.run_for c ~d:(Time.ms 10)
     done;
     (* measure the re-replication itself, not failure detection *)
     match
-      (Cluster.milestone_time c "data-rec-start", Cluster.milestone_time c "data-rec-done")
+      ( Cluster.first_event c Farm_obs.Obs.K_ms_data_rec_start,
+        Cluster.first_event c Farm_obs.Obs.K_ms_data_rec_done )
     with
     | Some t0, Some t1 -> Time.sub t1 t0
     | _ -> Fmt.failwith "data recovery did not finish"

@@ -15,7 +15,7 @@ let detection_latency () =
   let kill_at = Cluster.now c in
   Cluster.kill c 3;
   Cluster.run_for c ~d:(Time.ms 30);
-  match Cluster.milestone_time c "suspect" with
+  match Cluster.first_event c Farm_obs.Obs.K_ms_suspect with
   | Some at ->
       let latency = Time.to_ms_float (Time.sub at kill_at) in
       check_bool

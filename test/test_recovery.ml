@@ -1,6 +1,7 @@
 open Farm_sim
 open Farm_core
 open Test_util
+module Obs = Farm_obs.Obs
 
 let test name fn = Alcotest.test_case name `Quick fn
 let check_bool = Alcotest.(check bool)
@@ -141,7 +142,7 @@ let reconfiguration_basics () =
       check_int "change ids updated" 2 info.Wire.last_primary_change
   | None -> Alcotest.fail "mapping lost");
   check_bool "milestones recorded" true
-    (Cluster.milestone_time c "config-commit" <> None);
+    (Cluster.first_event c Obs.K_ms_config_commit <> None);
   check_bool "not blocked" false st.State.blocked
 
 let data_recovery_restores_replication () =
@@ -152,11 +153,11 @@ let data_recovery_restores_replication () =
   Cluster.kill c r.Wire.primary;
   (* wait for reconfiguration + paced data recovery *)
   let guard = ref 0 in
-  while Cluster.milestone_time c "data-rec-done" = None && !guard < 100 do
+  while Cluster.first_event c Obs.K_ms_data_rec_done = None && !guard < 100 do
     incr guard;
     Cluster.run_for c ~d:(Time.ms 20)
   done;
-  check_bool "data recovery completed" true (Cluster.milestone_time c "data-rec-done" <> None);
+  check_bool "data recovery completed" true (Cluster.first_event c Obs.K_ms_data_rec_done <> None);
   let reps = Cluster.replicas_of c r.Wire.rid in
   let alive_reps =
     List.filter (fun (m, _) -> (Cluster.machine c m).State.alive) reps
@@ -177,6 +178,47 @@ let data_recovery_restores_replication () =
         rest
   | [] -> Alcotest.fail "no replicas");
   check_int "values survive" 11 (read_cell c ~machine:(fst (List.hd alive_reps)) cells.(0))
+
+(* Two failures one after the other: a query from the second kill on
+   finds the second data recovery, not the first one already in the log. *)
+let second_data_recovery_after_second_kill () =
+  let c = mk_cluster ~machines:8 () in
+  let _r0 = Cluster.alloc_region_exn c in
+  let r1 = Cluster.alloc_region_exn c in
+  let r2 = Cluster.alloc_region_exn c in
+  ignore (alloc_cells c ~region:r1.Wire.rid ~n:8 ~init:1);
+  ignore (alloc_cells c ~region:r2.Wire.rid ~n:8 ~init:2);
+  Cluster.run_for c ~d:(Time.ms 10);
+  let kill_and_wait victim =
+    let after = Cluster.now c in
+    Cluster.kill c victim;
+    let guard = ref 0 in
+    while Cluster.first_event c ~after Obs.K_ms_data_rec_done = None && !guard < 100 do
+      incr guard;
+      Cluster.run_for c ~d:(Time.ms 20)
+    done;
+    match Cluster.first_event c ~after Obs.K_ms_data_rec_done with
+    | Some at -> (after, at)
+    | None -> Alcotest.fail "data recovery did not finish"
+  in
+  let _, first = kill_and_wait r1.Wire.primary in
+  (* a live holder of the second region other than the CM *)
+  let victim =
+    List.find
+      (fun (m, _) -> m <> 0 && (Cluster.machine c m).State.alive)
+      (Cluster.replicas_of c r2.Wire.rid)
+    |> fst
+  in
+  let kill2, second = kill_and_wait victim in
+  check_bool "first recovery before the second kill" true Time.(first < kill2);
+  check_bool "second recovery after the second kill" true Time.(second >= kill2);
+  Alcotest.(check (option int)) "without [after], the first recovery" (Some first)
+    (Cluster.first_event c Obs.K_ms_data_rec_done);
+  let logged =
+    List.map (fun (ev : Obs.record) -> ev.r_at) (Cluster.log_events c Obs.K_ms_data_rec_done)
+  in
+  check_bool "both recoveries logged, oldest first" true
+    (List.hd logged = first && List.mem second logged)
 
 let allocator_recovery_after_promotion () =
   let c = mk_cluster ~machines:6 () in
@@ -268,9 +310,10 @@ let region_lost_after_power_cycle () =
   check_bool "CM not a holder" false (List.mem 0 holders);
   List.iter (Cluster.kill c) holders;
   Cluster.run_for c ~d:(Time.ms 240);
-  let tag = Printf.sprintf "region-lost:%d" r.Wire.rid in
   check_bool "milestone logged" true
-    (List.exists (fun (t, _, _) -> t = tag) (Cluster.milestones c));
+    (List.exists
+       (fun (ev : Obs.record) -> ev.r_a = r.Wire.rid)
+       (Cluster.log_events c Obs.K_ms_region_lost));
   Alcotest.(check (list int)) "region loss detected" [ r.Wire.rid ] (Cluster.lost_regions c)
 
 let unaffected_transactions_continue () =
@@ -521,12 +564,13 @@ let critical_region_recovers_aggressively () =
   let rec_time kill_list =
     List.iter (fun m -> Cluster.kill c m) kill_list;
     let guard = ref 0 in
-    while Cluster.milestone_time c "data-rec-done" = None && !guard < 400 do
+    while Cluster.first_event c Obs.K_ms_data_rec_done = None && !guard < 400 do
       incr guard;
       Cluster.run_for c ~d:(Time.ms 10)
     done;
     match
-      (Cluster.milestone_time c "data-rec-start", Cluster.milestone_time c "data-rec-done")
+      ( Cluster.first_event c Obs.K_ms_data_rec_start,
+        Cluster.first_event c Obs.K_ms_data_rec_done )
     with
     | Some t0, Some t1 -> Time.sub t1 t0
     | _ -> Fmt.failwith "data recovery did not finish"
@@ -546,13 +590,14 @@ let critical_region_recovers_aggressively () =
   Cluster.run_for c2 ~d:(Time.ms 10);
   Cluster.kill c2 r2.Wire.primary;
   let guard = ref 0 in
-  while Cluster.milestone_time c2 "data-rec-done" = None && !guard < 400 do
+  while Cluster.first_event c2 Obs.K_ms_data_rec_done = None && !guard < 400 do
     incr guard;
     Cluster.run_for c2 ~d:(Time.ms 10)
   done;
   let t_paced =
     match
-      (Cluster.milestone_time c2 "data-rec-start", Cluster.milestone_time c2 "data-rec-done")
+      ( Cluster.first_event c2 Obs.K_ms_data_rec_start,
+        Cluster.first_event c2 Obs.K_ms_data_rec_done )
     with
     | Some t0, Some t1 -> Time.sub t1 t0
     | _ -> Fmt.failwith "paced recovery did not finish"
@@ -688,6 +733,8 @@ let suites =
       [
         test "basics" reconfiguration_basics;
         test "data recovery restores f+1" data_recovery_restores_replication;
+        test "second kill's data recovery found by first_event ~after"
+          second_data_recovery_after_second_kill;
         test "allocator recovery after promotion" allocator_recovery_after_promotion;
         test "CM failure" cm_failure_recovers;
         test "correlated domain failure" correlated_domain_failure;
