@@ -10,10 +10,17 @@ open Farm_sim
 
    Space is accounted in bytes against [capacity]. Records are kept as
    typed values (plus their wire size) rather than serialized bytes; see
-   DESIGN.md. Entries move through three states:
+   DESIGN.md. Log space moves through three states:
      reserved (sender)  ->  unprocessed (DMA'd)  ->  resident
-   and leave the ring only at truncation (or, for markers and aborted
-   transactions, when discarded after processing).
+   and leaves the ring only at truncation (or, for markers and aborted
+   transactions, when discarded after processing). The log counts a
+   transaction's unprocessed records in [pending_tx] and keeps its
+   processed ones in [resident]; an unprocessed entry itself is held only
+   by the receiver's processing trigger.
+
+   The receiver's tables are created at the log's first record: a fleet
+   of n machines has n^2 logs, and a log that never receives a record
+   costs no table.
 
    Record processing is not serialized per log: the commit protocol itself
    orders the records that must be ordered (a COMMIT-PRIMARY is only
@@ -23,17 +30,19 @@ open Farm_sim
    is handled by the receiver deferring truncations while the transaction
    still has unprocessed entries (see [pending_tx]). *)
 
-type entry = { seq : int; size : int; record : Wire.log_record }
+type entry = { size : int; record : Wire.log_record }
+
+type tables = {
+  pending_tx : int Txid.Tbl.t;  (* txid -> unprocessed record count *)
+  resident : entry list Txid.Tbl.t;  (* processed, awaiting truncation *)
+}
 
 type t = {
   sender : int;
   receiver : int;
   capacity : int;
-  unprocessed : entry Int_tbl.t;  (* seq -> entry, DMA'd not processed *)
-  pending_tx : int Txid.Tbl.t;  (* txid -> unprocessed record count *)
-  resident : entry list Txid.Tbl.t;  (* processed, awaiting truncation *)
+  mutable tables : tables option;  (* None until the first record *)
   mutable used : int;  (* receiver-side truth: unprocessed + resident bytes *)
-  mutable next_seq : int;
   mutable on_append : t -> entry -> unit;  (* receiver processing trigger *)
   (* sender-side state *)
   mutable reserved : int;
@@ -45,11 +54,8 @@ let create ~sender ~receiver ~capacity =
     sender;
     receiver;
     capacity;
-    unprocessed = Int_tbl.create 64;
-    pending_tx = Txid.Tbl.create 64;
-    resident = Txid.Tbl.create 64;
+    tables = None;
     used = 0;
-    next_seq = 0;
     on_append = (fun _ _ -> ());
     reserved = 0;
     used_estimate = 0;
@@ -98,34 +104,47 @@ let consume_reservation t n =
 
 (* {1 DMA (runs at the receiver-NIC write instant)} *)
 
+(* [pending_tx] is never iterated, so it starts at the minimum size.
+   Recovery iterates [resident], whose order depends on its bucket count:
+   it keeps 64 buckets, so every recovery output is as with a table
+   created with the log. *)
+let tables t =
+  match t.tables with
+  | Some tb -> tb
+  | None ->
+      let tb = { pending_tx = Txid.Tbl.create 1; resident = Txid.Tbl.create 64 } in
+      t.tables <- Some tb;
+      tb
+
 (* The NIC accepts the write regardless of configuration; the sender
    reserved the space, so the ring never overflows. *)
 let dma_append t record ~size =
-  let e = { seq = t.next_seq; size; record } in
-  t.next_seq <- t.next_seq + 1;
+  let e = { size; record } in
+  let tb = tables t in
   t.used <- t.used + size;
-  Int_tbl.replace t.unprocessed e.seq e;
   (match txid_of_record record with
   | Some txid ->
-      let n = match Txid.Tbl.find_opt t.pending_tx txid with Some n -> n | None -> 0 in
-      Txid.Tbl.replace t.pending_tx txid (n + 1)
+      let n = match Txid.Tbl.find_opt tb.pending_tx txid with Some n -> n | None -> 0 in
+      Txid.Tbl.replace tb.pending_tx txid (n + 1)
   | None -> ());
   t.on_append t e
 
 (* {1 Receiver side} *)
 
 let pending_count t txid =
-  match Txid.Tbl.find_opt t.pending_tx txid with Some n -> n | None -> 0
+  match t.tables with
+  | None -> 0
+  | Some tb -> ( match Txid.Tbl.find_opt tb.pending_tx txid with Some n -> n | None -> 0)
 
 (* Mark an entry as no longer unprocessed (it was either retained or
    discarded by its processor). *)
 let processed t (e : entry) =
-  Int_tbl.remove t.unprocessed e.seq;
   match txid_of_record e.record with
-  | Some txid ->
-      let n = pending_count t txid in
-      if n <= 1 then Txid.Tbl.remove t.pending_tx txid
-      else Txid.Tbl.replace t.pending_tx txid (n - 1)
+  | Some txid -> (
+      let pending = (tables t).pending_tx in
+      match Txid.Tbl.find_opt pending txid with
+      | Some n when n > 1 -> Txid.Tbl.replace pending txid (n - 1)
+      | _ -> Txid.Tbl.remove pending txid)
   | None -> ()
 
 (* After the receiver CPU processes an entry it stays resident so that
@@ -135,8 +154,9 @@ let retain t (e : entry) =
   processed t e;
   match txid_of_record e.record with
   | Some txid ->
-      let existing = match Txid.Tbl.find_opt t.resident txid with Some l -> l | None -> [] in
-      Txid.Tbl.replace t.resident txid (e :: existing)
+      let tb = tables t in
+      let existing = match Txid.Tbl.find_opt tb.resident txid with Some l -> l | None -> [] in
+      Txid.Tbl.replace tb.resident txid (e :: existing)
   | None -> ()
 
 let lazy_head_update = Time.us 50
@@ -153,21 +173,27 @@ let discard t engine (e : entry) =
   processed t e;
   release_space t engine e.size
 
+let find_resident t txid =
+  match t.tables with None -> None | Some tb -> Txid.Tbl.find_opt tb.resident txid
+
 let resident_records t txid =
-  match Txid.Tbl.find_opt t.resident txid with
+  match find_resident t txid with
   | Some l -> List.map (fun e -> e.record) l
   | None -> []
 
 let iter_resident t fn =
-  Txid.Tbl.iter (fun txid entries -> fn txid (List.map (fun e -> e.record) entries)) t.resident
+  match t.tables with
+  | None -> ()
+  | Some tb ->
+      Txid.Tbl.iter (fun txid entries -> fn txid (List.map (fun e -> e.record) entries)) tb.resident
 
 (* Truncate a transaction: drop its resident records and free their space.
    The sender's head estimate is updated lazily. *)
 let truncate t engine txid =
-  match Txid.Tbl.find_opt t.resident txid with
+  match find_resident t txid with
   | None -> 0
   | Some entries ->
-      Txid.Tbl.remove t.resident txid;
+      Txid.Tbl.remove (tables t).resident txid;
       let freed = List.fold_left (fun acc e -> acc + e.size) 0 entries in
       release_space t engine freed;
       List.length entries

@@ -10,14 +10,17 @@ open Farm_sim
 
     Senders must reserve space before writing (the commit protocol reserves
     for every record it may produce, §4), so appends never overflow.
-    Records move through three states: reserved → unprocessed (DMA'd) →
-    resident, leaving only at truncation.
+    Log space moves through three states: reserved by the sender → DMA'd
+    and unprocessed (counted per transaction, {!pending_count}) → resident
+    after processing ({!resident_records}), leaving only at truncation, or
+    at processing for markers and aborted transactions ({!discard}). The
+    receiver's tables are created at the log's first record.
 
     Processing is deliberately not serialized per log: the commit protocol
     orders what must be ordered, and the receiver defers truncations for
     transactions that still have unprocessed records. *)
 
-type entry = { seq : int; size : int; record : Wire.log_record }
+type entry = { size : int; record : Wire.log_record }
 
 type t
 

@@ -271,9 +271,12 @@ let search keys n key = search_between keys key 0 n
    or, when full, in a copy twice the size. There is one copy per element
    type, so the compiler knows each array's kind: slots are stored without
    a float check, a first array of two comes from a literal, and only
-   growing past two calls into the runtime. *)
-let grow a n v =
-  let b = Array.make (2 * n) v in
+   growing past two calls into the runtime. [grow] fills the copy with an
+   old or immediate value: past 256 words the array is made in the major
+   heap, and [Array.make] with a young fill value first forces a minor
+   collection. *)
+let grow a n fill =
+  let b = Array.make (2 * n) fill in
   Array.blit a 0 b 0 n;
   b
 
@@ -286,7 +289,7 @@ let insert_int (a : int array) n i v =
   a
 
 let insert_bytes (a : Bytes.t array) n i v =
-  let a = if n < Array.length a then a else if n = 0 then [| v; v |] else grow a n v in
+  let a = if n < Array.length a then a else if n = 0 then [| v; v |] else grow a n Bytes.empty in
   for j = n downto i + 1 do
     Array.unsafe_set a j (Array.unsafe_get a (j - 1))
   done;

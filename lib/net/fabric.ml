@@ -73,7 +73,8 @@ let nic_gray t ~machine =
   | None -> None
 
 let set_blackhole t ~src ~dst = Hashtbl.replace t.blackholes (src, dst) ()
-let blackholed t ~src ~dst = Hashtbl.mem t.blackholes (src, dst)
+let blackholed t ~src ~dst =
+  Hashtbl.length t.blackholes > 0 && Hashtbl.mem t.blackholes (src, dst)
 
 let clear_gray_faults t =
   Int_tbl.reset t.gray_nics;
@@ -203,7 +204,7 @@ let params t = t.params
 let reachable t src dst =
   let a = get t src and b = get t dst in
   a.alive && b.alive && a.partition = b.partition
-  && (Hashtbl.length t.blackholes = 0 || not (Hashtbl.mem t.blackholes (src, dst)))
+  && not (blackholed t ~src ~dst)
 
 let latency t =
   let j = Time.to_ns t.params.Params.fabric_jitter in

@@ -8,7 +8,7 @@ module Hist = struct
   let nbuckets = 2048
 
   type t = {
-    mutable buckets : int array;  (* [||] until the first sample *)
+    mutable buckets : int array;  (* covers the highest bucket recorded *)
     mutable count : int;
     mutable sum : int;
     mutable min_v : int;
@@ -47,16 +47,29 @@ module Hist = struct
       let off = i land (sub - 1) in
       ((1 lsl k) + ((off + 1) lsl (k - sub_bits))) - 1
 
-  (* Buckets are allocated on first use: most histograms of an idle or
-     untraced machine never see a sample. *)
-  let buckets t =
-    if Array.length t.buckets = 0 then t.buckets <- Array.make nbuckets 0;
-    t.buckets
+  (* The bucket array grows by doubling to cover bucket [i], from
+     [min_buckets] up to [nbuckets]: most histograms of an idle or untraced
+     machine never see a sample, and nanosecond latencies under 16 ms stay
+     below bucket 640. *)
+  let min_buckets = 64
+
+  let ensure t i =
+    let n = Array.length t.buckets in
+    if i >= n then begin
+      let m = ref (Stdlib.max n min_buckets) in
+      while i >= !m do
+        m := 2 * !m
+      done;
+      let b = Array.make !m 0 in
+      Array.blit t.buckets 0 b 0 n;
+      t.buckets <- b
+    end
 
   let record t v =
     let v = if v < 0 then 0 else v in
-    let b = buckets t in
     let i = index v in
+    ensure t i;
+    let b = t.buckets in
     b.(i) <- b.(i) + 1;
     t.count <- t.count + 1;
     t.sum <- t.sum + v;
@@ -76,7 +89,7 @@ module Hist = struct
       let acc = ref 0 in
       let result = ref t.max_v in
       (try
-         for i = 0 to nbuckets - 1 do
+         for i = 0 to Array.length t.buckets - 1 do
            acc := !acc + t.buckets.(i);
            if !acc >= target then begin
              result := bucket_value i;
@@ -87,10 +100,16 @@ module Hist = struct
       Stdlib.min !result t.max_v
     end
 
+  (* A non-empty histogram's buckets cover [index max_v], its highest
+     bucket recorded. *)
   let merge ~into src =
     if src.count > 0 then begin
-      let b = buckets into in
-      Array.iteri (fun i n -> b.(i) <- b.(i) + n) src.buckets
+      let hi = index src.max_v in
+      ensure into hi;
+      let b = into.buckets in
+      for i = 0 to hi do
+        b.(i) <- b.(i) + src.buckets.(i)
+      done
     end;
     into.count <- into.count + src.count;
     into.sum <- into.sum + src.sum;

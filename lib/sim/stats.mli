@@ -2,7 +2,8 @@
 
 module Hist : sig
   (** Log-linear latency histogram (HDR-style): exact below 32, 32
-      sub-buckets per octave above, ≤3% relative bucket error. *)
+      sub-buckets per octave above, ≤3% relative bucket error. Its
+      bucket array grows with the highest bucket recorded. *)
 
   type t
 

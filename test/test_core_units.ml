@@ -264,9 +264,8 @@ let ringlog_reserve_release () =
   Ringlog.unreserve log 3000;
   check_bool "after release" true (Ringlog.reserve log 100)
 
-let ringlog_append_retain_truncate () =
-  let e = Engine.create () in
-  let log = mk_log () in
+(* A log's first record: the path that creates its receiver tables. *)
+let append_retain_truncate e log =
   let seen = ref [] in
   Ringlog.set_on_append log (fun _ entry -> seen := entry :: !seen);
   check_bool "reserve" true (Ringlog.reserve log 200);
@@ -284,6 +283,48 @@ let ringlog_append_retain_truncate () =
   Ringlog.unreserve log 100 (* the unconsumed remainder of the reservation *);
   Engine.run e;
   check_bool "sender estimate updated lazily" true (Ringlog.reserve log 4000)
+
+let ringlog_append_retain_truncate () = append_retain_truncate (Engine.create ()) (mk_log ())
+
+let ringlog_first_use () =
+  let e = Engine.create () in
+  let log = mk_log () in
+  check_int "fresh pending count" 0 (Ringlog.pending_count log (tx 1));
+  check_int "fresh resident" 0 (List.length (Ringlog.resident_records log (tx 1)));
+  check_int "fresh truncate" 0 (Ringlog.truncate log e (tx 1));
+  let visited = ref 0 in
+  Ringlog.iter_resident log (fun _ _ -> incr visited);
+  check_int "fresh iter_resident" 0 !visited;
+  check_int "fresh used" 0 (Ringlog.used log);
+  append_retain_truncate e log
+
+(* Recovery walks [iter_resident], so its order is part of the determinism
+   contract: it must be the order of a 64-bucket table created with the
+   log, under the same insert and remove history. *)
+let ringlog_resident_order =
+  QCheck.Test.make ~name:"ring log resident order matches an eager 64-bucket table" ~count:100
+    QCheck.(list_of_size (Gen.int_range 1 400) (pair bool (int_bound 300)))
+    (fun ops ->
+      let e = Engine.create () in
+      let log = Ringlog.create ~sender:0 ~receiver:1 ~capacity:max_int in
+      Ringlog.set_on_append log (fun log en -> Ringlog.retain log en);
+      let eager = Txid.Tbl.create 64 in
+      List.iter
+        (fun (append, n) ->
+          let txid = Txid.make ~config:1 ~machine:(n mod 7) ~thread:(n mod 3) ~local:n in
+          if append then begin
+            Ringlog.dma_append log (dummy_record txid) ~size:8;
+            Txid.Tbl.replace eager txid ()
+          end
+          else begin
+            ignore (Ringlog.truncate log e txid);
+            Txid.Tbl.remove eager txid
+          end)
+        ops;
+      let order = ref [] and expected = ref [] in
+      Ringlog.iter_resident log (fun txid _ -> order := txid :: !order);
+      Txid.Tbl.iter (fun txid () -> expected := txid :: !expected) eager;
+      List.equal Txid.equal !order !expected)
 
 let ringlog_discard () =
   let e = Engine.create () in
@@ -372,6 +413,8 @@ let suites =
       [
         test "reserve/release" ringlog_reserve_release;
         test "append/retain/truncate" ringlog_append_retain_truncate;
+        test "first use" ringlog_first_use;
+        qtest ringlog_resident_order;
         test "discard" ringlog_discard;
         qtest ringlog_space_qcheck;
       ] );

@@ -270,6 +270,78 @@ let hist_accuracy =
       (* log-bucketed: allow 5% relative error plus small absolute slack *)
       abs (approx - exact) <= (exact / 20) + 2 || approx >= exact)
 
+(* Samples spread evenly over the octaves, so that a histogram's bucket
+   array crosses its doubling boundaries, plus 0, negative samples (which
+   clamp to 0) and [max_int], which lands in the highest bucket. *)
+let hist_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0);
+        (1, int_range (-1000) (-1));
+        (1, return max_int);
+        ( 12,
+          map2 (fun k r -> (1 lsl k) lor (r land ((1 lsl k) - 1))) (int_range 0 61) int );
+      ])
+
+let hist_samples = QCheck.Gen.(list_size (int_range 1 60) hist_sample)
+
+let hist_of samples =
+  let h = Stats.Hist.create () in
+  List.iter (Stats.Hist.record h) samples;
+  h
+
+(* Everything a histogram answers: with one percentile per rank, two
+   histograms agree on it iff their buckets hold the same counts. *)
+let hist_view h =
+  let n = Stats.Hist.count h in
+  ( n,
+    Stats.Hist.mean h,
+    Stats.Hist.min_value h,
+    Stats.Hist.max_value h,
+    List.init n (fun r -> Stats.Hist.percentile h (100. *. (float_of_int r +. 0.5) /. float_of_int n)) )
+
+let hist_percentile_rank =
+  QCheck.Test.make ~name:"growing histogram: percentile in the nearest-rank bucket" ~count:300
+    (QCheck.make hist_samples)
+    (fun samples ->
+      let h = hist_of samples in
+      let sorted = Array.of_list (List.sort compare (List.map (max 0) samples)) in
+      let n = Array.length sorted in
+      List.for_all
+        (fun p ->
+          let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int n))) in
+          let v = Stats.Hist.percentile h p in
+          v = Stats.Hist.max_value h || Stats.Hist.index v = Stats.Hist.index sorted.(rank - 1))
+        [ 0.1; 1.; 50.; 90.; 99.; 99.9; 100. ])
+
+let hist_merge_grow =
+  QCheck.Test.make ~name:"growing histogram: merge either way equals one histogram" ~count:300
+    (QCheck.make QCheck.Gen.(pair hist_samples hist_samples))
+    (fun (xs, ys) ->
+      let whole = hist_view (hist_of (xs @ ys)) in
+      let a = hist_of xs in
+      Stats.Hist.merge ~into:a (hist_of ys);
+      let b = hist_of ys in
+      Stats.Hist.merge ~into:b (hist_of xs);
+      let e = Stats.Hist.create () in
+      Stats.Hist.merge ~into:e (hist_of xs);
+      Stats.Hist.merge ~into:e (hist_of ys);
+      hist_view a = whole && hist_view b = whole && hist_view e = whole)
+
+let hist_clear_reuse =
+  QCheck.Test.make ~name:"growing histogram: clear then reuse equals a fresh one" ~count:300
+    (QCheck.make QCheck.Gen.(pair hist_samples hist_samples))
+    (fun (xs, ys) ->
+      let h = hist_of xs in
+      Stats.Hist.clear h;
+      let empty = hist_view h = hist_view (Stats.Hist.create ()) in
+      List.iter (Stats.Hist.record h) ys;
+      let into = hist_of ys and cleared = hist_of xs in
+      Stats.Hist.clear cleared;
+      Stats.Hist.merge ~into cleared;
+      empty && hist_view h = hist_view (hist_of ys) && hist_view into = hist_view (hist_of ys))
+
 let series_binning () =
   let s = Stats.Series.create ~bin:(Time.ms 1) in
   Stats.Series.add s ~at:(Time.us 500) 1;
@@ -330,6 +402,9 @@ let suites =
         test "empty" hist_empty;
         test "merge" hist_merge;
         qtest hist_accuracy;
+        qtest hist_percentile_rank;
+        qtest hist_merge_grow;
+        qtest hist_clear_reuse;
         test "series binning" series_binning;
         test "series growth" series_growth;
       ] );
