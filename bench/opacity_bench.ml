@@ -46,11 +46,6 @@ type mode_result = {
   wm_trims : int;
 }
 
-let merged_counter (c : Cluster.t) counter =
-  Array.fold_left
-    (fun acc st -> acc + Farm_obs.Obs.counter st.State.obs counter)
-    0 c.Cluster.machines
-
 let phase_digest (c : Cluster.t) name =
   Bench_util.digest_of
     (Option.value (List.assoc_opt name (Cluster.merged_phase_hists c))
@@ -114,10 +109,10 @@ let run_mode ~snapshot ~update_pct ~profile ~machines ~workers ~duration =
     abort_causes = Cluster.abort_breakdown c;
     validate = phase_digest c "validate";
     commit_wait = phase_digest c "commit-wait";
-    ro_commits = merged_counter c Farm_obs.Obs.C_ro_commit;
-    snap_reads = merged_counter c Farm_obs.Obs.C_snap_read;
-    snap_chain_reads = merged_counter c Farm_obs.Obs.C_snap_chain_read;
-    wm_trims = merged_counter c Farm_obs.Obs.C_wm_trim;
+    ro_commits = Cluster.merged_counter c Farm_obs.Obs.C_ro_commit;
+    snap_reads = Cluster.merged_counter c Farm_obs.Obs.C_snap_read;
+    snap_chain_reads = Cluster.merged_counter c Farm_obs.Obs.C_snap_chain_read;
+    wm_trims = Cluster.merged_counter c Farm_obs.Obs.C_wm_trim;
   }
 
 let digest_json (d : Bench_util.digest) =

@@ -16,7 +16,6 @@ type error = [ `No_quorum | `Conflict of int ]
 
 val create : ?op_latency:Time.t -> Engine.t -> rng:Rng.t -> replicas:int -> 'v t
 
-val alive_replicas : 'v t -> int
 val has_quorum : 'v t -> bool
 val kill_replica : 'v t -> int -> unit
 val revive_replica : 'v t -> int -> unit

@@ -10,7 +10,6 @@
 module Vec : sig
   type 'a t = { mutable a : 'a array; mutable n : int }
 
-  val create : unit -> 'a t
   val length : 'a t -> int
   val clear : 'a t -> unit
   val get : 'a t -> int -> 'a
@@ -32,7 +31,6 @@ val sort_uniq_ints : int Vec.t -> unit
 type 'a group = { mutable g_dst : int; g_items : 'a Vec.t }
 type 'a groups = { gs : 'a group Vec.t; mutable live : int }
 
-val groups_create : unit -> 'a groups
 val groups_clear : 'a groups -> unit
 
 val group : 'a groups -> int -> 'a group
@@ -52,7 +50,6 @@ type acct = {
 
 type accts
 
-val acct : accts -> int -> acct
 val acct_for : accts -> int -> acct
 (** Find or add the accounting entry for a destination. *)
 

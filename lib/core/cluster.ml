@@ -57,7 +57,7 @@ let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~mach
         Farm_net.Fabric.add_machine ~obs fabric ~id ~cpu;
         let nv =
           {
-            State.bank = Farm_nvram.Bank.create ~machine:id;
+            State.bank = Farm_nvram.Bank.create ();
             replicas = Hashtbl.create 16;
             logs_in = Hashtbl.create (max 8 n);
           }
@@ -414,35 +414,34 @@ let replicas_of t rid =
 let set_recording t on =
   Array.iter (fun st -> Farm_obs.Obs.set_enabled st.State.obs on) t.machines
 
-(* Cluster-wide counter totals, in counter declaration order. *)
-let merged_counters t =
+(* The per-key tables below are string-keyed, so benches and CLIs need no
+   dependency on the obs library. Each lists the keys of [all] in
+   declaration order, skipping keys that are zero (or empty) on every
+   machine. [nonzero_totals] sums a per-machine integer; [merged_hists]
+   merges a per-machine histogram. *)
+let nonzero_totals t all name (total : Farm_obs.Obs.t -> 'k -> int) =
   List.filter_map
-    (fun c ->
-      let v = merged_counter t c in
-      if v = 0 then None else Some (Farm_obs.Obs.counter_name c, v))
-    Farm_obs.Obs.all_counters
+    (fun k ->
+      let v = Array.fold_left (fun acc st -> acc + total st.State.obs k) 0 t.machines in
+      if v = 0 then None else Some (name k, v))
+    all
 
-(* Per-phase commit-latency histograms merged across machines; string-keyed
-   so benches and CLIs need no dependency on the obs library. *)
-let merged_phase_hists t =
+let merged_hists t all name (hist : Farm_obs.Obs.t -> 'k -> Stats.Hist.t) =
   List.filter_map
-    (fun p ->
+    (fun k ->
       let h = Stats.Hist.create () in
-      Array.iter
-        (fun st -> Stats.Hist.merge ~into:h (Farm_obs.Obs.phase_hist st.State.obs p))
-        t.machines;
-      if Stats.Hist.count h = 0 then None else Some (Farm_obs.Obs.phase_name p, h))
-    Farm_obs.Obs.all_phases
+      Array.iter (fun st -> Stats.Hist.merge ~into:h (hist st.State.obs k)) t.machines;
+      if Stats.Hist.count h = 0 then None else Some (name k, h))
+    all
+
+let merged_counters t =
+  nonzero_totals t Farm_obs.Obs.all_counters Farm_obs.Obs.counter_name Farm_obs.Obs.counter
+
+let merged_phase_hists t =
+  merged_hists t Farm_obs.Obs.all_phases Farm_obs.Obs.phase_name Farm_obs.Obs.phase_hist
 
 let merged_stage_hists t =
-  List.filter_map
-    (fun s ->
-      let h = Stats.Hist.create () in
-      Array.iter
-        (fun st -> Stats.Hist.merge ~into:h (Farm_obs.Obs.stage_hist st.State.obs s))
-        t.machines;
-      if Stats.Hist.count h = 0 then None else Some (Farm_obs.Obs.stage_name s, h))
-    Farm_obs.Obs.all_stages
+  merged_hists t Farm_obs.Obs.all_stages Farm_obs.Obs.stage_name Farm_obs.Obs.stage_hist
 
 (* The flight recorder: every machine's event ring, merged into one
    time-sorted, human-readable dump (ties broken by machine id). *)
@@ -487,36 +486,13 @@ let set_blame t on =
   Array.iter (fun st -> Farm_obs.Obs.set_blame st.State.obs on) t.machines
 
 let blame_totals t =
-  List.filter_map
-    (fun b ->
-      let v =
-        Array.fold_left
-          (fun acc st -> acc + Farm_obs.Obs.blame_total_ns st.State.obs b)
-          0 t.machines
-      in
-      if v = 0 then None else Some (Farm_obs.Obs.blame_name b, v))
-    Farm_obs.Obs.all_blames
+  nonzero_totals t Farm_obs.Obs.all_blames Farm_obs.Obs.blame_name Farm_obs.Obs.blame_total_ns
 
 let phase_totals t =
-  List.filter_map
-    (fun p ->
-      let v =
-        Array.fold_left
-          (fun acc st -> acc + Farm_obs.Obs.phase_total_ns st.State.obs p)
-          0 t.machines
-      in
-      if v = 0 then None else Some (Farm_obs.Obs.phase_name p, v))
-    Farm_obs.Obs.all_phases
+  nonzero_totals t Farm_obs.Obs.all_phases Farm_obs.Obs.phase_name Farm_obs.Obs.phase_total_ns
 
 let merged_blame_hists t =
-  List.filter_map
-    (fun b ->
-      let h = Stats.Hist.create () in
-      Array.iter
-        (fun st -> Stats.Hist.merge ~into:h (Farm_obs.Obs.blame_hist st.State.obs b))
-        t.machines;
-      if Stats.Hist.count h = 0 then None else Some (Farm_obs.Obs.blame_name b, h))
-    Farm_obs.Obs.all_blames
+  merged_hists t Farm_obs.Obs.all_blames Farm_obs.Obs.blame_name Farm_obs.Obs.blame_hist
 
 type heat = { h_region : int; h_score : int; h_access : int; h_conflict : int }
 

@@ -115,6 +115,9 @@ val lost_regions : t -> int list
     which survives a restart: they count a restarted or power-cycled
     machine's history before the restart too. *)
 
+val merged_counter : t -> Farm_obs.Obs.counter -> int
+(** One protocol counter summed over every machine. *)
+
 val total_committed : t -> int
 (** Transactions committed cluster-wide ([C_tx_commit]). *)
 

@@ -269,6 +269,8 @@ let rebuild_owners st (cm : State.cm_state) ~probes =
 (* A recovery milestone, for the cluster log. *)
 let milestone st kind = Farm_obs.Obs.event st.State.obs kind ~a:0 ~b:0 ~c:0
 
+(* Reconfiguration from the probe on (§5.2), retried until a majority
+   answers; must run in a process on this machine. *)
 let rec attempt_reconfig st =
   Proc.check_cancelled ();
   let old = st.State.config in

@@ -27,24 +27,10 @@ type probe_result = {
   pr_infos : (int * int * int) list;
 }
 
-val probe : State.t -> targets:int list -> probe_result list
-(** §5.2 step 2: one-sided RDMA reads of every candidate's probe word
-    (including LastDrained); non-responders are excluded. *)
-
-val remap :
-  State.t -> State.cm_state -> members:int list -> new_id:int -> (int * int) list * int list
-(** §5.2 step 4: promote surviving backups over failed primaries and
-    re-replicate to f+1. Returns the fresh [(machine, region)] assignments
-    (which need bulk data recovery) and the regions that lost every
-    replica. *)
-
 val handle_suspicion : State.t -> int list -> unit
 (** Entry point for suspicions (lease expiries, failed probes, SUSPECT
     messages). Runs the backup-CM election dance when the CM itself is the
-    suspect, then drives {!attempt_reconfig}. *)
-
-val attempt_reconfig : State.t -> unit
-(** The reconfiguration driver; must run in a process on this machine. *)
+    suspect, then drives the reconfiguration (§5.2). *)
 
 (** {1 Recovery bookkeeping at the CM} *)
 

@@ -14,7 +14,7 @@ open Farm_sim
    protocol can write — including truncations — to guarantee progress.
 
    Each phase's one-sided writes go out as a single doorbell-batched verb
-   group (Fabric.one_sided_write_batch_fn via Logio.append_prepared): the
+   group (Fabric.one_sided_write_batch via Logio.append_prepared): the
    NIC is rung once per phase and the completions reaped together, so a
    multi-participant commit pays ~one issue/poll instead of one per
    participant. Params.doorbell_batching restores the unbatched pipeline
@@ -119,7 +119,7 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
       let n = Arena.Vec.length ar.Arena.rv_dst in
       if n > 0 then begin
         let results =
-          Farm_net.Fabric.one_sided_read_batch_fn ?span st.State.fabric ~src:st.State.id ~n
+          Farm_net.Fabric.one_sided_read_batch ?span st.State.fabric ~src:st.State.id ~n
             ~dst:(fun i -> Arena.Vec.get ar.Arena.rv_dst i)
             ~bytes:(fun _ -> 16)
             ~read:(fun i ->

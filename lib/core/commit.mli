@@ -1,17 +1,9 @@
-open Farm_sim
-
 (** The FaRM commit protocol (§4, Figure 4): LOCK, VALIDATE, COMMIT-BACKUP,
     COMMIT-PRIMARY, lazy TRUNCATE — all log writes one-sided, replication
     primary-backup with an unreplicated coordinator, log space reserved up
     front for progress. A configuration change that makes the transaction
     recovering hands control to the recovery protocol's vote/decide
     outcome. *)
-
-type 'a race = Normal of 'a | Recovered of State.outcome
-
-val race_outcome : State.tx_live -> 'a Ivar.t -> 'a race
-(** Wait for a protocol completion or the recovery outcome, whichever
-    first. *)
 
 val commit : Txn.t -> (unit, Txn.abort_reason) result
 (** Drive the full commit protocol for an executed transaction. Reports

@@ -39,6 +39,3 @@ let backup_cms t ~k =
 let recovery_coordinator t txid =
   let members = Array.of_list t.members in
   members.(Txid.hash txid mod Array.length members)
-
-let pp ppf t =
-  Fmt.pf ppf "<%d, {%a}, cm=%d>" t.id Fmt.(list ~sep:(any ",") int) t.members t.cm

@@ -25,5 +25,3 @@ val recovery_coordinator : t -> Txid.t -> int
 (** Deterministic (consistent-hash) coordinator assignment for recovering
     transactions whose original coordinator left the configuration (§5.3
     step 6): all primaries independently agree on it. *)
-
-val pp : Format.formatter -> t -> unit

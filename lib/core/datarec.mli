@@ -9,8 +9,4 @@
     only at ALL-REGIONS-ACTIVE; also kicks allocator recovery for promoted
     primaries. *)
 
-val apply_block : State.t -> State.replica -> block:int -> Bytes.t -> unit
-
-val recover_region : State.t -> State.replica -> on_done:(unit -> unit) -> unit
-
 val on_all_regions_active : State.t -> unit

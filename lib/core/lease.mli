@@ -13,10 +13,6 @@ open Farm_sim
     runs on a dedicated (preemptible) thread, or is interrupt-driven at
     high priority. *)
 
-val timer_resolution : Time.t
-(** System-timer resolution (0.5 ms): bounds the interrupt-driven
-    implementation's renewal precision. *)
-
 val scheduling_delay : State.t -> Time.t
 (** Delay before this machine's lease manager gets to run, per the
     configured implementation (CPU queue for shared-thread variants,
@@ -27,15 +23,11 @@ val quantize : State.t -> Time.t -> Time.t
 (** Round a wakeup up to the system-timer resolution for timer-driven
     implementations. *)
 
-val renewal_period : State.t -> Time.t
-
 (** {1 Two-level hierarchy (§5.1)} — enabled by [Params.lease_group_size]:
     members form groups in identifier order; the lowest member of each
     group leads. Leaders exchange leases with the CM, members with their
     leader; leaders report member expiries to the CM. CM lease traffic
     drops from O(n) to O(n / group), detection latency at worst doubles. *)
-
-val hierarchical : State.t -> bool
 
 val renew_target : State.t -> int
 (** The machine this one renews with: its group leader, or the CM. *)

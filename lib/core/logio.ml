@@ -110,7 +110,7 @@ let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
   in
   let results =
     if st.State.params.Params.doorbell_batching then
-      Farm_net.Fabric.one_sided_write_batch_fn ?span ~on_complete st.State.fabric
+      Farm_net.Fabric.one_sided_write_batch ?span ~on_complete st.State.fabric
         ~src:st.State.id ~n ~dst
         ~bytes:(fun i -> sizes.(i))
         ~apply:(fun i ->

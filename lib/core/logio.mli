@@ -8,12 +8,6 @@ val trunc_allowance : int
 (** Bytes a transaction reserves per participant log for its eventual
     truncation entry. *)
 
-val append : State.t -> dst:int -> thread:int -> Wire.record -> (int, Fabric.error) result
-(** Write a record into the log at [dst], draining this machine's pending
-    truncations for [dst] into the piggyback fields. Blocks until the
-    receiver NIC's hardware ack. Returns the caller's own share of consumed
-    log space. *)
-
 val append_prepared :
   ?span:Farm_obs.Obs.Span.t ->
   ?on_complete:(int -> (unit, Fabric.error) result -> unit) ->
@@ -34,12 +28,9 @@ val append_prepared :
     falls back to the pre-batching pipeline: parallel single writes, each
     paying full issue + poll. [span] carries the calling transaction's
     blame span down to the batched verb (see
-    {!Fabric.one_sided_write_batch_fn}); only the doorbell-batched path
+    {!Fabric.one_sided_write_batch}); only the doorbell-batched path
     can claim — the unbatched ablation's writes run in child processes,
     whose time falls to the enclosing phase's default category. *)
-
-val flush_truncations : State.t -> dst:int -> unit
-(** Write an explicit TRUNCATE record carrying pending truncations. *)
 
 val reserve_or_flush : State.t -> dst:int -> int -> unit
 (** Reserve space, forcing explicit truncation while the log is full

@@ -14,11 +14,5 @@ val regions_of_record : Wire.log_record -> int list
 val record_evidence : State.t -> Txid.t -> Wire.log_record -> unit
 (** Merge a record into the machine's recovering-transaction evidence. *)
 
-val apply_truncation : State.t -> Ringlog.t -> Txid.t -> unit
-(** Backups apply buffered updates at truncation; deferred while the
-    transaction still has unprocessed records in the log. *)
-
-val process_entry : State.t -> Ringlog.t -> Ringlog.entry -> unit
-
 val attach : State.t -> Ringlog.t -> unit
 (** Install the per-entry processing trigger on an incoming log. *)

@@ -4,12 +4,6 @@
     charged the RPC receive cost on the shared worker threads before
     dispatching. *)
 
-val dispatch :
-  State.t -> src:int -> reply:(bytes:int -> Wire.message -> unit) -> Wire.message -> unit
-
-val on_message :
-  State.t -> src:int -> reply:(bytes:int -> Wire.message -> unit) -> Wire.message -> unit
-
 val start : State.t -> unit
 (** Attach log processing to every incoming ring log, start the truncation
     flusher and the lease manager, install the suspicion and fabric

@@ -99,5 +99,3 @@ let default =
     cpu_cm_rebuild = Time.ms 60;
     net = Farm_net.Params.default;
   }
-
-let f t = t.replication - 1

@@ -96,6 +96,3 @@ type t = {
 }
 
 val default : t
-
-val f : t -> int
-(** Number of tolerated failures: [replication - 1]. *)

@@ -98,6 +98,8 @@ let vote_from_evidence (ev : Wire.tx_evidence) =
 
 (* {1 Recovery-coordinator side (steps 6-7)} *)
 
+(* The transaction's original coordinator if still a member, else the
+   consistent-hash replacement every primary agrees on. *)
 let coordinator_for st txid =
   if Config.is_member st.State.config txid.Txid.machine then txid.Txid.machine
   else Config.recovery_coordinator st.State.config txid

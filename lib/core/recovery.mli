@@ -15,14 +15,6 @@ val on_config_commit : State.t -> unit
 (** Start recovery for the just-committed configuration (spawned from the
     NEW-CONFIG-COMMIT handler). *)
 
-val vote_from_evidence : Wire.tx_evidence -> Wire.vote
-
-val coordinator_for : State.t -> Txid.t -> int
-(** The transaction's original coordinator if still a member, else the
-    consistent-hash replacement every primary agrees on. *)
-
-val merge_evidence : State.recovery_state -> Wire.tx_evidence -> Wire.tx_evidence
-
 val rec_coord_of : State.t -> Txid.t -> regions:int list -> State.rec_coord
 (** The (idempotent) recovery coordinator for [txid], created on first use
     with a vote requester driving the written [regions] to a decision. Also

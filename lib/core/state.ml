@@ -220,7 +220,7 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     cpu;
     nv;
     clock;
-    ctx = Proc.Ctx.create ~name:(Printf.sprintf "m%d" id) ();
+    ctx = Proc.Ctx.create ();
     alive = true;
     config;
     region_map = Int_tbl.create 64;
@@ -482,6 +482,7 @@ let release_read_ts st ts =
   | Some n -> Int_tbl.replace st.read_ts_active ts (n - 1)
   | None -> ()
 
+(* Smallest read timestamp of a transaction currently executing here. *)
 let min_active_read_ts st =
   Int_tbl.fold
     (fun ts _ acc -> match acc with None -> Some ts | Some m -> Some (min ts m))

@@ -245,9 +245,6 @@ val take_truncations : t -> dst:int -> Txid.t list
 val register_read_ts : t -> int -> unit
 val release_read_ts : t -> int -> unit
 
-val min_active_read_ts : t -> int option
-(** Smallest read timestamp of a transaction currently executing here. *)
-
 val local_watermark : t -> int
 (** min(smallest active read timestamp, clock lower bound): the largest
     watermark this machine can safely contribute to the cluster minimum —
@@ -268,13 +265,10 @@ val record_commit : t -> latency:Time.t -> unit
     [C_abort_*] breakdown counters. *)
 type abort_cause = Cause_lock | Cause_validate | Cause_timeout | Cause_other
 
-val abort_cause_index : abort_cause -> int
-
 val record_abort : ?reason:int -> ?cause:abort_cause -> t -> unit
 (** [reason] is the {!Txn.abort_reason} tag carried on the flight-recorder
     event; [cause] the protocol-level breakdown bucket (derived from
     [reason] when omitted: [Failed] maps to [Cause_timeout], everything
     else to [Cause_other]). *)
 
-val commit_phase_index : commit_phase -> int
 val phase : t -> commit_phase -> Txid.t -> unit

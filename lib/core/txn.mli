@@ -100,8 +100,6 @@ val return_allocations : t -> unit
 val ensure_mapping : State.t -> int -> retries:int -> Wire.region_info option
 (** Cached region-to-replicas mapping, fetched from the CM on miss. *)
 
-val invalidate_mapping : State.t -> int -> unit
-
 val read_versioned :
   ?span:Farm_obs.Obs.Span.t -> State.t -> addr:Addr.t -> len:int -> int * Bytes.t
 (** Versioned read with retries across lock conflicts and

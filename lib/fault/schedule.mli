@@ -49,5 +49,4 @@ val generate_gray : seed:int -> machines:int -> duration:Time.t -> lease:Time.t 
     generator so classic pools keep their exact historical streams. *)
 
 val pp_fault : Format.formatter -> fault -> unit
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit

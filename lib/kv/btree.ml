@@ -406,6 +406,7 @@ let check_invariants tx t =
 
 let cached_node st t addr = Farm_sim.Int_tbl.find_opt t.cache (cache_key st.State.id addr)
 
+(* Drop this machine's cached internal nodes. *)
 let invalidate st t =
   Farm_sim.Int_tbl.filter_map_inplace
     (fun key node -> if key_machine key = st.State.id then None else Some node)

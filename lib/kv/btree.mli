@@ -15,7 +15,7 @@ type t = {
   root_ptr : Addr.t;
   regions : int array;
   fanout : int;
-  cache : Bytes.t Farm_sim.Int_tbl.t;  (** per-machine internal nodes; see {!invalidate} *)
+  cache : Bytes.t Farm_sim.Int_tbl.t;  (** per-machine internal nodes, dropped when a lock-free lookup falls back *)
 }
 
 type node = {
@@ -54,6 +54,3 @@ val lookup_lockfree : State.t -> t -> int -> int option
 (** Navigate cached internal nodes, read the leaf with one RDMA read,
     check its fences; falls back to a transactional lookup (refreshing the
     cache) on a stale route. *)
-
-val invalidate : State.t -> t -> unit
-(** Drop this machine's cached internal nodes. *)

@@ -2,15 +2,12 @@ open Farm_core
 
 (** Byte-level encoding helpers shared by the FaRM data structures. *)
 
-val get_i64 : Bytes.t -> int -> int64
-val set_i64 : Bytes.t -> int -> int64 -> unit
 val get_int : Bytes.t -> int -> int
 val set_int : Bytes.t -> int -> int -> unit
 
 (** Addresses packed into one word (region in the high bits, offset in the
     low 32; 0 encodes null). *)
 
-val null_addr : int
 val encode_addr : Addr.t -> int
 val decode_addr : int -> Addr.t option
 val get_addr : Bytes.t -> int -> Addr.t option

@@ -5,7 +5,6 @@ type error = [ `Unreachable | `Timeout ]
 type 'msg handler = src:int -> reply:(bytes:int -> 'msg -> unit) -> 'msg -> unit
 
 type 'msg machine = {
-  id : int;
   nic : Nic.t;
   cpu : Cpu.t;
   obs : Farm_obs.Obs.t;
@@ -66,11 +65,6 @@ let set_nic_gray ?(delay_factor = 1.) ?(loss = 0.) t ~machine =
   Int_tbl.replace t.gray_nics machine { delay_factor; gray_loss = loss }
 
 let clear_nic_gray t ~machine = Int_tbl.remove t.gray_nics machine
-
-let nic_gray t ~machine =
-  match Int_tbl.find_opt t.gray_nics machine with
-  | Some g -> Some (g.delay_factor, g.gray_loss)
-  | None -> None
 
 let set_blackhole t ~src ~dst = Hashtbl.replace t.blackholes (src, dst) ()
 let blackholed t ~src ~dst =
@@ -162,7 +156,6 @@ let add_machine ?obs t ~id ~cpu =
   in
   let m =
     {
-      id;
       nic = Nic.create t.engine ~params:t.params;
       cpu;
       obs;
@@ -183,7 +176,6 @@ let reset_machine ?obs t ~id ~cpu =
       t.machines.(id) <-
         Some
           {
-            m with
             nic = Nic.create t.engine ~params:t.params;
             cpu;
             obs = (match obs with Some o -> o | None -> m.obs);
@@ -196,10 +188,6 @@ let set_handler t id handler = (get t id).on_message <- handler
 let set_alive t id alive = (get t id).alive <- alive
 let set_partition t id p = (get t id).partition <- p
 let nic t id = (get t id).nic
-let cpu t id = (get t id).cpu
-let obs t id = (get t id).obs
-let engine t = t.engine
-let params t = t.params
 
 let reachable t src dst =
   let a = get t src and b = get t dst in
@@ -231,19 +219,29 @@ let fail_later t iv =
   Engine.schedule_in t.engine ~after:t.params.Params.failure_timeout (fun () ->
       Ivar.fill_if_empty iv (Error `Unreachable))
 
-(* In-flight part of a one-sided read, from NIC issue to completion
-   delivery; no CPU is charged here. [read] runs at the instant the target
-   NIC performs the DMA — the operation's linearization point. *)
-let read_flight t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result Ivar.t =
+(* The two one-sided verbs ride the same path and differ only in the bytes
+   each leg occupies: a read sends a request descriptor and brings the data
+   back; a write sends the data and gets the hardware ack back. *)
+type verb = Read | Write
+
+(* In-flight part of a one-sided verb, from NIC issue to completion
+   delivery; no CPU is charged here. [at_target] runs at the instant the
+   target NIC performs the DMA — the operation's linearization point — and
+   its result is carried back with the completion. The target CPU is never
+   involved. *)
+let one_sided_flight t verb ~src ~dst ~bytes (at_target : unit -> 'a) :
+    ('a, error) result Ivar.t =
   let ms = get t src in
   let iv : ('a, error) result Ivar.t = Ivar.create () in
   if src = dst then begin
     (* Local access: no NIC involved; negligible extra cost. *)
-    Ivar.fill iv (Ok (read ()))
+    Ivar.fill iv (Ok (at_target ()))
   end
   else begin
+    let out_bytes = match verb with Read -> req_bytes | Write -> bytes in
+    let back_bytes = match verb with Read -> bytes | Write -> ack_bytes in
     let d_req = sample_link_rc t ~src ~dst in
-    let t_req = Nic.occupy ms.nic ~bytes:req_bytes in
+    let t_req = Nic.occupy ms.nic ~bytes:out_bytes in
     Engine.schedule t.engine
       ~at:(Time.add t_req (Time.add (leg_latency t ~src ~dst) d_req))
       (fun () ->
@@ -254,7 +252,7 @@ let read_flight t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result Ivar
           Engine.schedule t.engine ~at:t_dst (fun () ->
               if not (reachable t src dst) then fail_later t iv
               else begin
-                let v = read () in
+                let v = at_target () in
                 let d_cpl = sample_link_rc t ~src:dst ~dst:src in
                 Engine.schedule t.engine
                   ~at:(Time.add t_dst (Time.add (leg_latency t ~src:dst ~dst:src) d_cpl))
@@ -262,10 +260,12 @@ let read_flight t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result Ivar
                     (* The completion travels dst->src: a directed blackhole
                        on that leg swallows it and the RC QP eventually
                        errors out — unlike a classic partition, where
-                       in-flight responses still arrive. *)
+                       in-flight responses still arrive. A write has already
+                       been applied at the target; the issuer just never
+                       learns. *)
                     if blackholed t ~src:dst ~dst:src then fail_later t iv
                     else if ms.alive then begin
-                      let t_cpl = Nic.occupy ms.nic ~bytes in
+                      let t_cpl = Nic.occupy ms.nic ~bytes:back_bytes in
                       Engine.schedule t.engine ~at:t_cpl (fun () ->
                           Ivar.fill_if_empty iv (Ok v))
                     end)
@@ -273,6 +273,10 @@ let read_flight t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result Ivar
         end)
   end;
   iv
+
+let verb_kind = function
+  | Read -> Farm_obs.Obs.K_rdma_read
+  | Write -> Farm_obs.Obs.K_rdma_write
 
 (* {1 Blame carving}
 
@@ -297,15 +301,15 @@ let claim t span b t0 =
       Farm_obs.Obs.Span.claim sp b (n - t0);
       n
 
-(* One-sided RDMA read: issue, block on the completion, reap it. Charges
-   CPU only at [src]. *)
-let one_sided_read ?span t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result =
+(* One-sided verb: issue, block on the completion, reap it. Charges CPU
+   only at [src]. *)
+let one_sided ?span t verb ~src ~dst ~bytes at_target =
   let ms = get t src in
-  Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_read ~a:dst ~b:bytes ~c:0;
+  Farm_obs.Obs.event ms.obs (verb_kind verb) ~a:dst ~b:bytes ~c:0;
   let t0 = mark t span in
   Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_issue;
   let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
-  let r = Ivar.read (read_flight t ~src ~dst ~bytes read) in
+  let r = Ivar.read (one_sided_flight t verb ~src ~dst ~bytes at_target) in
   let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
   (match r with
   | Ok _ ->
@@ -314,62 +318,11 @@ let one_sided_read ?span t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) re
   | Error _ -> ());
   r
 
-(* In-flight part of a one-sided write with hardware ack: [apply] mutates
-   target memory at the DMA instant; the target CPU is never involved. *)
-let write_flight t ~src ~dst ~bytes (apply : unit -> unit) : (unit, error) result Ivar.t =
-  let ms = get t src in
-  let iv : (unit, error) result Ivar.t = Ivar.create () in
-  if src = dst then begin
-    apply ();
-    Ivar.fill iv (Ok ())
-  end
-  else begin
-    let d_req = sample_link_rc t ~src ~dst in
-    let t_req = Nic.occupy ms.nic ~bytes in
-    Engine.schedule t.engine
-      ~at:(Time.add t_req (Time.add (leg_latency t ~src ~dst) d_req))
-      (fun () ->
-        if not (reachable t src dst) then fail_later t iv
-        else begin
-          let md = get t dst in
-          let t_dst = Nic.occupy md.nic ~bytes in
-          Engine.schedule t.engine ~at:t_dst (fun () ->
-              if not (reachable t src dst) then fail_later t iv
-              else begin
-                apply ();
-                (* Hardware ack generated by the target NIC. *)
-                let d_ack = sample_link_rc t ~src:dst ~dst:src in
-                Engine.schedule t.engine
-                  ~at:(Time.add t_dst (Time.add (leg_latency t ~src:dst ~dst:src) d_ack))
-                  (fun () ->
-                    (* Ack leg dst->src: see the blackhole note in
-                       [read_flight] — the write itself has already been
-                       applied at the target, the issuer just never learns. *)
-                    if blackholed t ~src:dst ~dst:src then fail_later t iv
-                    else if ms.alive then begin
-                      let t_cpl = Nic.occupy ms.nic ~bytes:ack_bytes in
-                      Engine.schedule t.engine ~at:t_cpl (fun () ->
-                          Ivar.fill_if_empty iv (Ok ()))
-                    end)
-              end)
-        end)
-  end;
-  iv
+let one_sided_read ?span t ~src ~dst ~bytes read =
+  one_sided ?span t Read ~src ~dst ~bytes read
 
-let one_sided_write ?span t ~src ~dst ~bytes (apply : unit -> unit) : (unit, error) result =
-  let ms = get t src in
-  Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_write ~a:dst ~b:bytes ~c:0;
-  let t0 = mark t span in
-  Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_issue;
-  let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
-  let r = Ivar.read (write_flight t ~src ~dst ~bytes apply) in
-  let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
-  (match r with
-  | Ok _ ->
-      Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
-      ignore (claim t span Farm_obs.Obs.B_poll t2)
-  | Error _ -> ());
-  r
+let one_sided_write ?span t ~src ~dst ~bytes apply =
+  one_sided ?span t Write ~src ~dst ~bytes apply
 
 (* {1 Doorbell-batched verbs}
 
@@ -384,98 +337,51 @@ let one_sided_write ?span t ~src ~dst ~bytes (apply : unit -> unit) : (unit, err
    link-fault fate, and linearizes at its own target-DMA instant — so a
    lossy link delays only the operations routed over it, and failures
    surface per operation. The batch is a CPU/issue optimization, not a
-   semantic change. *)
+   semantic change.
+
+   A batch is described by indexed accessors ([dst i], [bytes i],
+   [at_target i] for [0 <= i < n]) so hot callers can describe a group
+   straight out of reused flat storage, with a constant number of closures
+   per batch instead of a descriptor per operation. *)
 
 let batch_issue_cost t i =
   if i = 0 then t.params.Params.cpu_rdma_issue else t.params.Params.cpu_rdma_doorbell
 
-let reap t (ms : 'msg machine) results =
-  if Array.exists (function Ok _ -> true | Error _ -> false) results then
-    Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
-  results
-
-let record_batch (ms : 'msg machine) ~n bytes_of =
+let one_sided_batch ?span ?on_complete t verb ~src ~n ~(dst : int -> int)
+    ~(bytes : int -> int) ~(at_target : int -> 'a) : ('a, error) result array =
+  let ms = get t src in
   if n > 0 then begin
     let total = ref 0 in
     for i = 0 to n - 1 do
-      total := !total + bytes_of i
+      total := !total + bytes i
     done;
     Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_batch ~a:n ~b:!total ~c:0
-  end
-
-(* The primary batch entry points take indexed accessors ([dst i],
-   [bytes i], [read i] / [apply i] for [0 <= i < n]) so hot callers can
-   describe a group straight out of reused flat storage, with a constant
-   number of closures per batch instead of a descriptor tuple per
-   operation. The list forms below are veneers. *)
-
-let one_sided_read_batch_fn ?span t ~src ~n ~(dst : int -> int) ~(bytes : int -> int)
-    ~(read : int -> 'a) : ('a, error) result array =
-  let ms = get t src in
-  record_batch ms ~n bytes;
+  end;
   let t0 = mark t span in
   let flights =
     Array.init n (fun i ->
         let d = dst i and b = bytes i in
-        Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_read ~a:d ~b ~c:0;
+        Farm_obs.Obs.event ms.obs (verb_kind verb) ~a:d ~b ~c:0;
         Cpu.exec ms.cpu ~cost:(batch_issue_cost t i);
-        read_flight t ~src ~dst:d ~bytes:b (fun () -> read i))
-  in
-  let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
-  let results = Array.map Ivar.read flights in
-  let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
-  let results = reap t ms results in
-  ignore (claim t span Farm_obs.Obs.B_poll t2);
-  results
-
-let one_sided_write_batch_fn ?span ?on_complete t ~src ~n ~(dst : int -> int)
-    ~(bytes : int -> int) ~(apply : int -> unit) : (unit, error) result array =
-  let ms = get t src in
-  record_batch ms ~n bytes;
-  let t0 = mark t span in
-  let flights =
-    Array.init n (fun i ->
-        let d = dst i and b = bytes i in
-        Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_write ~a:d ~b ~c:0;
-        Cpu.exec ms.cpu ~cost:(batch_issue_cost t i);
-        let iv = write_flight t ~src ~dst:d ~bytes:b (fun () -> apply i) in
+        let iv =
+          one_sided_flight t verb ~src ~dst:d ~bytes:b (fun () -> at_target i)
+        in
         (match on_complete with Some f -> Ivar.on_fill iv (fun r -> f i r) | None -> ());
         iv)
   in
   let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
   let results = Array.map Ivar.read flights in
   let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
-  let results = reap t ms results in
+  if Array.exists (function Ok _ -> true | Error _ -> false) results then
+    Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
   ignore (claim t span Farm_obs.Obs.B_poll t2);
   results
 
-let one_sided_read_batch t ~src (descs : (int * int * (unit -> 'a)) list) :
-    ('a, error) result array =
-  let a = Array.of_list descs in
-  one_sided_read_batch_fn t ~src ~n:(Array.length a)
-    ~dst:(fun i ->
-      let d, _, _ = a.(i) in
-      d)
-    ~bytes:(fun i ->
-      let _, b, _ = a.(i) in
-      b)
-    ~read:(fun i ->
-      let _, _, r = a.(i) in
-      r ())
+let one_sided_read_batch ?span t ~src ~n ~dst ~bytes ~read =
+  one_sided_batch ?span t Read ~src ~n ~dst ~bytes ~at_target:read
 
-let one_sided_write_batch ?on_complete t ~src (descs : (int * int * (unit -> unit)) list) :
-    (unit, error) result array =
-  let a = Array.of_list descs in
-  one_sided_write_batch_fn ?on_complete t ~src ~n:(Array.length a)
-    ~dst:(fun i ->
-      let d, _, _ = a.(i) in
-      d)
-    ~bytes:(fun i ->
-      let _, b, _ = a.(i) in
-      b)
-    ~apply:(fun i ->
-      let _, _, f = a.(i) in
-      f ())
+let one_sided_write_batch ?span ?on_complete t ~src ~n ~dst ~bytes ~apply =
+  one_sided_batch ?span ?on_complete t Write ~src ~n ~dst ~bytes ~at_target:apply
 
 let deliver t ~src ~dst ~prio ~bytes ~flow msg ~reply =
   let route at =

@@ -41,13 +41,6 @@ val set_alive : 'msg t -> int -> bool -> unit
 val set_partition : 'msg t -> int -> int -> unit
 val reachable : 'msg t -> int -> int -> bool
 val nic : 'msg t -> int -> Nic.t
-val cpu : 'msg t -> int -> Cpu.t
-val obs : 'msg t -> int -> Farm_obs.Obs.t
-val engine : 'msg t -> Engine.t
-val params : 'msg t -> Params.t
-
-val latency : 'msg t -> Time.t
-(** Sample a one-way fabric latency. *)
 
 (** {1 Link-fault injection} — nemesis hooks for the fault-schedule fuzzer.
 
@@ -89,18 +82,17 @@ val set_nic_gray : ?delay_factor:float -> ?loss:float -> 'msg t -> machine:int -
 (** Raises if [delay_factor < 1.] or [loss] outside [0,1]. *)
 
 val clear_nic_gray : 'msg t -> machine:int -> unit
-
-val nic_gray : 'msg t -> machine:int -> (float * float) option
-(** [(delay_factor, loss)] currently injected on the machine's NIC. *)
-
 val set_blackhole : 'msg t -> src:int -> dst:int -> unit
-val blackholed : 'msg t -> src:int -> dst:int -> bool
 
 val clear_gray_faults : 'msg t -> unit
 (** Remove every gray NIC and blackhole (the heal-all hook). *)
 
 (** {1 One-sided verbs} — no CPU at the target, ever. Must be called from a
-    process on machine [src].
+    process on machine [src]. Reads and writes share one flight path: the
+    same reachability, blackhole and liveness checks and the same random
+    draws in the same order; they differ only in the bytes each leg
+    occupies (a read sends a request descriptor and carries the data back,
+    a write carries the data out and a hardware ack back).
 
     [span], on every blocking verb here and below, is the calling
     transaction's {!Farm_obs.Obs.Span.t}: when passed, the verb claims its
@@ -136,7 +128,7 @@ val one_sided_write :
     completed (ack or failure) and return per-descriptor results in order.
     An empty batch returns [[||]] and charges nothing. *)
 
-val one_sided_read_batch_fn :
+val one_sided_read_batch :
   ?span:Farm_obs.Obs.Span.t ->
   'msg t ->
   src:int ->
@@ -145,16 +137,12 @@ val one_sided_read_batch_fn :
   bytes:(int -> int) ->
   read:(int -> 'a) ->
   ('a, error) result array
-(** Indexed-accessor form: operation [i] ([0 <= i < n]) reads [bytes i]
-    from [dst i], with [read i] executing at its target-DMA instant. Lets
-    hot callers describe a batch out of reused flat storage with a
-    constant number of closures instead of a descriptor per operation. *)
+(** Operation [i] ([0 <= i < n]) reads [bytes i] from [dst i], with
+    [read i] executing at its target-DMA instant. The indexed accessors let
+    hot callers describe a batch out of reused flat storage with a constant
+    number of closures instead of a descriptor per operation. *)
 
-val one_sided_read_batch :
-  'msg t -> src:int -> (int * int * (unit -> 'a)) list -> ('a, error) result array
-(** Each descriptor is [(dst, bytes, read)]. *)
-
-val one_sided_write_batch_fn :
+val one_sided_write_batch :
   ?span:Farm_obs.Obs.Span.t ->
   ?on_complete:(int -> (unit, error) result -> unit) ->
   'msg t ->
@@ -164,15 +152,8 @@ val one_sided_write_batch_fn :
   bytes:(int -> int) ->
   apply:(int -> unit) ->
   (unit, error) result array
-(** Indexed-accessor form of {!one_sided_write_batch}. *)
-
-val one_sided_write_batch :
-  ?on_complete:(int -> (unit, error) result -> unit) ->
-  'msg t ->
-  src:int ->
-  (int * int * (unit -> unit)) list ->
-  (unit, error) result array
-(** Each descriptor is [(dst, bytes, apply)]. [on_complete] fires at each
+(** Operation [i] writes [bytes i] to [dst i], with [apply i] mutating
+    target memory at its DMA instant. [on_complete] fires at each
     operation's individual completion instant (index, result) — the hook
     the commit pipeline uses for COMMIT-PRIMARY's first-ack semantics —
     before the batch-wide completion reap. *)

@@ -16,8 +16,6 @@ val occupy_priority : t -> bytes:int -> Time.t
 (** Dedicated-queue-pair path used by the lease manager: charged the service
     time but never queued behind bulk traffic. *)
 
-val service_time : t -> bytes:int -> Time.t
-
 val ops : t -> int
 (** Total messages processed. *)
 

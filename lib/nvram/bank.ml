@@ -1,12 +1,9 @@
 type t = {
-  machine : int;
   mutable regions : (int, Pagemem.t) Hashtbl.t;
   mutable wiped : bool;
 }
 
-let create ~machine = { machine; regions = Hashtbl.create 16; wiped = false }
-
-let machine t = t.machine
+let create () = { regions = Hashtbl.create 16; wiped = false }
 
 let alloc t ~key ~size =
   if Hashtbl.mem t.regions key then
@@ -16,10 +13,6 @@ let alloc t ~key ~size =
   m
 
 let find t ~key = Hashtbl.find_opt t.regions key
-
-let remove t ~key = Hashtbl.remove t.regions key
-
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.regions [] |> List.sort compare
 
 let total_bytes t = Hashtbl.fold (fun _ m acc -> acc + Pagemem.length m) t.regions 0
 

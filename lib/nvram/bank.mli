@@ -8,16 +8,13 @@
 
 type t
 
-val create : machine:int -> t
-val machine : t -> int
+val create : unit -> t
 
 val alloc : t -> key:int -> size:int -> Pagemem.t
 (** Allocate a zeroed region [key]; no page is resident until written.
     Raises if present. *)
 
 val find : t -> key:int -> Pagemem.t option
-val remove : t -> key:int -> unit
-val keys : t -> int list
 
 val total_bytes : t -> int
 (** Capacity of every region: the DRAM the energy model of §2.1 must

@@ -16,12 +16,10 @@ val default : t
 val save_seconds_per_gb : t -> ssds:int -> float
 val joules_per_gb : t -> ssds:int -> float
 
-val dollars_per_joule : float
 val ssd_reserve_per_gb : float
 val dram_per_gb : float
 
 val energy_cost_per_gb : t -> ssds:int -> float
-val total_nonvolatility_cost_per_gb : t -> ssds:int -> float
 
 val overhead_fraction : t -> ssds:int -> float
 (** Non-volatility cost as a fraction of DRAM cost; < 0.15 per the paper. *)

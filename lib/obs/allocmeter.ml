@@ -33,24 +33,3 @@ let measure fn =
   let a1 = Gc.allocated_bytes () in
   let m1 = (Gc.quick_stat ()).Gc.minor_collections in
   (result, a1 -. a0, m1 = m0)
-
-(* Bytes allocated per call of [fn], amortized over [reps] calls inside
-   one quiet window, after [warmup] unmeasured calls.  Halves [reps] and
-   retries (up to [tries] times) if a minor collection interrupts; the
-   last attempt's figure is returned even if dirty. *)
-let bytes_per_op ?(warmup = 32) ?(reps = 256) ?(tries = 4) fn =
-  with_quiet_heap (fun () ->
-      for _ = 1 to warmup do
-        fn ()
-      done;
-      let rec attempt reps tries =
-        let (), bytes, clean =
-          measure (fun () ->
-              for _ = 1 to reps do
-                fn ()
-              done)
-        in
-        if clean || tries <= 0 then bytes /. float_of_int reps
-        else attempt (max 1 (reps / 2)) (tries - 1)
-      in
-      attempt reps tries)

@@ -15,9 +15,3 @@ val measure : (unit -> 'a) -> 'a * float * bool
 (** [measure fn] empties the minor generation, runs [fn] and returns its
     result, the bytes allocated, and [true] when no minor collection
     landed inside the window (i.e. the figure is exact). *)
-
-val bytes_per_op :
-  ?warmup:int -> ?reps:int -> ?tries:int -> (unit -> unit) -> float
-(** Bytes allocated per call, amortized over [reps] calls in one quiet
-    window after [warmup] unmeasured calls; halves [reps] and retries up
-    to [tries] times when a collection interrupts. *)

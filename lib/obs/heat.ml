@@ -18,8 +18,6 @@ let create ?(half_life_ns = 10_000_000) () =
   if half_life_ns <= 0 then invalid_arg "Heat.create: half_life_ns must be positive";
   { hl = half_life_ns; cells = Int_tbl.create 64 }
 
-let half_life_ns t = t.hl
-
 let decay t c ~now =
   let dt = now - c.h_at in
   if dt >= t.hl then begin

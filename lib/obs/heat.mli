@@ -20,8 +20,6 @@ type t
 val create : ?half_life_ns:int -> unit -> t
 (** [half_life_ns] defaults to 10 ms of sim time. *)
 
-val half_life_ns : t -> int
-
 val access : t -> now:int -> region:int -> unit
 (** Count one object access (read or write) against [region] at sim time
     [now] (ns). *)

@@ -514,9 +514,7 @@ let create ?(capacity = 128) ?(log = create_log ()) engine ~machine =
     obs_heat = Heat.create ();
   }
 
-let machine t = t.obs_machine
 let set_enabled t on = t.obs_enabled <- on
-let enabled t = t.obs_enabled
 let tracer t = t.obs_tracer
 let timeline t = t.obs_timeline
 (* Arming starts a fresh attribution window: the exact accumulators (and

@@ -38,13 +38,9 @@ val create : ?capacity:int -> ?log:log -> Engine.t -> machine:int -> t
     default 128) off. [log] is the cluster log this machine writes to
     (default: a fresh one). *)
 
-val machine : t -> int
-
 val set_enabled : t -> bool -> unit
 (** Gates the flight-recorder ring only; the tracer and timeline have
     their own switches (see below). *)
-
-val enabled : t -> bool
 
 val tracer : t -> Tracer.t
 (** This machine's causal tracer (see {!Tracer}); off until
@@ -97,9 +93,6 @@ val incr : t -> counter -> unit
 val add : t -> counter -> int -> unit
 val counter : t -> counter -> int
 
-val counter_totals : t -> (string * int) list
-(** All nonzero counters, in declaration order. *)
-
 val commit_latency : t -> Stats.Hist.t
 (** Commit-phase latency (ns) of every transaction committed here, from
     the latency its [K_tx_commit] event carries. *)
@@ -131,7 +124,6 @@ type phase =
 
 val phase_name : phase -> string
 val all_phases : phase list
-val phase_index : phase -> int
 
 (** Blame categories — the exclusive latency partition documented in the
     {{!section-latency_blame} Latency blame} section below. Declared here

@@ -37,14 +37,11 @@ let create ?(capacity = 4096) engine ~machine =
     tl_interval = 0;
   }
 
-let machine t = t.tl_machine
-
 let add_series t ~name ~kind read =
   if t.tl_running then invalid_arg "Timeline.add_series: sampler already running";
   t.series <- { se_name = name; se_kind = kind; se_read = read; se_prev = 0 } :: t.series
 
 let running t = t.tl_running
-let interval_ns t = t.tl_interval
 let series_names t = List.rev_map (fun s -> s.se_name) t.series
 
 (* One tick: read every gauge into the next preallocated row. O(series)

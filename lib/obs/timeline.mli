@@ -31,8 +31,6 @@ val create : ?capacity:int -> Engine.t -> machine:int -> t
 (** [capacity] bounds the row ring (default 4096 rows, oldest
     overwritten first). *)
 
-val machine : t -> int
-
 val add_series : t -> name:string -> kind:kind -> (unit -> int) -> unit
 (** Register a gauge. Must precede {!start}; registration order is the
     column order of {!rows} and of the export. *)
@@ -45,7 +43,6 @@ val start : t -> interval:Time.t -> until:Time.t -> unit
     allowed and append to the same ring. *)
 
 val running : t -> bool
-val interval_ns : t -> int
 val series_names : t -> string list
 
 val rows : t -> (int * int array) list

@@ -135,8 +135,6 @@ let new_slot _ =
   }
 
 
-let machine t = t.trc_machine
-
 let set_enabled t on =
   if on && Array.length t.ring = 0 then t.ring <- Array.init t.capacity new_slot;
   t.trc_enabled <- on

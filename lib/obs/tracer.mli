@@ -39,7 +39,6 @@ val create : ?capacity:int -> Engine.t -> machine:int -> t
     4096 slots, oldest overwritten first). The buffer is allocated when
     tracing is first enabled. *)
 
-val machine : t -> int
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
@@ -127,7 +126,7 @@ val instant : t -> tid:int -> name:string -> arg:int -> unit
 type view = {
   v_machine : int;
   v_tid : int;
-  v_step : int;  (** {!step_index} *)
+  v_step : int;  (** index of the {!step} in declaration order *)
   v_ts : int;  (** start, sim ns *)
   v_dur : int;  (** ns *)
   v_arg : int;
@@ -137,8 +136,6 @@ type view = {
   v_fin : int;  (** incoming / outgoing flow ids; 0 = none *)
   v_fout : int;
 }
-
-val step_index : step -> int
 
 val views : t list -> view list
 (** Every live slice of the given tracers in the export's deterministic

@@ -14,8 +14,6 @@ let create engine ~eps =
   if eps_ns < 0 then invalid_arg "Clock.create: negative eps";
   { engine; eps_ns }
 
-let eps_ns t = t.eps_ns
-
 let draw_offset t rng =
   if t.eps_ns = 0 then 0 else Rng.int rng ((2 * t.eps_ns) - 1) - (t.eps_ns - 1)
 
@@ -26,8 +24,6 @@ let handle t ~offset_ns =
   if t.eps_ns > 0 && abs offset_ns >= t.eps_ns then
     invalid_arg "Clock.handle: |offset| must be < eps";
   { c = t; off = offset_ns }
-
-let offset_ns h = h.off
 
 let lo h =
   let n = Time.to_ns (Engine.now h.c.engine) + h.off - h.c.eps_ns in

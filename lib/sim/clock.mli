@@ -18,8 +18,6 @@ type t
 
 val create : Engine.t -> eps:Time.t -> t
 
-val eps_ns : t -> int
-
 val draw_offset : t -> Rng.t -> int
 (** A per-machine static offset in nanoseconds, uniform in
     [(-ε, ε)] (0 when ε = 0). Deterministic in the generator. *)
@@ -29,8 +27,6 @@ type handle
 
 val handle : t -> offset_ns:int -> handle
 (** Raises [Invalid_argument] unless [|offset_ns| < ε] (or both are 0). *)
-
-val offset_ns : handle -> int
 
 val lo : handle -> int
 (** Lower bound of the current reading, clamped to [>= 0] (engine time

@@ -21,8 +21,6 @@ let set_slow_factor t k =
   if k < 1 then invalid_arg "Cpu.set_slow_factor: factor must be >= 1";
   t.slow_factor <- k
 
-let slow_factor t = t.slow_factor
-
 let threads t = Array.length t.busy_until
 
 (* Index of the thread that frees up first: the central-queue FCFS policy of
@@ -34,6 +32,8 @@ let pick t =
   done;
   !best
 
+(* Claim the earliest-free thread and return the instant [cost] of work
+   started on it completes. *)
 let acquire t ~cost =
   let cost = if t.slow_factor = 1 then cost else Time.mul_int cost t.slow_factor in
   let i = pick t in

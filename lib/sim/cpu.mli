@@ -10,7 +10,6 @@
 type t
 
 val create : Engine.t -> threads:int -> t
-val threads : t -> int
 
 val set_slow_factor : t -> int -> unit
 (** Gray-failure injection hook: multiply every subsequently claimed cost
@@ -19,8 +18,6 @@ val set_slow_factor : t -> int -> unit
     than a crashed one. [busy_total] accumulates the scaled cost (the
     threads really are busy that long). Raises on factors < 1. *)
 
-val slow_factor : t -> int
-
 val exec : t -> cost:Time.t -> unit
 (** Run [cost] worth of CPU work; blocks the calling process until the work
     completes (including any queueing delay). *)
@@ -28,9 +25,6 @@ val exec : t -> cost:Time.t -> unit
 val exec_bg : ?ctx:Proc.Ctx.t -> t -> cost:Time.t -> (unit -> unit) -> unit
 (** Schedule background CPU work; [fn] runs when the work completes, unless
     [ctx] was cancelled in the meantime. Usable outside a process. *)
-
-val acquire : t -> cost:Time.t -> Time.t
-(** Low-level: claim a slot and return its completion instant. *)
 
 val queue_delay : t -> Time.t
 (** Delay a zero-cost item would currently experience before starting. *)

@@ -6,7 +6,6 @@ type 'a t = {
 let create () = { items = Queue.create (); waiters = Queue.create () }
 
 let length t = Queue.length t.items
-let is_empty t = Queue.is_empty t.items
 
 let send t v =
   match Queue.take_opt t.waiters with
@@ -19,11 +18,3 @@ let recv t =
   | None -> Proc.suspend (fun resume -> Queue.add resume t.waiters)
 
 let recv_opt t = Queue.take_opt t.items
-
-let drain t =
-  let rec loop acc =
-    match Queue.take_opt t.items with
-    | Some v -> loop (v :: acc)
-    | None -> List.rev acc
-  in
-  loop []

@@ -4,7 +4,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val send : 'a t -> 'a -> unit
 (** Never blocks; hands the value to the longest-waiting receiver if any. *)
@@ -14,6 +13,3 @@ val recv : 'a t -> 'a
 
 val recv_opt : 'a t -> 'a option
 (** Non-blocking receive. *)
-
-val drain : 'a t -> 'a list
-(** Remove and return all currently queued values. *)

@@ -1,12 +1,11 @@
 exception Cancelled
 
 module Ctx = struct
-  type t = { name : string; mutable cancelled : bool }
+  type t = { mutable cancelled : bool }
 
-  let create ?(name = "proc") () = { name; cancelled = false }
+  let create () = { cancelled = false }
   let cancel t = t.cancelled <- true
   let is_cancelled t = t.cancelled
-  let name t = t.name
 end
 
 type env = { engine : Engine.t; ctx : Ctx.t }
@@ -44,8 +43,8 @@ let enter self ctx k res =
       slot.running <- prev;
       Printexc.raise_with_backtrace e bt
 
-let spawn ?ctx ?name engine fn =
-  let ctx = match ctx with Some c -> c | None -> Ctx.create ?name () in
+let spawn ?ctx engine fn =
+  let ctx = match ctx with Some c -> c | None -> Ctx.create () in
   let self = Some { engine; ctx } in
   (* A [Wait_until] parks the process, and a process parks at most once at
      a time, so its two events reuse closures made here, once per process:

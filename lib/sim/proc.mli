@@ -18,26 +18,16 @@ exception Cancelled
 module Ctx : sig
   type t
 
-  val create : ?name:string -> unit -> t
+  val create : unit -> t
   val cancel : t -> unit
   val is_cancelled : t -> bool
-  val name : t -> string
 end
 
-type env = { engine : Engine.t; ctx : Ctx.t }
-
-val spawn : ?ctx:Ctx.t -> ?name:string -> Engine.t -> (unit -> unit) -> unit
+val spawn : ?ctx:Ctx.t -> Engine.t -> (unit -> unit) -> unit
 (** Schedule a new process to start at the current instant. *)
 
 (** {1 Operations valid only inside a process} *)
 
-val env : unit -> env
-(** The running process's engine and context, read from a per-domain slot
-    that each resumption sets. Raises [Invalid_argument] outside a
-    process. *)
-
-val engine : unit -> Engine.t
-val self_ctx : unit -> Ctx.t
 val now : unit -> Time.t
 
 val suspend : ((('a, exn) result -> unit) -> unit) -> 'a

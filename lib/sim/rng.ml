@@ -64,10 +64,6 @@ let exponential t ~mean =
   let u = if u <= 0. then epsilon_float else u in
   -.mean *. log u
 
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
 let shuffle_in_place t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

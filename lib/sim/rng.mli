@@ -34,5 +34,4 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
-val pick : t -> 'a array -> 'a
 val shuffle_in_place : t -> 'a array -> unit

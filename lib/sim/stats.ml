@@ -151,12 +151,6 @@ module Series = struct
   let bin t = t.bin
 
   let get t i = if i < Array.length t.data then t.data.(i) else 0
-
-  let to_list t ~until =
-    let nbins = (Time.to_ns until + Time.to_ns t.bin - 1) / Time.to_ns t.bin in
-    List.init nbins (fun i -> (Time.mul_int t.bin i, get t i))
-
-  let rate_per_us t i = float_of_int (get t i) /. Time.to_us_float t.bin
 end
 
 module Counter = struct
@@ -164,7 +158,5 @@ module Counter = struct
 
   let create () = { n = 0 }
   let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
   let get t = t.n
-  let clear t = t.n <- 0
 end

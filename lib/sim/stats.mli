@@ -40,11 +40,6 @@ module Series : sig
   val add : t -> at:Time.t -> int -> unit
   val bin : t -> Time.t
   val get : t -> int -> int
-
-  val to_list : t -> until:Time.t -> (Time.t * int) list
-  (** Bins from time 0 to [until] as [(bin_start, count)] pairs. *)
-
-  val rate_per_us : t -> int -> float
 end
 
 module Counter : sig
@@ -52,7 +47,5 @@ module Counter : sig
 
   val create : unit -> t
   val incr : t -> unit
-  val add : t -> int -> unit
   val get : t -> int
-  val clear : t -> unit
 end

@@ -15,7 +15,6 @@ let of_ms_float f = int_of_float (f *. 1e6)
 
 let add = ( + )
 let sub = ( - )
-let diff a b = a - b
 let max (a : t) (b : t) = if a >= b then a else b
 let min (a : t) (b : t) = if a <= b then a else b
 let compare = Int.compare

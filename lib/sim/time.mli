@@ -28,9 +28,6 @@ val of_ms_float : float -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 
-val diff : t -> t -> t
-(** [diff a b] is [a - b]. *)
-
 val max : t -> t -> t
 val min : t -> t -> t
 val compare : t -> t -> int

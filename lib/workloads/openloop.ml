@@ -172,15 +172,3 @@ let start ?machines ?(queue_cap = 1024) ?(workers = 2) (c : Cluster.t) ~shape ~r
       done)
     queues;
   t
-
-(* Convenience: start, drive for the window plus a drain tail, stop. The
-   SLO bench drives the engine itself (it interleaves fault injection), so
-   it uses [start]/[stop] directly. *)
-let run ?machines ?queue_cap ?workers (c : Cluster.t) ~shape ~rate ~duration
-    ~drain ~op =
-  let t = start ?machines ?queue_cap ?workers c ~shape ~rate ~duration ~op in
-  let engine = c.Cluster.engine in
-  Engine.run ~until:(Time.add (Engine.now engine) duration) engine;
-  stop t;
-  Engine.run ~until:(Time.add (Engine.now engine) drain) engine;
-  t

@@ -21,8 +21,6 @@ type stats = {
   series : Stats.Series.t;  (** completions per 1 ms bin *)
 }
 
-val create_stats : unit -> stats
-
 type t
 
 val stats : t -> stats
@@ -63,17 +61,3 @@ val start :
 val stop : t -> unit
 (** Declare the arrival window over: injectors stop admitting, workers
     drain what is queued and then exit. *)
-
-val run :
-  ?machines:int list ->
-  ?queue_cap:int ->
-  ?workers:int ->
-  Cluster.t ->
-  shape:Arrivals.shape ->
-  rate:float ->
-  duration:Time.t ->
-  drain:Time.t ->
-  op:(Driver.worker_ctx -> bool) ->
-  t
-(** [start], drive the engine for [duration], {!stop}, and drive [drain]
-    longer so queued work finishes. *)

@@ -56,12 +56,5 @@ val update_location : State.t -> thread:int -> t -> Rng.t -> bool
 val insert_call_forwarding : State.t -> thread:int -> t -> Rng.t -> bool
 val delete_call_forwarding : State.t -> thread:int -> t -> Rng.t -> bool
 
-val do_update_location :
-  State.t -> t -> thread:int -> s:int -> vlr:int -> (unit, Txn.abort_reason) result
-(** The locally-executed UPDATE_LOCATION body (the function-shipping
-    target). *)
-
-val install : State.t -> t -> unit
-
 val op : t -> Driver.worker_ctx -> bool
 (** One operation of the standard mix. *)

@@ -49,13 +49,6 @@ val load : Cluster.t -> t -> unit
 
 val new_order : t -> Driver.worker_ctx -> w:int -> bool
 val payment : t -> Driver.worker_ctx -> w:int -> bool
-val order_status : t -> Driver.worker_ctx -> w:int -> bool
-val delivery : t -> Driver.worker_ctx -> w:int -> bool
-val stock_level : t -> Driver.worker_ctx -> w:int -> bool
-
-val home_warehouse : t -> Driver.worker_ctx -> int
-(** Client co-partitioning: a warehouse whose home region's primary is this
-    machine. *)
 
 val op : t -> Driver.worker_ctx -> bool
 (** One operation of the standard mix. *)

@@ -30,9 +30,12 @@ let mk_fabric ?(machines = 3) ?(params = Params.default) () =
 let batch_cpu_cost () =
   let p = Params.default in
   let e, (fab : msg Fabric.t), cpus = mk_fabric () in
-  let descs = List.map (fun dst -> (dst, 64, fun () -> ())) [ 1; 2; 1; 2 ] in
+  let dsts = [| 1; 2; 1; 2 |] in
   Proc.spawn e (fun () ->
-      let results = Fabric.one_sided_write_batch fab ~src:0 descs in
+      let results =
+        Fabric.one_sided_write_batch fab ~src:0 ~n:4 ~dst:(Array.get dsts)
+          ~bytes:(fun _ -> 64) ~apply:ignore
+      in
       Array.iter
         (function Ok () -> () | Error _ -> Alcotest.fail "batch op failed")
         results);
@@ -47,12 +50,12 @@ let batch_cpu_cost () =
   (* the same four writes as singles *)
   let e2, (fab2 : msg Fabric.t), cpus2 = mk_fabric () in
   Proc.spawn e2 (fun () ->
-      List.iter
-        (fun (dst, bytes, apply) ->
-          match Fabric.one_sided_write fab2 ~src:0 ~dst ~bytes apply with
+      Array.iter
+        (fun dst ->
+          match Fabric.one_sided_write fab2 ~src:0 ~dst ~bytes:64 ignore with
           | Ok () -> ()
           | Error _ -> Alcotest.fail "single op failed")
-        descs);
+        dsts);
   Engine.run e2;
   let expect_singles =
     Time.mul_int (Time.add p.Params.cpu_rdma_issue p.Params.cpu_rdma_poll) 4
@@ -63,7 +66,13 @@ let batch_cpu_cost () =
 let empty_batch_is_free () =
   let e, (fab : msg Fabric.t), cpus = mk_fabric () in
   let len = ref (-1) in
-  Proc.spawn e (fun () -> len := Array.length (Fabric.one_sided_read_batch fab ~src:0 []));
+  Proc.spawn e (fun () ->
+      len :=
+        Array.length
+          (Fabric.one_sided_read_batch fab ~src:0 ~n:0
+             ~dst:(fun _ -> assert false)
+             ~bytes:(fun _ -> assert false)
+             ~read:(fun _ -> assert false)));
   Engine.run e;
   check_int "no results" 0 !len;
   check_int "no CPU charged" 0 (Time.to_ns (Cpu.busy_total cpus.(0)))
@@ -76,8 +85,10 @@ let batch_read_order () =
   let got = ref [||] in
   Proc.spawn e (fun () ->
       got :=
-        Fabric.one_sided_read_batch fab ~src:0
-          [ (1, 8, fun () -> !a); (2, 8, fun () -> !b); (1, 8, fun () -> !a + 1) ]);
+        Fabric.one_sided_read_batch fab ~src:0 ~n:3
+          ~dst:(Array.get [| 1; 2; 1 |])
+          ~bytes:(fun _ -> 8)
+          ~read:(function 0 -> !a | 1 -> !b | _ -> !a + 1));
   Engine.run e;
   let v i = match !got.(i) with Ok v -> v | Error _ -> Alcotest.fail "read failed" in
   check_int "desc 0" 10 (v 0);
@@ -96,8 +107,9 @@ let per_op_fault_independence () =
       let results =
         Fabric.one_sided_write_batch
           ~on_complete:(fun i _ -> done_at.(i) <- Engine.now e)
-          fab ~src:0
-          [ (1, 64, fun () -> ()); (2, 64, fun () -> ()); (1, 64, fun () -> ()) ]
+          fab ~src:0 ~n:3
+          ~dst:(Array.get [| 1; 2; 1 |])
+          ~bytes:(fun _ -> 64) ~apply:ignore
       in
       returned_at := Proc.now ();
       Array.iter
@@ -120,8 +132,10 @@ let per_op_failure_independence () =
   let got = ref [||] in
   Proc.spawn e (fun () ->
       got :=
-        Fabric.one_sided_write_batch fab ~src:0
-          [ (1, 64, fun () -> cell := 7); (2, 64, fun () -> assert false) ]);
+        Fabric.one_sided_write_batch fab ~src:0 ~n:2
+          ~dst:(fun i -> i + 1)
+          ~bytes:(fun _ -> 64)
+          ~apply:(function 0 -> cell := 7 | _ -> assert false));
   Engine.run e;
   check_bool "live op ok" true (match !got.(0) with Ok () -> true | Error _ -> false);
   check_bool "dead op fails" true

@@ -127,6 +127,69 @@ let partition_blocks () =
   Fabric.set_partition fab 1 0;
   check_bool "healed" true (Fabric.reachable fab 0 1)
 
+(* Directed blackholes kill one half of a link. A blackholed forward leg
+   never reaches the target, so nothing runs there; a blackholed return leg
+   swallows the completion after the target DMA already ran. Either way the
+   issuer gets a bounded [`Unreachable] after [failure_timeout], not a hang,
+   and the other direction keeps working. *)
+let blackhole_legs () =
+  let timeout = Params.default.Params.failure_timeout in
+  let e, (fab : msg Fabric.t), _ = mk_fabric () in
+  Fabric.set_handler fab 1 (fun ~src:_ ~reply m ->
+      match m with Ping n -> reply ~bytes:16 (Pong n) | Pong _ -> ());
+  let ran = ref false in
+  let run_verb verb =
+    ran := false;
+    let result = ref None in
+    let t0 = Engine.now e in
+    Proc.spawn e (fun () ->
+        let r = verb () in
+        result := Some (r, Time.sub (Proc.now ()) t0));
+    Engine.run e;
+    match !result with Some rt -> rt | None -> Alcotest.fail "verb never returned"
+  in
+  let read ~src ~dst () =
+    Fabric.one_sided_read fab ~src ~dst ~bytes:8 (fun () -> ran := true)
+  in
+  let write ~src ~dst () =
+    Fabric.one_sided_write fab ~src ~dst ~bytes:64 (fun () -> ran := true)
+  in
+  let unreachable what (r, took) =
+    check_bool (what ^ ": unreachable") true (r = Error `Unreachable);
+    check_bool (what ^ ": after failure_timeout") true Time.(took >= timeout)
+  in
+  (* forward leg 0->1 dead: neither closure runs at the target *)
+  Fabric.set_blackhole fab ~src:0 ~dst:1;
+  unreachable "read, forward leg" (run_verb (read ~src:0 ~dst:1));
+  check_bool "read closure never ran" false !ran;
+  unreachable "write, forward leg" (run_verb (write ~src:0 ~dst:1));
+  check_bool "write never applied" false !ran;
+  (* the reverse direction 1->0 is untouched; a verb from 1 to 0 still
+     fails, because its completion travels the dead 0->1 half *)
+  check_bool "0->1 unreachable" false (Fabric.reachable fab 0 1);
+  check_bool "1->0 reachable" true (Fabric.reachable fab 1 0);
+  let delivered = ref None in
+  Fabric.set_handler fab 0 (fun ~src ~reply:_ m -> delivered := Some (src, m));
+  Proc.spawn e (fun () -> Fabric.send fab ~src:1 ~dst:0 ~bytes:32 (Ping 9));
+  Engine.run e;
+  check_bool "reverse send delivered" true (!delivered = Some (1, Ping 9));
+  (* healing restores the link *)
+  Fabric.clear_gray_faults fab;
+  check_bool "healed read ok" true (fst (run_verb (read ~src:0 ~dst:1)) = Ok ());
+  (* return leg 1->0 dead: the target DMA runs, the completion is lost *)
+  Fabric.set_blackhole fab ~src:1 ~dst:0;
+  unreachable "read, return leg" (run_verb (read ~src:0 ~dst:1));
+  check_bool "read closure ran at the target" true !ran;
+  unreachable "write, return leg" (run_verb (write ~src:0 ~dst:1));
+  check_bool "write applied at the target" true !ran;
+  (* a call whose reply leg is dead fails without a ~timeout *)
+  let r, took = run_verb (fun () -> Fabric.call fab ~src:0 ~dst:1 ~bytes:32 (Ping 5)) in
+  check_bool "call, reply leg: unreachable" true (r = Error `Unreachable);
+  check_bool "call, reply leg: after failure_timeout" true Time.(took >= timeout);
+  Fabric.clear_gray_faults fab;
+  let r, _ = run_verb (fun () -> Fabric.call fab ~src:0 ~dst:1 ~bytes:32 (Ping 5)) in
+  check_bool "healed call" true (r = Ok (Pong 5))
+
 let nic_pipelines_saturate () =
   let e = Engine.create () in
   let nic = Nic.create e ~params:Params.default in
@@ -209,6 +272,7 @@ let suites =
         test "call round trip" call_round_trip;
         test "call timeout" call_timeout;
         test "partition blocks" partition_blocks;
+        test "directed blackholes" blackhole_legs;
       ] );
     ( "net.nic",
       [

@@ -17,11 +17,6 @@ let check_int = Alcotest.(check int)
 
 let snap_params = { quick_params with Params.protocol = Params.Snapshot }
 
-let merged c counter =
-  Array.fold_left
-    (fun acc (st : State.t) -> acc + Farm_obs.Obs.counter st.State.obs counter)
-    0 c.Cluster.machines
-
 let validate_phase_count c =
   match List.assoc_opt "validate" (Cluster.merged_phase_hists c) with
   | Some h -> Stats.Hist.count h
@@ -59,7 +54,7 @@ let ro_never_aborts_no_validate () =
   let r = Cluster.alloc_region_exn c in
   let cells = alloc_cells c ~region:r.Wire.rid ~n:16 ~init:100 in
   let validate_before = validate_phase_count c in
-  let ro_before = merged c Farm_obs.Obs.C_ro_commit in
+  let ro_before = Cluster.merged_counter c Farm_obs.Obs.C_ro_commit in
   let stop = ref false in
   spawn_transfers c ~cells ~stop;
   let ro_runs = ref 0 and ro_failures = ref 0 in
@@ -91,10 +86,12 @@ let ro_never_aborts_no_validate () =
   check_bool "read-only transactions ran" true (!ro_runs > 100);
   check_int "zero read-only aborts" 0 !ro_failures;
   check_int "zero VALIDATE phases" 0 (validate_phase_count c - validate_before);
-  check_int "zero validate-failed aborts" 0 (merged c Farm_obs.Obs.C_abort_validate_failed);
+  check_int "zero validate-failed aborts" 0
+    (Cluster.merged_counter c Farm_obs.Obs.C_abort_validate_failed);
   check_bool "read-only transactions committed locally" true
-    (merged c Farm_obs.Obs.C_ro_commit - ro_before >= !ro_runs);
-  check_bool "snapshot reads counted" true (merged c Farm_obs.Obs.C_snap_read > 0)
+    (Cluster.merged_counter c Farm_obs.Obs.C_ro_commit - ro_before >= !ro_runs);
+  check_bool "snapshot reads counted" true
+    (Cluster.merged_counter c Farm_obs.Obs.C_snap_read > 0)
 
 (* Opacity: a reader that straddles a conflicting writer still sees one
    consistent snapshot — the conserved sum — on every single attempt,
@@ -141,7 +138,7 @@ let consistent_snapshot_mid_conflict () =
   check_bool "snapshot sums observed" true (!reads > 100);
   check_int "every mid-conflict snapshot consistent" 0 !bad_sums;
   check_bool "some reads served from version chains" true
-    (merged c Farm_obs.Obs.C_snap_chain_read > 0);
+    (Cluster.merged_counter c Farm_obs.Obs.C_snap_chain_read > 0);
   (* the final state is still conserved *)
   check_int "sum conserved" expect (sum_cells c ~machine:0 cells)
 
@@ -156,7 +153,8 @@ let chains_truncated () =
   Cluster.run_for c ~d:(Time.ms 30);
   stop := true;
   Cluster.run_for c ~d:(Time.ms 2);
-  check_bool "watermark truncation ran" true (merged c Farm_obs.Obs.C_wm_trim > 0);
+  check_bool "watermark truncation ran" true
+    (Cluster.merged_counter c Farm_obs.Obs.C_wm_trim > 0);
   (* every live chain node's timestamp is at or above its floor *)
   Array.iter
     (fun (st : State.t) ->

@@ -7,7 +7,7 @@ let check_int = Alcotest.(check int)
 (* {1 NVRAM bank} *)
 
 let bank_basic () =
-  let b = Farm_nvram.Bank.create ~machine:3 in
+  let b = Farm_nvram.Bank.create () in
   let buf = Farm_nvram.Bank.alloc b ~key:1 ~size:64 in
   check_bool "zeroed" true (Farm_nvram.Pagemem.sub buf 0 64 = Bytes.make 64 '\000');
   Farm_nvram.Pagemem.blit_from_bytes (Bytes.of_string "x") 0 buf 10 1;
@@ -24,7 +24,7 @@ let bank_basic () =
 let bank_pages_on_write () =
   let module P = Farm_nvram.Pagemem in
   let module L = Farm_core.Obj_layout in
-  let b = Farm_nvram.Bank.create ~machine:0 in
+  let b = Farm_nvram.Bank.create () in
   let size = 1 lsl 20 and page = P.page_size in
   let m = Farm_nvram.Bank.alloc b ~key:1 ~size in
   check_int "fresh region holds no page" 0 (Farm_nvram.Bank.resident_bytes b);
@@ -47,7 +47,7 @@ let bank_pages_on_write () =
     (Invalid_argument "Pagemem.get_int64_le") (fun () -> ignore (P.get_int64_le m (size - 7)))
 
 let bank_wipe () =
-  let b = Farm_nvram.Bank.create ~machine:0 in
+  let b = Farm_nvram.Bank.create () in
   ignore (Farm_nvram.Bank.alloc b ~key:1 ~size:8);
   Farm_nvram.Bank.wipe b;
   check_bool "wiped" true (Farm_nvram.Bank.is_wiped b);
