@@ -18,14 +18,12 @@ open Farm_sim
 open Farm_fault
 open Cmdliner
 
-let opts_of ~machines ~cells ~workers ~duration_ms ~no_btree ~no_batching ~protocol
-    ~perfetto ~gray =
+let opts_of ~machines ~cells ~workers ~duration_ms ~no_batching ~protocol ~perfetto ~gray =
   {
     Explorer.machines;
     cells;
     workers;
     duration = Time.ms duration_ms;
-    btree = not no_btree;
     batching = not no_batching;
     protocol;
     record = true;
@@ -79,8 +77,8 @@ let run_replay ~opts ~seed ~trace_flag ~perfetto_file =
   | _ -> ());
   if Explorer.ok o then 0 else 1
 
-let main seed schedules replay machines cells workers duration_ms no_btree no_batching
-    protocol gray jobs verbose trace_flag perfetto_file =
+let main seed schedules replay machines cells workers duration_ms no_batching protocol gray
+    jobs verbose trace_flag perfetto_file =
   if machines < 3 then begin
     Fmt.epr "farm_fuzz: --machines must be at least 3 (every region needs f+1 = 3 replicas)@.";
     2
@@ -95,7 +93,7 @@ let main seed schedules replay machines cells workers duration_ms no_btree no_ba
   end
   else begin
     let opts =
-      opts_of ~machines ~cells ~workers ~duration_ms ~no_btree ~no_batching ~protocol
+      opts_of ~machines ~cells ~workers ~duration_ms ~no_batching ~protocol
         ~perfetto:(perfetto_file <> None) ~gray
     in
     match replay with
@@ -126,7 +124,6 @@ let cmd =
   let duration_ms =
     Arg.(value & opt int 60 & info [ "duration"; "d" ] ~doc:"Workload window per schedule (ms).")
   in
-  let no_btree = Arg.(value & flag & info [ "no-btree" ] ~doc:"Disable the B-tree side workload.") in
   let no_batching =
     Arg.(
       value & flag
@@ -192,7 +189,7 @@ let cmd =
   let term =
     Term.(
       const main $ seed $ schedules $ replay $ machines $ cells $ workers $ duration_ms
-      $ no_btree $ no_batching $ protocol $ gray $ jobs $ verbose $ trace_flag
+      $ no_batching $ protocol $ gray $ jobs $ verbose $ trace_flag
       $ perfetto_file)
   in
   Cmd.v (Cmd.info "farm_fuzz" ~doc:"Deterministic fault-schedule fuzzer for the FaRM simulation") term

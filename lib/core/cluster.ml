@@ -202,11 +202,7 @@ let power_cycle t =
   List.iter
     (fun (st : State.t) ->
       Hashtbl.iter
-        (fun rid (rep : State.replica) ->
-          let p, bs = match Hashtbl.find_opt owners rid with Some v -> v | None -> (None, []) in
-          match rep.State.role with
-          | State.Primary -> Hashtbl.replace owners rid (Some st.State.id, bs)
-          | State.Backup -> Hashtbl.replace owners rid (p, st.State.id :: bs))
+        (fun rid (rep : State.replica) -> Cm.claim owners ~machine:st.State.id rid rep.State.role)
         st.State.nv.replicas)
     machines;
   let infos =

@@ -202,22 +202,22 @@ let wait_acks_or_timeout st (done_ : unit Ivar.t) ~timeout =
       Ivar.on_fill done_ (fun () -> resume (Ok true));
       Engine.schedule_in st.State.engine ~after:timeout (fun () -> resume (Ok false)))
 
+(* Note [machine]'s claim to hold a [role] replica of [rid] in a table of
+   each region's (primary, backups). *)
+let claim claims ~machine rid role =
+  let p, bs = match Hashtbl.find_opt claims rid with Some v -> v | None -> (None, []) in
+  match role with
+  | State.Primary -> Hashtbl.replace claims rid (Some machine, bs)
+  | State.Backup -> Hashtbl.replace claims rid (p, machine :: bs)
+
 (* Rebuild the CM-only region map from probe results — needed when a backup
    CM takes over (the cause of the slower recovery in Figure 11). *)
 let rebuild_owners st (cm : State.cm_state) ~probes =
   Hashtbl.reset cm.State.owners;
   let claims = Hashtbl.create 64 in
   let change_ids = Hashtbl.create 64 in
-  let note_claims m replicas =
-    List.iter
-      (fun (rid, role) ->
-        let p, bs =
-          match Hashtbl.find_opt claims rid with Some v -> v | None -> (None, [])
-        in
-        match role with
-        | State.Primary -> Hashtbl.replace claims rid (Some m, bs)
-        | State.Backup -> Hashtbl.replace claims rid (p, m :: bs))
-      replicas
+  let note_claims machine replicas =
+    List.iter (fun (rid, role) -> claim claims ~machine rid role) replicas
   in
   let note_infos infos =
     List.iter

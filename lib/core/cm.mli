@@ -20,6 +20,13 @@ val handle_fetch_mapping : State.t -> reply:(bytes:int -> Wire.message -> unit) 
 
 (** {1 Reconfiguration} *)
 
+val claim :
+  (int, int option * int list) Hashtbl.t -> machine:int -> int -> State.role -> unit
+(** [claim claims ~machine rid role] notes that [machine] holds a [role]
+    replica of region [rid] in a table of each region's (primary, backups):
+    the region-map rebuild step shared by a new CM's probe results and a
+    whole-cluster power cycle. *)
+
 type probe_result = {
   pr_machine : int;
   pr_last_drained : int;

@@ -32,49 +32,7 @@ let regions_of_record (r : Wire.log_record) =
 let record_evidence st txid (r : Wire.log_record) =
   match st.State.recovery with
   | None -> ()
-  | Some rs ->
-      let e =
-        match Txid.Tbl.find_opt rs.rs_local txid with
-        | Some e -> e
-        | None ->
-            let e =
-              {
-                Wire.ev_txid = txid;
-                ev_regions = [];
-                ev_saw = Wire.saw_nothing ();
-                ev_payload = None;
-              }
-            in
-            Txid.Tbl.replace rs.rs_local txid e;
-            e
-      in
-      let e =
-        match (e.Wire.ev_regions, regions_of_record r) with
-        | [], (_ :: _ as regions) ->
-            let e' = { e with Wire.ev_regions = regions } in
-            Txid.Tbl.replace rs.rs_local txid e';
-            e'
-        | _ -> e
-      in
-      let e =
-        match (e.Wire.ev_payload, r.payload) with
-        | None, (Lock p | Commit_backup p) ->
-            let e' = { e with Wire.ev_payload = Some p } in
-            Txid.Tbl.replace rs.rs_local txid e';
-            e'
-        | Some p0, (Lock p | Commit_backup p) ->
-            let e' = { e with Wire.ev_payload = Some (Payloads.merge_payloads p0 p) } in
-            Txid.Tbl.replace rs.rs_local txid e';
-            e'
-        | Some _, (Commit_primary _ | Abort _ | Truncate_marker) -> e
-        | None, (Commit_primary _ | Abort _ | Truncate_marker) -> e
-      in
-      (match r.payload with
-      | Lock _ -> e.Wire.ev_saw.saw_lock <- true
-      | Commit_backup _ -> e.Wire.ev_saw.saw_commit_backup <- true
-      | Commit_primary _ -> e.Wire.ev_saw.saw_commit_primary <- true
-      | Abort _ -> e.Wire.ev_saw.saw_abort <- true
-      | Truncate_marker -> ())
+  | Some rs -> ignore (Evidence.add rs.rs_local (Evidence.of_record txid r.payload))
 
 (* {1 Truncation at the receiver (§4 step 5)} *)
 
@@ -227,10 +185,9 @@ let process_commit_primary st log (e : Ringlog.entry) txid ~ts =
   | None -> ());
   Ringlog.retain log e
 
-let process_abort st log (e : Ringlog.entry) txid =
-  (* release exactly the locks this transaction holds, then drop its
-     records *)
-  (match Txid.Tbl.find_opt st.State.locks_held txid with
+(* Release exactly the locks this transaction holds here. *)
+let release_locks st txid =
+  match Txid.Tbl.find_opt st.State.locks_held txid with
   | Some writes ->
       List.iter
         (fun (w : Wire.write_item) ->
@@ -239,7 +196,11 @@ let process_abort st log (e : Ringlog.entry) txid =
           | None -> ())
         writes;
       Txid.Tbl.remove st.State.locks_held txid
-  | None -> ());
+  | None -> ()
+
+let process_abort st log (e : Ringlog.entry) txid =
+  (* release the transaction's locks, then drop its records *)
+  release_locks st txid;
   ignore (Ringlog.truncate log st.State.engine txid);
   State.mark_truncated st txid;
   Ringlog.discard log st.State.engine e

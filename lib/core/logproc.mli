@@ -14,5 +14,9 @@ val regions_of_record : Wire.log_record -> int list
 val record_evidence : State.t -> Txid.t -> Wire.log_record -> unit
 (** Merge a record into the machine's recovering-transaction evidence. *)
 
+val release_locks : State.t -> Txid.t -> unit
+(** Release exactly the locks the transaction holds on this machine (ABORT
+    and ABORT-RECOVERY). *)
+
 val attach : State.t -> Ringlog.t -> unit
 (** Install the per-entry processing trigger on an incoming log. *)

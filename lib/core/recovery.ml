@@ -14,54 +14,7 @@ open Farm_sim
    and step 7 per recovering transaction, so recovery time is dominated by
    the in-flight transaction count, not the data size. *)
 
-(* {1 Evidence management} *)
-
-
-let get_evidence rs txid =
-  match Txid.Tbl.find_opt rs.State.rs_local txid with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          Wire.ev_txid = txid;
-          ev_regions = [];
-          ev_saw = Wire.saw_nothing ();
-          ev_payload = None;
-        }
-      in
-      Txid.Tbl.replace rs.State.rs_local txid e;
-      e
-
-let merge_evidence rs (ev : Wire.tx_evidence) =
-  let e = get_evidence rs ev.Wire.ev_txid in
-  let e =
-    if e.Wire.ev_regions = [] && ev.Wire.ev_regions <> [] then begin
-      let e' = { e with Wire.ev_regions = ev.Wire.ev_regions } in
-      Txid.Tbl.replace rs.State.rs_local ev.Wire.ev_txid e';
-      e'
-    end
-    else e
-  in
-  let e =
-    match (e.Wire.ev_payload, ev.Wire.ev_payload) with
-    | None, Some p ->
-        let e' = { e with Wire.ev_payload = Some p } in
-        Txid.Tbl.replace rs.State.rs_local ev.Wire.ev_txid e';
-        e'
-    | Some p0, Some p ->
-        let e' = { e with Wire.ev_payload = Some (Payloads.merge_payloads p0 p) } in
-        Txid.Tbl.replace rs.State.rs_local ev.Wire.ev_txid e';
-        e'
-    | _ -> e
-  in
-  let s = e.Wire.ev_saw and s' = ev.Wire.ev_saw in
-  s.Wire.saw_lock <- s.Wire.saw_lock || s'.Wire.saw_lock;
-  s.Wire.saw_commit_backup <- s.Wire.saw_commit_backup || s'.Wire.saw_commit_backup;
-  s.Wire.saw_commit_primary <- s.Wire.saw_commit_primary || s'.Wire.saw_commit_primary;
-  s.Wire.saw_abort <- s.Wire.saw_abort || s'.Wire.saw_abort;
-  s.Wire.saw_commit_recovery <- s.Wire.saw_commit_recovery || s'.Wire.saw_commit_recovery;
-  s.Wire.saw_abort_recovery <- s.Wire.saw_abort_recovery || s'.Wire.saw_abort_recovery;
-  e
+(* {1 Per-region bookkeeping} *)
 
 let region_txs rs rid =
   match Hashtbl.find_opt rs.State.rs_region_txs rid with
@@ -79,8 +32,7 @@ let backup_has rs ~rid ~backup =
       Hashtbl.replace rs.State.rs_backup_has (rid, backup) s;
       s
 
-(* {1 Voting rules (§5.3 step 6)} *)
-
+(* A vote's code in the K_rec_vote event. *)
 let vote_tag = function
   | Wire.Vote_commit_primary -> 0
   | Wire.Vote_commit_backup -> 1
@@ -88,13 +40,6 @@ let vote_tag = function
   | Wire.Vote_abort -> 3
   | Wire.Vote_truncated -> 4
   | Wire.Vote_unknown -> 5
-
-let vote_from_evidence (ev : Wire.tx_evidence) =
-  let s = ev.Wire.ev_saw in
-  if s.Wire.saw_commit_primary || s.Wire.saw_commit_recovery then Wire.Vote_commit_primary
-  else if s.Wire.saw_commit_backup && not s.Wire.saw_abort_recovery then Wire.Vote_commit_backup
-  else if s.Wire.saw_lock && not s.Wire.saw_abort_recovery then Wire.Vote_lock
-  else Wire.Vote_abort
 
 (* {1 Recovery-coordinator side (steps 6-7)} *)
 
@@ -177,25 +122,13 @@ let decide st (rc : State.rec_coord) outcome =
   end
 
 let try_decide st (rc : State.rec_coord) =
-  if not rc.State.rc_decided && rc.State.rc_regions <> [] then begin
-    let vote_of r = List.assoc_opt r rc.State.rc_votes in
-    let votes = List.map vote_of rc.State.rc_regions in
-    if List.exists (fun v -> v = Some Wire.Vote_commit_primary) votes then
-      decide st rc State.Committed
-    else if List.for_all Option.is_some votes then begin
-      let vs = List.filter_map Fun.id votes in
-      let commit =
-        List.exists (fun v -> v = Wire.Vote_commit_backup) vs
-        && List.for_all
-             (fun v ->
-               match v with
-               | Wire.Vote_lock | Wire.Vote_commit_backup | Wire.Vote_truncated -> true
-               | Wire.Vote_commit_primary | Wire.Vote_abort | Wire.Vote_unknown -> false)
-             vs
-      in
-      decide st rc (if commit then State.Committed else State.Aborted)
-    end
-  end
+  if not rc.State.rc_decided && rc.State.rc_regions <> [] then
+    match
+      Evidence.decide (List.map (fun r -> List.assoc_opt r rc.State.rc_votes) rc.State.rc_regions)
+    with
+    | Some true -> decide st rc State.Committed
+    | Some false -> decide st rc State.Aborted
+    | None -> ()
 
 (* The coordinator requests votes from primaries that stay silent past the
    vote timeout (250 us), repeatedly until the transaction is decided. *)
@@ -292,7 +225,7 @@ let on_need_recovery st ~src ~reply ~cfg ~rid ~txs =
   | Some rs when rs.State.rs_cfg = cfg ->
       List.iter
         (fun (ev : Wire.tx_evidence) ->
-          ignore (merge_evidence rs ev);
+          ignore (Evidence.add rs.State.rs_local ev);
           let s = region_txs rs rid in
           s := Txid.Set.add ev.Wire.ev_txid !s;
           if ev.Wire.ev_payload <> None then begin
@@ -315,22 +248,27 @@ let on_need_recovery st ~src ~reply ~cfg ~rid ~txs =
          this machine's configuration catches up *)
       ()
 
+(* Install one recovered write at a replica here; true if it was applied
+   (not already installed). Snapshot protocol: LOCK-record evidence predates
+   timestamp assignment (ts 0), so the install synthesized a timestamp.
+   Snapshots that straddle it could be answered wrongly — raise the chain
+   floor past every read timestamp drawn so far; those readers retry at a
+   fresh one. *)
+let install_recovered st (rep : State.replica) (w : Wire.write_item) =
+  let applied = Objmem.apply_write rep w in
+  if w.Wire.ts = 0 then
+    (match rep.State.vc with
+    | Some vc -> Verchain.raise_floor vc (Clock.hi st.State.clock + 1)
+    | None -> ());
+  applied
+
 (* Apply one recovered write at its region's replica here, if primary.
    Idempotent: the decision push re-sends COMMIT-RECOVERY every round until
    all replicas ack, so the same item can arrive several times. *)
 let apply_recovered_write st (w : Wire.write_item) =
   match State.replica st w.Wire.addr.Addr.region with
   | Some rep when rep.State.role = State.Primary ->
-      let applied = Objmem.apply_write rep w in
-      (* snapshot protocol: LOCK-record evidence predates timestamp
-         assignment (ts 0), so the install synthesized a timestamp.
-         Snapshots that straddle it could be answered wrongly — raise the
-         chain floor past every read timestamp drawn so far; those readers
-         retry at a fresh one. *)
-      if w.Wire.ts = 0 then
-        (match rep.State.vc with
-        | Some vc -> Verchain.raise_floor vc (Clock.hi st.State.clock + 1)
-        | None -> ());
+      let applied = install_recovered st rep w in
       if applied && w.Wire.alloc_op = Wire.Alloc_clear then
         Allocmgr.release_slot st rep ~off:w.Wire.addr.Addr.offset
   | _ -> ()
@@ -450,7 +388,7 @@ let primary_recover_region st (rs : State.recovery_state) rid =
           else
             match Txid.Tbl.find_opt rs.State.rs_local txid with
             | Some ev ->
-                let vote = vote_from_evidence ev in
+                let vote = Evidence.vote ev in
                 let coord = coordinator_for st txid in
                 Comms.send st ~dst:coord
                   (Wire.Recovery_vote
@@ -607,20 +545,10 @@ let on_config_commit st =
 
 (* {1 Replica-side handlers for recovery messages} *)
 
-let on_replicate_tx_state st ~reply ~cfg ~rid ~txid ~lock =
+let on_replicate_tx_state st ~reply ~cfg ~rid:_ ~txid ~lock =
   (match st.State.recovery with
   | Some rs when rs.State.rs_cfg = cfg ->
-      let ev =
-        merge_evidence rs
-          {
-            Wire.ev_txid = txid;
-            ev_regions = lock.Wire.regions_written;
-            ev_saw = Wire.saw_nothing ();
-            ev_payload = Some lock;
-          }
-      in
-      ev.Wire.ev_saw.Wire.saw_lock <- true;
-      ignore rid
+      ignore (Evidence.add rs.State.rs_local (Evidence.of_record txid (Wire.Lock lock)))
   | _ -> ());
   Comms.reply_to reply Wire.Ack
 
@@ -637,39 +565,13 @@ let resident_evidence st (txid : Txid.t) =
   | Some log -> (
       match Ringlog.resident_records log txid with
       | [] -> None
-      | records ->
-          let ev =
-            {
-              Wire.ev_txid = txid;
-              ev_regions = [];
-              ev_saw = Wire.saw_nothing ();
-              ev_payload = None;
-            }
-          in
-          Some
-            (List.fold_left
-               (fun (ev : Wire.tx_evidence) (r : Wire.log_record) ->
-                 let ev =
-                   match (ev.Wire.ev_regions, Logproc.regions_of_record r) with
-                   | [], (_ :: _ as regions) -> { ev with Wire.ev_regions = regions }
-                   | _ -> ev
-                 in
-                 let ev =
-                   match (ev.Wire.ev_payload, r.Wire.payload) with
-                   | None, (Wire.Lock p | Wire.Commit_backup p) ->
-                       { ev with Wire.ev_payload = Some p }
-                   | Some p0, (Wire.Lock p | Wire.Commit_backup p) ->
-                       { ev with Wire.ev_payload = Some (Payloads.merge_payloads p0 p) }
-                   | _ -> ev
-                 in
-                 (match r.Wire.payload with
-                 | Wire.Lock _ -> ev.Wire.ev_saw.Wire.saw_lock <- true
-                 | Wire.Commit_backup _ -> ev.Wire.ev_saw.Wire.saw_commit_backup <- true
-                 | Wire.Commit_primary _ -> ev.Wire.ev_saw.Wire.saw_commit_primary <- true
-                 | Wire.Abort _ -> ev.Wire.ev_saw.Wire.saw_abort <- true
-                 | Wire.Truncate_marker -> ());
-                 ev)
-               ev records))
+      | records -> Some (Evidence.of_records txid records))
+
+(* Evidence a drain (or a later record, report or decision) merged here. *)
+let drained_evidence st txid =
+  match st.State.recovery with
+  | Some rs -> Txid.Tbl.find_opt rs.State.rs_local txid
+  | None -> None
 
 let on_request_vote st ~src ~cfg ~rid ~txid =
   if cfg = st.State.config.Config.id then begin
@@ -685,15 +587,14 @@ let on_request_vote st ~src ~cfg ~rid ~txid =
         in
         Comms.send st ~dst:src (Wire.Recovery_vote { cfg; rid; txid; regions = []; vote })
     | None ->
-        let drained =
-          match st.State.recovery with
-          | Some rs -> Txid.Tbl.find_opt rs.State.rs_local txid
-          | None -> None
+        let ev =
+          match drained_evidence st txid with
+          | Some _ as ev -> ev
+          | None -> resident_evidence st txid
         in
-        let ev = match drained with Some _ -> drained | None -> resident_evidence st txid in
         let vote, regions =
           match ev with
-          | Some ev -> (vote_from_evidence ev, ev.Wire.ev_regions)
+          | Some ev -> (Evidence.vote ev, ev.Wire.ev_regions)
           | None ->
               if State.is_truncated st txid then (Wire.Vote_truncated, [])
               else (Wire.Vote_unknown, [])
@@ -702,34 +603,21 @@ let on_request_vote st ~src ~cfg ~rid ~txid =
   end
 
 let evidence_payload st txid =
-  let drained =
-    match st.State.recovery with
-    | Some rs -> (
-        match Txid.Tbl.find_opt rs.State.rs_local txid with
-        | Some { Wire.ev_payload = Some p; _ } -> Some p
-        | _ -> None)
-    | None -> None
-  in
-  match drained with
-  | Some _ -> drained
-  | None -> (
-      (* no drain merged evidence for this transaction (watchdog-initiated
+  match drained_evidence st txid with
+  | Some { Wire.ev_payload = Some _ as p; _ } -> p
+  | Some _ | None ->
+      (* no drain merged a payload for this transaction (watchdog-initiated
          recovery without a configuration change): the resident records are
          the evidence *)
-      match resident_evidence st txid with
-      | Some { Wire.ev_payload = Some p; _ } -> Some p
-      | Some _ | None -> None)
+      Option.bind (resident_evidence st txid) (fun ev -> ev.Wire.ev_payload)
 
 (* COMMIT-RECOVERY: like COMMIT-PRIMARY at a primary (apply in place),
    like COMMIT-BACKUP at a backup (just record it). *)
 let on_commit_recovery st ~reply ~cfg:_ ~txid =
   Txid.Tbl.replace st.State.recovered_outcomes txid State.Committed;
-  (match st.State.recovery with
-  | Some rs -> (
-      match Txid.Tbl.find_opt rs.State.rs_local txid with
-      | Some ev -> ev.Wire.ev_saw.Wire.saw_commit_recovery <- true
-      | None -> ())
-  | None -> ());
+  Option.iter
+    (fun rs -> Evidence.mark rs.State.rs_local txid Evidence.saw_commit_recovery)
+    st.State.recovery;
   (match evidence_payload st txid with
   | Some p ->
       List.iter (apply_recovered_write st) p.Wire.writes;
@@ -739,23 +627,10 @@ let on_commit_recovery st ~reply ~cfg:_ ~txid =
 
 let on_abort_recovery st ~reply ~cfg:_ ~txid =
   Txid.Tbl.replace st.State.recovered_outcomes txid State.Aborted;
-  (match st.State.recovery with
-  | Some rs -> (
-      match Txid.Tbl.find_opt rs.State.rs_local txid with
-      | Some ev -> ev.Wire.ev_saw.Wire.saw_abort_recovery <- true
-      | None -> ())
-  | None -> ());
-  (* release exactly the locks this transaction holds here *)
-  (match Txid.Tbl.find_opt st.State.locks_held txid with
-  | Some writes ->
-      List.iter
-        (fun (w : Wire.write_item) ->
-          match State.replica st w.Wire.addr.Addr.region with
-          | Some rep -> Objmem.unlock rep w
-          | None -> ())
-        writes;
-      Txid.Tbl.remove st.State.locks_held txid
-  | None -> ());
+  Option.iter
+    (fun rs -> Evidence.mark rs.State.rs_local txid Evidence.saw_abort_recovery)
+    st.State.recovery;
+  Logproc.release_locks st txid;
   Comms.reply_to reply Wire.Ack
 
 (* TRUNCATE-RECOVERY: backups apply the updates (like normal truncation),
@@ -769,13 +644,7 @@ let on_truncate_recovery st ~cfg:_ ~txid =
             (fun (w : Wire.write_item) ->
               match State.replica st w.Wire.addr.Addr.region with
               | Some rep when rep.State.role = State.Backup ->
-                  ignore (Objmem.apply_write rep w);
-                  (* see on_commit_recovery: ts-less evidence invalidates
-                     snapshots that straddle the synthesized timestamp *)
-                  if w.Wire.ts = 0 then (
-                    match rep.State.vc with
-                    | Some vc -> Verchain.raise_floor vc (Clock.hi st.State.clock + 1)
-                    | None -> ())
+                  ignore (install_recovered st rep w)
               | _ -> ())
             p.Wire.writes
       | None -> ())

@@ -2,14 +2,9 @@
 (** Transaction state recovery (§5.3, Figure 6): drain logs, find
     recovering transactions, lock recovery (after which regions re-activate
     and normal transactions proceed in parallel), log-record replication,
-    voting, and the coordinator's decide step.
-
-    The vote rules: commit-primary if any replica saw COMMIT-PRIMARY or
-    COMMIT-RECOVERY; else commit-backup if any saw COMMIT-BACKUP and none
-    saw ABORT-RECOVERY; else lock if any saw LOCK and no ABORT-RECOVERY;
-    else abort. The coordinator commits on any commit-primary vote, or when
-    all written regions voted and at least one said commit-backup with the
-    rest in {lock, commit-backup, truncated}. *)
+    voting, and the coordinator's decide step. The evidence, vote and
+    decide rules themselves are {!Evidence}'s; this module moves evidence
+    and votes between machines and acts on the decision. *)
 
 val on_config_commit : State.t -> unit
 (** Start recovery for the just-committed configuration (spawned from the

@@ -44,31 +44,13 @@ type log_record = {
   cfg : int;  (* configuration in which the record was written *)
 }
 
-(* What record types a replica has seen for a recovering transaction; the
-   evidence that drives the voting rules of §5.3 step 6. *)
-type saw = {
-  mutable saw_lock : bool;
-  mutable saw_commit_backup : bool;
-  mutable saw_commit_primary : bool;
-  mutable saw_abort : bool;
-  mutable saw_commit_recovery : bool;
-  mutable saw_abort_recovery : bool;
-}
-
-let saw_nothing () =
-  {
-    saw_lock = false;
-    saw_commit_backup = false;
-    saw_commit_primary = false;
-    saw_abort = false;
-    saw_commit_recovery = false;
-    saw_abort_recovery = false;
-  }
-
+(* What a replica knows about a recovering transaction; the evidence that
+   drives the voting rules of §5.3 step 6 (see Evidence). Immutable: a
+   NEED-RECOVERY message carries a snapshot of the sender's evidence. *)
 type tx_evidence = {
   ev_txid : Txid.t;
   ev_regions : int list;  (* regions written by the transaction *)
-  ev_saw : saw;
+  ev_saw : int;  (* record types seen, a bitset of Evidence.saw_* *)
   ev_payload : lock_payload option;  (* lock-record contents, if held *)
 }
 

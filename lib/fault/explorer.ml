@@ -22,7 +22,6 @@ type opts = {
   cells : int;
   workers : int;  (** workers per machine *)
   duration : Time.t;  (** workload + fault window per schedule *)
-  btree : bool;
   batching : bool;  (** doorbell-batched commit pipeline (the default) *)
   protocol : Params.protocol;  (** commit protocol variant under test *)
   record : bool;  (** capture flight-recorder events (the default) *)
@@ -36,7 +35,6 @@ let default_opts =
     cells = 16;
     workers = 2;
     duration = Time.ms 60;
-    btree = true;
     batching = true;
     protocol = Params.Validate_at_commit;
     record = true;
@@ -113,18 +111,15 @@ let spawn_workers (c : Cluster.t) ~opts ~stop ~hist ~addrs ~tree =
           Proc.spawn ~ctx:st.State.ctx c.Cluster.engine (fun () ->
               let rng = Rng.split st.State.rng in
               (* per-machine handle: node caches must not be shared *)
-              let tree =
-                Option.map (fun t -> { t with Farm_kv.Btree.cache = Int_tbl.create 64 }) tree
-              in
+              let tree = { tree with Farm_kv.Btree.cache = Int_tbl.create 64 } in
               while not !stop do
-                (match tree with
-                | Some t when Rng.int rng 100 < 20 ->
-                    ignore
-                      (Api.run_retry ~attempts:3 st ~thread:0 (fun tx ->
-                           let k = Rng.int rng 200 in
-                           if Rng.bool rng then Farm_kv.Btree.insert tx t k (Rng.int rng 1000)
-                           else ignore (Farm_kv.Btree.delete tx t k)))
-                | _ -> transfer st ~rng ~hist ~addrs);
+                if Rng.int rng 100 < 20 then
+                  ignore
+                    (Api.run_retry ~attempts:3 st ~thread:0 (fun tx ->
+                         let k = Rng.int rng 200 in
+                         if Rng.bool rng then Farm_kv.Btree.insert tx tree k (Rng.int rng 1000)
+                         else ignore (Farm_kv.Btree.delete tx tree k)))
+                else transfer st ~rng ~hist ~addrs;
                 Proc.sleep (Time.us (50 + Rng.int rng 200))
               done)
         done)
@@ -163,7 +158,7 @@ let run_one ?(opts = default_opts) ?probe seed =
      its transactions spent their time *)
   Cluster.set_blame c opts.record;
   Cluster.set_tracing c opts.perfetto;
-  (* setup: bank cells in one region, optionally a B-tree in another *)
+  (* setup: bank cells in one region, a B-tree in another *)
   let r = Cluster.alloc_region_exn c in
   let addrs =
     Cluster.run_on c ~machine:0 (fun st ->
@@ -178,12 +173,9 @@ let run_one ?(opts = default_opts) ?probe seed =
         | Error e -> Fmt.failwith "explorer setup: %a" Txn.pp_abort e)
   in
   let tree =
-    if not opts.btree then None
-    else
-      let tr = Cluster.alloc_region_exn c in
-      Some
-        (Cluster.run_on c ~machine:0 (fun st ->
-             Farm_kv.Btree.create st ~thread:0 ~regions:[| tr.Wire.rid |] ()))
+    let tr = Cluster.alloc_region_exn c in
+    Cluster.run_on c ~machine:0 (fun st ->
+        Farm_kv.Btree.create st ~thread:0 ~regions:[| tr.Wire.rid |] ())
   in
   let hist = History.create () in
   let stop = ref false in
@@ -239,18 +231,14 @@ let run_one ?(opts = default_opts) ?probe seed =
           let expect = opts.cells * initial_balance in
           if total <> expect then violate "conservation: cell sum %d, expected %d" total expect
       | Error e -> violate "conservation: probe aborted: %a" Txn.pp_abort e);
-      match tree with
-      | None -> ()
-      | Some t -> (
-          let t = { t with Farm_kv.Btree.cache = Int_tbl.create 16 } in
-          match
-            Cluster.run_on c ~machine:m (fun st ->
-                Api.run_retry st ~thread:0 (fun tx -> Farm_kv.Btree.check_invariants tx t))
-          with
-          | Ok ([], _keys) -> ()
-          | Ok (problems, _) ->
-              List.iter (fun p -> violate "btree: %s" p) problems
-          | Error e -> violate "btree: probe aborted: %a" Txn.pp_abort e));
+      let tree = { tree with Farm_kv.Btree.cache = Int_tbl.create 16 } in
+      match
+        Cluster.run_on c ~machine:m (fun st ->
+            Api.run_retry st ~thread:0 (fun tx -> Farm_kv.Btree.check_invariants tx tree))
+      with
+      | Ok ([], _keys) -> ()
+      | Ok (problems, _) -> List.iter (fun p -> violate "btree: %s" p) problems
+      | Error e -> violate "btree: probe aborted: %a" Txn.pp_abort e);
   {
     seed;
     committed = History.size hist;
@@ -316,6 +304,3 @@ let sweep ?(opts = default_opts) ?probe ?on_outcome ?(jobs = 1) ~base_seed ~sche
   in
   Array.iter (function Error e -> raise e | Ok _ -> ()) results;
   { base_seed; schedules; total_committed = !total; failures = List.rev !failures }
-
-let run ?opts ?on_outcome ~base_seed ~schedules () =
-  sweep ?opts ?on_outcome ~jobs:1 ~base_seed ~schedules ()

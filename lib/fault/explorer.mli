@@ -1,7 +1,7 @@
 open Farm_sim
 
 (** The schedule explorer: N random fault schedules of a conserving bank
-    (+ B-tree) workload, each on a fresh cluster fully determined by one
+    and B-tree workload, each on a fresh cluster fully determined by one
     integer seed. Every run's committed history is checked for strict
     serializability, and the healed, quiesced cluster is probed for state
     invariants ({!Invariant}), value conservation, and B-tree structural
@@ -13,7 +13,6 @@ type opts = {
   cells : int;
   workers : int;  (** workers per machine *)
   duration : Time.t;  (** workload + fault window per schedule *)
-  btree : bool;
   batching : bool;  (** doorbell-batched commit pipeline (the default) *)
   protocol : Farm_core.Params.protocol;
       (** commit protocol variant under test: the validate-at-commit
@@ -90,12 +89,3 @@ val sweep :
     [on_outcome] delivery order and every rendered failure trace and
     flight-recorder dump — is byte-identical for any [jobs]. [on_outcome]
     always runs in the calling domain. *)
-
-val run :
-  ?opts:opts ->
-  ?on_outcome:(index:int -> outcome -> unit) ->
-  base_seed:int ->
-  schedules:int ->
-  unit ->
-  report
-(** [sweep ~jobs:1]: the sequential sweep, kept as the bitwise reference. *)

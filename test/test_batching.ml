@@ -150,9 +150,7 @@ let smoke_opts ~batching =
   { Explorer.default_opts with machines = 5; workers = 1; duration = Time.ms 30; batching }
 
 let nemesis_sweep ~batching () =
-  let report =
-    Explorer.run ~opts:(smoke_opts ~batching) ~base_seed:7 ~schedules:10 ()
-  in
+  let report = Explorer.sweep ~opts:(smoke_opts ~batching) ~base_seed:7 ~schedules:10 () in
   (match report.Explorer.failures with
   | [] -> ()
   | o :: _ ->

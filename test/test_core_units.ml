@@ -382,6 +382,157 @@ let wire_sizes_monotone () =
   in
   check_bool "piggyback adds bytes" true (with_trunc > size 1)
 
+
+(* {1 Recovery evidence, vote and decide (§5.3)} *)
+
+let ev_tx = Txid.make ~config:1 ~machine:2 ~thread:0 ~local:5
+
+(* Items of one address and timestamp are identical, as the items of one
+   write are in every record that carries it. *)
+let item (region, slot, ts) =
+  {
+    Wire.addr = { Addr.region; offset = 8 * slot };
+    version = slot;
+    value = Bytes.make 4 (Char.chr (65 + slot));
+    alloc_op = Wire.Alloc_none;
+    ts;
+  }
+
+(* As the commit path builds them: regions sorted, one item per address. *)
+let payload regions items =
+  let items = List.sort_uniq (fun (r, s, _) (r', s', _) -> compare (r, s) (r', s')) items in
+  {
+    Wire.txid = ev_tx;
+    regions_written = List.sort_uniq Int.compare regions;
+    writes = List.map item items;
+  }
+
+let gen_payload =
+  QCheck.Gen.(
+    map2 payload
+      (list_size (int_range 0 3) (int_bound 4))
+      (list_size (int_range 0 4) (triple (int_bound 2) (int_bound 3) (oneofl [ 0; 7 ]))))
+
+let gen_evidence =
+  QCheck.Gen.(
+    map3
+      (fun regions saw p -> { Wire.ev_txid = ev_tx; ev_regions = regions; ev_saw = saw; ev_payload = p })
+      (list_size (int_range 0 3) (int_bound 4))
+      (int_bound 63) (opt gen_payload))
+
+let gen_record =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun p -> Wire.Lock p) gen_payload;
+        map (fun p -> Wire.Commit_backup p) gen_payload;
+        return (Wire.Commit_primary { txid = ev_tx; ts = 9 });
+        return (Wire.Abort ev_tx);
+      ])
+
+(* Flags and payload, the payload's items as a set. *)
+let ev_key (e : Wire.tx_evidence) =
+  ( e.Wire.ev_saw,
+    Option.map
+      (fun (p : Wire.lock_payload) ->
+        ( p.Wire.regions_written,
+          List.sort compare
+            (List.map
+               (fun (w : Wire.write_item) -> (w.Wire.addr.Addr.region, w.Wire.addr.Addr.offset, w.Wire.ts))
+               p.Wire.writes) ))
+      e.Wire.ev_payload )
+
+let evidence_merge_laws =
+  QCheck.Test.make ~name:"merge is commutative and idempotent on flags and payload" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_evidence gen_evidence))
+    (fun (a, b) ->
+      ev_key (Evidence.merge a b) = ev_key (Evidence.merge b a)
+      && ev_key (Evidence.merge a a) = ev_key a
+      && ev_key (Evidence.merge (Evidence.merge a b) b) = ev_key (Evidence.merge a b))
+
+let evidence_backup_ts_wins () =
+  let lock = Evidence.of_record ev_tx (Wire.Lock (payload [ 0 ] [ (0, 1, 0) ])) in
+  let backup = Evidence.of_record ev_tx (Wire.Commit_backup (payload [ 0 ] [ (0, 1, 42) ])) in
+  List.iter
+    (fun (name, ev) ->
+      match ev.Wire.ev_payload with
+      | Some { Wire.writes = [ w ]; _ } -> check_int name 42 w.Wire.ts
+      | _ -> Alcotest.fail (name ^ ": expected one write item"))
+    [ ("lock then backup", Evidence.merge lock backup); ("backup then lock", Evidence.merge backup lock) ]
+
+(* The drain and the vote-request path see the same evidence: records
+   added one by one into a machine's table equal [of_records] over the
+   log's resident records. *)
+let evidence_of_records_is_add_fold =
+  QCheck.Test.make ~name:"of_records of a log equals folding add over its records" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 6) gen_record))
+    (fun payloads ->
+      let log = Ringlog.create ~sender:0 ~receiver:1 ~capacity:max_int in
+      Ringlog.set_on_append log (fun log en -> Ringlog.retain log en);
+      List.iter
+        (fun payload ->
+          Ringlog.dma_append log { Wire.payload; truncations = []; low_bound = 0; cfg = 1 } ~size:8)
+        payloads;
+      let records = Ringlog.resident_records log ev_tx in
+      let tbl = Txid.Tbl.create 4 in
+      List.iter
+        (fun (r : Wire.log_record) ->
+          ignore (Evidence.add tbl (Evidence.of_record ev_tx r.Wire.payload)))
+        records;
+      List.length records = List.length payloads
+      && Txid.Tbl.find_opt tbl ev_tx = Some (Evidence.of_records ev_tx records))
+
+let evidence_add_then_mark () =
+  let tbl = Txid.Tbl.create 4 in
+  let v = Evidence.add tbl (Evidence.of_record ev_tx (Wire.Lock (payload [ 0 ] [ (0, 1, 0) ]))) in
+  Evidence.mark tbl ev_tx Evidence.saw_abort_recovery;
+  check_int "returned value keeps its flags" Evidence.saw_lock v.Wire.ev_saw;
+  check_bool "table entry marked" true
+    (match Txid.Tbl.find_opt tbl ev_tx with
+    | Some e -> e.Wire.ev_saw = Evidence.saw_lock lor Evidence.saw_abort_recovery
+    | None -> false);
+  Evidence.mark tbl (Txid.make ~config:1 ~machine:3 ~thread:0 ~local:1) Evidence.saw_abort;
+  check_int "mark creates no entry" 1 (Txid.Tbl.length tbl)
+
+let vote_t = Alcotest.testable Wire.pp_vote ( = )
+
+(* §5.3 step 6, over every combination of the six flags. *)
+let evidence_vote_table () =
+  for saw = 0 to 63 do
+    let has f = saw land f <> 0 in
+    let expected =
+      if has Evidence.saw_commit_primary || has Evidence.saw_commit_recovery then
+        Wire.Vote_commit_primary
+      else if has Evidence.saw_commit_backup && not (has Evidence.saw_abort_recovery) then
+        Wire.Vote_commit_backup
+      else if has Evidence.saw_lock && not (has Evidence.saw_abort_recovery) then Wire.Vote_lock
+      else Wire.Vote_abort
+    in
+    Alcotest.check vote_t (Printf.sprintf "saw %d" saw) expected
+      (Evidence.vote { (Evidence.empty ev_tx) with Wire.ev_saw = saw })
+  done;
+  Alcotest.check vote_t "nothing seen" Wire.Vote_abort (Evidence.vote (Evidence.empty ev_tx));
+  Alcotest.check vote_t "ABORT-RECOVERY beats COMMIT-BACKUP" Wire.Vote_abort
+    (Evidence.vote
+       { (Evidence.empty ev_tx) with
+         Wire.ev_saw = Evidence.saw_commit_backup lor Evidence.saw_abort_recovery })
+
+let evidence_decide () =
+  let check name expected votes =
+    Alcotest.(check (option bool)) name expected (Evidence.decide votes)
+  in
+  let open Wire in
+  check "commit-primary decides with votes missing" (Some true)
+    [ None; Some Vote_commit_primary; Some Vote_abort ];
+  check "all voted, one commit-backup, rest lock/truncated" (Some true)
+    [ Some Vote_lock; Some Vote_commit_backup; Some Vote_truncated ];
+  check "all commit-backup" (Some true) [ Some Vote_commit_backup; Some Vote_commit_backup ];
+  check "no commit-backup" (Some false) [ Some Vote_lock; Some Vote_truncated ];
+  check "an abort vote" (Some false) [ Some Vote_commit_backup; Some Vote_abort ];
+  check "an unknown vote" (Some false) [ Some Vote_commit_backup; Some Vote_unknown ];
+  check "a vote missing" None [ Some Vote_commit_backup; None ];
+  check "only missing votes" None [ None; None ]
+
 let suites =
   [
     ( "core.obj_layout",
@@ -419,4 +570,13 @@ let suites =
         qtest ringlog_space_qcheck;
       ] );
     ("core.wire", [ test "sizes monotone" wire_sizes_monotone ]);
+    ( "core.evidence",
+      [
+        test "vote table" evidence_vote_table;
+        test "decide" evidence_decide;
+        qtest evidence_merge_laws;
+        test "commit-backup ts beats lock ts" evidence_backup_ts_wins;
+        qtest evidence_of_records_is_add_fold;
+        test "add returns a snapshot" evidence_add_then_mark;
+      ] );
   ]

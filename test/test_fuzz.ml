@@ -14,9 +14,7 @@ let smoke_opts =
   { Explorer.default_opts with machines = 5; workers = 1; duration = Time.ms 30 }
 
 let fuzz_smoke () =
-  let report =
-    Explorer.run ~opts:smoke_opts ~base_seed:1 ~schedules:25 ()
-  in
+  let report = Explorer.sweep ~opts:smoke_opts ~base_seed:1 ~schedules:25 () in
   Alcotest.(check int) "schedules run" 25 report.Explorer.schedules;
   (match report.Explorer.failures with
   | [] -> ()
