@@ -17,13 +17,7 @@ open Farm_core
                     and loaded round trips *)
 
 let run_one ~impl ~lease_ms ~sim_s ~seed =
-  let params =
-    {
-      Params.default with
-      Params.lease_duration = Time.ms lease_ms;
-      lease_check_interval = Time.us 500;
-    }
-  in
+  let params = { Params.default with Params.lease_duration = Time.ms lease_ms } in
   let machines = 7 in
   let c = Cluster.create ~seed ~params ~machines () in
   let cm = 0 in

@@ -6,18 +6,16 @@ type 'v t = {
   engine : Engine.t;
   rng : Rng.t;
   replicas : 'v replica array;
-  op_latency : Time.t;
 }
 
 type error = [ `No_quorum | `Conflict of int ]
 
-let create ?(op_latency = Time.us 300) engine ~rng ~replicas:n =
+let create engine ~rng ~replicas:n =
   if n < 1 then invalid_arg "Zk.create: need at least one replica";
   {
     engine;
     rng;
     replicas = Array.init n (fun index -> { index; alive = true; seq = 0; value = None });
-    op_latency;
   }
 
 let alive_replicas t =
@@ -40,8 +38,10 @@ let bootstrap t value =
 
 (* Simulated round-trip to the ensemble: a couple of fabric RTTs plus
    quorum-commit work, with small jitter. *)
+let op_latency = Time.us 300
+
 let round_trip t =
-  Proc.sleep (Time.add t.op_latency (Time.ns (Rng.int t.rng 100_000)))
+  Proc.sleep (Time.add op_latency (Time.ns (Rng.int t.rng 100_000)))
 
 (* Quorum state: the highest sequence number among a majority. Because the
    simulator serializes each operation's apply instant, writes reach all

@@ -14,7 +14,7 @@ type 'v t
 
 type error = [ `No_quorum | `Conflict of int ]
 
-val create : ?op_latency:Time.t -> Engine.t -> rng:Rng.t -> replicas:int -> 'v t
+val create : Engine.t -> rng:Rng.t -> replicas:int -> 'v t
 
 val has_quorum : 'v t -> bool
 val kill_replica : 'v t -> int -> unit

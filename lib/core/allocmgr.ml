@@ -18,7 +18,7 @@ let slot_size data_size =
   done;
   !s
 
-let blocks_per_region st = st.State.params.Params.region_size / st.State.params.Params.block_size
+let blocks_per_region st = st.State.params.Params.region_size / Params.block_size
 
 let free_list (r : State.replica) slot =
   match Hashtbl.find_opt r.free_lists slot with
@@ -47,8 +47,8 @@ let alloc_block st (r : State.replica) ~slot =
     let block = r.next_free_block in
     r.next_free_block <- block + 1;
     Hashtbl.replace r.block_headers block slot;
-    let base = block * st.State.params.Params.block_size in
-    let count = st.State.params.Params.block_size / slot in
+    let base = block * Params.block_size in
+    let count = Params.block_size / slot in
     for i = count - 1 downto 0 do
       push_free r ~slot ~off:(base + (i * slot))
     done;
@@ -91,8 +91,8 @@ let alloc_obj_local st (r : State.replica) ~size =
 (* Return a slot to the free list (when a committed free is applied at the
    primary, or when an aborted allocation is returned). [push_free]'s
    dedup makes this safe even while the recovery scan runs. *)
-let release_slot st (r : State.replica) ~off =
-  let block = off / st.State.params.Params.block_size in
+let release_slot (r : State.replica) ~off =
+  let block = off / Params.block_size in
   match Hashtbl.find_opt r.block_headers block with
   | None -> ()
   | Some slot -> push_free r ~slot ~off
@@ -111,13 +111,13 @@ let recover_free_lists st (r : State.replica) ~on_done =
       let scanned = ref 0 in
       let pace () =
         incr scanned;
-        if !scanned mod st.State.params.Params.alloc_scan_batch = 0 then
-          Proc.sleep st.State.params.Params.alloc_scan_interval
+        if !scanned mod Params.alloc_scan_batch = 0 then
+          Proc.sleep Params.alloc_scan_interval
       in
       List.iter
         (fun (block, slot) ->
-          let base = block * st.State.params.Params.block_size in
-          let count = st.State.params.Params.block_size / slot in
+          let base = block * Params.block_size in
+          let count = Params.block_size / slot in
           for i = 0 to count - 1 do
             let off = base + (i * slot) in
             let h = Obj_layout.get r.mem ~off in

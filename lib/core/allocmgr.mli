@@ -14,7 +14,7 @@ val alloc_obj_local : State.t -> State.replica -> size:int -> (Addr.t * int) opt
     are being rebuilt — every listed offset is individually sound. [None]
     when the region is full. *)
 
-val release_slot : State.t -> State.replica -> off:int -> unit
+val release_slot : State.replica -> off:int -> unit
 (** Return a slot (committed free, or abort-return via FREE hint). *)
 
 val recover_free_lists : State.t -> State.replica -> on_done:(unit -> unit) -> unit

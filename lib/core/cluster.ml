@@ -36,13 +36,13 @@ let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~mach
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let fabric =
-    Farm_net.Fabric.create engine ~params:params.Params.net ~rng:(Rng.split rng)
+    Farm_net.Fabric.create engine ~params:Farm_net.Params.default ~rng:(Rng.split rng)
   in
   let zk = Farm_coord.Zk.create engine ~rng:(Rng.split rng) ~replicas:5 in
   (* the clock service and per-machine offsets exist in BOTH protocol
      modes, drawn from a dedicated stream: switching Params.protocol never
      perturbs the fabric/zk/machine rng streams *)
-  let clock = Clock.create engine ~eps:params.Params.clock_eps in
+  let clock = Clock.create engine ~eps:Params.clock_eps in
   let clock_rng = Rng.split rng in
   let members = List.init n Fun.id in
   let domains_list = List.map (fun m -> (m, domains m)) members in
@@ -299,7 +299,8 @@ let current_config t =
    fault fuzzer before running invariant probes. Returns [false] when the
    cluster fails to settle within [max_wait] — itself a liveness
    violation. *)
-let quiesce ?(max_wait = Time.ms 1_000) ?(window = Time.ms 30) t =
+let quiesce t =
+  let max_wait = Time.ms 1_000 and window = Time.ms 30 in
   let members_settled () =
     match current_config t with
     | None -> false
@@ -544,8 +545,8 @@ let trace_dump_critical t ~k =
    machine restarted mid-run keeps feeding its (surviving) sampler from the
    fresh state. The Obs counters survive the restart; the CPU's busy time
    restarts at 0, and its cumulative delta clamps at 0 across the reset. *)
-let start_sampling ?(interval = Time.ms 1) t ~until =
-  let iv = Time.to_ns interval in
+let start_sampling t ~until =
+  let iv = Time.to_ns (Time.ms 1) in
   Array.iteri
     (fun i st ->
       let tl = Farm_obs.Obs.timeline st.State.obs in

@@ -77,11 +77,11 @@ val current_config : t -> Config.t option
 (** The newest configuration committed by any alive machine. Alive
     non-members are evicted zombies whose state is stale. *)
 
-val quiesce : ?max_wait:Time.t -> ?window:Time.t -> t -> bool
+val quiesce : t -> bool
 (** Drive the simulation until the cluster settles (no member
     reconfiguring or blocked, every recovery coordination decided, no new
-    milestones for two windows); [false] if it fails to settle within
-    [max_wait] — itself a liveness violation. Call {!heal} first if
+    milestones for two 30 ms windows); [false] if it fails to settle within
+    1 s of simulated time — itself a liveness violation. Call {!heal} first if
     network faults are outstanding. *)
 
 (** {1 Region management} *)
@@ -228,13 +228,13 @@ val trace_dump_critical : t -> k:int -> string
 (** {!trace_dump} with the top-[k] exemplars' critical-path slices tagged
     [args.crit = 1] for Perfetto highlighting. *)
 
-val start_sampling : ?interval:Time.t -> t -> until:Time.t -> unit
+val start_sampling : t -> until:Time.t -> unit
 (** Start the timeline sampler on every machine with the standard gauge
     set — commits, aborts, one_sided_ops (cumulative deltas per interval),
     log_ring_bytes (level), cpu_busy_ns (cumulative) — sampling every
-    [interval] (default 1 ms sim time) until the [until] horizon, after
-    which the samplers stop and the engine can drain. Idempotent per
-    machine while running. *)
+    1 ms of simulated time until the [until] horizon, after which the
+    samplers stop and the engine can drain. Idempotent per machine while
+    running. *)
 
 val timeline_dump : t -> string
 (** The sampled series of every machine merged (summed per timestamp bin)

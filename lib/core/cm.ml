@@ -24,7 +24,7 @@ let constraints st (cm : State.cm_state) ~members =
     Placement.members;
     domain_of = Config.domain_of st.State.config;
     load_of = (fun m -> Option.value ~default:0 (Hashtbl.find_opt load m));
-    capacity_of = (fun _ -> st.State.params.Params.regions_per_machine_cap);
+    capacity_of = (fun _ -> Params.regions_per_machine_cap);
     replication = st.State.params.Params.replication;
   }
 
@@ -317,7 +317,7 @@ let rec attempt_reconfig st =
                 (* a new CM must first build the CM-only data structures;
                    with the §6.4 suggested optimization every machine keeps
                    them incrementally and the rebuild disappears *)
-                Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_cm_rebuild;
+                Cpu.exec st.State.cpu ~cost:Params.cpu_cm_rebuild;
               let cm = State.ensure_cm st in
               if not was_cm then rebuild_owners st cm ~probes;
               (* 4. Remap regions of failed machines. *)
@@ -357,7 +357,7 @@ let rec attempt_reconfig st =
                  evicted — so there is nothing further to wait for. *)
               let acked =
                 wait_acks_or_timeout st done_
-                  ~timeout:st.State.params.Params.reconfig_ack_timeout
+                  ~timeout:Params.reconfig_ack_timeout
               in
               cm.State.ack_pending <- None;
               if not acked then begin
@@ -400,7 +400,7 @@ let handle_suspicion st suspects =
   in
   if State.is_cm st then start ()
   else if cm_suspected then begin
-    let bcms = Config.backup_cms st.State.config ~k:st.State.params.Params.backup_cms in
+    let bcms = Config.backup_cms st.State.config ~k:Params.backup_cms in
     let rec position i = function
       | [] -> None
       | x :: rest -> if x = st.State.id then Some i else position (i + 1) rest
@@ -418,7 +418,7 @@ let handle_suspicion st suspects =
                 Comms.send st ~dst:b
                   (Wire.Suspect_req { cfg = old_id; suspect = st.State.config.Config.cm })
             | [] -> ());
-            Proc.sleep st.State.params.Params.backup_cm_timeout;
+            Proc.sleep Params.backup_cm_timeout;
             if st.State.config.Config.id = old_id then start ())
   end
   else

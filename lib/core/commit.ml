@@ -61,7 +61,7 @@ let read_remote_header st ~dst ~key =
 (* One-sided read of just an object header from its primary. *)
 let read_header_at ?span st ~dst ~key =
   if dst = st.State.id then begin
-    Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_local_read;
+    Cpu.exec st.State.cpu ~cost:Params.cpu_local_read;
     match State.replica st (Addr.packed_region key) with
     | Some rep when rep.State.role = State.Primary && rep.State.active ->
         Ok (Some (Objmem.header rep ~off:(Addr.packed_offset key)))

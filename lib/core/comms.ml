@@ -10,9 +10,9 @@ let send ?(prio = false) ?transport ?cpu_cost ?flow st ~dst msg =
     Fabric.send ~prio ?transport ?cpu_cost ?flow st.State.fabric ~src:st.State.id ~dst
       ~bytes:(Wire.message_bytes msg) msg
 
-let call ?(prio = false) ?timeout ?flow st ~dst msg : (Wire.message, Fabric.error) result =
+let call ?timeout ?flow st ~dst msg : (Wire.message, Fabric.error) result =
   if member st dst || dst = st.State.id then
-    Fabric.call ~prio ?timeout ?flow st.State.fabric ~src:st.State.id ~dst
+    Fabric.call ?timeout ?flow st.State.fabric ~src:st.State.id ~dst
       ~bytes:(Wire.message_bytes msg) msg
   else Error `Unreachable
 

@@ -17,7 +17,7 @@ val send :
     {!Fabric.send}); in-memory only, never on the wire. *)
 
 val call :
-  ?prio:bool -> ?timeout:Time.t -> ?flow:int -> State.t -> dst:int -> Wire.message ->
+  ?timeout:Time.t -> ?flow:int -> State.t -> dst:int -> Wire.message ->
   (Wire.message, Fabric.error) result
 
 val reply_to : (bytes:int -> Wire.message -> unit) -> Wire.message -> unit

@@ -16,12 +16,11 @@ open Farm_sim
    transactions — which do reach this backup's log — are benign. *)
 
 (* Apply one fully-assembled slab block to the local replica. *)
-let apply_block st (rep : State.replica) ~block (data : Bytes.t) =
+let apply_block (rep : State.replica) ~block (data : Bytes.t) =
   match Hashtbl.find_opt rep.State.block_headers block with
   | None -> ()  (* never carved into a slab: nothing live in it *)
   | Some slot ->
-      let bs = st.State.params.Params.block_size in
-      let base = block * bs in
+      let base = block * Params.block_size in
       let count = Bytes.length data / slot in
       for i = 0 to count - 1 do
         let rel = i * slot in
@@ -107,7 +106,7 @@ let rec recover_region st (rep : State.replica) ~on_done =
       }
     else p
   in
-  let bs = p.Params.block_size in
+  let bs = Params.block_size in
   let nblocks = (p.Params.region_size + bs - 1) / bs in
   let chunk = min p.Params.recovery_block bs in
   let chunks_per_block = (bs + chunk - 1) / chunk in
@@ -165,7 +164,7 @@ let rec recover_region st (rep : State.replica) ~on_done =
           done;
           if !got then begin
             Cpu.exec st.State.cpu ~cost:(Time.ns (100 * (bs / 256)));
-            apply_block st rep ~block buf
+            apply_block rep ~block buf
           end
           else failed := true
         done;

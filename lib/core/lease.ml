@@ -149,7 +149,7 @@ let watched_members st =
 (* {1 Machine side} *)
 
 let renewal_period st =
-  Time.div_int st.State.params.Params.lease_duration st.State.params.Params.lease_renew_divisor
+  Time.div_int st.State.params.Params.lease_duration Params.lease_renew_divisor
 
 (* The renewal loop: every lease/5, ask the CM for a fresh lease. *)
 let start_renewal st =
@@ -194,7 +194,7 @@ let start_expiry_checker st =
       init_watch (watched_members st);
       let rec loop () =
         Proc.check_cancelled ();
-        Proc.sleep st.State.params.Params.lease_check_interval;
+        Proc.sleep Params.lease_check_interval;
         let lease = st.State.params.Params.lease_duration in
         let now = State.now st in
         (* grantor side: watch the machines that renew with me *)

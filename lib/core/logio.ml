@@ -26,10 +26,12 @@ let trace_append st ~thread ~dst ~t0 payload =
           ~start:t0 ~arg:dst ~txm:id.Txid.machine ~txt:id.Txid.thread
           ~txl:id.Txid.local ~flow_in:0 ~flow_out:(Wire.record_flow payload ~dst)
 
-(* Append a record, draining this machine's pending truncations for [dst]
-   into its piggyback fields. Consumes reservation for the full record and
-   releases the slack of each piggybacked truncation allowance. *)
-let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
+(* Build the record around [payload], draining this machine's pending
+   truncations for [dst] into its piggyback fields. Consumes reservation for
+   the full record and releases the slack of each piggybacked truncation
+   allowance. Returns the record alone: a size tuple would be one more
+   allocation per record on the commit path. *)
+let prepare st ~thread ~dst payload =
   let truncations = State.take_truncations st ~dst in
   let record =
     {
@@ -40,35 +42,47 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
     }
   in
   let log = State.log_to st dst in
-  let size = Wire.record_bytes record in
-  Ringlog.consume_reservation log size;
+  Ringlog.consume_reservation log (Wire.record_bytes record);
   Ringlog.unreserve log (8 * List.length truncations);
-  let t0 = Time.to_ns (Engine.now st.State.engine) in
-  match
-    Farm_net.Fabric.one_sided_write st.State.fabric ~src:st.State.id ~dst ~bytes:size (fun () ->
-        Ringlog.dma_append log record ~size)
-  with
+  record
+
+(* Account for a prepared record's write once its result is known. On
+   success, the caller's own share of the consumed space: piggybacked
+   truncation entries are paid for by the truncated transactions'
+   allowances. On failure the destination is gone; the truncations are
+   requeued so another record (or the flusher) carries them once the
+   configuration settles. *)
+let settle st ~dst ~size (record : Wire.log_record) r =
+  match r with
   | Ok () ->
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append ~a:dst ~b:size
-        ~c:(Ringlog.used log);
-      trace_append st ~thread ~dst ~t0 payload;
-      (* The caller's own share of the consumed space: piggybacked
-         truncation entries are paid for by the truncated transactions'
-         allowances. *)
-      Ok (size - (16 * List.length truncations))
+        ~c:(Ringlog.used (State.log_to st dst));
+      Ok (size - (16 * List.length record.Wire.truncations))
   | Error e ->
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append_fail ~a:dst ~b:size ~c:0;
-      (* The destination is gone; requeue the truncations so another record
-         (or the flusher) carries them once the configuration settles. *)
-      List.iter (fun txid -> State.queue_truncation st ~dst txid) truncations;
+      List.iter (fun txid -> State.queue_truncation st ~dst txid) record.Wire.truncations;
       Error e
 
+(* Append one record to [dst] with a single full-cost one-sided write. *)
+let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
+  let record = prepare st ~thread ~dst payload in
+  let size = Wire.record_bytes record in
+  let log = State.log_to st dst in
+  let t0 = Time.to_ns (Engine.now st.State.engine) in
+  let r =
+    settle st ~dst ~size record
+      (Farm_net.Fabric.one_sided_write st.State.fabric ~src:st.State.id ~dst ~bytes:size
+         (fun () -> Ringlog.dma_append log record ~size))
+  in
+  (match r with Ok _ -> trace_append st ~thread ~dst ~t0 payload | Error _ -> ());
+  r
+
 (* Append one record per destination as a single doorbell-batched verb
-   group: pending truncations for every destination are drained under one
-   preparation pass (reservations consumed, piggyback slack released), then
-   all writes go out with one issue + per-op doorbells and one completion
-   reap. [on_complete i r] fires at record [i]'s individual hardware-ack
-   (or failure) instant — COMMIT-PRIMARY's first-ack hook.
+   group: every record is prepared first (reservations consumed, piggyback
+   slack released), then all writes go out with one issue + per-op
+   doorbells and one completion reap, and each result is settled.
+   [on_complete i r] fires at record [i]'s individual hardware-ack (or
+   failure) instant — COMMIT-PRIMARY's first-ack hook.
 
    The batch is described by indexed accessors rather than a list so the
    commit path can stage it in its reused arena: [dst i] / [payload i] for
@@ -79,26 +93,8 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
    each paying its own issue and poll — the ablation baseline. *)
 let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
     ~(payload : int -> Wire.record) : (int, Farm_net.Fabric.error) result array =
-  let sizes = Array.make (max n 1) 0 in
-  let recs =
-    Array.init n (fun i ->
-        let d = dst i in
-        let truncations = State.take_truncations st ~dst:d in
-        let record =
-          {
-            Wire.payload = payload i;
-            truncations;
-            low_bound = State.low_bound st ~thread;
-            cfg = st.State.config.Config.id;
-          }
-        in
-        let log = State.log_to st d in
-        let size = Wire.record_bytes record in
-        sizes.(i) <- size;
-        Ringlog.consume_reservation log size;
-        Ringlog.unreserve log (8 * List.length truncations);
-        record)
-  in
+  let recs = Array.init n (fun i -> prepare st ~thread ~dst:(dst i) (payload i)) in
+  let sizes = Array.map Wire.record_bytes recs in
   let t0 = Time.to_ns (Engine.now st.State.engine) in
   (* Per-op trace slices are emitted from the completion hook so each one
      ends at its own hardware-ack instant, not at the batch-wide reap. *)
@@ -134,21 +130,7 @@ let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
       results
     end
   in
-  Array.mapi
-    (fun i r ->
-      let d = dst i in
-      let size = sizes.(i) in
-      match r with
-      | Ok () ->
-          Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append ~a:d ~b:size
-            ~c:(Ringlog.used (State.log_to st d));
-          Ok (size - (16 * List.length recs.(i).Wire.truncations))
-      | Error e ->
-          Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append_fail ~a:d ~b:size
-            ~c:0;
-          List.iter (fun txid -> State.queue_truncation st ~dst:d txid) recs.(i).Wire.truncations;
-          Error e)
-    results
+  Array.mapi (fun i r -> settle st ~dst:(dst i) ~size:sizes.(i) recs.(i) r) results
 
 (* Write an explicit TRUNCATE record carrying the pending truncations for
    [dst]. Used by the background flusher and when a log fills up. *)
@@ -186,7 +168,7 @@ let rec reserve_or_flush st ~dst n =
 let start_flusher st =
   Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
       let rec loop () =
-        Proc.sleep st.State.params.Params.truncate_flush_interval;
+        Proc.sleep Params.truncate_flush_interval;
         Proc.check_cancelled ();
         let dsts =
           Int_tbl.fold (fun d q acc -> if !q = [] then acc else d :: acc) st.State.pending_trunc []

@@ -23,7 +23,9 @@ val append_prepared :
     indexed accessors so the caller can stage it in reused arena storage
     instead of building a list. Blocks until every record has its hardware
     ack (or failed); results are per-record in order, each the caller's
-    own share of consumed log space. [on_complete] fires at each record's
+    own share of consumed log space. A failed record's piggybacked
+    truncations are requeued for its destination, so a later record or the
+    flusher carries them. [on_complete] fires at each record's
     individual completion instant. With {!Params.doorbell_batching} off,
     falls back to the pre-batching pipeline: parallel single writes, each
     paying full issue + poll. [span] carries the calling transaction's

@@ -100,7 +100,7 @@ let process_lock st log ~sender (e : Ringlog.entry) (p : Wire.lock_payload) =
     st.State.inflight_blocked <- st.State.inflight_blocked - 1
   end;
   let t_lock = Time.to_ns (Engine.now st.State.engine) in
-  Cpu.exec st.State.cpu ~cost:(items_cost st.State.params.Params.cpu_lock_per_obj p.Wire.writes);
+  Cpu.exec st.State.cpu ~cost:(items_cost Params.cpu_lock_per_obj p.Wire.writes);
   (* attempt to lock every object at its expected version *)
   let rec lock_all acquired = function
     | [] -> (true, acquired)
@@ -169,7 +169,7 @@ let process_commit_primary st log (e : Ringlog.entry) txid ~ts =
   (match payload with
   | Some p ->
       Cpu.exec st.State.cpu
-        ~cost:(items_cost st.State.params.Params.cpu_commit_per_obj p.Wire.writes);
+        ~cost:(items_cost Params.cpu_commit_per_obj p.Wire.writes);
       List.iter
         (fun (w : Wire.write_item) ->
           match State.replica st w.Wire.addr.Addr.region with
@@ -178,7 +178,7 @@ let process_commit_primary st log (e : Ringlog.entry) txid ~ts =
               (* a committed free returns the slot to the primary's slab
                  (only on first application) *)
               if applied && w.Wire.alloc_op = Wire.Alloc_clear && rep.State.role = State.Primary
-              then Allocmgr.release_slot st rep ~off:w.Wire.addr.Addr.offset
+              then Allocmgr.release_slot rep ~off:w.Wire.addr.Addr.offset
           | None -> ())
         p.Wire.writes;
       Txid.Tbl.remove st.State.locks_held txid
@@ -231,7 +231,7 @@ let process_entry st log (e : Ringlog.entry) =
   let record = e.Ringlog.record in
   let sender = Ringlog.sender log in
   let t0 = Time.to_ns (Engine.now st.State.engine) in
-  Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_log_poll;
+  Cpu.exec st.State.cpu ~cost:Params.cpu_log_poll;
   Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_record ~a:sender
     ~b:(payload_tag record.Wire.payload) ~c:0;
   (* piggybacked truncation information *)

@@ -25,7 +25,7 @@ let dispatch st ~src ~reply (msg : Wire.message) =
   | Wire.Validate_req { txid; items } ->
       Cpu.exec st.State.cpu
         ~cost:
-          (Time.mul_int st.State.params.Params.cpu_validate_per_obj
+          (Time.mul_int Params.cpu_validate_per_obj
              (max 1 (List.length items)));
       let ok =
         List.for_all
@@ -99,7 +99,7 @@ let dispatch st ~src ~reply (msg : Wire.message) =
   | Wire.Free_slot_hint { addr } -> (
       match State.replica st addr.Addr.region with
       | Some rep when rep.State.role = State.Primary ->
-          Allocmgr.release_slot st rep ~off:addr.Addr.offset
+          Allocmgr.release_slot rep ~off:addr.Addr.offset
       | _ -> ())
   | Wire.Alloc_obj_reply _ -> ()
   | Wire.App_call { tag; args } ->
@@ -140,7 +140,7 @@ let on_message st ~src ~reply msg =
         Lease.handle st ~src msg
     | _ ->
         Cpu.exec_bg ~ctx:st.State.ctx st.State.cpu
-          ~cost:st.State.params.Params.net.Farm_net.Params.cpu_rpc_recv (fun () ->
+          ~cost:Farm_net.Params.default.Farm_net.Params.cpu_rpc_recv (fun () ->
             Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
                 dispatch st ~src ~reply msg))
   end
@@ -160,7 +160,7 @@ let start st =
   if st.State.params.Params.protocol = Params.Snapshot then
     Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
         let rec loop () =
-          Proc.sleep st.State.params.Params.wm_interval;
+          Proc.sleep Params.wm_interval;
           Proc.check_cancelled ();
           if st.State.alive then begin
             let wm = State.local_watermark st in
@@ -184,7 +184,7 @@ let start st =
      would leak. The coordinator drives the vote/decide machinery itself;
      the decision fills [lt_outcome] and the parked commit defers to it. *)
   Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
-      let period = st.State.params.Params.park_timeout in
+      let period = Params.park_timeout in
       let rec loop () =
         Proc.sleep period;
         Proc.check_cancelled ();

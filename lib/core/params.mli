@@ -1,8 +1,10 @@
 open Farm_sim
 
-(** All tunable constants of the FaRM reproduction, with paper defaults
-    where the paper gives them and scaled-down memory sizes for simulation
-    speed (see DESIGN.md §1). *)
+(** The settings of the FaRM reproduction, with paper defaults where the
+    paper gives them and scaled-down memory sizes for simulation speed (see
+    DESIGN.md §1). The record {!t} holds what callers vary between runs;
+    every setting that has one value everywhere is a module-level constant
+    below it. *)
 
 type protocol =
   | Validate_at_commit
@@ -18,15 +20,12 @@ type protocol =
 
 type t = {
   region_size : int;  (** bytes per region (paper: 2 GB; sim default 1 MB) *)
-  block_size : int;  (** slab block size (paper: 1 MB) *)
   log_size : int;  (** per sender-receiver transaction ring log, bytes *)
-  regions_per_machine_cap : int;  (** placement capacity constraint *)
   replication : int;  (** f+1 copies of every region (paper default 3) *)
   protocol : protocol;  (** read/validate stack variant (see {!protocol}) *)
   validate_rpc_threshold : int;
       (** tr: reads per primary above which validation switches from
           one-sided RDMA to RPC (paper: 4) *)
-  commit_log_bytes : int;  (** wire size of fixed commit-record parts *)
   doorbell_batching : bool;
       (** issue the commit protocol's one-sided verb groups (LOCK,
           VALIDATE reads, COMMIT-BACKUP, COMMIT-PRIMARY, ABORT) as doorbell
@@ -40,32 +39,11 @@ type t = {
           (the default). [false] drops released arenas so every commit
           starts from freshly-zeroed scratch — the state-leak-detector
           mode: traces must be byte-identical either way *)
-  clock_eps : Time.t;
-      (** ε of the simulated clock-synchronisation service: every machine's
-          clock reads as an interval [\[lo, hi\]] of width 2ε guaranteed to
-          contain true (engine) time. Snapshot-mode writers wait out the
-          uncertainty at commit (see {!Farm_sim.Clock}). *)
-  wm_interval : Time.t;
-      (** snapshot mode: period of the per-machine low-watermark report to
-          the CM, which drives old-version truncation of the chains *)
-  park_timeout : Time.t;
-      (** a committing transaction parked this long past any normal round
-          trip means a message was lost to a transient partition that may
-          heal without an eviction — the coordinator then drives the
-          vote/decide machinery itself instead of waiting for a
-          configuration change that never classifies it as recovering *)
   lease_duration : Time.t;  (** paper experiments use 10 ms *)
-  lease_renew_divisor : int;  (** renew every lease/5 *)
-  lease_check_interval : Time.t;
-  vote_timeout : Time.t;  (** explicit REQUEST-VOTE after 250 us *)
   recovery_block : int;  (** data-recovery read unit (8 KB) *)
   recovery_interval : Time.t;
       (** pacing: next block read starts at a random point in this interval *)
   recovery_concurrency : int;  (** concurrent block reads per thread *)
-  alloc_scan_batch : int;  (** allocator recovery: objects per burst (100) *)
-  alloc_scan_interval : Time.t;  (** allocator recovery pacing (100 us) *)
-  backup_cms : int;  (** k backup CMs by consistent hashing *)
-  backup_cm_timeout : Time.t;
   incremental_cm_state : bool;
       (** the paper's §6.4 suggested optimization: every machine maintains
           the CM-only data structures incrementally, so a new CM skips the
@@ -76,23 +54,73 @@ type t = {
           leaders exchange leases with the CM, members with their leader —
           CM lease traffic drops from O(n) to O(n / group), at the price of
           up to doubled detection latency *)
-  reconfig_ack_timeout : Time.t;
-  truncate_flush_interval : Time.t;
-      (** background flush of pending lazy truncations *)
   threads_per_machine : int;
-  cpu_tx_begin : Time.t;
-  cpu_local_read : Time.t;
-  cpu_lock_per_obj : Time.t;
-  cpu_commit_per_obj : Time.t;
-  cpu_truncate_per_obj : Time.t;
-  cpu_validate_per_obj : Time.t;
-  cpu_log_poll : Time.t;
-  cpu_recovery_per_tx : Time.t;
-  cpu_reconfig_fixed : Time.t;
-  cpu_cm_rebuild : Time.t;
-      (** extra delay when a *new* CM must rebuild CM-only data structures
-          (§6.4, Figure 11) *)
-  net : Farm_net.Params.t;
 }
 
 val default : t
+
+(** {1 Memory layout} *)
+
+val block_size : int
+(** slab block size (paper: 1 MB) *)
+
+val regions_per_machine_cap : int
+(** placement capacity constraint *)
+
+(** {1 Global time (snapshot protocol only)} *)
+
+val clock_eps : Time.t
+(** ε of the simulated clock-synchronisation service: every machine's
+    clock reads as an interval [\[lo, hi\]] of width 2ε guaranteed to
+    contain true (engine) time. Snapshot-mode writers wait out the
+    uncertainty at commit (see {!Farm_sim.Clock}). *)
+
+val wm_interval : Time.t
+(** snapshot mode: period of the per-machine low-watermark report to the
+    CM, which drives old-version truncation of the chains *)
+
+val park_timeout : Time.t
+(** a committing transaction parked this long past any normal round trip
+    means a message was lost to a transient partition that may heal
+    without an eviction — the coordinator then drives the vote/decide
+    machinery itself instead of waiting for a configuration change that
+    never classifies it as recovering *)
+
+(** {1 Leases (§5.1) and recovery (§5.2-5.5)} *)
+
+val lease_renew_divisor : int
+(** renew every lease/5 *)
+
+val lease_check_interval : Time.t
+
+val vote_timeout : Time.t
+(** explicit REQUEST-VOTE after 250 us *)
+
+val alloc_scan_batch : int
+(** allocator recovery: objects per burst (100) *)
+
+val alloc_scan_interval : Time.t
+(** allocator recovery pacing (100 us) *)
+
+val backup_cms : int
+(** k backup CMs by consistent hashing *)
+
+val backup_cm_timeout : Time.t
+val reconfig_ack_timeout : Time.t
+
+val truncate_flush_interval : Time.t
+(** background flush of pending lazy truncations *)
+
+(** {1 CPU cost model} *)
+
+val cpu_tx_begin : Time.t
+val cpu_local_read : Time.t
+val cpu_lock_per_obj : Time.t
+val cpu_commit_per_obj : Time.t
+val cpu_validate_per_obj : Time.t
+val cpu_log_poll : Time.t
+val cpu_recovery_per_tx : Time.t
+
+val cpu_cm_rebuild : Time.t
+(** extra delay when a *new* CM must rebuild CM-only data structures
+    (§6.4, Figure 11) *)

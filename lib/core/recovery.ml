@@ -135,7 +135,7 @@ let try_decide st (rc : State.rec_coord) =
 let start_vote_requester st (rc : State.rec_coord) =
   Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
       let rec loop () =
-        Proc.sleep st.State.params.Params.vote_timeout;
+        Proc.sleep Params.vote_timeout;
         Proc.check_cancelled ();
         if not rc.State.rc_decided then begin
           let cfg = st.State.config.Config.id in
@@ -270,7 +270,7 @@ let apply_recovered_write st (w : Wire.write_item) =
   | Some rep when rep.State.role = State.Primary ->
       let applied = install_recovered st rep w in
       if applied && w.Wire.alloc_op = Wire.Alloc_clear then
-        Allocmgr.release_slot st rep ~off:w.Wire.addr.Addr.offset
+        Allocmgr.release_slot rep ~off:w.Wire.addr.Addr.offset
   | _ -> ()
 
 (* Lock recovery, log-record replication, and voting for one region this
@@ -303,7 +303,7 @@ let primary_recover_region st (rs : State.recovery_state) rid =
     (* 4. lock every object modified by a recovering transaction *)
     Txid.Set.iter
       (fun txid ->
-        Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_recovery_per_tx;
+        Cpu.exec st.State.cpu ~cost:Params.cpu_recovery_per_tx;
         (* a decision reached through another written region can land during
            the yield above: its COMMIT/ABORT-RECOVERY already released this
            transaction, so locking now would leak *)

@@ -64,7 +64,7 @@ let reason_index = function
   | Explicit -> 4
 
 let begin_tx st ~thread =
-  Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_tx_begin;
+  Cpu.exec st.State.cpu ~cost:Params.cpu_tx_begin;
   (* draw and register the read timestamp in one step — no yield between,
      so the local watermark can never pass a drawn-but-unregistered ts *)
   let read_ts =
@@ -130,7 +130,7 @@ let invalidate_mapping st rid = Int_tbl.remove st.State.region_map rid
    (or no longer) the active primary. *)
 let read_at ?span st ~dst ~(addr : Addr.t) ~len : ((int64 * bytes) option, Farm_net.Fabric.error) result =
   if dst = st.State.id then begin
-    Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_local_read;
+    Cpu.exec st.State.cpu ~cost:Params.cpu_local_read;
     match State.replica st addr.Addr.region with
     | Some rep when rep.State.role = State.Primary ->
         State.await_active rep;
@@ -194,7 +194,7 @@ let read_versioned ?span st ~(addr : Addr.t) ~len =
 let snap_read_at ?span st ~dst ~(addr : Addr.t) ~len ~ts :
     (Objmem.snap_read option, Farm_net.Fabric.error) result =
   if dst = st.State.id then begin
-    Cpu.exec st.State.cpu ~cost:st.State.params.Params.cpu_local_read;
+    Cpu.exec st.State.cpu ~cost:Params.cpu_local_read;
     match State.replica st addr.Addr.region with
     | Some rep when rep.State.role = State.Primary ->
         State.await_active rep;
@@ -509,7 +509,7 @@ let return_allocations tx =
       | Some info ->
           if info.Wire.primary = tx.st.State.id then begin
             match State.replica tx.st addr.Addr.region with
-            | Some rep -> Allocmgr.release_slot tx.st rep ~off:addr.Addr.offset
+            | Some rep -> Allocmgr.release_slot rep ~off:addr.Addr.offset
             | None -> ()
           end
           else Comms.send tx.st ~dst:info.Wire.primary (Wire.Free_slot_hint { addr })

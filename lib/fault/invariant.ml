@@ -13,16 +13,15 @@ type violation = { name : string; detail : string }
 let pp ppf v = Fmt.pf ppf "[%s] %s" v.name v.detail
 
 (* Iterate the allocated object slots of a replica. *)
-let iter_slots (st : State.t) (rep : State.replica) f =
-  let block_size = st.State.params.Params.block_size in
+let iter_slots (rep : State.replica) f =
   let blocks =
     List.sort compare
       (Hashtbl.fold (fun block slot acc -> (block, slot) :: acc) rep.State.block_headers [])
   in
   List.iter
     (fun (block, slot) ->
-      let base = block * block_size in
-      for i = 0 to (block_size / slot) - 1 do
+      let base = block * Params.block_size in
+      for i = 0 to (Params.block_size / slot) - 1 do
         f ~block ~slot ~off:(base + (i * slot))
       done)
     blocks
@@ -43,7 +42,7 @@ let check (c : Cluster.t) : violation list =
           Hashtbl.iter
             (fun rid (rep : State.replica) ->
               if rep.State.role = State.Primary then
-                iter_slots st rep (fun ~block:_ ~slot:_ ~off ->
+                iter_slots rep (fun ~block:_ ~slot:_ ~off ->
                     if Obj_layout.is_locked (Obj_layout.get rep.State.mem ~off) then begin
                       (* name the holder if the lock table still knows it *)
                       let holder =
@@ -124,7 +123,6 @@ let check (c : Cluster.t) : violation list =
             | None -> add "replication" "primary m%d has no replica of region %d" info.Wire.primary rid
             | Some prim when prim.State.fresh_backup -> ()
             | Some prim ->
-                let pst = Cluster.machine c info.Wire.primary in
                 List.iter
                   (fun b ->
                     if List.mem b members then
@@ -132,7 +130,7 @@ let check (c : Cluster.t) : violation list =
                       | None -> add "replication" "backup m%d has no replica of region %d" b rid
                       | Some rep when rep.State.fresh_backup -> ()
                       | Some rep ->
-                          iter_slots pst prim (fun ~block:_ ~slot ~off ->
+                          iter_slots prim (fun ~block:_ ~slot ~off ->
                               let hp = Obj_layout.get prim.State.mem ~off in
                               let hb = Obj_layout.get rep.State.mem ~off in
                               if

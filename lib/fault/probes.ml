@@ -83,7 +83,7 @@ let no_global_stall ~start (c : Cluster.t) : string list =
    settled, every coordinator's live-transaction table must have drained.
    Two timeouts of slack tolerate a watchdog tick in flight at probe time. *)
 let no_parked_tx (c : Cluster.t) : string list =
-  let park = c.Cluster.params.Params.park_timeout in
+  let park = Params.park_timeout in
   let now = Cluster.now c in
   let limit = Time.mul_int park 2 in
   let out = ref [] in

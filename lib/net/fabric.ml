@@ -280,15 +280,15 @@ let verb_kind = function
 
 (* {1 Blame carving}
 
-   When the caller passes its transaction span, a blocking verb attributes
-   its own elapsed wall-clock to three consecutive sub-intervals: the CPU
-   spent issuing descriptors/doorbells (nic-issue), the wait for the
-   completion (propagation — wire flight, NIC occupancy/serialization,
-   retransmissions, remote DMA), and the completion reap / RPC receive
-   (poll). The intervals are measured around the work itself, so they are
-   disjoint and exhaustive over the verb's duration — the exactness the
-   span's blame accounting relies on. With no span, nothing here reads the
-   clock. *)
+   When the caller passes its transaction span, a one-sided read or a
+   batch attributes its own elapsed wall-clock to three consecutive
+   sub-intervals: the CPU spent issuing descriptors/doorbells (nic-issue),
+   the wait for the completion (propagation — wire flight, NIC
+   occupancy/serialization, retransmissions, remote DMA), and the
+   completion reap (poll). The intervals are measured around the work
+   itself, so they are disjoint and exhaustive over the verb's duration —
+   the exactness the span's blame accounting relies on. With no span,
+   nothing here reads the clock. *)
 
 let ns_now t = Time.to_ns (Engine.now t.engine)
 let mark t span = match span with None -> 0 | Some _ -> ns_now t
@@ -321,8 +321,7 @@ let one_sided ?span t verb ~src ~dst ~bytes at_target =
 let one_sided_read ?span t ~src ~dst ~bytes read =
   one_sided ?span t Read ~src ~dst ~bytes read
 
-let one_sided_write ?span t ~src ~dst ~bytes apply =
-  one_sided ?span t Write ~src ~dst ~bytes apply
+let one_sided_write t ~src ~dst ~bytes apply = one_sided t Write ~src ~dst ~bytes apply
 
 (* {1 Doorbell-batched verbs}
 
@@ -429,22 +428,16 @@ let send ?(prio = false) ?(transport = `Rc) ?cpu_cost ?(flow = 0) t ~src ~dst ~b
 
 (* Blocking request/response. The receiver handler is given a [reply]
    closure; calling it routes the response back and wakes the caller. *)
-let call ?span ?(prio = false) ?timeout ?(flow = 0) t ~src ~dst ~bytes msg :
-    ('msg, error) result =
+let call ?timeout ?(flow = 0) t ~src ~dst ~bytes msg : ('msg, error) result =
   let ms = get t src in
   Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_call ~a:dst ~b:bytes ~c:flow;
-  let tm0 = mark t span in
   Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rpc_send;
-  let tm1 = claim t span Farm_obs.Obs.B_nic_issue tm0 in
   let iv = Ivar.create () in
   let reply ~bytes:resp_bytes resp =
     let md = get t dst in
     if md.alive then begin
       let d = sample_link_rc t ~src:dst ~dst:src in
-      let t_tx =
-        if prio then Nic.occupy_priority md.nic ~bytes:resp_bytes
-        else Nic.occupy md.nic ~bytes:resp_bytes
-      in
+      let t_tx = Nic.occupy md.nic ~bytes:resp_bytes in
       Engine.schedule t.engine
         ~at:(Time.add t_tx (Time.add (leg_latency t ~src:dst ~dst:src) d))
         (fun () ->
@@ -454,19 +447,16 @@ let call ?span ?(prio = false) ?timeout ?(flow = 0) t ~src ~dst ~bytes msg :
              classic partitions, as before. *)
           if blackholed t ~src:dst ~dst:src then fail_later t iv
           else if ms.alive then begin
-            let t_rx =
-              if prio then Nic.occupy_priority ms.nic ~bytes:resp_bytes
-              else Nic.occupy ms.nic ~bytes:resp_bytes
-            in
+            let t_rx = Nic.occupy ms.nic ~bytes:resp_bytes in
             Engine.schedule t.engine ~at:t_rx (fun () -> Ivar.fill_if_empty iv (Ok resp))
           end)
     end
   in
-  let t_tx = if prio then Nic.occupy_priority ms.nic ~bytes else Nic.occupy ms.nic ~bytes in
+  let t_tx = Nic.occupy ms.nic ~bytes in
   if not (reachable t src dst) then fail_later t iv
   else begin
     let d = sample_link_rc t ~src ~dst in
-    (deliver t ~src ~dst ~prio ~bytes ~flow msg ~reply)
+    (deliver t ~src ~dst ~prio:false ~bytes ~flow msg ~reply)
       (Time.add t_tx (Time.add (leg_latency t ~src ~dst) d))
   end;
   (match timeout with
@@ -474,10 +464,5 @@ let call ?span ?(prio = false) ?timeout ?(flow = 0) t ~src ~dst ~bytes msg :
       Engine.schedule_in t.engine ~after:d (fun () -> Ivar.fill_if_empty iv (Error `Timeout))
   | None -> ());
   let r = Ivar.read iv in
-  let tm2 = claim t span Farm_obs.Obs.B_propagation tm1 in
-  (match r with
-  | Ok _ ->
-      Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rpc_recv;
-      ignore (claim t span Farm_obs.Obs.B_poll tm2)
-  | Error _ -> ());
+  (match r with Ok _ -> Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rpc_recv | Error _ -> ());
   r

@@ -94,13 +94,13 @@ val clear_gray_faults : 'msg t -> unit
     occupies (a read sends a request descriptor and carries the data back,
     a write carries the data out and a hardware ack back).
 
-    [span], on every blocking verb here and below, is the calling
-    transaction's {!Farm_obs.Obs.Span.t}: when passed, the verb claims its
-    own elapsed time as three consecutive blame sub-intervals — descriptor
-    issue CPU ([B_nic_issue]), the completion wait ([B_propagation]: wire
-    flight, NIC serialization, retransmissions, remote DMA), and the
-    completion reap / RPC receive ([B_poll]). Timing-inert: the claims
-    only read the clock, and only when a span is present with blame
+    [span], on {!one_sided_read} and the batched verbs below, is the
+    calling transaction's {!Farm_obs.Obs.Span.t}: when passed, the verb
+    claims its own elapsed time as three consecutive blame sub-intervals —
+    descriptor issue CPU ([B_nic_issue]), the completion wait
+    ([B_propagation]: wire flight, NIC serialization, retransmissions,
+    remote DMA), and the completion reap ([B_poll]). Timing-inert: the
+    claims only read the clock, and only when a span is present with blame
     armed. *)
 
 val one_sided_read :
@@ -110,7 +110,6 @@ val one_sided_read :
     point) and its result is carried back with the completion. *)
 
 val one_sided_write :
-  ?span:Farm_obs.Obs.Span.t ->
   'msg t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> (unit, error) result
 (** [apply] mutates target memory at the DMA instant; completion reports
     the NIC hardware ack. NICs ack regardless of configuration — FaRM's
@@ -181,8 +180,6 @@ val send :
     touches the wire format. *)
 
 val call :
-  ?span:Farm_obs.Obs.Span.t ->
-  ?prio:bool ->
   ?timeout:Time.t ->
   ?flow:int ->
   'msg t ->

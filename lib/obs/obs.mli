@@ -135,7 +135,7 @@ type blame =
   | B_logring_wait  (** stalled reserving remote log-ring space *)
   | B_nic_issue  (** CPU issuing one-sided verbs / doorbells *)
   | B_propagation  (** wire flight + remote NIC/DMA + serialization *)
-  | B_poll  (** reaping completions / RPC receive CPU *)
+  | B_poll  (** reaping completions *)
   | B_commit_wait  (** snapshot protocol: waiting out clock uncertainty *)
   | B_truncate  (** deferred background truncation *)
 

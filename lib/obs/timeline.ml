@@ -14,7 +14,6 @@ type row = { mutable r_at : int; r_vals : int array }
 type t = {
   engine : Engine.t;
   tl_machine : int;
-  tl_capacity : int;
   mutable series : series list;  (* reverse registration order *)
   mutable rows : row array;  (* allocated at first start *)
   mutable pos : int;
@@ -23,12 +22,13 @@ type t = {
   mutable tl_interval : int;  (* ns; 0 until started *)
 }
 
-let create ?(capacity = 4096) engine ~machine =
-  if capacity < 1 then invalid_arg "Timeline.create: capacity must be positive";
+(* Rows kept; the oldest is overwritten first. *)
+let capacity = 4096
+
+let create engine ~machine =
   {
     engine;
     tl_machine = machine;
-    tl_capacity = capacity;
     series = [];
     rows = [||];
     pos = 0;
@@ -66,7 +66,7 @@ let sample t =
           row.r_vals.(!i) <- max 0 (cur - s.se_prev));
       s.se_prev <- cur)
     t.series;
-  t.pos <- (t.pos + 1) mod t.tl_capacity;
+  t.pos <- (t.pos + 1) mod capacity;
   t.tl_total <- t.tl_total + 1
 
 let start t ~interval ~until =
@@ -77,7 +77,7 @@ let start t ~interval ~until =
   let ncols = List.length t.series in
   if t.rows = [||] then
     t.rows <-
-      Array.init t.tl_capacity (fun _ -> { r_at = 0; r_vals = Array.make ncols 0 });
+      Array.init capacity (fun _ -> { r_at = 0; r_vals = Array.make ncols 0 });
   t.tl_interval <- interval;
   t.tl_running <- true;
   (* Cumulative baselines: deltas measure from start, not from machine
@@ -95,9 +95,9 @@ let start t ~interval ~until =
   else t.tl_running <- false
 
 let rows t =
-  let n = min t.tl_total t.tl_capacity in
+  let n = min t.tl_total capacity in
   List.init n (fun i ->
-      let r = t.rows.((t.pos - n + i + (2 * t.tl_capacity)) mod t.tl_capacity) in
+      let r = t.rows.((t.pos - n + i + (2 * capacity)) mod capacity) in
       (r.r_at, r.r_vals))
 
 (* {1 Merge and export} *)

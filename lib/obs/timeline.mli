@@ -27,9 +27,8 @@ type kind =
           so a restart-induced reset cannot go negative. *)
   | Level  (** Each row stores the instantaneous value (an occupancy). *)
 
-val create : ?capacity:int -> Engine.t -> machine:int -> t
-(** [capacity] bounds the row ring (default 4096 rows, oldest
-    overwritten first). *)
+val create : Engine.t -> machine:int -> t
+(** The row ring holds 4096 rows, oldest overwritten first. *)
 
 val add_series : t -> name:string -> kind:kind -> (unit -> int) -> unit
 (** Register a gauge. Must precede {!start}; registration order is the

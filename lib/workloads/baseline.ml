@@ -10,8 +10,5 @@ open Farm_core
    scaling benchmark compares an n-machine FaRM cluster against this
    baseline under the identical workload. *)
 
-let params ?(base = Params.default) () =
-  { base with Params.replication = 1 }
-
-let cluster ?seed ?base () =
-  Cluster.create ?seed ~params:(params ?base ()) ~machines:1 ()
+let cluster ?seed () =
+  Cluster.create ?seed ~params:{ Params.default with Params.replication = 1 } ~machines:1 ()

@@ -5,4 +5,4 @@ open Farm_core
     replication), an over-approximation of a single-machine in-memory
     engine under the same cost model. *)
 
-val cluster : ?seed:int -> ?base:Params.t -> unit -> Cluster.t
+val cluster : ?seed:int -> unit -> Cluster.t

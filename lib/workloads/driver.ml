@@ -33,8 +33,8 @@ let create_stats () =
 (* Run [op] in a closed loop on [workers] workers per machine for
    [duration] (after [warmup], during which nothing is recorded). [op]
    returns whether the operation succeeded. Returns aggregate stats. *)
-let run ?machines ?(warmup = Time.zero) ?stats cluster ~workers ~duration ~op =
-  let stats = match stats with Some s -> s | None -> create_stats () in
+let run ?machines ?(warmup = Time.zero) cluster ~workers ~duration ~op =
+  let stats = create_stats () in
   let stop = ref false in
   let engine = cluster.Cluster.engine in
   let measure_from = Time.add (Engine.now engine) warmup in

@@ -24,7 +24,6 @@ val create_stats : unit -> stats
 val run :
   ?machines:int list ->
   ?warmup:Time.t ->
-  ?stats:stats ->
   Cluster.t ->
   workers:int ->
   duration:Time.t ->

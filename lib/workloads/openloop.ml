@@ -79,15 +79,10 @@ let stop t = t.stopped <- true
    deterministic on the simulated clock. *)
 let idle_poll = Time.us 20
 
-let start ?machines ?(queue_cap = 1024) ?(workers = 2) (c : Cluster.t) ~shape ~rate
-    ~duration ~op =
+let start ?(queue_cap = 1024) ?(workers = 2) (c : Cluster.t) ~shape ~rate ~duration ~op =
   if queue_cap < 1 then invalid_arg "Openloop.start: queue_cap must be positive";
   let engine = c.Cluster.engine in
-  let targets =
-    match machines with Some l -> l | None -> List.init (Cluster.n_machines c) Fun.id
-  in
-  let n_targets = List.length targets in
-  if n_targets = 0 then invalid_arg "Openloop.start: no target machines";
+  let n_machines = Cluster.n_machines c in
   let stats = create_stats () in
   let t0 = Engine.now engine in
   let queues =
@@ -105,7 +100,7 @@ let start ?machines ?(queue_cap = 1024) ?(workers = 2) (c : Cluster.t) ~shape ~r
           Farm_obs.Timeline.add_series tl ~name:"queue_depth"
             ~kind:Farm_obs.Timeline.Level (fun () -> Mailbox.length q);
         (m, q))
-      targets
+      (List.init n_machines Fun.id)
   in
   let t =
     { cluster = c; stats; queues; queue_cap; stopped = false }
@@ -116,7 +111,7 @@ let start ?machines ?(queue_cap = 1024) ?(workers = 2) (c : Cluster.t) ~shape ~r
       (* this machine's slice of the offered load, pre-rendered *)
       let rng = Rng.split st.State.rng in
       let arrivals =
-        Arrivals.generate shape ~rng ~rate:(rate /. float_of_int n_targets) ~duration
+        Arrivals.generate shape ~rng ~rate:(rate /. float_of_int n_machines) ~duration
       in
       (* injector: walks the stream on the engine clock; dies with the
          machine (its clients fail with it) *)

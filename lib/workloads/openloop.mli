@@ -40,7 +40,6 @@ val stranded : t -> int
     Meaningful once load has stopped and the cluster has settled. *)
 
 val start :
-  ?machines:int list ->
   ?queue_cap:int ->
   ?workers:int ->
   Cluster.t ->
@@ -49,7 +48,7 @@ val start :
   duration:Time.t ->
   op:(Driver.worker_ctx -> bool) ->
   t
-(** Spawn injectors and workers: each target machine gets its slice of the
+(** Spawn injectors and workers: each machine gets its slice of the
     cluster-wide [rate] (arrivals/s) pre-rendered from a split of its rng,
     a bounded queue ([queue_cap], default 1024) and [workers] (default 2)
     serving processes. If a machine's timeline sampler has not started

@@ -83,25 +83,17 @@ let mk_record n fields =
 
 (* {1 Creation and population} *)
 
-let create cluster ~scale ?(regions_per_group = 2) () =
+let create cluster ~scale () =
   let n_machines = Cluster.n_machines cluster in
   let groups = min scale.warehouses n_machines in
-  (* one co-located region set per group *)
+  (* one co-located pair of regions per group *)
   let group_regions =
     Array.init groups (fun _ ->
-        let first = Cluster.alloc_region_exn cluster in
-        let rest =
-          List.init (regions_per_group - 1) (fun _ ->
-              (Cluster.alloc_region_exn ~locality:first.Wire.rid cluster).Wire.rid)
-        in
-        Array.of_list (first.Wire.rid :: rest))
+        let first = (Cluster.alloc_region_exn cluster).Wire.rid in
+        [| first; (Cluster.alloc_region_exn ~locality:first cluster).Wire.rid |])
   in
   let flat = Array.init groups (fun g -> group_regions.(g).(0)) in
   let part_w extract key = extract (get_i key 0) mod groups in
-  let d_of t = t / scale.districts in
-  ignore d_of;
-  let st0 = Cluster.machine cluster 0 in
-  ignore st0;
   let mk ~rows ~vsize ~extract =
     Cluster.run_on cluster ~machine:0 (fun st ->
         Hashtable.create st ~thread:0 ~regions:flat

@@ -42,7 +42,7 @@ type t = {
   mutable history_seq : int;
 }
 
-val create : Cluster.t -> scale:scale -> ?regions_per_group:int -> unit -> t
+val create : Cluster.t -> scale:scale -> unit -> t
 val load : Cluster.t -> t -> unit
 
 (** {1 The five transactions} — [w] is the client's home warehouse. *)

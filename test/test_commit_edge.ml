@@ -194,6 +194,50 @@ let allocation_spills_to_new_region () =
   (* every object is intact *)
   List.iteri (fun i a -> check_int "spilled object" i (read_cell c ~machine:2 a)) addrs
 
+(* A log write that fails must requeue the truncations it drained, so a
+   later record or the flusher still carries them (§4). The link from
+   machine 1 to machine 2 is blackholed; neither is the CM, so no lease
+   expires and no reconfiguration drops the queue. Both append paths run
+   into it: a batch through [Logio.append_prepared], then the background
+   flusher's TRUNCATE record. *)
+let failed_append_requeues_truncations () =
+  let c = mk_cluster () in
+  let st = Cluster.machine c 1 in
+  let txids =
+    List.init 3 (fun i ->
+        Txid.make ~config:st.State.config.Config.id ~machine:1 ~thread:0 ~local:(1000 + i))
+  in
+  (* taken in the same process right after the failure is settled, before
+     the flusher's next round can pick the requeued ids up again *)
+  let queued st = List.sort compare (State.take_truncations st ~dst:2) in
+  let fails () = Farm_obs.Obs.counter st.State.obs Farm_obs.Obs.C_log_append_fail in
+  let txid_list = Alcotest.(list (testable Txid.pp ( = ))) in
+  Farm_net.Fabric.set_blackhole c.Cluster.fabric ~src:1 ~dst:2;
+  List.iter (State.queue_truncation st ~dst:2) txids;
+  let results, after_batch =
+    Cluster.run_on c ~machine:1 (fun st ->
+        Logio.reserve_or_flush st ~dst:2 256;
+        let r =
+          Logio.append_prepared st ~thread:0 ~n:1
+            ~dst:(fun _ -> 2)
+            ~payload:(fun _ -> Wire.Truncate_marker)
+        in
+        (r, queued st))
+  in
+  check_bool "batched append failed" true
+    (match results with [| Error `Unreachable |] -> true | _ -> false);
+  Alcotest.check txid_list "requeued after a failed batch" txids after_batch;
+  List.iter (State.queue_truncation st ~dst:2) txids;
+  let before = fails () in
+  let after_flush =
+    Cluster.run_on c ~machine:1 (fun st ->
+        while fails () = before do
+          Proc.sleep (Time.us 10)
+        done;
+        queued st)
+  in
+  Alcotest.check txid_list "requeued after a failed flush" txids after_flush
+
 let suites =
   [
     ( "commit.edge",
@@ -206,5 +250,6 @@ let suites =
         test "empty transaction" empty_transaction;
         test "txid uniqueness" txid_uniqueness;
         test "allocation spills to new region" allocation_spills_to_new_region;
+        test "failed append requeues truncations" failed_append_requeues_truncations;
       ] );
   ]

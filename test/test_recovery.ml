@@ -654,8 +654,8 @@ let no_leaked_locks_after_cm_failure () =
             if rep.State.role = State.Primary then
               Hashtbl.iter
                 (fun block slot ->
-                  let base = block * st.State.params.Params.block_size in
-                  for i = 0 to (st.State.params.Params.block_size / slot) - 1 do
+                  let base = block * Params.block_size in
+                  for i = 0 to (Params.block_size / slot) - 1 do
                     let off = base + (i * slot) in
                     if Obj_layout.is_locked (Obj_layout.get rep.State.mem ~off) then
                       Alcotest.failf "leaked lock at m%d r%d+%d" st.State.id rid off
