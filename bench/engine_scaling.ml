@@ -12,6 +12,7 @@ open Farm_harness
    TATP mix with a fixed worker count per machine and records
 
      machines x host wall-clock x sim-tx/s x host-heap bytes/op x live MB
+     x the events and simulated ms of set-up's [Tatp.create]
 
    into BENCH_engine_scaling.json, alongside the commit-path micro numbers
    (bytes allocated per committed transaction, measured over GC-quiet
@@ -36,7 +37,10 @@ let params () =
 let run_size ~machines ~workers_per_machine ~subscribers ~duration =
   let c = Cluster.create ~params:(params ()) ~machines () in
   let regions_per_table = max 2 machines in
+  let events0 = Engine.events_processed c.Cluster.engine and sim0 = Cluster.now c in
   let t = Tatp.create c ~subscribers ~regions_per_table in
+  let build_events = Engine.events_processed c.Cluster.engine - events0 in
+  let build_sim = Time.sub (Cluster.now c) sim0 in
   Tatp.load c t;
   let host0 = Unix.gettimeofday () in
   let stats, alloc_bytes, _clean =
@@ -74,6 +78,9 @@ let run_size ~machines ~workers_per_machine ~subscribers ~duration =
       ("host_tx_per_s", fixed 0 host_tx_per_s);  (* the engine's speed *)
       ("bytes_per_op", fixed 0 bytes_per_op);  (* host heap bytes per TATP op *)
       ("live_mb", fixed 1 live_mb);  (* host heap live at the window's end *)
+      (* set-up's cost inside [Tatp.create]: regions plus the table build *)
+      ("build_events", int build_events);
+      ("build_sim_ms", int (ms_of build_sim));
     ]
 
 (* {1 Commit-path micro measurement}
@@ -162,11 +169,12 @@ let json_report ~smoke ~micro_bytes rows =
 
 (* {1 Baseline regression gate (CI)}
 
-   Simulated throughput and operation counts are pure functions of the
-   seed, so they must match the baseline row of the same cluster size
-   exactly. Host-heap bytes depend on the host's OCaml runtime, so they get
-   a 1.2x ceiling, and the live heap a 1.1x one. The commit micro row is
-   keyed by its fixed pre-refactor anchor. *)
+   Simulated throughput, operation counts and the events and simulated
+   time [Tatp.create] takes are pure functions of the seed, so they must
+   match the baseline row of the same cluster size exactly. Host-heap
+   bytes depend on the host's OCaml runtime, so they get a 1.2x ceiling,
+   and the live heap a 1.1x one. The commit micro row is keyed by its
+   fixed pre-refactor anchor. *)
 
 let gate =
   [
@@ -178,6 +186,8 @@ let gate =
           ("sim_tx_per_s", Gate.Exact);
           ("ops", Gate.Exact);
           ("committed", Gate.Exact);
+          ("build_events", Gate.Exact);
+          ("build_sim_ms", Gate.Exact);
           ("bytes_per_op", Gate.Ceiling 1.2);
           ("live_mb", Gate.Ceiling 1.1);
         ];

@@ -97,21 +97,33 @@ let now t = Engine.now t.engine
 let run_until t ~at = Engine.run ~until:at t.engine
 let run_for t ~d = Engine.run ~until:(Time.add (Engine.now t.engine) d) t.engine
 
-(* Run [fn] as a process on [machine] and drive the engine in 1 ms quanta
-   until it has returned: simulated time advances by whole milliseconds.
-   Setup/teardown convenience for tests and benchmarks. *)
-let run_on t ~machine fn =
-  let st = t.machines.(machine) in
-  let result = ref None in
-  Proc.spawn ~ctx:st.State.ctx t.engine (fun () -> result := Some (fn st));
+(* Run each [(machine, fn)] as a process on its machine, all spawned at
+   the current instant, and drive the engine in 1 ms quanta until every one
+   has returned: simulated time advances by whole milliseconds. Results in
+   argument order. Setup/teardown convenience for tests and benchmarks. *)
+let run_on_all t procs =
+  let results =
+    List.map
+      (fun (machine, fn) ->
+        let st = t.machines.(machine) in
+        let result = ref None in
+        Proc.spawn ~ctx:st.State.ctx t.engine (fun () -> result := Some (fn st));
+        result)
+      procs
+  in
+  let running () = List.exists (fun r -> Option.is_none !r) results in
   let guard = ref 0 in
-  while !result = None && Engine.pending t.engine > 0 && !guard < 10_000 do
+  while running () && Engine.pending t.engine > 0 && !guard < 10_000 do
     incr guard;
     Engine.run ~until:(Time.add (Engine.now t.engine) (Time.ms 1)) t.engine
   done;
-  match !result with
-  | Some v -> v
-  | None -> failwith "Cluster.run_on: process did not complete"
+  List.map
+    (fun r ->
+      match !r with Some v -> v | None -> failwith "Cluster.run_on: process did not complete")
+    results
+
+let run_on t ~machine fn =
+  match run_on_all t [ (machine, fn) ] with [ v ] -> v | _ -> assert false
 
 (* {1 Failure injection} *)
 

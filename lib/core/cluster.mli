@@ -38,7 +38,16 @@ val run_on : t -> machine:int -> (State.t -> 'a) -> 'a
     whole number of milliseconds, at least one, and the whole cluster's
     background work (leases, log truncation, other processes) runs for
     that long. Fails if the process is still running after 10,000 quanta
-    or once nothing is left to run. *)
+    or once nothing is left to run. The one-process case of
+    {!run_on_all}. *)
+
+val run_on_all : t -> (int * (State.t -> 'a)) list -> 'a list
+(** Run each [(machine, fn)] as a process on its machine, all spawned at
+    the same instant, and return their results in argument order. The
+    engine runs in whole 1 ms quanta until every process has finished, so
+    processes that overlap in simulated time finish together, at the end
+    of the quantum in which the last one returns. Fails as {!run_on}
+    does. *)
 
 (** {1 Failure injection} *)
 

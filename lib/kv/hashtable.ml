@@ -89,21 +89,19 @@ let fit size b =
 let norm_key t key = fit t.ksize key
 let norm_value t value = fit t.vsize value
 
-(* Create the table: allocates every bucket object in one or more
-   transactions from [st]. With [partitions] > 1 the bucket array is split
+(* {1 Creation} *)
+
+(* The pure step of [create]: the table, each bucket's region, and each
+   bucket's chain contents. With [partitions] > 1 the bucket array is split
    into contiguous partition ranges, each placed in the region
    [regions.(partition mod |regions|)].
 
-   [rows] are the table's initial contents, laid out exactly as sequential
-   [insert]s into the empty table would leave them: each bucket holds its
-   distinct keys in first-insertion order, a repeated key keeps its slot and
-   takes the later value, and every [slots] entries a chained bucket is
-   allocated next to the one before it. The batch transaction that
-   allocates a head bucket allocates and writes its filled chain with it,
-   so loading costs no transactions beyond the empty table's. Without
-   [rows] every bucket is written zeroed (all slots free). *)
-let create st ~thread ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions = 1)
-    ?(partition_of = fun _ -> 0) ?(rows = []) () =
+   [rows] are laid out exactly as sequential [insert]s into the empty table
+   would leave them: each bucket holds its distinct keys in first-insertion
+   order, a repeated key keeps its slot and takes the later value, and every
+   [slots] entries start a chained bucket. Without [rows] every bucket is
+   zeroed (all slots free). *)
+let plan ~regions ~buckets ~ksize ~vsize ~slots ~partitions ~partition_of rows =
   if buckets <= 0 || Array.length regions = 0 then invalid_arg "Hashtable.create";
   let buckets =
     if partitions > 1 then (max 1 (buckets / partitions)) * partitions else buckets
@@ -142,7 +140,7 @@ let create st ~thread ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions 
     rows;
   let size = bucket_data_size t in
   let esz = entry_size t in
-  (* bucket [b]'s chain: the data of each chained bucket, head first *)
+  (* bucket [b]'s chain: fresh data for each chained bucket, head first *)
   let chain_data b =
     let es = Array.of_list (List.rev (entries_of b)) in
     Array.init
@@ -155,34 +153,76 @@ let create st ~thread ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions 
         done;
         data)
   in
-  let batch = 64 in
-  let i = ref 0 in
-  while !i < buckets do
-    let hi = min buckets (!i + batch) in
-    let lo = !i in
-    (match
-       Api.run_retry st ~thread (fun tx ->
-           for b = lo to hi - 1 do
-             let chain = chain_data b in
-             (* each chained bucket next to the one before it, as [insert]
-                places it *)
-             let rec write_chain addr j =
-               if j + 1 < Array.length chain then begin
-                 let next = Txn.alloc tx ~size ~near:addr () in
-                 Codec.set_addr chain.(j) (slots * esz) (Some next);
-                 write_chain next (j + 1)
-               end;
-               Txn.write tx addr chain.(j)
-             in
-             let head = Txn.alloc tx ~size ~region:(region_of_bucket b) () in
-             write_chain head 0;
-             t.buckets.(b) <- head
-           done)
-     with
-    | Ok () -> ()
-    | Error e -> Fmt.failwith "Hashtable.create: %a" Txn.pp_abort e);
-    i := hi
-  done;
+  (t, region_of_bucket, chain_data)
+
+(* [l] without repeats, in first-appearance order *)
+let distinct l =
+  List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+
+(* Buckets per build transaction. The build runs where the allocator's
+   free lists are (§3, §5.5). A region's buckets go in ascending order,
+   each head bucket followed by its chain, each chained bucket next to the
+   one before it as [insert] places it: the allocation sequence that
+   building every bucket in ascending order from one machine gives the
+   region, so each bucket lands at the same offset either way. *)
+let batch = 64
+
+let create cluster ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions = 1)
+    ?(partition_of = fun _ -> 0) ?(rows = []) () =
+  let t, region_of_bucket, chain_data =
+    plan ~regions ~buckets ~ksize ~vsize ~slots ~partitions ~partition_of rows
+  in
+  let size = bucket_data_size t and overflow_at = slots * entry_size t in
+  let write_bucket tx rid b =
+    let chain = chain_data b in
+    let rec write_chain addr j =
+      if j + 1 < Array.length chain then begin
+        let next = Txn.alloc tx ~size ~near:addr () in
+        Codec.set_addr chain.(j) overflow_at (Some next);
+        write_chain next (j + 1)
+      end;
+      Txn.write tx addr chain.(j)
+    in
+    let head = Txn.alloc tx ~size ~region:rid () in
+    write_chain head 0;
+    t.buckets.(b) <- head
+  in
+  let build_region st rid =
+    let bs =
+      Array.of_seq
+        (Seq.filter (fun b -> region_of_bucket b = rid) (Seq.init (Array.length t.buckets) Fun.id))
+    in
+    let rec from lo =
+      if lo < Array.length bs then begin
+        let hi = min (Array.length bs) (lo + batch) in
+        (match
+           Api.run_retry st ~thread:0 (fun tx ->
+               for i = lo to hi - 1 do
+                 write_bucket tx rid bs.(i)
+               done)
+         with
+        | Ok () -> ()
+        | Error e -> Fmt.failwith "Hashtable.create: %a" Txn.pp_abort e);
+        from hi
+      end
+    in
+    from 0
+  in
+  let primary_of rid =
+    match
+      List.find_opt
+        (fun (m, (rep : State.replica)) ->
+          rep.State.role = State.Primary && (Cluster.machine cluster m).State.alive)
+        (Cluster.replicas_of cluster rid)
+    with
+    | Some (m, _) -> m
+    | None -> Fmt.failwith "Hashtable.create: region %d has no live primary" rid
+  in
+  let placed = List.map (fun rid -> (rid, primary_of rid)) (distinct (Array.to_list regions)) in
+  let build_at m st = List.iter (fun (rid, p) -> if p = m then build_region st rid) placed in
+  ignore
+    (Cluster.run_on_all cluster
+       (List.map (fun m -> (m, build_at m)) (distinct (List.map snd placed))));
   t
 
 (* {1 Transactional operations}

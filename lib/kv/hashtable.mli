@@ -20,8 +20,7 @@ type t = {
 }
 
 val create :
-  State.t ->
-  thread:int ->
+  Cluster.t ->
   regions:int array ->
   buckets:int ->
   ksize:int ->
@@ -32,9 +31,19 @@ val create :
   ?rows:(Bytes.t * Bytes.t) list ->
   unit ->
   t
-(** Allocate all bucket objects (in batched transactions from the calling
-    machine). Keys shorter than [ksize] are zero-padded; values are
+(** Build the table on the cluster and return it once every bucket is
+    committed. Keys shorter than [ksize] are zero-padded; values are
     truncated/padded to [vsize].
+
+    Each region's buckets are allocated and written at the region's
+    primary, where its free lists live, so the build makes no allocation
+    RPCs. One process per primary machine runs, all at once
+    ({!Cluster.run_on_all}), and builds that machine's regions in
+    [regions] order: a region's buckets in ascending order, at most 64 per
+    transaction, each transaction writing only that region. Every region
+    therefore receives the allocation sequence that building the buckets
+    in ascending order from one machine would give it. Simulated time
+    advances by whole milliseconds, as with {!Cluster.run_on}.
 
     [rows] (default none) are the initial [(key, value)] rows. The table
     is created holding them in exactly the layout that an empty table

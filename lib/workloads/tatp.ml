@@ -86,12 +86,13 @@ let callfwd_rows n =
       if (s + sf) mod 2 = 0 then Some (key8 ((((s * 4) + sf) * 3) + 0), Bytes.make 16 '\002')
       else None)
 
-(* Allocate each table's regions, build the four tables already populated
-   from machine 0, and register the handlers cluster-wide. Each table is
-   created holding its rows ([Hashtable.create ~rows]): every row is
-   written by a committed transaction, so backups match primaries, but
-   populating costs only the transactions that allocate the buckets. Rows
-   are built one table at a time, so only one table's are live. *)
+(* Allocate each table's regions, build the four tables already populated,
+   and register the handlers cluster-wide. Each table is created holding
+   its rows ([Hashtable.create ~rows]), built at its regions' primaries,
+   all primaries at once: every row is written by a committed transaction,
+   so backups match primaries, but populating costs only the transactions
+   that allocate the buckets. Rows are built one table at a time, so only
+   one table's are live. *)
 let create cluster ~subscribers ~regions_per_table =
   let alloc_regions () =
     Array.init regions_per_table (fun _ -> (Cluster.alloc_region_exn cluster).Wire.rid)
@@ -102,25 +103,22 @@ let create cluster ~subscribers ~regions_per_table =
   let r_callfwd = alloc_regions () in
   let n = subscribers in
   let buckets_for rows = max 64 (rows / 4) in
-  let t =
-    Cluster.run_on cluster ~machine:0 (fun st ->
-        let build regions ~vsize ~expected rows =
-          Hashtable.create st ~thread:0 ~regions ~buckets:(buckets_for expected) ~ksize:8
-            ~vsize ~rows:(rows n) ()
-        in
-        let sub = build r_sub ~vsize:40 ~expected:n sub_rows in
-        let access = build r_access ~vsize:16 ~expected:(n * 5 / 2) access_rows in
-        let special = build r_special ~vsize:16 ~expected:(n * 5 / 2) special_rows in
-        let callfwd = build r_callfwd ~vsize:16 ~expected:(n * 3) callfwd_rows in
-        { subscribers; sub; access; special; callfwd })
+  let build regions ~vsize ~expected rows =
+    Hashtable.create cluster ~regions ~buckets:(buckets_for expected) ~ksize:8 ~vsize
+      ~rows:(rows n) ()
   in
+  let sub = build r_sub ~vsize:40 ~expected:n sub_rows in
+  let access = build r_access ~vsize:16 ~expected:(n * 5 / 2) access_rows in
+  let special = build r_special ~vsize:16 ~expected:(n * 5 / 2) special_rows in
+  let callfwd = build r_callfwd ~vsize:16 ~expected:(n * 3) callfwd_rows in
+  let t = { subscribers; sub; access; special; callfwd } in
   Array.iter (fun st -> install st t) cluster.Cluster.machines;
   t
 
 (* The tables hold their rows already; loading only gives the cluster
    the simulated time that inserting them took, one millisecond per
-   16-subscriber transaction, so TATP runs start at the cluster age their
-   baselines and figures were measured at (DESIGN.md "Loading tables"). *)
+   16-subscriber transaction. TATP runs start after region allocation, the
+   build and this idle time (DESIGN.md "Loading tables"). *)
 let load cluster t = Cluster.run_for cluster ~d:(Time.ms ((t.subscribers + 15) / 16))
 
 (* TATP's non-uniform subscriber id generator. *)

@@ -27,19 +27,20 @@ val n_special : int -> int
     key [(s*4 + sf)*3], iff [s + sf] is even. *)
 
 val create : Cluster.t -> subscribers:int -> regions_per_table:int -> t
-(** Allocate each table's regions, build the four tables from machine 0
-    already holding the rows of the TATP population rules ({!n_access},
-    {!n_special}), each with its initial value, and register the
-    function-shipping handler on every machine. Every table is created by
-    [Hashtable.create ~rows]: committed transactions write every bucket,
-    filled, once, so backups equal primaries; there is no per-row insert
-    pass. *)
+(** Allocate each table's regions, build the four tables already holding
+    the rows of the TATP population rules ({!n_access}, {!n_special}),
+    each with its initial value, and register the function-shipping
+    handler on every machine. Every table is created by
+    [Hashtable.create ~rows], at its regions' primaries: committed
+    transactions write every bucket, filled, once, so backups equal
+    primaries; there is no per-row insert pass. *)
 
 val load : Cluster.t -> t -> unit
 (** Run the cluster, with no transactions, for one simulated millisecond
     per 16 subscribers: the time that inserting the rows 16 subscribers
     per transaction used to take. TATP measurements start after [load],
-    so they start from the cluster age their baselines were measured at. *)
+    at a cluster age of region allocation, plus the build, plus this idle
+    time. *)
 
 val random_sid : t -> Rng.t -> int
 (** TATP's non-uniform (OR-based) subscriber-id generator — the skew behind

@@ -95,10 +95,9 @@ let create cluster ~scale () =
   let flat = Array.init groups (fun g -> group_regions.(g).(0)) in
   let part_w extract key = extract (get_i key 0) mod groups in
   let mk ~rows ~vsize ~extract =
-    Cluster.run_on cluster ~machine:0 (fun st ->
-        Hashtable.create st ~thread:0 ~regions:flat
-          ~buckets:(max (4 * groups) (rows / 3))
-          ~ksize:8 ~vsize ~partitions:groups ~partition_of:(part_w extract) ())
+    Hashtable.create cluster ~regions:flat
+      ~buckets:(max (4 * groups) (rows / 3))
+      ~ksize:8 ~vsize ~partitions:groups ~partition_of:(part_w extract) ()
   in
   let w_of_w w = w in
   let w_of_d dk = dk / scale.districts in

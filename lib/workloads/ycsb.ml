@@ -41,9 +41,7 @@ let key16 v =
 let create cluster ~keys ~regions =
   let rids = Array.init regions (fun _ -> (Cluster.alloc_region_exn cluster).Wire.rid) in
   let table =
-    Cluster.run_on cluster ~machine:0 (fun st ->
-        Hashtable.create st ~thread:0 ~regions:rids ~buckets:(max 64 (keys / 4))
-          ~ksize:16 ~vsize:32 ())
+    Hashtable.create cluster ~regions:rids ~buckets:(max 64 (keys / 4)) ~ksize:16 ~vsize:32 ()
   in
   let tree =
     Cluster.run_on cluster ~machine:0 (fun st ->

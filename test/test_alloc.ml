@@ -111,11 +111,11 @@ let execute_bytes_per_tx () =
   let c = Cluster.create ~params:Params.default ~machines:3 () in
   let r1 = (Cluster.alloc_region_exn c).Wire.rid in
   let r2 = (Cluster.alloc_region_exn c).Wire.rid in
-  let table, tree =
-    Cluster.run_on c ~machine:0 (fun st ->
-        ( Farm_kv.Hashtable.create st ~thread:0 ~regions:[| r1; r2 |] ~buckets:64 ~ksize:8
-            ~vsize:16 (),
-          Farm_kv.Btree.create st ~thread:0 ~regions:[| r1 |] () ))
+  let table =
+    Farm_kv.Hashtable.create c ~regions:[| r1; r2 |] ~buckets:64 ~ksize:8 ~vsize:16 ()
+  in
+  let tree =
+    Cluster.run_on c ~machine:0 (fun st -> Farm_kv.Btree.create st ~thread:0 ~regions:[| r1 |] ())
   in
   let value = Bytes.make 16 'v' in
   let next = ref 0 in

@@ -15,10 +15,7 @@ let key8 v =
 let mk_table ?(buckets = 32) ?(slots = 4) c ~vsize =
   let r1 = Cluster.alloc_region_exn c in
   let r2 = Cluster.alloc_region_exn c in
-  Cluster.run_on c ~machine:0 (fun st ->
-      Hashtable.create st ~thread:0
-        ~regions:[| r1.Wire.rid; r2.Wire.rid |]
-        ~buckets ~ksize:8 ~vsize ~slots ())
+  Hashtable.create c ~regions:[| r1.Wire.rid; r2.Wire.rid |] ~buckets ~ksize:8 ~vsize ~slots ()
 
 (* {1 Codec} *)
 

@@ -58,10 +58,8 @@ let partitioned_table_locality () =
   let r1 = Cluster.alloc_region_exn c in
   let partition_of key = Int64.to_int (Bytes.get_int64_le key 0) mod 2 in
   let t =
-    Cluster.run_on c ~machine:0 (fun st ->
-        Hashtable.create st ~thread:0
-          ~regions:[| r0.Wire.rid; r1.Wire.rid |]
-          ~buckets:32 ~ksize:8 ~vsize:8 ~partitions:2 ~partition_of ())
+    Hashtable.create c ~regions:[| r0.Wire.rid; r1.Wire.rid |] ~buckets:32 ~ksize:8 ~vsize:8
+      ~partitions:2 ~partition_of ()
   in
   (* every key's bucket must live in its partition's region *)
   for k = 0 to 63 do

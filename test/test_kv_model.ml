@@ -132,9 +132,7 @@ let hashtable_matches_map =
       let c = mk_cluster ~machines:3 () in
       let r1 = Cluster.alloc_region_exn c in
       let t =
-        Cluster.run_on c ~machine:0 (fun st ->
-            Hashtable.create st ~thread:0 ~regions:[| r1.Wire.rid |] ~buckets:8 ~ksize:8
-              ~vsize:16 ~slots:2 ())
+        Hashtable.create c ~regions:[| r1.Wire.rid |] ~buckets:8 ~ksize:8 ~vsize:16 ~slots:2 ()
       in
       let model = ref M.empty in
       List.iteri
@@ -182,9 +180,7 @@ let hashtable_no_stale_duplicate () =
   let c = mk_cluster ~machines:3 () in
   let r1 = Cluster.alloc_region_exn c in
   let t =
-    Cluster.run_on c ~machine:0 (fun st ->
-        Hashtable.create st ~thread:0 ~regions:[| r1.Wire.rid |] ~buckets:8 ~ksize:8
-          ~vsize:16 ~slots:2 ())
+    Hashtable.create c ~regions:[| r1.Wire.rid |] ~buckets:8 ~ksize:8 ~vsize:16 ~slots:2 ()
   in
   let ops =
     [ HIns (19, 79591); HIns (35, 154822); HIns (3, 83017); HIns (25, 893031); HDel 28;
@@ -263,24 +259,21 @@ let populated_equals_inserted s =
   let r2 = Cluster.alloc_region_exn c in
   let rows = List.map (fun (k, v) -> (key8 k, value16 v)) s.rows in
   let partitions = if s.partitioned then 2 else 1 in
-  let mk st ?rows () =
-    Hashtable.create st ~thread:0 ~regions:[| r1.Wire.rid; r2.Wire.rid |] ~buckets:s.nbuckets
-      ~ksize:8 ~vsize:16 ~slots:s.slots ~partitions
+  let mk ?rows () =
+    Hashtable.create c ~regions:[| r1.Wire.rid; r2.Wire.rid |] ~buckets:s.nbuckets ~ksize:8
+      ~vsize:16 ~slots:s.slots ~partitions
       ~partition_of:(fun k -> Bytes.get_uint8 k 0)
       ?rows ()
   in
-  let populated, inserted =
-    Cluster.run_on c ~machine:0 (fun st ->
-        let populated = mk st ~rows () in
-        let inserted = mk st () in
-        List.iter
-          (fun (k, v) ->
-            match Api.run_retry st ~thread:0 (fun tx -> Hashtable.insert tx inserted k v) with
-            | Ok () -> ()
-            | Error r -> QCheck.Test.fail_reportf "insert aborted: %a" Txn.pp_abort r)
-          rows;
-        (populated, inserted))
-  in
+  let populated = mk ~rows () in
+  let inserted = mk () in
+  Cluster.run_on c ~machine:0 (fun st ->
+      List.iter
+        (fun (k, v) ->
+          match Api.run_retry st ~thread:0 (fun tx -> Hashtable.insert tx inserted k v) with
+          | Ok () -> ()
+          | Error r -> QCheck.Test.fail_reportf "insert aborted: %a" Txn.pp_abort r)
+        rows);
   let model = List.fold_left (fun m (k, v) -> M.add k v m) M.empty s.rows in
   Cluster.run_on c ~machine:1 (fun st ->
       let depth = ref 0 in
@@ -333,6 +326,65 @@ let hashtable_populated_deep_partitioned () =
     populated_equals_inserted { nbuckets = 2; slots = 2; partitioned = true; rows }
   in
   Alcotest.(check bool) (Fmt.str "chain depth %d >= 3" depth) true (depth >= 3)
+
+(* {2 The build runs at the primaries}
+
+   A partitioned table over three regions on six machines: four
+   partitions, so the first region holds two of them (140 buckets) and the
+   others one each (70), and chained buckets from two rows per two-slot
+   bucket on average. One transaction per 64 buckets of one region makes
+   3 + 2 + 2 commits where 64 buckets of the whole table would make 5. *)
+
+let build_table c =
+  let regions = Array.init 3 (fun _ -> (Cluster.alloc_region_exn c).Wire.rid) in
+  let rows = List.init 600 (fun k -> (key8 k, value16 (k + 1))) in
+  let rpc = Cluster.merged_counter c Farm_obs.Obs.C_rpc_call in
+  let commits = Cluster.merged_counter c Farm_obs.Obs.C_tx_commit in
+  let t =
+    Hashtable.create c ~regions ~buckets:280 ~ksize:8 ~vsize:16 ~slots:2 ~partitions:4
+      ~partition_of:(fun k -> Bytes.get_uint8 k 0)
+      ~rows ()
+  in
+  ( t,
+    Cluster.merged_counter c Farm_obs.Obs.C_rpc_call - rpc,
+    Cluster.merged_counter c Farm_obs.Obs.C_tx_commit - commits )
+
+let hashtable_built_at_primaries () =
+  let c = mk_cluster ~machines:6 () in
+  let t, rpcs, commits = build_table c in
+  let primaries =
+    List.sort_uniq compare
+      (List.map
+         (fun rid -> State.primary_of (Cluster.machine c 0) rid)
+         (Array.to_list t.Hashtable.regions))
+  in
+  Alcotest.(check bool) "regions on more than one primary" true (List.length primaries > 1);
+  Alcotest.(check int) "no RPCs during the build" 0 rpcs;
+  let per_region rid =
+    Array.fold_left (fun n (a : Addr.t) -> if a.Addr.region = rid then n + 1 else n) 0
+      t.Hashtable.buckets
+  in
+  Alcotest.(check (list int)) "buckets per region" [ 140; 70; 70 ]
+    (List.map per_region (Array.to_list t.Hashtable.regions));
+  Alcotest.(check int) "one commit per region per 64 buckets" (3 + 2 + 2) commits;
+  let deepest =
+    Cluster.run_on c ~machine:1 (fun st ->
+        match
+          Api.run_retry st ~thread:0 (fun tx ->
+              List.fold_left max 0
+                (List.init 280 (fun b -> List.length (hashtable_chain tx t b))))
+        with
+        | Ok d -> d
+        | Error r -> Alcotest.failf "chain read aborted: %a" Txn.pp_abort r)
+  in
+  Alcotest.(check bool) (Fmt.str "buckets chain (deepest %d)" deepest) true (deepest >= 2);
+  let t', _, _ = build_table (mk_cluster ~machines:6 ()) in
+  Alcotest.(check bool) "same seed, same bucket addresses" true
+    (t.Hashtable.buckets = t'.Hashtable.buckets);
+  Cluster.run_for c ~d:(Farm_sim.Time.ms 60);
+  match Farm_fault.Invariant.check c with
+  | [] -> ()
+  | vs -> Alcotest.failf "invariants: %a" Fmt.(list ~sep:semi Farm_fault.Invariant.pp) vs
 
 (* {1 In-place node and bucket access against a parse/serialize reference}
 
@@ -586,7 +638,7 @@ let twin_run ~create ~in_place ~reference ~objects ~final batches =
   let twin () =
     let c = mk_cluster ~machines:3 () in
     let regions = [| (Cluster.alloc_region_exn c).Wire.rid; (Cluster.alloc_region_exn c).Wire.rid |] in
-    (c, Cluster.run_on c ~machine:0 (fun st -> create st regions))
+    (c, create c regions)
   in
   let (c1, t1), (c2, t2) = (twin (), twin ()) in
   let run c f =
@@ -629,7 +681,8 @@ let btree_in_place_matches_reference =
           M.empty (List.concat batches)
       in
       twin_run batches
-        ~create:(fun st regions -> Btree.create st ~thread:0 ~regions ~fanout ())
+        ~create:(fun c regions ->
+          Cluster.run_on c ~machine:0 (fun st -> Btree.create st ~thread:0 ~regions ~fanout ()))
         ~in_place:
           (btree_op ~insert:Btree.insert ~delete:Btree.delete ~find:Btree.find ~range:Btree.range)
         ~reference:
@@ -653,8 +706,8 @@ let hashtable_in_place_matches_reference =
   QCheck.Test.make ~name:"hashtable in-place access equals copying reference" ~count:20
     (batches_arbitrary hop_gen pp_hop)
     (twin_run
-       ~create:(fun st regions ->
-         Hashtable.create st ~thread:0 ~regions ~buckets:4 ~ksize:8 ~vsize:16 ~slots:2 ())
+       ~create:(fun c regions ->
+         Hashtable.create c ~regions ~buckets:4 ~ksize:8 ~vsize:16 ~slots:2 ())
        ~in_place:
          (hashtable_op ~insert:Hashtable.insert ~delete:Hashtable.delete ~lookup:Hashtable.lookup)
        ~reference:
@@ -673,6 +726,8 @@ let suites =
         qtest hashtable_populated_matches_inserts;
         Alcotest.test_case "hashtable created with rows: deep partitioned chains" `Quick
           hashtable_populated_deep_partitioned;
+        Alcotest.test_case "hashtable built at its regions' primaries" `Quick
+          hashtable_built_at_primaries;
         qtest btree_in_place_matches_reference;
         qtest hashtable_in_place_matches_reference;
       ] );

@@ -373,6 +373,53 @@ let alloc_free_same_tx () =
   in
   check_int "slot reusable" 3 (read_cell c ~machine:0 again)
 
+(* {1 Running set-up processes} *)
+
+(* [f ()]'s result and the simulated ns it advanced the cluster by *)
+let timed c f =
+  let t0 = Cluster.now c in
+  let v = f () in
+  (Time.to_ns (Time.sub (Cluster.now c) t0), v)
+
+let ms n = Time.to_ns (Time.ms n)
+
+(* Processes that overlap in simulated time finish together, at the end of
+   the quantum in which the last one returns. *)
+let run_on_all_overlaps () =
+  let c = mk_cluster () in
+  let sleeper st =
+    Proc.sleep (Time.us 1_500);
+    (st.State.id, Time.to_ns (Proc.now ()))
+  in
+  let took, r = timed c (fun () -> Cluster.run_on_all c [ (1, sleeper); (2, sleeper) ]) in
+  check_int "both done after 2 ms, not 3" (ms 2) took;
+  Alcotest.(check (list (pair int int)))
+    "each woke at 1.5 ms on its own machine"
+    [ (1, 1_500_000); (2, 1_500_000) ]
+    r
+
+(* Results come back in argument order, not machine or finishing order. *)
+let run_on_all_argument_order () =
+  let c = mk_cluster () in
+  let after d st =
+    Proc.sleep d;
+    st.State.id
+  in
+  Alcotest.(check (list int))
+    "argument order" [ 3; 0; 2 ]
+    (Cluster.run_on_all c
+       [ (3, after (Time.us 1_800)); (0, after (Time.us 100)); (2, after Time.zero) ])
+
+(* [run_on] keeps its contract: whole milliseconds, at least one. *)
+let run_on_whole_ms () =
+  let c = mk_cluster () in
+  let took, () = timed c (fun () -> Cluster.run_on c ~machine:1 ignore) in
+  check_int "an instant process takes one quantum" (ms 1) took;
+  let took, () =
+    timed c (fun () -> Cluster.run_on c ~machine:4 (fun _ -> Proc.sleep (Time.us 2_300)))
+  in
+  check_int "2.3 ms rounds up to 3" (ms 3) took
+
 let suites =
   [
     ( "txn.semantics",
@@ -394,4 +441,10 @@ let suites =
         test "alloc+free in one tx" alloc_free_same_tx;
       ] );
     ("txn.replication", [ test "backups apply at truncation" backups_apply_at_truncation ]);
+    ( "cluster.run_on",
+      [
+        test "overlapping processes finish together" run_on_all_overlaps;
+        test "results in argument order" run_on_all_argument_order;
+        test "run_on advances whole milliseconds" run_on_whole_ms;
+      ] );
   ]
