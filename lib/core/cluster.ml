@@ -340,25 +340,59 @@ let quiesce t =
   in
   loop (-1) 0
 
+(* Drive the engine in 1 ms quanta until no alive machine holds a live
+   transaction, a truncation it has not yet sent, a log write still on the
+   wire or a log record it is still processing. *)
+let settle t =
+  let busy (st : State.t) =
+    st.State.alive
+    && (Txid.Tbl.length st.State.active_txs > 0
+       || Int_tbl.fold (fun _ q acc -> acc || !q <> []) st.State.pending_trunc false
+       || st.State.log_writes > 0
+       || st.State.inflight > 0)
+  in
+  let guard = ref 0 in
+  while Array.exists busy t.machines do
+    if !guard >= 10_000 then failwith "Cluster.settle: cluster did not settle";
+    incr guard;
+    run_for t ~d:(Time.ms 1)
+  done
+
 (* {1 Region setup} *)
 
-(* Allocate a region through the CM (two-phase prepare/commit) from some
-   machine, driving the engine until the mapping is replicated. *)
-let alloc_region ?locality ?(from = 0) t =
+(* Allocate up to [n] regions through the CM (two-phase prepare/commit)
+   from one process on [from]: one request after another, each sent once
+   the CM has answered the previous one (and recorded its owners), so the
+   CM places them exactly as [n] separate calls would. All of them run
+   inside one [run_on]. Stops at the first failure. *)
+let alloc_seq ?locality ?(from = 0) t n =
   run_on t ~machine:from (fun st ->
-      let cm = st.State.config.Config.cm in
-      match
-        Comms.call st ~dst:cm ~timeout:(Time.ms 200) (Wire.Alloc_region_req { locality })
-      with
-      | Ok (Wire.Alloc_region_reply { info = Some info }) ->
-          Int_tbl.replace st.State.region_map info.Wire.rid info;
-          Some info
-      | Ok _ | Error _ -> None)
+      let rec go acc k =
+        if k = 0 then List.rev acc
+        else
+          let cm = st.State.config.Config.cm in
+          match
+            Comms.call st ~dst:cm ~timeout:(Time.ms 200) (Wire.Alloc_region_req { locality })
+          with
+          | Ok (Wire.Alloc_region_reply { info = Some info }) ->
+              Int_tbl.replace st.State.region_map info.Wire.rid info;
+              go (info :: acc) (k - 1)
+          | Ok _ | Error _ -> List.rev acc
+      in
+      go [] n)
+
+let alloc_region ?locality ?from t =
+  match alloc_seq ?locality ?from t 1 with [ info ] -> Some info | _ -> None
 
 let alloc_region_exn ?locality ?from t =
   match alloc_region ?locality ?from t with
   | Some info -> info
   | None -> failwith "Cluster.alloc_region: allocation failed"
+
+let alloc_regions t n =
+  let infos = alloc_seq t n in
+  if List.length infos < n then failwith "Cluster.alloc_regions: allocation failed";
+  Array.of_list infos
 
 (* {1 Introspection for tests and benchmarks} *)
 

@@ -93,13 +93,32 @@ val quiesce : t -> bool
     1 s of simulated time — itself a liveness violation. Call {!heal} first if
     network faults are outstanding. *)
 
+val settle : t -> unit
+(** Drive the engine in 1 ms quanta, none if it is settled already, until
+    no alive machine holds a live transaction, a truncation it has not yet
+    sent, a log write whose result it does not yet know or a log record it
+    is still processing. After a set-up phase this outlasts its last
+    commits: backups apply a commit's writes when they process its
+    truncation, so until then they differ from the primaries. Fails after
+    10,000 quanta. *)
+
 (** {1 Region management} *)
 
 val alloc_region : ?locality:int -> ?from:int -> t -> Wire.region_info option
 (** Allocate a region via the CM and drive the engine until the two-phase
-    protocol completes. *)
+    protocol completes, in whole 1 ms quanta, normally one. The one-region
+    case of {!alloc_regions}, but [None] rather than a failure when the
+    allocation fails. *)
 
 val alloc_region_exn : ?locality:int -> ?from:int -> t -> Wire.region_info
+
+val alloc_regions : t -> int -> Wire.region_info array
+(** [alloc_regions t n] allocates [n] regions from one process on machine
+    0, which asks the CM for them one after another, each once the previous
+    one is answered. Rids, primaries and backups are those of [n] calls of
+    {!alloc_region_exn}, but the whole sequence runs inside one {!run_on},
+    so it takes a single 1 ms quantum while the requests fit in one. Fails
+    if any allocation fails. *)
 
 (** {1 Introspection} *)
 

@@ -29,9 +29,11 @@ let trace_append st ~thread ~dst ~t0 payload =
 (* Build the record around [payload], draining this machine's pending
    truncations for [dst] into its piggyback fields. Consumes reservation for
    the full record and releases the slack of each piggybacked truncation
-   allowance. Returns the record alone: a size tuple would be one more
-   allocation per record on the commit path. *)
+   allowance. Counts the record in [log_writes] until [settle]. Returns
+   the record alone: a size tuple would be one more allocation per record
+   on the commit path. *)
 let prepare st ~thread ~dst payload =
+  st.State.log_writes <- st.State.log_writes + 1;
   let truncations = State.take_truncations st ~dst in
   let record =
     {
@@ -53,6 +55,7 @@ let prepare st ~thread ~dst payload =
    requeued so another record (or the flusher) carries them once the
    configuration settles. *)
 let settle st ~dst ~size (record : Wire.log_record) r =
+  st.State.log_writes <- st.State.log_writes - 1;
   match r with
   | Ok () ->
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append ~a:dst ~b:size

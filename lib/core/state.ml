@@ -184,6 +184,7 @@ type t = {
   pending_trunc : Txid.t list ref Int_tbl.t;  (* dest machine -> txids *)
   truncated : trunc_track Int_tbl.t;  (* Txid.coord_id -> tracking *)
   (* log-record processing *)
+  mutable log_writes : int;  (* log records prepared, write result not yet known *)
   mutable inflight : int;  (* log entries currently being processed *)
   mutable inflight_blocked : int;  (* of which blocked on region activation *)
   deferred_trunc : Txid.Set.t ref Int_tbl.t;
@@ -239,6 +240,7 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     arena_pool = Arena.create_pool ~reuse:params.Params.arena_reuse;
     pending_trunc = Int_tbl.create 16;
     truncated = Int_tbl.create 64;
+    log_writes = 0;
     inflight = 0;
     inflight_blocked = 0;
     deferred_trunc = Int_tbl.create 16;

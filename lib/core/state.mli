@@ -165,6 +165,9 @@ type t = {
       (** per-commit scratch arenas; workers acquire one per commit *)
   pending_trunc : Txid.t list ref Int_tbl.t;
   truncated : trunc_track Int_tbl.t;  (** keyed by {!Txid.coord_id} *)
+  mutable log_writes : int;
+      (** sender side: log records prepared whose write result is not yet
+          known; dies with the process on a kill *)
   mutable inflight : int;
   mutable inflight_blocked : int;
   deferred_trunc : Txid.Set.t ref Int_tbl.t;

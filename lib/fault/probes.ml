@@ -48,9 +48,9 @@ let zero_runs ?(from = 0) series =
 
 (* A cluster-wide commit stall longer than 3x the lease that no suspicion
    milestone explains. Scans the per-ms committed series of the load
-   window, which begins at [start]: set-up before it (a loader's idle time
-   included) is not a stall. Every over-threshold zero-run must overlap a
-   suspicion milestone, with one threshold of slack on each side
+   window, which begins at [start]: set-up before it (and any idle time
+   before the window) is not a stall. Every over-threshold zero-run must
+   overlap a suspicion milestone, with one threshold of slack on each side
    (suspicion naturally trails the stall that caused it). A cluster that
    never commits has no runs: liveness probes report that. *)
 let no_global_stall ~start (c : Cluster.t) : string list =

@@ -14,7 +14,7 @@ let key16 v =
   b
 
 let create cluster ~keys ~regions =
-  let rids = Array.init regions (fun _ -> (Cluster.alloc_region_exn cluster).Wire.rid) in
+  let rids = Array.map (fun i -> i.Wire.rid) (Cluster.alloc_regions cluster regions) in
   let table =
     Hashtable.create cluster ~regions:rids ~buckets:(max 64 (keys / 4)) ~ksize:16 ~vsize:32 ()
   in

@@ -86,21 +86,20 @@ let callfwd_rows n =
       if (s + sf) mod 2 = 0 then Some (key8 ((((s * 4) + sf) * 3) + 0), Bytes.make 16 '\002')
       else None)
 
-(* Allocate each table's regions, build the four tables already populated,
-   and register the handlers cluster-wide. Each table is created holding
+(* Allocate the four tables' regions, in table order and with one
+   allocation process, build the four tables already populated, and
+   register the handlers cluster-wide. Each table is created holding
    its rows ([Hashtable.create ~rows]), built at its regions' primaries,
    all primaries at once: every row is written by a committed transaction,
    so backups match primaries, but populating costs only the transactions
    that allocate the buckets. Rows are built one table at a time, so only
    one table's are live. *)
 let create cluster ~subscribers ~regions_per_table =
-  let alloc_regions () =
-    Array.init regions_per_table (fun _ -> (Cluster.alloc_region_exn cluster).Wire.rid)
+  let rids =
+    Array.map (fun i -> i.Wire.rid) (Cluster.alloc_regions cluster (4 * regions_per_table))
   in
-  let r_sub = alloc_regions () in
-  let r_access = alloc_regions () in
-  let r_special = alloc_regions () in
-  let r_callfwd = alloc_regions () in
+  let table k = Array.sub rids (k * regions_per_table) regions_per_table in
+  let r_sub = table 0 and r_access = table 1 and r_special = table 2 and r_callfwd = table 3 in
   let n = subscribers in
   let buckets_for rows = max 64 (rows / 4) in
   let build regions ~vsize ~expected rows =
@@ -115,11 +114,10 @@ let create cluster ~subscribers ~regions_per_table =
   Array.iter (fun st -> install st t) cluster.Cluster.machines;
   t
 
-(* The tables hold their rows already; loading only gives the cluster
-   the simulated time that inserting them took, one millisecond per
-   16-subscriber transaction. TATP runs start after region allocation, the
-   build and this idle time (DESIGN.md "Loading tables"). *)
-let load cluster t = Cluster.run_for cluster ~d:(Time.ms ((t.subscribers + 15) / 16))
+(* The tables hold their rows already; loading only waits until the
+   build's last commits are truncated, so a run starts with every backup
+   equal to its primary (DESIGN.md "Loading tables"). *)
+let load cluster (_ : t) = Cluster.settle cluster
 
 (* TATP's non-uniform subscriber id generator. *)
 let random_sid t rng =

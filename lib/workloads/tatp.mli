@@ -27,20 +27,22 @@ val n_special : int -> int
     key [(s*4 + sf)*3], iff [s + sf] is even. *)
 
 val create : Cluster.t -> subscribers:int -> regions_per_table:int -> t
-(** Allocate each table's regions, build the four tables already holding
+(** Allocate the four tables' regions, table by table, in one
+    {!Cluster.alloc_regions} call, build the four tables already holding
     the rows of the TATP population rules ({!n_access}, {!n_special}),
     each with its initial value, and register the function-shipping
     handler on every machine. Every table is created by
     [Hashtable.create ~rows], at its regions' primaries: committed
     transactions write every bucket, filled, once, so backups equal
-    primaries; there is no per-row insert pass. *)
+    primaries; there is no per-row insert pass. When [create] returns, the
+    last of those commits are not yet truncated, so their backups still
+    lag the primaries. *)
 
 val load : Cluster.t -> t -> unit
-(** Run the cluster, with no transactions, for one simulated millisecond
-    per 16 subscribers: the time that inserting the rows 16 subscribers
-    per transaction used to take. TATP measurements start after [load],
-    at a cluster age of region allocation, plus the build, plus this idle
-    time. *)
+(** Wait, with no transactions, until the build has settled
+    ({!Cluster.settle}): its last commits are truncated and applied at
+    their backups. This takes a few simulated milliseconds at most. TATP
+    measurements start after [load]. *)
 
 val random_sid : t -> Rng.t -> int
 (** TATP's non-uniform (OR-based) subscriber-id generator — the skew behind

@@ -420,6 +420,46 @@ let run_on_whole_ms () =
   in
   check_int "2.3 ms rounds up to 3" (ms 3) took
 
+(* [alloc_regions] places regions exactly as one [alloc_region_exn] call
+   per region, from one process in one quantum instead of one each. *)
+let alloc_regions_one_quantum () =
+  let n = 8 in
+  let placement (i : Wire.region_info) = (i.Wire.rid, i.Wire.primary, i.Wire.backups) in
+  let one_by_one = mk_cluster ~machines:7 () and batched = mk_cluster ~machines:7 () in
+  let took_each, each =
+    timed one_by_one (fun () -> List.init n (fun _ -> Cluster.alloc_region_exn one_by_one))
+  in
+  let took_all, all = timed batched (fun () -> Cluster.alloc_regions batched n) in
+  Alcotest.(check (list (triple int int (list int))))
+    "same rids, primaries and backups" (List.map placement each)
+    (List.map placement (Array.to_list all));
+  check_int "one quantum per region, one at a time" (ms n) took_each;
+  check_int "one quantum for all" (ms 1) took_all
+
+(* [settle] outlasts a log write on the wire. A write issued 500 ns
+   before a quantum boundary has taken its sender's pending truncations
+   but not yet reached the receiver's log at the boundary: only the
+   sender's count of unsettled writes shows it there. *)
+let settle_outlasts_log_write () =
+  let c = mk_cluster () in
+  let st = c.Cluster.machines.(0) in
+  let boundary = Time.add (Cluster.now c) (Time.ms 1) in
+  let result = ref None in
+  Proc.spawn ~ctx:st.State.ctx c.Cluster.engine (fun () ->
+      Proc.sleep_until (Time.sub boundary (Time.ns 500));
+      ignore (Ringlog.reserve (State.log_to st 1) 48);
+      result :=
+        Some
+          (Logio.append_prepared st ~thread:0 ~n:1
+             ~dst:(fun _ -> 1)
+             ~payload:(fun _ -> Wire.Truncate_marker)));
+  Cluster.run_for c ~d:(Time.ms 1);
+  check_bool "at the boundary the write is on the wire" true
+    (!result = None && st.State.log_writes = 1);
+  let took, () = timed c (fun () -> Cluster.settle c) in
+  check_bool "settle returns after the write completed" true (!result <> None);
+  check_int "one more quantum" (ms 1) took
+
 let suites =
   [
     ( "txn.semantics",
@@ -447,4 +487,6 @@ let suites =
         test "results in argument order" run_on_all_argument_order;
         test "run_on advances whole milliseconds" run_on_whole_ms;
       ] );
+    ("cluster.alloc_regions", [ test "one process, same placement" alloc_regions_one_quantum ]);
+    ("cluster.settle", [ test "outlasts a log write on the wire" settle_outlasts_log_write ]);
   ]
