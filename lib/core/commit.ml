@@ -608,10 +608,10 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
                     end;
                     (* {2 Phase 5: TRUNCATE} — lazily, after all primaries
                        acked, in the background. The segment is timed from
-                       the report instant and recorded directly into the
-                       phase histogram: the span itself finishes when the
-                       application is told the commit succeeded. *)
-                    let report_at = State.now st in
+                       the report instant and recorded after the span has
+                       finished: the span ends when the application is told
+                       the commit succeeded. *)
+                    let report_at = Time.to_ns (State.now st) in
                     Arena.retain ar;
                     Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
                         (match race_outcome lt all_acks with
@@ -627,26 +627,8 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
                             State.forget_outstanding st txid;
                             cleanup ();
                             State.phase st State.After_truncate txid;
-                            let trunc_ns =
-                              Time.to_ns (Time.sub (State.now st) report_at)
-                            in
-                            Farm_obs.Obs.record_phase st.State.obs
-                              Farm_obs.Obs.P_truncate trunc_ns;
-                            (* recorded into the blame accounting at the same
-                               site so the per-category and per-phase totals
-                               reconcile exactly *)
-                            if Farm_obs.Obs.blame_enabled st.State.obs then
-                              Farm_obs.Obs.record_blame st.State.obs
-                                Farm_obs.Obs.B_truncate trunc_ns;
-                            (* the span has already finished; its TRUNCATE
-                               slice is emitted here, like its histogram
-                               segment *)
-                            Farm_obs.Tracer.slice_tx
-                              (Farm_obs.Obs.tracer st.State.obs)
-                              ~tid:tx.Txn.thread ~step:Farm_obs.Tracer.T_truncate
-                              ~start:(Time.to_ns report_at) ~arg:0
-                              ~txm:txid.Txid.machine ~txt:txid.Txid.thread
-                              ~txl:txid.Txid.local);
+                            Farm_obs.Obs.Span.late_segment tx.Txn.span
+                              Farm_obs.Obs.P_truncate ~start:report_at);
                         Arena.release st.State.arena_pool ar);
                     finish (Ok ())
               end

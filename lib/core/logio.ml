@@ -17,14 +17,15 @@ let trunc_allowance = 24
 let trace_append st ~thread ~dst ~t0 payload =
   let tracer = Farm_obs.Obs.tracer st.State.obs in
   if Farm_obs.Tracer.enabled tracer then
-    match Wire.payload_txid payload with
-    | None ->
-        Farm_obs.Tracer.slice tracer ~tid:thread ~step:Farm_obs.Tracer.T_log_append
-          ~start:t0 ~arg:dst
-    | Some (id : Txid.t) ->
-        Farm_obs.Tracer.slice_flow tracer ~tid:thread ~step:Farm_obs.Tracer.T_log_append
-          ~start:t0 ~arg:dst ~txm:id.Txid.machine ~txt:id.Txid.thread
-          ~txl:id.Txid.local ~flow_in:0 ~flow_out:(Wire.record_flow payload ~dst)
+    let txm, txt, txl, flow_out =
+      match Wire.payload_txid payload with
+      | None -> (-1, 0, 0, 0)
+      | Some (id : Txid.t) ->
+          (id.Txid.machine, id.Txid.thread, id.Txid.local, Wire.record_flow payload ~dst)
+    in
+    Farm_obs.Tracer.slice tracer ~tid:thread
+      ~label:Farm_obs.Obs.(point_label P_log_append)
+      ~start:t0 ~arg:dst ~txm ~txt ~txl ~flow_in:0 ~flow_out
 
 (* Build the record around [payload], draining this machine's pending
    truncations for [dst] into its piggyback fields. Consumes reservation for

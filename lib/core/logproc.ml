@@ -139,12 +139,12 @@ let process_lock st log ~sender (e : Ringlog.entry) (p : Wire.lock_payload) =
     in
     Ringlog.retain log e;
     let id = p.Wire.txid in
-    Farm_obs.Tracer.slice_tx
+    Farm_obs.Tracer.slice
       (Farm_obs.Obs.tracer st.State.obs)
       ~tid:(Farm_obs.Tracer.tid_log ~sender)
-      ~step:(if ok then Farm_obs.Tracer.T_lock_grant else Farm_obs.Tracer.T_lock_refuse)
+      ~label:Farm_obs.Obs.(point_label (if ok then P_lock_grant else P_lock_refuse))
       ~start:t_lock ~arg:(List.length p.Wire.writes) ~txm:id.Txid.machine
-      ~txt:id.Txid.thread ~txl:id.Txid.local;
+      ~txt:id.Txid.thread ~txl:id.Txid.local ~flow_in:0 ~flow_out:0;
     (* tag 5 = lock-reply; distinct from record tags 0-4 so the reply's
        flow id never collides with the LOCK record's *)
     let flow =
@@ -214,18 +214,18 @@ let payload_tag = Wire.payload_tag
 let trace_process st ~sender ~t0 payload =
   let tracer = Farm_obs.Obs.tracer st.State.obs in
   if Farm_obs.Tracer.enabled tracer then
-    let tid = Farm_obs.Tracer.tid_log ~sender in
-    let tag = Wire.payload_tag payload in
-    match Wire.payload_txid payload with
-    | None ->
-        Farm_obs.Tracer.slice tracer ~tid ~step:Farm_obs.Tracer.T_log_process ~start:t0
-          ~arg:tag
-    | Some (id : Txid.t) ->
-        Farm_obs.Tracer.slice_flow tracer ~tid ~step:Farm_obs.Tracer.T_log_process
-          ~start:t0 ~arg:tag ~txm:id.Txid.machine ~txt:id.Txid.thread
-          ~txl:id.Txid.local
-          ~flow_in:(Wire.record_flow payload ~dst:st.State.id)
-          ~flow_out:0
+    let txm, txt, txl, flow_in =
+      match Wire.payload_txid payload with
+      | None -> (-1, 0, 0, 0)
+      | Some (id : Txid.t) ->
+          ( id.Txid.machine,
+            id.Txid.thread,
+            id.Txid.local,
+            Wire.record_flow payload ~dst:st.State.id )
+    in
+    Farm_obs.Tracer.slice tracer ~tid:(Farm_obs.Tracer.tid_log ~sender)
+      ~label:Farm_obs.Obs.(point_label P_log_process)
+      ~start:t0 ~arg:(Wire.payload_tag payload) ~txm ~txt ~txl ~flow_in ~flow_out:0
 
 let process_entry st log (e : Ringlog.entry) =
   let record = e.Ringlog.record in

@@ -509,15 +509,19 @@ let trim_chains st ~wm =
   if !dropped > 0 then Farm_obs.Obs.add st.obs Farm_obs.Obs.C_wm_trim !dropped;
   !dropped
 
-let commit_phase_index = function
-  | Before_lock -> 0
-  | After_lock -> 1
-  | After_validate -> 2
-  | After_commit_backup -> 3
-  | After_commit_primary -> 4
-  | After_truncate -> 5
+(* The one reading of a [commit_phase]: the protocol point its hook sits
+   at, and on which side. *)
+let point_edge_of_commit_phase =
+  let open Farm_obs.Obs in
+  function
+  | Before_lock -> point_edge ~after:false P_lock
+  | After_lock -> point_edge ~after:true P_lock
+  | After_validate -> point_edge ~after:true P_validate
+  | After_commit_backup -> point_edge ~after:true P_commit_backup
+  | After_commit_primary -> point_edge ~after:true P_commit_primary
+  | After_truncate -> point_edge ~after:true P_truncate
 
 let phase st phase txid =
-  Farm_obs.Obs.event st.obs Farm_obs.Obs.K_phase ~a:(commit_phase_index phase)
+  Farm_obs.Obs.event st.obs Farm_obs.Obs.K_phase ~a:(point_edge_of_commit_phase phase)
     ~b:txid.Txid.thread ~c:txid.Txid.local;
   match st.phase_hook with Some f -> f phase txid | None -> ()

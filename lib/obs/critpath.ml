@@ -65,7 +65,7 @@ let path_of_exemplar views (ex : Obs.exemplar) =
         {
           h_machine = v.Tracer.v_machine;
           h_tid = v.Tracer.v_tid;
-          h_name = Tracer.view_name v;
+          h_name = v.Tracer.v_name;
           h_ts = v.Tracer.v_ts;
           h_dur = v.Tracer.v_dur;
           h_crit = crit;

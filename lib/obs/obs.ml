@@ -127,11 +127,14 @@ let counter_name = function
   | C_ro_commit -> "ro-commit"
   | C_wm_trim -> "wm-trim"
 
-(* {1 Phases and stages} *)
+(* {1 Protocol points}
 
-(* [P_commit_wait] (snapshot protocol: waiting out clock uncertainty) sits
-   last so the established phase indices stay stable. *)
-type phase =
+   One constructor per timed, traced or hooked step. The commit phases come
+   first, so their indices (0-6) also index a span's segment arrays;
+   [P_commit_wait] sits last among them so the established phase indices
+   stay stable. *)
+
+type point =
   | P_execute
   | P_lock
   | P_validate
@@ -139,13 +142,25 @@ type phase =
   | P_commit_primary
   | P_truncate
   | P_commit_wait
+  | P_log_append
+  | P_log_process
+  | P_lock_grant
+  | P_lock_refuse
+  | P_drain
+  | P_region_active
+  | P_decide
 
-let all_phases =
-  [ P_execute; P_lock; P_validate; P_commit_backup; P_commit_primary; P_truncate; P_commit_wait ]
+let all_points =
+  [
+    P_execute; P_lock; P_validate; P_commit_backup; P_commit_primary; P_truncate;
+    P_commit_wait; P_log_append; P_log_process; P_lock_grant; P_lock_refuse; P_drain;
+    P_region_active; P_decide;
+  ]
 
-let n_phases = List.length all_phases
+let all_points_arr = Array.of_list all_points
+let n_points = Array.length all_points_arr
 
-let phase_index = function
+let point_index = function
   | P_execute -> 0
   | P_lock -> 1
   | P_validate -> 2
@@ -153,8 +168,15 @@ let phase_index = function
   | P_commit_primary -> 4
   | P_truncate -> 5
   | P_commit_wait -> 6
+  | P_log_append -> 7
+  | P_log_process -> 8
+  | P_lock_grant -> 9
+  | P_lock_refuse -> 10
+  | P_drain -> 11
+  | P_region_active -> 12
+  | P_decide -> 13
 
-let phase_name = function
+let point_name = function
   | P_execute -> "execute"
   | P_lock -> "lock"
   | P_validate -> "validate"
@@ -162,17 +184,39 @@ let phase_name = function
   | P_commit_primary -> "commit-primary"
   | P_truncate -> "truncate"
   | P_commit_wait -> "commit-wait"
+  | P_log_append -> "log-append"
+  | P_log_process -> "log-process"
+  | P_lock_grant -> "lock-grant"
+  | P_lock_refuse -> "lock-refuse"
+  | P_drain -> "drain"
+  | P_region_active -> "region-active"
+  | P_decide -> "decide"
 
-type stage = S_drain | S_region_active | S_decide
+let point_label = function
+  | P_execute -> "execute"
+  | P_lock -> "LOCK"
+  | P_validate -> "VALIDATE"
+  | P_commit_backup -> "COMMIT-BACKUP"
+  | P_commit_primary -> "COMMIT-PRIMARY"
+  | P_truncate -> "TRUNCATE"
+  | P_commit_wait -> "COMMIT-WAIT"
+  | P_log_append -> "log-append"
+  | P_log_process -> "log-process"
+  | P_lock_grant -> "lock-grant"
+  | P_lock_refuse -> "lock-refuse"
+  | P_drain -> "rec-drain"
+  | P_region_active -> "rec-region-active"
+  | P_decide -> "rec-decide"
 
-let all_stages = [ S_drain; S_region_active; S_decide ]
-let n_stages = List.length all_stages
-let stage_index = function S_drain -> 0 | S_region_active -> 1 | S_decide -> 2
+let all_phases =
+  [ P_execute; P_lock; P_validate; P_commit_backup; P_commit_primary; P_truncate; P_commit_wait ]
 
-let stage_name = function
-  | S_drain -> "drain"
-  | S_region_active -> "region-active"
-  | S_decide -> "decide"
+let n_phases = List.length all_phases
+let phase_name = point_name
+let all_stages = [ P_drain; P_region_active; P_decide ]
+
+(* A [K_phase] event's [a]: the point's index and the side of it. *)
+let point_edge ~after p = (2 * point_index p) + Bool.to_int after
 
 (* {1 Blame categories}
 
@@ -351,17 +395,6 @@ let milestone_tag k ~a =
   | K_ms_data_rec_done -> "data-rec-done"
   | _ -> invalid_arg "Obs.milestone_tag: not a milestone kind"
 
-(* Names of the commit-phase hook points carried by [K_phase] events; the
-   indices match State.commit_phase's declaration order. *)
-let commit_phase_tag = function
-  | 0 -> "before-lock"
-  | 1 -> "after-lock"
-  | 2 -> "after-validate"
-  | 3 -> "after-commit-backup"
-  | 4 -> "after-commit-primary"
-  | 5 -> "after-truncate"
-  | n -> Printf.sprintf "phase-%d" n
-
 let log_payload_tag = function
   | 0 -> "LOCK"
   | 1 -> "COMMIT-BACKUP"
@@ -385,7 +418,11 @@ let render_body k ~a ~b ~c =
   | K_log_append_fail -> Printf.sprintf "log-append-FAIL dst=m%d bytes=%d" a b
   | K_log_record -> Printf.sprintf "log-record from=m%d %s" a (log_payload_tag b)
   | K_log_trunc -> Printf.sprintf "log-trunc coord=m%d local=%d" a b
-  | K_phase -> Printf.sprintf "phase %s tx=%d.%d" (commit_phase_tag a) b c
+  | K_phase ->
+      Printf.sprintf "phase %s%s tx=%d.%d"
+        (if a land 1 = 1 then "after-" else "before-")
+        (point_name all_points_arr.(a / 2))
+        b c
   | K_tx_commit -> Printf.sprintf "tx-commit latency=%dns" c
   | K_tx_abort ->
       Printf.sprintf "tx-abort reason=%d cause=%s" a
@@ -470,11 +507,9 @@ and t = {
   mutable pos : int;  (* next slot to overwrite *)
   mutable total : int;  (* events ever recorded *)
   counters : int array;
-  phases : Stats.Hist.t array;
-  stages : Stats.Hist.t array;
+  hists : Stats.Hist.t array;  (* per point: phase segments, stage durations *)
   commit_lat : Stats.Hist.t;  (* commit-phase latency of each commit, ns *)
   commit_bins : Stats.Series.t;  (* commits per 1 ms of sim time *)
-  mutable span_hook : (committed:bool -> span -> unit) option;
   obs_tracer : Tracer.t;
   obs_timeline : Timeline.t;
   mutable blame_on : bool;  (* gates span blame arrays and exemplars *)
@@ -499,11 +534,9 @@ let create ?(capacity = 128) ?(log = create_log ()) engine ~machine =
     pos = 0;
     total = 0;
     counters = Array.make n_counters 0;
-    phases = Array.init n_phases (fun _ -> Stats.Hist.create ());
-    stages = Array.init n_stages (fun _ -> Stats.Hist.create ());
+    hists = Array.init n_points (fun _ -> Stats.Hist.create ());
     commit_lat = Stats.Hist.create ();
     commit_bins = Stats.Series.create ~bin:(Time.ms 1);
-    span_hook = None;
     obs_tracer = Tracer.create engine ~machine;
     obs_timeline = Timeline.create engine ~machine;
     blame_on = false;
@@ -572,15 +605,16 @@ let trace_instant t kind ~a ~c =
 (* A recovery stage that just ended, [ns] long: into its histogram, and
    onto the recovery track as a slice spanning [now - ns, now]. *)
 let record_stage t kind ~ns =
-  let stage, step =
+  let p =
     match kind with
-    | K_rec_drain -> (S_drain, Tracer.T_rec_drain)
-    | K_rec_region_active -> (S_region_active, Tracer.T_rec_region_active)
-    | _ -> (S_decide, Tracer.T_rec_decide)
+    | K_rec_drain -> P_drain
+    | K_rec_region_active -> P_region_active
+    | _ -> P_decide
   in
-  Stats.Hist.record t.stages.(stage_index stage) ns;
+  Stats.Hist.record t.hists.(point_index p) ns;
   let now = Time.to_ns (Engine.now t.engine) in
-  Tracer.slice t.obs_tracer ~tid:Tracer.tid_recovery ~step ~start:(now - ns) ~arg:0
+  Tracer.slice t.obs_tracer ~tid:Tracer.tid_recovery ~label:(point_label p)
+    ~start:(now - ns) ~arg:0 ~txm:(-1) ~txt:0 ~txl:0 ~flow_in:0 ~flow_out:0
 
 let event t kind ~a ~b ~c =
   (match counter_of kind with Some ctr -> incr t ctr | None -> ());
@@ -621,14 +655,14 @@ let events t =
 
 (* {1 Spans} *)
 
-let phase_hist t p = t.phases.(phase_index p)
+let hist t p = t.hists.(point_index p)
 
-let record_phase t p ns =
-  let i = phase_index p in
+(* [i] is a phase index *)
+let record_phase t i ns =
   t.phase_tot.(i) <- t.phase_tot.(i) + ns;
-  if ns > 0 then Stats.Hist.record t.phases.(i) ns
+  if ns > 0 then Stats.Hist.record t.hists.(i) ns
 
-let phase_total_ns t p = t.phase_tot.(phase_index p)
+let phase_total_ns t p = t.phase_tot.(point_index p)
 let blame_hist t b = t.blame_hists.(blame_index b)
 let blame_total_ns t b = t.blame_tot.(blame_index b)
 
@@ -673,23 +707,13 @@ let note_exemplar t sp total =
        else l)
   end
 
-let set_span_hook t h = t.span_hook <- h
-let all_phases_arr = Array.of_list all_phases
-
-(* Commit-protocol phases map one-to-one onto the tracer's first steps. *)
-let step_of_phase_arr =
-  [|
-    Tracer.T_execute; Tracer.T_lock; Tracer.T_validate; Tracer.T_commit_backup;
-    Tracer.T_commit_primary; Tracer.T_truncate; Tracer.T_commit_wait;
-  |]
-
 module Span = struct
   type nonrec t = span
 
   let start ?(tid = 0) obs =
     let now = Time.to_ns (Engine.now obs.engine) in
     let visited = Array.make n_phases false in
-    visited.(phase_index P_execute) <- true;
+    visited.(point_index P_execute) <- true;
     {
       sp_obs = obs;
       sp_start = now;
@@ -700,7 +724,7 @@ module Span = struct
          unless blame attribution has been switched on *)
       sp_blame = (if obs.blame_on then Array.make n_blames 0 else [||]);
       sp_claimed = 0;
-      sp_cur = phase_index P_execute;
+      sp_cur = point_index P_execute;
       sp_since = now;
       sp_total = 0;
       sp_txm = -1;
@@ -726,9 +750,10 @@ module Span = struct
     end;
     (* every nonempty segment is also a trace slice on the worker's track *)
     if seg > 0 then
-      Tracer.slice_tx sp.sp_obs.obs_tracer ~tid:sp.sp_tid
-        ~step:step_of_phase_arr.(sp.sp_cur) ~start:sp.sp_since ~arg:0
-        ~txm:sp.sp_txm ~txt:sp.sp_txt ~txl:sp.sp_txl;
+      Tracer.slice sp.sp_obs.obs_tracer ~tid:sp.sp_tid
+        ~label:(point_label all_points_arr.(sp.sp_cur))
+        ~start:sp.sp_since ~arg:0 ~txm:sp.sp_txm ~txt:sp.sp_txt ~txl:sp.sp_txl
+        ~flow_in:0 ~flow_out:0;
     sp.sp_since <- now
 
   let claim sp b ns =
@@ -742,7 +767,7 @@ module Span = struct
     if sp.sp_cur >= 0 then begin
       let now = Time.to_ns (Engine.now sp.sp_obs.engine) in
       close_current sp now;
-      let i = phase_index phase in
+      let i = point_index phase in
       sp.sp_cur <- i;
       sp.sp_visited.(i) <- true
     end
@@ -755,7 +780,7 @@ module Span = struct
       sp.sp_total <- now - sp.sp_start;
       if committed then begin
         for i = 0 to n_phases - 1 do
-          if sp.sp_visited.(i) then record_phase sp.sp_obs all_phases_arr.(i) sp.sp_seg.(i)
+          if sp.sp_visited.(i) then record_phase sp.sp_obs i sp.sp_seg.(i)
         done;
         if Array.length sp.sp_blame > 0 then begin
           for i = 0 to n_blames - 1 do
@@ -763,13 +788,25 @@ module Span = struct
           done;
           note_exemplar sp.sp_obs sp sp.sp_total
         end
-      end;
-      match sp.sp_obs.span_hook with Some f -> f ~committed sp | None -> ()
+      end
     end
+
+  (* Recorded like a committed segment, with its whole duration falling to
+     the phase's default blame category (nothing claims inside it), and
+     sliced even when empty. *)
+  let late_segment sp p ~start =
+    let obs = sp.sp_obs in
+    let now = Time.to_ns (Engine.now obs.engine) in
+    let i = point_index p in
+    record_phase obs i (now - start);
+    if obs.blame_on then
+      record_blame obs all_blames_arr.(default_blame_of_phase.(i)) (now - start);
+    Tracer.slice obs.obs_tracer ~tid:sp.sp_tid ~label:(point_label p) ~start ~arg:0
+      ~txm:sp.sp_txm ~txt:sp.sp_txt ~txl:sp.sp_txl ~flow_in:0 ~flow_out:0
 
   let segments sp =
     List.filteri (fun i _ -> sp.sp_visited.(i)) (List.init n_phases Fun.id)
-    |> List.map (fun i -> (all_phases_arr.(i), sp.sp_seg.(i)))
+    |> List.map (fun i -> (all_points_arr.(i), sp.sp_seg.(i)))
 
   let total_ns sp = sp.sp_total
 
@@ -779,10 +816,6 @@ module Span = struct
       List.filteri (fun i _ -> sp.sp_blame.(i) <> 0) (List.init n_blames Fun.id)
       |> List.map (fun i -> (all_blames_arr.(i), sp.sp_blame.(i)))
 end
-
-(* {1 Recovery stages} *)
-
-let stage_hist t s = t.stages.(stage_index s)
 
 (* {1 Reporting} *)
 

@@ -101,6 +101,69 @@ val commit_series : t -> Stats.Series.t
 (** Transactions committed here per 1 ms bin of sim time, filled by the
     [K_tx_commit] events. *)
 
+(** {1 Protocol points}
+
+    One vocabulary names every step of the commit protocol and of
+    recovery that is timed, traced or hooked: the commit phases a {!Span}
+    is cut into, the per-record steps at the logs, and the recovery
+    stages. A point carries a short name ({!point_name}: ["lock"],
+    ["drain"]), which keys its histogram and its [K_phase] tags, and a
+    trace label ({!point_label}: ["LOCK"], ["rec-drain"]), which names
+    its trace slices. *)
+
+type point =
+  | P_execute  (** the application's reads and buffered writes, before
+                   commit starts (§4) *)
+  | P_lock  (** LOCK records to the write set's primaries, which lock
+                and reply (§4, Figure 4 step 1) *)
+  | P_validate  (** one-sided re-reads of the read set's versions (step 2) *)
+  | P_commit_backup  (** COMMIT-BACKUP records to every backup, waiting for
+                         all NIC acks (step 3) *)
+  | P_commit_primary  (** COMMIT-PRIMARY records; the primaries install
+                          and unlock (step 4) *)
+  | P_truncate  (** lazy truncation of the records once every primary
+                    acked (step 5) *)
+  | P_commit_wait  (** snapshot protocol: the coordinator waiting out
+                       clock uncertainty before exposing its writes *)
+  | P_log_append  (** one one-sided write of a record into a remote
+                      log, at its sender (§3, §4) *)
+  | P_log_process  (** one record's processing at the log's owner (§4) *)
+  | P_lock_grant  (** a primary took every lock of a LOCK record (§4
+                      step 1) *)
+  | P_lock_refuse  (** a primary refused a LOCK record (§4 step 1) *)
+  | P_drain  (** recovery: config commit to log-drain completion (§5.3
+                 step 2) *)
+  | P_region_active  (** recovery: config commit to region re-activation,
+                         after lock recovery (§5.3 step 4) *)
+  | P_decide  (** recovery: coordination of a recovering transaction,
+                  creation to decision (§5.3 step 7) *)
+
+val all_points : point list
+(** Every point, in declaration order. *)
+
+val point_name : point -> string
+val point_label : point -> string
+
+val all_phases : point list
+(** The commit phases, [P_execute] to [P_commit_wait]: the segments of a
+    {!Span}. Functions documented as taking a phase accept only these. *)
+
+val phase_name : point -> string
+(** {!point_name}, under the name the end-to-end benchmark reads. *)
+
+val all_stages : point list
+(** The recovery stages: [P_drain], [P_region_active], [P_decide]. *)
+
+val point_edge : after:bool -> point -> int
+(** The [a] argument of a [K_phase] event: the hook sits just [after]
+    (or before) the point. *)
+
+val hist : t -> point -> Stats.Hist.t
+(** Durations (ns) at a point: the segments of committed transactions
+    coordinated here for a commit phase, the stages completed here for a
+    recovery stage (from the [K_rec_drain], [K_rec_region_active] and
+    [K_rec_decide] events). Empty for the per-record points. *)
+
 (** {1 Commit-phase spans}
 
     One span per transaction, started by [Txn.begin_tx] and driven by the
@@ -110,20 +173,6 @@ val commit_series : t -> Stats.Series.t
     end-to-end latency reported at {!Span.finish}. Committed spans fold
     their segments into the per-machine phase histograms (skipping phases
     never entered or of zero duration). *)
-
-type phase =
-  | P_execute
-  | P_lock
-  | P_validate
-  | P_commit_backup
-  | P_commit_primary
-  | P_truncate
-  | P_commit_wait
-      (** snapshot protocol: the coordinator waiting out clock
-          uncertainty before exposing its writes *)
-
-val phase_name : phase -> string
-val all_phases : phase list
 
 (** Blame categories — the exclusive latency partition documented in the
     {{!section-latency_blame} Latency blame} section below. Declared here
@@ -156,15 +205,21 @@ module Span : sig
       thread, local id), i.e. its {!Txid} — once the commit pipeline has
       assigned it; subsequent trace slices carry it. *)
 
-  val enter : t -> phase -> unit
-  (** Close the current segment and open [phase] — also emitting the
+  val enter : t -> point -> unit
+  (** Close the current segment and open a phase — also emitting the
       closed segment as a trace slice when the tracer is on. No-op after
       [finish]. *)
 
   val finish : t -> committed:bool -> unit
   (** Close the span at the current sim time. Committed spans fold their
-      segments into the phase histograms and fire the span hook.
-      Idempotent. *)
+      segments into the phase histograms. Idempotent. *)
+
+  val late_segment : t -> point -> start:int -> unit
+  (** Record a phase segment of a committed span that ends now, after
+      {!finish} — the background TRUNCATE, timed from the commit report
+      at [start] (sim ns): into the phase's histogram and exact total,
+      wholly into the phase's default blame category while blame is
+      armed, and as a trace slice on the span's track. *)
 
   val claim : t -> blame -> int -> unit
   (** Attribute [ns] of the current phase segment to a blame category.
@@ -174,7 +229,7 @@ module Span : sig
       unclaimed remainder falls to the phase's default category at the
       next {!enter}/{!finish}. A length check when blame is off. *)
 
-  val segments : t -> (phase * int) list
+  val segments : t -> (point * int) list
   (** Entered segments with their accumulated nanoseconds. *)
 
   val total_ns : t -> int
@@ -186,18 +241,8 @@ module Span : sig
       blame is off. *)
 end
 
-val set_span_hook : t -> (committed:bool -> Span.t -> unit) option -> unit
-(** Test hook fired at every [Span.finish]. *)
-
-val phase_hist : t -> phase -> Stats.Hist.t
-(** Per-phase latency (ns) of committed transactions coordinated here. *)
-
-val record_phase : t -> phase -> int -> unit
-(** Record a phase duration directly (the background TRUNCATE segment,
-    which completes after the span has finished). *)
-
-val phase_total_ns : t -> phase -> int
-(** Exact nanoseconds ever recorded into the phase (committed transactions
+val phase_total_ns : t -> point -> int
+(** Exact nanoseconds ever recorded into a phase (committed transactions
     only) — an integer sum, not a histogram readback, so blame totals can
     be reconciled against it to the ns. *)
 
@@ -232,15 +277,15 @@ val blame_enabled : t -> bool
 
 val blame_hist : t -> blame -> Stats.Hist.t
 (** Per-category nanoseconds of committed transactions coordinated here
-    (admission and truncate come from their own record sites). *)
+    (admission comes from its own record site, truncate from
+    {!Span.late_segment}). *)
 
 val blame_total_ns : t -> blame -> int
 (** Exact nanoseconds ever recorded into the category. *)
 
 val record_blame : t -> blame -> int -> unit
 (** Record a duration directly into a category — the admission queue
-    (before a span exists) and the background truncation (after the span
-    finished) use this. *)
+    uses this, before a span exists. *)
 
 (** {2 Exemplars} — the slowest committed transactions, kept while blame
     is armed so reports can show where the tail's time went. *)
@@ -266,20 +311,6 @@ val heat : t -> Heat.t
 val heat_access : t -> region:int -> unit
 val heat_conflict : t -> region:int -> unit
 
-(** {1 Recovery-stage timings} *)
-
-type stage =
-  | S_drain  (** config-commit to log-drain completion (§5.3 step 2) *)
-  | S_region_active  (** config-commit to region re-activation (step 4) *)
-  | S_decide  (** recovery-coordination creation to decision (step 7) *)
-
-val stage_name : stage -> string
-val all_stages : stage list
-val stage_hist : t -> stage -> Stats.Hist.t
-(** Durations (ns) of the stages completed here, recorded by the
-    [K_rec_drain], [K_rec_region_active] and [K_rec_decide] events; each
-    is also a slice on the tracer's recovery track. *)
-
 (** {1 Events}
 
     One vocabulary for every discrete event: protocol steps, recovery
@@ -288,8 +319,10 @@ val stage_hist : t -> stage -> Stats.Hist.t
     the counter it bumps and its sinks: the flight-recorder ring (while
     {!set_enabled}), the tracer as an instant (while tracing: drops, lease
     expiries, suspicions, config commits, truncations, flow-carrying
-    messages), and the always-on cluster log (milestones, drops, nemesis
-    actions). Strings are built only when a sink is dumped. *)
+    messages), the recovery-stage histograms and trace slices (the
+    [K_rec_*] durations), and the always-on cluster log (milestones,
+    drops, nemesis actions). Strings are built only when a sink is
+    dumped. *)
 
 type kind =
   | K_rdma_read  (** a=dst, b=bytes *)
@@ -307,7 +340,9 @@ type kind =
   | K_log_record  (** a=sender, b=payload tag (0 LOCK, 1 COMMIT-BACKUP, 2
                       COMMIT-PRIMARY, 3 ABORT, 4 TRUNCATE-MARKER) *)
   | K_log_trunc  (** a=coordinator machine, b=tx local id *)
-  | K_phase  (** a=commit-phase index, b=tx thread, c=tx local id *)
+  | K_phase  (** a commit-protocol hook point: a={!point_edge}, rendered
+                  ["before-"] or ["after-"] plus the point's name
+                  (["after-lock"]); b=tx thread, c=tx local id *)
   | K_tx_commit  (** c=latency ns; also fills {!commit_latency} and
                      {!commit_series} *)
   | K_tx_abort  (** a=abort-reason tag, b=cause (0 lock-refused, 1
@@ -318,10 +353,10 @@ type kind =
   | K_suspect  (** a=suspect *)
   | K_new_config  (** a=config id, b=member count, c=cm *)
   | K_config_commit  (** a=config id *)
-  | K_rec_drain  (** a=config id, b=duration ns of stage [S_drain] *)
-  | K_rec_region_active  (** a=region, b=duration ns of [S_region_active] *)
+  | K_rec_drain  (** a=config id, b=duration ns of stage [P_drain] *)
+  | K_rec_region_active  (** a=region, b=duration ns of [P_region_active] *)
   | K_rec_vote  (** a=region, b=vote tag *)
-  | K_rec_decide  (** a=1 committed / 0 aborted, b=duration ns of [S_decide] *)
+  | K_rec_decide  (** a=1 committed / 0 aborted, b=duration ns of [P_decide] *)
   | K_ms_killed  (** milestone: the machine was crashed *)
   | K_ms_power_cycle  (** milestone: whole-cluster power cycle, filed at the CM *)
   | K_ms_suspect  (** milestone: new suspicions at this machine *)

@@ -2,55 +2,17 @@ open Farm_sim
 
 (* Causal tracing. Implementation notes, mirroring the obs spine:
 
-   - One ring of mutable slots (ints, and a constant name for instants),
-     allocated when tracing is first enabled; recording a slice or an
-     instant is ~10 stores.
-     Rendering is deferred to [export_json].
+   - One ring of mutable slots (ints, and a constant name), allocated
+     when tracing is first enabled; recording a slice or an instant is
+     ~10 stores. Rendering is deferred to [export_json].
+   - The tracer knows no protocol vocabulary: its callers name each slice
+     and instant (slices after their [Obs.point]).
    - The only engine interaction is reading the clock; nothing here draws
      randomness, schedules work, or blocks, so histories are identical
      with tracing on or off, and the export is a pure function of the
      recorded slots — byte-identical across replays of one seed.
    - Timestamps are sim-time ns (ints); the export renders microseconds
      by integer division, so no float formatting can perturb bytes. *)
-
-type step =
-  | T_execute
-  | T_lock
-  | T_validate
-  | T_commit_backup
-  | T_commit_primary
-  | T_truncate
-  | T_log_append
-  | T_log_process
-  | T_lock_grant
-  | T_lock_refuse
-  | T_rec_drain
-  | T_rec_region_active
-  | T_rec_decide
-  | T_commit_wait
-
-let step_index = function
-  | T_execute -> 0
-  | T_lock -> 1
-  | T_validate -> 2
-  | T_commit_backup -> 3
-  | T_commit_primary -> 4
-  | T_truncate -> 5
-  | T_log_append -> 6
-  | T_log_process -> 7
-  | T_lock_grant -> 8
-  | T_lock_refuse -> 9
-  | T_rec_drain -> 10
-  | T_rec_region_active -> 11
-  | T_rec_decide -> 12
-  | T_commit_wait -> 13
-
-let step_names =
-  [|
-    "execute"; "LOCK"; "VALIDATE"; "COMMIT-BACKUP"; "COMMIT-PRIMARY"; "TRUNCATE";
-    "log-append"; "log-process"; "lock-grant"; "lock-refuse"; "rec-drain";
-    "rec-region-active"; "rec-decide"; "COMMIT-WAIT";
-  |]
 
 (* {1 Thread tracks} *)
 
@@ -80,8 +42,9 @@ let flow_id ~machine ~thread ~local ~tag ~dst =
 
 (* Names of the flow-id tag space: record tags 0-4 (the wire's
    [payload_tag] order), then the reserved message tags. The export
-   decodes a slice's tag back out of its flow id so log-append /
-   log-process slices read as the record they carry. *)
+   decodes a slice's tag back out of its flow id so a flow-carrying slice
+   (a log append or a log record's processing) reads as the record it
+   carries. *)
 let tag_names =
   [| "LOCK"; "COMMIT-BACKUP"; "COMMIT-PRIMARY"; "ABORT"; "TRUNCATE"; "lock-reply"; "validate"; "?" |]
 
@@ -94,8 +57,7 @@ type slot = {
   mutable e_ts : int;  (* ns; a slice's start *)
   mutable e_dur : int;  (* ns; slices only *)
   mutable e_tid : int;
-  mutable e_name : int;  (* slices: step index *)
-  mutable e_label : string;  (* instants: a static name *)
+  mutable e_label : string;  (* a static name *)
   mutable e_arg : int;
   mutable e_txm : int;  (* trace context; e_txm = -1 means none *)
   mutable e_txt : int;
@@ -124,7 +86,6 @@ let new_slot _ =
     e_ts = 0;
     e_dur = 0;
     e_tid = 0;
-    e_name = 0;
     e_label = "";
     e_arg = 0;
     e_txm = -1;
@@ -133,7 +94,6 @@ let new_slot _ =
     e_fin = 0;
     e_fout = 0;
   }
-
 
 let set_enabled t on =
   if on && Array.length t.ring = 0 then t.ring <- Array.init t.capacity new_slot;
@@ -148,33 +108,21 @@ let alloc t =
   t.trc_total <- t.trc_total + 1;
   s
 
-let record_slice t ~tid ~step ~start ~arg ~txm ~txt ~txl ~flow_in ~flow_out =
-  let now = Time.to_ns (Engine.now t.engine) in
-  let s = alloc t in
-  s.e_ph <- 0;
-  s.e_ts <- start;
-  s.e_dur <- now - start;
-  s.e_tid <- tid;
-  s.e_name <- step_index step;
-  s.e_arg <- arg;
-  s.e_txm <- txm;
-  s.e_txt <- txt;
-  s.e_txl <- txl;
-  s.e_fin <- flow_in;
-  s.e_fout <- flow_out
-
-let slice t ~tid ~step ~start ~arg =
-  if t.trc_enabled then
-    record_slice t ~tid ~step ~start ~arg ~txm:(-1) ~txt:0 ~txl:0 ~flow_in:0
-      ~flow_out:0
-
-let slice_tx t ~tid ~step ~start ~arg ~txm ~txt ~txl =
-  if t.trc_enabled then
-    record_slice t ~tid ~step ~start ~arg ~txm ~txt ~txl ~flow_in:0 ~flow_out:0
-
-let slice_flow t ~tid ~step ~start ~arg ~txm ~txt ~txl ~flow_in ~flow_out =
-  if t.trc_enabled then
-    record_slice t ~tid ~step ~start ~arg ~txm ~txt ~txl ~flow_in ~flow_out
+let slice t ~tid ~label ~start ~arg ~txm ~txt ~txl ~flow_in ~flow_out =
+  if t.trc_enabled then begin
+    let s = alloc t in
+    s.e_ph <- 0;
+    s.e_ts <- start;
+    s.e_dur <- Time.to_ns (Engine.now t.engine) - start;
+    s.e_tid <- tid;
+    s.e_label <- label;
+    s.e_arg <- arg;
+    s.e_txm <- txm;
+    s.e_txt <- txt;
+    s.e_txl <- txl;
+    s.e_fin <- flow_in;
+    s.e_fout <- flow_out
+  end
 
 let instant t ~tid ~name ~arg =
   if t.trc_enabled then begin
@@ -197,7 +145,7 @@ let instant t ~tid ~name ~arg =
 type view = {
   v_machine : int;
   v_tid : int;
-  v_step : int;
+  v_name : string;
   v_ts : int;
   v_dur : int;
   v_arg : int;
@@ -208,11 +156,16 @@ type view = {
   v_fout : int;
 }
 
+(* A slice carrying a flow is named after the record its flow id encodes *)
+let slice_name (s : slot) =
+  let flow = if s.e_fout <> 0 then s.e_fout else s.e_fin in
+  if flow <> 0 then s.e_label ^ " " ^ tag_names.(flow_tag flow) else s.e_label
+
 let view_of_slot machine (s : slot) =
   {
     v_machine = machine;
     v_tid = s.e_tid;
-    v_step = s.e_name;
+    v_name = slice_name s;
     v_ts = s.e_ts;
     v_dur = s.e_dur;
     v_arg = s.e_arg;
@@ -222,16 +175,6 @@ let view_of_slot machine (s : slot) =
     v_fin = s.e_fin;
     v_fout = s.e_fout;
   }
-
-(* log-append/log-process slices carry their record's flow; they are named
-   by the record type the flow id encodes *)
-let slice_name ~step ~fin ~fout =
-  let flow = if fout <> 0 then fout else fin in
-  if flow <> 0 && (step = step_index T_log_append || step = step_index T_log_process) then
-    step_names.(step) ^ " " ^ tag_names.(flow_tag flow)
-  else step_names.(step)
-
-let view_name v = slice_name ~step:v.v_step ~fin:v.v_fin ~fout:v.v_fout
 
 (* Live slots of every tracer, keyed for a total deterministic order:
    timestamp, then machine, then slot age. *)
@@ -280,8 +223,7 @@ let render_slot buf ~pid ~crit (s : slot) =
     Printf.bprintf buf ",\"s\":\"t\",\"args\":{\"arg\":%d}}" s.e_arg
   end
   else begin
-    let name = slice_name ~step:s.e_name ~fin:s.e_fin ~fout:s.e_fout in
-    bprint_common buf ~name ~ph:"X" ~ts:s.e_ts ~pid ~tid:s.e_tid;
+    bprint_common buf ~name:(slice_name s) ~ph:"X" ~ts:s.e_ts ~pid ~tid:s.e_tid;
     Printf.bprintf buf ",\"dur\":";
     bprint_us buf s.e_dur;
     Printf.bprintf buf ",\"args\":{\"arg\":%d" s.e_arg;

@@ -3,7 +3,9 @@ open Farm_sim
 (** Causal tracing: per-machine preallocated span buffers recording the
     begin/end of every protocol step, plus flow events linking a log
     record's (or message's) send to its remote processing, exported as
-    Chrome trace-event JSON openable directly in ui.perfetto.dev.
+    Chrome trace-event JSON openable directly in ui.perfetto.dev. The
+    tracer is a sink that knows no protocol vocabulary: callers name
+    each slice (after its {!Obs.point}'s trace label) and each instant.
 
     One [Tracer.t] lives inside each machine's {!Obs.t} sink. Like the
     rest of the obs spine it obeys three hard rules:
@@ -45,24 +47,6 @@ val enabled : t -> bool
 val total : t -> int
 (** Events recorded since creation, including overwritten ones. *)
 
-(** {1 Protocol steps (slices)} *)
-
-type step =
-  | T_execute
-  | T_lock  (** coordinator LOCK phase *)
-  | T_validate
-  | T_commit_backup
-  | T_commit_primary
-  | T_truncate
-  | T_log_append  (** sender-side one-sided log write; arg = dst *)
-  | T_log_process  (** receiver-side record processing; arg = payload tag *)
-  | T_lock_grant  (** primary granted every lock of a LOCK record *)
-  | T_lock_refuse
-  | T_rec_drain
-  | T_rec_region_active
-  | T_rec_decide
-  | T_commit_wait  (** snapshot protocol: waiting out clock uncertainty *)
-
 (** {1 Thread tracks}
 
     Within one machine (one Perfetto process), tids partition the
@@ -93,15 +77,10 @@ val flow_id : machine:int -> thread:int -> local:int -> tag:int -> dst:int -> in
     are {!flow_id} values, 0 meaning none. [start] is the slice's start
     in sim-time ns; its duration is [Engine.now - start]. *)
 
-val slice : t -> tid:int -> step:step -> start:int -> arg:int -> unit
-
-val slice_tx :
-  t -> tid:int -> step:step -> start:int -> arg:int -> txm:int -> txt:int -> txl:int -> unit
-
-val slice_flow :
+val slice :
   t ->
   tid:int ->
-  step:step ->
+  label:string ->
   start:int ->
   arg:int ->
   txm:int ->
@@ -110,6 +89,10 @@ val slice_flow :
   flow_in:int ->
   flow_out:int ->
   unit
+(** A slice on track [tid] from [start] to now. [label] must be a
+    constant: the slot keeps the string itself. The export appends the
+    record tag its flow id encodes to the label of a slice that carries
+    a flow (["log-append LOCK"]). *)
 
 val instant : t -> tid:int -> name:string -> arg:int -> unit
 (** A point event on track [tid]. [name] must be a constant: the slot
@@ -126,7 +109,8 @@ val instant : t -> tid:int -> name:string -> arg:int -> unit
 type view = {
   v_machine : int;
   v_tid : int;
-  v_step : int;  (** index of the {!step} in declaration order *)
+  v_name : string;  (** the display name the export renders (log slices
+                        carry their record type, e.g. ["log-process LOCK"]) *)
   v_ts : int;  (** start, sim ns *)
   v_dur : int;  (** ns *)
   v_arg : int;
@@ -140,10 +124,6 @@ type view = {
 val views : t list -> view list
 (** Every live slice of the given tracers in the export's deterministic
     order: (timestamp, machine, slot age). *)
-
-val view_name : view -> string
-(** The same display name the export renders (log slices carry their
-    record type, e.g. ["log-process LOCK"]). *)
 
 (** {1 Export} *)
 

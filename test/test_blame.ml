@@ -30,19 +30,19 @@ let per_span_blame_exact () =
   let coord = (r.Wire.primary + 1) mod 3 in
   let spans = ref [] in
   Cluster.run_on c ~machine:coord (fun st ->
-      Obs.set_span_hook st.State.obs
-        (Some (fun ~committed span -> if committed then spans := span :: !spans));
       for i = 1 to 5 do
+        (* the last attempt's span is the committed one *)
+        let last = ref None in
         match
           Api.run_retry st ~thread:0 (fun tx ->
+              last := Some tx.Txn.span;
               let a = Txn.alloc tx ~size:8 ~region:r.Wire.rid () in
               Txn.write tx a (Bytes.make 8 (Char.chr (64 + i))))
         with
-        | Ok () -> ()
+        | Ok () -> spans := Option.get !last :: !spans
         | Error e -> Alcotest.failf "tx %d: %a" i Txn.pp_abort e
-      done;
-      Obs.set_span_hook st.State.obs None);
-  check_bool "captured spans" true (List.length !spans >= 5);
+      done);
+  check_int "captured spans" 5 (List.length !spans);
   List.iter
     (fun span ->
       let blame = Obs.Span.blame span in
@@ -95,7 +95,7 @@ let aggregate_reconciliation () =
    Two machines, one committed cross-machine transaction in the armed
    window — so the slowest exemplar IS that transaction and everything
    about its path can be checked against independently captured truth:
-   span hook total, blame partition, time-ordered hops, a critical
+   span total, blame partition, time-ordered hops, a critical
    coordinator-spine slice, and a critical remote log-process hop on the
    other machine. *)
 let critpath_hand_computed () =
@@ -106,19 +106,18 @@ let critpath_hand_computed () =
   let coord = (r.Wire.primary + 1) mod 2 in
   Cluster.set_blame c true;
   Cluster.set_tracing c true;
-  let captured = ref None in
+  let last = ref None in
   Cluster.run_on c ~machine:coord (fun st ->
-      Obs.set_span_hook st.State.obs
-        (Some (fun ~committed span -> if committed then captured := Some span));
-      (match
-         Api.run_retry st ~thread:0 (fun tx ->
-             let a = Txn.alloc tx ~size:8 ~region:r.Wire.rid () in
-             Txn.write tx a (Bytes.make 8 'p'))
-       with
+      match
+        Api.run_retry st ~thread:0 (fun tx ->
+            last := Some tx.Txn.span;
+            let a = Txn.alloc tx ~size:8 ~region:r.Wire.rid () in
+            Txn.write tx a (Bytes.make 8 'p'))
+      with
       | Ok () -> ()
       | Error e -> Alcotest.failf "tx: %a" Txn.pp_abort e);
-      Obs.set_span_hook st.State.obs None);
-  let span = match !captured with Some s -> s | None -> Alcotest.fail "no span" in
+  (* the last attempt's span is the committed one *)
+  let span = match !last with Some s -> s | None -> Alcotest.fail "no span" in
   let tracers =
     Array.to_list
       (Array.map (fun (st : State.t) -> Obs.tracer st.State.obs) c.Cluster.machines)
