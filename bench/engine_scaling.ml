@@ -12,7 +12,8 @@ open Farm_harness
    TATP mix with a fixed worker count per machine and records
 
      machines x host wall-clock x sim-tx/s x host-heap bytes/op x live MB
-     x the events and simulated ms of set-up's [Tatp.create]
+     x simulated NVRAM resident x the events and simulated ms of set-up's
+     [Tatp.create]
 
    into BENCH_engine_scaling.json, alongside the commit-path micro numbers
    (bytes allocated per committed transaction, measured over GC-quiet
@@ -34,7 +35,20 @@ open Farm_harness
 let params () =
   { Params.default with Params.region_size = 1 lsl 17; log_size = 1 lsl 20 }
 
+(* The GC settings the process started with. A row's window allocates
+   hundreds of MB, so it spans minor collections, and [Gc.allocated_bytes]
+   over it moves with where they fall: with the minor heap's size and the
+   major GC's pacing, both of which earlier experiments in the same
+   process change ([Cluster.create] never shrinks the minor heap). Each
+   row therefore starts from these settings after a full major
+   collection, and runs at the minor heap [Cluster.create] gives its
+   fleet: many small collections, each misplacing little, so a row reads
+   the same in any process (DESIGN.md §6). *)
+let initial_gc = Gc.get ()
+
 let run_size ~machines ~workers_per_machine ~subscribers ~duration =
+  Gc.set initial_gc;
+  Gc.full_major ();
   let c = Cluster.create ~params:(params ()) ~machines () in
   let regions_per_table = max 2 machines in
   let events0 = Engine.events_processed c.Cluster.engine and sim0 = Cluster.now c in
@@ -43,12 +57,20 @@ let run_size ~machines ~workers_per_machine ~subscribers ~duration =
   let build_sim = Time.sub (Cluster.now c) sim0 in
   Tatp.load c t;
   let host0 = Unix.gettimeofday () in
-  let stats, alloc_bytes, _clean =
-    Farm_obs.Allocmeter.measure (fun () ->
-        Driver.run c ~workers:workers_per_machine ~warmup:(Time.ms 2) ~duration
-          ~op:(Tatp.op t))
+  Gc.minor ();
+  let alloc0 = Gc.allocated_bytes () in
+  let stats =
+    Driver.run c ~workers:workers_per_machine ~warmup:(Time.ms 2) ~duration ~op:(Tatp.op t)
   in
+  let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
   let host1 = Unix.gettimeofday () in
+  (* simulated NVRAM written by the end of the window: region pages
+     resident on every machine *)
+  let nvram_bytes =
+    Array.fold_left
+      (fun acc (st : State.t) -> acc + Farm_nvram.Bank.resident_bytes st.State.nv.State.bank)
+      0 c.Cluster.machines
+  in
   (* The heap the fleet holds at the end of the measured window: live
      words after a full major collection, with the cluster still live
      (it is read below). *)
@@ -62,9 +84,10 @@ let run_size ~machines ~workers_per_machine ~subscribers ~duration =
   let workers_total = machines * workers_per_machine in
   Fmt.pr
     "%2d machines %5d workers: %7d ops in %dms sim (%.2fs host) = %.1f Mtx/s sim, \
-     %.0f tx/s host, %.0f bytes/op, %.1f MB live@."
+     %.0f tx/s host, %.0f bytes/op, %.1f MB live, %.1f MB NVRAM@."
     machines workers_total ops (Bench_util.ms_of duration) host_s (sim_tx_per_s /. 1e6)
-    host_tx_per_s bytes_per_op live_mb;
+    host_tx_per_s bytes_per_op live_mb
+    (float_of_int nvram_bytes /. 1048576.);
   let open Bench_util in
   Json.Obj
     [
@@ -78,6 +101,7 @@ let run_size ~machines ~workers_per_machine ~subscribers ~duration =
       ("host_tx_per_s", fixed 0 host_tx_per_s);  (* the engine's speed *)
       ("bytes_per_op", fixed 0 bytes_per_op);  (* host heap bytes per TATP op *)
       ("live_mb", fixed 1 live_mb);  (* host heap live at the window's end *)
+      ("nvram_bytes", int nvram_bytes);  (* simulated NVRAM resident then *)
       (* set-up's cost inside [Tatp.create]: regions plus the table build *)
       ("build_events", int build_events);
       ("build_sim_ms", int (ms_of build_sim));
@@ -169,12 +193,12 @@ let json_report ~smoke ~micro_bytes rows =
 
 (* {1 Baseline regression gate (CI)}
 
-   Simulated throughput, operation counts and the events and simulated
-   time [Tatp.create] takes are pure functions of the seed, so they must
-   match the baseline row of the same cluster size exactly. Host-heap
-   bytes depend on the host's OCaml runtime, so they get a 1.2x ceiling,
-   and the live heap a 1.1x one. The commit micro row is keyed by its
-   fixed pre-refactor anchor. *)
+   Simulated throughput, operation counts, the simulated NVRAM resident
+   and the events and simulated time [Tatp.create] takes are pure
+   functions of the seed, so they must match the baseline row of the same
+   cluster size exactly. Host-heap bytes depend on the host's OCaml
+   runtime, so they get a 1.2x ceiling, and the live heap a 1.1x one. The
+   commit micro row is keyed by its fixed pre-refactor anchor. *)
 
 let gate =
   [
@@ -188,6 +212,7 @@ let gate =
           ("committed", Gate.Exact);
           ("build_events", Gate.Exact);
           ("build_sim_ms", Gate.Exact);
+          ("nvram_bytes", Gate.Exact);
           ("bytes_per_op", Gate.Ceiling 1.2);
           ("live_mb", Gate.Ceiling 1.1);
         ];
@@ -221,7 +246,6 @@ let run ?(smoke = false) ?check_baseline () =
     micro_bytes pre_refactor_micro_bytes_per_tx
     (pre_refactor_micro_bytes_per_tx /. micro_bytes);
   let rows =
-    Farm_obs.Allocmeter.with_quiet_heap @@ fun () ->
     List.map
       (fun (machines, workers_per_machine, subscribers, duration) ->
         run_size ~machines ~workers_per_machine ~subscribers ~duration)

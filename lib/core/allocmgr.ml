@@ -8,15 +8,13 @@ open Farm_sim
    lists are kept only at the primary and rebuilt by scanning the region
    after a failure, paced to limit impact on the foreground. *)
 
-(* Slot size for a data payload: header plus data, rounded up to the next
-   power of two, minimum 16 bytes. *)
-let slot_size data_size =
-  let need = Obj_layout.header_size + data_size in
-  let s = ref 16 in
-  while !s < need do
-    s := !s * 2
-  done;
-  !s
+(* Slot size for a data payload: header plus data, rounded up to a
+   multiple of 16 bytes. Every slot offset in a block is then a multiple
+   of 16, so headers stay 8-byte aligned, and no object pads by more than
+   15 bytes. A slot need not divide the block: the last [block_size mod
+   slot] bytes of a block stay unused, and every scan of a block counts
+   [block_size / slot] slots, so none crosses the block's end. *)
+let slot_size data_size = (Obj_layout.header_size + data_size + 15) land lnot 15
 
 let blocks_per_region st = st.State.params.Params.region_size / Params.block_size
 

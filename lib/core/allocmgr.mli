@@ -1,12 +1,20 @@
 (** The FaRM object allocator (§3, §5.5).
 
-    Regions are split into blocks used as slabs for small objects (slot
-    sizes are powers of two). Block headers — the object size used in a
-    block — are replicated to the backups when a block is carved, because
-    data recovery needs them; slab free lists live only at the primary and
-    are rebuilt by a paced scan of the region's allocation bits after a
-    promotion. Allocations are tentative until commit sets the allocation
-    bit, so crashes and aborts leak nothing. *)
+    Regions are split into blocks used as slabs for small objects. A slot
+    holds the object's header and data, rounded up to a multiple of 16
+    bytes, so no object pads by more than 15 bytes. Block headers — the
+    object size used in a block — are replicated to the backups when a
+    block is carved, because data recovery needs them; slab free lists
+    live only at the primary and are rebuilt by a paced scan of the
+    region's allocation bits after a promotion. Allocations are tentative
+    until commit sets the allocation bit, so crashes and aborts leak
+    nothing. *)
+
+val slot_size : int -> int
+(** [slot_size data_size]: the slot of an object with [data_size] bytes of
+    data, [Obj_layout.header_size + data_size] rounded up to a multiple of
+    16. A block holds [Params.block_size / slot] slots; the remainder at
+    its end stays unused. *)
 
 val alloc_obj_local : State.t -> State.replica -> size:int -> (Addr.t * int) option
 (** Pop a free slot (carving a fresh block when empty); returns the address

@@ -126,6 +126,15 @@ let paged_matches_flat =
       in
       List.for_all step ops && Bytes.equal (Pagemem.sub mem 0 paged_size) flat)
 
+(* {1 Slab slots} *)
+
+let slot_sized_to_object =
+  QCheck.Test.make ~name:"slot: multiple of 16, fits header + data, pads < 16" ~count:500
+    QCheck.(int_range 0 4096)
+    (fun data ->
+      let slot = Allocmgr.slot_size data and need = Obj_layout.header_size + data in
+      slot mod 16 = 0 && slot >= need && slot < need + 16)
+
 (* {1 Txid / Addr} *)
 
 let txid_ordering () =
@@ -543,6 +552,7 @@ let suites =
         test "data roundtrip" data_roundtrip;
         qtest paged_matches_flat;
       ] );
+    ("core.allocmgr", [ qtest slot_sized_to_object ]);
     ("core.ids", [ test "txid ordering" txid_ordering; test "addr map" addr_map ]);
     ( "core.config",
       [

@@ -149,6 +149,18 @@ let data_recovery_restores_replication () =
   let c = mk_cluster ~machines:6 () in
   let r = Cluster.alloc_region_exn c in
   let cells = alloc_cells c ~region:r.Wire.rid ~n:32 ~init:11 in
+  (* 166-byte objects take 176-byte slots, which do not divide a block or
+     a page: 100 of them fill one block and start a second *)
+  Cluster.run_on c ~machine:0 (fun st ->
+      match
+        Api.run_retry st ~thread:0 (fun tx ->
+            for i = 0 to 99 do
+              let a = Txn.alloc tx ~size:166 ~region:r.Wire.rid () in
+              Txn.write tx a (Bytes.make 166 (Char.chr i))
+            done)
+      with
+      | Ok () -> ()
+      | Error e -> Fmt.failwith "166-byte objects: %a" Txn.pp_abort e);
   Cluster.run_for c ~d:(Time.ms 10);
   Cluster.kill c r.Wire.primary;
   (* wait for reconfiguration + paced data recovery *)
@@ -177,6 +189,22 @@ let data_recovery_restores_replication () =
             cells)
         rest
   | [] -> Alcotest.fail "no replicas");
+  (* the fresh backup ends up byte-equal to its primary, slab by slab *)
+  let whole (_, (rep : State.replica)) =
+    Farm_nvram.Pagemem.sub rep.State.mem 0 (Farm_nvram.Pagemem.length rep.State.mem)
+  in
+  let primary =
+    List.find (fun (_, (rep : State.replica)) -> rep.State.role = State.Primary) alive_reps
+  in
+  let fresh =
+    List.filter (fun (m, _) -> not (List.mem m (r.Wire.primary :: r.Wire.backups))) alive_reps
+  in
+  check_int "one fresh backup" 1 (List.length fresh);
+  List.iter
+    (fun b ->
+      check_bool "fresh backup byte-equal to its primary" true
+        (Bytes.equal (whole primary) (whole b)))
+    fresh;
   check_int "values survive" 11 (read_cell c ~machine:(fst (List.hd alive_reps)) cells.(0))
 
 (* Two failures one after the other: a query from the second kill on
@@ -248,6 +276,55 @@ let allocator_recovery_after_promotion () =
     cells;
   check_int "old objects intact" 1 (read_cell c ~machine:survivor cells.(0));
   check_int "new object visible" 999 (read_cell c ~machine:survivor fresh)
+
+(* §5.5's free-list scan over slots that do not divide a block: 166-byte
+   objects take 176-byte slots, 93 to a 16 KB block with 16 bytes left
+   over. After frees, the rebuilt free list holds exactly the freed
+   offsets, and no slot crosses the end of its block. *)
+let free_list_scan_odd_slots () =
+  let c = mk_cluster ~machines:3 () in
+  let r = Cluster.alloc_region_exn c in
+  let slot = Allocmgr.slot_size 166 in
+  check_int "slot" 176 slot;
+  let per_block = Params.block_size / slot in
+  check_int "slots per block" 93 per_block;
+  let run_tx f =
+    Cluster.run_on c ~machine:r.Wire.primary (fun st ->
+        match Api.run_retry st ~thread:0 f with
+        | Ok v -> v
+        | Error e -> Fmt.failwith "free_list_scan_odd_slots: %a" Txn.pp_abort e)
+  in
+  let addrs =
+    run_tx (fun tx ->
+        Array.init per_block (fun _ ->
+            let a = Txn.alloc tx ~size:166 ~region:r.Wire.rid () in
+            Txn.write tx a (Bytes.make 166 'x');
+            a))
+  in
+  let offs = List.sort compare (Array.to_list (Array.map (fun a -> a.Addr.offset) addrs)) in
+  Alcotest.(check (list int)) "one block's slots" (List.init per_block (fun i -> i * slot)) offs;
+  let freed = List.filteri (fun i _ -> i mod 3 = 1) offs in
+  run_tx (fun tx ->
+      List.iter (fun off -> Txn.free tx (Addr.make ~region:r.Wire.rid ~offset:off)) freed);
+  let rep = Option.get (State.replica (Cluster.machine c r.Wire.primary) r.Wire.rid) in
+  let done_ = ref false in
+  Allocmgr.recover_free_lists (Cluster.machine c r.Wire.primary) rep ~on_done:(fun () ->
+      done_ := true);
+  Cluster.run_for c ~d:(Time.ms 5);
+  check_bool "scan finished" true (!done_ && rep.State.free_lists_valid);
+  let listed =
+    match Hashtbl.find_opt rep.State.free_lists slot with Some l -> !l | None -> []
+  in
+  Alcotest.(check (list int)) "free list is the freed offsets" freed (List.sort compare listed);
+  Hashtbl.iter
+    (fun _ l ->
+      List.iter
+        (fun off ->
+          let s = Hashtbl.find rep.State.block_headers (off / Params.block_size) in
+          check_bool "slot inside its block" true
+            ((off mod Params.block_size) + s <= Params.block_size))
+        !l)
+    rep.State.free_lists
 
 let cm_failure_recovers () =
   let c = mk_cluster ~machines:6 () in
@@ -736,6 +813,7 @@ let suites =
         test "second kill's data recovery found by first_event ~after"
           second_data_recovery_after_second_kill;
         test "allocator recovery after promotion" allocator_recovery_after_promotion;
+        test "free-list scan over 176-byte slots" free_list_scan_odd_slots;
         test "CM failure" cm_failure_recovers;
         test "correlated domain failure" correlated_domain_failure;
         test "region loss detection" region_lost_detection;
