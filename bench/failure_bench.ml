@@ -155,13 +155,11 @@ let run spec : outcome =
               | None -> first_alive (rid + 1)
           in
           (match first_alive 1 with
-          | Some m when m <> (Cluster.machine c 0).State.config.Config.cm ->
-              victims := [ m ]
+          | Some m when m <> Cluster.cm c -> victims := [ m ]
           | _ ->
               (* avoid the CM for the non-CM experiments *)
-              let cm = (Cluster.machine c 0).State.config.Config.cm in
-              victims := [ (cm + 1) mod spec.machines ])
-      | Kill_cm -> victims := [ (Cluster.machine c 0).State.config.Config.cm ]
+              victims := [ (Cluster.cm c + 1) mod spec.machines ])
+      | Kill_cm -> victims := [ Cluster.cm c ]
       | Kill_domain d ->
           victims :=
             List.filter
@@ -207,7 +205,7 @@ let run spec : outcome =
                (* workers only on machines that will survive *)
                match spec.victim with
                | Kill_domain d -> spec.domains m <> d
-               | Kill_cm -> m <> (Cluster.machine c 0).State.config.Config.cm
+               | Kill_cm -> m <> Cluster.cm c
                | Kill_primary_of_first_region -> true))
   in
   (* wait for background data recovery to finish *)

@@ -135,12 +135,10 @@ let schedule_kills cluster c =
   in
   Option.iter
     (fun off ->
-      schedule off (fun () ->
-          let cm = (Cluster.machine cluster 0).State.config.Config.cm in
-          (cm + 1) mod c.machines))
+      schedule off (fun () -> (Cluster.cm cluster + 1) mod c.machines))
     c.kill_ms;
   Option.iter
-    (fun off -> schedule off (fun () -> (Cluster.machine cluster 0).State.config.Config.cm))
+    (fun off -> schedule off (fun () -> Cluster.cm cluster))
     c.kill_cm_ms;
   Option.iter
     (fun off ->

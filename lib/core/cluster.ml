@@ -142,8 +142,6 @@ let kill t id =
 let kill_domain t d =
   Array.iter (fun st -> if t.domain_of st.State.id = d then kill t st.State.id) t.machines
 
-let kill_cm t = kill t t.machines.(0).State.config.Config.cm
-
 (* {1 Full-cluster power failure (§5)}
 
    "We provide durability for all committed transactions even if the entire
@@ -302,6 +300,16 @@ let current_config t =
         | Some (c : Config.t) when c.Config.id >= st.State.config.Config.id -> acc
         | _ -> Some st.State.config)
     None t.machines
+
+(* The CM of the newest configuration. Any one machine's view can be stale:
+   a dead machine keeps the configuration it died in. With no machine
+   alive, machine 0's last view. *)
+let cm t =
+  match current_config t with
+  | Some c -> c.Config.cm
+  | None -> t.machines.(0).State.config.Config.cm
+
+let kill_cm t = kill t (cm t)
 
 (* {1 Quiesce}
 

@@ -59,6 +59,7 @@ val kill_domain : t -> int -> unit
 (** Crash every machine of one failure domain (a rack/switch failure). *)
 
 val kill_cm : t -> unit
+(** Crash the CM of the newest configuration ({!cm}). *)
 
 val restart_machine : ?rejoining:bool -> t -> int -> config:Config.t -> State.t
 (** Boot a dead machine's FaRM process again on top of its surviving
@@ -85,6 +86,10 @@ val heal : t -> unit
 val current_config : t -> Config.t option
 (** The newest configuration committed by any alive machine. Alive
     non-members are evicted zombies whose state is stale. *)
+
+val cm : t -> int
+(** The configuration manager of {!current_config} (machine 0's last view
+    when no machine is alive). *)
 
 val quiesce : t -> bool
 (** Drive the simulation until the cluster settles (no member

@@ -93,13 +93,12 @@ let handle_commit_region st (info : Wire.region_info) =
 
 type probe_result = {
   pr_machine : int;
-  pr_last_drained : int;
   pr_replicas : (int * State.role) list;
   pr_infos : (int * int * int) list;  (* rid, last_primary_change, last_replica_change *)
 }
 
-(* One-sided RDMA read of the target's probe word (including LastDrained,
-   which the CM needs for recovering-transaction identification). *)
+(* One-sided RDMA read of the target's probe word: its replicas and its
+   region-map change ids. *)
 let probe st ~targets =
   let results = ref [] in
   Comms.par_iter st
@@ -128,7 +127,6 @@ let probe st ~targets =
                    Some
                      {
                        pr_machine = m;
-                       pr_last_drained = pst.State.last_drained;
                        pr_replicas = replicas;
                        pr_infos = infos;
                      })
@@ -349,7 +347,7 @@ let rec attempt_reconfig st =
               List.iter
                 (fun m ->
                   Comms.send st ~dst:m
-                    (Wire.New_config { config = new_config; regions; cm_changed = not was_cm }))
+                    (Wire.New_config { config = new_config; regions }))
                 responders;
               (* 7. Commit after all ACKs (machines that fail to ack get
                  suspected and trigger another round). Evicted machines'

@@ -29,7 +29,6 @@ val claim :
 
 type probe_result = {
   pr_machine : int;
-  pr_last_drained : int;
   pr_replicas : (int * State.role) list;
   pr_infos : (int * int * int) list;
 }

@@ -182,9 +182,7 @@ let rec recover_region st (rep : State.replica) ~on_done =
             rep.State.fresh_backup <- false;
             (* the copied blocks carry only current versions, no history:
                the chain cannot serve snapshots older than "now" *)
-            (match rep.State.vc with
-            | Some vc -> Verchain.raise_floor vc (Clock.hi st.State.clock + 1)
-            | None -> ());
+            Objmem.floor_past_reads st rep;
             on_done ()
           end
         end)
@@ -194,9 +192,6 @@ let rec recover_region st (rep : State.replica) ~on_done =
    freshly-assigned replica, and allocator recovery (§5.5) for every
    promoted primary. *)
 let on_all_regions_active st =
-  (match st.State.recovery with
-  | Some rs -> rs.State.rs_all_active <- true
-  | None -> ());
   let cfg = st.State.config.Config.id in
   let fresh =
     Hashtbl.fold

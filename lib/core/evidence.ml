@@ -88,6 +88,23 @@ let mark tbl txid flag =
   | Some e -> Txid.Tbl.replace tbl txid { e with Wire.ev_saw = e.Wire.ev_saw lor flag }
   | None -> ()
 
+(* {1 Lock recovery and log-record replication (§5.3 steps 4-5)} *)
+
+let writes_to ev ~rid =
+  match ev.Wire.ev_payload with
+  | None -> []
+  | Some p ->
+      List.filter (fun (w : Wire.write_item) -> w.Wire.addr.Addr.region = rid) p.Wire.writes
+
+(* The defect of ROADMAP.md item 1 (see the .mli): any payload credits,
+   whatever region it writes. The first path's fix is
+   [writes_to ev ~rid <> []]. *)
+let credits ev ~rid:_ = ev.Wire.ev_payload <> None
+
+let replicate_to ev ~backups ~credited =
+  if ev.Wire.ev_payload = None then []
+  else List.filter (fun b -> not (List.mem (b, ev.Wire.ev_txid) credited)) backups
+
 (* §5.3 step 6. *)
 let vote ev =
   if saw ev saw_commit_primary || saw ev saw_commit_recovery then Wire.Vote_commit_primary

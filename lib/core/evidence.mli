@@ -44,6 +44,26 @@ val add : Wire.tx_evidence Txid.Tbl.t -> Wire.tx_evidence -> Wire.tx_evidence
 val mark : Wire.tx_evidence Txid.Tbl.t -> Txid.t -> int -> unit
 (** Set a flag on the transaction's entry, if it has one. *)
 
+(** {1 Lock recovery and log-record replication} *)
+
+val writes_to : Wire.tx_evidence -> rid:int -> Wire.write_item list
+(** The payload's writes to region [rid], in payload order ([[]] without
+    a payload): what a primary locks for the transaction in lock recovery
+    (§5.3 step 4), or installs if the decision is already known. *)
+
+val credits : Wire.tx_evidence -> rid:int -> bool
+(** Does a backup's NEED-RECOVERY evidence for region [rid] credit it with
+    holding the transaction, so that step 5 does not replicate it there?
+    Today: whenever the evidence carries a payload, whatever region the
+    payload writes. That is the lock-recovery replication defect of
+    ROADMAP.md item 1: a payload that writes only another region credits a
+    backup that lacks [rid]'s writes. *)
+
+val replicate_to : Wire.tx_evidence -> backups:int list -> credited:(int * Txid.t) list -> int list
+(** §5.3 step 5: the [backups], in order, that lack the transaction — no
+    [(backup, txid)] pair of [credited] names them with it. [[]] when the
+    evidence has no payload to replicate. *)
+
 (** {1 Vote and decide} *)
 
 val vote : Wire.tx_evidence -> Wire.vote

@@ -64,7 +64,7 @@ let apply_truncation st log txid =
             List.iter
               (fun (w : Wire.write_item) ->
                 match State.replica st w.Wire.addr.Addr.region with
-                | Some rep -> ignore (Objmem.apply_write rep w)
+                | Some rep -> Objmem.install st rep w
                 | None -> ())
               p.Wire.writes
         | Lock _ | Commit_primary _ | Abort _ | Truncate_marker -> ())
@@ -173,12 +173,7 @@ let process_commit_primary st log (e : Ringlog.entry) txid ~ts =
       List.iter
         (fun (w : Wire.write_item) ->
           match State.replica st w.Wire.addr.Addr.region with
-          | Some rep ->
-              let applied = Objmem.apply_write ~ts rep w in
-              (* a committed free returns the slot to the primary's slab
-                 (only on first application) *)
-              if applied && w.Wire.alloc_op = Wire.Alloc_clear && rep.State.role = State.Primary
-              then Allocmgr.release_slot rep ~off:w.Wire.addr.Addr.offset
+          | Some rep -> Objmem.install ~ts st rep w
           | None -> ())
         p.Wire.writes;
       Txid.Tbl.remove st.State.locks_held txid

@@ -52,7 +52,7 @@ let dispatch st ~src ~reply (msg : Wire.message) =
   | Wire.Truncate_recovery { cfg; txid } -> Recovery.on_truncate_recovery st ~cfg ~txid
   | Wire.Suspect_req { cfg; suspect } ->
       if cfg = st.State.config.Config.id then Cm.handle_suspicion st [ suspect ]
-  | Wire.New_config { config; regions; cm_changed = _ } ->
+  | Wire.New_config { config; regions } ->
       Membership.apply_new_config st config regions
   | Wire.New_config_ack { cfg } -> (
       match st.State.cm with

@@ -21,20 +21,13 @@ let unlock (r : State.replica) (w : Wire.write_item) =
   if Obj_layout.is_locked h && Obj_layout.version h = w.version then
     Obj_layout.set r.mem ~off (Obj_layout.with_locked h false)
 
-(* Apply a committed write: install the new value, bump the version past
-   the one observed at read time, apply allocation-bit changes, clear the
-   lock. Used by COMMIT-PRIMARY processing at primaries and by truncation
-   at backups (§4 steps 4-5). Idempotent: a replica that already holds a
-   version beyond [w.version] is left untouched.
-
-   Snapshot protocol (replica carries a version chain): the superseded head
-   is archived under its own commit timestamp before the install, and a
-   skipped (stale) write is archived too — at a backup, truncation order
-   can invert per object, and the chain is where the skipped version
-   belongs. [ts] (or [w.ts], whichever is nonzero) is the write's global
-   commit timestamp; recovery evidence that predates timestamp assignment
-   falls back to [head_ts + 1], which preserves per-object order. *)
-let apply_write ?(ts = 0) (r : State.replica) (w : Wire.write_item) =
+(* [install]'s write to region memory and the version chain (see the
+   .mli); true if applied, false if the replica was already past it. At a
+   backup truncation order can invert per object, so a skipped (stale)
+   write is archived in the chain, where it belongs. Evidence that
+   predates timestamp assignment takes [head_ts + 1], which preserves
+   per-object order. *)
+let apply_write ~ts (r : State.replica) (w : Wire.write_item) =
   let off = w.addr.Addr.offset in
   let h = header r ~off in
   let new_version = w.version + 1 in
@@ -82,6 +75,22 @@ let apply_write ?(ts = 0) (r : State.replica) (w : Wire.write_item) =
           Verchain.archive vc ~off ~version:new_version ~ts:(eff_ts vc) ~allocated w.value);
     false
   end
+
+(* Read timestamps are clock lower bounds, which trail every machine's
+   upper bound; readers below the floor retry at a fresh timestamp. *)
+let floor_past_reads st (r : State.replica) =
+  match r.State.vc with
+  | Some vc -> Verchain.raise_floor vc (Farm_sim.Clock.hi st.State.clock + 1)
+  | None -> ()
+
+(* Used by COMMIT-PRIMARY processing, truncation of a COMMIT-BACKUP
+   record and recovery's decided commits. A re-delivered write applies
+   nothing, so it returns no slot. *)
+let install ?(ts = 0) st (r : State.replica) (w : Wire.write_item) =
+  let applied = apply_write ~ts r w in
+  if w.Wire.ts = 0 && ts = 0 then floor_past_reads st r;
+  if applied && w.Wire.alloc_op = Wire.Alloc_clear && r.State.role = State.Primary then
+    Allocmgr.release_slot r ~off:w.Wire.addr.Addr.offset
 
 (* A snapshot read at timestamp [ts] (snapshot protocol only). *)
 type snap_read =

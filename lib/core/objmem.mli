@@ -1,6 +1,6 @@
 (** Object memory operations on region replicas: version-checked locking
     (LOCK processing), exact-lock release, idempotent committed-write
-    application, recovery locking, and validation reads (§4, §5.3). *)
+    installation, recovery locking, and validation reads (§4, §5.3). *)
 
 val header : State.replica -> off:int -> int64
 val read_object : State.replica -> off:int -> len:int -> int64 * Bytes.t
@@ -12,18 +12,25 @@ val unlock : State.replica -> Wire.write_item -> unit
 (** Release only a lock taken at this write's version — callers must own
     it (see [State.locks_held]). *)
 
-val apply_write : ?ts:int -> State.replica -> Wire.write_item -> bool
-(** Install value, version+1, allocation-bit change, unlocked. Idempotent:
-    returns false (and leaves the header alone) when the replica already
-    advanced past this write. A committed write always implies the object
-    is allocated, so the bit is never inherited from the local header.
+val install : ?ts:int -> State.t -> State.replica -> Wire.write_item -> unit
+(** Install a committed write at a replica (§4 steps 4-5, §5.3 step 7):
+    value, version+1, the allocation bit the write implies, unlocked.
+    Idempotent: a replica already past this write keeps its header.
 
     Snapshot protocol: the superseded head is archived in the replica's
-    version chain before the install, and a stale (skipped) write is
-    archived under its own timestamp — backups can apply truncations out
-    of per-object order. The write's commit timestamp is [w.ts], or [ts],
-    or (recovery evidence predating timestamp assignment) the head's
-    timestamp + 1, whichever is first nonzero. *)
+    version chain, and a stale (skipped) write is archived under its own
+    timestamp — backups can apply truncations out of per-object order. The
+    write's commit timestamp is [w.ts], or [ts], or the head's timestamp
+    + 1 when both are 0 (recovery evidence from a LOCK record, which
+    predates timestamp assignment); in that last case the chain floor
+    rises past every read timestamp drawn so far ({!floor_past_reads}).
+
+    The first application of a free ([Alloc_clear]) at a primary returns
+    the slot to the region's slab. *)
+
+val floor_past_reads : State.t -> State.replica -> unit
+(** Snapshot protocol: raise the replica's chain floor above every read
+    timestamp any machine has drawn so far; no-op without a chain. *)
 
 (** Outcome of a snapshot read at a given read timestamp. *)
 type snap_read =

@@ -14,24 +14,6 @@ open Farm_sim
    and step 7 per recovering transaction, so recovery time is dominated by
    the in-flight transaction count, not the data size. *)
 
-(* {1 Per-region bookkeeping} *)
-
-let region_txs rs rid =
-  match Hashtbl.find_opt rs.State.rs_region_txs rid with
-  | Some s -> s
-  | None ->
-      let s = ref Txid.Set.empty in
-      Hashtbl.replace rs.State.rs_region_txs rid s;
-      s
-
-let backup_has rs ~rid ~backup =
-  match Hashtbl.find_opt rs.State.rs_backup_has (rid, backup) with
-  | Some s -> s
-  | None ->
-      let s = ref Txid.Set.empty in
-      Hashtbl.replace rs.State.rs_backup_has (rid, backup) s;
-      s
-
 (* A vote's code in the K_rec_vote event. *)
 let vote_tag = function
   | Wire.Vote_commit_primary -> 0
@@ -223,55 +205,32 @@ let maybe_regions_active st (rs : State.recovery_state) =
 let on_need_recovery st ~src ~reply ~cfg ~rid ~txs =
   match st.State.recovery with
   | Some rs when rs.State.rs_cfg = cfg ->
+      let rr = State.region_recovery rs rid in
       List.iter
         (fun (ev : Wire.tx_evidence) ->
           ignore (Evidence.add rs.State.rs_local ev);
-          let s = region_txs rs rid in
-          s := Txid.Set.add ev.Wire.ev_txid !s;
-          if ev.Wire.ev_payload <> None then begin
-            let h = backup_has rs ~rid ~backup:src in
-            h := Txid.Set.add ev.Wire.ev_txid !h
-          end)
+          let txid = ev.Wire.ev_txid in
+          rr.State.rr_txs <- Txid.Set.add txid rr.State.rr_txs;
+          if Evidence.credits ev ~rid && not (List.mem (src, txid) rr.State.rr_credited) then
+            rr.State.rr_credited <- (src, txid) :: rr.State.rr_credited)
         txs;
-      let seen =
-        match Hashtbl.find_opt rs.State.rs_need_recovery rid with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.replace rs.State.rs_need_recovery rid l;
-            l
-      in
-      if not (List.mem src !seen) then seen := src :: !seen;
+      if not (List.mem src rr.State.rr_heard) then rr.State.rr_heard <- src :: rr.State.rr_heard;
       Comms.reply_to reply Wire.Ack
   | _ ->
       (* not in this configuration (yet): no ack — the backup retries until
          this machine's configuration catches up *)
       ()
 
-(* Install one recovered write at a replica here; true if it was applied
-   (not already installed). Snapshot protocol: LOCK-record evidence predates
-   timestamp assignment (ts 0), so the install synthesized a timestamp.
-   Snapshots that straddle it could be answered wrongly — raise the chain
-   floor past every read timestamp drawn so far; those readers retry at a
-   fresh one. *)
-let install_recovered st (rep : State.replica) (w : Wire.write_item) =
-  let applied = Objmem.apply_write rep w in
-  if w.Wire.ts = 0 then
-    (match rep.State.vc with
-    | Some vc -> Verchain.raise_floor vc (Clock.hi st.State.clock + 1)
-    | None -> ());
-  applied
-
-(* Apply one recovered write at its region's replica here, if primary.
-   Idempotent: the decision push re-sends COMMIT-RECOVERY every round until
-   all replicas ack, so the same item can arrive several times. *)
-let apply_recovered_write st (w : Wire.write_item) =
-  match State.replica st w.Wire.addr.Addr.region with
-  | Some rep when rep.State.role = State.Primary ->
-      let applied = install_recovered st rep w in
-      if applied && w.Wire.alloc_op = Wire.Alloc_clear then
-        Allocmgr.release_slot rep ~off:w.Wire.addr.Addr.offset
-  | _ -> ()
+(* The writes that land at this machine's replicas in [role], with their
+   replica. A decision push can arrive several times; installs are
+   idempotent. *)
+let writes_held_as st role writes =
+  List.filter_map
+    (fun (w : Wire.write_item) ->
+      match State.replica st w.Wire.addr.Addr.region with
+      | Some rep when rep.State.role = role -> Some (rep, w)
+      | _ -> None)
+    writes
 
 (* Lock recovery, log-record replication, and voting for one region this
    machine is primary of (§5.3 steps 4-6). *)
@@ -279,6 +238,7 @@ let primary_recover_region st (rs : State.recovery_state) rid =
   let t0 = State.now st in
   let cfg = rs.State.rs_cfg in
   let rep = State.replica_exn st rid in
+  let rr = State.region_recovery rs rid in
   let backups_of () =
     match State.region_info st rid with Some i -> i.Wire.backups | None -> []
   in
@@ -287,10 +247,7 @@ let primary_recover_region st (rs : State.recovery_state) rid =
     Proc.check_cancelled ();
     if st.State.config.Config.id <> cfg then ()
     else begin
-      let heard =
-        match Hashtbl.find_opt rs.State.rs_need_recovery rid with Some l -> !l | None -> []
-      in
-      if List.for_all (fun b -> List.mem b heard) (backups_of ()) then ()
+      if List.for_all (fun b -> List.mem b rr.State.rr_heard) (backups_of ()) then ()
       else begin
         Proc.sleep (Time.us 100);
         wait_backups ()
@@ -299,7 +256,7 @@ let primary_recover_region st (rs : State.recovery_state) rid =
   in
   wait_backups ();
   if st.State.config.Config.id = cfg then begin
-    let txs = !(region_txs rs rid) in
+    let txs = rr.State.rr_txs in
     (* 4. lock every object modified by a recovering transaction *)
     Txid.Set.iter
       (fun txid ->
@@ -314,23 +271,17 @@ let primary_recover_region st (rs : State.recovery_state) rid =
                nothing. Apply here, before the region goes active — leaving
                it to the next push round would serve the object's
                pre-commit version, unlocked, to new transactions *)
-            match (Txid.Tbl.find_opt rs.State.rs_local txid : Wire.tx_evidence option) with
-            | Some { ev_payload = Some p; _ } ->
+            match Txid.Tbl.find_opt rs.State.rs_local txid with
+            | Some ev ->
                 List.iter
-                  (fun (w : Wire.write_item) ->
-                    if w.Wire.addr.Addr.region = rid then apply_recovered_write st w)
-                  p.Wire.writes
-            | Some _ | None -> ())
+                  (fun (rep, w) -> Objmem.install st rep w)
+                  (writes_held_as st State.Primary (Evidence.writes_to ev ~rid))
+            | None -> ())
         | Some State.Aborted -> ()
         | None -> (
-        match (Txid.Tbl.find_opt rs.State.rs_local txid : Wire.tx_evidence option) with
-        | Some { ev_payload = Some p; _ } ->
-            let held =
-              List.filter
-                (fun (w : Wire.write_item) ->
-                  w.Wire.addr.Addr.region = rid && Objmem.recovery_lock rep w)
-                p.Wire.writes
-            in
+        match Txid.Tbl.find_opt rs.State.rs_local txid with
+        | Some ev ->
+            let held = List.filter (Objmem.recovery_lock rep) (Evidence.writes_to ev ~rid) in
             if held <> [] then begin
               let prev =
                 match Txid.Tbl.find_opt st.State.locks_held txid with
@@ -348,7 +299,7 @@ let primary_recover_region st (rs : State.recovery_state) rid =
               in
               Txid.Tbl.replace st.State.locks_held txid (fresh @ prev)
             end
-        | Some _ | None -> ()))
+        | None -> ()))
       txs;
     (* the region becomes active: transactions can use it again, in
        parallel with the rest of recovery *)
@@ -360,20 +311,16 @@ let primary_recover_region st (rs : State.recovery_state) rid =
     (* 5. replicate lock records to backups that miss them *)
     Txid.Set.iter
       (fun txid ->
-        match (Txid.Tbl.find_opt rs.State.rs_local txid : Wire.tx_evidence option) with
-        | Some { ev_payload = Some p; _ } ->
-            let missing =
-              List.filter
-                (fun b -> not (Txid.Set.mem txid !(backup_has rs ~rid ~backup:b)))
-                (backups_of ())
-            in
+        match Txid.Tbl.find_opt rs.State.rs_local txid with
+        | Some ({ ev_payload = Some p; _ } as ev) ->
             Comms.par_iter st
               (List.map
                  (fun b () ->
                    ignore
                      (Comms.call st ~dst:b ~timeout:(Time.ms 10)
                         (Wire.Replicate_tx_state { cfg; rid; txid; lock = p })))
-                 missing)
+                 (Evidence.replicate_to ev ~backups:(backups_of ())
+                    ~credited:rr.State.rr_credited))
         | Some _ | None -> ())
       txs;
     (* 6. vote — re-sent until the decision arrives: a vote can land while
@@ -451,8 +398,6 @@ let run st (rs : State.recovery_state) =
             if Logproc.is_recovering st txid ~regions_written:regions then
               List.iter (fun r -> Logproc.record_evidence st txid r) records))
       st.State.nv.logs_in;
-    st.State.last_drained <- cfg;
-    rs.State.rs_drained <- true;
     let dur = Time.sub (State.now st) t0 in
     Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_rec_drain ~a:cfg ~b:(Time.to_ns dur)
       ~c:0;
@@ -463,8 +408,8 @@ let run st (rs : State.recovery_state) =
           (fun rid ->
             match State.replica st rid with
             | Some rep when rep.State.role = State.Primary ->
-                let s = region_txs rs rid in
-                s := Txid.Set.add txid !s
+                let rr = State.region_recovery rs rid in
+                rr.State.rr_txs <- Txid.Set.add txid rr.State.rr_txs
             | _ -> ())
           ev.Wire.ev_regions)
       rs.State.rs_local;
@@ -531,13 +476,9 @@ let on_config_commit st =
   let rs =
     {
       State.rs_cfg = st.State.config.Config.id;
-      rs_drained = false;
       rs_local = Txid.Tbl.create 64;
-      rs_need_recovery = Hashtbl.create 16;
-      rs_region_txs = Hashtbl.create 16;
-      rs_backup_has = Hashtbl.create 16;
+      rs_regions = Int_tbl.create 16;
       rs_regions_active_sent = false;
-      rs_all_active = false;
     }
   in
   st.State.recovery <- Some rs;
@@ -620,7 +561,9 @@ let on_commit_recovery st ~reply ~cfg:_ ~txid =
     st.State.recovery;
   (match evidence_payload st txid with
   | Some p ->
-      List.iter (apply_recovered_write st) p.Wire.writes;
+      List.iter
+        (fun (rep, w) -> Objmem.install st rep w)
+        (writes_held_as st State.Primary p.Wire.writes);
       Txid.Tbl.remove st.State.locks_held txid
   | None -> ());
   Comms.reply_to reply Wire.Ack
@@ -641,12 +584,8 @@ let on_truncate_recovery st ~cfg:_ ~txid =
       match evidence_payload st txid with
       | Some p ->
           List.iter
-            (fun (w : Wire.write_item) ->
-              match State.replica st w.Wire.addr.Addr.region with
-              | Some rep when rep.State.role = State.Backup ->
-                  ignore (install_recovered st rep w)
-              | _ -> ())
-            p.Wire.writes
+            (fun (rep, w) -> Objmem.install st rep w)
+            (writes_held_as st State.Backup p.Wire.writes)
       | None -> ())
   | Some State.Aborted | None -> ());
   (match Hashtbl.find_opt st.State.nv.logs_in txid.Txid.machine with

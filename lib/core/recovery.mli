@@ -2,9 +2,11 @@
 (** Transaction state recovery (§5.3, Figure 6): drain logs, find
     recovering transactions, lock recovery (after which regions re-activate
     and normal transactions proceed in parallel), log-record replication,
-    voting, and the coordinator's decide step. The evidence, vote and
-    decide rules themselves are {!Evidence}'s; this module moves evidence
-    and votes between machines and acts on the decision. *)
+    voting, and the coordinator's decide step. The rules themselves —
+    evidence, crediting a backup, step 5's targets, vote and decide — are
+    {!Evidence}'s, and every write is installed by {!Objmem.install}; this
+    module moves evidence and votes between machines and acts on the
+    decision. *)
 
 val on_config_commit : State.t -> unit
 (** Start recovery for the just-committed configuration (spawned from the

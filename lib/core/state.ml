@@ -79,21 +79,21 @@ type rec_coord = {
   rc_created : Time.t;
 }
 
+(* What a (new) primary learns about one region during recovery (§5.3
+   steps 3-5); see the .mli. *)
+type region_recovery = {
+  mutable rr_txs : Txid.Set.t;
+  mutable rr_heard : int list;
+  mutable rr_credited : (int * Txid.t) list;
+}
+
 (* Per-configuration-change recovery state at each machine (§5.3). *)
 type recovery_state = {
   rs_cfg : int;
-  mutable rs_drained : bool;
   (* evidence about recovering transactions assembled from local logs *)
   rs_local : Wire.tx_evidence Txid.Tbl.t;
-  (* per region this machine is (new) primary for: backups heard from *)
-  rs_need_recovery : (int, int list ref) Hashtbl.t;
-  (* per region: recovering transactions affecting it *)
-  rs_region_txs : (int, Txid.Set.t ref) Hashtbl.t;
-  (* which transactions each (region, backup) already holds a lock payload
-     for — drives log-record replication (§5.3 step 5) *)
-  rs_backup_has : (int * int, Txid.Set.t ref) Hashtbl.t;
+  rs_regions : region_recovery Int_tbl.t;
   mutable rs_regions_active_sent : bool;
-  mutable rs_all_active : bool;
 }
 
 type lease_impl = Rpc_shared | Ud_shared | Ud_thread | Ud_thread_pri
@@ -151,7 +151,6 @@ type t = {
   mutable alive : bool;
   mutable config : Config.t;
   mutable region_map : Wire.region_info Int_tbl.t;  (* cache *)
-  mutable last_drained : int;
   mutable blocked : bool;  (* external client requests blocked *)
   (* restarted after a crash: must not resume membership in a configuration
      probed before the crash (failure and rejoin are both configuration
@@ -159,8 +158,6 @@ type t = {
   mutable rejoining : bool;
   (* sender-side views of logs located at other machines *)
   logs_out : Ringlog.t Int_tbl.t;
-  (* per incoming log: a poller is currently scheduled *)
-  pollers : (int, bool ref) Hashtbl.t;
   (* allocator spill map: when a region fills up, this machine allocates a
      co-located overflow region through the CM and remembers it here *)
   spill : int Int_tbl.t;
@@ -225,11 +222,9 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     alive = true;
     config;
     region_map = Int_tbl.create 64;
-    last_drained = 0;
     blocked = false;
     rejoining = false;
     logs_out = Int_tbl.create 16;
-    pollers = Hashtbl.create 16;
     spill = Int_tbl.create 16;
     next_local = Array.make params.Params.threads_per_machine 0;
     outstanding = Int_tbl.create 8;
@@ -398,6 +393,16 @@ let forget_outstanding st txid =
   match Int_tbl.find_opt st.outstanding txid.Txid.thread with
   | Some s -> s := Txid.Set.remove txid !s
   | None -> ()
+
+(* {1 Recovery} *)
+
+let region_recovery rs rid =
+  match Int_tbl.find_opt rs.rs_regions rid with
+  | Some r -> r
+  | None ->
+      let r = { rr_txs = Txid.Set.empty; rr_heard = []; rr_credited = [] } in
+      Int_tbl.replace rs.rs_regions rid r;
+      r
 
 (* {1 Truncation tracking at receivers} *)
 

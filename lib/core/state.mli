@@ -78,15 +78,22 @@ type rec_coord = {
 }
 (** Recovery-coordinator state for one recovering transaction. *)
 
+type region_recovery = {
+  mutable rr_txs : Txid.Set.t;  (** recovering transactions affecting it *)
+  mutable rr_heard : int list;  (** backups whose NEED-RECOVERY arrived *)
+  mutable rr_credited : (int * Txid.t) list;
+      (** the (backup, transaction) pairs {!Evidence.credits} credited:
+          step 5 does not replicate the transaction to that backup *)
+}
+(** What a (new) primary learns about one of its regions during recovery
+    (§5.3 steps 3-5). *)
+
 type recovery_state = {
   rs_cfg : int;
-  mutable rs_drained : bool;
   rs_local : Wire.tx_evidence Txid.Tbl.t;
-  rs_need_recovery : (int, int list ref) Hashtbl.t;
-  rs_region_txs : (int, Txid.Set.t ref) Hashtbl.t;
-  rs_backup_has : (int * int, Txid.Set.t ref) Hashtbl.t;
+      (** evidence about recovering transactions assembled here *)
+  rs_regions : region_recovery Int_tbl.t;  (** keyed by region id *)
   mutable rs_regions_active_sent : bool;
-  mutable rs_all_active : bool;
 }
 (** Per-configuration-change recovery state (§5.3). *)
 
@@ -142,13 +149,11 @@ type t = {
   mutable alive : bool;
   mutable config : Config.t;
   mutable region_map : Wire.region_info Int_tbl.t;  (** mapping cache *)
-  mutable last_drained : int;
   mutable blocked : bool;  (** external client requests blocked *)
   mutable rejoining : bool;
       (** restarted after a crash: stays out of configurations that predate
           the reincarnation (see {!Cluster.restart_machine}) *)
   logs_out : Ringlog.t Int_tbl.t;  (** sender views of remote logs *)
-  pollers : (int, bool ref) Hashtbl.t;
   spill : int Int_tbl.t;
       (** full region -> co-located overflow region for allocation *)
   next_local : int array;
@@ -230,6 +235,12 @@ val log_to : t -> int -> Ringlog.t
 val fresh_txid : t -> thread:int -> Txid.t
 val low_bound : t -> thread:int -> int
 val forget_outstanding : t -> Txid.t -> unit
+
+(** {1 Recovery} *)
+
+val region_recovery : recovery_state -> int -> region_recovery
+(** The record of region [rid] in this recovery, created empty on first
+    use. *)
 
 (** {1 Truncation tracking} *)
 

@@ -110,11 +110,7 @@ type message =
   | Truncate_recovery of { cfg : int; txid : Txid.t }
   (* reconfiguration (§5.2) *)
   | Suspect_req of { cfg : int; suspect : int }
-  | New_config of {
-      config : Config.t;
-      regions : region_info list;
-      cm_changed : bool;
-    }
+  | New_config of { config : Config.t; regions : region_info list }
   | New_config_ack of { cfg : int }
   | New_config_commit of { cfg : int }
   | Regions_active of { cfg : int }

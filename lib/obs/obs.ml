@@ -495,7 +495,6 @@ and exemplar = {
   ex_start : int;  (* ns *)
   ex_total : int;  (* ns *)
   ex_blame : int array;  (* per-category ns, a snapshot of the span's *)
-  ex_seg : int array;  (* per-phase ns *)
 }
 
 and t = {
@@ -693,7 +692,6 @@ let note_exemplar t sp total =
         ex_start = sp.sp_start;
         ex_total = total;
         ex_blame = Array.copy sp.sp_blame;
-        ex_seg = Array.copy sp.sp_seg;
       }
     in
     let rec insert = function

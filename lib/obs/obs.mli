@@ -297,7 +297,6 @@ type exemplar = {
   ex_start : int;  (** span start, sim ns *)
   ex_total : int;  (** end-to-end ns *)
   ex_blame : int array;  (** per-category ns, indexed by {!blame_index} *)
-  ex_seg : int array;  (** per-phase ns, in {!all_phases} order *)
 }
 
 val exemplars : t -> exemplar list

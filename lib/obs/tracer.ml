@@ -148,7 +148,6 @@ type view = {
   v_name : string;
   v_ts : int;
   v_dur : int;
-  v_arg : int;
   v_txm : int;
   v_txt : int;
   v_txl : int;
@@ -168,7 +167,6 @@ let view_of_slot machine (s : slot) =
     v_name = slice_name s;
     v_ts = s.e_ts;
     v_dur = s.e_dur;
-    v_arg = s.e_arg;
     v_txm = s.e_txm;
     v_txt = s.e_txt;
     v_txl = s.e_txl;

@@ -113,7 +113,6 @@ type view = {
                         carry their record type, e.g. ["log-process LOCK"]) *)
   v_ts : int;  (** start, sim ns *)
   v_dur : int;  (** ns *)
-  v_arg : int;
   v_txm : int;  (** trace context; -1 = none *)
   v_txt : int;
   v_txl : int;

@@ -503,6 +503,71 @@ let evidence_add_then_mark () =
   Evidence.mark tbl (Txid.make ~config:1 ~machine:3 ~thread:0 ~local:1) Evidence.saw_abort;
   check_int "mark creates no entry" 1 (Txid.Tbl.length tbl)
 
+let with_payload p = { (Evidence.empty ev_tx) with Wire.ev_payload = Some p }
+
+let region_of (w : Wire.write_item) = w.Wire.addr.Addr.region
+
+(* §5.3 step 4 takes a region's writes from the payload: exactly the items
+   of that region, in payload order. *)
+let evidence_writes_to () =
+  let p = payload [ 0; 1 ] [ (0, 1, 0); (1, 2, 0); (0, 3, 0) ] in
+  let ev = with_payload p in
+  let offsets rid =
+    List.map (fun (w : Wire.write_item) -> w.Wire.addr.Addr.offset) (Evidence.writes_to ev ~rid)
+  in
+  Alcotest.(check (list int)) "region 0" [ 8; 24 ] (offsets 0);
+  Alcotest.(check (list int)) "region 1" [ 16 ] (offsets 1);
+  Alcotest.(check (list int)) "a region it does not write" [] (offsets 2);
+  check_int "no payload" 0 (List.length (Evidence.writes_to (Evidence.empty ev_tx) ~rid:0))
+
+let evidence_writes_to_partitions =
+  QCheck.Test.make ~name:"writes_to partitions the payload by region" ~count:200
+    (QCheck.make gen_evidence) (fun ev ->
+      let all = match ev.Wire.ev_payload with Some p -> p.Wire.writes | None -> [] in
+      List.for_all
+        (fun rid -> List.for_all (fun w -> region_of w = rid) (Evidence.writes_to ev ~rid))
+        [ 0; 1; 2 ]
+      && List.sort compare (List.concat_map (fun rid -> Evidence.writes_to ev ~rid) [ 0; 1; 2 ])
+         = List.sort compare all)
+
+(* Only the cases whose answer does not depend on how a payload that
+   writes other regions is treated: evidence without a payload never
+   credits a backup, and a payload with a write to the region does. *)
+let evidence_credits () =
+  for rid = 0 to 2 do
+    check_bool (Printf.sprintf "no payload, region %d" rid) false
+      (Evidence.credits (Evidence.empty ev_tx) ~rid);
+    check_bool (Printf.sprintf "flags but no payload, region %d" rid) false
+      (Evidence.credits
+         {
+           (Evidence.empty ev_tx) with
+           Wire.ev_saw = Evidence.saw_lock lor Evidence.saw_commit_backup;
+         }
+         ~rid)
+  done;
+  let ev = with_payload (payload [ 0; 1 ] [ (0, 1, 0); (1, 2, 7) ]) in
+  check_bool "writes region 0" true (Evidence.credits ev ~rid:0);
+  check_bool "writes region 1" true (Evidence.credits ev ~rid:1)
+
+(* §5.3 step 5: the backups not credited with the transaction, in order;
+   nothing without a payload to send. *)
+let evidence_replicate_to () =
+  let other = Txid.make ~config:1 ~machine:3 ~thread:0 ~local:9 in
+  let ev = with_payload (payload [ 0 ] [ (0, 1, 0) ]) in
+  let check name expected ~credited =
+    Alcotest.(check (list int))
+      name expected
+      (Evidence.replicate_to ev ~backups:[ 5; 3; 4 ] ~credited)
+  in
+  check "nobody credited" [ 5; 3; 4 ] ~credited:[];
+  check "one credited" [ 5; 4 ] ~credited:[ (3, ev_tx) ];
+  check "credited with another transaction" [ 5; 3; 4 ] ~credited:[ (3, other); (2, ev_tx) ];
+  check "all credited" [] ~credited:[ (4, other); (4, ev_tx); (5, ev_tx); (3, ev_tx) ];
+  Alcotest.(check (list int)) "no payload" []
+    (Evidence.replicate_to
+       { (Evidence.empty ev_tx) with Wire.ev_saw = Evidence.saw_commit_primary }
+       ~backups:[ 5; 3; 4 ] ~credited:[])
+
 let vote_t = Alcotest.testable Wire.pp_vote ( = )
 
 (* §5.3 step 6, over every combination of the six flags. *)
@@ -588,5 +653,9 @@ let suites =
         test "commit-backup ts beats lock ts" evidence_backup_ts_wins;
         qtest evidence_of_records_is_add_fold;
         test "add returns a snapshot" evidence_add_then_mark;
+        test "writes_to" evidence_writes_to;
+        qtest evidence_writes_to_partitions;
+        test "credits" evidence_credits;
+        test "replicate_to" evidence_replicate_to;
       ] );
   ]

@@ -751,6 +751,144 @@ let no_leaked_locks_after_cm_failure () =
           st.State.rec_coords)
     c.Cluster.machines
 
+(* [Cluster.kill_cm] kills the CM of the newest configuration. A dead
+   machine keeps the configuration it died in, so after the CM dies and a
+   backup CM takes over, a second call must kill the new CM, not the dead
+   one again. *)
+let kill_cm_after_takeover () =
+  let c = mk_cluster ~machines:6 () in
+  Cluster.run_for c ~d:(Time.ms 5);
+  let cm () =
+    match Cluster.current_config c with
+    | Some cfg -> cfg.Config.cm
+    | None -> Alcotest.fail "no machine alive"
+  in
+  let first = cm () in
+  Cluster.kill_cm c;
+  check_bool "first CM dead" false (Cluster.machine c first).State.alive;
+  settle c;
+  settle c;
+  let second = cm () in
+  check_bool "a backup CM took over" true (second <> first);
+  Cluster.kill_cm c;
+  check_bool "second kill_cm kills the new CM" false (Cluster.machine c second).State.alive
+
+(* Snapshot protocol, §5.3 step 7: a transaction writes regions 1 and 2,
+   and region 2's primary dies once every COMMIT-BACKUP record is in. The
+   coordinator then decides commit itself and pushes COMMIT-RECOVERY at
+   once; region 1's unchanged primary has not drained yet, so its only
+   evidence is its resident LOCK record, whose items predate the write
+   timestamp (ts 0). An install from such evidence synthesizes a
+   timestamp, and a snapshot that straddles it could be answered wrongly,
+   so the install raises the chain floor past every read timestamp drawn
+   so far, whether or not it applies the write. A reader kept open
+   through recovery holds the cluster watermark, and so every trim of the
+   chain, at or below its read timestamp. *)
+let recovered_lock_evidence_raises_floor () =
+  let params = { quick_params with Params.protocol = Params.Snapshot } in
+  let c = mk_cluster ~machines:5 ~seed:3 ~params () in
+  let r1 = Cluster.alloc_region_exn c in
+  let r2 = Cluster.alloc_region_exn c in
+  let a = (alloc_cells c ~region:r1.Wire.rid ~n:1 ~init:10).(0) in
+  let b = (alloc_cells c ~region:r2.Wire.rid ~n:1 ~init:20).(0) in
+  Cluster.run_for c ~d:(Time.ms 5);
+  let coord =
+    surviving_machine c ~not_in:(r1.Wire.primary :: r2.Wire.primary :: r2.Wire.backups)
+  in
+  let rst = Cluster.machine c (surviving_machine c ~not_in:[ coord; r2.Wire.primary ]) in
+  let pinned = ref (-1) in
+  Proc.spawn ~ctx:rst.State.ctx c.Cluster.engine (fun () ->
+      ignore
+        (Api.run rst ~thread:0 (fun tx ->
+             pinned := tx.Txn.read_ts;
+             ignore (read_int tx a);
+             Proc.sleep (Time.ms 400))));
+  Cluster.run_for c ~d:(Time.ms 1);
+  let st = Cluster.machine c coord in
+  let fired = ref false in
+  st.State.phase_hook <-
+    Some
+      (fun p _ ->
+        if p = State.After_commit_backup && not !fired then begin
+          fired := true;
+          Cluster.kill c r2.Wire.primary
+        end);
+  Proc.spawn ~ctx:st.State.ctx c.Cluster.engine (fun () ->
+      ignore
+        (Api.run st ~thread:0 (fun tx ->
+             let va = read_int tx a and vb = read_int tx b in
+             write_int tx a (va + 1);
+             write_int tx b (vb + 1))));
+  settle c;
+  check_bool "hook fired" true !fired;
+  check_bool "reader holds a read timestamp" true (!pinned > 0);
+  let reader = surviving_machine c ~not_in:[ r2.Wire.primary ] in
+  check_int "region-1 write committed" 11 (read_cell c ~machine:reader a);
+  check_int "region-2 write committed" 21 (read_cell c ~machine:reader b);
+  let rep = Option.get (State.replica (Cluster.machine c r1.Wire.primary) r1.Wire.rid) in
+  match rep.State.vc with
+  | None -> Alcotest.fail "snapshot replica without a version chain"
+  | Some vc ->
+      check_bool
+        (Printf.sprintf "floor %d above the open reader's timestamp %d" (Verchain.floor vc)
+           !pinned)
+        true
+        (Verchain.floor vc > !pinned)
+
+(* A free that recovery decides returns the slot to the new primary's slab
+   once. The decision push re-sends COMMIT-RECOVERY until every replica
+   acks, so a replica can see it again after the slot was handed out
+   anew: that re-delivery must not list the slot as free a second time. *)
+let recovered_free_returns_slot_once () =
+  let c = mk_cluster ~machines:6 () in
+  let r = Cluster.alloc_region_exn c in
+  let cells = alloc_cells c ~region:r.Wire.rid ~n:4 ~init:7 in
+  let victim = cells.(2) in
+  Cluster.run_for c ~d:(Time.ms 5);
+  let coord = surviving_machine c ~not_in:(r.Wire.primary :: r.Wire.backups) in
+  let st = Cluster.machine c coord in
+  let freed = ref None in
+  st.State.phase_hook <-
+    Some
+      (fun p txid ->
+        if p = State.After_commit_backup && Option.is_none !freed then begin
+          freed := Some txid;
+          Cluster.kill c r.Wire.primary
+        end);
+  Proc.spawn ~ctx:st.State.ctx c.Cluster.engine (fun () ->
+      ignore (Api.run st ~thread:0 (fun tx -> Txn.free tx victim)));
+  settle c;
+  settle c;
+  let txid = Option.get !freed in
+  let survivor = surviving_machine c ~not_in:[ r.Wire.primary ] in
+  let primary = Option.get (State.primary_of (Cluster.machine c survivor) r.Wire.rid) in
+  let pst = Cluster.machine c primary in
+  let rep = Option.get (State.replica pst r.Wire.rid) in
+  check_bool "promoted" true (primary <> r.Wire.primary && rep.State.role = State.Primary);
+  check_bool "free committed" false
+    (Obj_layout.is_allocated (Obj_layout.get rep.State.mem ~off:victim.Addr.offset));
+  let slot = Allocmgr.slot_size 8 in
+  let listed () =
+    match Hashtbl.find_opt rep.State.free_lists slot with
+    | Some l -> List.length (List.filter (( = ) victim.Addr.offset) !l)
+    | None -> 0
+  in
+  check_int "slot on the free list once" 1 (listed ());
+  (* hand the slot out again *)
+  let rec take n =
+    if n = 0 then Alcotest.fail "freed slot never handed out"
+    else
+      match Allocmgr.alloc_obj_local pst rep ~size:8 with
+      | Some (addr, _) when Addr.equal addr victim -> ()
+      | Some _ -> take (n - 1)
+      | None -> Alcotest.fail "region full"
+  in
+  take 10_000;
+  Recovery.on_commit_recovery pst ~reply:(fun ~bytes:_ _ -> ()) ~cfg:pst.State.config.Config.id
+    ~txid;
+  check_int "a re-delivered decision returns nothing" 0 (listed ());
+  check_bool "slot not marked free" false (Hashtbl.mem rep.State.free_set victim.Addr.offset)
+
 (* Bank conservation across a failure, with transfers racing recovery. *)
 let conservation_across_failure () =
   let c = mk_cluster ~machines:6 ~seed:7 () in
@@ -815,6 +953,7 @@ let suites =
         test "allocator recovery after promotion" allocator_recovery_after_promotion;
         test "free-list scan over 176-byte slots" free_list_scan_odd_slots;
         test "CM failure" cm_failure_recovers;
+        test "kill_cm after a backup CM took over" kill_cm_after_takeover;
         test "correlated domain failure" correlated_domain_failure;
         test "region loss detection" region_lost_detection;
         test "region loss detection after power cycle" region_lost_after_power_cycle;
@@ -827,6 +966,8 @@ let suites =
         test "critical region recovers aggressively" critical_region_recovers_aggressively;
         test "no leaked locks after CM failure" no_leaked_locks_after_cm_failure;
         test "btree across failure" btree_across_failure;
+        test "recovered LOCK evidence raises the chain floor" recovered_lock_evidence_raises_floor;
+        test "recovered free returns its slot once" recovered_free_returns_slot_once;
       ] );
     ( "recovery.durability",
       [
