@@ -13,7 +13,7 @@ open Farm_harness
 
      machines x host wall-clock x sim-tx/s x host-heap bytes/op x live MB
      x simulated NVRAM resident x the events and simulated ms of set-up's
-     [Tatp.create]
+     [Tatp.create] x the events queued at the window's end
 
    into BENCH_engine_scaling.json, alongside the commit-path micro numbers
    (bytes allocated per committed transaction, measured over GC-quiet
@@ -64,6 +64,9 @@ let run_size ~machines ~workers_per_machine ~subscribers ~duration =
   in
   let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
   let host1 = Unix.gettimeofday () in
+  (* events still queued at the window's end: live timers and in-flight
+     work, plus any event that nothing will ever need *)
+  let pending_end = Engine.pending c.Cluster.engine in
   (* simulated NVRAM written by the end of the window: region pages
      resident on every machine *)
   let nvram_bytes =
@@ -105,6 +108,7 @@ let run_size ~machines ~workers_per_machine ~subscribers ~duration =
       (* set-up's cost inside [Tatp.create]: regions plus the table build *)
       ("build_events", int build_events);
       ("build_sim_ms", int (ms_of build_sim));
+      ("pending_end", int pending_end);
     ]
 
 (* {1 Commit-path micro measurement}
@@ -193,10 +197,12 @@ let json_report ~smoke ~micro_bytes rows =
 
 (* {1 Baseline regression gate (CI)}
 
-   Simulated throughput, operation counts, the simulated NVRAM resident
-   and the events and simulated time [Tatp.create] takes are pure
-   functions of the seed, so they must match the baseline row of the same
-   cluster size exactly. Host-heap bytes depend on the host's OCaml
+   Simulated throughput, operation counts, the simulated NVRAM resident,
+   the events and simulated time [Tatp.create] takes and the events still
+   queued at the window's end are pure functions of the seed, so they must
+   match the baseline row of the same cluster size exactly. The last one
+   fails a change that leaves dead events (a timer that a reply has made
+   moot) queued again. Host-heap bytes depend on the host's OCaml
    runtime, so they get a 1.2x ceiling, and the live heap a 1.1x one. The
    commit micro row is keyed by its fixed pre-refactor anchor. *)
 
@@ -213,6 +219,7 @@ let gate =
           ("build_events", Gate.Exact);
           ("build_sim_ms", Gate.Exact);
           ("nvram_bytes", Gate.Exact);
+          ("pending_end", Gate.Exact);
           ("bytes_per_op", Gate.Ceiling 1.2);
           ("live_mb", Gate.Ceiling 1.1);
         ];

@@ -196,9 +196,12 @@ let remap st (cm : State.cm_state) ~members ~new_id =
 (* {1 Reconfiguration driver} *)
 
 let wait_acks_or_timeout st (done_ : unit Ivar.t) ~timeout =
+  let engine = st.State.engine in
   Proc.suspend (fun resume ->
-      Ivar.on_fill done_ (fun () -> resume (Ok true));
-      Engine.schedule_in st.State.engine ~after:timeout (fun () -> resume (Ok false)))
+      let timer = Engine.timer engine ~after:timeout (fun () -> resume (Ok false)) in
+      Ivar.on_fill done_ (fun () ->
+          Engine.cancel engine timer;
+          resume (Ok true)))
 
 (* Note [machine]'s claim to hold a [role] replica of [rid] in a table of
    each region's (primary, backups). *)

@@ -66,8 +66,13 @@ type tx_live = {
 }
 
 (* Truncation tracking at a record receiver: per coordinator thread, a low
-   bound plus the set of truncated local ids above it (§5.3 step 6). *)
-type trunc_track = { mutable low : int; above : unit Int_tbl.t }
+   bound plus the set of truncated local ids above it (§5.3 step 6). The
+   set is the first [n_above] entries of [above], sorted. Truncations run
+   close behind the low bound, so it holds a handful of ids (a few dozen
+   while a slow transaction holds the bound back), and a fleet has one
+   tracker per coordinator thread on every receiver: the array starts
+   empty and grows to the largest set it has held. *)
+type trunc_track = { mutable low : int; mutable above : int array; mutable n_above : int }
 
 (* Recovery-coordinator state for one recovering transaction. *)
 type rec_coord = {
@@ -410,24 +415,52 @@ let trunc_track st ~coord =
   match Int_tbl.find_opt st.truncated coord with
   | Some t -> t
   | None ->
-      let t = { low = 0; above = Int_tbl.create 16 } in
+      let t = { low = 0; above = [||]; n_above = 0 } in
       Int_tbl.replace st.truncated coord t;
       t
 
+(* The position of the first id in [t.above] that is [>= l]: the set is
+   sorted, so membership, insertion and the low bound's cut all start from
+   one binary search. *)
+let above_search t l =
+  let lo = ref 0 and hi = ref t.n_above in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.above.(mid) < l then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let above_mem t l =
+  let i = above_search t l in
+  i < t.n_above && t.above.(i) = l
+
 let mark_truncated st txid =
   let t = trunc_track st ~coord:(Txid.coord_id txid) in
-  if txid.Txid.local >= t.low then Int_tbl.replace t.above txid.Txid.local ()
+  let l = txid.Txid.local in
+  let i = above_search t l in
+  if l >= t.low && not (i < t.n_above && t.above.(i) = l) then begin
+    if t.n_above = Array.length t.above then begin
+      let above = Array.make (max 4 (2 * t.n_above)) 0 in
+      Array.blit t.above 0 above 0 t.n_above;
+      t.above <- above
+    end;
+    Array.blit t.above i t.above (i + 1) (t.n_above - i);
+    t.above.(i) <- l;
+    t.n_above <- t.n_above + 1
+  end
 
 let update_low_bound st ~coord low =
   let t = trunc_track st ~coord in
   if low > t.low then begin
     t.low <- low;
-    Int_tbl.filter_map_inplace (fun l () -> if l < low then None else Some ()) t.above
+    let cut = above_search t low in
+    Array.blit t.above cut t.above 0 (t.n_above - cut);
+    t.n_above <- t.n_above - cut
   end
 
 let is_truncated st txid =
   let t = trunc_track st ~coord:(Txid.coord_id txid) in
-  txid.Txid.local < t.low || Int_tbl.mem t.above txid.Txid.local
+  txid.Txid.local < t.low || above_mem t txid.Txid.local
 
 (* {1 Pending truncations at the coordinator} *)
 

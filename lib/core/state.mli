@@ -64,9 +64,12 @@ type tx_live = {
   lt_born : Time.t;  (** commit start, for the coordinator's park watchdog *)
 }
 
-type trunc_track = { mutable low : int; above : unit Int_tbl.t }
+type trunc_track = { mutable low : int; mutable above : int array; mutable n_above : int }
 (** Truncation tracking per coordinator thread: a low bound plus the set of
-    truncated local ids above it (§5.3 step 6). *)
+    truncated local ids at or above it (§5.3 step 6), held sorted in the
+    first [n_above] entries of [above]. Every receiver has one tracker per
+    coordinator thread and each set stays a handful of ids, so each costs
+    a few words. *)
 
 type rec_coord = {
   rc_txid : Txid.t;

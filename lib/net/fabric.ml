@@ -459,10 +459,23 @@ let call ?timeout ?(flow = 0) t ~src ~dst ~bytes msg : ('msg, error) result =
     (deliver t ~src ~dst ~prio:false ~bytes ~flow msg ~reply)
       (Time.add t_tx (Time.add (leg_latency t ~src ~dst) d))
   end;
-  (match timeout with
-  | Some d ->
-      Engine.schedule_in t.engine ~after:d (fun () -> Ivar.fill_if_empty iv (Error `Timeout))
-  | None -> ());
-  let r = Ivar.read iv in
+  let r =
+    match timeout with
+    | None -> Ivar.read iv
+    | Some d -> (
+        (* A reply, or the caller's cancellation, beats the deadline: drop
+           its timer then, rather than leave it queued until it fires on a
+           full cell. *)
+        let timer =
+          Engine.timer t.engine ~after:d (fun () -> Ivar.fill_if_empty iv (Error `Timeout))
+        in
+        match Ivar.read iv with
+        | r ->
+            Engine.cancel t.engine timer;
+            r
+        | exception e ->
+            Engine.cancel t.engine timer;
+            raise e)
+  in
   (match r with Ok _ -> Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rpc_recv | Error _ -> ());
   r

@@ -90,6 +90,19 @@ let schedule t ~at fn = if at <= t.now then push_ready t fn else push_heap t ~at
 
 let schedule_in t ~after fn = schedule t ~at:(t.now + after) fn
 
+(* A timer is filed in [far] whatever its delay, so its handle needs no
+   tag naming the heap. Where an event is filed never changes when it
+   runs (see above), and timers are set a millisecond or more ahead, where
+   [push_heap] would file them in [far] anyway. *)
+type timer = Heap.handle
+
+let timer t ~after fn =
+  if after <= 0 then invalid_arg "Engine.timer: delay must be positive";
+  t.seq <- t.seq + 1;
+  Heap.push_handle t.far ~key:(t.now + after) ~seq:t.seq fn
+
+let cancel t timer = Heap.remove t.far timer
+
 let stop t = t.stopped <- true
 
 let events_processed t = t.events_processed

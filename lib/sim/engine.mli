@@ -18,7 +18,21 @@ val schedule : t -> at:Time.t -> (unit -> unit) -> unit
     clamped to [now]. *)
 
 val schedule_in : t -> after:Time.t -> (unit -> unit) -> unit
-(** Schedule a callback after a relative delay. *)
+(** Schedule a callback after a relative delay. Nothing can cancel it: a
+    deadline that a reply may beat is a {!timer}. *)
+
+type timer
+
+val timer : t -> after:Time.t -> (unit -> unit) -> timer
+(** [timer t ~after fn] schedules [fn] like {!schedule_in} and returns a
+    handle that can cancel it. [after] must be positive: the callback runs
+    at a later instant than the one that armed it. Raises
+    [Invalid_argument] otherwise. *)
+
+val cancel : t -> timer -> unit
+(** Drop a timer before it runs: its callback is never run, never counted
+    in {!events_processed} or {!pending}, and no longer held. A no-op on a
+    timer that has already run or been cancelled. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Process events in time order until the queue is empty, [stop] is called,

@@ -607,6 +607,116 @@ let evidence_decide () =
   check "a vote missing" None [ Some Vote_commit_backup; None ];
   check "only missing votes" None [ None; None ]
 
+(* {1 Calls with a deadline}
+
+   Each case runs [Comms.call ~timeout] from machine 0 to machine 1 of two
+   bare machines, so the engine queues nothing but the call's own events. *)
+
+let ping = Wire.Fetch_mapping { rid = 0 }
+
+let calling ?(on_request = ignore) ~answer () =
+  let sts = Test_util.bare_states 2 in
+  let st = sts.(0) in
+  Farm_net.Fabric.set_handler st.State.fabric 1 (fun ~src:_ ~reply m ->
+      on_request st;
+      if answer then Comms.reply_to reply m);
+  (st, st.State.engine)
+
+(* An answered call takes its timer with it: the engine holds as many
+   events when the call returns as before it was made, and nothing once
+   the reply is in. *)
+let call_answered_leaves_no_timer () =
+  let st, e = calling ~answer:true () in
+  let before = ref (-1) and after = ref (-1) and got = ref None in
+  Proc.spawn ~ctx:st.State.ctx e (fun () ->
+      before := Engine.pending e;
+      got := Some (Comms.call st ~dst:1 ~timeout:(Time.ms 50) ping);
+      after := Engine.pending e);
+  Engine.run ~until:(Time.ms 10) e;
+  check_bool "answered" true (match !got with Some (Ok _) -> true | _ -> false);
+  check_int "pending as before the call" !before !after;
+  check_int "nothing queued after the reply" 0 (Engine.pending e)
+
+(* An unanswered call fails at its deadline, which runs from the instant
+   the request leaves, after the sender's CPU cost. *)
+let call_times_out_at_deadline () =
+  let st, e = calling ~answer:false () in
+  let issued = ref Time.zero and returned = ref Time.zero and got = ref None in
+  Proc.spawn ~ctx:st.State.ctx e (fun () ->
+      issued := Proc.now ();
+      got := Some (Comms.call st ~dst:1 ~timeout:(Time.ms 1) ping);
+      returned := Proc.now ());
+  Engine.run e;
+  check_bool "timed out" true (!got = Some (Error `Timeout));
+  check_int "at the deadline"
+    (Time.to_ns
+       (Time.add !issued (Time.add Farm_net.Params.default.Farm_net.Params.cpu_rpc_send (Time.ms 1))))
+    (Time.to_ns !returned)
+
+(* A machine killed with a call outstanding: its processes are cancelled
+   once the request has reached machine 1, and the reply its NIC still
+   takes wakes the parked caller only to end it. The timer goes with the
+   caller. *)
+let call_cancelled_leaves_no_timer () =
+  let st, e =
+    calling ~answer:true ~on_request:(fun st -> Proc.Ctx.cancel st.State.ctx) ()
+  in
+  let returned = ref false in
+  Proc.spawn ~ctx:st.State.ctx e (fun () ->
+      ignore (Comms.call st ~dst:1 ~timeout:(Time.ms 50) ping);
+      returned := true);
+  Engine.run ~until:(Time.ms 10) e;
+  check_bool "caller cancelled" false !returned;
+  check_int "nothing queued" 0 (Engine.pending e)
+
+(* {1 Truncation tracking}
+
+   [mark_truncated], [update_low_bound] and [is_truncated] against a plain
+   set of truncated ids and the highest low bound, per coordinator thread;
+   the tracker keeps exactly the marked ids at or above its bound. *)
+
+type trunc_op = Mark of int | Low of int
+
+let trunc_model_qcheck =
+  let op =
+    QCheck.Gen.(
+      pair bool
+        (frequency [ (4, map (fun l -> Mark l) (int_bound 120)); (1, map (fun l -> Low l) (int_bound 120)) ]))
+  in
+  let print (c, op) =
+    Printf.sprintf "(%b, %s)" c
+      (match op with Mark l -> Printf.sprintf "Mark %d" l | Low l -> Printf.sprintf "Low %d" l)
+  in
+  QCheck.Test.make ~name:"truncation tracking matches a set of truncated ids" ~count:200
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_bound 150) op))
+    (fun ops ->
+      let st = (Test_util.bare_states 1).(0) in
+      let txid second l =
+        if second then Txid.make ~config:1 ~machine:3 ~thread:2 ~local:l
+        else Txid.make ~config:1 ~machine:0 ~thread:0 ~local:l
+      in
+      let module S = Set.Make (Int) in
+      let marks = [| S.empty; S.empty |] and low = [| 0; 0 |] in
+      List.for_all
+        (fun (second, op) ->
+          let c = Bool.to_int second in
+          let coord = Txid.coord_id (txid second 0) in
+          (match op with
+          | Mark l ->
+              State.mark_truncated st (txid second l);
+              marks.(c) <- S.add l marks.(c)
+          | Low l ->
+              State.update_low_bound st ~coord l;
+              low.(c) <- max low.(c) l);
+          let t = State.trunc_track st ~coord in
+          t.State.low = low.(c)
+          && t.State.n_above = S.cardinal (S.filter (fun l -> l >= low.(c)) marks.(c))
+          && List.for_all
+               (fun l ->
+                 State.is_truncated st (txid second l) = (l < low.(c) || S.mem l marks.(c)))
+               (List.init 130 Fun.id))
+        ops)
+
 let suites =
   [
     ( "core.obj_layout",
@@ -645,6 +755,13 @@ let suites =
         qtest ringlog_space_qcheck;
       ] );
     ("core.wire", [ test "sizes monotone" wire_sizes_monotone ]);
+    ( "core.comms",
+      [
+        test "answered call leaves no timer" call_answered_leaves_no_timer;
+        test "unanswered call times out at its deadline" call_times_out_at_deadline;
+        test "cancelled caller leaves no timer" call_cancelled_leaves_no_timer;
+      ] );
+    ("core.state", [ qtest trunc_model_qcheck ]);
     ( "core.evidence",
       [
         test "vote table" evidence_vote_table;

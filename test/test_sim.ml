@@ -45,6 +45,63 @@ let heap_qcheck =
       in
       drain [] = List.sort compare keys)
 
+(* Pushes, pops and removals in any mix: every pop returns the smallest
+   [(key, seq)] among the entries neither popped nor removed, and removing
+   through a stale handle (its entry already popped or removed, its slot
+   perhaps reused) changes nothing. Handles are kept in push order and
+   [Remove i] names the [i]-th push, live or not. *)
+type heap_op = Push of int | Pop | Remove of int
+
+let heap_remove_qcheck =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun k -> Push k) (int_bound 50));
+          (2, return Pop);
+          (2, map (fun i -> Remove i) (int_bound 60));
+        ])
+  in
+  let print = function
+    | Push k -> Printf.sprintf "Push %d" k
+    | Pop -> "Pop"
+    | Remove i -> Printf.sprintf "Remove %d" i
+  in
+  QCheck.Test.make ~name:"heap pops exactly the entries not removed, in order" ~count:300
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_bound 200) op))
+    (fun ops ->
+      let h = Heap.create () in
+      let handles = ref [||] in
+      (* the model: live entries as [(key, seq)], [seq] also the payload *)
+      let live = ref [] in
+      let pop_model () =
+        match List.sort compare !live with
+        | [] -> None
+        | ((k, s) as e) :: _ ->
+            live := List.filter (( <> ) e) !live;
+            Some (k, s)
+      in
+      let ok = ref true in
+      List.iteri
+        (fun seq op ->
+          match op with
+          | Push key ->
+              handles := Array.append !handles [| (Heap.push_handle h ~key ~seq seq, key, seq) |];
+              live := (key, seq) :: !live
+          | Pop -> if Heap.pop h <> pop_model () then ok := false
+          | Remove i ->
+              if i < Array.length !handles then begin
+                let handle, key, seq = !handles.(i) in
+                Heap.remove h handle;
+                live := List.filter (( <> ) (key, seq)) !live
+              end)
+        ops;
+      if Heap.length h <> List.length !live then ok := false;
+      while not (Heap.is_empty h) do
+        if Heap.pop h <> pop_model () then ok := false
+      done;
+      !ok && !live = [])
+
 (* {1 Engine} *)
 
 let engine_ordering () =
@@ -361,7 +418,12 @@ let qtest = QCheck_alcotest.to_alcotest
 let suites =
   [
     ( "sim.heap",
-      [ test "sorted pops" heap_sorted; test "fifo ties" heap_fifo_ties; qtest heap_qcheck ] );
+      [
+        test "sorted pops" heap_sorted;
+        test "fifo ties" heap_fifo_ties;
+        qtest heap_qcheck;
+        qtest heap_remove_qcheck;
+      ] );
     ( "sim.engine",
       [
         test "time ordering" engine_ordering;

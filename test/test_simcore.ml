@@ -307,6 +307,47 @@ let engine_clears_run_events () =
   Alcotest.(check bool) "timer event" true (collected w_timer);
   Alcotest.(check int) "engine idle" 0 (Engine.pending (Sys.opaque_identity e))
 
+(* A cancelled timer is never run or counted, the engine no longer holds
+   its callback, and a second cancel is a no-op. *)
+let[@inline never] engine_cancel_tracked e ran =
+  let fn, w = tracked () in
+  let timer =
+    Engine.timer e ~after:(Time.ns 10) (fun () ->
+        ran := true;
+        fn ())
+  in
+  Engine.cancel e timer;
+  (timer, w)
+
+let engine_cancelled_timer () =
+  let e = Engine.create () in
+  let ran = ref false in
+  let timer, w = engine_cancel_tracked e ran in
+  Alcotest.(check int) "dequeued" 0 (Engine.pending e);
+  Alcotest.(check bool) "callback released" true (collected w);
+  let later = ref false in
+  ignore (Engine.timer e ~after:(Time.ns 20) (fun () -> later := true));
+  Engine.cancel e timer;
+  Engine.run e;
+  Alcotest.(check bool) "never run" false !ran;
+  Alcotest.(check bool) "a later timer still runs" true !later;
+  Alcotest.(check int) "only the later timer counted" 1 (Engine.events_processed e);
+  Alcotest.(check int) "the run ends at the later timer" 20 (Time.to_ns (Engine.now e))
+
+(* Timers keep scheduling order with the events around them, whichever
+   queue each is filed in. *)
+let engine_timer_ties () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.schedule e ~at:(Time.ns 50) (note "a");
+  ignore (Engine.timer e ~after:(Time.ns 50) (note "b"));
+  Engine.schedule e ~at:(Time.ns 50) (note "c");
+  Engine.cancel e (Engine.timer e ~after:(Time.ns 50) (note "dropped"));
+  ignore (Engine.timer e ~after:(Time.ns 40) (note "first"));
+  Engine.run e;
+  Alcotest.(check (list string)) "order" [ "first"; "a"; "b"; "c" ] (List.rev !log)
+
 (* {1 Int_tbl hashing} *)
 
 let int_cases =
@@ -529,6 +570,8 @@ let suites =
         test "same instant across queues" engine_near_far_ties;
         test "heap clears popped slots" heap_clears_popped_slots;
         test "engine drops run events" engine_clears_run_events;
+        test "cancelled timer" engine_cancelled_timer;
+        test "timers keep scheduling order" engine_timer_ties;
         test "int hash on edge ints" int_tbl_hash_fixed;
         qtest int_tbl_hash_random;
         qtest txid_hash_random;

@@ -84,3 +84,33 @@ let hashtable_chain tx (t : Farm_kv.Hashtable.t) b =
     | None -> List.rev (slots :: acc)
   in
   go t.buckets.(b) []
+
+(* [n] machine states over one fabric, as [Cluster.create] builds them but
+   with no node started: no lease, log-processing or CM process runs and
+   no handler is installed, so the engine queues only what a test puts
+   there. *)
+let bare_states n =
+  let engine = Engine.create () in
+  let rng = Rng.create 5 in
+  let fabric = Farm_net.Fabric.create engine ~params:Farm_net.Params.default ~rng:(Rng.split rng) in
+  let zk = Farm_coord.Zk.create engine ~rng:(Rng.split rng) ~replicas:1 in
+  let clock = Clock.create engine ~eps:Params.clock_eps in
+  let members = List.init n Fun.id in
+  let config =
+    Config.make ~id:1 ~members ~domains:(List.map (fun m -> (m, m)) members) ~cm:0
+  in
+  let directory = Int_tbl.create n in
+  let log = Farm_obs.Obs.create_log () in
+  Array.init n (fun id ->
+      let cpu = Cpu.create engine ~threads:2 in
+      let obs = Farm_obs.Obs.create ~log engine ~machine:id in
+      Farm_net.Fabric.add_machine ~obs fabric ~id ~cpu;
+      let nv =
+        {
+          State.bank = Farm_nvram.Bank.create ();
+          replicas = Hashtbl.create 1;
+          logs_in = Hashtbl.create 1;
+        }
+      in
+      State.create ~id ~engine ~rng:(Rng.split rng) ~params:Params.default ~fabric ~zk ~cpu
+        ~nv ~clock:(Clock.handle clock ~offset_ns:0) ~config ~directory ~obs)
