@@ -208,51 +208,29 @@ let power_cycle t =
   (* rebuild the region map from the surviving NVRAM replica roles; every
      region is marked changed in this configuration so that every in-flight
      transaction from before the power failure is treated as recovering *)
-  let owners = Hashtbl.create 64 in
-  List.iter
-    (fun (st : State.t) ->
-      Hashtbl.iter
-        (fun rid (rep : State.replica) -> Cm.claim owners ~machine:st.State.id rid rep.State.role)
-        st.State.nv.replicas)
-    machines;
+  let owners =
+    (* each machine's replicas in table order *)
+    Cm.claims
+      (List.map (fun (st : State.t) -> (st.State.id, List.rev (Cm.replica_roles st))) machines)
+  in
   let infos =
     Hashtbl.fold
-      (fun rid (p, bs) acc ->
-        match p with
-        | Some primary ->
-            {
-              Wire.rid;
-              primary;
-              backups = List.sort_uniq compare bs;
-              last_primary_change = new_id;
-              last_replica_change = new_id;
-              critical = false;
-            }
+      (fun rid claim acc ->
+        match claim with
+        | Some primary, backups | None, primary :: backups ->
+            let last_primary_change = new_id and last_replica_change = new_id in
+            { Wire.rid; primary; backups; last_primary_change; last_replica_change; critical = false }
             :: acc
-        | None -> (
-            match List.sort_uniq compare bs with
-            | b :: rest ->
-                {
-                  Wire.rid;
-                  primary = b;
-                  backups = rest;
-                  last_primary_change = new_id;
-                  last_replica_change = new_id;
-                  critical = false;
-                }
-                :: acc
-            | [] -> acc))
+        | None, [] -> acc)
       owners []
   in
-  (* install CM state on the restarted CM *)
+  (* install CM state on the restarted CM ([Node.start] already granted
+     every member a lease there) *)
   let cm_st = t.machines.(config.Config.cm) in
   let cm = State.ensure_cm cm_st in
   List.iter (fun (i : Wire.region_info) -> Hashtbl.replace cm.State.owners i.Wire.rid i) infos;
   cm.State.next_rid <-
     1 + List.fold_left (fun acc (i : Wire.region_info) -> max acc i.Wire.rid) 0 infos;
-  List.iter
-    (fun m -> Hashtbl.replace cm.State.cm_leases m (Engine.now t.engine))
-    config.Config.members;
   (* deliver the boot configuration and commit it (as processes on each
      machine: the ack send blocks on the CPU): the normal drain / vote /
      decide recovery takes over from here *)

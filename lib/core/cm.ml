@@ -97,8 +97,22 @@ type probe_result = {
   pr_infos : (int * int * int) list;  (* rid, last_primary_change, last_replica_change *)
 }
 
-(* One-sided RDMA read of the target's probe word: its replicas and its
-   region-map change ids. *)
+let replica_roles (pst : State.t) =
+  Hashtbl.fold (fun rid (r : State.replica) acc -> (rid, r.State.role) :: acc) pst.State.nv.replicas []
+
+(* A machine's probe word: its replicas and its region-map change ids. *)
+let probe_word (pst : State.t) =
+  {
+    pr_machine = pst.State.id;
+    pr_replicas = replica_roles pst;
+    pr_infos =
+      Int_tbl.fold
+        (fun rid (i : Wire.region_info) acc ->
+          (rid, i.Wire.last_primary_change, i.Wire.last_replica_change) :: acc)
+        pst.State.region_map [];
+  }
+
+(* One-sided RDMA read of each target's probe word. *)
 let probe st ~targets =
   let results = ref [] in
   Comms.par_iter st
@@ -112,86 +126,12 @@ let probe st ~targets =
                (* a reincarnated machine's probe word carries its new boot
                   epoch: the CM does not count it as the member it probed *)
                | Some pst when pst.State.rejoining -> None
-               | Some pst ->
-                   let replicas =
-                     Hashtbl.fold
-                       (fun rid (r : State.replica) acc -> (rid, r.State.role) :: acc)
-                       pst.State.nv.replicas []
-                   in
-                   let infos =
-                     Int_tbl.fold
-                       (fun rid (i : Wire.region_info) acc ->
-                         (rid, i.Wire.last_primary_change, i.Wire.last_replica_change) :: acc)
-                       pst.State.region_map []
-                   in
-                   Some
-                     {
-                       pr_machine = m;
-                       pr_replicas = replicas;
-                       pr_infos = infos;
-                     })
+               | Some pst -> Some (probe_word pst))
          with
          | Ok (Some r) -> results := r :: !results
          | Ok None | Error _ -> ())
        targets);
   !results
-
-(* {1 Remapping (§5.2 step 4)} *)
-
-(* Reassign regions that lost replicas: always promote a surviving backup
-   when the primary failed (fast recovery), and re-replicate to restore f+1
-   subject to failure-domain and capacity constraints. Returns the new
-   region infos, the fresh (machine, rid) assignments needing bulk data
-   recovery, and any regions that lost all replicas. *)
-let remap st (cm : State.cm_state) ~members ~new_id =
-  let fresh = ref [] and lost = ref [] and updates = ref [] in
-  let cons = constraints st cm ~members in
-  Hashtbl.iter
-    (fun rid (info : Wire.region_info) ->
-      let primary_alive = List.mem info.Wire.primary members in
-      let surviving_backups = List.filter (fun b -> List.mem b members) info.Wire.backups in
-      let survivors =
-        (if primary_alive then [ info.Wire.primary ] else []) @ surviving_backups
-      in
-      if survivors = [] then lost := rid :: !lost
-      else begin
-        let primary, rest, primary_changed =
-          if primary_alive then (info.Wire.primary, surviving_backups, false)
-          else
-            match surviving_backups with
-            | b :: rest -> (b, rest, true)
-            | [] -> assert false
-        in
-        let total = 1 + List.length info.Wire.backups in
-        let changed = List.length survivors <> total in
-        let needed = st.State.params.Params.replication - List.length survivors in
-        let replacements =
-          if needed > 0 then
-            match Placement.choose_replacements cons ~survivors ~needed with
-            | Some l -> l
-            | None -> []
-          else []
-        in
-        List.iter (fun m -> fresh := (m, rid) :: !fresh) replacements;
-        let info' =
-          {
-            info with
-            Wire.primary;
-            backups = rest @ replacements;
-            last_primary_change =
-              (if primary_changed then new_id else info.Wire.last_primary_change);
-            last_replica_change =
-              (if changed || replacements <> [] then new_id else info.Wire.last_replica_change);
-            (* down to one survivor: re-replicate aggressively (§6.4) *)
-            critical = List.length survivors = 1;
-          }
-        in
-        updates := (rid, info') :: !updates
-      end)
-    cm.State.owners;
-  List.iter (fun (rid, info) -> Hashtbl.replace cm.State.owners rid info) !updates;
-  List.iter (fun rid -> Hashtbl.remove cm.State.owners rid) !lost;
-  (!fresh, !lost)
 
 (* {1 Reconfiguration driver} *)
 
@@ -203,105 +143,92 @@ let wait_acks_or_timeout st (done_ : unit Ivar.t) ~timeout =
           Engine.cancel engine timer;
           resume (Ok true)))
 
-(* Note [machine]'s claim to hold a [role] replica of [rid] in a table of
-   each region's (primary, backups). *)
-let claim claims ~machine rid role =
-  let p, bs = match Hashtbl.find_opt claims rid with Some v -> v | None -> (None, []) in
-  match role with
-  | State.Primary -> Hashtbl.replace claims rid (Some machine, bs)
-  | State.Backup -> Hashtbl.replace claims rid (p, machine :: bs)
+let claims machines =
+  let claims = Hashtbl.create 64 in
+  List.iter
+    (fun (machine, replicas) ->
+      List.iter
+        (fun (rid, role) ->
+          let p, bs = match Hashtbl.find_opt claims rid with Some v -> v | None -> (None, []) in
+          match role with
+          | State.Primary -> Hashtbl.replace claims rid (Some machine, bs)
+          | State.Backup -> Hashtbl.replace claims rid (p, machine :: bs))
+        replicas)
+    machines;
+  Hashtbl.filter_map_inplace (fun _ (p, bs) -> Some (p, List.sort_uniq compare bs)) claims;
+  claims
 
 (* Rebuild the CM-only region map from probe results — needed when a backup
    CM takes over (the cause of the slower recovery in Figure 11). *)
 let rebuild_owners st (cm : State.cm_state) ~probes =
   Hashtbl.reset cm.State.owners;
-  let claims = Hashtbl.create 64 in
-  let change_ids = Hashtbl.create 64 in
-  let note_claims machine replicas =
-    List.iter (fun (rid, role) -> claim claims ~machine rid role) replicas
-  in
-  let note_infos infos =
-    List.iter
-      (fun (rid, lpc, lrc) ->
-        let lpc0, lrc0 =
-          match Hashtbl.find_opt change_ids rid with Some v -> v | None -> (0, 0)
-        in
-        Hashtbl.replace change_ids rid (max lpc lpc0, max lrc lrc0))
-      infos
-  in
-  List.iter (fun pr -> note_claims pr.pr_machine pr.pr_replicas; note_infos pr.pr_infos) probes;
   (* include the new CM's own replicas and cached infos *)
-  note_claims st.State.id
-    (Hashtbl.fold (fun rid (r : State.replica) acc -> (rid, r.State.role) :: acc)
-       st.State.nv.replicas []);
-  note_infos
-    (Int_tbl.fold
-       (fun rid (i : Wire.region_info) acc ->
-         (rid, i.Wire.last_primary_change, i.Wire.last_replica_change) :: acc)
-       st.State.region_map []);
+  let words = probes @ [ probe_word st ] in
+  let claims = claims (List.map (fun pr -> (pr.pr_machine, pr.pr_replicas)) words) in
+  let change_ids = Hashtbl.create 64 in
+  List.iter
+    (fun pr ->
+      List.iter
+        (fun (rid, lpc, lrc) ->
+          let lpc0, lrc0 =
+            match Hashtbl.find_opt change_ids rid with Some v -> v | None -> (0, 0)
+          in
+          Hashtbl.replace change_ids rid (max lpc lpc0, max lrc lrc0))
+        pr.pr_infos)
+    words;
   (* regions known only from cached mappings (every replica died) must
      still be represented so remapping can report them lost *)
   Hashtbl.iter
     (fun rid _ -> if not (Hashtbl.mem claims rid) then Hashtbl.replace claims rid (None, []))
     change_ids;
-  let max_rid = ref 0 in
   Hashtbl.iter
-    (fun rid (p, bs) ->
-      max_rid := max !max_rid rid;
-      let lpc, lrc =
+    (fun rid (p, backups) ->
+      if cm.State.next_rid <= rid then cm.State.next_rid <- rid + 1;
+      let last_primary_change, last_replica_change =
         match Hashtbl.find_opt change_ids rid with Some v -> v | None -> (0, 0)
       in
       (* a dead primary is represented by the -1 sentinel: remapping sees a
          non-member primary and promotes a surviving backup, stamping the
          proper change identifiers *)
-      let primary = match p with Some m -> m | None -> -1 in
+      let primary = Option.value p ~default:(-1) in
       Hashtbl.replace cm.State.owners rid
-        {
-          Wire.rid;
-          primary;
-          backups = List.sort_uniq compare bs;
-          last_primary_change = lpc;
-          last_replica_change = lrc;
-          critical = false;
-        })
-    claims;
-  if cm.State.next_rid <= !max_rid then cm.State.next_rid <- !max_rid + 1
+        { Wire.rid; primary; backups; last_primary_change; last_replica_change; critical = false })
+    claims
 
 (* A recovery milestone, for the cluster log. *)
 let milestone st kind = Farm_obs.Obs.event st.State.obs kind ~a:0 ~b:0 ~c:0
 
-(* Reconfiguration from the probe on (§5.2), retried until a majority
-   answers; must run in a process on this machine. *)
-let rec attempt_reconfig st =
+let suspect st m =
+  if not (List.mem m st.State.pending_suspects) then
+    st.State.pending_suspects <- m :: st.State.pending_suspects
+
+(* Reconfiguration from the probe on (§5.2 steps 2-7), retried until a
+   majority answers; must run in a process on this machine. The decisions
+   are [Reconfig]'s. *)
+let rec attempt_reconfig ?(retry = false) st =
   Proc.check_cancelled ();
   let old = st.State.config in
-  let suspects = Hashtbl.fold (fun m () acc -> m :: acc) st.State.pending_suspects [] in
-  let candidates =
-    List.filter (fun m -> m <> st.State.id && not (List.mem m suspects)) old.Config.members
+  let view =
+    { Reconfig.self = st.State.id; config = old; suspects = st.State.pending_suspects; retry }
   in
-  (* 2. Probe all machines except the suspects; proceed only with responses
-     from a majority (partition safety). *)
-  let probes = probe st ~targets:candidates in
+  let probes = probe st ~targets:(Reconfig.probe_targets view) in
   milestone st Farm_obs.Obs.K_ms_probe;
-  let responders =
-    List.sort_uniq compare (st.State.id :: List.map (fun p -> p.pr_machine) probes)
-  in
-  if 2 * List.length responders <= List.length old.Config.members then begin
-    Proc.sleep (Time.ms 5);
-    attempt_reconfig st
-  end
-  else begin
-    (* 3. Atomically advance the configuration in the coordination
-       service; only one machine can win configuration c+1. *)
-    match Farm_coord.Zk.read st.State.zk with
-    | None ->
-        Proc.sleep (Time.ms 2);
-        attempt_reconfig st
-    | Some (seq, cur) ->
-        if cur.Config.id > old.Config.id then
-          (* someone else already moved the system on; adopt via NEW-CONFIG *)
+  match Reconfig.after_probe view ~answered:(List.map (fun p -> p.pr_machine) probes) with
+  | Reconfig.Retry { cleared } ->
+      st.State.pending_suspects <-
+        List.filter (fun m -> not (List.mem m cleared)) st.State.pending_suspects;
+      Proc.sleep (Time.ms 5);
+      attempt_reconfig ~retry:true st
+  | Reconfig.Propose responders -> (
+      (* 3. Atomically advance the configuration in the coordination
+         service; only one machine can win configuration c+1. *)
+      match Farm_coord.Zk.read st.State.zk with
+      | None ->
+          Proc.sleep (Time.ms 2);
+          attempt_reconfig st
+      | Some (_, cur) when Reconfig.moved_on view ~zk_id:cur.Config.id ->
           st.State.reconfig_active <- false
-        else begin
+      | Some (seq, _) -> (
           let new_id = old.Config.id + 1 in
           let new_config =
             Config.make ~id:new_id ~members:responders ~domains:old.Config.domains
@@ -322,22 +249,23 @@ let rec attempt_reconfig st =
               let cm = State.ensure_cm st in
               if not was_cm then rebuild_owners st cm ~probes;
               (* 4. Remap regions of failed machines. *)
-              let fresh, lost = remap st cm ~members:responders ~new_id in
+              let r =
+                Reconfig.remap (constraints st cm ~members:responders) cm.State.owners ~new_id
+              in
+              List.iter
+                (fun (rid, info) -> Hashtbl.replace cm.State.owners rid info)
+                r.Reconfig.infos;
               List.iter
                 (fun rid ->
-                  Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_ms_region_lost ~a:rid ~b:0
-                    ~c:0)
-                lost;
+                  Hashtbl.remove cm.State.owners rid;
+                  Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_ms_region_lost ~a:rid ~b:0 ~c:0)
+                r.Reconfig.lost;
               cm.State.pending_data_recovery <-
-                cm.State.pending_data_recovery + List.length fresh;
+                cm.State.pending_data_recovery + List.length r.Reconfig.fresh;
               cm.State.regions_active_from <- [];
               cm.State.all_active_sent <- false;
-              Hashtbl.reset st.State.pending_suspects;
-              (* reset the lease table for the new configuration *)
-              Hashtbl.reset cm.State.cm_leases;
-              List.iter
-                (fun m -> Hashtbl.replace cm.State.cm_leases m (State.now st))
-                responders;
+              st.State.pending_suspects <- [];
+              Lease.grant_all st cm responders;
               let regions =
                 Hashtbl.fold (fun _ info acc -> info :: acc) cm.State.owners []
               in
@@ -362,9 +290,8 @@ let rec attempt_reconfig st =
               in
               cm.State.ack_pending <- None;
               if not acked then begin
-                List.iter
-                  (fun m -> if m <> st.State.id then Hashtbl.replace st.State.pending_suspects m ())
-                  !remaining;
+                List.iter (suspect st)
+                  (Reconfig.unacked_suspects ~self:st.State.id !remaining);
                 attempt_reconfig st
               end
               else begin
@@ -373,64 +300,47 @@ let rec attempt_reconfig st =
                   responders;
                 milestone st Farm_obs.Obs.K_ms_config_commit;
                 st.State.reconfig_active <- false
-              end
-        end
-  end
+              end))
 
 (* Entry point for suspicions (lease expiry, failed probes, explicit
-   SUSPECT messages). Runs the backup-CM election dance of §5.2 step 1 when
-   the CM itself is suspected. *)
+   SUSPECT messages): record them, then act on [Reconfig.on_suspicion]. *)
 let handle_suspicion st suspects =
-  if st.State.rejoining then ()
-  else begin
-  let fresh = List.filter (fun m -> not (Hashtbl.mem st.State.pending_suspects m)) suspects in
-  List.iter (fun m -> Hashtbl.replace st.State.pending_suspects m ()) suspects;
-  if fresh <> [] then begin
-    List.iter
-      (fun m -> Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_suspect ~a:m ~b:0 ~c:0)
-      fresh;
-    milestone st Farm_obs.Obs.K_ms_suspect
-  end;
-  let old_id = st.State.config.Config.id in
-  let cm_suspected = List.mem st.State.config.Config.cm suspects in
-  let start () =
-    if not st.State.reconfig_active then begin
-      st.State.reconfig_active <- true;
-      Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () -> attempt_reconfig st)
-    end
-  in
-  if State.is_cm st then start ()
-  else if cm_suspected then begin
-    let bcms = Config.backup_cms st.State.config ~k:Params.backup_cms in
-    let rec position i = function
-      | [] -> None
-      | x :: rest -> if x = st.State.id then Some i else position (i + 1) rest
+  if not st.State.rejoining then begin
+    let fresh = List.filter (fun m -> not (List.mem m st.State.pending_suspects)) suspects in
+    List.iter (suspect st) suspects;
+    if fresh <> [] then begin
+      List.iter
+        (fun m -> Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_suspect ~a:m ~b:0 ~c:0)
+        fresh;
+      milestone st Farm_obs.Obs.K_ms_suspect
+    end;
+    let old_id = st.State.config.Config.id in
+    let spawn fn = Proc.spawn ~ctx:st.State.ctx st.State.engine fn in
+    let start () =
+      if not st.State.reconfig_active then begin
+        st.State.reconfig_active <- true;
+        spawn (fun () -> attempt_reconfig st)
+      end
     in
-    match position 0 bcms with
-    | Some i ->
-        (* backup CMs stagger their attempts to avoid a stampede *)
-        Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
-            Proc.sleep (Time.mul_int (Time.ms 2) i);
+    let suspect_req suspect = Wire.Suspect_req { cfg = old_id; suspect } in
+    match Reconfig.on_suspicion ~self:st.State.id st.State.config ~suspects with
+    | Reconfig.Start -> start ()
+    | Reconfig.Start_after stagger ->
+        spawn (fun () ->
+            Proc.sleep stagger;
             if st.State.config.Config.id = old_id then start ())
-    | None ->
-        Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
-            (match bcms with
-            | b :: _ ->
-                Comms.send st ~dst:b
-                  (Wire.Suspect_req { cfg = old_id; suspect = st.State.config.Config.cm })
-            | [] -> ());
-            Proc.sleep Params.backup_cm_timeout;
+    | Reconfig.Escalate { backup; wait } ->
+        spawn (fun () ->
+            Option.iter
+              (fun b -> Comms.send st ~dst:b (suspect_req st.State.config.Config.cm))
+              backup;
+            Proc.sleep wait;
             if st.State.config.Config.id = old_id then start ())
-  end
-  else
-    (* a non-CM grantor (a group leader in the two-level lease hierarchy)
-       detected a member expiry: report it to the CM *)
-    Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
-        List.iter
-          (fun suspect ->
-            Comms.send st ~dst:st.State.config.Config.cm
-              (Wire.Suspect_req { cfg = old_id; suspect }))
-          suspects)
+    | Reconfig.Report ->
+        spawn (fun () ->
+            List.iter
+              (fun m -> Comms.send st ~dst:st.State.config.Config.cm (suspect_req m))
+              suspects)
   end
 
 (* {1 Post-recovery bookkeeping at the CM} *)

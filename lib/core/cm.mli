@@ -20,23 +20,18 @@ val handle_fetch_mapping : State.t -> reply:(bytes:int -> Wire.message -> unit) 
 
 (** {1 Reconfiguration} *)
 
-val claim :
-  (int, int option * int list) Hashtbl.t -> machine:int -> int -> State.role -> unit
-(** [claim claims ~machine rid role] notes that [machine] holds a [role]
-    replica of region [rid] in a table of each region's (primary, backups):
-    the region-map rebuild step shared by a new CM's probe results and a
-    whole-cluster power cycle. *)
+val replica_roles : State.t -> (int * State.role) list
+(** A machine's replicas and roles, in the reverse of its table's order. *)
 
-type probe_result = {
-  pr_machine : int;
-  pr_replicas : (int * State.role) list;
-  pr_infos : (int * int * int) list;
-}
+val claims :
+  (int * (int * State.role) list) list -> (int, int option * int list) Hashtbl.t
+(** Each region's claimed primary and sorted backups, from machines'
+    (region, role) pairs visited in order: the region-map rebuild of a new
+    CM's probe results and of a whole-cluster power cycle. *)
 
 val handle_suspicion : State.t -> int list -> unit
-(** Entry point for suspicions (lease expiries, failed probes, SUSPECT
-    messages). Runs the backup-CM election dance when the CM itself is the
-    suspect, then drives the reconfiguration (§5.2). *)
+(** Record suspicions (lease expiries, failed log appends, SUSPECT
+    messages) and act on {!Reconfig.on_suspicion}. *)
 
 (** {1 Recovery bookkeeping at the CM} *)
 

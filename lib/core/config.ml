@@ -27,12 +27,7 @@ let size t = List.length t.members
 let backup_cms t ~k =
   let sorted = t.members in
   let after = List.filter (fun m -> m > t.cm) sorted in
-  let ring = after @ List.filter (fun m -> m < t.cm) sorted in
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-  in
-  take k ring
+  List.filteri (fun i _ -> i < k) (after @ List.filter (fun m -> m < t.cm) sorted)
 
 (* Deterministic coordinator assignment for recovering transactions whose
    original coordinator left the configuration (§5.3 step 6). *)

@@ -89,62 +89,31 @@ let start_spike_generator st =
    "Significantly larger clusters may require a two-level hierarchy, which
    in the worst case would double failure detection time."
 
-   With [lease_group_size] > 0, the configuration's members form groups of
-   that size in identifier order; the lowest member of each group is its
-   leader. Leaders exchange leases with the CM; members exchange leases
-   with their leader; the CM's lease traffic shrinks from O(n) to
-   O(n / group size). A leader detecting a member expiry (or a member
-   detecting its leader) reports the suspect to the CM, which runs the
-   normal reconfiguration — hence the up-to-doubled detection latency. *)
+   With [lease_group_size] > 0, leaders exchange leases with the CM and
+   members with their leader ([Reconfig.lease_group] says who is whose);
+   the CM's lease traffic shrinks from O(n) to O(n / group size). A leader
+   detecting a member expiry (or a member detecting its leader) reports
+   the suspect to the CM, which runs the normal reconfiguration — hence the
+   up-to-doubled detection latency. *)
 
-let group_size st = st.State.params.Params.lease_group_size
+let group st =
+  Reconfig.lease_group ~group_size:st.State.params.Params.lease_group_size st.State.config
+    st.State.id
 
-let hierarchical st = group_size st > 0
+(* The CM and the group leaders grant leases, and keep their grantees'
+   last renewals in a table. *)
+let grants st = State.is_cm st || (group st).Reconfig.leads
 
-(* The machine this one renews with: its group leader, or the CM for
-   leaders (and for everyone when the hierarchy is off). *)
-let renew_target st =
-  let cm = st.State.config.Config.cm in
-  if not (hierarchical st) then cm
-  else begin
-    let members = List.filter (fun m -> m <> cm) st.State.config.Config.members in
-    let rec find idx = function
-      | [] -> cm
-      | m :: rest ->
-          if m = st.State.id then
-            if idx mod group_size st = 0 then cm
-            else List.nth members (idx / group_size st * group_size st)
-          else find (idx + 1) rest
-    in
-    find 0 members
-  end
+let grantees st =
+  match st.State.cm with
+  | Some cm when State.is_cm st -> cm.State.cm_leases
+  | _ -> st.State.lease.State.peer_leases
 
-let is_leader st = hierarchical st && renew_target st = st.State.config.Config.cm
-
-(* The machines whose leases this machine is responsible for checking. *)
-let watched_members st =
-  let cm = st.State.config.Config.cm in
-  if State.is_cm st then begin
-    if not (hierarchical st) then
-      List.filter (fun m -> m <> st.State.id) st.State.config.Config.members
-    else begin
-      (* the CM watches only the group leaders *)
-      let members = List.filter (fun m -> m <> cm) st.State.config.Config.members in
-      List.filteri (fun idx _ -> idx mod group_size st = 0) members
-    end
-  end
-  else if is_leader st then begin
-    let members = List.filter (fun m -> m <> cm) st.State.config.Config.members in
-    let rec my_index idx = function
-      | [] -> -1
-      | m :: rest -> if m = st.State.id then idx else my_index (idx + 1) rest
-    in
-    let me = my_index 0 members in
-    List.filteri
-      (fun idx _ -> idx <> me && idx / group_size st = me / group_size st)
-      members
-  end
-  else []
+(* A CM's lease table for a new configuration: every member's lease starts
+   now. *)
+let grant_all st (cm : State.cm_state) members =
+  Hashtbl.reset cm.State.cm_leases;
+  List.iter (fun m -> Hashtbl.replace cm.State.cm_leases m (State.now st)) members
 
 (* {1 Machine side} *)
 
@@ -162,7 +131,7 @@ let start_renewal st =
         if Time.( > ) d Time.zero then Proc.sleep d;
         Proc.check_cancelled ();
         if not (State.is_cm st) then begin
-          let dst = renew_target st in
+          let dst = (group st).Reconfig.grantor in
           Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_renewal ~a:dst ~b:0 ~c:0;
           send_lease st ~dst
             (Wire.Lease_request
@@ -180,63 +149,52 @@ let start_expiry_checker st =
   Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
       (* grantors start by assuming everyone renewed just now *)
       let init_watch watched =
+        let table = grantees st in
         List.iter
-          (fun m ->
-            match st.State.cm with
-            | Some cm when State.is_cm st ->
-                if not (Hashtbl.mem cm.State.cm_leases m) then
-                  Hashtbl.replace cm.State.cm_leases m (State.now st)
-            | _ ->
-                if not (Hashtbl.mem st.State.lease.State.peer_leases m) then
-                  Hashtbl.replace st.State.lease.State.peer_leases m (State.now st))
+          (fun m -> if not (Hashtbl.mem table m) then Hashtbl.replace table m (State.now st))
           watched
       in
-      init_watch (watched_members st);
+      init_watch (group st).Reconfig.watches;
       let rec loop () =
         Proc.check_cancelled ();
         Proc.sleep Params.lease_check_interval;
         let lease = st.State.params.Params.lease_duration in
         let now = State.now st in
         (* grantor side: watch the machines that renew with me *)
-        let table =
-          if State.is_cm st then Option.map (fun cm -> cm.State.cm_leases) st.State.cm
-          else if is_leader st then Some st.State.lease.State.peer_leases
-          else None
-        in
-        (match table with
-        | Some table ->
-            let watched = watched_members st in
-            init_watch watched;
-            (* membership by machine id, built once per tick: the fold
-               below visits every lease, so a list lookup would make the
-               tick quadratic in the members *)
-            let is_watched = Array.make (1 + List.fold_left max st.State.id watched) false in
-            List.iter (fun m -> is_watched.(m) <- true) watched;
-            let expired =
-              Hashtbl.fold
-                (fun m last acc ->
-                  if
-                    m <> st.State.id
-                    && m < Array.length is_watched
-                    && is_watched.(m)
-                    && Time.( > ) (Time.sub now last) lease
-                  then m :: acc
-                  else acc)
-                table []
-            in
-            if expired <> [] then begin
-              st.State.lease.State.expiry_events <-
-                st.State.lease.State.expiry_events + List.length expired;
-              List.iter
-                (fun m ->
-                  Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_expiry ~a:m ~b:0
-                    ~c:0)
-                expired;
-              (* stop repeat triggers: forget their leases *)
-              List.iter (fun m -> Hashtbl.remove table m) expired;
-              st.State.on_suspect expired
-            end
-        | None -> ());
+        if grants st then begin
+          let table = grantees st in
+          let watched = (group st).Reconfig.watches in
+          init_watch watched;
+          (* membership by machine id, built once per tick: the fold
+             below visits every lease, so a list lookup would make the
+             tick quadratic in the members *)
+          let is_watched = Array.make (1 + List.fold_left max st.State.id watched) false in
+          List.iter (fun m -> is_watched.(m) <- true) watched;
+          let expired =
+            Hashtbl.fold
+              (fun m last acc ->
+                if
+                  m <> st.State.id
+                  && m < Array.length is_watched
+                  && is_watched.(m)
+                  && Time.( > ) (Time.sub now last) lease
+                then m :: acc
+                else acc)
+              table []
+          in
+          if expired <> [] then begin
+            st.State.lease.State.expiry_events <-
+              st.State.lease.State.expiry_events + List.length expired;
+            List.iter
+              (fun m ->
+                Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_expiry ~a:m ~b:0
+                  ~c:0)
+              expired;
+            (* stop repeat triggers: forget their leases *)
+            List.iter (fun m -> Hashtbl.remove table m) expired;
+            st.State.on_suspect expired
+          end
+        end;
         (* member side: watch my grantor *)
         if
           (not (State.is_cm st))
@@ -244,7 +202,7 @@ let start_expiry_checker st =
           && Time.( > ) (Time.sub now st.State.lease.State.last_grant_from_cm) lease
         then begin
           st.State.lease.State.expiry_events <- st.State.lease.State.expiry_events + 1;
-          let grantor = renew_target st in
+          let grantor = (group st).Reconfig.grantor in
           Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_expiry ~a:grantor ~b:0 ~c:0;
           st.State.lease.State.cm_suspected <- true;
           st.State.on_suspect [ grantor ]
@@ -264,29 +222,19 @@ let handle st ~src msg =
       let record_grantor sent_ns =
         st.State.lease.State.grantor_messages <- st.State.lease.State.grantor_messages + 1;
         Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_grant ~a:src ~b:0 ~c:0;
-        match st.State.cm with
-        | Some cm when State.is_cm st ->
-            let prev =
-              Option.value ~default:Time.zero (Hashtbl.find_opt cm.State.cm_leases src)
-            in
-            Hashtbl.replace cm.State.cm_leases src (Time.max prev (Time.ns sent_ns))
-        | _ ->
-            let prev =
-              Option.value ~default:Time.zero
-                (Hashtbl.find_opt st.State.lease.State.peer_leases src)
-            in
-            Hashtbl.replace st.State.lease.State.peer_leases src
-              (Time.max prev (Time.ns sent_ns))
+        let table = grantees st in
+        let prev = Option.value ~default:Time.zero (Hashtbl.find_opt table src) in
+        Hashtbl.replace table src (Time.max prev (Time.ns sent_ns))
       in
       match msg with
       | Wire.Lease_request { cfg; sent_ns } ->
-          if (State.is_cm st || is_leader st) && cfg = st.State.config.Config.id then begin
+          if grants st && cfg = st.State.config.Config.id then begin
             record_grantor sent_ns;
             send_lease st ~dst:src
               (Wire.Lease_grant_and_request { cfg; sent_ns = Time.to_ns (State.now st) })
           end
       | Wire.Lease_grant_and_request { cfg; sent_ns } ->
-          if cfg = st.State.config.Config.id && src = renew_target st then begin
+          if cfg = st.State.config.Config.id && src = (group st).Reconfig.grantor then begin
             st.State.lease.State.last_grant_from_cm <-
               Time.max st.State.lease.State.last_grant_from_cm (Time.ns sent_ns);
             st.State.lease.State.cm_suspected <- false;
@@ -294,7 +242,7 @@ let handle st ~src msg =
               (Wire.Lease_grant { cfg; sent_ns = Time.to_ns (State.now st) })
           end
       | Wire.Lease_grant { cfg; sent_ns } ->
-          if (State.is_cm st || is_leader st) && cfg = st.State.config.Config.id then
+          if grants st && cfg = st.State.config.Config.id then
             record_grantor sent_ns
       | _ -> ())
 

@@ -23,19 +23,9 @@ val quantize : State.t -> Time.t -> Time.t
 (** Round a wakeup up to the system-timer resolution for timer-driven
     implementations. *)
 
-(** {1 Two-level hierarchy (§5.1)} — enabled by [Params.lease_group_size]:
-    members form groups in identifier order; the lowest member of each
-    group leads. Leaders exchange leases with the CM, members with their
-    leader; leaders report member expiries to the CM. CM lease traffic
-    drops from O(n) to O(n / group), detection latency at worst doubles. *)
-
-val renew_target : State.t -> int
-(** The machine this one renews with: its group leader, or the CM. *)
-
-val is_leader : State.t -> bool
-
-val watched_members : State.t -> int list
-(** The machines whose leases this one is responsible for checking. *)
+val grant_all : State.t -> State.cm_state -> int list -> unit
+(** Reset a CM's lease table for a new configuration: every member's lease
+    starts now. The lease layout is {!Reconfig.lease_group}. *)
 
 val handle : State.t -> src:int -> Wire.message -> unit
 (** Process a lease message (the dispatcher's dedicated fast path). *)

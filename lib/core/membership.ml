@@ -55,7 +55,7 @@ let apply_new_config st (config : Config.t) (regions : Wire.region_info list) =
       st.State.lease.State.last_grant_from_cm <- State.now st;
       st.State.lease.State.cm_suspected <- false;
       st.State.reconfig_active <- false;
-      Hashtbl.reset st.State.pending_suspects
+      st.State.pending_suspects <- []
     end;
     Comms.send st ~dst:config.Config.cm (Wire.New_config_ack { cfg = config.Config.id })
   end

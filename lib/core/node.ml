@@ -205,9 +205,4 @@ let start st =
         end
       in
       loop ());
-  if State.is_cm st then begin
-    let cm = State.ensure_cm st in
-    List.iter
-      (fun m -> Hashtbl.replace cm.State.cm_leases m (State.now st))
-      st.State.config.Config.members
-  end
+  if State.is_cm st then Lease.grant_all st (State.ensure_cm st) st.State.config.Config.members

@@ -199,7 +199,7 @@ type t = {
   lease : lease_state;
   mutable cm : cm_state option;
   mutable reconfig_active : bool;
-  pending_suspects : (int, unit) Hashtbl.t;
+  mutable pending_suspects : int list;
   obs : Farm_obs.Obs.t;  (* per-machine observability sink *)
   (* the cluster's "memory bus": lets one-sided operations reach remote
      replicas without involving the remote CPU *)
@@ -259,7 +259,7 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
       };
     cm = None;
     reconfig_active = false;
-    pending_suspects = Hashtbl.create 8;
+    pending_suspects = [];
     obs;
     directory;
     on_suspect = (fun _ -> ());

@@ -185,7 +185,7 @@ type t = {
   lease : lease_state;
   mutable cm : cm_state option;
   mutable reconfig_active : bool;
-  pending_suspects : (int, unit) Hashtbl.t;
+  mutable pending_suspects : int list;
   obs : Farm_obs.Obs.t;  (** per-machine observability sink *)
   directory : t Int_tbl.t;
       (** the cluster's "memory bus": one-sided operations reach remote

@@ -8,26 +8,44 @@ let check_int = Alcotest.(check int)
 
 let hier_params = { quick_params with Params.lease_group_size = 3 }
 
+let ten = Config.make ~id:1 ~members:(List.init 10 Fun.id) ~domains:[] ~cm:0
+
 (* Topology: with groups of 3 over members {1..n-1} (machine 0 is CM),
    the lowest member of each group leads and renews with the CM. *)
 let topology () =
-  let c = mk_cluster ~machines:10 ~params:hier_params () in
+  let group m = Reconfig.lease_group ~group_size:3 ten m in
   (* members in id order: 1..9; groups {1,2,3} {4,5,6} {7,8,9} *)
   List.iter
     (fun (m, expected) ->
       check_int
         (Printf.sprintf "machine %d renews with %d" m expected)
-        expected
-        (Lease.renew_target (Cluster.machine c m)))
+        expected (group m).Reconfig.grantor)
     [ (1, 0); (2, 1); (3, 1); (4, 0); (5, 4); (6, 4); (7, 0); (8, 7); (9, 7) ];
-  check_bool "1 leads" true (Lease.is_leader (Cluster.machine c 1));
-  check_bool "2 does not" false (Lease.is_leader (Cluster.machine c 2));
-  Alcotest.(check (list int))
-    "leader watches its members" [ 2; 3 ]
-    (List.sort compare (Lease.watched_members (Cluster.machine c 1)));
-  Alcotest.(check (list int))
-    "CM watches the leaders" [ 1; 4; 7 ]
-    (List.sort compare (Lease.watched_members (Cluster.machine c 0)))
+  check_bool "1 leads" true (group 1).Reconfig.leads;
+  check_bool "2 does not" false (group 2).Reconfig.leads;
+  Alcotest.(check (list int)) "leader watches its members" [ 2; 3 ] (group 1).Reconfig.watches;
+  Alcotest.(check (list int)) "CM watches the leaders" [ 1; 4; 7 ] (group 0).Reconfig.watches
+
+(* Any configuration and group size: every non-CM member is watched by its
+   grantor, everyone a grantor watches renews with it, leaders renew with
+   the CM, and group size 0 is the flat layout. *)
+let lease_groups_consistent =
+  QCheck.Test.make ~name:"lease groups: grantors watch exactly their renewers" ~count:300
+    QCheck.(triple (int_range 2 20) (int_range 0 6) (int_bound 1_000))
+    (fun (n, group_size, cm_seed) ->
+      let members = List.init n Fun.id and cm = cm_seed mod n in
+      let c = Config.make ~id:1 ~members ~domains:[] ~cm in
+      let group m = Reconfig.lease_group ~group_size c m in
+      let watches g m = List.mem m (group g).Reconfig.watches in
+      List.for_all
+        (fun m ->
+          let { Reconfig.grantor; leads; watches = w } = group m in
+          (m = cm || (grantor <> m && watches grantor m))
+          && List.for_all (fun x -> (group x).Reconfig.grantor = m) w
+          && ((not leads) || grantor = cm)
+          && (group_size > 0 || (grantor = cm && not leads)))
+        members
+      && (group_size > 0 || (group cm).Reconfig.watches = List.filter (( <> ) cm) members))
 
 (* The CM's lease traffic shrinks from O(n) to O(n / group). *)
 let cm_traffic_reduced () =
@@ -109,6 +127,7 @@ let suites =
     ( "lease.hierarchy",
       [
         test "topology" topology;
+        QCheck_alcotest.to_alcotest lease_groups_consistent;
         test "CM traffic reduced" cm_traffic_reduced;
         test "member failure via leader" member_failure_detected_via_leader;
         test "leader failure" leader_failure_detected;
