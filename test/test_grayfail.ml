@@ -41,6 +41,13 @@ let gray_property protocol =
         QCheck.Test.fail_reportf "seed %d violated:@ %a" seed Explorer.pp_outcome o;
       true)
 
+(* Seed 927885 once never quiesced in either protocol: the CM came out of
+   a lease stall suspecting all four others, probed nobody, and retried
+   with the same suspects forever (DESIGN.md deviation 12). *)
+let fixed_seed protocol () =
+  let o = Explorer.run_one ~opts:(gray_opts protocol) ~probe:Probes.gray 927885 in
+  Alcotest.(check (list string)) "no violations" [] o.Explorer.violations
+
 (* The gray generator's own contract: budget discipline (never more
    suspicion-capable victims than replication can absorb) and determinism. *)
 let generator_deterministic () =
@@ -116,6 +123,8 @@ let suites =
         test "stall probe scans the load window only" stall_probe_window;
         qtest (gray_property Farm_core.Params.Validate_at_commit);
         qtest (gray_property Farm_core.Params.Snapshot);
+        test "seed 927885, validate-at-commit" (fixed_seed Farm_core.Params.Validate_at_commit);
+        test "seed 927885, snapshot" (fixed_seed Farm_core.Params.Snapshot);
         test "generator deterministic" generator_deterministic;
         test "replay fidelity across jobs"
           (replay_fidelity Farm_core.Params.Validate_at_commit);
