@@ -30,22 +30,31 @@
 
 (* {1 Growable flat vectors}
 
-   Reset is O(1): [clear] only rewinds the count, so slots beyond [n] may
-   retain references to a previous transaction's values until overwritten.
-   That pins at most one high-water mark's worth of stale records per
-   arena — bounded and invisible, since no reader ever looks past [n]. *)
+   Each vector carries a dummy of its element type. [clear] only rewinds
+   the count, so slots beyond [n] keep whatever they held: fine for ints,
+   but a vector of pointers would keep a finished transaction's write
+   items, values and records alive in the pool until the slots are
+   overwritten. Pointer vectors are therefore rewound only with [scrub],
+   which overwrites the used prefix with the dummy, and every vector grows
+   by filling with the dummy, so each slot of a pointer vector at or past
+   [n] holds the dummy. *)
 
 module Vec = struct
-  type 'a t = { mutable a : 'a array; mutable n : int }
+  type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
 
   let length v = v.n
   let clear v = v.n <- 0
+
+  let scrub v =
+    Array.fill v.a 0 v.n v.dummy;
+    v.n <- 0
+
   let get v i = v.a.(i)
 
   let push v x =
     let cap = Array.length v.a in
     if v.n = cap then begin
-      let na = Array.make (if cap = 0 then 8 else 2 * cap) x in
+      let na = Array.make (if cap = 0 then 8 else 2 * cap) v.dummy in
       Array.blit v.a 0 na 0 v.n;
       v.a <- na
     end;
@@ -74,7 +83,7 @@ end
    compiler coerce the submodule, and that raised the commit path's heap
    allocation by 13 bytes per transaction (engine_scaling's commit
    micro). *)
-let vec () = { Vec.a = [||]; n = 0 }
+let vec dummy = { Vec.a = [||]; n = 0; dummy }
 
 (* In-place sort + dedup of an int vector with an explicit int comparison
    (insertion sort: the inputs are region/participant sets, a handful of
@@ -106,13 +115,22 @@ let sort_uniq_ints (v : int Vec.t) =
    Items grouped by destination machine, in first-touch order. Group
    records and their item vectors are recycled: [live] marks how many are
    in use this transaction. Linear search — a transaction talks to a
-   handful of machines. *)
+   handful of machines. The dummy group's item vector holds the item
+   dummy that new groups start from. *)
 
 type 'a group = { mutable g_dst : int; g_items : 'a Vec.t }
 type 'a groups = { gs : 'a group Vec.t; mutable live : int }
 
-let groups_create () = { gs = vec (); live = 0 }
+let groups_create dummy = { gs = vec { g_dst = -1; g_items = vec dummy }; live = 0 }
 let groups_clear g = g.live <- 0
+
+(* Groups of pointers: drop the live groups' references too. *)
+let groups_scrub g =
+  for i = 0 to g.live - 1 do
+    Vec.scrub (Vec.get g.gs i).g_items
+  done;
+  g.live <- 0
+
 let group g i = Vec.get g.gs i
 
 let group_add g ~dst x =
@@ -134,7 +152,7 @@ let group_add g ~dst x =
             gr
           end
           else begin
-            let gr = { g_dst = dst; g_items = vec () } in
+            let gr = { g_dst = dst; g_items = vec g.gs.dummy.g_items.dummy } in
             Vec.push g.gs gr;
             gr
           end
@@ -159,7 +177,8 @@ type acct = {
 
 type accts = { accs : acct Vec.t; mutable alive : int }
 
-let accts_create () = { accs = vec (); alive = 0 }
+let accts_create () =
+  { accs = vec { a_dst = -1; a_reserved = 0; a_consumed = 0; a_trunc_queued = false }; alive = 0 }
 let accts_clear t = t.alive <- 0
 
 let acct_for t dst =
@@ -210,7 +229,29 @@ let accts_iter f t =
     f (Vec.get t.accs i)
   done
 
-(* {1 The arena} *)
+(* {1 The arena}
+
+   What a released arena drops: the dummies its pointer vectors are
+   scrubbed with. None is ever read. *)
+
+let dummy_item =
+  {
+    Wire.addr = Addr.make ~region:(-1) ~offset:0;
+    version = 0;
+    value = Bytes.empty;
+    alloc_op = Wire.Alloc_none;
+    ts = 0;
+  }
+
+let dummy_info =
+  {
+    Wire.rid = -1;
+    primary = -1;
+    backups = [];
+    last_primary_change = 0;
+    last_replica_change = 0;
+    critical = false;
+  }
 
 type t = {
   mutable refs : int;
@@ -245,39 +286,42 @@ type t = {
 let create () =
   {
     refs = 0;
-    ro_key = vec ();
-    ro_ver = vec ();
-    items = vec ();
-    wregions = vec ();
-    rregions = vec ();
-    info_rid = vec ();
-    infos = vec ();
-    primaries = groups_create ();
-    backups = groups_create ();
+    ro_key = vec 0;
+    ro_ver = vec 0;
+    items = vec dummy_item;
+    wregions = vec 0;
+    rregions = vec 0;
+    info_rid = vec 0;
+    infos = vec dummy_info;
+    primaries = groups_create dummy_item;
+    backups = groups_create dummy_item;
     acct = accts_create ();
-    vgroups = groups_create ();
-    rv_dst = vec ();
-    rv_idx = vec ();
-    ap_dst = vec ();
-    ap_pay = vec ();
+    vgroups = groups_create 0;
+    rv_dst = vec 0;
+    rv_idx = vec 0;
+    ap_dst = vec 0;
+    ap_pay = vec Wire.Truncate_marker;
   }
 
+(* Run as the arena goes back to the pool, so a pooled arena references
+   nothing of the transaction that last used it: once the receivers
+   truncate its records, that transaction's items and values are garbage. *)
 let reset t =
   Vec.clear t.ro_key;
   Vec.clear t.ro_ver;
-  Vec.clear t.items;
+  Vec.scrub t.items;
   Vec.clear t.wregions;
   Vec.clear t.rregions;
   Vec.clear t.info_rid;
-  Vec.clear t.infos;
-  groups_clear t.primaries;
-  groups_clear t.backups;
+  Vec.scrub t.infos;
+  groups_scrub t.primaries;
+  groups_scrub t.backups;
   accts_clear t.acct;
   groups_clear t.vgroups;
   Vec.clear t.rv_dst;
   Vec.clear t.rv_idx;
   Vec.clear t.ap_dst;
-  Vec.clear t.ap_pay
+  Vec.scrub t.ap_pay
 
 (* {1 The per-machine pool} *)
 
@@ -293,7 +337,6 @@ let acquire pool =
     end
     else create ()
   in
-  reset ar;
   ar.refs <- 1;
   ar
 
@@ -303,6 +346,7 @@ let release pool ar =
   if ar.refs <= 0 then invalid_arg "Arena.release: refcount underflow";
   ar.refs <- ar.refs - 1;
   if ar.refs = 0 && pool.reuse then begin
+    reset ar;
     if pool.n_free = Array.length pool.free then begin
       let na = Array.make (max 4 (2 * Array.length pool.free)) ar in
       Array.blit pool.free 0 na 0 pool.n_free;

@@ -2,16 +2,28 @@
     reset — not reallocated — between transactions. The arena owns only
     coordinator-side scratch; wire payloads and write items stay freshly
     allocated because receivers retain them (see the allocation-discipline
-    section of DESIGN.md). *)
+    section of DESIGN.md).
 
-(** Growable flat vector. [clear] is O(1) and does not null slots: stale
-    references persist past [n] until overwritten, bounded by the
-    high-water mark. *)
+    A released arena keeps no reference to its last transaction: the
+    last {!release} overwrites every pointer the arena staged with a
+    dummy before the arena goes back to the pool. Once the receivers
+    truncate a transaction's records, nothing holds its write items,
+    values or records any more. *)
+
+(** Growable flat vector with a dummy element. Slots at or past [n] hold
+    the dummy, or, after a [clear], stale elements. *)
 module Vec : sig
-  type 'a t = { mutable a : 'a array; mutable n : int }
+  type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
 
   val length : 'a t -> int
+
   val clear : 'a t -> unit
+  (** O(1) rewind; the slots keep their elements. For scalar vectors. *)
+
+  val scrub : 'a t -> unit
+  (** Rewind and overwrite the used prefix with the dummy, dropping its
+      references. Vectors of pointers are rewound only with [scrub]. *)
+
   val get : 'a t -> int -> 'a
   val push : 'a t -> 'a -> unit
   val iter : ('a -> unit) -> 'a t -> unit
@@ -90,12 +102,13 @@ val create_pool : reuse:bool -> pool
     {!Params.arena_reuse}. *)
 
 val acquire : pool -> t
-(** Pop (or create) an arena, reset, with refcount 1. *)
+(** Pop (or create) an empty arena with refcount 1. *)
 
 val retain : t -> unit
 (** Take a reference before handing the arena to a background process that
     outlives the commit call. *)
 
 val release : pool -> t -> unit
-(** Drop a reference; on the last one the arena returns to the pool (or is
-    dropped when the pool does not reuse). *)
+(** Drop a reference; on the last one the arena is reset, its pointers
+    scrubbed, and returned to the pool (or dropped when the pool does not
+    reuse). *)

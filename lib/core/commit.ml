@@ -405,7 +405,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
          whether every record was acked. *)
       let append_group ?span ?on_complete (groups : Wire.write_item Arena.groups) payload_of =
         Arena.Vec.clear ar.Arena.ap_dst;
-        Arena.Vec.clear ar.Arena.ap_pay;
+        Arena.Vec.scrub ar.Arena.ap_pay;
         for gi = 0 to groups.Arena.live - 1 do
           let g = Arena.group groups gi in
           Arena.Vec.push ar.Arena.ap_dst g.Arena.g_dst;

@@ -14,7 +14,8 @@ open Farm_sim
     and unprocessed (counted per transaction, {!pending_count}) → resident
     after processing ({!resident_records}), leaving only at truncation, or
     at processing for markers and aborted transactions ({!discard}). The
-    receiver's tables are created at the log's first record.
+    receiver keeps one entry per transaction with records in the log, in
+    a table created at the log's first record at the minimum size.
 
     Processing is deliberately not serialized per log: the commit protocol
     orders what must be ordered, and the receiver defers truncations for
@@ -69,6 +70,10 @@ val discard : t -> Engine.t -> entry -> unit
 
 val resident_records : t -> Txid.t -> Wire.log_record list
 val iter_resident : t -> (Txid.t -> Wire.log_record list -> unit) -> unit
+(** Each transaction with resident records, with its records newest first,
+    in the order a [Txid.Tbl] created with 64 buckets and the same
+    insertions and removals would iterate: recovery walks logs this way,
+    so its outputs depend on it. *)
 
 val truncate : t -> Engine.t -> Txid.t -> int
 (** Drop a transaction's resident records; returns how many. Frees space

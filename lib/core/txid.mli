@@ -23,5 +23,22 @@ val coord_id : t -> int
 
 val pp : Format.formatter -> t -> unit
 
-module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by txid, hashed with {!hash}. They place and iterate keys
+    exactly as [Hashtbl.Make] over {!equal} and {!hash} would under the
+    same history, so recovery's walks keep their order; the functions
+    behave as their [Hashtbl] namesakes. *)
+module Tbl : sig
+  type key = t
+  type 'a t
+
+  val create : int -> 'a t
+  val length : 'a t -> int
+  val replace : 'a t -> key -> 'a -> unit
+  val remove : 'a t -> key -> unit
+  val find_opt : 'a t -> key -> 'a option
+  val mem : 'a t -> key -> bool
+  val iter : (key -> 'a -> unit) -> 'a t -> unit
+  val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+end
+
 module Set : Set.S with type elt = t

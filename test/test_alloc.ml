@@ -215,6 +215,37 @@ let arena_reuse_invisible () =
   Alcotest.(check bool) "traces byte-identical" true
     (String.equal trace_off trace_on)
 
+(* {1 A released arena pins nothing}
+
+   After a commit, only the receivers' log records hold the transaction
+   (§4), and truncation drops those. Once the cluster has quiesced, the
+   committed value buffer must be garbage: a pooled arena that still
+   staged its write item, or the COMMIT-BACKUP record that carried it,
+   would keep it alive. One write to a region with two backups leaves
+   more COMMIT-BACKUP than COMMIT-PRIMARY destinations, so a stale
+   payload past the last append group's count is covered too. *)
+
+let released_arena_pins_nothing () =
+  let c = Cluster.create ~params:Params.default ~machines:3 () in
+  let r = Cluster.alloc_region_exn c in
+  let run f =
+    Cluster.run_on c ~machine:0 (fun st ->
+        match Api.run st ~thread:0 f with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "tx failed: %a" Txn.pp_abort e)
+  in
+  let a = run (fun tx -> Txn.alloc tx ~size:16 ~region:r.Wire.rid ()) in
+  let written = Weak.create 1 in
+  run (fun tx ->
+      let buf = Txn.modify tx a ~len:16 in
+      Bytes.fill buf 0 16 'p';
+      Weak.set written 0 (Some buf));
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  Gc.full_major ();
+  Alcotest.(check bool) "written value collected" false (Weak.check written 0);
+  (* the cluster, arena pools included, is still reachable here *)
+  Alcotest.(check int) "committed" 2 (Cluster.total_committed c)
+
 let suites =
   [
     ( "alloc",
@@ -223,5 +254,6 @@ let suites =
         test "snapshot-mode commit path stays within its budget" commit_budget_snapshot;
         test "execute phase stays within its allocation budget" execute_budget;
         test "arena reuse produces byte-identical runs" arena_reuse_invisible;
+        test "a released arena pins no written value" released_arena_pins_nothing;
       ] );
   ]

@@ -335,6 +335,89 @@ let ringlog_resident_order =
       Txid.Tbl.iter (fun txid () -> expected := txid :: !expected) eager;
       List.equal Txid.equal !order !expected)
 
+(* The same contract past the eager table's resizes, at 128, 256 and 512
+   resident transactions, which the random lists above seldom reach; then
+   removals and re-insertions, which go to the head of their bucket. *)
+let ringlog_resident_order_resized () =
+  let e = Engine.create () in
+  let log = Ringlog.create ~sender:0 ~receiver:1 ~capacity:max_int in
+  Ringlog.set_on_append log (fun log en -> Ringlog.retain log en);
+  let eager = Txid.Tbl.create 64 in
+  let txid n = Txid.make ~config:1 ~machine:(n mod 7) ~thread:(n mod 3) ~local:n in
+  let append n =
+    Ringlog.dma_append log (dummy_record (txid n)) ~size:8;
+    Txid.Tbl.replace eager (txid n) ()
+  and truncate n =
+    ignore (Ringlog.truncate log e (txid n));
+    Txid.Tbl.remove eager (txid n)
+  in
+  for n = 0 to 599 do
+    append n
+  done;
+  for n = 0 to 599 do
+    if n mod 3 = 0 then truncate n
+  done;
+  for n = 0 to 299 do
+    if n mod 3 = 0 then append n
+  done;
+  let order = ref [] and expected = ref [] in
+  Ringlog.iter_resident log (fun txid _ -> order := txid :: !order);
+  Txid.Tbl.iter (fun txid () -> expected := txid :: !expected) eager;
+  check_int "resident" (Txid.Tbl.length eager) (List.length !order);
+  check_bool "order" true (List.equal Txid.equal !order !expected)
+
+(* The receiver keeps one entry per transaction for both its unprocessed
+   count and its resident records, dropped when both are empty. Whatever
+   the interleaving of appends, processing (retain or discard) and
+   truncation, the count must be what a separate per-transaction counter
+   says: up on each append, down on each processing, untouched by
+   truncation. *)
+type ringlog_op = Append of int | Process of int * bool | Truncate of int
+
+let ringlog_pending_counts =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, map (fun n -> Append n) (int_bound 20));
+          (4, map2 (fun i keep -> Process (i, keep)) nat bool);
+          (1, map (fun n -> Truncate n) (int_bound 20));
+        ])
+  in
+  Test.make ~name:"ring log unprocessed counts match a reference counter" ~count:200
+    (make Gen.(list_size (int_range 1 300) op))
+    (fun ops ->
+      let e = Engine.create () in
+      let log = Ringlog.create ~sender:0 ~receiver:1 ~capacity:max_int in
+      let delivered = ref [] in
+      Ringlog.set_on_append log (fun _ en -> delivered := en :: !delivered);
+      let expected = Hashtbl.create 16 in
+      let count n = Option.value ~default:0 (Hashtbl.find_opt expected n) in
+      let touched = ref [] in
+      List.iter
+        (function
+          | Append n ->
+              Ringlog.dma_append log (dummy_record (tx n)) ~size:8;
+              Hashtbl.replace expected n (count n + 1);
+              touched := n :: !touched
+          | Process (i, keep) -> (
+              match !delivered with
+              | [] -> ()
+              | l ->
+                  let en = List.nth l (i mod List.length l) in
+                  delivered := List.filter (fun x -> x != en) l;
+                  if keep then Ringlog.retain log en else Ringlog.discard log e en;
+                  let n =
+                    match Ringlog.txid_of_record en.Ringlog.record with
+                    | Some t -> t.Txid.local
+                    | None -> assert false
+                  in
+                  Hashtbl.replace expected n (count n - 1))
+          | Truncate n -> ignore (Ringlog.truncate log e (tx n)))
+        ops;
+      List.for_all (fun n -> Ringlog.pending_count log (tx n) = count n) !touched)
+
 let ringlog_discard () =
   let e = Engine.create () in
   let log = mk_log () in
@@ -751,6 +834,8 @@ let suites =
         test "append/retain/truncate" ringlog_append_retain_truncate;
         test "first use" ringlog_first_use;
         qtest ringlog_resident_order;
+        test "resident order across resizes" ringlog_resident_order_resized;
+        qtest ringlog_pending_counts;
         test "discard" ringlog_discard;
         qtest ringlog_space_qcheck;
       ] );

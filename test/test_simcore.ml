@@ -426,6 +426,45 @@ let int_tbl_matches_hashtbl =
                 = match Int_tbl.find b k with v -> Some v | exception Not_found -> None)
            (List.init 200 (fun k -> (k * 31) - 3000)))
 
+(* The specialised txid table against the functor table it replaced: same
+   contents, same iteration order, through several resizes. Each key's
+   fields are the mixed-radix digits of an int, so many pairs of keys
+   differ in one field only: the equality must compare all four. *)
+module Generic_txid_tbl = Hashtbl.Make (Txid)
+
+let txid_tbl_matches_hashtbl =
+  let txid_of k =
+    Txid.make ~config:(k mod 2) ~machine:(k / 2 mod 5) ~thread:(k / 10 mod 3) ~local:(k / 30)
+  in
+  QCheck.Test.make ~name:"Txid.Tbl behaves and iterates like Hashtbl.Make" ~count:200
+    QCheck.(list_of_size (Gen.int_bound 1500) (pair bool (int_bound 800)))
+    (fun ops ->
+      let a = Generic_txid_tbl.create 16 and b = Txid.Tbl.create 16 in
+      List.iteri
+        (fun i (insert, k) ->
+          if insert then begin
+            Generic_txid_tbl.replace a (txid_of k) i;
+            Txid.Tbl.replace b (txid_of k) i
+          end
+          else begin
+            Generic_txid_tbl.remove a (txid_of k);
+            Txid.Tbl.remove b (txid_of k)
+          end)
+        ops;
+      let listed_a = ref [] and listed_b = ref [] in
+      Generic_txid_tbl.iter (fun k v -> listed_a := (k, v) :: !listed_a) a;
+      Txid.Tbl.iter (fun k v -> listed_b := (k, v) :: !listed_b) b;
+      Generic_txid_tbl.length a = Txid.Tbl.length b
+      && !listed_a = !listed_b
+      && Generic_txid_tbl.fold (fun k v acc -> (k, v) :: acc) a []
+         = Txid.Tbl.fold (fun k v acc -> (k, v) :: acc) b []
+      && List.for_all
+           (fun k ->
+             let t = txid_of k in
+             Generic_txid_tbl.find_opt a t = Txid.Tbl.find_opt b t
+             && Generic_txid_tbl.mem a t = Txid.Tbl.mem b t)
+           (List.init 801 Fun.id))
+
 (* {1 Histogram against the float-sum original} *)
 
 module Old_hist = struct
@@ -576,6 +615,7 @@ let suites =
         qtest int_tbl_hash_random;
         qtest txid_hash_random;
         qtest int_tbl_matches_hashtbl;
+        qtest txid_tbl_matches_hashtbl;
         qtest hist_index_matches;
         qtest hist_matches;
         test "rng golden outputs" rng_golden;
