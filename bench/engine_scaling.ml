@@ -21,7 +21,7 @@ open Farm_harness
    the JSON as the regression baseline.
 
    Modes (set by bench/main.exe global flags):
-     --smoke                run only the two smallest sizes (CI: every push)
+     --smoke                run only the three smallest sizes (CI: every push)
      --check-baseline FILE  compare against the checked-in JSON under the
                             bounds of [gate] below and exit non-zero on a
                             regression. *)
@@ -238,7 +238,9 @@ let run ?(smoke = false) ?check_baseline () =
     "90 machines, Fig 7/9/13 cluster size; tracks engine speed and bytes/op";
   let sizes =
     (* (machines, workers_per_machine, subscribers, duration); --smoke runs
-       the first two, so CI's rows have exact baseline rows *)
+       the first three, so CI's rows have exact baseline rows. The
+       30-machine row is the smallest whose live heap is large enough for
+       the 1.1x [live_mb] ceiling to catch a memory regression. *)
     [
       (3, 12, 2_000, Time.ms 60);
       (9, 12, 4_000, Time.ms 40);
@@ -247,7 +249,7 @@ let run ?(smoke = false) ?check_baseline () =
       (90, 12, 10_000, Time.ms 20);
     ]
   in
-  let sizes = if smoke then List.filteri (fun i _ -> i < 2) sizes else sizes in
+  let sizes = if smoke then List.filteri (fun i _ -> i < 3) sizes else sizes in
   let micro_bytes = micro_commit_bytes () in
   Fmt.pr "commit micro: %.0f bytes/tx (pre-refactor %.0f, %.1fx reduction)@."
     micro_bytes pre_refactor_micro_bytes_per_tx

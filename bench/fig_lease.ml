@@ -37,14 +37,14 @@ let run_one ~impl ~lease_ms ~sim_s ~seed =
               st.State.lease.State.cm_suspected <- false;
               st.State.lease.State.last_grant_from_cm <- Proc.now ()
             end;
-            match st.State.cm with
-            | Some cmstate ->
-                List.iter
-                  (fun m ->
-                    if m <> st.State.id && not (Hashtbl.mem cmstate.State.cm_leases m)
-                    then Hashtbl.replace cmstate.State.cm_leases m (Proc.now ()))
-                  st.State.config.Config.members
-            | None -> ()
+            if State.is_cm st then begin
+              let table = st.State.lease.State.peer_leases in
+              List.iter
+                (fun m ->
+                  if m <> st.State.id && not (Hashtbl.mem table m) then
+                    Hashtbl.replace table m (Proc.now ()))
+                st.State.config.Config.members
+            end
           done))
     c.Cluster.machines;
   (* CM-side expiries remove the entry; count via on_suspect replacement *)

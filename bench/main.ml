@@ -32,9 +32,9 @@ let experiments : (string * string * (unit -> unit)) list =
       fun () ->
         Engine_scaling.run ~smoke:!Bench_util.smoke
           ?check_baseline:!Bench_util.check_baseline () );
-    ( "batching",
-      "batched vs unbatched commit pipeline (doorbell batching)",
-      fun () -> Commit_batching.run () );
+    ( "fanout",
+      "high-fan-out commit: 12 machines, f+1 = 5, 8 regions per transaction",
+      fun () -> Commit_fanout.run () );
     ( "opacity",
       "validate-at-commit vs snapshot protocol on contended YCSB-B/C",
       fun () -> Opacity_bench.run () );

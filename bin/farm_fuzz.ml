@@ -18,13 +18,12 @@ open Farm_sim
 open Farm_fault
 open Cmdliner
 
-let opts_of ~machines ~cells ~workers ~duration_ms ~no_batching ~protocol ~perfetto ~gray =
+let opts_of ~machines ~cells ~workers ~duration_ms ~protocol ~perfetto ~gray =
   {
     Explorer.machines;
     cells;
     workers;
     duration = Time.ms duration_ms;
-    batching = not no_batching;
     protocol;
     record = true;
     perfetto;
@@ -77,8 +76,8 @@ let run_replay ~opts ~seed ~trace_flag ~perfetto_file =
   | _ -> ());
   if Explorer.ok o then 0 else 1
 
-let main seed schedules replay machines cells workers duration_ms no_batching protocol gray
-    jobs verbose trace_flag perfetto_file =
+let main seed schedules replay machines cells workers duration_ms protocol gray jobs verbose
+    trace_flag perfetto_file =
   if machines < 3 then begin
     Fmt.epr "farm_fuzz: --machines must be at least 3 (every region needs f+1 = 3 replicas)@.";
     2
@@ -93,7 +92,7 @@ let main seed schedules replay machines cells workers duration_ms no_batching pr
   end
   else begin
     let opts =
-      opts_of ~machines ~cells ~workers ~duration_ms ~no_batching ~protocol
+      opts_of ~machines ~cells ~workers ~duration_ms ~protocol
         ~perfetto:(perfetto_file <> None) ~gray
     in
     match replay with
@@ -123,12 +122,6 @@ let cmd =
   let workers = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Workers per machine.") in
   let duration_ms =
     Arg.(value & opt int 60 & info [ "duration"; "d" ] ~doc:"Workload window per schedule (ms).")
-  in
-  let no_batching =
-    Arg.(
-      value & flag
-      & info [ "no-batching" ]
-          ~doc:"Run the unbatched (pre-doorbell-batching) commit pipeline.")
   in
   let protocol =
     let proto_conv =
@@ -189,8 +182,7 @@ let cmd =
   let term =
     Term.(
       const main $ seed $ schedules $ replay $ machines $ cells $ workers $ duration_ms
-      $ no_batching $ protocol $ gray $ jobs $ verbose $ trace_flag
-      $ perfetto_file)
+      $ protocol $ gray $ jobs $ verbose $ trace_flag $ perfetto_file)
   in
   Cmd.v (Cmd.info "farm_fuzz" ~doc:"Deterministic fault-schedule fuzzer for the FaRM simulation") term
 

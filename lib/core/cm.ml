@@ -265,7 +265,7 @@ let rec attempt_reconfig ?(retry = false) st =
               cm.State.regions_active_from <- [];
               cm.State.all_active_sent <- false;
               st.State.pending_suspects <- [];
-              Lease.grant_all st cm responders;
+              Lease.grant_all st responders;
               let regions =
                 Hashtbl.fold (fun _ info acc -> info :: acc) cm.State.owners []
               in

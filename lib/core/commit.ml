@@ -17,8 +17,7 @@ open Farm_sim
    group (Fabric.one_sided_write_batch via Logio.append_prepared): the
    NIC is rung once per phase and the completions reaped together, so a
    multi-participant commit pays ~one issue/poll instead of one per
-   participant. Params.doorbell_batching restores the unbatched pipeline
-   for ablation.
+   participant.
 
    Allocation discipline (DESIGN.md): all per-commit scratch — the write
    items staged in address order, region-id sets, per-destination
@@ -135,27 +134,6 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
         done
       end
     in
-    (* Ablation path: the pre-batching pipeline read each small group's
-       headers serially, one full-cost verb at a time. *)
-    let unbatched_jobs () =
-      let jobs = ref [] in
-      for gi = ar.Arena.vgroups.Arena.live - 1 downto 0 do
-        let g = Arena.group ar.Arena.vgroups gi in
-        if Arena.Vec.length g.Arena.g_items <= tr then
-          jobs :=
-            (fun () ->
-              Arena.Vec.iter
-                (fun i ->
-                  if !ok then
-                    let key = Arena.Vec.get ar.Arena.ro_key i in
-                    match read_header_at st ~dst:g.Arena.g_dst ~key with
-                    | Ok h -> check_header (Arena.Vec.get ar.Arena.ro_ver i) h
-                    | Error _ -> ok := false)
-                g.Arena.g_items)
-            :: !jobs
-      done;
-      !jobs
-    in
     (* RPC groups above tr are rare; their item lists are freshly built
        because a timed-out RPC can still be in flight when the caller
        resumes — arena-owned storage must never ride a message. *)
@@ -187,11 +165,10 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
       done;
       !jobs
     in
-    (match (rpc_jobs, st.State.params.Params.doorbell_batching) with
+    (match rpc_jobs with
     (* common case: every group under tr, one batch, no process spawns *)
-    | [], true -> run_rdma_batched ?span ()
-    | jobs, true -> Comms.par_iter st ((fun () -> run_rdma_batched ()) :: jobs)
-    | jobs, false -> Comms.par_iter st (unbatched_jobs () @ jobs));
+    | [] -> run_rdma_batched ?span ()
+    | jobs -> Comms.par_iter st ((fun () -> run_rdma_batched ()) :: jobs));
     !ok
   end
 

@@ -101,19 +101,15 @@ let group st =
     st.State.id
 
 (* The CM and the group leaders grant leases, and keep their grantees'
-   last renewals in a table. *)
+   last renewals in [peer_leases]. *)
 let grants st = State.is_cm st || (group st).Reconfig.leads
-
-let grantees st =
-  match st.State.cm with
-  | Some cm when State.is_cm st -> cm.State.cm_leases
-  | _ -> st.State.lease.State.peer_leases
 
 (* A CM's lease table for a new configuration: every member's lease starts
    now. *)
-let grant_all st (cm : State.cm_state) members =
-  Hashtbl.reset cm.State.cm_leases;
-  List.iter (fun m -> Hashtbl.replace cm.State.cm_leases m (State.now st)) members
+let grant_all st members =
+  let table = st.State.lease.State.peer_leases in
+  Hashtbl.reset table;
+  List.iter (fun m -> Hashtbl.replace table m (State.now st)) members
 
 (* {1 Machine side} *)
 
@@ -149,7 +145,7 @@ let start_expiry_checker st =
   Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
       (* grantors start by assuming everyone renewed just now *)
       let init_watch watched =
-        let table = grantees st in
+        let table = st.State.lease.State.peer_leases in
         List.iter
           (fun m -> if not (Hashtbl.mem table m) then Hashtbl.replace table m (State.now st))
           watched
@@ -162,7 +158,7 @@ let start_expiry_checker st =
         let now = State.now st in
         (* grantor side: watch the machines that renew with me *)
         if grants st then begin
-          let table = grantees st in
+          let table = st.State.lease.State.peer_leases in
           let watched = (group st).Reconfig.watches in
           init_watch watched;
           (* membership by machine id, built once per tick: the fold
@@ -222,7 +218,7 @@ let handle st ~src msg =
       let record_grantor sent_ns =
         st.State.lease.State.grantor_messages <- st.State.lease.State.grantor_messages + 1;
         Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_lease_grant ~a:src ~b:0 ~c:0;
-        let table = grantees st in
+        let table = st.State.lease.State.peer_leases in
         let prev = Option.value ~default:Time.zero (Hashtbl.find_opt table src) in
         Hashtbl.replace table src (Time.max prev (Time.ns sent_ns))
       in
@@ -266,9 +262,5 @@ let inject_stall st ~duration =
 let inject_clock_skew st ~delta =
   let l = st.State.lease in
   l.State.last_grant_from_cm <- Time.sub l.State.last_grant_from_cm delta;
-  let age table =
-    let entries = Hashtbl.fold (fun m t acc -> (m, t) :: acc) table [] in
-    List.iter (fun (m, t) -> Hashtbl.replace table m (Time.sub t delta)) entries
-  in
-  age l.State.peer_leases;
-  match st.State.cm with Some cm -> age cm.State.cm_leases | None -> ()
+  let entries = Hashtbl.fold (fun m t acc -> (m, t) :: acc) l.State.peer_leases [] in
+  List.iter (fun (m, t) -> Hashtbl.replace l.State.peer_leases m (Time.sub t delta)) entries

@@ -23,7 +23,7 @@ val quantize : State.t -> Time.t -> Time.t
 (** Round a wakeup up to the system-timer resolution for timer-driven
     implementations. *)
 
-val grant_all : State.t -> State.cm_state -> int list -> unit
+val grant_all : State.t -> int list -> unit
 (** Reset a CM's lease table for a new configuration: every member's lease
     starts now. The lease layout is {!Reconfig.lease_group}. *)
 

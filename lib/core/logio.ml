@@ -90,11 +90,7 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
 
    The batch is described by indexed accessors rather than a list so the
    commit path can stage it in its reused arena: [dst i] / [payload i] for
-   [0 <= i < n].
-
-   With [doorbell_batching] off this degrades to the pre-batching pipeline:
-   one full-cost one-sided write per record, issued by parallel processes,
-   each paying its own issue and poll — the ablation baseline. *)
+   [0 <= i < n]. *)
 let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
     ~(payload : int -> Wire.record) : (int, Farm_net.Fabric.error) result array =
   let recs = Array.init n (fun i -> prepare st ~thread ~dst:(dst i) (payload i)) in
@@ -109,30 +105,10 @@ let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
     match on_complete with Some f -> f i r | None -> ()
   in
   let results =
-    if st.State.params.Params.doorbell_batching then
-      Farm_net.Fabric.one_sided_write_batch ?span ~on_complete st.State.fabric
-        ~src:st.State.id ~n ~dst
-        ~bytes:(fun i -> sizes.(i))
-        ~apply:(fun i ->
-          Ringlog.dma_append (State.log_to st (dst i)) recs.(i) ~size:sizes.(i))
-    else begin
-      (* unbatched ablation: the writes run in spawned child processes, so
-         their time is not this process's to claim — it falls to the
-         enclosing phase's default category *)
-      let results = Array.make n (Ok ()) in
-      Comms.par_iter st
-        (List.init n (fun i () ->
-             let d = dst i in
-             let size = sizes.(i) in
-             let log = State.log_to st d in
-             let r =
-               Farm_net.Fabric.one_sided_write st.State.fabric ~src:st.State.id ~dst:d
-                 ~bytes:size (fun () -> Ringlog.dma_append log recs.(i) ~size)
-             in
-             results.(i) <- r;
-             on_complete i r));
-      results
-    end
+    Farm_net.Fabric.one_sided_write_batch ?span ~on_complete st.State.fabric ~src:st.State.id
+      ~n ~dst
+      ~bytes:(fun i -> sizes.(i))
+      ~apply:(fun i -> Ringlog.dma_append (State.log_to st (dst i)) recs.(i) ~size:sizes.(i))
   in
   Array.mapi (fun i r -> settle st ~dst:(dst i) ~size:sizes.(i) recs.(i) r) results
 

@@ -26,13 +26,9 @@ val append_prepared :
     own share of consumed log space. A failed record's piggybacked
     truncations are requeued for its destination, so a later record or the
     flusher carries them. [on_complete] fires at each record's
-    individual completion instant. With {!Params.doorbell_batching} off,
-    falls back to the pre-batching pipeline: parallel single writes, each
-    paying full issue + poll. [span] carries the calling transaction's
-    blame span down to the batched verb (see
-    {!Fabric.one_sided_write_batch}); only the doorbell-batched path
-    can claim — the unbatched ablation's writes run in child processes,
-    whose time falls to the enclosing phase's default category. *)
+    individual completion instant. [span] carries the calling
+    transaction's blame span down to the batched verb (see
+    {!Fabric.one_sided_write_batch}). *)
 
 val reserve_or_flush : State.t -> dst:int -> int -> unit
 (** Reserve space, forcing explicit truncation while the log is full

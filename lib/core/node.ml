@@ -39,9 +39,6 @@ let dispatch st ~src ~reply (msg : Wire.message) =
       Comms.reply_to reply (Wire.Validate_reply { txid; ok })
   | Wire.Validate_reply _ -> ()
   | Wire.Need_recovery { cfg; rid; txs } -> Recovery.on_need_recovery st ~src ~reply ~cfg ~rid ~txs
-  | Wire.Fetch_tx_state { cfg; rid; txids } ->
-      Recovery.on_fetch_tx_state st ~reply ~cfg ~rid ~txids
-  | Wire.Send_tx_state _ -> ()
   | Wire.Replicate_tx_state { cfg; rid; txid; lock } ->
       Recovery.on_replicate_tx_state st ~reply ~cfg ~rid ~txid ~lock
   | Wire.Recovery_vote { cfg; rid; txid; regions; vote } ->
@@ -128,7 +125,7 @@ let dispatch st ~src ~reply (msg : Wire.message) =
       in
       Comms.reply_to reply (Wire.Watermark_update { wm = (if cluster_wm = max_int then 0 else cluster_wm) })
   | Wire.Watermark_update _ -> ()
-  | Wire.Ack | Wire.Nack -> ()
+  | Wire.Ack -> ()
 
 (* Receive path: lease traffic takes its dedicated fast path (§5.1); all
    other messages are charged the RPC receive cost on the machine's shared
@@ -205,4 +202,7 @@ let start st =
         end
       in
       loop ());
-  if State.is_cm st then Lease.grant_all st (State.ensure_cm st) st.State.config.Config.members
+  if State.is_cm st then begin
+    ignore (State.ensure_cm st);
+    Lease.grant_all st st.State.config.Config.members
+  end

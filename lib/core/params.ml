@@ -11,7 +11,6 @@ type t = {
   (* transactions *)
   protocol : protocol;
   validate_rpc_threshold : int;
-  doorbell_batching : bool;
   arena_reuse : bool;
   (* leases (§5.1) *)
   lease_duration : Time.t;
@@ -36,7 +35,6 @@ let default =
     replication = 3;
     protocol = Validate_at_commit;
     validate_rpc_threshold = 4;
-    doorbell_batching = true;
     arena_reuse = true;
     lease_duration = Time.ms 10;
     recovery_block = 8 * 1024;

@@ -26,14 +26,6 @@ type t = {
   validate_rpc_threshold : int;
       (** tr: reads per primary above which validation switches from
           one-sided RDMA to RPC (paper: 4) *)
-  doorbell_batching : bool;
-      (** issue the commit protocol's one-sided verb groups (LOCK,
-          VALIDATE reads, COMMIT-BACKUP, COMMIT-PRIMARY, ABORT) as doorbell
-          batches — one {!Farm_net.Params.cpu_rdma_issue} plus
-          per-op {!Farm_net.Params.cpu_rdma_doorbell} and a single
-          completion reap per group. [false] restores the pre-batching
-          pipeline (one full-cost verb, poll and process spawn per record)
-          for ablation *)
   arena_reuse : bool;
       (** recycle per-commit scratch arenas through the machine's pool
           (the default). [false] drops released arenas so every commit

@@ -592,17 +592,3 @@ let on_truncate_recovery st ~cfg:_ ~txid =
   | Some log -> ignore (Ringlog.truncate log st.State.engine txid)
   | None -> ());
   State.mark_truncated st txid
-
-let on_fetch_tx_state st ~reply ~cfg ~rid ~txids =
-  let states =
-    match st.State.recovery with
-    | Some rs when rs.State.rs_cfg = cfg ->
-        List.filter_map
-          (fun txid ->
-            match Txid.Tbl.find_opt rs.State.rs_local txid with
-            | Some { Wire.ev_payload = Some p; _ } -> Some (txid, p)
-            | _ -> None)
-          txids
-    | _ -> []
-  in
-  Comms.reply_to reply (Wire.Send_tx_state { cfg; rid; states })

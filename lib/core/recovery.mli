@@ -63,11 +63,3 @@ val on_abort_recovery :
   State.t -> reply:(bytes:int -> Wire.message -> unit) -> cfg:int -> txid:Txid.t -> unit
 
 val on_truncate_recovery : State.t -> cfg:int -> txid:Txid.t -> unit
-
-val on_fetch_tx_state :
-  State.t ->
-  reply:(bytes:int -> Wire.message -> unit) ->
-  cfg:int ->
-  rid:int ->
-  txids:Txid.t list ->
-  unit

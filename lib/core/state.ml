@@ -110,7 +110,8 @@ type lease_state = {
   mutable suspended_until : Time.t;  (* dedicated-thread preemption spikes *)
   mutable cm_suspected : bool;  (* latched until the next grant/config *)
   peer_leases : (int, Time.t) Hashtbl.t;
-      (* grantor side for group leaders in the two-level hierarchy *)
+      (* grantor side (the CM, and group leaders in the two-level
+         hierarchy): machine -> last renewal received *)
   mutable grantor_messages : int;  (* lease messages handled as a grantor *)
 }
 
@@ -119,8 +120,6 @@ type cm_state = {
   mutable next_rid : int;
   (* authoritative region map *)
   owners : (int, Wire.region_info) Hashtbl.t;
-  (* lease table: machine -> last renewal received *)
-  cm_leases : (int, Time.t) Hashtbl.t;
   mutable regions_active_from : int list;
   mutable all_active_sent : bool;
   (* reconfiguration ack collection: (cfg, machines remaining, done) *)
@@ -254,7 +253,7 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
         expiry_events = 0;
         suspended_until = Time.zero;
         cm_suspected = false;
-        peer_leases = Hashtbl.create 8;
+        peer_leases = Hashtbl.create 16;
         grantor_messages = 0;
       };
     cm = None;
@@ -280,7 +279,6 @@ let ensure_cm st =
         {
           next_rid = 1;
           owners = Hashtbl.create 64;
-          cm_leases = Hashtbl.create 16;
           regions_active_from = [];
           all_active_sent = false;
           ack_pending = None;

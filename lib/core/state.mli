@@ -110,14 +110,14 @@ type lease_state = {
   mutable suspended_until : Time.t;
   mutable cm_suspected : bool;
   peer_leases : (int, Time.t) Hashtbl.t;
-      (** grantor side for group leaders in the two-level hierarchy *)
+      (** grantor side (the CM, and group leaders in the two-level
+          hierarchy): machine -> last renewal received *)
   mutable grantor_messages : int;
 }
 
 type cm_state = {
   mutable next_rid : int;
   owners : (int, Wire.region_info) Hashtbl.t;  (** authoritative region map *)
-  cm_leases : (int, Time.t) Hashtbl.t;
   mutable regions_active_from : int list;
   mutable all_active_sent : bool;
   mutable ack_pending : (int * int list ref * unit Ivar.t) option;

@@ -94,8 +94,6 @@ type message =
   | Validate_reply of { txid : Txid.t; ok : bool }
   (* transaction state recovery (Table 2) *)
   | Need_recovery of { cfg : int; rid : int; txs : tx_evidence list }
-  | Fetch_tx_state of { cfg : int; rid : int; txids : Txid.t list }
-  | Send_tx_state of { cfg : int; rid : int; states : (Txid.t * lock_payload) list }
   | Replicate_tx_state of { cfg : int; rid : int; txid : Txid.t; lock : lock_payload }
   | Recovery_vote of {
       cfg : int;
@@ -148,7 +146,6 @@ type message =
   | Watermark_update of { wm : int }
   (* generic *)
   | Ack
-  | Nack
 
 (* Wire-size estimates for the NIC cost model. *)
 
@@ -216,9 +213,6 @@ let message_bytes = function
   | Validate_reply _ -> 32
   | Need_recovery { txs; _ } ->
       24 + List.fold_left (fun acc e -> acc + evidence_bytes e) 0 txs
-  | Fetch_tx_state { txids; _ } -> 24 + (16 * List.length txids)
-  | Send_tx_state { states; _ } ->
-      24 + List.fold_left (fun acc (_, p) -> acc + 16 + lock_payload_bytes p) 0 states
   | Replicate_tx_state { lock; _ } -> 40 + lock_payload_bytes lock
   | Recovery_vote { regions; _ } -> 40 + (4 * List.length regions)
   | Request_vote _ -> 32
@@ -239,4 +233,4 @@ let message_bytes = function
   | App_reply _ -> 16
   | Watermark_report _ -> 24
   | Watermark_update _ -> 16
-  | Ack | Nack -> 8
+  | Ack -> 8

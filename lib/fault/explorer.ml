@@ -22,7 +22,6 @@ type opts = {
   cells : int;
   workers : int;  (** workers per machine *)
   duration : Time.t;  (** workload + fault window per schedule *)
-  batching : bool;  (** doorbell-batched commit pipeline (the default) *)
   protocol : Params.protocol;  (** commit protocol variant under test *)
   record : bool;  (** capture flight-recorder events (the default) *)
   perfetto : bool;  (** also capture a causal trace (off by default) *)
@@ -35,7 +34,6 @@ let default_opts =
     cells = 16;
     workers = 2;
     duration = Time.ms 60;
-    batching = true;
     protocol = Params.Validate_at_commit;
     record = true;
     perfetto = false;
@@ -75,32 +73,26 @@ let write_int tx addr v =
   Bytes.set_int64_le b 0 (Int64.of_int v);
   Txn.write tx addr b
 
-(* One committed-or-aborted bank transfer, built by hand so the footprint is
-   available for history recording after commit. *)
+(* One committed-or-aborted bank transfer; the body returns the transaction
+   so its footprint can be recorded in the history after commit. *)
 let transfer st ~rng ~hist ~addrs =
   let n = Array.length addrs in
   let a = Rng.int rng n and b = Rng.int rng n in
   let ro = Rng.int rng 100 < 25 in
-  let tx = Txn.begin_tx st ~thread:0 in
   match
-    try
-      let va = read_int tx addrs.(a) in
-      let vb = read_int tx addrs.(b) in
-      if not ro then
-        if a <> b then begin
-          let amt = 1 + Rng.int rng 5 in
-          write_int tx addrs.(a) (va - amt);
-          write_int tx addrs.(b) (vb + amt)
-        end
-        else write_int tx addrs.(a) va;
-      Commit.commit tx
-    with Txn.Abort reason ->
-      tx.Txn.finished <- true;
-      Txn.release_read_ts tx;
-      Txn.return_allocations tx;
-      Error reason
+    Api.run st ~thread:0 (fun tx ->
+        let va = read_int tx addrs.(a) in
+        let vb = read_int tx addrs.(b) in
+        if not ro then
+          if a <> b then begin
+            let amt = 1 + Rng.int rng 5 in
+            write_int tx addrs.(a) (va - amt);
+            write_int tx addrs.(b) (vb + amt)
+          end
+          else write_int tx addrs.(a) va;
+        tx)
   with
-  | Ok () -> ignore (History.record hist tx)
+  | Ok tx -> ignore (History.record hist tx)
   | Error _ -> ()
 
 let spawn_workers (c : Cluster.t) ~opts ~stop ~hist ~addrs ~tree =
@@ -148,9 +140,7 @@ let render_trace (c : Cluster.t) (sched : Schedule.t) =
    invariant probe run against the healed cluster (tests use it to inject
    violations and exercise the failing-outcome path). *)
 let run_one ?(opts = default_opts) ?probe seed =
-  let params =
-    { params with Params.doorbell_batching = opts.batching; protocol = opts.protocol }
-  in
+  let params = { params with Params.protocol = opts.protocol } in
   let c = Cluster.create ~seed ~params ~machines:opts.machines () in
   Cluster.set_recording c opts.record;
   (* blame rides the recording switch: determinism-inert, so outcomes are

@@ -13,7 +13,6 @@ type opts = {
   cells : int;
   workers : int;  (** workers per machine *)
   duration : Time.t;  (** workload + fault window per schedule *)
-  batching : bool;  (** doorbell-batched commit pipeline (the default) *)
   protocol : Farm_core.Params.protocol;
       (** commit protocol variant under test: the validate-at-commit
           baseline (default) or the snapshot (opacity) protocol *)

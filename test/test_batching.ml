@@ -4,8 +4,7 @@ open Farm_fault
 
 (* Doorbell-batched one-sided verbs: CPU-cost accounting of the batch
    verbs, per-op independence of faults and failures within a batch, and
-   end-to-end equivalence of the batched and unbatched commit pipelines
-   under the fault-schedule fuzzer. *)
+   the batched commit pipeline under the fault-schedule fuzzer. *)
 
 let test name fn = Alcotest.test_case name `Quick fn
 let check_bool = Alcotest.(check bool)
@@ -142,30 +141,18 @@ let per_op_failure_independence () =
     (match !got.(1) with Ok () -> false | Error _ -> true);
   check_int "live op applied" 7 !cell
 
-(* End-to-end: the unbatched (pre-doorbell) commit pipeline passes the same
-   fault-schedule sweep as the batched default — strict serializability,
-   conservation, B-tree and state invariants, under crashes, partitions,
-   lossy links and power failures. *)
-let smoke_opts ~batching =
-  { Explorer.default_opts with machines = 5; workers = 1; duration = Time.ms 30; batching }
-
-let nemesis_sweep ~batching () =
-  let report = Explorer.sweep ~opts:(smoke_opts ~batching) ~base_seed:7 ~schedules:10 () in
+(* End-to-end: the doorbell-batched commit pipeline passes a
+   fault-schedule sweep — strict serializability, conservation, B-tree and
+   state invariants, under crashes, partitions, lossy links and power
+   failures. *)
+let nemesis_sweep () =
+  let opts = { Explorer.default_opts with machines = 5; workers = 1; duration = Time.ms 30 } in
+  let report = Explorer.sweep ~opts ~base_seed:7 ~schedules:10 () in
   (match report.Explorer.failures with
   | [] -> ()
   | o :: _ ->
       Alcotest.failf "seed %d failed:@ %a" o.Explorer.seed Explorer.pp_outcome o);
   check_bool "committed transactions" true (report.Explorer.total_committed > 300)
-
-(* Same seed, both modes: each mode is deterministic in the seed (the two
-   modes legitimately interleave differently, so only within-mode replay
-   must be exact). *)
-let unbatched_replay_identical () =
-  let seed = 7 in
-  let a = Explorer.run_one ~opts:(smoke_opts ~batching:false) seed in
-  let b = Explorer.run_one ~opts:(smoke_opts ~batching:false) seed in
-  Alcotest.(check (list string)) "traces byte-identical" a.Explorer.trace b.Explorer.trace;
-  check_int "committed identical" a.Explorer.committed b.Explorer.committed
 
 let suites =
   [
@@ -176,8 +163,6 @@ let suites =
         test "batched reads keep descriptor order" batch_read_order;
         test "link fault delays only its own op" per_op_fault_independence;
         test "dead target fails only its own op" per_op_failure_independence;
-        test "nemesis sweep passes batched" (nemesis_sweep ~batching:true);
-        test "nemesis sweep passes unbatched" (nemesis_sweep ~batching:false);
-        test "unbatched seed replay is exact" unbatched_replay_identical;
+        test "nemesis sweep passes batched" nemesis_sweep;
       ] );
   ]

@@ -105,6 +105,56 @@ let many_region_commit () =
       | Error e -> Fmt.failwith "%a" Txn.pp_abort e);
   List.iter (fun a -> check_int "all regions updated" 10 (read_cell c ~machine:0 a)) cells
 
+(* Each fan-out phase of a commit is one doorbell-batched verb group: a
+   read-write transaction over regions with several distinct remote
+   primaries and backups rings the coordinator's NIC exactly once for LOCK,
+   once for the VALIDATE header reads (every read-only object sits at or
+   below tr on its primary), once for COMMIT-BACKUP and once for
+   COMMIT-PRIMARY, each batch covering every participant of its phase. *)
+let fanout_phase_batches () =
+  let c = mk_cluster ~machines:8 () in
+  let written = List.init 4 (fun _ -> Cluster.alloc_region_exn c) in
+  let read_only = List.init 2 (fun _ -> Cluster.alloc_region_exn c) in
+  let cell (r : Wire.region_info) = (alloc_cells c ~region:r.Wire.rid ~n:1 ~init:1).(0) in
+  let wcells = List.map cell written and rcells = List.map cell read_only in
+  let primary (r : Wire.region_info) = r.Wire.primary in
+  let coord = surviving_machine c ~not_in:(List.map primary (written @ read_only)) in
+  let distinct l = List.sort_uniq compare l in
+  let primaries = distinct (List.map primary written) in
+  let backups =
+    distinct (List.concat_map (fun (r : Wire.region_info) -> r.Wire.backups) written)
+  in
+  let remote l = List.filter (fun m -> m <> coord) l in
+  check_bool "at least 2 remote primaries" true (List.length (remote primaries) >= 2);
+  check_bool "at least 2 remote backups" true (List.length (remote backups) >= 2);
+  (* let the setup transactions' truncations drain first *)
+  Cluster.run_for c ~d:(Time.ms 10);
+  let st = Cluster.machine c coord in
+  let batches () = Farm_obs.Obs.counter st.State.obs Farm_obs.Obs.C_rdma_batch in
+  let before = batches () in
+  Farm_obs.Obs.set_enabled st.State.obs true;
+  Cluster.run_on c ~machine:coord (fun st ->
+      match
+        Api.run st ~thread:0 (fun tx ->
+            List.iter (fun a -> ignore (read_int tx a)) rcells;
+            List.iter (fun a -> write_int tx a (read_int tx a + 1)) wcells)
+      with
+      | Ok () -> ()
+      | Error e -> Fmt.failwith "%a" Txn.pp_abort e);
+  Cluster.run_for c ~d:(Time.ms 1);
+  Farm_obs.Obs.set_enabled st.State.obs false;
+  check_int "one batch per phase" 4 (batches () - before);
+  let ops =
+    List.filter_map
+      (fun (_, line) -> Scanf.sscanf_opt line "rdma-batch ops=%d" Fun.id)
+      (Farm_obs.Obs.events st.State.obs)
+  in
+  Alcotest.(check (list int))
+    "ops per batch: LOCK, VALIDATE, COMMIT-BACKUP, COMMIT-PRIMARY"
+    [ List.length primaries; List.length rcells; List.length backups; List.length primaries ]
+    ops;
+  List.iter (fun a -> check_int "written" 2 (read_cell c ~machine:0 a)) wcells
+
 (* Write-only transactions (no reads) fetch versions on demand. *)
 let blind_write () =
   let c = mk_cluster () in
@@ -246,6 +296,7 @@ let suites =
         test "tiny log liveness" tiny_log_liveness;
         test "wide write set" wide_write_set;
         test "many-region commit" many_region_commit;
+        test "each fan-out phase rings one doorbell" fanout_phase_batches;
         test "blind write" blind_write;
         test "empty transaction" empty_transaction;
         test "txid uniqueness" txid_uniqueness;

@@ -106,19 +106,18 @@ let renewals_flow () =
       end)
     c.Cluster.machines;
   (* and the CM's view of every machine *)
-  (match (Cluster.machine c 0).State.cm with
-  | Some cm ->
-      Array.iter
-        (fun (st : State.t) ->
-          if st.State.id <> 0 then begin
-            match Hashtbl.find_opt cm.State.cm_leases st.State.id with
-            | Some last ->
-                check_bool "CM holds fresh lease" true
-                  Time.(Time.sub now last <= quick_params.Params.lease_duration)
-            | None -> Alcotest.fail "CM lost a lease entry"
-          end)
-        c.Cluster.machines
-  | None -> Alcotest.fail "machine 0 should be CM")
+  let cm = Cluster.machine c 0 in
+  check_bool "machine 0 is CM" true (State.is_cm cm);
+  Array.iter
+    (fun (st : State.t) ->
+      if st.State.id <> 0 then begin
+        match Hashtbl.find_opt cm.State.lease.State.peer_leases st.State.id with
+        | Some last ->
+            check_bool "CM holds fresh lease" true
+              Time.(Time.sub now last <= quick_params.Params.lease_duration)
+        | None -> Alcotest.fail "CM lost a lease entry"
+      end)
+    c.Cluster.machines
 
 (* Quantization: the priority lease manager wakes on system-timer
    boundaries (0.5 ms). *)
