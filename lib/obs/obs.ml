@@ -4,8 +4,8 @@ open Farm_sim
    (O(1) recording, near-zero cost disabled, determinism preserved); the
    implementation notes here cover how each is met.
 
-   - Ring events are written into preallocated slots of mutable ints and
-     a constant constructor: no allocation on the hot path, rendering
+   - Ring events are a constructor and four ints in a {!Ring} slot: no
+     allocation on the hot path but the ring's doubling, rendering
      deferred to dump time. Only the rare cluster-log events allocate a
      record.
    - Counters are one flat int array indexed by the counter's declaration
@@ -462,16 +462,6 @@ let log_milestones l = l.l_milestones
 
 (* {1 The sink} *)
 
-(* One preallocated ring slot; every field mutable so recording allocates
-   nothing. [at] is sim-time ns. *)
-type slot = {
-  mutable s_at : int;
-  mutable s_kind : kind;
-  mutable s_a : int;
-  mutable s_b : int;
-  mutable s_c : int;
-}
-
 type span = {
   sp_obs : t;
   sp_start : int;  (* ns *)
@@ -502,9 +492,7 @@ and t = {
   obs_machine : int;
   obs_log : log;
   mutable obs_enabled : bool;
-  ring : slot array;
-  mutable pos : int;  (* next slot to overwrite *)
-  mutable total : int;  (* events ever recorded *)
+  ring : kind Ring.t;  (* per event: sim-time ns, a, b, c *)
   counters : int array;
   hists : Stats.Hist.t array;  (* per point: phase segments, stage durations *)
   commit_lat : Stats.Hist.t;  (* commit-phase latency of each commit, ns *)
@@ -522,16 +510,12 @@ and t = {
 let exemplar_k = 8
 
 let create ?(capacity = 128) ?(log = create_log ()) engine ~machine =
-  if capacity < 1 then invalid_arg "Obs.create: capacity must be positive";
   {
     engine;
     obs_machine = machine;
     obs_log = log;
     obs_enabled = false;
-    ring =
-      Array.init capacity (fun _ -> { s_at = 0; s_kind = K_phase; s_a = 0; s_b = 0; s_c = 0 });
-    pos = 0;
-    total = 0;
+    ring = Ring.create ~capacity ~stride:4 K_phase;
     counters = Array.make n_counters 0;
     hists = Array.init n_points (fun _ -> Stats.Hist.create ());
     commit_lat = Stats.Hist.create ();
@@ -624,14 +608,11 @@ let event t kind ~a ~b ~c =
     Stats.Series.add t.commit_bins ~at:(Engine.now t.engine) 1
   end;
   if t.obs_enabled && sinks land to_ring <> 0 then begin
-    let s = t.ring.(t.pos) in
-    s.s_at <- Time.to_ns (Engine.now t.engine);
-    s.s_kind <- kind;
-    s.s_a <- a;
-    s.s_b <- b;
-    s.s_c <- c;
-    t.pos <- (t.pos + 1) mod Array.length t.ring;
-    t.total <- t.total + 1
+    let h = Ring.push t.ring kind in
+    Ring.set t.ring h 0 (Time.to_ns (Engine.now t.engine));
+    Ring.set t.ring h 1 a;
+    Ring.set t.ring h 2 b;
+    Ring.set t.ring h 3 c
   end;
   if sinks land to_log <> 0 then begin
     let l = t.obs_log in
@@ -643,14 +624,12 @@ let event t kind ~a ~b ~c =
   end;
   if Tracer.enabled t.obs_tracer then trace_instant t kind ~a ~c
 
-let total_events t = t.total
+let total_events t = Ring.total t.ring
 
 let events t =
-  let cap = Array.length t.ring in
-  let n = min t.total cap in
-  List.init n (fun i ->
-      let s = t.ring.((t.pos - n + i + (2 * cap)) mod cap) in
-      (s.s_at, render_body s.s_kind ~a:s.s_a ~b:s.s_b ~c:s.s_c))
+  let get = Ring.get t.ring in
+  Ring.to_list t.ring (fun kind h ->
+      (get h 0, render_body kind ~a:(get h 1) ~b:(get h 2) ~c:(get h 3)))
 
 (* {1 Spans} *)
 

@@ -12,8 +12,8 @@ open Farm_sim
     history. The design obeys three hard rules:
 
     - {b O(1), allocation-light recording.} Events are a constant
-      constructor plus three integer arguments written into preallocated
-      ring slots; counters are plain array increments; spans mutate a small
+      constructor plus three integer arguments written into a {!Ring}
+      slot; counters are plain array increments; spans mutate a small
       per-transaction record. Nothing is formatted until a dump is
       requested.
     - {b Near-zero cost when disabled.} The flight-recorder ring and the
@@ -35,8 +35,8 @@ type log
 
 val create : ?capacity:int -> ?log:log -> Engine.t -> machine:int -> t
 (** A per-machine sink, its flight-recorder ring ([capacity] events,
-    default 128) off. [log] is the cluster log this machine writes to
-    (default: a fresh one). *)
+    default 128, storage growing with use) off. [log] is the cluster log
+    this machine writes to (default: a fresh one). *)
 
 val set_enabled : t -> bool -> unit
 (** Gates the flight-recorder ring only; the tracer and timeline have

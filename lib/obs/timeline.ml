@@ -9,15 +9,11 @@ type series = {
   mutable se_prev : int;  (* Cumulative baseline for the next delta *)
 }
 
-type row = { mutable r_at : int; r_vals : int array }
-
 type t = {
   engine : Engine.t;
   tl_machine : int;
   mutable series : series list;  (* reverse registration order *)
-  mutable rows : row array;  (* allocated at first start *)
-  mutable pos : int;
-  mutable tl_total : int;
+  mutable ring : unit Ring.t;  (* a row: the sample's sim-time ns, then one int per series *)
   mutable tl_running : bool;
   mutable tl_interval : int;  (* ns; 0 until started *)
 }
@@ -30,9 +26,7 @@ let create engine ~machine =
     engine;
     tl_machine = machine;
     series = [];
-    rows = [||];
-    pos = 0;
-    tl_total = 0;
+    ring = Ring.create ~capacity ~stride:1 ();
     tl_running = false;
     tl_interval = 0;
   }
@@ -44,40 +38,36 @@ let add_series t ~name ~kind read =
 let running t = t.tl_running
 let series_names t = List.rev_map (fun s -> s.se_name) t.series
 
-(* One tick: read every gauge into the next preallocated row. O(series)
-   integer work; the only engine interaction is the clock read and the
-   next tick's scheduling. *)
+(* One tick: read every gauge into the next row. O(series) integer work;
+   the only engine interaction is the clock read and the next tick's
+   scheduling. *)
 let sample t =
-  let now = Time.to_ns (Engine.now t.engine) in
-  let row = t.rows.(t.pos) in
-  row.r_at <- now;
-  let i = ref (Array.length row.r_vals) in
+  let r = t.ring in
+  let h = Ring.push r () in
+  Ring.set r h 0 (Time.to_ns (Engine.now t.engine));
+  let i = ref (Ring.stride r) in
   (* t.series is in reverse registration order, so walking it forwards
      fills columns from the right. *)
   List.iter
     (fun s ->
       decr i;
       let cur = s.se_read () in
-      (match s.se_kind with
-      | Level -> row.r_vals.(!i) <- cur
-      | Cumulative ->
-          (* clamp: a machine restart swaps in fresh counters/CPU, which
-             can only make [cur] drop below the baseline *)
-          row.r_vals.(!i) <- max 0 (cur - s.se_prev));
+      (* a Cumulative delta is clamped: a machine restart swaps in fresh
+         counters/CPU, which can only make [cur] drop below the baseline *)
+      Ring.set r h !i
+        (match s.se_kind with Level -> cur | Cumulative -> max 0 (cur - s.se_prev));
       s.se_prev <- cur)
-    t.series;
-  t.pos <- (t.pos + 1) mod capacity;
-  t.tl_total <- t.tl_total + 1
+    t.series
 
 let start t ~interval ~until =
   if t.series = [] then invalid_arg "Timeline.start: no series registered";
   if t.tl_running then invalid_arg "Timeline.start: already running";
   let interval = Time.to_ns interval and until = Time.to_ns until in
   if interval <= 0 then invalid_arg "Timeline.start: interval must be positive";
-  let ncols = List.length t.series in
-  if t.rows = [||] then
-    t.rows <-
-      Array.init capacity (fun _ -> { r_at = 0; r_vals = Array.make ncols 0 });
+  (* rows are as wide as the series registered now; a start with a new
+     series set begins a fresh ring *)
+  let stride = List.length t.series + 1 in
+  if Ring.stride t.ring <> stride then t.ring <- Ring.create ~capacity ~stride ();
   t.tl_interval <- interval;
   t.tl_running <- true;
   (* Cumulative baselines: deltas measure from start, not from machine
@@ -95,10 +85,11 @@ let start t ~interval ~until =
   else t.tl_running <- false
 
 let rows t =
-  let n = min t.tl_total capacity in
-  List.init n (fun i ->
-      let r = t.rows.((t.pos - n + i + (2 * capacity)) mod capacity) in
-      (r.r_at, r.r_vals))
+  let r = t.ring in
+  Ring.to_list r (fun () h ->
+      (Ring.get r h 0, Array.init (Ring.stride r - 1) (fun i -> Ring.get r h (i + 1))))
+
+let ring t = t.ring
 
 (* {1 Merge and export} *)
 

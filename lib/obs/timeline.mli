@@ -12,11 +12,12 @@ open Farm_sim
     merged export can sum them bin by bin.
 
     Sampling obeys the spine's rules: each tick is O(series) integer
-    reads and stores into preallocated rows; a timeline that was never
-    started schedules nothing and costs nothing; ticks read the clock
-    and the gauges only — no randomness, no blocking — and stop at a
-    fixed horizon so they cannot keep the engine's work queue alive
-    past it. Same seed ⇒ byte-identical export. *)
+    reads and stores into one {!Ring} row, whose storage grows with the
+    rows taken; a timeline that was never started schedules nothing and
+    holds no rows; ticks read the clock and the gauges only — no
+    randomness, no blocking — and stop at a fixed horizon so they cannot
+    keep the engine's work queue alive past it. Same seed ⇒
+    byte-identical export. *)
 
 type t
 
@@ -28,7 +29,7 @@ type kind =
   | Level  (** Each row stores the instantaneous value (an occupancy). *)
 
 val create : Engine.t -> machine:int -> t
-(** The row ring holds 4096 rows, oldest overwritten first. *)
+(** The row ring keeps up to 4096 rows, oldest overwritten first. *)
 
 val add_series : t -> name:string -> kind:kind -> (unit -> int) -> unit
 (** Register a gauge. Must precede {!start}; registration order is the
@@ -39,7 +40,9 @@ val start : t -> interval:Time.t -> until:Time.t -> unit
     sampling stops once the next tick would pass [until] (the horizon
     keeps [Engine.pending] from staying positive forever). Cumulative
     baselines are read at [start]. Restarts after the horizon are
-    allowed and append to the same ring. *)
+    allowed and append to the same ring, unless series were added since
+    the last start: then rows take the new width and the ring starts
+    empty. *)
 
 val running : t -> bool
 val series_names : t -> string list
@@ -47,6 +50,9 @@ val series_names : t -> string list
 val rows : t -> (int * int array) list
 (** Sampled rows, oldest first, as (sim-time ns, one value per series in
     registration order). *)
+
+val ring : t -> unit Ring.t
+(** The row storage, for memory accounting. *)
 
 val merge : t list -> string list * (int * int array) list
 (** Rows merged across machines: the series names (the lowest machine's,

@@ -2,9 +2,9 @@ open Farm_sim
 
 (* Causal tracing. Implementation notes, mirroring the obs spine:
 
-   - One ring of mutable slots (ints, and a constant name), allocated
-     when tracing is first enabled; recording a slice or an instant is
-     ~10 stores. Rendering is deferred to [export_json].
+   - One {!Ring} of slots (ints, and a constant name) whose storage grows
+     with the slots recorded; recording a slice or an instant is ~10
+     stores. Rendering is deferred to [export_json].
    - The tracer knows no protocol vocabulary: its callers name each slice
      and instant (slices after their [Obs.point]).
    - The only engine interaction is reading the clock; nothing here draws
@@ -52,93 +52,43 @@ let flow_tag fid = (fid - 1) / 64 mod 8
 
 (* {1 The ring} *)
 
-type slot = {
-  mutable e_ph : int;  (* 0 slice / 1 instant *)
-  mutable e_ts : int;  (* ns; a slice's start *)
-  mutable e_dur : int;  (* ns; slices only *)
-  mutable e_tid : int;
-  mutable e_label : string;  (* a static name *)
-  mutable e_arg : int;
-  mutable e_txm : int;  (* trace context; e_txm = -1 means none *)
-  mutable e_txt : int;
-  mutable e_txl : int;
-  mutable e_fin : int;  (* incoming / outgoing flow ids; 0 = none *)
-  mutable e_fout : int;
-}
-
-type t = {
-  engine : Engine.t;
-  trc_machine : int;
-  mutable trc_enabled : bool;
-  capacity : int;
-  mutable ring : slot array;  (* [||] until tracing is first enabled *)
-  mutable pos : int;
-  mutable trc_total : int;
-}
+(* A slot's tag is its label; its ints, in order: phase (0 slice /
+   1 instant), start ns, duration ns (slices only), tid, arg, trace
+   context (txm = -1 means none, txt, txl), incoming and outgoing flow ids
+   (0 = none). *)
+type t = { engine : Engine.t; trc_machine : int; mutable trc_enabled : bool; ring : string Ring.t }
 
 let create ?(capacity = 4096) engine ~machine =
-  if capacity < 1 then invalid_arg "Tracer.create: capacity must be positive";
-  { engine; trc_machine = machine; trc_enabled = false; capacity; ring = [||]; pos = 0; trc_total = 0 }
+  { engine; trc_machine = machine; trc_enabled = false; ring = Ring.create ~capacity ~stride:10 "" }
 
-let new_slot _ =
-  {
-    e_ph = 0;
-    e_ts = 0;
-    e_dur = 0;
-    e_tid = 0;
-    e_label = "";
-    e_arg = 0;
-    e_txm = -1;
-    e_txt = 0;
-    e_txl = 0;
-    e_fin = 0;
-    e_fout = 0;
-  }
-
-let set_enabled t on =
-  if on && Array.length t.ring = 0 then t.ring <- Array.init t.capacity new_slot;
-  t.trc_enabled <- on
-
+let set_enabled t on = t.trc_enabled <- on
 let enabled t = t.trc_enabled
-let total t = t.trc_total
+let total t = Ring.total t.ring
+let ring t = t.ring
 
-let alloc t =
-  let s = t.ring.(t.pos) in
-  t.pos <- (t.pos + 1) mod Array.length t.ring;
-  t.trc_total <- t.trc_total + 1;
-  s
+let record t ~ph ~ts ~dur ~tid ~label ~arg ~txm ~txt ~txl ~fin ~fout =
+  let r = t.ring in
+  let h = Ring.push r label in
+  Ring.set r h 0 ph;
+  Ring.set r h 1 ts;
+  Ring.set r h 2 dur;
+  Ring.set r h 3 tid;
+  Ring.set r h 4 arg;
+  Ring.set r h 5 txm;
+  Ring.set r h 6 txt;
+  Ring.set r h 7 txl;
+  Ring.set r h 8 fin;
+  Ring.set r h 9 fout
 
 let slice t ~tid ~label ~start ~arg ~txm ~txt ~txl ~flow_in ~flow_out =
-  if t.trc_enabled then begin
-    let s = alloc t in
-    s.e_ph <- 0;
-    s.e_ts <- start;
-    s.e_dur <- Time.to_ns (Engine.now t.engine) - start;
-    s.e_tid <- tid;
-    s.e_label <- label;
-    s.e_arg <- arg;
-    s.e_txm <- txm;
-    s.e_txt <- txt;
-    s.e_txl <- txl;
-    s.e_fin <- flow_in;
-    s.e_fout <- flow_out
-  end
+  if t.trc_enabled then
+    record t ~ph:0 ~ts:start ~dur:(Time.to_ns (Engine.now t.engine) - start) ~tid ~label ~arg
+      ~txm ~txt ~txl ~fin:flow_in ~fout:flow_out
 
 let instant t ~tid ~name ~arg =
-  if t.trc_enabled then begin
-    let s = alloc t in
-    s.e_ph <- 1;
-    s.e_ts <- Time.to_ns (Engine.now t.engine);
-    s.e_dur <- 0;
-    s.e_tid <- tid;
-    s.e_label <- name;
-    s.e_arg <- arg;
-    s.e_txm <- -1;
-    s.e_txt <- 0;
-    s.e_txl <- 0;
-    s.e_fin <- 0;
-    s.e_fout <- 0
-  end
+  if t.trc_enabled then
+    record t ~ph:1 ~ts:(Time.to_ns (Engine.now t.engine)) ~dur:0 ~tid ~label:name ~arg ~txm:(-1)
+      ~txt:0 ~txl:0 ~fin:0 ~fout:0
 
 (* {1 Offline views} *)
 
@@ -155,49 +105,39 @@ type view = {
   v_fout : int;
 }
 
-(* A slice carrying a flow is named after the record its flow id encodes *)
-let slice_name (s : slot) =
-  let flow = if s.e_fout <> 0 then s.e_fout else s.e_fin in
-  if flow <> 0 then s.e_label ^ " " ^ tag_names.(flow_tag flow) else s.e_label
+(* A live slot read back as (phase, arg, view). A slice carrying a flow
+   is named after the record its flow id encodes; instants carry none. *)
+let decode t label h =
+  let get = Ring.get t.ring h in
+  let fin = get 8 and fout = get 9 in
+  let flow = if fout <> 0 then fout else fin in
+  ( get 0,
+    get 4,
+    {
+      v_machine = t.trc_machine;
+      v_tid = get 3;
+      v_name = (if flow <> 0 then label ^ " " ^ tag_names.(flow_tag flow) else label);
+      v_ts = get 1;
+      v_dur = get 2;
+      v_txm = get 5;
+      v_txt = get 6;
+      v_txl = get 7;
+      v_fin = fin;
+      v_fout = fout;
+    } )
 
-let view_of_slot machine (s : slot) =
-  {
-    v_machine = machine;
-    v_tid = s.e_tid;
-    v_name = slice_name s;
-    v_ts = s.e_ts;
-    v_dur = s.e_dur;
-    v_txm = s.e_txm;
-    v_txt = s.e_txt;
-    v_txl = s.e_txl;
-    v_fin = s.e_fin;
-    v_fout = s.e_fout;
-  }
-
-(* Live slots of every tracer, keyed for a total deterministic order:
-   timestamp, then machine, then slot age. *)
+(* Live slots of every tracer in a total deterministic order: timestamp,
+   then machine, then slot age. *)
 let live_entries tracers =
-  let entries = ref [] in
-  List.iter
-    (fun t ->
-      let cap = Array.length t.ring in
-      let n = min t.trc_total cap in
-      for i = 0 to n - 1 do
-        let s = t.ring.((t.pos - n + i + (2 * cap)) mod cap) in
-        entries := (s.e_ts, t.trc_machine, i, s) :: !entries
-      done)
-    tracers;
-  List.sort
-    (fun (ts1, m1, i1, _) (ts2, m2, i2, _) ->
-      if ts1 <> ts2 then compare ts1 ts2
-      else if m1 <> m2 then compare m1 m2
-      else compare i1 i2)
-    (List.rev !entries)
+  List.concat_map (fun t -> List.mapi (fun age e -> (age, e)) (Ring.to_list t.ring (decode t))) tracers
+  |> List.sort (fun (a1, (_, _, v1)) (a2, (_, _, v2)) ->
+         if v1.v_ts <> v2.v_ts then compare v1.v_ts v2.v_ts
+         else if v1.v_machine <> v2.v_machine then compare v1.v_machine v2.v_machine
+         else compare a1 a2)
+  |> List.map snd
 
 let views tracers =
-  List.filter_map
-    (fun (_, machine, _, s) -> if s.e_ph = 0 then Some (view_of_slot machine s) else None)
-    (live_entries tracers)
+  List.filter_map (fun (ph, _, v) -> if ph = 0 then Some v else None) (live_entries tracers)
 
 (* {1 Export} *)
 
@@ -215,29 +155,30 @@ let bprint_common buf ~name ~ph ~ts ~pid ~tid =
 (* Render one slot into 1-3 trace events (the slice plus its flow
    endpoints, which Perfetto binds to the enclosing slice by emitting
    them at the slice's start timestamp on the same pid/tid). *)
-let render_slot buf ~pid ~crit (s : slot) =
-  if s.e_ph = 1 then begin
-    bprint_common buf ~name:s.e_label ~ph:"i" ~ts:s.e_ts ~pid ~tid:s.e_tid;
-    Printf.bprintf buf ",\"s\":\"t\",\"args\":{\"arg\":%d}}" s.e_arg
+let render_slot buf ~crit (ph, arg, v) =
+  let pid = v.v_machine and tid = v.v_tid in
+  if ph = 1 then begin
+    bprint_common buf ~name:v.v_name ~ph:"i" ~ts:v.v_ts ~pid ~tid;
+    Printf.bprintf buf ",\"s\":\"t\",\"args\":{\"arg\":%d}}" arg
   end
   else begin
-    bprint_common buf ~name:(slice_name s) ~ph:"X" ~ts:s.e_ts ~pid ~tid:s.e_tid;
+    bprint_common buf ~name:v.v_name ~ph:"X" ~ts:v.v_ts ~pid ~tid;
     Printf.bprintf buf ",\"dur\":";
-    bprint_us buf s.e_dur;
-    Printf.bprintf buf ",\"args\":{\"arg\":%d" s.e_arg;
-    if s.e_txm >= 0 then
-      Printf.bprintf buf ",\"tx\":\"m%d.t%d.%d\"" s.e_txm s.e_txt s.e_txl;
+    bprint_us buf v.v_dur;
+    Printf.bprintf buf ",\"args\":{\"arg\":%d" arg;
+    if v.v_txm >= 0 then
+      Printf.bprintf buf ",\"tx\":\"m%d.t%d.%d\"" v.v_txm v.v_txt v.v_txl;
     if crit then Printf.bprintf buf ",\"crit\":1";
     Printf.bprintf buf "}}";
-    if s.e_fout <> 0 then begin
+    if v.v_fout <> 0 then begin
       Buffer.add_string buf ",\n";
-      bprint_common buf ~name:"flow" ~ph:"s" ~ts:s.e_ts ~pid ~tid:s.e_tid;
-      Printf.bprintf buf ",\"cat\":\"flow\",\"id\":%d}" s.e_fout
+      bprint_common buf ~name:"flow" ~ph:"s" ~ts:v.v_ts ~pid ~tid;
+      Printf.bprintf buf ",\"cat\":\"flow\",\"id\":%d}" v.v_fout
     end;
-    if s.e_fin <> 0 then begin
+    if v.v_fin <> 0 then begin
       Buffer.add_string buf ",\n";
-      bprint_common buf ~name:"flow" ~ph:"f" ~ts:s.e_ts ~pid ~tid:s.e_tid;
-      Printf.bprintf buf ",\"cat\":\"flow\",\"bp\":\"e\",\"id\":%d}" s.e_fin
+      bprint_common buf ~name:"flow" ~ph:"f" ~ts:v.v_ts ~pid ~tid;
+      Printf.bprintf buf ",\"cat\":\"flow\",\"bp\":\"e\",\"id\":%d}" v.v_fin
     end
   end
 
@@ -258,26 +199,17 @@ let export_json ?mark tracers =
       emit (fun buf ->
           bprint_common buf ~name:"process_name" ~ph:"M" ~ts:0 ~pid ~tid:0;
           Printf.bprintf buf ",\"args\":{\"name\":\"machine %d\"}}" pid);
-      let cap = Array.length t.ring in
-      let n = min t.trc_total cap in
-      let tids = ref [] in
-      for i = 0 to n - 1 do
-        let s = t.ring.((t.pos - n + i + (2 * cap)) mod cap) in
-        if not (List.mem s.e_tid !tids) then tids := s.e_tid :: !tids
-      done;
       List.iter
         (fun tid ->
           emit (fun buf ->
               bprint_common buf ~name:"thread_name" ~ph:"M" ~ts:0 ~pid ~tid;
               Printf.bprintf buf ",\"args\":{\"name\":\"%s\"}}" (tid_name tid)))
-        (List.sort compare !tids))
+        (List.sort_uniq compare (Ring.to_list t.ring (fun _ h -> Ring.get t.ring h 3))))
     (List.sort (fun a b -> compare a.trc_machine b.trc_machine) tracers);
   List.iter
-    (fun (_, pid, _, s) ->
-      let crit =
-        match mark with Some f when s.e_ph = 0 -> f (view_of_slot pid s) | _ -> false
-      in
-      emit (fun buf -> render_slot buf ~pid ~crit s))
+    (fun ((ph, _, v) as e) ->
+      let crit = match mark with Some f when ph = 0 -> f v | _ -> false in
+      emit (fun buf -> render_slot buf ~crit e))
     entries;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf

@@ -1,7 +1,7 @@
 open Farm_sim
 
-(** Causal tracing: per-machine preallocated span buffers recording the
-    begin/end of every protocol step, plus flow events linking a log
+(** Causal tracing: per-machine span buffers recording the begin/end
+    of every protocol step, plus flow events linking a log
     record's (or message's) send to its remote processing, exported as
     Chrome trace-event JSON openable directly in ui.perfetto.dev. The
     tracer is a sink that knows no protocol vocabulary: callers name
@@ -11,8 +11,8 @@ open Farm_sim
     rest of the obs spine it obeys three hard rules:
 
     - {b O(1), allocation-light recording.} A slice or instant is a
-      handful of integer stores into a preallocated ring slot; rendering
-      happens only at export time.
+      handful of integer stores into a {!Ring} slot; rendering happens
+      only at export time.
     - {b Near-zero cost when disabled.} Every recording entry point
       reduces to a load and a branch while tracing is off.
     - {b Determinism is never perturbed.} Recording reads {!Engine.now}
@@ -38,14 +38,17 @@ type t
 
 val create : ?capacity:int -> Engine.t -> machine:int -> t
 (** A per-machine tracer; [capacity] bounds the span buffer (default
-    4096 slots, oldest overwritten first). The buffer is allocated when
-    tracing is first enabled. *)
+    4096 slots, oldest overwritten first). The buffer's storage grows
+    with the slots recorded. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
 val total : t -> int
 (** Events recorded since creation, including overwritten ones. *)
+
+val ring : t -> string Ring.t
+(** The span buffer, for memory accounting. *)
 
 (** {1 Thread tracks}
 

@@ -137,6 +137,33 @@ let ring_bounds () =
   let lines = List.map snd (Obs.events o) in
   check_bool "oldest surviving event is #13" true (contains (List.hd lines) "dst=m13")
 
+(* The ring behind the flight recorder, tracer and sampler, against a list
+   model: after k pushes into a ring of capacity cap it holds the last
+   min k cap slots oldest first, counts all k, and its storage never
+   exceeds twice the slots in use or its first allocation of 16 (plus the
+   record and two array headers, 10 words). *)
+let ring_matches_model =
+  QCheck.Test.make ~name:"ring keeps the newest pushes in bounded storage" ~count:300
+    QCheck.(triple (int_range 1 64) (int_range 1 4) (int_range 0 300))
+    (fun (cap, stride, k) ->
+      let r = Ring.create ~capacity:cap ~stride (-1) in
+      let grown = ref true in
+      for i = 0 to k - 1 do
+        let h = Ring.push r i in
+        for j = 0 to stride - 1 do
+          Ring.set r h j ((i * stride) + j)
+        done;
+        let slots = max (2 * min (i + 1) cap) (min cap 16) in
+        grown := !grown && Obj.reachable_words (Obj.repr r) <= 10 + (slots * (stride + 1))
+      done;
+      let slots = Ring.to_list r (fun tag h -> (tag, List.init stride (Ring.get r h))) in
+      let model =
+        List.filter_map
+          (fun i -> if i >= k - cap then Some (i, List.init stride (fun j -> (i * stride) + j)) else None)
+          (List.init k Fun.id)
+      in
+      slots = model && Ring.total r = k && !grown)
+
 (* Each kind reaches exactly its sinks: its own counter always, the ring
    while recording, the tracer while tracing, and the shared cluster log
    for drops, milestones and nemesis actions. *)
@@ -336,6 +363,24 @@ let sampler_delta_math () =
       check_int (Fmt.str "interval %d level" i) bumps.(i) vals.(1))
     rows
 
+(* A series added after a finished run widens the next start's rows:
+   every row of the second run carries the new column. *)
+let sampler_restart_adds_column () =
+  let e = Engine.create () in
+  let tl = Timeline.create e ~machine:0 in
+  Timeline.add_series tl ~name:"ops" ~kind:Timeline.Level (fun () -> 3);
+  Timeline.start tl ~interval:(Time.ns 1000) ~until:(Time.ns 2000);
+  Engine.run e;
+  Timeline.add_series tl ~name:"depth" ~kind:Timeline.Level (fun () -> 7);
+  Timeline.start tl ~interval:(Time.ns 1000) ~until:(Time.ns 4000);
+  Engine.run e;
+  let rows = Timeline.rows tl in
+  check_int "one row per tick of the second run" 2 (List.length rows);
+  List.iter
+    (fun (_, vals) ->
+      Alcotest.(check (array int)) "row carries both columns" [| 3; 7 |] vals)
+    rows
+
 (* The cluster sampler's commit deltas, summed over every machine and
    interval, equal the commit counters exactly. *)
 let sampler_matches_counters () =
@@ -351,6 +396,34 @@ let sampler_matches_counters () =
       List.iter (fun (_, vals) -> total := !total + vals.(!idx)) (Timeline.rows tl))
     c.Cluster.machines;
   check_int "sampled deltas sum to the counter total" (Cluster.total_committed c) !total
+
+(* Sampler and tracer storage follows use: a cluster sampled for 50 ms and
+   traced through six transactions holds about the rows and slots it
+   wrote, far below the 4096 of each ring's capacity. *)
+let obs_storage_follows_use () =
+  let c = run_traced_cluster 21 in
+  (* words a ring of [slots] slots holds at most: twice the slots, each a
+     tag and [stride] ints, plus the headers and the static labels *)
+  let bound ~stride slots = (2 * max slots 16 * (stride + 1)) + 64 in
+  Array.iter
+    (fun (st : State.t) ->
+      let tl = Obs.timeline st.State.obs and tr = Obs.tracer st.State.obs in
+      let rows = List.length (Timeline.rows tl) in
+      let stride = List.length (Timeline.series_names tl) + 1 in
+      let words = Obj.reachable_words (Obj.repr (Timeline.ring tl)) in
+      check_int "one row per 1 ms tick" 50 rows;
+      check_bool
+        (Fmt.str "timeline: %d words for %d rows" words rows)
+        true
+        (words <= bound ~stride rows && words * 16 < 4096 * (stride + 1));
+      let slots = Tracer.total tr in
+      let words = Obj.reachable_words (Obj.repr (Tracer.ring tr)) in
+      check_bool "tracer recorded, without wrapping" true (slots > 0 && slots < 4096);
+      check_bool
+        (Fmt.str "tracer: %d words for %d slots" words slots)
+        true
+        (words <= bound ~stride:10 slots))
+    c.Cluster.machines
 
 (* Same seed, two runs: both export artifacts are byte-identical. *)
 let dumps_deterministic () =
@@ -500,6 +573,7 @@ let suites =
         test "recording on/off does not perturb a fuzz seed" recording_is_inert;
         test "failing outcome dumps the flight recorder" failure_dumps_recorder;
         test "flight-recorder ring is gated and bounded" ring_bounds;
+        QCheck_alcotest.to_alcotest ring_matches_model;
         test "event kinds reach exactly their sinks" event_routing;
         test "flight dump keeps same-instant emission order" flight_dump_same_instant_order;
         test "every protocol point's name, label and tags" point_vocabulary;
@@ -508,6 +582,8 @@ let suites =
     ( "obs.trace",
       [
         test "sampler delta math vs hand-counted ops" sampler_delta_math;
+        test "sampler restart after add_series widens rows" sampler_restart_adds_column;
+        test "sampler and tracer storage follow use" obs_storage_follows_use;
         test "sampler deltas match the commit counters" sampler_matches_counters;
         test "trace and timeline dumps are deterministic" dumps_deterministic;
         test "tracing on/off: same history, byte-identical JSON" trace_export_deterministic;
