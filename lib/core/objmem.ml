@@ -21,21 +21,21 @@ let unlock (r : State.replica) (w : Wire.write_item) =
   if Obj_layout.is_locked h && Obj_layout.version h = w.version then
     Obj_layout.set r.mem ~off (Obj_layout.with_locked h false)
 
+(* The commit timestamp a write installs at: its own, else the one it is
+   installed with. Evidence that predates timestamp assignment takes
+   [head_ts + 1], which preserves per-object order. Top level, not a
+   closure in [apply_write], which ocamlopt would allocate per write. *)
+let eff_ts ~ts (w : Wire.write_item) vc ~off =
+  if w.ts <> 0 then w.ts else if ts <> 0 then ts else Verchain.head_ts vc ~off + 1
+
 (* [install]'s write to region memory and the version chain (see the
    .mli); true if applied, false if the replica was already past it. At a
    backup truncation order can invert per object, so a skipped (stale)
-   write is archived in the chain, where it belongs. Evidence that
-   predates timestamp assignment takes [head_ts + 1], which preserves
-   per-object order. *)
+   write is archived in the chain, where it belongs. *)
 let apply_write ~ts (r : State.replica) (w : Wire.write_item) =
   let off = w.addr.Addr.offset in
   let h = header r ~off in
   let new_version = w.version + 1 in
-  let eff_ts vc =
-    if w.ts <> 0 then w.ts
-    else if ts <> 0 then ts
-    else Verchain.head_ts vc ~off + 1
-  in
   if Obj_layout.version h < new_version then begin
     (* Any committed write implies the object was allocated when written:
        the allocation bit must come from the write, never be inherited from
@@ -54,7 +54,7 @@ let apply_write ~ts (r : State.replica) (w : Wire.write_item) =
         Verchain.archive vc ~off ~version:old_version ~ts:(Verchain.head_ts vc ~off)
           ~allocated:(Obj_layout.is_allocated h)
           (Obj_layout.read_data r.mem ~off ~len:(Bytes.length w.value));
-        Verchain.set_head_ts vc ~off (eff_ts vc));
+        Verchain.set_head_ts vc ~off (eff_ts ~ts w vc ~off));
     Obj_layout.set r.mem ~off
       (Obj_layout.make ~locked:false ~allocated ~version:new_version);
     Obj_layout.write_data r.mem ~off w.value;
@@ -72,7 +72,7 @@ let apply_write ~ts (r : State.replica) (w : Wire.write_item) =
             | Wire.Alloc_set | Wire.Alloc_none -> true
             | Wire.Alloc_clear -> false
           in
-          Verchain.archive vc ~off ~version:new_version ~ts:(eff_ts vc) ~allocated w.value);
+          Verchain.archive vc ~off ~version:new_version ~ts:(eff_ts ~ts w vc ~off) ~allocated w.value);
     false
   end
 

@@ -149,37 +149,42 @@ let read_at ?span st ~dst ~(addr : Addr.t) ~len : ((int64 * bytes) option, Farm_
                 Some (Objmem.read_object rep ~off:addr.Addr.offset ~len)
             | _ -> None))
 
+(* Retry limits of one read: failed or refused reads, and reads that
+   found the object locked by a committing writer. *)
+let max_read_failures = 100
+let max_read_locked = 400
+
 (* Versioned read with retries across lock conflicts and reconfiguration:
-   returns the object's committed version and data. *)
-let read_versioned ?span st ~(addr : Addr.t) ~len =
-  let max_failures = 100 and max_locked = 400 in
-  let rec attempt ~failures ~locked =
-    Proc.check_cancelled ();
-    if failures > max_failures then raise (Abort Failed)
-    else if locked > max_locked then raise (Abort Conflict)
-    else
-      match ensure_mapping st addr.Addr.region ~retries:5 with
-      | None -> raise (Abort Failed)
-      | Some info -> (
-          match read_at ?span st ~dst:info.Wire.primary ~addr ~len with
-          | Error (`Unreachable | `Timeout) ->
-              invalidate_mapping st addr.Addr.region;
-              Proc.sleep (Time.us 500);
-              attempt ~failures:(failures + 1) ~locked
-          | Ok None ->
-              invalidate_mapping st addr.Addr.region;
-              Proc.sleep (Time.us 200);
-              attempt ~failures:(failures + 1) ~locked
-          | Ok (Some (header, data)) ->
-              if Obj_layout.is_locked header then begin
-                (* being committed right now; wait for the writer *)
-                Proc.sleep (Time.us 30);
-                attempt ~failures ~locked:(locked + 1)
-              end
-              else if not (Obj_layout.is_allocated header) then raise (Abort Not_allocated)
-              else (Obj_layout.version header, data))
-  in
-  attempt ~failures:0 ~locked:0
+   returns the object's committed version and data. A top-level loop, not
+   a local closure, which ocamlopt would allocate on every read. *)
+let rec read_versioned_from span st ~(addr : Addr.t) ~len ~failures ~locked =
+  Proc.check_cancelled ();
+  if failures > max_read_failures then raise (Abort Failed)
+  else if locked > max_read_locked then raise (Abort Conflict)
+  else
+    match ensure_mapping st addr.Addr.region ~retries:5 with
+    | None -> raise (Abort Failed)
+    | Some info -> (
+        match read_at ?span st ~dst:info.Wire.primary ~addr ~len with
+        | Error (`Unreachable | `Timeout) ->
+            invalidate_mapping st addr.Addr.region;
+            Proc.sleep (Time.us 500);
+            read_versioned_from span st ~addr ~len ~failures:(failures + 1) ~locked
+        | Ok None ->
+            invalidate_mapping st addr.Addr.region;
+            Proc.sleep (Time.us 200);
+            read_versioned_from span st ~addr ~len ~failures:(failures + 1) ~locked
+        | Ok (Some (header, data)) ->
+            if Obj_layout.is_locked header then begin
+              (* being committed right now; wait for the writer *)
+              Proc.sleep (Time.us 30);
+              read_versioned_from span st ~addr ~len ~failures ~locked:(locked + 1)
+            end
+            else if not (Obj_layout.is_allocated header) then raise (Abort Not_allocated)
+            else (Obj_layout.version header, data))
+
+let read_versioned ?span st ~addr ~len =
+  read_versioned_from span st ~addr ~len ~failures:0 ~locked:0
 
 (* {1 Snapshot reads (snapshot protocol)}
 
@@ -213,44 +218,43 @@ let snap_read_at ?span st ~dst ~(addr : Addr.t) ~len ~ts :
                 Some (Objmem.read_snapshot rep ~off:addr.Addr.offset ~len ~ts)
             | _ -> None))
 
-let read_snapshot_versioned ?span st ~(addr : Addr.t) ~len ~ts =
-  let max_failures = 100 and max_locked = 400 in
-  let rec attempt ~failures ~locked =
-    Proc.check_cancelled ();
-    if failures > max_failures then raise (Abort Failed)
-    else if locked > max_locked then raise (Abort Conflict)
-    else
-      match ensure_mapping st addr.Addr.region ~retries:5 with
-      | None -> raise (Abort Failed)
-      | Some info -> (
-          match snap_read_at ?span st ~dst:info.Wire.primary ~addr ~len ~ts with
-          | Error (`Unreachable | `Timeout) ->
-              invalidate_mapping st addr.Addr.region;
-              Proc.sleep (Time.us 500);
-              attempt ~failures:(failures + 1) ~locked
-          | Ok None ->
-              invalidate_mapping st addr.Addr.region;
-              Proc.sleep (Time.us 200);
-              attempt ~failures:(failures + 1) ~locked
-          | Ok (Some (Objmem.Snap_locked)) ->
-              (* the head is inside the snapshot but a write with an
-                 unknown timestamp is landing; wait for the writer *)
-              Proc.sleep (Time.us 30);
-              attempt ~failures ~locked:(locked + 1)
-          | Ok (Some (Objmem.Snap_value { version; value; allocated; from_chain })) ->
-              Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_snap_read;
-              if from_chain then
-                Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_snap_chain_read;
-              if not allocated then raise (Abort Not_allocated) else (version, value)
-          | Ok (Some Objmem.Snap_none) ->
-              Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_snap_read;
-              raise (Abort Not_allocated)
-          | Ok (Some Objmem.Snap_below_floor) ->
-              (* history truncated past our snapshot (only possible across
-                 failures/re-replication): retry at a fresh timestamp *)
-              raise (Abort Conflict))
-  in
-  attempt ~failures:0 ~locked:0
+let rec read_snapshot_from span st ~(addr : Addr.t) ~len ~ts ~failures ~locked =
+  Proc.check_cancelled ();
+  if failures > max_read_failures then raise (Abort Failed)
+  else if locked > max_read_locked then raise (Abort Conflict)
+  else
+    match ensure_mapping st addr.Addr.region ~retries:5 with
+    | None -> raise (Abort Failed)
+    | Some info -> (
+        match snap_read_at ?span st ~dst:info.Wire.primary ~addr ~len ~ts with
+        | Error (`Unreachable | `Timeout) ->
+            invalidate_mapping st addr.Addr.region;
+            Proc.sleep (Time.us 500);
+            read_snapshot_from span st ~addr ~len ~ts ~failures:(failures + 1) ~locked
+        | Ok None ->
+            invalidate_mapping st addr.Addr.region;
+            Proc.sleep (Time.us 200);
+            read_snapshot_from span st ~addr ~len ~ts ~failures:(failures + 1) ~locked
+        | Ok (Some (Objmem.Snap_locked)) ->
+            (* the head is inside the snapshot but a write with an
+               unknown timestamp is landing; wait for the writer *)
+            Proc.sleep (Time.us 30);
+            read_snapshot_from span st ~addr ~len ~ts ~failures ~locked:(locked + 1)
+        | Ok (Some (Objmem.Snap_value { version; value; allocated; from_chain })) ->
+            Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_snap_read;
+            if from_chain then
+              Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_snap_chain_read;
+            if not allocated then raise (Abort Not_allocated) else (version, value)
+        | Ok (Some Objmem.Snap_none) ->
+            Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_snap_read;
+            raise (Abort Not_allocated)
+        | Ok (Some Objmem.Snap_below_floor) ->
+            (* history truncated past our snapshot (only possible across
+               failures/re-replication): retry at a fresh timestamp *)
+            raise (Abort Conflict))
+
+let read_snapshot_versioned ?span st ~addr ~len ~ts =
+  read_snapshot_from span st ~addr ~len ~ts ~failures:0 ~locked:0
 
 (* {1 Read and write sets} *)
 

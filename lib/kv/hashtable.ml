@@ -187,11 +187,15 @@ let create cluster ~regions ~buckets ~ksize ~vsize ?(slots = 6) ?(partitions = 1
     write_chain head 0;
     t.buckets.(b) <- head
   in
+  (* each region's buckets in ascending order, grouped in one pass *)
+  let buckets_of = Int_tbl.create (Array.length regions) in
+  for b = Array.length t.buckets - 1 downto 0 do
+    let rid = region_of_bucket b in
+    Int_tbl.replace buckets_of rid
+      (b :: Option.value (Int_tbl.find_opt buckets_of rid) ~default:[])
+  done;
   let build_region st rid =
-    let bs =
-      Array.of_seq
-        (Seq.filter (fun b -> region_of_bucket b = rid) (Seq.init (Array.length t.buckets) Fun.id))
-    in
+    let bs = Array.of_list (Option.value (Int_tbl.find_opt buckets_of rid) ~default:[]) in
     let rec from lo =
       if lo < Array.length bs then begin
         let hi = min (Array.length bs) (lo + batch) in

@@ -20,7 +20,9 @@
 
    [Time.t] is [int], and this file compares instants with the int
    operators directly: the event loop then makes no call it does not need
-   in builds without cross-module inlining. *)
+   even under [--profile dev], whose [-opaque] stops all cross-module
+   inlining. The default release build (dune-workspace) also inlines
+   [Heap]'s operations here; only [Heap.grow] stays a call. *)
 
 type t = {
   near : (unit -> unit) Heap.t;

@@ -21,6 +21,24 @@ let test name fn = Alcotest.test_case name `Quick fn
      state leaking between transactions through a recycled arena shows
      up as a diff. *)
 
+(* Host bytes per transaction of [batch st n], which runs [n]
+   transactions on [machine], after a warm-up batch of 32: the first
+   measurement window that no minor collection lands in, of up to four. *)
+let quiet_bytes_per_tx c ~machine ~n batch =
+  let rec attempt tries =
+    let per_tx =
+      Cluster.run_on c ~machine (fun st ->
+          batch st 32;
+          let (), bytes, clean = Farm_obs.Allocmeter.measure (fun () -> batch st n) in
+          if clean then Some (bytes /. float_of_int n) else None)
+    in
+    match per_tx with
+    | Some v -> v
+    | None when tries > 0 -> attempt (tries - 1)
+    | None -> Alcotest.fail "no GC-quiet measurement window"
+  in
+  attempt 3
+
 (* {1 Per-commit allocation budget}
 
    The pre-refactor commit pipeline allocated 36 679 B per transaction on
@@ -65,22 +83,7 @@ let commit_budget_mode ~params ~budget () =
       | Error e -> Alcotest.failf "micro tx failed: %a" Txn.pp_abort e
     done
   in
-  let n = 512 in
-  let rec attempt tries =
-    let per_tx =
-      Cluster.run_on c ~machine:0 (fun st ->
-          batch st 32;
-          let (), bytes, clean =
-            Farm_obs.Allocmeter.measure (fun () -> batch st n)
-          in
-          if clean then Some (bytes /. float_of_int n) else None)
-    in
-    match per_tx with
-    | Some v -> v
-    | None when tries > 0 -> attempt (tries - 1)
-    | None -> Alcotest.fail "no GC-quiet measurement window"
-  in
-  let per_tx = attempt 3 in
+  let per_tx = quiet_bytes_per_tx c ~machine:0 ~n:512 batch in
   if per_tx > budget then
     Alcotest.failf "commit allocates %.0f B/tx, budget %.0f B/tx" per_tx budget
 
@@ -137,26 +140,68 @@ let execute_bytes_per_tx () =
       | Error e -> Alcotest.failf "execute tx failed: %a" Txn.pp_abort e
     done
   in
-  let n = 128 in
-  let rec attempt tries =
-    let per_tx =
-      Cluster.run_on c ~machine:0 (fun st ->
-          batch st 32;
-          let (), bytes, clean = Farm_obs.Allocmeter.measure (fun () -> batch st n) in
-          if clean then Some (bytes /. float_of_int n) else None)
-    in
-    match per_tx with
-    | Some v -> v
-    | None when tries > 0 -> attempt (tries - 1)
-    | None -> Alcotest.fail "no GC-quiet measurement window"
-  in
-  attempt 3
+  quiet_bytes_per_tx c ~machine:0 ~n:128 batch
 
 let execute_budget () =
   let per_tx = execute_bytes_per_tx () in
   if per_tx > execute_budget_bytes_per_tx then
     Alcotest.failf "execute-phase transaction allocates %.0f B/tx, budget %.0f B/tx" per_tx
       execute_budget_bytes_per_tx
+
+(* {1 Snapshot read-path allocation budget}
+
+   Read-only transactions of four reads under the snapshot protocol, the
+   [ycsb_b_snapshot] shape: timestamp-ordered reads that commit locally.
+   The coordinator is the region's primary, so each read is the read path
+   itself ([Txn.read] down to [Objmem.read_snapshot]) with no fabric verb
+   on top. The figure is the read path's own share: a transaction of four
+   reads less an empty read-only transaction, both over GC-quiet windows
+   like the budgets above, divided by four. It measures 39.5 B per read as
+   [Allocmeter] reports it (42.5 under [--profile dev]); with each read's
+   retry loop a local closure, which ocamlopt allocates on every call, it
+   measured 50.5. The budget is the measured figure plus 20%. *)
+let snapshot_read_budget_bytes_per_read = 47.
+
+let snapshot_read_bytes_per_read () =
+  Farm_obs.Allocmeter.with_quiet_heap @@ fun () ->
+  let params = { Params.default with Params.protocol = Params.Snapshot } in
+  let c = Cluster.create ~params ~machines:3 () in
+  let r = Cluster.alloc_region_exn c in
+  let cells =
+    Cluster.run_on c ~machine:0 (fun st ->
+        match
+          Api.run st ~thread:0 (fun tx ->
+              Array.init 8 (fun _ ->
+                  let a = Txn.alloc tx ~size:8 ~region:r.Wire.rid () in
+                  Txn.write tx a (Bytes.make 8 '\000');
+                  a))
+        with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "setup tx failed: %a" Txn.pp_abort e)
+  in
+  let next = ref 0 in
+  let batch ~reads st n =
+    for _ = 1 to n do
+      let base = !next in
+      next := base + reads;
+      match
+        Api.run st ~thread:0 (fun tx ->
+            for i = base to base + reads - 1 do
+              ignore (Txn.read tx cells.(i mod Array.length cells) ~len:8)
+            done)
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "snapshot read tx failed: %a" Txn.pp_abort e
+    done
+  in
+  let per_tx reads = quiet_bytes_per_tx c ~machine:r.Wire.primary ~n:512 (batch ~reads) in
+  (per_tx 4 -. per_tx 0) /. 4.
+
+let snapshot_read_budget () =
+  let per_read = snapshot_read_bytes_per_read () in
+  if per_read > snapshot_read_budget_bytes_per_read then
+    Alcotest.failf "a snapshot read allocates %.1f B, budget %.0f B" per_read
+      snapshot_read_budget_bytes_per_read
 
 (* {1 Arena reuse is invisible}
 
@@ -253,6 +298,7 @@ let suites =
         test "commit path stays within its allocation budget" commit_budget;
         test "snapshot-mode commit path stays within its budget" commit_budget_snapshot;
         test "execute phase stays within its allocation budget" execute_budget;
+        test "snapshot read path stays within its allocation budget" snapshot_read_budget;
         test "arena reuse produces byte-identical runs" arena_reuse_invisible;
         test "a released arena pins no written value" released_arena_pins_nothing;
       ] );
