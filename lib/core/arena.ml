@@ -2,59 +2,40 @@
 
    The commit protocol needs a handful of small, short-lived groupings per
    transaction: write items by destination, region ids written, per-
-   participant reservation accounting, validation groups. Building these
-   out of fresh hashtables and cons lists cost ~tens of KB of heap per
-   commit; an arena holds them as flat arrays that are reset — not
-   reallocated — between transactions.
+   participant reservation accounting. Building these out of fresh
+   hashtables and cons lists cost ~tens of KB of heap per commit; an arena
+   holds them as flat growable arrays.
 
-   Ownership rules (the part that keeps this safe):
+   Every [Commit.commit] creates its own arena. The background
+   COMMIT-PRIMARY and TRUNCATE processes that outlive the call close over
+   it, and the GC reclaims it once the last of them has finished: no
+   arena is ever shared or reused, so no state can leak from one
+   transaction into the next.
 
-   - The arena owns only coordinator-side SCRATCH. Anything that crosses
-     the wire and can be retained by a receiver — [Wire.write_item]s,
-     [Wire.record] payloads, the [regions_written] list shared by LOCK and
-     COMMIT-BACKUP — is freshly allocated per commit and never reused:
-     ring logs keep records resident until truncation and recovery reads
-     them back long after the coordinator has moved on.
-
-   - Arenas are reference-counted, not scoped: the commit path spawns
-     background processes (COMMIT-PRIMARY bookkeeping, lazy TRUNCATE) that
-     touch the accounting tables after [Commit.commit] has returned, so
-     each such process retains the arena before it is spawned and releases
-     it when it finishes. The arena returns to the machine's pool only
-     when the last reference drops.
-
-   - With [Params.arena_reuse] off, released arenas are dropped instead of
-     pooled, so every commit starts from freshly-zeroed state. Replaying
-     the same seed in both modes and comparing traces is the state-leak
-     detector: any byte of difference means scratch escaped a commit. *)
+   The arena owns only coordinator-side SCRATCH. Anything that crosses the
+   wire and can be retained by a receiver — [Wire.write_item]s,
+   [Wire.record] payloads, the [regions_written] list shared by LOCK and
+   COMMIT-BACKUP — is freshly allocated: ring logs keep records resident
+   until truncation and recovery reads them back long after the
+   coordinator has moved on. *)
 
 (* {1 Growable flat vectors}
 
-   Each vector carries a dummy of its element type. [clear] only rewinds
-   the count, so slots beyond [n] keep whatever they held: fine for ints,
-   but a vector of pointers would keep a finished transaction's write
-   items, values and records alive in the pool until the slots are
-   overwritten. Pointer vectors are therefore rewound only with [scrub],
-   which overwrites the used prefix with the dummy, and every vector grows
-   by filling with the dummy, so each slot of a pointer vector at or past
-   [n] holds the dummy. *)
+   A vector grows by filling the new array with the element being pushed,
+   so it needs no placeholder element. [clear] only rewinds the count. *)
 
 module Vec = struct
-  type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
+  type 'a t = { mutable a : 'a array; mutable n : int }
 
+  let create () = { a = [||]; n = 0 }
   let length v = v.n
   let clear v = v.n <- 0
-
-  let scrub v =
-    Array.fill v.a 0 v.n v.dummy;
-    v.n <- 0
-
   let get v i = v.a.(i)
 
   let push v x =
     let cap = Array.length v.a in
     if v.n = cap then begin
-      let na = Array.make (if cap = 0 then 8 else 2 * cap) v.dummy in
+      let na = Array.make (if cap = 0 then 8 else 2 * cap) x in
       Array.blit v.a 0 na 0 v.n;
       v.a <- na
     end;
@@ -77,13 +58,6 @@ module Vec = struct
      NOT own. *)
   let to_list v = List.init v.n (fun i -> v.a.(i))
 end
-
-(* Outside [Vec] so that [Vec]'s signature in arena.mli is its whole
-   structure. Hiding a value from a submodule's signature makes the
-   compiler coerce the submodule, and that raised the commit path's heap
-   allocation by 13 bytes per transaction (engine_scaling's commit
-   micro). *)
-let vec dummy = { Vec.a = [||]; n = 0; dummy }
 
 (* In-place sort + dedup of an int vector with an explicit int comparison
    (insertion sort: the inputs are region/participant sets, a handful of
@@ -112,55 +86,25 @@ let sort_uniq_ints (v : int Vec.t) =
 
 (* {1 Destination groups}
 
-   Items grouped by destination machine, in first-touch order. Group
-   records and their item vectors are recycled: [live] marks how many are
-   in use this transaction. Linear search — a transaction talks to a
-   handful of machines. The dummy group's item vector holds the item
-   dummy that new groups start from. *)
+   Items grouped by destination machine, in first-touch order. Linear
+   search — a transaction talks to a handful of machines. The searches
+   are top-level functions, not local closures, which ocamlopt would
+   allocate on every call. *)
 
-type 'a group = { mutable g_dst : int; g_items : 'a Vec.t }
-type 'a groups = { gs : 'a group Vec.t; mutable live : int }
+type 'a group = { g_dst : int; g_items : 'a Vec.t }
+type 'a groups = 'a group Vec.t
 
-let groups_create dummy = { gs = vec { g_dst = -1; g_items = vec dummy }; live = 0 }
-let groups_clear g = g.live <- 0
+let rec group_from (g : 'a groups) dst i =
+  if i = g.n then begin
+    let gr = { g_dst = dst; g_items = Vec.create () } in
+    Vec.push g gr;
+    gr
+  end
+  else
+    let gr = Vec.get g i in
+    if gr.g_dst = dst then gr else group_from g dst (i + 1)
 
-(* Groups of pointers: drop the live groups' references too. *)
-let groups_scrub g =
-  for i = 0 to g.live - 1 do
-    Vec.scrub (Vec.get g.gs i).g_items
-  done;
-  g.live <- 0
-
-let group g i = Vec.get g.gs i
-
-let group_add g ~dst x =
-  let rec find i =
-    if i = g.live then None
-    else
-      let gr = Vec.get g.gs i in
-      if gr.g_dst = dst then Some gr else find (i + 1)
-  in
-  let gr =
-    match find 0 with
-    | Some gr -> gr
-    | None ->
-        let gr =
-          if g.live < Vec.length g.gs then begin
-            let gr = Vec.get g.gs g.live in
-            gr.g_dst <- dst;
-            Vec.clear gr.g_items;
-            gr
-          end
-          else begin
-            let gr = { g_dst = dst; g_items = vec g.gs.dummy.g_items.dummy } in
-            Vec.push g.gs gr;
-            gr
-          end
-        in
-        g.live <- g.live + 1;
-        gr
-  in
-  Vec.push gr.g_items x
+let group_add g ~dst x = Vec.push (group_from g dst 0).g_items x
 
 (* {1 Participant accounting}
 
@@ -169,52 +113,30 @@ let group_add g ~dst x =
    spoken for). Replaces three hashtables. *)
 
 type acct = {
-  mutable a_dst : int;
+  a_dst : int;
   mutable a_reserved : int;
   mutable a_consumed : int;
   mutable a_trunc_queued : bool;
 }
 
-type accts = { accs : acct Vec.t; mutable alive : int }
+let rec acct_from (t : acct Vec.t) dst i =
+  if i = t.n then begin
+    let a = { a_dst = dst; a_reserved = 0; a_consumed = 0; a_trunc_queued = false } in
+    Vec.push t a;
+    a
+  end
+  else
+    let a = Vec.get t i in
+    if a.a_dst = dst then a else acct_from t dst (i + 1)
 
-let accts_create () =
-  { accs = vec { a_dst = -1; a_reserved = 0; a_consumed = 0; a_trunc_queued = false }; alive = 0 }
-let accts_clear t = t.alive <- 0
-
-let acct_for t dst =
-  let rec find i =
-    if i = t.alive then None
-    else
-      let a = Vec.get t.accs i in
-      if a.a_dst = dst then Some a else find (i + 1)
-  in
-  match find 0 with
-  | Some a -> a
-  | None ->
-      let a =
-        if t.alive < Vec.length t.accs then begin
-          let a = Vec.get t.accs t.alive in
-          a.a_dst <- dst;
-          a.a_reserved <- 0;
-          a.a_consumed <- 0;
-          a.a_trunc_queued <- false;
-          a
-        end
-        else begin
-          let a = { a_dst = dst; a_reserved = 0; a_consumed = 0; a_trunc_queued = false } in
-          Vec.push t.accs a;
-          a
-        end
-      in
-      t.alive <- t.alive + 1;
-      a
+let acct_for t dst = acct_from t dst 0
 
 (* Deterministic participant order for truncation queueing and leftover
    release: sorted by destination id, like the old sorted participant
-   list. In-place insertion sort over the live prefix. *)
-let accts_sort t =
-  let a = t.accs.Vec.a in
-  for i = 1 to t.alive - 1 do
+   list. In-place insertion sort. *)
+let accts_sort (t : acct Vec.t) =
+  let a = t.a in
+  for i = 1 to t.n - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
     while !j >= 0 && a.(!j).a_dst > x.a_dst do
@@ -224,42 +146,13 @@ let accts_sort t =
     a.(!j + 1) <- x
   done
 
-let accts_iter f t =
-  for i = 0 to t.alive - 1 do
-    f (Vec.get t.accs i)
-  done
-
-(* {1 The arena}
-
-   What a released arena drops: the dummies its pointer vectors are
-   scrubbed with. None is ever read. *)
-
-let dummy_item =
-  {
-    Wire.addr = Addr.make ~region:(-1) ~offset:0;
-    version = 0;
-    value = Bytes.empty;
-    alloc_op = Wire.Alloc_none;
-    ts = 0;
-  }
-
-let dummy_info =
-  {
-    Wire.rid = -1;
-    primary = -1;
-    backups = [];
-    last_primary_change = 0;
-    last_replica_change = 0;
-    critical = false;
-  }
+(* {1 The arena} *)
 
 type t = {
-  mutable refs : int;
   (* read set not written (validation input): address + observed version *)
   ro_key : int Vec.t;  (* packed addresses *)
   ro_ver : int Vec.t;
-  (* write items in address order; the records themselves are fresh (wire-
-     owned), only this staging array is reused *)
+  (* write items in address order; the records themselves are wire-owned *)
   items : Wire.write_item Vec.t;
   (* region ids written / read, sorted unique in place *)
   wregions : int Vec.t;
@@ -271,13 +164,7 @@ type t = {
   primaries : Wire.write_item groups;
   backups : Wire.write_item groups;
   (* per-participant reservation accounting *)
-  acct : accts;
-  (* VALIDATE: read-set indices grouped by primary; O(1) size per group
-     decides RDMA-vs-RPC against the tr threshold *)
-  vgroups : int groups;
-  (* VALIDATE: the batched remote header reads (destination, ro index) *)
-  rv_dst : int Vec.t;
-  rv_idx : int Vec.t;
+  acct : acct Vec.t;
   (* staging for one doorbell-batched log-append group *)
   ap_dst : int Vec.t;
   ap_pay : Wire.record Vec.t;
@@ -285,73 +172,16 @@ type t = {
 
 let create () =
   {
-    refs = 0;
-    ro_key = vec 0;
-    ro_ver = vec 0;
-    items = vec dummy_item;
-    wregions = vec 0;
-    rregions = vec 0;
-    info_rid = vec 0;
-    infos = vec dummy_info;
-    primaries = groups_create dummy_item;
-    backups = groups_create dummy_item;
-    acct = accts_create ();
-    vgroups = groups_create 0;
-    rv_dst = vec 0;
-    rv_idx = vec 0;
-    ap_dst = vec 0;
-    ap_pay = vec Wire.Truncate_marker;
+    ro_key = Vec.create ();
+    ro_ver = Vec.create ();
+    items = Vec.create ();
+    wregions = Vec.create ();
+    rregions = Vec.create ();
+    info_rid = Vec.create ();
+    infos = Vec.create ();
+    primaries = Vec.create ();
+    backups = Vec.create ();
+    acct = Vec.create ();
+    ap_dst = Vec.create ();
+    ap_pay = Vec.create ();
   }
-
-(* Run as the arena goes back to the pool, so a pooled arena references
-   nothing of the transaction that last used it: once the receivers
-   truncate its records, that transaction's items and values are garbage. *)
-let reset t =
-  Vec.clear t.ro_key;
-  Vec.clear t.ro_ver;
-  Vec.scrub t.items;
-  Vec.clear t.wregions;
-  Vec.clear t.rregions;
-  Vec.clear t.info_rid;
-  Vec.scrub t.infos;
-  groups_scrub t.primaries;
-  groups_scrub t.backups;
-  accts_clear t.acct;
-  groups_clear t.vgroups;
-  Vec.clear t.rv_dst;
-  Vec.clear t.rv_idx;
-  Vec.clear t.ap_dst;
-  Vec.scrub t.ap_pay
-
-(* {1 The per-machine pool} *)
-
-type pool = { mutable free : t array; mutable n_free : int; reuse : bool }
-
-let create_pool ~reuse = { free = [||]; n_free = 0; reuse }
-
-let acquire pool =
-  let ar =
-    if pool.n_free > 0 then begin
-      pool.n_free <- pool.n_free - 1;
-      pool.free.(pool.n_free)
-    end
-    else create ()
-  in
-  ar.refs <- 1;
-  ar
-
-let retain ar = ar.refs <- ar.refs + 1
-
-let release pool ar =
-  if ar.refs <= 0 then invalid_arg "Arena.release: refcount underflow";
-  ar.refs <- ar.refs - 1;
-  if ar.refs = 0 && pool.reuse then begin
-    reset ar;
-    if pool.n_free = Array.length pool.free then begin
-      let na = Array.make (max 4 (2 * Array.length pool.free)) ar in
-      Array.blit pool.free 0 na 0 pool.n_free;
-      pool.free <- na
-    end;
-    pool.free.(pool.n_free) <- ar;
-    pool.n_free <- pool.n_free + 1
-  end

@@ -1,28 +1,20 @@
-(** Per-commit scratch arenas: pooled, reference-counted flat structures
-    reset — not reallocated — between transactions. The arena owns only
+(** Per-commit scratch arenas: flat growable structures in place of
+    hashtables and cons lists. Every commit creates its own arena; the
+    background processes that finish the commit close over it, and the GC
+    reclaims it after the last of them. The arena owns only
     coordinator-side scratch; wire payloads and write items stay freshly
     allocated because receivers retain them (see the allocation-discipline
-    section of DESIGN.md).
+    section of DESIGN.md). *)
 
-    A released arena keeps no reference to its last transaction: the
-    last {!release} overwrites every pointer the arena staged with a
-    dummy before the arena goes back to the pool. Once the receivers
-    truncate a transaction's records, nothing holds its write items,
-    values or records any more. *)
-
-(** Growable flat vector with a dummy element. Slots at or past [n] hold
-    the dummy, or, after a [clear], stale elements. *)
+(** Growable flat vector. *)
 module Vec : sig
-  type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
+  type 'a t = { mutable a : 'a array; mutable n : int }
 
+  val create : unit -> 'a t
   val length : 'a t -> int
 
   val clear : 'a t -> unit
-  (** O(1) rewind; the slots keep their elements. For scalar vectors. *)
-
-  val scrub : 'a t -> unit
-  (** Rewind and overwrite the used prefix with the dummy, dropping its
-      references. Vectors of pointers are rewound only with [scrub]. *)
+  (** O(1) rewind; the slots keep their elements. *)
 
   val get : 'a t -> int -> 'a
   val push : 'a t -> 'a -> unit
@@ -38,15 +30,10 @@ val sort_uniq_ints : int Vec.t -> unit
 (** In-place sort + dedup with explicit int comparison; no allocation. *)
 
 (** {1 Destination groups} — items grouped by destination machine in
-    first-touch order; group records and their item vectors recycle. *)
+    first-touch order. *)
 
-type 'a group = { mutable g_dst : int; g_items : 'a Vec.t }
-type 'a groups = { gs : 'a group Vec.t; mutable live : int }
-
-val groups_clear : 'a groups -> unit
-
-val group : 'a groups -> int -> 'a group
-(** The [i]th live group, [0 <= i < live]. *)
+type 'a group = { g_dst : int; g_items : 'a Vec.t }
+type 'a groups = 'a group Vec.t
 
 val group_add : 'a groups -> dst:int -> 'a -> unit
 
@@ -54,27 +41,22 @@ val group_add : 'a groups -> dst:int -> 'a -> unit
     consumed bytes, truncation-queued flag. *)
 
 type acct = {
-  mutable a_dst : int;
+  a_dst : int;
   mutable a_reserved : int;
   mutable a_consumed : int;
   mutable a_trunc_queued : bool;
 }
 
-type accts
-
-val acct_for : accts -> int -> acct
+val acct_for : acct Vec.t -> int -> acct
 (** Find or add the accounting entry for a destination. *)
 
-val accts_sort : accts -> unit
-(** Sort live entries by destination id (deterministic participant
+val accts_sort : acct Vec.t -> unit
+(** Sort the entries by destination id (deterministic participant
     order). *)
-
-val accts_iter : (acct -> unit) -> accts -> unit
 
 (** {1 The arena} *)
 
 type t = {
-  mutable refs : int;
   ro_key : int Vec.t;  (** packed addresses ({!Addr.pack}) *)
   ro_ver : int Vec.t;
   items : Wire.write_item Vec.t;
@@ -84,31 +66,10 @@ type t = {
   infos : Wire.region_info Vec.t;
   primaries : Wire.write_item groups;
   backups : Wire.write_item groups;
-  acct : accts;
-  vgroups : int groups;
-  rv_dst : int Vec.t;
-  rv_idx : int Vec.t;
+  acct : acct Vec.t;
   ap_dst : int Vec.t;
   ap_pay : Wire.record Vec.t;
 }
 
-(** {1 Pool} — per machine; workers acquire one arena per commit. *)
-
-type pool
-
-val create_pool : reuse:bool -> pool
-(** With [reuse:false] released arenas are dropped, so every commit gets
-    freshly-zeroed scratch — the state-leak-detector mode driven by
-    {!Params.arena_reuse}. *)
-
-val acquire : pool -> t
-(** Pop (or create) an empty arena with refcount 1. *)
-
-val retain : t -> unit
-(** Take a reference before handing the arena to a background process that
-    outlives the commit call. *)
-
-val release : pool -> t -> unit
-(** Drop a reference; on the last one the arena is reset, its pointers
-    scrubbed, and returned to the pool (or dropped when the pool does not
-    reuse). *)
+val create : unit -> t
+(** An empty arena, for one commit. *)

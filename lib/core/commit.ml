@@ -19,18 +19,18 @@ open Farm_sim
    multi-participant commit pays ~one issue/poll instead of one per
    participant.
 
-   Allocation discipline (DESIGN.md): all per-commit scratch — the write
+   Allocation discipline (DESIGN.md): the per-commit scratch — the write
    items staged in address order, region-id sets, per-destination
-   groupings, reservation accounting, validation groups and the append
-   staging — lives in a pooled Arena acquired for the duration of the
-   commit and reset, not reallocated, between transactions. Only data that
-   crosses the wire is freshly allocated: write-item records, record
-   payloads, and one regions-written list shared by every LOCK and
-   COMMIT-BACKUP payload of the transaction — receivers keep all of these
-   resident until truncation and recovery reads them back. The arena is
-   reference-counted because the COMMIT-PRIMARY bookkeeping and the lazy
-   TRUNCATE run in background processes that touch the accounting tables
-   after [commit] has returned.
+   groupings, reservation accounting and the append staging — lives in
+   flat vectors of an Arena that each commit creates for itself. The
+   COMMIT-PRIMARY bookkeeping and the lazy TRUNCATE run in background
+   processes that touch the accounting after [commit] has returned; they
+   close over the arena, and the GC reclaims it once they finish. Data
+   that crosses the wire is never staged in the arena: write-item
+   records, record payloads, and one regions-written list shared by every
+   LOCK and COMMIT-BACKUP payload of the transaction are allocated for
+   it, because receivers keep all of these resident until truncation and
+   recovery reads them back.
 
    A configuration change can make the transaction "recovering" (§5.3);
    from that point the coordinator must ignore completions and defer to the
@@ -77,11 +77,11 @@ let read_header_at ?span st ~dst ~key =
    spanning every such group — and one RPC above the
    [validate_rpc_threshold] (tr) to trade latency for CPU. *)
 let validate_ar ?span st (ar : Arena.t) ~txid =
-  Arena.groups_clear ar.Arena.vgroups;
+  let vgroups : int Arena.groups = Arena.Vec.create () in
   let ok = ref true in
   for i = 0 to Arena.Vec.length ar.Arena.ro_key - 1 do
     match State.region_info st (Addr.packed_region (Arena.Vec.get ar.Arena.ro_key i)) with
-    | Some info -> Arena.group_add ar.Arena.vgroups ~dst:info.Wire.primary i
+    | Some info -> Arena.group_add vgroups ~dst:info.Wire.primary i
     | None -> ok := false
   done;
   if not !ok then false
@@ -96,10 +96,9 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
        the calling process itself — a par_iter child's time is not the
        transaction's to claim. *)
     let run_rdma_batched ?span () =
-      Arena.Vec.clear ar.Arena.rv_dst;
-      Arena.Vec.clear ar.Arena.rv_idx;
-      for gi = 0 to ar.Arena.vgroups.Arena.live - 1 do
-        let g = Arena.group ar.Arena.vgroups gi in
+      let rv_dst = Arena.Vec.create () and rv_idx = Arena.Vec.create () in
+      for gi = 0 to Arena.Vec.length vgroups - 1 do
+        let g = Arena.Vec.get vgroups gi in
         if Arena.Vec.length g.Arena.g_items <= tr then
           Arena.Vec.iter
             (fun i ->
@@ -110,24 +109,24 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
                 | Error _ -> ok := false
               end
               else begin
-                Arena.Vec.push ar.Arena.rv_dst g.Arena.g_dst;
-                Arena.Vec.push ar.Arena.rv_idx i
+                Arena.Vec.push rv_dst g.Arena.g_dst;
+                Arena.Vec.push rv_idx i
               end)
             g.Arena.g_items
       done;
-      let n = Arena.Vec.length ar.Arena.rv_dst in
+      let n = Arena.Vec.length rv_dst in
       if n > 0 then begin
         let results =
           Farm_net.Fabric.one_sided_read_batch ?span st.State.fabric ~src:st.State.id ~n
-            ~dst:(fun i -> Arena.Vec.get ar.Arena.rv_dst i)
+            ~dst:(fun i -> Arena.Vec.get rv_dst i)
             ~bytes:(fun _ -> 16)
             ~read:(fun i ->
               read_remote_header st
-                ~dst:(Arena.Vec.get ar.Arena.rv_dst i)
-                ~key:(Arena.Vec.get ar.Arena.ro_key (Arena.Vec.get ar.Arena.rv_idx i)))
+                ~dst:(Arena.Vec.get rv_dst i)
+                ~key:(Arena.Vec.get ar.Arena.ro_key (Arena.Vec.get rv_idx i)))
         in
         for i = 0 to n - 1 do
-          let version = Arena.Vec.get ar.Arena.ro_ver (Arena.Vec.get ar.Arena.rv_idx i) in
+          let version = Arena.Vec.get ar.Arena.ro_ver (Arena.Vec.get rv_idx i) in
           match results.(i) with
           | Ok h -> check_header version h
           | Error _ -> ok := false
@@ -139,8 +138,8 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
        resumes — arena-owned storage must never ride a message. *)
     let rpc_jobs =
       let jobs = ref [] in
-      for gi = ar.Arena.vgroups.Arena.live - 1 downto 0 do
-        let g = Arena.group ar.Arena.vgroups gi in
+      for gi = Arena.Vec.length vgroups - 1 downto 0 do
+        let g = Arena.Vec.get vgroups gi in
         if Arena.Vec.length g.Arena.g_items > tr then begin
           let p = g.Arena.g_dst in
           let items =
@@ -174,32 +173,10 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
 
 (* {1 The commit path} *)
 
-let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
-  let st = tx.Txn.st in
-  if tx.Txn.finished then invalid_arg "Commit.commit: transaction already finished";
-  tx.Txn.finished <- true;
-  let commit_start = State.now st in
-  let ar = Arena.acquire st.State.arena_pool in
-  (* protocol-level abort cause, set where the abort decision is made
-     (lock refusal / validation failure); unset means finish derives it
-     from the reason (Failed -> timeout) *)
-  let abort_cause = ref None in
-  (* runs exactly once on the main path; also drops the main path's arena
-     reference (background processes retain their own) *)
-  let finish result =
-    (match result with
-    | Ok () ->
-        State.record_commit st ~latency:(Time.sub (State.now st) commit_start);
-        Farm_obs.Obs.Span.finish tx.Txn.span ~committed:true
-    | Error e ->
-        Farm_obs.Obs.Span.finish tx.Txn.span ~committed:false;
-        State.record_abort ~reason:(Txn.reason_index e) ?cause:!abort_cause st);
-    Txn.release_read_ts tx;
-    Arena.release st.State.arena_pool ar;
-    result
-  in
-  (* stage the read set not written: one merge walk over the two sets,
-     both ascending by packed address *)
+(* A fresh arena with the read set not written staged in it: one merge
+   walk over the two sets, both ascending by packed address. *)
+let staged_arena (tx : Txn.t) =
+  let ar = Arena.create () in
   let wi = ref 0 in
   for ri = 0 to tx.Txn.nreads - 1 do
     let key = tx.Txn.rkeys.(ri) in
@@ -211,6 +188,29 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
       Arena.Vec.push ar.Arena.ro_ver tx.Txn.rvers.(ri)
     end
   done;
+  ar
+
+let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
+  let st = tx.Txn.st in
+  if tx.Txn.finished then invalid_arg "Commit.commit: transaction already finished";
+  tx.Txn.finished <- true;
+  let commit_start = State.now st in
+  (* protocol-level abort cause, set where the abort decision is made
+     (lock refusal / validation failure); unset means finish derives it
+     from the reason (Failed -> timeout) *)
+  let abort_cause = ref None in
+  (* runs exactly once on the main path *)
+  let finish result =
+    (match result with
+    | Ok () ->
+        State.record_commit st ~latency:(Time.sub (State.now st) commit_start);
+        Farm_obs.Obs.Span.finish tx.Txn.span ~committed:true
+    | Error e ->
+        Farm_obs.Obs.Span.finish tx.Txn.span ~committed:false;
+        State.record_abort ~reason:(Txn.reason_index e) ?cause:!abort_cause st);
+    Txn.release_read_ts tx;
+    result
+  in
   if tx.Txn.nwrites = 0 then begin
     if tx.Txn.read_ts >= 0 then begin
       (* Snapshot protocol: every read was served at the transaction's
@@ -223,9 +223,10 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     else if
       (* Baseline: serialization point is the last read; single-object
          reads are already atomic and need no validation. *)
-      Arena.Vec.length ar.Arena.ro_key <= 1
+      tx.Txn.nreads <= 1
     then finish (Ok ())
     else begin
+      let ar = staged_arena tx in
       let txid = State.fresh_txid st ~thread:tx.Txn.thread in
       Farm_obs.Obs.Span.set_tx tx.Txn.span ~txm:txid.Txid.machine
         ~txt:txid.Txid.thread ~txl:txid.Txid.local;
@@ -242,12 +243,13 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     end
   end
   else begin
+    let ar = staged_arena tx in
     let txid = State.fresh_txid st ~thread:tx.Txn.thread in
     Farm_obs.Obs.Span.set_tx tx.Txn.span ~txm:txid.Txid.machine ~txt:txid.Txid.thread
       ~txl:txid.Txid.local;
     (* Stage the write set in address order. The write-item records are
-       fresh — LOCK and COMMIT-BACKUP receivers keep them resident until
-       truncation — only the staging vector is reused. *)
+       wire-owned — LOCK and COMMIT-BACKUP receivers keep them resident
+       until truncation — only the staging vector is scratch. *)
     for i = 0 to tx.Txn.nwrites - 1 do
       let addr = Addr.unpack tx.Txn.wkeys.(i) in
       Arena.Vec.push ar.Arena.items
@@ -329,15 +331,15 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
         let a = Arena.acct_for ar.Arena.acct dst in
         a.Arena.a_reserved <- a.Arena.a_reserved + n
       in
-      for gi = 0 to ar.Arena.primaries.Arena.live - 1 do
-        let g = Arena.group ar.Arena.primaries gi in
+      for gi = 0 to Arena.Vec.length ar.Arena.primaries - 1 do
+        let g = Arena.Vec.get ar.Arena.primaries gi in
         reserve_for g.Arena.g_dst
           (Wire.lock_record_base_bytes ~nregions ~writes_bytes:(group_writes_bytes g)
           + Wire.ctl_record_base_bytes (* COMMIT-PRIMARY *)
           + Logio.trunc_allowance)
       done;
-      for gi = 0 to ar.Arena.backups.Arena.live - 1 do
-        let g = Arena.group ar.Arena.backups gi in
+      for gi = 0 to Arena.Vec.length ar.Arena.backups - 1 do
+        let g = Arena.Vec.get ar.Arena.backups gi in
         reserve_for g.Arena.g_dst
           (Wire.lock_record_base_bytes ~nregions ~writes_bytes:(group_writes_bytes g)
           + Logio.trunc_allowance)
@@ -345,7 +347,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
       (* deterministic participant order for truncation and leftovers *)
       Arena.accts_sort ar.Arena.acct;
       let release_leftovers () =
-        Arena.accts_iter
+        Arena.Vec.iter
           (fun a ->
             let allowance = if a.Arena.a_trunc_queued then Logio.trunc_allowance else 0 in
             let leftover = a.Arena.a_reserved - a.Arena.a_consumed - allowance in
@@ -382,9 +384,9 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
          whether every record was acked. *)
       let append_group ?span ?on_complete (groups : Wire.write_item Arena.groups) payload_of =
         Arena.Vec.clear ar.Arena.ap_dst;
-        Arena.Vec.scrub ar.Arena.ap_pay;
-        for gi = 0 to groups.Arena.live - 1 do
-          let g = Arena.group groups gi in
+        Arena.Vec.clear ar.Arena.ap_pay;
+        for gi = 0 to Arena.Vec.length groups - 1 do
+          let g = Arena.Vec.get groups gi in
           Arena.Vec.push ar.Arena.ap_dst g.Arena.g_dst;
           Arena.Vec.push ar.Arena.ap_pay (payload_of g)
         done;
@@ -480,7 +482,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
       Farm_obs.Obs.Span.enter tx.Txn.span Farm_obs.Obs.P_lock;
       let lw =
         {
-          State.lw_awaiting = ar.Arena.primaries.Arena.live;
+          State.lw_awaiting = Arena.Vec.length ar.Arena.primaries;
           lw_ok = true;
           lw_done = Ivar.create ();
           lw_max_ts = 0;
@@ -539,11 +541,10 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
                    with first-ack semantics: report success on the first
                    hardware ack, delivered by the batch's per-op completion
                    hook; the group's bookkeeping finishes in the
-                   background, holding its own arena reference. *)
+                   background. *)
                 let first_ack = Ivar.create () in
                 let all_acks = Ivar.create () in
                 let commit_primary = Wire.Commit_primary { txid; ts = !w_ts } in
-                Arena.retain ar;
                 Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
                     (* no [span] here: this append races the main path's
                        first-ack wait in a background process, and the span
@@ -566,8 +567,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
                        the commit point is behind us — so decide commit and
                        let the push apply it at the unreachable primaries *)
                     if not ok then recover_deciding State.Committed;
-                    Ivar.fill all_acks ();
-                    Arena.release st.State.arena_pool ar);
+                    Ivar.fill all_acks ());
                 match race_outcome lt first_ack with
                 | Recovered o -> recovered_result o
                 | Normal () ->
@@ -589,14 +589,13 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
                        finished: the span ends when the application is told
                        the commit succeeded. *)
                     let report_at = Time.to_ns (State.now st) in
-                    Arena.retain ar;
                     Proc.spawn ~ctx:st.State.ctx st.State.engine (fun () ->
-                        (match race_outcome lt all_acks with
+                        match race_outcome lt all_acks with
                         | Recovered _ ->
                             Txid.Tbl.remove st.State.active_txs txid;
                             State.forget_outstanding st txid
                         | Normal () ->
-                            Arena.accts_iter
+                            Arena.Vec.iter
                               (fun a ->
                                 State.queue_truncation st ~dst:a.Arena.a_dst txid;
                                 a.Arena.a_trunc_queued <- true)
@@ -606,7 +605,6 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
                             State.phase st State.After_truncate txid;
                             Farm_obs.Obs.Span.late_segment tx.Txn.span
                               Farm_obs.Obs.P_truncate ~start:report_at);
-                        Arena.release st.State.arena_pool ar);
                     finish (Ok ())
               end
             end

@@ -89,7 +89,7 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
    failure) instant — COMMIT-PRIMARY's first-ack hook.
 
    The batch is described by indexed accessors rather than a list so the
-   commit path can stage it in its reused arena: [dst i] / [payload i] for
+   commit path can stage it in its arena: [dst i] / [payload i] for
    [0 <= i < n]. *)
 let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
     ~(payload : int -> Wire.record) : (int, Farm_net.Fabric.error) result array =

@@ -20,7 +20,7 @@ val append_prepared :
 (** Write one record per [(dst i, payload i)], [0 <= i < n], as a single
     doorbell-batched verb group, draining each destination's pending
     truncations under one preparation pass. The batch is described by
-    indexed accessors so the caller can stage it in reused arena storage
+    indexed accessors so the caller can stage it in its arena vectors
     instead of building a list. Blocks until every record has its hardware
     ack (or failed); results are per-record in order, each the caller's
     own share of consumed log space. A failed record's piggybacked

@@ -11,7 +11,6 @@ type t = {
   (* transactions *)
   protocol : protocol;
   validate_rpc_threshold : int;
-  arena_reuse : bool;
   (* leases (§5.1) *)
   lease_duration : Time.t;
   (* recovery (§5.2-5.5) *)
@@ -35,7 +34,6 @@ let default =
     replication = 3;
     protocol = Validate_at_commit;
     validate_rpc_threshold = 4;
-    arena_reuse = true;
     lease_duration = Time.ms 10;
     recovery_block = 8 * 1024;
     recovery_interval = Time.ms 2;

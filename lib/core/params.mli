@@ -26,11 +26,6 @@ type t = {
   validate_rpc_threshold : int;
       (** tr: reads per primary above which validation switches from
           one-sided RDMA to RPC (paper: 4) *)
-  arena_reuse : bool;
-      (** recycle per-commit scratch arenas through the machine's pool
-          (the default). [false] drops released arenas so every commit
-          starts from freshly-zeroed scratch — the state-leak-detector
-          mode: traces must be byte-identical either way *)
   lease_duration : Time.t;  (** paper experiments use 10 ms *)
   recovery_block : int;  (** data-recovery read unit (8 KB) *)
   recovery_interval : Time.t;

@@ -179,8 +179,6 @@ type t = {
      this table would release another transaction's lock taken at the same
      version. *)
   locks_held : Wire.write_item list Txid.Tbl.t;
-  (* per-commit scratch arenas (see Arena); workers acquire one per commit *)
-  arena_pool : Arena.pool;
   (* truncation *)
   pending_trunc : Txid.t list ref Int_tbl.t;  (* dest machine -> txids *)
   truncated : trunc_track Int_tbl.t;  (* Txid.coord_id -> tracking *)
@@ -236,7 +234,6 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     active_txs = Txid.Tbl.create 64;
     read_ts_active = Int_tbl.create 64;
     locks_held = Txid.Tbl.create 64;
-    arena_pool = Arena.create_pool ~reuse:params.Params.arena_reuse;
     pending_trunc = Int_tbl.create 16;
     truncated = Int_tbl.create 64;
     log_writes = 0;

@@ -169,8 +169,6 @@ type t = {
   locks_held : Wire.write_item list Txid.Tbl.t;
       (** primary-side lock ownership: the ABORT path must release exactly
           the locks its transaction took *)
-  arena_pool : Arena.pool;
-      (** per-commit scratch arenas; workers acquire one per commit *)
   pending_trunc : Txid.t list ref Int_tbl.t;
   truncated : trunc_track Int_tbl.t;  (** keyed by {!Txid.coord_id} *)
   mutable log_writes : int;

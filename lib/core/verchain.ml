@@ -1,16 +1,15 @@
-(* Pooled per-object version chains (see verchain.mli).
+(* Per-object version chains (see verchain.mli).
 
-   Chains hang off a per-offset hash table; each node owns a reusable
-   byte buffer sized to its high-water mark. Offsets are region-relative,
-   and one [t] serves one replica, so no synchronisation is needed — all
-   access happens on the owning machine's simulated CPU. *)
+   Chains hang off a per-offset hash table; each node holds an exact-size
+   copy of its version's value. Offsets are region-relative, and one [t]
+   serves one replica, so no synchronisation is needed — all access
+   happens on the owning machine's simulated CPU. *)
 
 type node = {
-  mutable n_version : int;
-  mutable n_ts : int;
-  mutable n_buf : Bytes.t;  (* capacity >= n_len; reused across pooling *)
-  mutable n_len : int;
-  mutable n_allocated : bool;
+  n_version : int;
+  n_ts : int;
+  n_value : Bytes.t;  (* private copy: never handed out, never written *)
+  n_allocated : bool;
   mutable n_next : node option;  (* next older version *)
 }
 
@@ -18,12 +17,10 @@ type t = {
   mutable floor : int;
   chains : (int, node) Hashtbl.t;  (* offset -> newest archived node *)
   head : (int, int) Hashtbl.t;  (* offset -> commit ts of the in-memory head *)
-  mutable pool : node list;
   mutable live : int;
 }
 
-let create ~floor =
-  { floor; chains = Hashtbl.create 64; head = Hashtbl.create 64; pool = []; live = 0 }
+let create ~floor = { floor; chains = Hashtbl.create 64; head = Hashtbl.create 64; live = 0 }
 
 let floor t = t.floor
 let raise_floor t f = if f > t.floor then t.floor <- f
@@ -31,47 +28,22 @@ let head_ts t ~off = match Hashtbl.find_opt t.head off with Some ts -> ts | None
 let set_head_ts t ~off ts = Hashtbl.replace t.head off ts
 let nodes_live t = t.live
 
-let take_node t ~version ~ts ~allocated value =
-  let len = Bytes.length value in
-  let n =
-    match t.pool with
-    | n :: rest ->
-        t.pool <- rest;
-        if Bytes.length n.n_buf < len then n.n_buf <- Bytes.create len;
-        n
-    | [] ->
-        {
-          n_version = 0;
-          n_ts = 0;
-          n_buf = Bytes.create (max len 16);
-          n_len = 0;
-          n_allocated = false;
-          n_next = None;
-        }
-  in
-  Bytes.blit value 0 n.n_buf 0 len;
-  n.n_version <- version;
-  n.n_ts <- ts;
-  n.n_len <- len;
-  n.n_allocated <- allocated;
-  n.n_next <- None;
+let node t ~version ~ts ~allocated value next =
   t.live <- t.live + 1;
-  n
-
-let recycle t n =
-  n.n_next <- None;
-  t.pool <- n :: t.pool;
-  t.live <- t.live - 1
+  {
+    n_version = version;
+    n_ts = ts;
+    n_value = Bytes.copy value;
+    n_allocated = allocated;
+    n_next = next;
+  }
 
 let archive t ~off ~version ~ts ~allocated value =
   match Hashtbl.find_opt t.chains off with
-  | None -> Hashtbl.replace t.chains off (take_node t ~version ~ts ~allocated value)
+  | None -> Hashtbl.replace t.chains off (node t ~version ~ts ~allocated value None)
   | Some head ->
-      if version > head.n_version then begin
-        let n = take_node t ~version ~ts ~allocated value in
-        n.n_next <- Some head;
-        Hashtbl.replace t.chains off n
-      end
+      if version > head.n_version then
+        Hashtbl.replace t.chains off (node t ~version ~ts ~allocated value (Some head))
       else begin
         (* out-of-order arrival (backup truncation order can invert per
            object): walk to the sorted position, skipping duplicates *)
@@ -80,11 +52,8 @@ let archive t ~off ~version ~ts ~allocated value =
           | Some nx when version < nx.n_version -> insert nx
           | Some nx when version = nx.n_version -> ()
           | tail ->
-              if version <> prev.n_version then begin
-                let n = take_node t ~version ~ts ~allocated value in
-                n.n_next <- tail;
-                prev.n_next <- Some n
-              end
+              if version <> prev.n_version then
+                prev.n_next <- Some (node t ~version ~ts ~allocated value tail)
         in
         insert head
       end
@@ -96,7 +65,7 @@ let find t ~off ~ts =
   in
   match newest_at_or_below (Hashtbl.find_opt t.chains off) with
   | None -> None
-  | Some n -> Some (n.n_version, Bytes.sub n.n_buf 0 n.n_len, n.n_allocated)
+  | Some n -> Some (n.n_version, Bytes.copy n.n_value, n.n_allocated)
 
 let trim t ~wm =
   if wm <= t.floor then 0
@@ -105,24 +74,23 @@ let trim t ~wm =
     Hashtbl.iter
       (fun _off head ->
         (* keep nodes with ts >= wm plus the newest older one (it serves
-           reads in [wm, next newer ts)); recycle everything below it *)
+           reads in [wm, next newer ts)); drop everything below it *)
         let rec cut n =
           if n.n_ts < wm then begin
-            let rec drop = function
+            let rec count = function
               | None -> ()
               | Some older ->
-                  let next = older.n_next in
-                  recycle t older;
                   incr dropped;
-                  drop next
+                  count older.n_next
             in
-            drop n.n_next;
+            count n.n_next;
             n.n_next <- None
           end
           else match n.n_next with None -> () | Some nx -> cut nx
         in
         cut head)
       t.chains;
+    t.live <- t.live - !dropped;
     t.floor <- wm;
     !dropped
   end

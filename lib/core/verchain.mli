@@ -2,11 +2,10 @@
 
     Region memory always holds the newest committed version of every
     object ({!Obj_layout}); this side structure archives the versions a
-    snapshot read below the head's commit timestamp still needs. Nodes
-    are pooled (values are reused byte buffers) so steady-state archiving
-    allocates nothing — the PR 7 allocation budget applies to snapshot
-    mode too — and old versions are truncated against the cluster
-    low-watermark, below which no snapshot can ever read again. *)
+    snapshot read below the head's commit timestamp still needs. Each
+    node holds an exact-size copy of its value, and old versions are
+    truncated against the cluster low-watermark, below which no snapshot
+    can ever read again; the GC reclaims the truncated nodes. *)
 
 type t
 
@@ -30,19 +29,20 @@ val archive : t -> off:int -> version:int -> ts:int -> allocated:bool -> Bytes.t
 (** Record a superseded version. Inserts keep the chain sorted by
     version (newest first) and drop duplicates, so out-of-order
     applications at backups — where truncation order can invert per
-    object — are safe. Copies the value into a pooled buffer. *)
+    object — are safe. Keeps a private copy of the value. *)
 
 val find : t -> off:int -> ts:int -> (int * Bytes.t * bool) option
 (** Newest archived version with commit timestamp [<= ts]:
-    [(version, value copy, allocated)]. [None] when the chain holds
+    [(version, value copy, allocated)]: the caller owns the copy, so
+    writing to it leaves the chain unchanged. [None] when the chain holds
     nothing that old (caller decides between "object did not exist yet"
     and "truncated" via {!floor}). *)
 
 val trim : t -> wm:int -> int
 (** Truncate history no snapshot at or above the watermark can read:
     per chain, keep every node with [ts >= wm] plus the newest older
-    one, recycle the rest to the pool, and raise the floor to [wm].
-    Returns the number of nodes recycled. No-op (0) when [wm <= floor]. *)
+    one, drop the rest, and raise the floor to [wm]. Returns the number
+    of nodes dropped. No-op (0) when [wm <= floor]. *)
 
 val nodes_live : t -> int
-(** Archived (non-pooled) node count, for gauges and tests. *)
+(** Archived node count, for gauges and tests. *)

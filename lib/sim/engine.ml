@@ -1,22 +1,17 @@
-(* Three queues feed the event loop:
+(* Two queues feed the event loop:
 
    - [ready], a FIFO ring, holds every event scheduled for [now] itself
      (or clamped to it), in scheduling order. Process resumes land here,
-     so a large share of events never touches a heap;
-   - [near] and [far], both ordered by [(at, seq)], hold the events for
-     later instants, split by how far ahead they were scheduled. Most
-     events run within microseconds of being scheduled, while most of the
-     queued ones are timers set tens of microseconds to milliseconds
-     ahead. Kept apart, the busy near heap stays small and in cache.
+     so a large share of events never touches the heap;
+   - [heap], ordered by [(at, seq)], holds the events and timers for
+     later instants.
 
-   The queues run events in exactly [(at, seq)] order. The next heap event
-   is whichever of the two heap tops has the smaller [(at, seq)], so where
-   an event was filed never changes when it runs. A heap event whose key
-   equals [now] was scheduled while the clock was still below [now] (at
-   [now] it would have gone to [ready]), so its seq precedes every [ready]
-   entry; and an event scheduled while [ready] drains lands at the back of
-   [ready]. [run] therefore takes the heap events due at [now] first, then
-   [ready], and only then advances the clock.
+   The queues run events in exactly [(at, seq)] order. A heap event whose
+   key equals [now] was scheduled while the clock was still below [now]
+   (at [now] it would have gone to [ready]), so its seq precedes every
+   [ready] entry; and an event scheduled while [ready] drains lands at the
+   back of [ready]. [run] therefore takes the heap events due at [now]
+   first, then [ready], and only then advances the clock.
 
    [Time.t] is [int], and this file compares instants with the int
    operators directly: the event loop then makes no call it does not need
@@ -25,8 +20,7 @@
    [Heap]'s operations here; only [Heap.grow] stays a call. *)
 
 type t = {
-  near : (unit -> unit) Heap.t;
-  far : (unit -> unit) Heap.t;
+  heap : (unit -> unit) Heap.t;
   mutable ready : (unit -> unit) array;  (* ring, capacity a power of two *)
   mutable r_head : int;
   mutable r_len : int;
@@ -40,8 +34,7 @@ let empty_slot () = ()
 
 let create () =
   {
-    near = Heap.create ();
-    far = Heap.create ();
+    heap = Heap.create ();
     ready = Array.make 64 empty_slot;
     r_head = 0;
     r_len = 0;
@@ -73,44 +66,29 @@ let pop_ready t =
   t.r_len <- t.r_len - 1;
   fn
 
-(* Events this far ahead or more go to [far]. *)
-let far_after = Time.us 32
-
 let push_heap t ~at fn =
   t.seq <- t.seq + 1;
-  Heap.push (if at - t.now < far_after then t.near else t.far) ~key:at ~seq:t.seq fn
-
-(* The heap holding the smallest [(at, seq)]; [near] when both are empty. *)
-let next_heap t =
-  if Heap.is_empty t.far then t.near
-  else if Heap.is_empty t.near then t.far
-  else
-    let a = Heap.min_key t.near and b = Heap.min_key t.far in
-    if a < b || (a = b && Heap.min_seq t.near < Heap.min_seq t.far) then t.near else t.far
+  Heap.push t.heap ~key:at ~seq:t.seq fn
 
 let schedule t ~at fn = if at <= t.now then push_ready t fn else push_heap t ~at fn
 
 let schedule_in t ~after fn = schedule t ~at:(t.now + after) fn
 
-(* A timer is filed in [far] whatever its delay, so its handle needs no
-   tag naming the heap. Where an event is filed never changes when it
-   runs (see above), and timers are set a millisecond or more ahead, where
-   [push_heap] would file them in [far] anyway. *)
 type timer = Heap.handle
 
 let timer t ~after fn =
   if after <= 0 then invalid_arg "Engine.timer: delay must be positive";
   t.seq <- t.seq + 1;
-  Heap.push_handle t.far ~key:(t.now + after) ~seq:t.seq fn
+  Heap.push_handle t.heap ~key:(t.now + after) ~seq:t.seq fn
 
-let cancel t timer = Heap.remove t.far timer
+let cancel t timer = Heap.remove t.heap timer
 
 let stop t = t.stopped <- true
 
 let events_processed t = t.events_processed
 
 (* [run ~until] below [now] winds the clock back. [ready] holds events due
-   at the old [now], so they move to a heap first, behind every event
+   at the old [now], so they move to the heap first, behind every event
    already queued for that instant. *)
 let rewind t limit =
   let at = t.now in
@@ -124,7 +102,7 @@ let run ?until t =
   let limit = match until with Some l -> l | None -> max_int in
   let continue = ref true in
   while !continue && not t.stopped do
-    let h = next_heap t in
+    let h = t.heap in
     let heap_due = (not (Heap.is_empty h)) && Heap.min_key h <= t.now in
     if heap_due || t.r_len > 0 then begin
       if t.now > limit then begin
@@ -156,4 +134,4 @@ let run ?until t =
   | Some limit when t.now < limit && not t.stopped -> t.now <- limit
   | _ -> ()
 
-let pending t = Heap.length t.near + Heap.length t.far + t.r_len
+let pending t = Heap.length t.heap + t.r_len

@@ -35,10 +35,6 @@ val min_key : 'a t -> int
 (** Smallest key currently in the heap. Raises [Invalid_argument] when
     empty. *)
 
-val min_seq : 'a t -> int
-(** Sequence number of the entry {!min_key} belongs to. Raises
-    [Invalid_argument] when empty. *)
-
 val pop_value : 'a t -> 'a
 (** Remove the entry with the smallest [(key, seq)] and return its payload.
     Raises [Invalid_argument] when empty. *)

@@ -9,7 +9,8 @@ open Test_util
    - opacity: a read-only transaction sees one consistent snapshot even
      mid-conflict, with writers transferring value between its reads;
    - determinism: the same seed yields byte-identical traces in each
-     protocol mode. *)
+     protocol mode;
+   - the version chain itself, against a list model. *)
 
 let test name fn = Alcotest.test_case name `Quick fn
 let check_bool = Alcotest.(check bool)
@@ -184,6 +185,107 @@ let deterministic_per_mode () =
         (o1.Farm_fault.Explorer.recorder = o2.Farm_fault.Explorer.recorder))
     [ Params.Validate_at_commit; Params.Snapshot ]
 
+(* {1 The version chain against a list model}
+
+   Random [archive] / [find] / [trim] sequences over two offsets. A
+   version's commit timestamp is ten times its number, so newest by
+   version is newest by timestamp, as on a replica. Per offset the model
+   is a list of [(version, value, allocated)] newest first; an archive of
+   a version already present is dropped, wherever it lands. [find] must
+   return the newest version with [ts <= q]; [trim] must keep every node
+   with [ts >= wm] plus the newest older one, count the rest, and raise
+   the floor. Writing into the bytes [find] returned must leave the chain
+   unchanged. *)
+
+type chain_op =
+  | Archive of { off : int; version : int; value : string; allocated : bool }
+  | Find of { off : int; q : int }
+  | Trim of int
+
+let show_chain_op = function
+  | Archive { off; version; value; allocated } ->
+      Printf.sprintf "archive off=%d v=%d %S %b" off version value allocated
+  | Find { off; q } -> Printf.sprintf "find off=%d q=%d" off q
+  | Trim wm -> Printf.sprintf "trim wm=%d" wm
+
+let ts_of version = 10 * version
+
+let chain_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 5,
+        map4
+          (fun off version value allocated -> Archive { off; version; value; allocated })
+          (int_bound 1) (int_bound 30)
+          (string_size ~gen:(char_range 'a' 'z') (int_bound 6))
+          bool );
+      (3, map2 (fun off q -> Find { off; q }) (int_bound 1) (int_bound 320));
+      (1, map (fun wm -> Trim wm) (int_bound 320));
+    ]
+
+(* newest first, a present version dropped *)
+let model_archive chain (version, value, allocated) =
+  if List.exists (fun (v, _, _) -> v = version) chain then chain
+  else
+    let newer, older = List.partition (fun (v, _, _) -> v > version) chain in
+    newer @ ((version, value, allocated) :: older)
+
+let model_find chain q = List.find_opt (fun (v, _, _) -> ts_of v <= q) chain
+
+let model_trim chain wm =
+  let keep, below = List.partition (fun (v, _, _) -> ts_of v >= wm) chain in
+  match below with [] -> (keep, 0) | newest :: rest -> (keep @ [ newest ], List.length rest)
+
+let verchain_matches_model =
+  QCheck.Test.make ~name:"version chain matches a list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_chain_op ops))
+       QCheck.Gen.(list_size (int_bound 60) chain_op_gen))
+    (fun ops ->
+      let vc = Verchain.create ~floor:0 in
+      let model = Array.make 2 [] in
+      let floor = ref 0 in
+      let found_ok off q =
+        match (Verchain.find vc ~off ~ts:q, model_find model.(off) q) with
+        | None, None -> true
+        | Some (v, b, a), Some (v', value, a') ->
+            let ok = v = v' && Bytes.to_string b = value && a = a' in
+            Bytes.fill b 0 (Bytes.length b) '#';
+            ok
+        | _ -> false
+      in
+      let step ok = function
+        | Archive { off; version; value; allocated } ->
+            Verchain.archive vc ~off ~version ~ts:(ts_of version) ~allocated
+              (Bytes.of_string value);
+            model.(off) <- model_archive model.(off) (version, value, allocated);
+            ok
+        | Find { off; q } -> ok && found_ok off q && found_ok off q
+        | Trim wm ->
+            let dropped = Verchain.trim vc ~wm in
+            let expected =
+              if wm <= !floor then 0
+              else begin
+                floor := wm;
+                let n = ref 0 in
+                Array.iteri
+                  (fun off chain ->
+                    let kept, d = model_trim chain wm in
+                    model.(off) <- kept;
+                    n := !n + d)
+                  model;
+                !n
+              end
+            in
+            ok && dropped = expected
+            && Verchain.floor vc = !floor
+            && Verchain.nodes_live vc = List.length model.(0) + List.length model.(1)
+      in
+      let ok = List.fold_left step true ops in
+      (* every version present, in place, with its first value *)
+      ok && List.for_all (fun off -> List.for_all (found_ok off) (List.init 321 Fun.id)) [ 0; 1 ])
+
 let suites =
   [
     ( "opacity",
@@ -192,5 +294,6 @@ let suites =
         test "consistent snapshot mid-conflict" consistent_snapshot_mid_conflict;
         test "version chains truncated at the watermark" chains_truncated;
         test "same seed, same mode: identical traces" deterministic_per_mode;
+        QCheck_alcotest.to_alcotest verchain_matches_model;
       ] );
   ]

@@ -53,7 +53,7 @@ let gen_program =
         (2, map (fun d -> Past d) (int_range 1 50));
         (3, return Now);
         (4, map (fun d -> Future d) (int_range 1 100));
-        (* beyond the engine's near/far split *)
+        (* timer-like delays, tens of microseconds ahead *)
         (1, map (fun d -> Future d) (int_range 32_000 33_000));
       ]
   in
@@ -230,11 +230,10 @@ let engine_rewind () =
   Alcotest.(check (list (pair string int)))
     "order" [ ("z", 50); ("a", 50); ("b", 50); ("c", 60) ] (List.rev !log)
 
-(* Two events for one instant, one scheduled 32 us or more ahead and one
-   scheduled just before: they run in scheduling order, whichever of the
-   engine's queues each was filed in. The second case needs the clock wound
-   back between the two schedules. *)
-let engine_near_far_ties () =
+(* Two events for one instant, one scheduled 40 us ahead and one scheduled
+   just before it is due: they run in scheduling order. The second case
+   needs the clock wound back between the two schedules. *)
+let engine_same_instant_ties () =
   let order first_far =
     let e = Engine.create () in
     let log = ref [] in
@@ -606,7 +605,7 @@ let suites =
       [
         qtest engine_matches_reference;
         test "run ~until below now" engine_rewind;
-        test "same instant across queues" engine_near_far_ties;
+        test "same instant across queues" engine_same_instant_ties;
         test "heap clears popped slots" heap_clears_popped_slots;
         test "engine drops run events" engine_clears_run_events;
         test "cancelled timer" engine_cancelled_timer;
