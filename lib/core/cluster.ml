@@ -404,32 +404,23 @@ let lost_regions t =
   List.map (fun (r : Farm_obs.Obs.record) -> r.r_a) (log_events t Farm_obs.Obs.K_ms_region_lost)
 
 (* Measurements are read from the machines' Obs sinks, which survive
-   restarts, so they cover every machine's whole history. *)
+   restarts, so they cover every machine's whole history. Counters are
+   per machine and summed here; the aggregates that are only read
+   cluster-wide live once, in the cluster log every sink shares, and are
+   read through machine 0's sink. *)
 let merged_counter t c =
   Array.fold_left (fun acc st -> acc + Farm_obs.Obs.counter st.State.obs c) 0 t.machines
 
+let shared t = t.machines.(0).State.obs
 let total_committed t = merged_counter t Farm_obs.Obs.C_tx_commit
 let total_aborted t = merged_counter t Farm_obs.Obs.C_tx_abort
 
 (* Aggregate cluster throughput as committed transactions per 1 ms bin. *)
 let throughput_series t ~until =
-  let nbins = (Time.to_ns until / Time.to_ns (Time.ms 1)) + 1 in
-  let bins = Array.make nbins 0 in
-  Array.iter
-    (fun st ->
-      let s = Farm_obs.Obs.commit_series st.State.obs in
-      for i = 0 to nbins - 1 do
-        bins.(i) <- bins.(i) + Stats.Series.get s i
-      done)
-    t.machines;
-  bins
+  let s = Farm_obs.Obs.commit_series (shared t) in
+  Array.init ((Time.to_ns until / Time.to_ns (Time.ms 1)) + 1) (Stats.Series.get s)
 
-let merged_latency t =
-  let h = Stats.Hist.create () in
-  Array.iter
-    (fun st -> Stats.Hist.merge ~into:h (Farm_obs.Obs.commit_latency st.State.obs))
-    t.machines;
-  h
+let merged_latency t = Farm_obs.Obs.commit_latency (shared t)
 
 (* All replicas of a region across the cluster, as (machine, replica). *)
 let replicas_of t rid =
@@ -445,32 +436,30 @@ let set_recording t on =
 
 (* The per-key tables below are string-keyed, so benches and CLIs need no
    dependency on the obs library. Each lists the keys of [all] in
-   declaration order, skipping keys that are zero (or empty) on every
-   machine. [nonzero_totals] sums a per-machine integer; [merged_hists]
-   merges a per-machine histogram. *)
-let nonzero_totals t all name (total : Farm_obs.Obs.t -> 'k -> int) =
+   declaration order, skipping keys whose total is zero ([nonzero]) or
+   whose histogram is empty ([nonempty]). *)
+let nonzero all name total =
   List.filter_map
     (fun k ->
-      let v = Array.fold_left (fun acc st -> acc + total st.State.obs k) 0 t.machines in
+      let v = total k in
       if v = 0 then None else Some (name k, v))
     all
 
-let merged_hists t all name (hist : Farm_obs.Obs.t -> 'k -> Stats.Hist.t) =
+let nonempty all name hist =
   List.filter_map
     (fun k ->
-      let h = Stats.Hist.create () in
-      Array.iter (fun st -> Stats.Hist.merge ~into:h (hist st.State.obs k)) t.machines;
+      let h = hist k in
       if Stats.Hist.count h = 0 then None else Some (name k, h))
     all
 
 let merged_counters t =
-  nonzero_totals t Farm_obs.Obs.all_counters Farm_obs.Obs.counter_name Farm_obs.Obs.counter
+  nonzero Farm_obs.Obs.all_counters Farm_obs.Obs.counter_name (merged_counter t)
 
 let merged_phase_hists t =
-  merged_hists t Farm_obs.Obs.all_phases Farm_obs.Obs.point_name Farm_obs.Obs.hist
+  nonempty Farm_obs.Obs.all_phases Farm_obs.Obs.point_name (Farm_obs.Obs.hist (shared t))
 
 let merged_stage_hists t =
-  merged_hists t Farm_obs.Obs.all_stages Farm_obs.Obs.point_name Farm_obs.Obs.hist
+  nonempty Farm_obs.Obs.all_stages Farm_obs.Obs.point_name (Farm_obs.Obs.hist (shared t))
 
 (* The flight recorder: every machine's event ring, merged into one
    time-sorted, human-readable dump (ties broken by machine id, then by
@@ -517,13 +506,15 @@ let set_blame t on =
   Array.iter (fun st -> Farm_obs.Obs.set_blame st.State.obs on) t.machines
 
 let blame_totals t =
-  nonzero_totals t Farm_obs.Obs.all_blames Farm_obs.Obs.blame_name Farm_obs.Obs.blame_total_ns
+  nonzero Farm_obs.Obs.all_blames Farm_obs.Obs.blame_name
+    (Farm_obs.Obs.blame_total_ns (shared t))
 
 let phase_totals t =
-  nonzero_totals t Farm_obs.Obs.all_phases Farm_obs.Obs.point_name Farm_obs.Obs.phase_total_ns
+  nonzero Farm_obs.Obs.all_phases Farm_obs.Obs.point_name
+    (Farm_obs.Obs.phase_total_ns (shared t))
 
 let merged_blame_hists t =
-  merged_hists t Farm_obs.Obs.all_blames Farm_obs.Obs.blame_name Farm_obs.Obs.blame_hist
+  nonempty Farm_obs.Obs.all_blames Farm_obs.Obs.blame_name (Farm_obs.Obs.blame_hist (shared t))
 
 type heat = { h_region : int; h_score : int; h_access : int; h_conflict : int }
 
@@ -541,10 +532,11 @@ let heat_report t =
        (Array.to_list (Array.map (fun st -> Farm_obs.Obs.heat st.State.obs) t.machines))
        ~now)
 
+(* Each machine's exemplars, machine by machine: they stay per machine,
+   and [tail_blame] sums every machine's slowest few. *)
 let all_exemplars t =
-  Array.fold_left
-    (fun acc st -> acc @ Farm_obs.Obs.exemplars st.State.obs)
-    [] t.machines
+  List.concat_map (fun (st : State.t) -> Farm_obs.Obs.exemplars st.State.obs)
+    (Array.to_list t.machines)
 
 (* Blame of the slowest exemplar transactions only — the tail a latency
    SLO's p999 is made of. *)

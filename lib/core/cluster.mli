@@ -161,8 +161,9 @@ val throughput_series : t -> until:Time.t -> int array
 (** Cluster-wide committed transactions per 1 ms bin, bins [0 .. until]. *)
 
 val merged_latency : t -> Stats.Hist.t
-(** Commit-phase latency (ns) of every committed transaction, merged
-    across machines. *)
+(** Commit-phase latency (ns) of every committed transaction. The
+    cluster keeps one histogram, which every machine records into: this
+    is it, not a copy, and later commits keep filling it. *)
 
 val replicas_of : t -> int -> (int * State.replica) list
 (** All replicas of a region across the cluster, dead machines included. *)
@@ -172,7 +173,10 @@ val replicas_of : t -> int -> (int * State.replica) list
     Every machine carries a {!Farm_obs.Obs.t} sink (reachable as
     [(machine t i).State.obs]); counters, phase and stage histograms are
     always live, the flight-recorder event ring only while recording is
-    enabled. The sink survives {!restart_machine}. *)
+    enabled. The sink survives {!restart_machine}. Counters, rings, heat
+    and exemplars are kept per machine; the histograms, the exact
+    phase and blame totals and the commit series once per cluster, in
+    the cluster log every sink shares. *)
 
 val set_recording : t -> bool -> unit
 (** Enable/disable flight-recorder event capture on every machine. Does
@@ -183,11 +187,12 @@ val merged_counters : t -> (string * int) list
 (** Cluster-wide nonzero protocol-counter totals, in declaration order. *)
 
 val merged_phase_hists : t -> (string * Stats.Hist.t) list
-(** Commit-phase latency histograms (ns) of committed transactions, merged
-    across machines; phases that never ran are omitted. *)
+(** Commit-phase latency histograms (ns) of committed transactions, kept
+    once per cluster like {!merged_latency}; phases that never ran are
+    omitted. *)
 
 val merged_stage_hists : t -> (string * Stats.Hist.t) list
-(** Recovery-stage timing histograms (ns), merged across machines. *)
+(** Recovery-stage timing histograms (ns), kept once per cluster. *)
 
 val flight_dump : t -> string list
 (** Every machine's flight-recorder ring merged into one time-sorted,
@@ -236,8 +241,8 @@ val phase_totals : t -> (string * int) list
     anchor for {!blame_totals}. *)
 
 val merged_blame_hists : t -> (string * Stats.Hist.t) list
-(** Per-category blame histograms (ns per committed transaction), merged
-    across machines; categories never blamed are omitted. *)
+(** Per-category blame histograms (ns per committed transaction), kept
+    once per cluster; categories never blamed are omitted. *)
 
 type heat = { h_region : int; h_score : int; h_access : int; h_conflict : int }
 

@@ -403,88 +403,71 @@ let alloc tx ~size ?near ?region () =
   let st = tx.st in
   let rid =
     match (near, region) with
-    | Some (a : Addr.t), _ -> Some a.Addr.region
-    | None, Some rid -> Some rid
-    | None, None ->
-        (* prefer a region whose primary is this machine *)
-        let local =
-          Int_tbl.fold
-            (fun rid info acc ->
-              if info.Wire.primary = st.State.id then rid :: acc else acc)
-            st.State.region_map []
-        in
-        (match local with
-        | _ :: _ -> Some (List.nth local (Rng.int st.State.rng (List.length local)))
-        | [] ->
-            let all = Int_tbl.fold (fun rid _ acc -> rid :: acc) st.State.region_map [] in
-            (match all with
-            | [] -> None
-            | _ -> Some (List.nth all (Rng.int st.State.rng (List.length all)))))
+    | Some (a : Addr.t), _ -> a.Addr.region
+    | None, Some rid -> rid
+    | None, None -> invalid_arg "Txn.alloc: neither ~near nor ~region"
   in
-  match rid with
-  | None -> raise (Abort Out_of_space)
-  | Some rid -> (
-      (* follow this machine's spill chain: overflow regions allocated when
-         earlier ones filled up *)
-      let rec resolve_spill rid hops =
-        if hops > 16 then rid
-        else
-          match Int_tbl.find_opt st.State.spill rid with
-          | Some next -> resolve_spill next (hops + 1)
-          | None -> rid
-      in
-      let try_alloc rid =
-        match ensure_mapping st rid ~retries:5 with
-        | None -> None
-        | Some info ->
-            if info.Wire.primary = st.State.id then begin
-              match State.replica st rid with
-              | Some rep ->
-                  State.await_active rep;
-                  Allocmgr.alloc_obj_local st rep ~size
-              | None -> None
-            end
-            else begin
-              match
-                Comms.call st ~dst:info.Wire.primary ~timeout:(Time.ms 10)
-                  (Wire.Alloc_obj_req { rid; size })
-              with
-              | Ok (Wire.Alloc_obj_reply { addr = Some addr; version }) -> Some (addr, version)
-              | Ok _ | Error _ -> None
-            end
-      in
-      let rid = resolve_spill rid 0 in
-      let slot =
-        match try_alloc rid with
-        | Some s -> Some s
+  (* follow this machine's spill chain: overflow regions allocated when
+     earlier ones filled up *)
+  let rec resolve_spill rid hops =
+    if hops > 16 then rid
+    else
+      match Int_tbl.find_opt st.State.spill rid with
+      | Some next -> resolve_spill next (hops + 1)
+      | None -> rid
+  in
+  let try_alloc rid =
+    match ensure_mapping st rid ~retries:5 with
+    | None -> None
+    | Some info ->
+        if info.Wire.primary = st.State.id then begin
+          match State.replica st rid with
+          | Some rep ->
+              State.await_active rep;
+              Allocmgr.alloc_obj_local st rep ~size
+          | None -> None
+        end
+        else begin
+          match
+            Comms.call st ~dst:info.Wire.primary ~timeout:(Time.ms 10)
+              (Wire.Alloc_obj_req { rid; size })
+          with
+          | Ok (Wire.Alloc_obj_reply { addr = Some addr; version }) -> Some (addr, version)
+          | Ok _ | Error _ -> None
+        end
+  in
+  let rid = resolve_spill rid 0 in
+  let slot =
+    match try_alloc rid with
+    | Some s -> Some s
+    | None -> (
+        (* the region is full: transparently allocate a co-located
+           overflow region through the CM (§3) and spill into it *)
+        match Int_tbl.find_opt st.State.spill rid with
+        | Some next -> try_alloc next
         | None -> (
-            (* the region is full: transparently allocate a co-located
-               overflow region through the CM (§3) and spill into it *)
-            match Int_tbl.find_opt st.State.spill rid with
-            | Some next -> try_alloc next
-            | None -> (
-                let cm = st.State.config.Config.cm in
-                match
-                  Comms.call st ~dst:cm ~timeout:(Time.ms 50)
-                    (Wire.Alloc_region_req { locality = Some rid })
-                with
-                | Ok (Wire.Alloc_region_reply { info = Some info }) ->
-                    Int_tbl.replace st.State.region_map info.Wire.rid info;
-                    Int_tbl.replace st.State.spill rid info.Wire.rid;
-                    try_alloc info.Wire.rid
-                | Ok _ | Error _ -> None))
-      in
-      match slot with
-      | None -> raise (Abort Out_of_space)
-      | Some (addr, _) when written tx addr ->
-          (* a double-handout race handed this tx the same slot twice
-             (possible while allocator recovery races a pre-failure
-             tentative holder); treat as a conflict and retry *)
-          raise (Abort Conflict)
-      | Some (addr, version) ->
-          tx.allocated <- (addr, size) :: tx.allocated;
-          add_write tx (Addr.pack addr) version (Bytes.make size '\000') Wire.Alloc_set;
-          addr)
+            let cm = st.State.config.Config.cm in
+            match
+              Comms.call st ~dst:cm ~timeout:(Time.ms 50)
+                (Wire.Alloc_region_req { locality = Some rid })
+            with
+            | Ok (Wire.Alloc_region_reply { info = Some info }) ->
+                Int_tbl.replace st.State.region_map info.Wire.rid info;
+                Int_tbl.replace st.State.spill rid info.Wire.rid;
+                try_alloc info.Wire.rid
+            | Ok _ | Error _ -> None))
+  in
+  match slot with
+  | None -> raise (Abort Out_of_space)
+  | Some (addr, _) when written tx addr ->
+      (* a double-handout race handed this tx the same slot twice
+         (possible while allocator recovery races a pre-failure
+         tentative holder); treat as a conflict and retry *)
+      raise (Abort Conflict)
+  | Some (addr, version) ->
+      tx.allocated <- (addr, size) :: tx.allocated;
+      add_write tx (Addr.pack addr) version (Bytes.make size '\000') Wire.Alloc_set;
+      addr
 
 let free tx (addr : Addr.t) =
   let wi = write_index tx addr in

@@ -86,7 +86,9 @@ val alloc : t -> size:int -> ?near:Addr.t -> ?region:int -> unit -> Addr.t
 (** Allocate an object. The slot is tentatively taken from the primary's
     slab free list during execution, but its allocation bit is only set at
     commit, so aborts and crashes leak nothing (§5.5). [near] places the
-    object in the same region as an existing one (locality hint). *)
+    object in the same region as an existing one (locality hint),
+    [region] in the given region; [near] wins if both are given. Raises
+    [Invalid_argument] if neither is. *)
 
 val free : t -> Addr.t -> unit
 (** Free an object at commit. Freeing an object allocated by this same

@@ -448,15 +448,41 @@ let render_body k ~a ~b ~c =
 
 (* {1 The cluster log}
 
-   Milestones, fabric drops and nemesis actions of every machine, in
-   emission order. It is always on and holds only rare events, so a list
-   (newest first) is enough; milestones are counted as they arrive. *)
+   One per cluster, shared by every machine's sink. It holds the
+   milestones, fabric drops and nemesis actions of every machine, in
+   emission order: always on, only rare events, so a list (newest first)
+   is enough; milestones are counted as they arrive.
+
+   It also holds the aggregates that are only ever read cluster-wide (the
+   interface lists them, and what stays per machine and why). Each is a
+   sum of integers, so one copy written by every machine equals the merge
+   of per-machine copies exactly. *)
 
 type record = { r_at : int; r_kind : kind; r_machine : int; r_a : int; r_b : int; r_c : int }
 
-type log = { mutable l_records : record list; mutable l_milestones : int }
+type log = {
+  mutable l_records : record list;
+  mutable l_milestones : int;
+  hists : Stats.Hist.t array;  (* per point: phase segments, stage durations *)
+  commit_lat : Stats.Hist.t;  (* commit-phase latency of each commit, ns *)
+  commit_bins : Stats.Series.t;  (* commits per 1 ms of sim time *)
+  blame_tot : int array;  (* exact committed ns per category *)
+  blame_hists : Stats.Hist.t array;
+  phase_tot : int array;  (* exact committed ns per phase (reconciliation) *)
+}
 
-let create_log () = { l_records = []; l_milestones = 0 }
+let create_log () =
+  {
+    l_records = [];
+    l_milestones = 0;
+    hists = Array.init n_points (fun _ -> Stats.Hist.create ());
+    commit_lat = Stats.Hist.create ();
+    commit_bins = Stats.Series.create ~bin:(Time.ms 1);
+    blame_tot = Array.make n_blames 0;
+    blame_hists = Array.init n_blames (fun _ -> Stats.Hist.create ());
+    phase_tot = Array.make n_phases 0;
+  }
+
 let log_records l = List.rev l.l_records
 let log_milestones l = l.l_milestones
 
@@ -494,15 +520,9 @@ and t = {
   mutable obs_enabled : bool;
   ring : kind Ring.t;  (* per event: sim-time ns, a, b, c *)
   counters : int array;
-  hists : Stats.Hist.t array;  (* per point: phase segments, stage durations *)
-  commit_lat : Stats.Hist.t;  (* commit-phase latency of each commit, ns *)
-  commit_bins : Stats.Series.t;  (* commits per 1 ms of sim time *)
   obs_tracer : Tracer.t;
   obs_timeline : Timeline.t;
   mutable blame_on : bool;  (* gates span blame arrays and exemplars *)
-  blame_tot : int array;  (* exact committed ns per category *)
-  blame_hists : Stats.Hist.t array;
-  phase_tot : int array;  (* exact committed ns per phase (reconciliation) *)
   mutable exemplars : exemplar list;  (* slowest committed txs, desc, <= k *)
   obs_heat : Heat.t;
 }
@@ -517,15 +537,9 @@ let create ?(capacity = 128) ?(log = create_log ()) engine ~machine =
     obs_enabled = false;
     ring = Ring.create ~capacity ~stride:4 K_phase;
     counters = Array.make n_counters 0;
-    hists = Array.init n_points (fun _ -> Stats.Hist.create ());
-    commit_lat = Stats.Hist.create ();
-    commit_bins = Stats.Series.create ~bin:(Time.ms 1);
     obs_tracer = Tracer.create engine ~machine;
     obs_timeline = Timeline.create engine ~machine;
     blame_on = false;
-    blame_tot = Array.make n_blames 0;
-    blame_hists = Array.init n_blames (fun _ -> Stats.Hist.create ());
-    phase_tot = Array.make n_phases 0;
     exemplars = [];
     obs_heat = Heat.create ();
   }
@@ -537,12 +551,15 @@ let timeline t = t.obs_timeline
    the exemplar list) are reset so that blame and phase totals cover the
    same interval — a caller arming after a bulk-load phase would otherwise
    compare post-arm blame against whole-run phases. The phase *histograms*
-   are not touched: they are whole-run observables in their own right. *)
+   are not touched: they are whole-run observables in their own right.
+   The accumulators are the cluster's: arming every machine at one
+   instant, as [Cluster.set_blame] does, clears them once in effect. *)
 let set_blame t on =
   if on && not t.blame_on then begin
-    Array.fill t.phase_tot 0 (Array.length t.phase_tot) 0;
-    Array.fill t.blame_tot 0 (Array.length t.blame_tot) 0;
-    Array.iter Stats.Hist.clear t.blame_hists;
+    let l = t.obs_log in
+    Array.fill l.phase_tot 0 n_phases 0;
+    Array.fill l.blame_tot 0 n_blames 0;
+    Array.iter Stats.Hist.clear l.blame_hists;
     t.exemplars <- []
   end;
   t.blame_on <- on
@@ -558,8 +575,8 @@ let heat_conflict t ~region =
 let incr t c = t.counters.(counter_index c) <- t.counters.(counter_index c) + 1
 let add t c n = t.counters.(counter_index c) <- t.counters.(counter_index c) + n
 let counter t c = t.counters.(counter_index c)
-let commit_latency t = t.commit_lat
-let commit_series t = t.commit_bins
+let commit_latency t = t.obs_log.commit_lat
+let commit_series t = t.obs_log.commit_bins
 
 let counter_totals t =
   List.filter_map
@@ -594,7 +611,7 @@ let record_stage t kind ~ns =
     | K_rec_region_active -> P_region_active
     | _ -> P_decide
   in
-  Stats.Hist.record t.hists.(point_index p) ns;
+  Stats.Hist.record t.obs_log.hists.(point_index p) ns;
   let now = Time.to_ns (Engine.now t.engine) in
   Tracer.slice t.obs_tracer ~tid:Tracer.tid_recovery ~label:(point_label p)
     ~start:(now - ns) ~arg:0 ~txm:(-1) ~txt:0 ~txl:0 ~flow_in:0 ~flow_out:0
@@ -604,8 +621,8 @@ let event t kind ~a ~b ~c =
   let sinks = route kind in
   if sinks land to_stage <> 0 then record_stage t kind ~ns:b;
   if sinks land to_commit <> 0 then begin
-    Stats.Hist.record t.commit_lat c;
-    Stats.Series.add t.commit_bins ~at:(Engine.now t.engine) 1
+    Stats.Hist.record t.obs_log.commit_lat c;
+    Stats.Series.add t.obs_log.commit_bins ~at:(Engine.now t.engine) 1
   end;
   if t.obs_enabled && sinks land to_ring <> 0 then begin
     let h = Ring.push t.ring kind in
@@ -633,21 +650,22 @@ let events t =
 
 (* {1 Spans} *)
 
-let hist t p = t.hists.(point_index p)
+let hist t p = t.obs_log.hists.(point_index p)
 
 (* [i] is a phase index *)
 let record_phase t i ns =
-  t.phase_tot.(i) <- t.phase_tot.(i) + ns;
-  if ns > 0 then Stats.Hist.record t.hists.(i) ns
+  let l = t.obs_log in
+  l.phase_tot.(i) <- l.phase_tot.(i) + ns;
+  if ns > 0 then Stats.Hist.record l.hists.(i) ns
 
-let phase_total_ns t p = t.phase_tot.(point_index p)
-let blame_hist t b = t.blame_hists.(blame_index b)
-let blame_total_ns t b = t.blame_tot.(blame_index b)
+let phase_total_ns t p = t.obs_log.phase_tot.(point_index p)
+let blame_hist t b = t.obs_log.blame_hists.(blame_index b)
+let blame_total_ns t b = t.obs_log.blame_tot.(blame_index b)
 
 let record_blame t b ns =
-  let i = blame_index b in
-  t.blame_tot.(i) <- t.blame_tot.(i) + ns;
-  if ns > 0 then Stats.Hist.record t.blame_hists.(i) ns
+  let l = t.obs_log and i = blame_index b in
+  l.blame_tot.(i) <- l.blame_tot.(i) + ns;
+  if ns > 0 then Stats.Hist.record l.blame_hists.(i) ns
 
 let exemplars t = t.exemplars
 

@@ -6,10 +6,22 @@ open Farm_sim
     One [Obs.t] lives on each machine (created by {!Cluster}, threaded
     through {!State} and the fabric) and every protocol layer emits through
     it: {!event} is the only way any layer records a discrete event. It is
-    the machine's only measurement store — commit and abort counts, commit
-    latency and the per-ms commit series included — and it survives a
-    restart of the machine, so its totals cover the machine's whole
-    history. The design obeys three hard rules:
+    the only measurement store, and it survives a restart of the machine,
+    so its totals cover the machine's whole history.
+
+    What is only ever read cluster-wide is kept once per cluster, in the
+    {!log} the sinks of one cluster share: the phase and stage histograms
+    ({!hist}), commit latency and the per-ms commit series, and the blame
+    window's exact totals and histograms. Each is an integer sum, so one
+    copy that every machine writes equals the merge of per-machine copies.
+    What stays per machine: the counters (the end-to-end benchmark sums
+    them machine by machine, so one shared array would be counted once per
+    machine), the flight-recorder ring, tracer and sampler, the heat table
+    (each machine halves its own integer counts lazily; one table would
+    halve sums instead of summing halves, and round differently) and the
+    exemplars (each machine's own 8 slowest: [Cluster.tail_blame] sums
+    them all, and pinned reports depend on that sum). The design obeys
+    three hard rules:
 
     - {b O(1), allocation-light recording.} Events are a constant
       constructor plus three integer arguments written into a {!Ring}
@@ -29,14 +41,16 @@ open Farm_sim
 type t
 
 type log
-(** A cluster log, shared by the sinks of one cluster (see {!event}). *)
+(** A cluster log, shared by the sinks of one cluster: the always-on
+    event log (see {!event}) and the cluster-wide aggregates. *)
 
 (** {1 Creation} *)
 
 val create : ?capacity:int -> ?log:log -> Engine.t -> machine:int -> t
 (** A per-machine sink, its flight-recorder ring ([capacity] events,
     default 128, storage growing with use) off. [log] is the cluster log
-    this machine writes to (default: a fresh one). *)
+    this machine writes its events and aggregates to (default: a fresh
+    one). *)
 
 val set_enabled : t -> bool -> unit
 (** Gates the flight-recorder ring only; the tracer and timeline have
@@ -94,12 +108,12 @@ val add : t -> counter -> int -> unit
 val counter : t -> counter -> int
 
 val commit_latency : t -> Stats.Hist.t
-(** Commit-phase latency (ns) of every transaction committed here, from
-    the latency its [K_tx_commit] event carries. *)
+(** Commit-phase latency (ns) of every transaction committed by any sink
+    of this sink's log, from the latency its [K_tx_commit] event carries. *)
 
 val commit_series : t -> Stats.Series.t
-(** Transactions committed here per 1 ms bin of sim time, filled by the
-    [K_tx_commit] events. *)
+(** Transactions committed by any sink of this sink's log per 1 ms bin of
+    sim time, filled by the [K_tx_commit] events. *)
 
 (** {1 Protocol points}
 
@@ -159,10 +173,11 @@ val point_edge : after:bool -> point -> int
     (or before) the point. *)
 
 val hist : t -> point -> Stats.Hist.t
-(** Durations (ns) at a point: the segments of committed transactions
-    coordinated here for a commit phase, the stages completed here for a
-    recovery stage (from the [K_rec_drain], [K_rec_region_active] and
-    [K_rec_decide] events). Empty for the per-record points. *)
+(** Durations (ns) at a point, over every sink of this sink's log (one
+    histogram, shared): the segments of committed transactions for a
+    commit phase, the stages completed for a recovery stage (from the
+    [K_rec_drain], [K_rec_region_active] and [K_rec_decide] events). Empty
+    for the per-record points. *)
 
 (** {1 Commit-phase spans}
 
@@ -171,7 +186,7 @@ val hist : t -> point -> Stats.Hist.t
     [Engine.now] and opens the next, so the segments partition the
     transaction's lifetime exactly — they sum, to the nanosecond, to the
     end-to-end latency reported at {!Span.finish}. Committed spans fold
-    their segments into the per-machine phase histograms (skipping phases
+    their segments into the cluster's phase histograms (skipping phases
     never entered or of zero duration). *)
 
 (** Blame categories — the exclusive latency partition documented in the
@@ -242,9 +257,11 @@ module Span : sig
 end
 
 val phase_total_ns : t -> point -> int
-(** Exact nanoseconds ever recorded into a phase (committed transactions
-    only) — an integer sum, not a histogram readback, so blame totals can
-    be reconciled against it to the ns. *)
+(** Exact nanoseconds recorded into a phase by any sink of this sink's log
+    since the log's creation or the last arming of blame (committed
+    transactions only) — an integer
+    sum, not a histogram readback, so blame totals can be reconciled
+    against it to the ns. *)
 
 (** {1 Latency blame}
 
@@ -266,22 +283,24 @@ val phase_total_ns : t -> point -> int
 val set_blame : t -> bool -> unit
 (** Arm blame attribution: spans started afterwards carry a per-category
     claim array. The off-to-on transition starts a fresh attribution
-    window — the exact accumulators ({!phase_total_ns},
-    {!blame_total_ns}), the blame histograms and the exemplar list are
-    reset so blame and phase totals cover the same interval (arm after a
-    bulk load, not during a transaction). The phase {e histograms} are
-    whole-run observables and are not touched. Recording stays
-    determinism-inert either way. *)
+    window — the log's exact accumulators ({!phase_total_ns},
+    {!blame_total_ns}) and blame histograms, and this sink's exemplar
+    list, are reset so blame and phase totals cover the same interval (arm
+    after a bulk load, not during a transaction; arm every sink of a log
+    at one instant, or the later arming erases the earlier sinks' window).
+    The phase {e histograms} are whole-run observables and are not
+    touched. Recording stays determinism-inert either way. *)
 
 val blame_enabled : t -> bool
 
 val blame_hist : t -> blame -> Stats.Hist.t
-(** Per-category nanoseconds of committed transactions coordinated here
-    (admission comes from its own record site, truncate from
-    {!Span.late_segment}). *)
+(** Per-category nanoseconds of committed transactions, over every sink of
+    this sink's log (admission comes from its own record site, truncate
+    from {!Span.late_segment}). *)
 
 val blame_total_ns : t -> blame -> int
-(** Exact nanoseconds ever recorded into the category. *)
+(** Exact nanoseconds recorded into the category by any sink of this
+    sink's log since the last arming of blame. *)
 
 val record_blame : t -> blame -> int -> unit
 (** Record a duration directly into a category — the admission queue
@@ -300,8 +319,9 @@ type exemplar = {
 }
 
 val exemplars : t -> exemplar list
-(** Up to 8 slowest committed spans, slowest first; deterministic under
-    seed replay. *)
+(** Up to 8 slowest committed spans coordinated at this sink, slowest
+    first; deterministic under seed replay. Kept per machine, not per
+    log. *)
 
 (** {1 Per-region heat} — decaying access/conflict counters (see {!Heat});
     always on, like the counters. *)
@@ -384,7 +404,8 @@ val total_events : t -> int
 (** Ring events recorded since creation, including overwritten ones. *)
 
 (** {2 The cluster log} — shared by every machine of a cluster, always
-    on, in emission order. *)
+    on, in emission order; it also holds the cluster-wide aggregates
+    above. *)
 
 val create_log : unit -> log
 

@@ -294,6 +294,43 @@ let counters_plumbed () =
   check_bool "log records were processed" true (get "log-record" >= 1);
   check_bool "lease traffic flowed" true (get "lease-renewal" >= 1)
 
+(* The aggregates only ever read cluster-wide are kept once per cluster:
+   every machine's sink records into one set of histograms. *)
+let one_store_per_cluster () =
+  let c = Cluster.create ~seed:5 ~machines:3 () in
+  let obs i = (Cluster.machine c i).State.obs in
+  check_bool "machines 0 and 2 share the lock-phase histogram" true
+    (Obs.hist (obs 0) Obs.P_lock == Obs.hist (obs 2) Obs.P_lock);
+  check_bool "... and the commit-latency histogram" true
+    (Obs.commit_latency (obs 1) == Obs.commit_latency (obs 2))
+
+(* Every machine coordinates commits into the one store, and the store
+   counts each exactly once: the commit-latency histogram and the per-ms
+   commit series both add up to the per-machine commit counters. *)
+let store_counts_every_commit () =
+  let c = Cluster.create ~seed:5 ~machines:3 () in
+  let r = Cluster.alloc_region_exn c in
+  let commit machine =
+    Cluster.run_on c ~machine (fun st ->
+        match
+          Api.run_retry st ~thread:0 (fun tx ->
+              let a = Txn.alloc tx ~size:8 ~region:r.Wire.rid () in
+              Txn.write tx a (Bytes.make 8 'w'))
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "commit aborted: %a" Txn.pp_abort e)
+  in
+  List.iter commit [ 0; 1; 2; 0; 2 ];
+  let committed = Cluster.total_committed c in
+  check_bool "every machine committed" true
+    (List.for_all
+       (fun i -> Obs.counter (Cluster.machine c i).State.obs Obs.C_tx_commit > 0)
+       [ 0; 1; 2 ]);
+  check_int "commit latencies recorded" committed
+    (Stats.Hist.count (Cluster.merged_latency c));
+  check_int "commit series bins" committed
+    (Array.fold_left ( + ) 0 (Cluster.throughput_series c ~until:(Cluster.now c)))
+
 (* {1 The causal tracer and the timeline sampler} *)
 
 (* {2 Shared fixture}: a small traced + sampled cluster, committing from a
@@ -578,6 +615,8 @@ let suites =
         test "flight dump keeps same-instant emission order" flight_dump_same_instant_order;
         test "every protocol point's name, label and tags" point_vocabulary;
         test "counters plumbed through the stack" counters_plumbed;
+        test "one aggregate store per cluster" one_store_per_cluster;
+        test "the store counts every commit once" store_counts_every_commit;
       ] );
     ( "obs.trace",
       [

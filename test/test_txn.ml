@@ -285,6 +285,18 @@ let remote_alloc () =
   check_int "in requested region" r.Wire.rid addr.Addr.region;
   check_bool "readable" true (read_cell c ~machine:0 addr <> 0)
 
+(* An allocation is always placed: with neither [~near] nor [~region],
+   [Txn.alloc] refuses before it takes a slot anywhere. *)
+let unplaced_alloc_rejected () =
+  let c = mk_cluster () in
+  ignore (Cluster.alloc_region_exn c);
+  Cluster.run_on c ~machine:0 (fun st ->
+      let tx = Txn.begin_tx st ~thread:0 in
+      Alcotest.check_raises "no placement"
+        (Invalid_argument "Txn.alloc: neither ~near nor ~region") (fun () ->
+          ignore (Txn.alloc tx ~size:8 ()));
+      check_bool "nothing allocated" true (tx.Txn.allocated = []))
+
 let multi_region_transaction () =
   let c = mk_cluster () in
   let r1 = Cluster.alloc_region_exn c in
@@ -479,6 +491,7 @@ let suites =
         test "aborted alloc returns slot" aborted_alloc_returns_slot;
         test "remote alloc" remote_alloc;
         test "alloc+free in one tx" alloc_free_same_tx;
+        test "unplaced alloc rejected" unplaced_alloc_rejected;
       ] );
     ("txn.replication", [ test "backups apply at truncation" backups_apply_at_truncation ]);
     ( "cluster.run_on",
