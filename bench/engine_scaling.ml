@@ -203,7 +203,10 @@ let json_report ~smoke ~micro_bytes rows =
    match the baseline row of the same cluster size exactly. The last one
    fails a change that leaves dead events (a timer that a reply has made
    moot) queued again. Host-heap bytes depend on the host's OCaml
-   runtime, so they get a 1.2x ceiling, and the live heap a 1.1x one. The
+   runtime, so they get a 1.2x ceiling. The live heap after a full major
+   collection reads the same on every run of one binary, so its ceiling is
+   1.02x: one 0.1 MB rounding step at the 9- and 30-machine rows, and
+   under the 3 to 6 % a real memory regression moved them. The
    commit micro row is keyed by its fixed pre-refactor anchor. *)
 
 let gate =
@@ -221,7 +224,7 @@ let gate =
           ("nvram_bytes", Gate.Exact);
           ("pending_end", Gate.Exact);
           ("bytes_per_op", Gate.Ceiling 1.2);
-          ("live_mb", Gate.Ceiling 1.1);
+          ("live_mb", Gate.Ceiling 1.02);
         ];
     };
     {
@@ -240,7 +243,7 @@ let run ?(smoke = false) ?check_baseline () =
     (* (machines, workers_per_machine, subscribers, duration); --smoke runs
        the first three, so CI's rows have exact baseline rows. The
        30-machine row is the smallest whose live heap is large enough for
-       the 1.1x [live_mb] ceiling to catch a memory regression. *)
+       the [live_mb] ceiling to catch a memory regression. *)
     [
       (3, 12, 2_000, Time.ms 60);
       (9, 12, 4_000, Time.ms 40);

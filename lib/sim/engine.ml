@@ -1,25 +1,30 @@
-(* Two queues feed the event loop:
+(* Three queues feed the event loop:
 
    - [ready], a FIFO ring, holds every event scheduled for [now] itself
-     (or clamped to it), in scheduling order. Process resumes land here,
-     so a large share of events never touches the heap;
-   - [heap], ordered by [(at, seq)], holds the events and timers for
-     later instants.
+     (or clamped to it), in scheduling order. Process resumes land here;
+   - [wheel] ([Wheel]) holds the events [schedule] files for a later
+     instant within its 262 us horizon: most of the rest;
+   - [heap], ordered by [(at, seq)], holds every cancellable timer (it
+     removes by handle), the events past the wheel's horizon, and those
+     the wheel refuses after [run ~until] winds the clock back.
 
-   The queues run events in exactly [(at, seq)] order. A heap event whose
-   key equals [now] was scheduled while the clock was still below [now]
-   (at [now] it would have gone to [ready]), so its seq precedes every
-   [ready] entry; and an event scheduled while [ready] drains lands at the
-   back of [ready]. [run] therefore takes the heap events due at [now]
-   first, then [ready], and only then advances the clock.
+   The queues run events in exactly [(at, seq)] order. [run] takes the
+   smaller [(at, seq)] of the wheel's head and the heap's root, so where an
+   event was filed never changes when it runs. A queued event whose key
+   equals [now] was scheduled while the clock was still below [now] (at
+   [now] it would have gone to [ready]), so its seq precedes every [ready]
+   entry; and an event scheduled while [ready] drains lands at the back of
+   [ready]. [run] therefore takes the queued events due at [now] first,
+   then [ready], and only then advances the clock.
 
    [Time.t] is [int], and this file compares instants with the int
    operators directly: the event loop then makes no call it does not need
    even under [--profile dev], whose [-opaque] stops all cross-module
    inlining. The default release build (dune-workspace) also inlines
-   [Heap]'s operations here; only [Heap.grow] stays a call. *)
+   [Heap]'s and [Wheel]'s operations here; only their [grow]s stay calls. *)
 
 type t = {
+  wheel : (unit -> unit) Wheel.t;
   heap : (unit -> unit) Heap.t;
   mutable ready : (unit -> unit) array;  (* ring, capacity a power of two *)
   mutable r_head : int;
@@ -34,6 +39,7 @@ let empty_slot () = ()
 
 let create () =
   {
+    wheel = Wheel.create ~empty:empty_slot;
     heap = Heap.create ();
     ready = Array.make 64 empty_slot;
     r_head = 0;
@@ -66,11 +72,13 @@ let pop_ready t =
   t.r_len <- t.r_len - 1;
   fn
 
-let push_heap t ~at fn =
-  t.seq <- t.seq + 1;
-  Heap.push t.heap ~key:at ~seq:t.seq fn
-
-let schedule t ~at fn = if at <= t.now then push_ready t fn else push_heap t ~at fn
+let schedule t ~at fn =
+  if at <= t.now then push_ready t fn
+  else begin
+    t.seq <- t.seq + 1;
+    if not (Wheel.push t.wheel ~now:t.now ~key:at ~seq:t.seq fn) then
+      Heap.push t.heap ~key:at ~seq:t.seq fn
+  end
 
 let schedule_in t ~after fn = schedule t ~at:(t.now + after) fn
 
@@ -93,45 +101,57 @@ let events_processed t = t.events_processed
 let rewind t limit =
   let at = t.now in
   while t.r_len > 0 do
-    push_heap t ~at (pop_ready t)
+    t.seq <- t.seq + 1;
+    Heap.push t.heap ~key:at ~seq:t.seq (pop_ready t)
   done;
   t.now <- limit
+
+(* Whether the next queued event, the smaller [(at, seq)] of the wheel's
+   head and the heap's root, is the wheel's. *)
+let wheel_first t =
+  let w = t.wheel and h = t.heap in
+  (not (Wheel.is_empty w))
+  && (Heap.is_empty h
+     ||
+     let a = Wheel.min_key w and b = Heap.min_key h in
+     a < b || (a = b && Wheel.min_seq w < Heap.min_seq h))
 
 let run ?until t =
   t.stopped <- false;
   let limit = match until with Some l -> l | None -> max_int in
   let continue = ref true in
   while !continue && not t.stopped do
-    let h = t.heap in
-    let heap_due = (not (Heap.is_empty h)) && Heap.min_key h <= t.now in
-    if heap_due || t.r_len > 0 then begin
-      if t.now > limit then begin
-        rewind t limit;
-        continue := false
-      end
-      else begin
-        let fn = if heap_due then Heap.pop_value h else pop_ready t in
-        t.events_processed <- t.events_processed + 1;
-        fn ()
-      end
+    let from_wheel = wheel_first t in
+    let queued = from_wheel || not (Heap.is_empty t.heap) in
+    let at =
+      if from_wheel then Wheel.min_key t.wheel
+      else if queued then Heap.min_key t.heap
+      else max_int
+    in
+    (* no queued key is below [now], so a due event is one at [now] *)
+    let due = queued && at <= t.now in
+    if (due || t.r_len > 0) && t.now > limit then begin
+      rewind t limit;
+      continue := false
     end
-    else if Heap.is_empty h then continue := false
+    else if (not due) && t.r_len = 0 && ((not queued) || at > limit) then begin
+      if queued then t.now <- limit;
+      continue := false
+    end
     else begin
-      let at = Heap.min_key h in
-      if at > limit then begin
-        t.now <- limit;
-        continue := false
-      end
-      else begin
-        t.now <- at;
-        let fn = Heap.pop_value h in
-        t.events_processed <- t.events_processed + 1;
-        fn ()
-      end
+      let fn =
+        if (not due) && t.r_len > 0 then pop_ready t
+        else begin
+          t.now <- at;
+          if from_wheel then Wheel.pop_value t.wheel else Heap.pop_value t.heap
+        end
+      in
+      t.events_processed <- t.events_processed + 1;
+      fn ()
     end
   done;
   match until with
   | Some limit when t.now < limit && not t.stopped -> t.now <- limit
   | _ -> ()
 
-let pending t = Heap.length t.heap + t.r_len
+let pending t = Wheel.length t.wheel + Heap.length t.heap + t.r_len

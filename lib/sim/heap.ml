@@ -161,6 +161,10 @@ let min_key t =
   if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
   t.ks.(0)
 
+let min_seq t =
+  if t.size = 0 then invalid_arg "Heap.min_seq: empty heap";
+  t.ks.(1)
+
 let pop_value t =
   if t.size = 0 then invalid_arg "Heap.pop_value: empty heap";
   let value = t.values.(t.slots.(0)) in

@@ -1,8 +1,10 @@
 (** Min-heap keyed by [(key, seq)].
 
-    The secondary [seq] key gives FIFO order among entries with equal primary
-    keys, which the event queue relies on for deterministic scheduling of
-    simultaneous events.
+    The secondary [seq] key gives FIFO order among entries with equal
+    primary keys. {!Engine} keeps its cancellable timers here, since
+    {!remove} drops one by handle, and the events past its timing wheel's
+    horizon ({!Wheel}); {!min_key} and {!min_seq} let it run whichever of
+    the heap's root and the wheel's head has the smaller [(key, seq)].
 
     Keys, sequence numbers and slot indices live in [int] arrays and the
     payloads in a slot array that sifting never touches, so [push],
@@ -34,6 +36,10 @@ val remove : 'a t -> handle -> unit
 val min_key : 'a t -> int
 (** Smallest key currently in the heap. Raises [Invalid_argument] when
     empty. *)
+
+val min_seq : 'a t -> int
+(** Sequence number of the entry {!min_key} belongs to. Raises
+    [Invalid_argument] when empty. *)
 
 val pop_value : 'a t -> 'a
 (** Remove the entry with the smallest [(key, seq)] and return its payload.

@@ -88,7 +88,12 @@ let heap_remove_qcheck =
           | Push key ->
               handles := Array.append !handles [| (Heap.push_handle h ~key ~seq seq, key, seq) |];
               live := (key, seq) :: !live
-          | Pop -> if Heap.pop h <> pop_model () then ok := false
+          | Pop ->
+              (* the root's key and seq are the model's smallest pair *)
+              (match List.sort compare !live with
+              | [] -> if not (Heap.is_empty h) then ok := false
+              | (k, s) :: _ -> if Heap.min_key h <> k || Heap.min_seq h <> s then ok := false);
+              if Heap.pop h <> pop_model () then ok := false
           | Remove i ->
               if i < Array.length !handles then begin
                 let handle, key, seq = !handles.(i) in

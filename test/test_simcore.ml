@@ -13,11 +13,25 @@ let qtest = QCheck_alcotest.to_alcotest
 (* {1 Event order} *)
 
 (* A schedule program: events placed in the past, at now or in the future
-   (relative to when they are scheduled), which schedule further events,
-   stop the engine, or start a process that sleeps, yields and schedules
-   events itself. The top level interleaves schedules with [run] and
-   [run ~until]. *)
-type delta = Past of int | Now | Future of int
+   (relative to when they are scheduled), or armed as cancellable timers,
+   which schedule further events, stop the engine, or start a process that
+   sleeps, yields and schedules events itself. The top level interleaves
+   schedules with [run] and [run ~until].
+
+   Future delays cover each of the engine's queues: nanoseconds and tens
+   of microseconds land in its timing wheel, milliseconds lie past the
+   wheel's horizon and go to its heap, and so do timers. [run ~until]
+   below [now] winds the clock back under the wheel's cursor, and later
+   near events go to the heap too. Timer and event delays are drawn from
+   the same small ranges, so timers often tie with wheel events at one
+   instant, armed before or after them. *)
+type delta =
+  | Past of int
+  | Now
+  | Future of int
+  | Timer of int * int option
+      (** [Timer (after, cancel)]: an [Engine.timer] armed [after] ns ahead;
+          with [Some d], an event [d] ns after arming cancels it *)
 type node = { id : int; at : delta; body : body }
 and body = Event of node list | Stop | Proc of step list
 and step = Sleep of int | Yield | Sched of node
@@ -29,6 +43,8 @@ let rec pp_node ppf n =
     | Past d -> Fmt.pf ppf "-%d" d
     | Now -> Fmt.string ppf "0"
     | Future d -> Fmt.pf ppf "+%d" d
+    | Timer (d, None) -> Fmt.pf ppf "timer+%d" d
+    | Timer (d, Some c) -> Fmt.pf ppf "timer+%d/cancel+%d" d c
   in
   match n.body with
   | Event ch -> Fmt.pf ppf "e%d@%a[%a]" n.id pp_at n.at Fmt.(list ~sep:comma pp_node) ch
@@ -47,14 +63,25 @@ let pp_cmd ppf = function
 
 let gen_program =
   let open QCheck.Gen in
+  let ahead =
+    frequency
+      [
+        (8, int_range 1 100);
+        (* a few instants only, so that events and timers tie *)
+        (4, int_range 1 4);
+        (* tens of microseconds: still inside the wheel's horizon *)
+        (2, int_range 32_000 33_000);
+        (* milliseconds: past it *)
+        (1, int_range 1_000_000 1_000_100);
+      ]
+  in
   let delta =
     frequency
       [
         (2, map (fun d -> Past d) (int_range 1 50));
         (3, return Now);
-        (4, map (fun d -> Future d) (int_range 1 100));
-        (* timer-like delays, tens of microseconds ahead *)
-        (1, map (fun d -> Future d) (int_range 32_000 33_000));
+        (5, map (fun d -> Future d) ahead);
+        (2, map2 (fun d c -> Timer (d, c)) ahead (opt ~ratio:0.5 (int_bound 120)));
       ]
   in
   let node =
@@ -66,7 +93,7 @@ let gen_program =
           let step =
             frequency
               [
-                (3, map (fun d -> Sleep d) (oneof [ int_bound 60; int_range 32_000 33_000 ]));
+                (3, map (fun d -> Sleep d) (oneof [ int_bound 60; int_range 32_000 33_000; int_range 1_000_000 1_000_100 ]));
                 (2, return Yield);
                 (2, map (fun n -> Sched n) (self (depth - 1)));
               ]
@@ -84,7 +111,7 @@ let gen_program =
       [
         (4, map (fun n -> Top n) (int_bound 3 >>= node));
         (1, return Run);
-        (2, map (fun t -> Run_until t) (oneof [ int_bound 400; int_bound 70_000 ]));
+        (2, map (fun t -> Run_until t) (oneof [ int_bound 400; int_bound 70_000; int_bound 2_100_000 ]));
       ]
   in
   map (fun cmds -> cmds @ [ Run ]) (list_size (int_range 1 8) cmd)
@@ -92,11 +119,15 @@ let gen_program =
 let arb_program =
   QCheck.make gen_program ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_cmd))
 
-let abs_at now = function Past d -> now - d | Now -> now | Future d -> now + d
+let abs_at now = function
+  | Past d -> now - d
+  | Now -> now
+  | Future d | Timer (d, _) -> now + d
 
 (* The reference engine: every event carries (max at now, seq) and the
-   smallest pair runs next. A process step is the pair of events a wake-up
-   costs: a timer at the instant, then a resume at it. *)
+   smallest pair runs next; a cancelled timer leaves the list. A process
+   step is the pair of events a wake-up costs: a timer at the instant, then
+   a resume at it. *)
 module Ref = struct
   type t = {
     mutable q : (int * int * (unit -> unit)) list;
@@ -111,6 +142,13 @@ module Ref = struct
   let schedule t ~at fn =
     t.seq <- t.seq + 1;
     t.q <- (max at t.now, t.seq, fn) :: t.q
+
+  (* the timer's seq names it *)
+  let timer t ~at fn =
+    schedule t ~at fn;
+    t.seq
+
+  let cancel t seq = t.q <- List.filter (fun (_, s, _) -> s <> seq) t.q
 
   let run ?until t =
     t.stopped <- false;
@@ -134,26 +172,38 @@ module Ref = struct
     | _ -> ()
 end
 
-(* Each run logs (node id, process step or -1, time) as things happen. *)
+(* Each run logs (node id, process step, -1 for the node's event or -2 for
+   the event that cancels its timer, time) as things happen. *)
 let run_real cmds =
   let e = Engine.create () in
   let log = ref [] in
   let rec sched n =
-    Engine.schedule e ~at:(abs_at (Engine.now e) n.at) (fun () ->
-        log := (n.id, -1, Engine.now e) :: !log;
-        match n.body with
-        | Event ch -> List.iter sched ch
-        | Stop -> Engine.stop e
-        | Proc steps ->
-            Proc.spawn e (fun () ->
-                List.iteri
-                  (fun i step ->
-                    (match step with
-                    | Sleep d -> Proc.sleep (Time.ns d)
-                    | Yield -> Proc.yield ()
-                    | Sched n -> sched n);
-                    log := (n.id, i, Proc.now ()) :: !log)
-                  steps))
+    let fire () =
+      log := (n.id, -1, Engine.now e) :: !log;
+      match n.body with
+      | Event ch -> List.iter sched ch
+      | Stop -> Engine.stop e
+      | Proc steps ->
+          Proc.spawn e (fun () ->
+              List.iteri
+                (fun i step ->
+                  (match step with
+                  | Sleep d -> Proc.sleep (Time.ns d)
+                  | Yield -> Proc.yield ()
+                  | Sched n -> sched n);
+                  log := (n.id, i, Proc.now ()) :: !log)
+                steps)
+    in
+    match n.at with
+    | Timer (after, cancel) ->
+        let timer = Engine.timer e ~after:(Time.ns after) fire in
+        Option.iter
+          (fun d ->
+            Engine.schedule e ~at:(Engine.now e + d) (fun () ->
+                log := (n.id, -2, Engine.now e) :: !log;
+                Engine.cancel e timer))
+          cancel
+    | at -> Engine.schedule e ~at:(abs_at (Engine.now e) at) fire
   in
   let states =
     List.map
@@ -171,12 +221,23 @@ let run_ref cmds =
   let r = Ref.create () in
   let log = ref [] in
   let rec sched n =
-    Ref.schedule r ~at:(abs_at r.Ref.now n.at) (fun () ->
-        log := (n.id, -1, r.Ref.now) :: !log;
-        match n.body with
-        | Event ch -> List.iter sched ch
-        | Stop -> r.Ref.stopped <- true
-        | Proc steps -> Ref.schedule r ~at:r.Ref.now (fun () -> steps_from n.id 0 steps))
+    let fire () =
+      log := (n.id, -1, r.Ref.now) :: !log;
+      match n.body with
+      | Event ch -> List.iter sched ch
+      | Stop -> r.Ref.stopped <- true
+      | Proc steps -> Ref.schedule r ~at:r.Ref.now (fun () -> steps_from n.id 0 steps)
+    in
+    match n.at with
+    | Timer (after, cancel) ->
+        let timer = Ref.timer r ~at:(r.Ref.now + after) fire in
+        Option.iter
+          (fun d ->
+            Ref.schedule r ~at:(r.Ref.now + d) (fun () ->
+                log := (n.id, -2, r.Ref.now) :: !log;
+                Ref.cancel r timer))
+          cancel
+    | at -> Ref.schedule r ~at:(abs_at r.Ref.now at) fire
   and steps_from id i = function
     | [] -> ()
     | step :: rest -> (
@@ -230,31 +291,51 @@ let engine_rewind () =
   Alcotest.(check (list (pair string int)))
     "order" [ ("z", 50); ("a", 50); ("b", 50); ("c", 60) ] (List.rev !log)
 
-(* Two events for one instant, one scheduled 40 us ahead and one scheduled
-   just before it is due: they run in scheduling order. The second case
-   needs the clock wound back between the two schedules. *)
+(* Two events for one instant, one in the heap and one in the timing
+   wheel: they run in scheduling order. An event 1 ms ahead is past the
+   wheel's horizon, so it goes to the heap, and one scheduled just before
+   it is due goes to the wheel; a timer goes to the heap whatever its
+   delay. *)
 let engine_same_instant_ties () =
   let order first_far =
     let e = Engine.create () in
     let log = ref [] in
     let note s () = log := s :: !log in
-    let at = Time.ns 40_000 in
+    let at = Time.ms 1 in
     if first_far then begin
       Engine.schedule e ~at (note "far");
-      Engine.run ~until:(Time.ns 39_990) e;
+      Engine.run ~until:(Time.ns 999_990) e;
       Engine.schedule e ~at (note "near")
     end
     else begin
-      Engine.run ~until:(Time.ns 39_990) e;
+      Engine.run ~until:(Time.ns 999_990) e;
       Engine.schedule e ~at (note "near");
-      Engine.run ~until:Time.zero e;
-      Engine.schedule e ~at (note "far")
+      ignore (Engine.timer e ~after:(Time.ns 10) (note "far"))
     end;
     Engine.run e;
     List.rev !log
   in
   Alcotest.(check (list string)) "far scheduled first" [ "far"; "near" ] (order true);
   Alcotest.(check (list string)) "near scheduled first" [ "near"; "far" ] (order false)
+
+(* After [run ~until] winds the clock back below the timing wheel's
+   cursor, near events go to the heap, and run in time order with the
+   wheel's entries. *)
+let engine_rewind_below_wheel () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := (s, Time.to_ns (Engine.now e)) :: !log in
+  Engine.run ~until:(Time.us 10) e;
+  Engine.schedule e ~at:(Time.ns 10_050) (note "wheel");
+  Engine.run ~until:Time.zero e;
+  Engine.schedule e ~at:(Time.ns 100) (note "b");
+  Engine.schedule e ~at:(Time.ns 50) (note "a");
+  Engine.schedule e ~at:(Time.ns 10_050) (note "tie");
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "order"
+    [ ("a", 50); ("b", 100); ("wheel", 10_050); ("tie", 10_050) ]
+    (List.rev !log)
 
 (* {1 Nothing popped stays reachable} *)
 
@@ -301,9 +382,11 @@ let[@inline never] engine_run_tracked e ~at =
 let engine_clears_run_events () =
   let e = Engine.create () in
   let w_ready = engine_run_tracked e ~at:Time.zero in
-  let w_timer = engine_run_tracked e ~at:(Time.ns 10) in
+  let w_near = engine_run_tracked e ~at:(Time.ns 10) in
+  let w_far = engine_run_tracked e ~at:(Time.ms 5) in
   Alcotest.(check bool) "same-instant event" true (collected w_ready);
-  Alcotest.(check bool) "timer event" true (collected w_timer);
+  Alcotest.(check bool) "wheel event" true (collected w_near);
+  Alcotest.(check bool) "heap event" true (collected w_far);
   Alcotest.(check int) "engine idle" 0 (Engine.pending (Sys.opaque_identity e))
 
 (* A cancelled timer is never run or counted, the engine no longer holds
@@ -606,6 +689,7 @@ let suites =
         qtest engine_matches_reference;
         test "run ~until below now" engine_rewind;
         test "same instant across queues" engine_same_instant_ties;
+        test "run ~until below the wheel's cursor" engine_rewind_below_wheel;
         test "heap clears popped slots" heap_clears_popped_slots;
         test "engine drops run events" engine_clears_run_events;
         test "cancelled timer" engine_cancelled_timer;
